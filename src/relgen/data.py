@@ -70,6 +70,15 @@ class DomainDataset:
             raise DataError("duplicate domain id")
         if self.domain.size and (self.domain.min() < 0 or self.domain.max() >= len(self.ids)):
             raise DataError("domain index out of range")
+        for name, values, owner in (
+            ("feature", self.x, self.domain),
+            ("target", self.y, self.domain),
+            ("meta-data", self.meta, np.arange(len(self.ids))),
+        ):
+            finite = np.isfinite(values)
+            if not finite.all():
+                row = np.argwhere(~finite)[0][0]
+                raise DataError(f"non-finite {name} value (NaN or inf) in domain {self.ids[owner[row]]!r}")
         for d in self.ids:
             if d not in self.split:
                 raise DataError(f"domain {d!r} has no split assignment")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,11 +30,16 @@ from .nn import (
     Mlp,
     adam_step,
     backward,
+    flatten,
     forward,
     init_opt_state,
+    init_weight,
     loss_ce_batch,
     loss_mse,
+    pack,
     softmax,
+    stack_backward,
+    stack_forward,
 )
 from .relations import (
     RelationMatrix,
@@ -109,32 +115,66 @@ class TrainConfig:
         return cfg
 
 
+def _bind_mlp(mlp: Mlp, views) -> None:
+    """Point the network's layers at the next views of a packed buffer."""
+    for layer in mlp.layers:
+        layer.w = next(views)
+        layer.b = next(views)
+
+
 @dataclass
 class MultiHeadModel:
-    """Shared extractor, one head per training domain, and a relation net."""
+    """Shared extractor, one head per training domain, and a relation net.
+
+    Head k is the identity layer phi -> head_w[k] @ phi + head_b[k], with
+    head_w of shape (K, c, h) and head_b of shape (K, c). Construction
+    copies every parameter into one float64 vector, ``flat``, and makes each
+    parameter array a view into it, laid out in params() order.
+    """
 
     extractor: Mlp
-    heads: list[Mlp]
+    head_w: np.ndarray
+    head_b: np.ndarray
     relation_net: RelationNet
     head_domains: list[str]
     task: str
     combine_space: str = "logit"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.heads) != len(self.head_domains):
+        self.head_w = np.asarray(self.head_w, dtype=np.float64)
+        self.head_b = np.asarray(self.head_b, dtype=np.float64)
+        k = len(self.head_domains)
+        if self.head_w.ndim != 3 or self.head_w.shape[0] != k or self.head_b.shape != self.head_w.shape[:2]:
             raise ValueError("need exactly one head per training domain")
+        if self.head_w.shape[2] != self.extractor.out_dim:
+            raise ValueError("head input dim must equal the extractor output dim")
+        if not (np.isfinite(self.head_w).all() and np.isfinite(self.head_b).all()):
+            raise ValueError("layer parameters must be finite")
+        # row k of the head block is head k's weight rows, then its bias
+        _, c, h = self.head_w.shape
+        heads = np.concatenate([self.head_w.reshape(k, c * h), self.head_b], axis=1)
+        self.flat, views = pack(self.extractor.params() + [heads] + self.relation_net.params())
+        views = iter(views)
+        _bind_mlp(self.extractor, views)
+        heads = next(views)
+        self.head_w = heads[:, : c * h].reshape(k, c, h)
+        self.head_b = heads[:, c * h :]
+        _bind_mlp(self.relation_net.g, views)
+        self.relation_net.w = next(views)
 
     def params(self) -> list[np.ndarray]:
+        """Live views of every parameter: extractor, each head's (w, b), relation net."""
         out = self.extractor.params()
-        for h in self.heads:
-            out.extend(h.params())
-        out.extend(self.relation_net.params())
-        return out
+        for w, b in zip(self.head_w, self.head_b):
+            out += [w, b]
+        return out + self.relation_net.params()
 
     def copy(self) -> "MultiHeadModel":
         return MultiHeadModel(
             self.extractor.copy(),
-            [h.copy() for h in self.heads],
+            self.head_w,
+            self.head_b,
             self.relation_net.copy(),
             list(self.head_domains),
             self.task,
@@ -159,31 +199,36 @@ def build_model(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
     if len(train_ids) < 2:
         raise ConfigError("need at least two training domains")
     out = _out_dim(dataset)
+    k = len(train_ids)
     extractor = Mlp.init(
         [dataset.n_features, config.hidden_width],
         ["relu"],
         substream(config.seed, "init", "extractor"),
     )
-    heads = [
-        Mlp.init([config.hidden_width, out], ["identity"], substream(config.seed, "init", "head", k))
-        for k in range(len(train_ids))
-    ]
+    # one substream per head, so a head's init does not depend on K
+    head_w = np.stack([
+        init_weight(config.hidden_width, out, substream(config.seed, "init", "head", j))
+        for j in range(k)
+    ])
     net = RelationNet.init(
         dataset.meta_dim,
         substream(config.seed, "init", "relations"),
         width=config.relation_width,
         n_heads=config.relation_heads,
     )
-    return MultiHeadModel(extractor, heads, net, train_ids, dataset.task, config.combine_space)
+    return MultiHeadModel(
+        extractor, head_w, np.zeros((k, out)), net, train_ids, dataset.task, config.combine_space
+    )
 
 
 def predict_head(model: MultiHeadModel, domain_id: str, x) -> np.ndarray:
     """Raw output of one domain's head on extractor features."""
     if domain_id not in model.head_domains:
         raise ValueError(f"unknown training domain {domain_id!r}")
-    phi, _ = forward(model.extractor, x)
-    out, _ = forward(model.heads[model.head_domains.index(domain_id)], phi)
-    return out
+    xb = np.asarray(x, dtype=np.float64)
+    outs = _stack_heads(model, xb if xb.ndim == 2 else xb[None, :])[2]
+    out = outs[model.head_domains.index(domain_id)]
+    return out if xb.ndim == 2 else out[0]
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -191,12 +236,7 @@ def predict_head(model: MultiHeadModel, domain_id: str, x) -> np.ndarray:
 
 def _stack_heads(model: MultiHeadModel, x: np.ndarray):
     phi, e_tape = forward(model.extractor, x)
-    outs, tapes = [], []
-    for h in model.heads:
-        o, t = forward(h, phi)
-        outs.append(o)
-        tapes.append(t)
-    return phi, e_tape, np.stack(outs), tapes  # outs: (K, n, c)
+    return phi, e_tape, stack_forward(model.head_w, model.head_b, phi)  # outs: (K, n, c)
 
 
 def _relation_rows(relations, head_domains: list[str]) -> np.ndarray | None:
@@ -253,7 +293,7 @@ def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def loss_pred(model: MultiHeadModel, batch) -> float:
     """Mean loss of each example under its own domain's head."""
     x, y, dom = _batch_arrays(batch)
-    _, _, outs, _ = _stack_heads(model, x)
+    _, _, outs = _stack_heads(model, x)
     o_self = outs[dom, np.arange(len(y))]
     if model.task == TASK_CLASSIFICATION:
         return loss_ce_batch(o_self, y)[0]
@@ -289,8 +329,8 @@ def loss_rel(model: MultiHeadModel, batch, relations) -> float:
     """
     x, y, dom = _batch_arrays(batch)
     a = _relation_rows(relations, model.head_domains)
-    _, _, outs, _ = _stack_heads(model, x)
-    u, _, _ = _consistency_weights(a, dom, len(model.heads))
+    _, _, outs = _stack_heads(model, x)
+    u, _, _ = _consistency_weights(a, dom, len(model.head_domains))
     return _mixture_forward(model, outs, u, y)[0]
 
 
@@ -322,7 +362,7 @@ def total_loss_and_grads(
     """
     x, y, dom = _batch_arrays(batch)
     n = len(y)
-    k = len(model.heads)
+    k = len(model.head_domains)
     net = model.relation_net
     classification = model.task == TASK_CLASSIFICATION
 
@@ -338,7 +378,7 @@ def total_loss_and_grads(
         pre = beta * np.asarray(fixed, dtype=np.float64) + (1.0 - beta) * a_l
         a = np.maximum(pre, 0.0)
 
-    phi, e_tape, outs, tapes = _stack_heads(model, x)
+    phi, e_tape, outs = _stack_heads(model, x)
 
     o_self = outs[dom, np.arange(n)]
     if classification:
@@ -359,8 +399,9 @@ def total_loss_and_grads(
     g_heads[dom, np.arange(n)] += g_self
 
     # gradients w.r.t. the relation entries actually used
-    net_grads = [np.zeros_like(q) for q in net.params()]
-    if a is not None and s is not None and cache is not None:
+    if a is None or s is None or cache is None:
+        net_grads = [np.zeros_like(q) for q in net.params()]
+    else:
         src = p if p is not None else outs
         tk = np.einsum("nc,knc->nk", g_mix, src)
         mm = np.einsum("nc,nc->n", g_mix, mix)
@@ -374,16 +415,14 @@ def total_loss_and_grads(
         np.fill_diagonal(d_a, 0.0)
         net_grads = learned_matrix_backward(net, cache, (1.0 - beta) * d_a)
 
-    d_phi = np.zeros_like(phi)
-    head_grads: list[np.ndarray] = []
-    for j in range(k):
-        hg, d_phi_j = backward(model.heads[j], tapes[j], g_heads[j])
-        head_grads.extend(hg)
-        d_phi += d_phi_j
+    g_w, g_b, d_phi = stack_backward(model.head_w, phi, g_heads)
     e_grads, _ = backward(model.extractor, e_tape, d_phi)
 
     loss = lp + lam * lrel
-    grads = e_grads + head_grads + net_grads
+    grads = e_grads
+    for gw, gb in zip(g_w, g_b):
+        grads += [gw, gb]
+    grads += net_grads
     return loss, (lp, lrel), grads
 
 
@@ -424,15 +463,14 @@ def train(model: MultiHeadModel, dataset: DomainDataset, config: TrainConfig) ->
     x, y, dom = dataset.arrays_for(model.head_domains)
     metas = dataset.meta_for(model.head_domains)
     fixed = dataset.fixed_matrix(model.head_domains)
-    params = model.params()
-    opt = init_opt_state(params)
+    opt = init_opt_state([model.flat])
     n = len(y)
     has_valid = bool(dataset.ids_for_split("valid"))
     eval_mode = "uniform" if config.relation_mode == "uniform" else "fused"
 
     history: list[dict] = []
     best_metric: float | None = None
-    best_params: list[np.ndarray] | None = None
+    best_params: np.ndarray | None = None
     for epoch in range(config.epochs):
         idx = _epoch_order(n, dom, config, epoch)
         sums = np.zeros(3)
@@ -453,7 +491,7 @@ def train(model: MultiHeadModel, dataset: DomainDataset, config: TrainConfig) ->
                     f"non-finite training loss at epoch {epoch}, batch {start // config.batch_size}"
                     f" (pred={lp!r}, consistency={lrel!r})"
                 )
-            adam_step(params, grads, opt, config.lr, config.weight_decay)
+            adam_step([model.flat], [flatten(grads)], opt, config.lr, config.weight_decay)
             sums += np.array([loss, lp, lrel]) * len(b)
             seen += len(b)
         entry = {
@@ -473,10 +511,10 @@ def train(model: MultiHeadModel, dataset: DomainDataset, config: TrainConfig) ->
                 best_metric is None or _metric_better(report.mean, best_metric, model.task)
             ):
                 best_metric = report.mean
-                best_params = [q.copy() for q in params]
+                best_params = model.flat.copy()
         history.append(entry)
     if best_params is not None:
-        model.set_params(best_params)
+        np.copyto(model.flat, best_params)
     return history
 
 
@@ -491,12 +529,11 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
     outputs are averaged instead of raw logits.
     """
     w = normalize_weights(weights)
-    if w.shape[0] != len(model.heads):
+    if w.shape[0] != len(model.head_domains):
         raise ValueError("need one weight per head")
     xb = np.asarray(x, dtype=np.float64)
     single = xb.ndim == 1
-    phi, _ = forward(model.extractor, xb if not single else xb[None, :])
-    outs = np.stack([forward(h, phi)[0] for h in model.heads])
+    outs = _stack_heads(model, xb if not single else xb[None, :])[2]
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         outs = softmax(outs, axis=2)
     combined = np.einsum("k,knc->nc", w, outs)
@@ -517,7 +554,7 @@ def infer(model: MultiHeadModel, weights, x) -> np.ndarray | float | int:
 
 def infer_uniform(model: MultiHeadModel, x):
     """Prediction with equal weight on every head (no-relations variant)."""
-    return infer(model, np.ones(len(model.heads)), x)
+    return infer(model, np.ones(len(model.head_domains)), x)
 
 
 def relational_predictor(
@@ -564,12 +601,22 @@ def relational_predictor(
 
 @dataclass
 class ErmModel:
-    """Single-head baseline trained on pooled data, meta-data as features."""
+    """Single-head baseline trained on pooled data, meta-data as features.
+
+    Like MultiHeadModel, its parameters are views into one vector, ``flat``.
+    """
 
     extractor: Mlp
     head: Mlp
     task: str
     meta_dim: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, views = pack(self.params())
+        views = iter(views)
+        _bind_mlp(self.extractor, views)
+        _bind_mlp(self.head, views)
 
     def params(self) -> list[np.ndarray]:
         return self.extractor.params() + self.head.params()
@@ -653,13 +700,12 @@ def _erm_loop(
     example_weights: np.ndarray | None = None,
     stream: str = "train",
 ) -> list[dict]:
-    params = model.params()
-    opt = init_opt_state(params)
+    opt = init_opt_state([model.flat])
     n = len(y)
     has_valid = dataset is not None and bool(dataset.ids_for_split("valid"))
     history: list[dict] = []
     best_metric: float | None = None
-    best_params: list[np.ndarray] | None = None
+    best_params: np.ndarray | None = None
     for epoch in range(config.epochs if example_weights is None else config.finetune_epochs):
         idx = _epoch_order(n, dom, config, epoch) if stream == "train" else substream(
             config.seed, stream, "shuffle", epoch
@@ -678,7 +724,7 @@ def _erm_loop(
                 raise NumericalError(f"non-finite pooled-training loss at epoch {epoch}")
             h_grads, d_phi = backward(model.head, h_tape, g)
             e_grads, _ = backward(model.extractor, e_tape, d_phi)
-            adam_step(params, e_grads + h_grads, opt, config.lr, config.weight_decay)
+            adam_step([model.flat], [flatten(e_grads + h_grads)], opt, config.lr, config.weight_decay)
             total += loss * len(b)
             seen += len(b)
         entry = {"epoch": epoch, "loss": total / seen}
@@ -689,11 +735,10 @@ def _erm_loop(
                 best_metric is None or _metric_better(report.mean, best_metric, model.task)
             ):
                 best_metric = report.mean
-                best_params = [q.copy() for q in params]
+                best_params = model.flat.copy()
         history.append(entry)
     if best_params is not None:
-        for p, q in zip(params, best_params):
-            np.copyto(p, q)
+        np.copyto(model.flat, best_params)
     return history
 
 
@@ -855,12 +900,10 @@ def save_checkpoint(path: str, model, config: TrainConfig, extra: dict | None = 
         header["combine_space"] = model.combine_space
         acts: dict[str, list[str]] = {"extractor": [], "relation_g": []}
         _mlp_entries("extractor", model.extractor, arrays, acts["extractor"])
-        head_acts: list[str] = []
-        for k, h in enumerate(model.heads):
-            local: list[str] = []
-            _mlp_entries(f"head/{k}", h, arrays, local)
-            head_acts = local
-        acts["head"] = head_acts
+        for k, (w, b) in enumerate(zip(model.head_w, model.head_b)):
+            arrays[f"head/{k}/0/w"] = w
+            arrays[f"head/{k}/0/b"] = b
+        acts["head"] = ["identity"]
         _mlp_entries("relation/g", model.relation_net.g, arrays, acts["relation_g"])
         arrays["relation/w"] = model.relation_net.w
         header["acts"] = acts
@@ -880,9 +923,25 @@ def save_checkpoint(path: str, model, config: TrainConfig, extra: dict | None = 
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint; returns (model, header dict)."""
+    """Read a checkpoint; returns (model, header dict).
+
+    A missing file is a ConfigError. A file that is not a complete, finite
+    relgen checkpoint (truncated archive, missing entry, head arrays that
+    disagree with head_domains, NaN or inf parameters) is a DataError that
+    names the path.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
+    try:
+        return _read_checkpoint(path)
+    except DataError:
+        raise
+    except (zipfile.BadZipFile, OSError, EOFError, AttributeError, KeyError, IndexError, TypeError,
+            ValueError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint ({type(exc).__name__}: {exc})") from exc
+
+
+def _read_checkpoint(path: str):
     with np.load(path) as z:
         arrays = {k: z[k] for k in z.files}
     if "__header__" not in arrays:
@@ -890,14 +949,22 @@ def load_checkpoint(path: str):
     header = json.loads(arrays.pop("__header__").tobytes().decode())
     if header.get("schema") != CHECKPOINT_SCHEMA:
         raise DataError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}")
+    bad = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
+    if bad:
+        raise DataError(f"{path}: non-finite parameters in {bad}")
     acts = header["acts"]
     if header["kind"] == "multi_head":
-        heads = []
-        for k in range(len(header["head_domains"])):
-            heads.append(_mlp_from_entries(f"head/{k}", arrays, acts["head"]))
+        k = len(header["head_domains"])
+        stored = sum(1 for name in arrays if name.startswith("head/"))
+        if acts["head"] != ["identity"] or stored != 2 * k:
+            raise DataError(
+                f"{path}: {stored} head arrays with activations {acts['head']}, "
+                f"expected one identity layer for each of {k} head_domains"
+            )
         model = MultiHeadModel(
             extractor=_mlp_from_entries("extractor", arrays, acts["extractor"]),
-            heads=heads,
+            head_w=np.stack([arrays[f"head/{j}/0/w"] for j in range(k)]),
+            head_b=np.stack([arrays[f"head/{j}/0/b"] for j in range(k)]),
             relation_net=RelationNet(
                 _mlp_from_entries("relation/g", arrays, acts["relation_g"]),
                 arrays["relation/w"],

@@ -1,7 +1,9 @@
 """Dense-network building blocks.
 
-MLP forward/backward passes with hand-derived gradients, the two loss
-functions used in this package, Adam with decoupled weight decay, and a
+MLP forward/backward passes with hand-derived gradients, a batched pass
+for a stack of linear layers that share one input (the per-domain heads),
+the two loss functions used in this package, Adam with decoupled weight
+decay, a helper that packs parameter arrays into one flat buffer, and a
 central finite-difference gradient checker that every analytic gradient in
 the test suite is held against.
 
@@ -94,12 +96,17 @@ class Mlp:
         """Scaled uniform fan-in init for weights, zero biases."""
         if len(acts) != len(dims) - 1:
             raise ValueError("need one activation per layer")
-        layers = []
-        for d_in, d_out, act in zip(dims, dims[1:], acts):
-            bound = 1.0 / np.sqrt(d_in)
-            w = rng.uniform(-bound, bound, size=(d_out, d_in))
-            layers.append(Layer(w, np.zeros(d_out), act))
+        layers = [
+            Layer(init_weight(d_in, d_out, rng), np.zeros(d_out), act)
+            for d_in, d_out, act in zip(dims, dims[1:], acts)
+        ]
         return cls(layers)
+
+
+def init_weight(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray:
+    """Scaled uniform fan-in init of one (d_out, d_in) weight matrix."""
+    bound = 1.0 / np.sqrt(d_in)
+    return rng.uniform(-bound, bound, size=(d_out, d_in))
 
 
 @dataclass
@@ -159,6 +166,29 @@ def backward(mlp: Mlp, tape: Tape, grad_output) -> tuple[list[np.ndarray], np.nd
         grads[2 * k + 1] = dz.sum(axis=0)
         g = dz @ layer.w
     return grads, (g[0] if tape.single else g)
+
+
+def stack_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Outputs of K linear layers on one shared input batch.
+
+    w is (K, c, h), b is (K, c), x is (n, h); returns (K, n, c). Each slice
+    k gives the same bits as an identity Layer(w[k], b[k]) under forward().
+    """
+    return np.matmul(x[None], w.transpose(0, 2, 1)) + b[:, None, :]
+
+
+def stack_backward(
+    w: np.ndarray, x: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of sum(outputs * g) for stack_forward, with g of shape (K, n, c).
+
+    Returns (grad_w (K, c, h), grad_b (K, c), grad_x (n, h)); grad_x sums
+    the K layers' input gradients in layer order.
+    """
+    # numpy picks its summation order from the memory layout; summing a C
+    # order copy adds each layer's rows in the order backward() adds them
+    grad_b = np.ascontiguousarray(g).sum(axis=1)
+    return np.matmul(g.transpose(0, 2, 1), x), grad_b, np.matmul(g, w).sum(axis=0)
 
 
 # -- losses ------------------------------------------------------------------
@@ -269,6 +299,25 @@ def adam_step(
         step = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p -= lr * (step + weight_decay * p)
     return state
+
+
+def flatten(arrays: list[np.ndarray]) -> np.ndarray:
+    """Concatenate arrays, each read in C order, into one new float64 vector."""
+    return np.concatenate(arrays, axis=None, dtype=np.float64)
+
+
+def pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy arrays into one flat buffer; returns (buffer, views shaped like arrays).
+
+    The views tile the buffer in order with no gaps, so one elementwise
+    update of the buffer (an Adam step) updates every array at once.
+    """
+    flat = flatten(arrays)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
 
 
 # -- gradient checking ---------------------------------------------------------

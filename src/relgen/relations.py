@@ -224,16 +224,17 @@ def relation_row(net: RelationNet, meta_t, metas, fixed_row, beta: float) -> np.
 
 
 def normalize_weights(weights) -> np.ndarray:
-    """Scale nonnegative weights to sum to one.
+    """Scale finite nonnegative weights to sum to one.
 
     An all-zero row means "no related domain"; the fallback is uniform
-    weights, logged as a warning so silent degradation is visible.
+    weights, logged as a warning so silent degradation is visible. NaN and
+    inf are rejected like negative weights.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty vector")
-    if (w < 0.0).any():
-        raise ValueError("weights must be nonnegative")
+    if not (np.isfinite(w).all() and (w >= 0.0).all()):
+        raise ValueError("weights must be finite and nonnegative")
     s = w.sum()
     if s <= 0.0:
         logger.warning("all-zero relation row; falling back to uniform weights")

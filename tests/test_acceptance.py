@@ -228,8 +228,8 @@ def test_criterion_7_inference_invariants():
         k = int(rng.integers(2, 6))
         out = int(rng.integers(2, 5))
         model = heads_model(k, out)
-        for h in model.heads:
-            h.layers[0].b[:] = rng.normal(size=out)
+        for b in model.head_b:
+            b[:] = rng.normal(size=out)
         x = rng.normal(size=(3, 2)) ** 2 + 0.1  # keep the relu extractor active
         w = rng.uniform(0.1, 2.0, size=k)
         scale = float(rng.uniform(0.5, 20.0))
@@ -240,8 +240,8 @@ def test_criterion_7_inference_invariants():
         k = int(rng.integers(2, 6))
         out = int(rng.integers(2, 5))
         model = heads_model(k, out)
-        for h in model.heads:
-            h.layers[0].b[:] = rng.normal(size=out)
+        for b in model.head_b:
+            b[:] = rng.normal(size=out)
         x = rng.normal(size=(2, 2)) ** 2 + 0.1
         pick = int(rng.integers(0, k))
         one_hot = np.zeros(k)
@@ -257,8 +257,8 @@ def test_criterion_7_inference_invariants():
         model = constant_model([0.0] * k, task="classification",
                                combine_space=space, out=out)
         shared = rng.normal(size=out)
-        for h in model.heads:
-            h.layers[0].b[:] = shared
+        for b in model.head_b:
+            b[:] = shared
         n = int(rng.integers(1, 5))
         batch = (
             rng.normal(size=(n, 2)) ** 2 + 0.1,

@@ -177,6 +177,53 @@ def test_data_errors_exit_3(tmp_path):
     assert run("train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")) == 3
 
 
+def test_truncated_checkpoint_exits_3(trained, dg15_dir, tmp_path):
+    whole = (trained / "checkpoint-relational-seed0.npz").read_bytes()
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes(whole[:300])
+    out = tmp_path / "eval"
+    code = run("eval", "--checkpoint", str(cut), "--data", str(dg15_dir), "--out", str(out))
+    assert code == 3
+    assert not out.exists()
+
+
+def _damaged_copy(src, dst, name, line, column, value):
+    """Copy a dataset dir, overwriting one field of one CSV line."""
+    dst.mkdir()
+    for f in src.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    lines = (dst / name).read_text().splitlines()
+    fields = lines[line].split(",")
+    fields[column] = value
+    lines[line] = ",".join(fields)
+    (dst / name).write_text("\n".join(lines) + "\n")
+
+
+def _eval_valid(trained, data, out):
+    return run(
+        "eval", "--checkpoint", str(trained / "checkpoint-relational-seed0.npz"),
+        "--data", str(data), "--split", "valid", "--out", str(out),
+    )
+
+
+def test_nan_feature_in_a_valid_domain_exits_3(trained, dg15_dir, tmp_path):
+    bad = tmp_path / "nan-feature"
+    _damaged_copy(dg15_dir, bad, "data.csv", 1, 2, "nan")
+    assert (bad / "data.csv").read_text().splitlines()[1].startswith("d00,")
+    out = tmp_path / "eval"
+    assert _eval_valid(trained, bad, out) == 3
+    assert not out.exists()
+
+
+def test_inf_meta_on_a_valid_domain_exits_3(trained, dg15_dir, tmp_path):
+    bad = tmp_path / "inf-meta"
+    _damaged_copy(dg15_dir, bad, "meta.csv", 1, 1, "inf")
+    assert (bad / "meta.csv").read_text().splitlines()[1].startswith("d00,")
+    out = tmp_path / "eval"
+    assert _eval_valid(trained, bad, out) == 3
+    assert not out.exists()
+
+
 def test_numerical_blowup_exits_4(spatial_dir, tmp_path):
     # the squared-error loss overflows after a few huge steps
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,16 +36,15 @@ from relgen.nn import Layer, Mlp, grad_check
 from relgen.relations import RelationNet
 
 
-def const_head(value, width=2, out=1):
-    return Mlp([Layer(np.zeros((out, width)), np.full(out, float(value)), "identity")])
-
-
 def constant_model(values, task="regression", combine_space="logit", out=1):
     """Extractor is the identity on positive inputs; each head is constant."""
     extractor = Mlp([Layer(np.eye(2), np.zeros(2), "relu")])
-    heads = [const_head(v, out=out) for v in values]
+    head_w = np.zeros((len(values), out, 2))
+    head_b = np.repeat(np.asarray(values, dtype=np.float64)[:, None], out, axis=1)
     net = RelationNet.init(1, np.random.default_rng(0), width=3, n_heads=2)
-    return MultiHeadModel(extractor, heads, net, [f"d{i}" for i in range(len(values))], task, combine_space)
+    return MultiHeadModel(
+        extractor, head_w, head_b, net, [f"d{i}" for i in range(len(values))], task, combine_space
+    )
 
 
 def micro_dataset(seed=0, n_per_domain=4):
@@ -156,9 +155,9 @@ def test_prob_space_mixture_floor_keeps_loss_finite():
     model = constant_model([0.0, 0.0, 0.0], task="classification", combine_space="prob", out=2)
     # make head outputs extreme and opposed so the mixed probability of the
     # true label underflows to the floor
-    model.heads[0].layers[0].b[:] = [800.0, -800.0]
-    model.heads[1].layers[0].b[:] = [800.0, -800.0]
-    model.heads[2].layers[0].b[:] = [800.0, -800.0]
+    model.head_b[0] = [800.0, -800.0]
+    model.head_b[1] = [800.0, -800.0]
+    model.head_b[2] = [800.0, -800.0]
     batch = (np.ones((3, 2)), np.array([1, 1, 1]), np.array([0, 1, 2]))
     val = loss_rel(model, batch, "uniform")
     assert np.isfinite(val)
@@ -279,13 +278,13 @@ def test_weights_are_scale_invariant():
 def test_argmax_invariant_under_logit_rescale():
     rng = np.random.default_rng(9)
     model = constant_model([0.0, 0.0], task="classification", out=3)
-    for h in model.heads:
-        h.layers[0].b[:] = rng.normal(size=3)
+    for b in model.head_b:
+        b[:] = rng.normal(size=3)
     x = np.ones((4, 2))
     w = [0.3, 0.7]
     before = infer(model, w, x)
-    for h in model.heads:
-        h.layers[0].b *= 5.5
+    for b in model.head_b:
+        b *= 5.5
     after = infer(model, w, x)
     assert np.array_equal(before, after)
 
@@ -302,15 +301,15 @@ def test_infer_returns_scalar_for_single_example():
     assert isinstance(out, float)
     assert out == pytest.approx(2.0)
     cls = constant_model([0.0, 0.0], task="classification", out=2)
-    cls.heads[0].layers[0].b[:] = [0.0, 1.0]
-    cls.heads[1].layers[0].b[:] = [0.0, 1.0]
+    cls.head_b[0] = [0.0, 1.0]
+    cls.head_b[1] = [0.0, 1.0]
     assert infer(cls, [1.0, 1.0], np.ones(2)) == 1
 
 
 def test_prob_space_combination_is_a_distribution():
     model = constant_model([0.0, 0.0], task="classification", combine_space="prob", out=3)
-    model.heads[0].layers[0].b[:] = [5.0, 0.0, -5.0]
-    model.heads[1].layers[0].b[:] = [-5.0, 0.0, 5.0]
+    model.head_b[0] = [5.0, 0.0, -5.0]
+    model.head_b[1] = [-5.0, 0.0, 5.0]
     out = combine_heads(model, [0.5, 0.5], np.ones((3, 2)))
     assert np.all(out >= 0.0)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
@@ -592,6 +591,91 @@ def test_checkpoint_error_paths(tmp_path):
         load_checkpoint(str(stray))
     with pytest.raises(ValueError, match="cannot checkpoint"):
         save_checkpoint(str(tmp_path / "x.npz"), object(), TrainConfig())
+
+
+def _rewrite_checkpoint(src, dst, edit):
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    edit(arrays)
+    np.savez(dst, **arrays)
+
+
+def test_damaged_checkpoints_are_data_errors(tmp_path):
+    ds = micro_dataset()
+    cfg = TrainConfig(epochs=0, hidden_width=4, relation_width=3, relation_heads=2)
+    good = str(tmp_path / "good.npz")
+    save_checkpoint(good, build_model(ds, cfg), cfg)
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(open(good, "rb").read()[:300])
+    with pytest.raises(DataError, match="truncated.npz"):
+        load_checkpoint(str(truncated))
+
+    def drop_head(arrays):
+        del arrays["head/2/0/w"], arrays["head/2/0/b"]
+
+    def drop_extractor_bias(arrays):
+        del arrays["extractor/0/b"]
+
+    def widen_head(arrays):
+        arrays["head/1/0/w"] = np.zeros((2, 5))
+
+    def poison(arrays):
+        arrays["relation/w"][0, 0] = np.nan
+
+    for edit in (drop_head, drop_extractor_bias, widen_head, poison):
+        path = str(tmp_path / f"{edit.__name__}.npz")
+        _rewrite_checkpoint(good, path, edit)
+        with pytest.raises(DataError, match=f"{edit.__name__}.npz"):
+            load_checkpoint(path)
+
+
+# -- parameter buffer ---------------------------------------------------------------
+
+
+def _assert_tiles(model):
+    """params() are views laid end to end over model.flat, in order."""
+    start = 0
+    for p in model.params():
+        assert np.shares_memory(p, model.flat)
+        block = model.flat[start : start + p.size]
+        assert np.array_equal(p.ravel(), block)
+        p.ravel()[0] += 1.0  # a write through the view lands at its own offset
+        assert block[0] == p.ravel()[0]
+        start += p.size
+    assert start == model.flat.size
+
+
+def test_params_tile_the_flat_buffer():
+    ds = micro_dataset()
+    cfg = TrainConfig(hidden_width=4, relation_width=3, relation_heads=2)
+    model = build_model(ds, cfg)
+    assert model.head_w.shape == (3, 2, 4) and model.head_b.shape == (3, 2)
+    assert np.shares_memory(model.head_w, model.flat)
+    _assert_tiles(model)
+    erm, _ = train_erm(ds, TrainConfig(epochs=0, hidden_width=4))
+    _assert_tiles(erm)
+
+
+def test_copy_owns_a_separate_buffer():
+    ds = micro_dataset()
+    model = build_model(ds, TrainConfig(hidden_width=4, relation_width=3, relation_heads=2))
+    erm, _ = train_erm(ds, TrainConfig(epochs=0, hidden_width=4))
+    for original in (model, erm):
+        twin = original.copy()
+        assert np.array_equal(twin.flat, original.flat)
+        assert not np.shares_memory(twin.flat, original.flat)
+        twin.flat += 1.0
+        assert not np.array_equal(twin.flat, original.flat)
+        _assert_tiles(twin)
+
+
+def test_head_tensor_shape_is_checked():
+    extractor = Mlp([Layer(np.eye(2), np.zeros(2), "relu")])
+    net = RelationNet.init(1, np.random.default_rng(0), width=3, n_heads=2)
+    with pytest.raises(ValueError, match="one head per training domain"):
+        MultiHeadModel(extractor, np.zeros((2, 1, 2)), np.zeros((2, 1)), net, ["a", "b", "c"], "regression")
+    with pytest.raises(ValueError, match="extractor output"):
+        MultiHeadModel(extractor, np.zeros((2, 1, 3)), np.zeros((2, 1)), net, ["a", "b"], "regression")
 
 
 # -- end-to-end sanity on the benchmark ---------------------------------------------

@@ -20,7 +20,10 @@ from relgen.nn import (
     loss_ce,
     loss_ce_batch,
     loss_mse,
+    pack,
     softmax,
+    stack_backward,
+    stack_forward,
 )
 
 
@@ -237,6 +240,63 @@ def test_adam_rejects_non_finite_gradients():
     p = [np.ones(2)]
     with pytest.raises(NumericalError):
         adam_step(p, [np.array([np.nan, 0.0])], init_opt_state(p), lr=0.1)
+
+
+def test_flat_adam_step_equals_per_array_steps():
+    # Adam is elementwise, so one step over a packed buffer gives the same
+    # bits as one step per array
+    rng = np.random.default_rng(11)
+    shapes = [(4, 3), (4,), (2, 4), (2,), (1,)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    flat, views = pack(arrays)
+    state_flat, state_each = init_opt_state([flat]), init_opt_state(arrays)
+    for _ in range(100):
+        grads = [rng.normal(size=s) for s in shapes]
+        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state_flat,
+                  lr=1e-2, weight_decay=5e-4)
+        adam_step(arrays, grads, state_each, lr=1e-2, weight_decay=5e-4)
+    for a, v in zip(arrays, views):
+        assert np.array_equal(a, v)
+
+
+# -- stacked heads ---------------------------------------------------------------
+
+
+def _per_head_reference(w, b, x, g):
+    """The K heads as separate identity Mlps, run one at a time."""
+    outs, grads_w, grads_b = [], [], []
+    grad_x = np.zeros_like(x)
+    for k in range(w.shape[0]):
+        head = Mlp([Layer(w[k].copy(), b[k].copy(), "identity")])
+        out, tape = forward(head, x)
+        (gw, gb), gx = backward(head, tape, g[k])
+        outs.append(out)
+        grads_w.append(gw)
+        grads_b.append(gb)
+        grad_x += gx
+    return np.stack(outs), np.stack(grads_w), np.stack(grads_b), grad_x
+
+
+@pytest.mark.parametrize("k,c", [(5, 2), (18, 1)])
+@pytest.mark.parametrize("layout", ["c-order", "heads-fastest"])
+def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
+    rng = np.random.default_rng(k * 10 + c)
+    h = 16
+    for n in (1, 6, 10, 13):
+        w = rng.normal(size=(k, c, h))
+        b = rng.normal(size=(k, c))
+        x = np.maximum(rng.normal(size=(n, h)), 0.0)
+        if layout == "c-order":
+            g = rng.normal(size=(k, n, c))
+        else:
+            # built the way the training step builds its head gradients
+            g = rng.normal(size=(n, k)).T[:, :, None] * rng.normal(size=(n, c))[None, :, :]
+        outs, gw, gb, gx = _per_head_reference(w, b, x, g)
+        assert np.array_equal(stack_forward(w, b, x), outs)
+        s_gw, s_gb, s_gx = stack_backward(w, x, g)
+        assert np.array_equal(s_gw, gw)
+        assert np.array_equal(s_gb, gb)
+        assert np.array_equal(s_gx, gx)
 
 
 def test_adam_length_mismatch():

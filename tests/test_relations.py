@@ -226,6 +226,13 @@ def test_normalize_weights_examples():
         normalize_weights(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_weights_rejects_non_finite(bad):
+    # NaN passes both a "< 0" and a "<= 0" test, so it must be caught by name
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        normalize_weights([bad, 1.0])
+
+
 def test_normalize_zero_row_falls_back_to_uniform(caplog):
     with caplog.at_level("WARNING", logger="relgen.relations"):
         w = normalize_weights([0.0, 0.0, 0.0, 0.0])
