@@ -15,6 +15,7 @@ differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -35,6 +36,7 @@ from .nn import (
     init_opt_state,
     init_weight,
     loss_ce_batch,
+    loss_ce_rows,
     loss_mse,
     pack,
     softmax,
@@ -80,14 +82,15 @@ class TrainConfig:
     finetune_epochs: int = 5  # used by rw_finetune only
 
     def validate(self) -> None:
-        if self.lam < 0:
-            raise ConfigError("lam must be nonnegative")
+        # chained comparisons are False for NaN, so NaN and inf fail here too
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError("lam must be finite and nonnegative")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError("beta must lie in [0, 1]")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError("lr must be finite and positive")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and nonnegative")
         if self.batch_size < 1 or self.epochs < 0 or self.eval_every < 1:
             raise ConfigError("batch_size/epochs/eval_every out of range")
         if self.seed < 0:
@@ -716,10 +719,13 @@ def _erm_loop(
             b = idx[start : start + config.batch_size]
             phi, e_tape = forward(model.extractor, feats[b])
             out, h_tape = forward(model.head, phi)
-            loss, g = _plain_loss(out, y[b], model.task)
-            if example_weights is not None:
-                g = g * example_weights[b][:, None]
-                loss = float(np.sum(example_weights[b] * _per_example(out, y[b], model.task)) / len(b))
+            if example_weights is None:
+                loss, g = _plain_loss(out, y[b], model.task)
+            else:
+                losses, g = _example_losses(out, y[b], model.task)
+                q = example_weights[b]
+                loss = float(np.sum(q * losses) / len(b))
+                g = g * q[:, None]
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite pooled-training loss at epoch {epoch}")
             h_grads, d_phi = backward(model.head, h_tape, g)
@@ -742,13 +748,12 @@ def _erm_loop(
     return history
 
 
-def _per_example(out: np.ndarray, y, task: str) -> np.ndarray:
+def _example_losses(out: np.ndarray, y, task: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example losses and the gradient of their mean w.r.t. out."""
     if task == TASK_CLASSIFICATION:
-        labels = np.asarray(y).astype(np.int64)
-        m = out.max(axis=1)
-        lse = m + np.log(np.exp(out - m[:, None]).sum(axis=1))
-        return lse - out[np.arange(len(labels)), labels]
-    return ((out[:, 0] - np.asarray(y, dtype=np.float64)) ** 2)
+        return loss_ce_rows(out, y)
+    diff = out - np.asarray(y, dtype=np.float64)[:, None]
+    return diff[:, 0] * diff[:, 0], (2.0 / diff.size) * diff
 
 
 def erm_predictor(model: ErmModel, dataset: DomainDataset):

@@ -236,23 +236,32 @@ def loss_ce(logits, label: int) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def loss_ce_batch(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over rows; gradient already divided by the count."""
+def loss_ce_rows(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of each row, and the gradient of their mean.
+
+    Returns the (n,) per-row losses and the (n, k) gradient of the batch
+    mean, i.e. already divided by the count.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ValueError("loss_ce_batch expects (n, k) logits and (n,) labels")
+        raise ValueError("cross-entropy expects (n, k) logits and (n,) labels")
     labels = labels.astype(np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
         raise ValueError("label out of range")
     n = logits.shape[0]
     m = logits.max(axis=1)
     lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(n), labels]))
     grad = softmax(logits, axis=1)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    return loss, grad
+    return lse - logits[np.arange(n), labels], grad
+
+
+def loss_ce_batch(logits, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over rows; gradient already divided by the count."""
+    losses, grad = loss_ce_rows(logits, labels)
+    return float(np.mean(losses)), grad
 
 
 # -- optimizer ----------------------------------------------------------------

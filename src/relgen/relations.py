@@ -114,23 +114,28 @@ def learned_relation(net: RelationNet, m_i, m_j) -> float:
 class LearnedMatrixCache:
     reps: np.ndarray  # (K, s) embeddings
     tape: Tape
-    unit: np.ndarray  # (R, K, s) row-normalized masked embeddings
-    norm: np.ndarray  # (R, K)
-    alive: np.ndarray  # (R, K) bool, norm > 0
+    unit: np.ndarray  # (K, R, s) row-normalized masked embeddings, domain-major
+    norm: np.ndarray  # (K, R)
+    alive: np.ndarray  # (K, R) bool, norm > 0
 
 
 def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCache]:
-    """All pairwise learned similarities for a stack of meta-data rows."""
+    """All pairwise learned similarities for a stack of meta-data rows.
+
+    Domain k's R unit vectors, laid end to end, form row k of a (K, R*s)
+    block U, so the head-averaged cosines are the single product U U^T / R.
+    """
     metas = np.asarray(metas, dtype=np.float64)
     if metas.ndim != 2:
         raise ValueError("metas must be a (K, meta_dim) matrix")
     reps, tape = forward(net.g, metas)
-    masked = net.w[:, None, :] * reps[None, :, :]  # (R, K, s)
-    norm = np.linalg.norm(masked, axis=2)  # (R, K)
+    masked = reps[:, None, :] * net.w[None, :, :]  # (K, R, s)
+    norm = np.sqrt((masked * masked).sum(axis=2))  # (K, R), as np.linalg.norm
     alive = norm > 0.0
     unit = np.zeros_like(masked)
     np.divide(masked, norm[:, :, None], out=unit, where=alive[:, :, None])
-    a_l = np.einsum("rks,rls->kl", unit, unit) / net.n_heads
+    block = unit.reshape(len(metas), -1)
+    a_l = (block @ block.T) / net.n_heads  # a syrk call, so exactly symmetric
     return a_l, LearnedMatrixCache(reps, tape, unit, norm, alive)
 
 
@@ -143,19 +148,21 @@ def learned_matrix_backward(
     zeroing the diagonal, which is constant and carries no gradient.
     """
     d_a_l = np.asarray(d_a_l, dtype=np.float64) / net.n_heads
-    d_unit = np.einsum("kl,rls->rks", d_a_l, cache.unit)
-    d_unit += np.einsum("lk,rls->rks", d_a_l, cache.unit)
+    unit = cache.unit
+    k = unit.shape[0]
+    # A_l = U U^T, so d U = (D + D^T) U on the (K, R*s) block
+    d_unit = ((d_a_l + d_a_l.T) @ unit.reshape(k, -1)).reshape(unit.shape)
     # back through row normalization u = m / |m|
-    inner = (d_unit * cache.unit).sum(axis=2, keepdims=True)
+    inner = (d_unit * unit).sum(axis=2, keepdims=True)
     d_masked = np.zeros_like(d_unit)
     np.divide(
-        d_unit - inner * cache.unit,
+        d_unit - inner * unit,
         cache.norm[:, :, None],
         out=d_masked,
         where=cache.alive[:, :, None],
     )
-    d_w = (d_masked * cache.reps[None, :, :]).sum(axis=1)  # (R, s)
-    d_reps = (d_masked * net.w[:, None, :]).sum(axis=0)  # (K, s)
+    d_w = (d_masked * cache.reps[:, None, :]).sum(axis=0)  # (R, s)
+    d_reps = (d_masked * net.w[None, :, :]).sum(axis=1)  # (K, s)
     g_grads, _ = backward(net.g, cache.tape, d_reps)
     return g_grads + [d_w]
 

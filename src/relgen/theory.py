@@ -69,8 +69,8 @@ def sample_world(
     """
     if n_domains < 1 or r < 1 or n_per_domain < 2:
         raise ConfigError("need n_domains >= 1, r >= 1, n_per_domain >= 2")
-    if lipschitz < 0 or noise < 0:
-        raise ConfigError("lipschitz and noise must be nonnegative")
+    if not (0.0 <= lipschitz < np.inf and 0.0 <= noise < np.inf):
+        raise ConfigError("lipschitz and noise must be finite and nonnegative")
     rng = substream(seed, "world", "latent")
     z_train = rng.uniform(0.0, 1.0, size=(n_domains, r))
     z_test = rng.uniform(0.0, 1.0, size=r)
@@ -181,7 +181,8 @@ def calibrate_bandwidth(
 
     Runs a small sweep at a single domain count and returns the c0 with the
     lowest mean excess risk. Callers pass a seed disjoint from the seeds of
-    the experiment proper.
+    the experiment proper. Raises ConfigError if no grid value gives a
+    finite mean excess risk (an empty grid included).
     """
     best_c0, best_val = None, np.inf
     for c0 in grid:
@@ -194,6 +195,8 @@ def calibrate_bandwidth(
         mean = float(np.mean(vals))
         if mean < best_val:
             best_c0, best_val = float(c0), mean
+    if best_c0 is None:
+        raise ConfigError(f"no c0 in {tuple(grid)} gave a finite mean excess risk")
     return best_c0
 
 
@@ -217,6 +220,8 @@ def scaling_experiment(
     domain_grid = [int(v) for v in domain_grid]
     if not domain_grid or n_seeds < 2:
         raise ConfigError("need a domain grid and at least two seeds")
+    if c0 is not None and not 0.0 < c0 < np.inf:
+        raise ConfigError(f"c0 must be finite and positive, got {c0}")
     if c0 is None:
         mid = domain_grid[len(domain_grid) // 2]
         c0 = calibrate_bandwidth(r, n_per_domain, noise, lipschitz, mid, seed=seed + 999_331)

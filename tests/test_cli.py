@@ -165,6 +165,21 @@ def test_config_errors_exit_2(dg15_dir, trained, tmp_path):
     assert run(*base, "--seeds", "0,x") == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan"), ("--lambda", "inf"),
+     ("--config", '{"weight_decay": NaN}'), ("--config", '{"weight_decay": Infinity}')],
+)
+def test_non_finite_hyperparameters_exit_2(dg15_dir, tmp_path, flag, value):
+    if flag == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(value)
+        value = str(cfg)
+    out = tmp_path / "x"
+    assert run("train", "--data", str(dg15_dir), "--out", str(out), "--epochs", "1", flag, value) == 2
+    assert not out.exists()  # rejected before training, so no checkpoint
+
+
 def test_rw_finetune_needs_an_erm_checkpoint(trained, dg15_dir):
     code = run(
         "eval", "--checkpoint", str(trained / "checkpoint-relational-seed0.npz"),
@@ -303,6 +318,21 @@ def test_theory_quick_run(tmp_path):
 
 def test_theory_rejects_bad_grid(tmp_path):
     assert run("theory", "--out", str(tmp_path / "t"), "--domain-grid", "a,b") == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--noise", "nan"), ("--noise", "inf"), ("--lipschitz", "nan"), ("--lipschitz", "inf"),
+     ("--c0", "nan"), ("--c0", "inf"), ("--c0", "0"), ("--c0", "-1")],
+)
+def test_theory_rejects_non_finite_numbers(tmp_path, flag, value):
+    out = tmp_path / "t"
+    code = run(
+        "theory", "--out", str(out), "--domain-grid", "4,8", "--n-seeds", "3",
+        "--n-eval", "2000", "--mc", "10000", flag, value,
+    )
+    assert code == 2
+    assert not out.exists()
 
 
 # -- export-relations -------------------------------------------------------------------

@@ -19,6 +19,7 @@ from relgen.nn import (
     init_opt_state,
     loss_ce,
     loss_ce_batch,
+    loss_ce_rows,
     loss_mse,
     pack,
     softmax,
@@ -167,6 +168,9 @@ def test_ce_batch_is_mean_of_singles():
     loss, grad = loss_ce_batch(logits, labels)
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
     assert np.allclose(grad, np.stack([s[1] for s in singles]) / 6, atol=1e-15)
+    rows, rows_grad = loss_ce_rows(logits, labels)
+    assert np.allclose(rows, [s[0] for s in singles], atol=1e-12)
+    assert float(np.mean(rows)) == loss and np.array_equal(rows_grad, grad)
 
 
 def test_ce_label_validation():

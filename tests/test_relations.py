@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgen.errors import ConfigError, DataError
-from relgen.nn import Mlp, forward, grad_check
+from relgen.nn import Mlp, backward, forward, grad_check
 from relgen.relations import (
     RelationMatrix,
     RelationNet,
@@ -146,6 +146,86 @@ def test_dead_rows_carry_no_gradient():
     g_masked = learned_matrix_backward(net, cache, masked)
     for a, b in zip(g_full, g_masked):
         assert np.array_equal(a, b)
+
+
+# The einsum formulas learned_matrix(_backward) used before the (K, R*s) GEMM
+# form, kept as the reference: head-major (R, K, s) unit vectors.
+
+
+def _einsum_learned_matrix(net, metas):
+    reps, tape = forward(net.g, metas)
+    masked = net.w[:, None, :] * reps[None, :, :]
+    norm = np.linalg.norm(masked, axis=2)
+    alive = norm > 0.0
+    unit = np.zeros_like(masked)
+    np.divide(masked, norm[:, :, None], out=unit, where=alive[:, :, None])
+    a_l = np.einsum("rks,rls->kl", unit, unit) / net.n_heads
+    return a_l, (reps, tape, unit, norm, alive)
+
+
+def _einsum_learned_matrix_backward(net, cache, d_a_l):
+    reps, tape, unit, norm, alive = cache
+    d_a_l = d_a_l / net.n_heads
+    d_unit = np.einsum("kl,rls->rks", d_a_l, unit)
+    d_unit += np.einsum("lk,rls->rks", d_a_l, unit)
+    inner = (d_unit * unit).sum(axis=2, keepdims=True)
+    d_masked = np.zeros_like(d_unit)
+    np.divide(d_unit - inner * unit, norm[:, :, None], out=d_masked, where=alive[:, :, None])
+    d_w = (d_masked * reps[None, :, :]).sum(axis=1)
+    d_reps = (d_masked * net.w[:, None, :]).sum(axis=0)
+    g_grads, _ = backward(net.g, tape, d_reps)
+    return g_grads + [d_w]
+
+
+def _gemm_and_einsum(net, metas, d_a):
+    a_l, cache = learned_matrix(net, metas)
+    a_ref, cache_ref = _einsum_learned_matrix(net, metas)
+    grads = learned_matrix_backward(net, cache, d_a)
+    refs = _einsum_learned_matrix_backward(net, cache_ref, d_a)
+    return a_l, a_ref, grads, refs
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 18])
+@pytest.mark.parametrize("n_heads", [1, 4])
+@pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
+def test_gemm_relations_match_the_einsum_formulas(k, n_heads, dead):
+    # a GEMM sums in another order than einsum: A_l may move by rounding,
+    # each gradient array by rounding relative to its largest entry
+    rng = np.random.default_rng(100 * k + 10 * n_heads + dead)
+    for _ in range(20):
+        net = RelationNet.init(2, rng, width=32, n_heads=n_heads)
+        net.w = 1.0 + 0.3 * rng.normal(size=net.w.shape)  # trained masks leave ones
+        metas = rng.normal(size=(k, 2))
+        if dead:
+            net.w[rng.integers(n_heads)] = 0.0  # a zero mask vector
+            metas[0] = 0.0  # zero biases: a zero embedding, so a dead domain row
+        d_a = rng.normal(size=(k, k))
+        np.fill_diagonal(d_a, 0.0)
+        a_l, a_ref, grads, refs = _gemm_and_einsum(net, metas, d_a)
+        assert np.array_equal(a_l, a_l.T)
+        assert np.abs(a_l - a_ref).max() <= 1e-14
+        for got, ref in zip(grads, refs):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_gemm_relations_match_einsum_on_near_duplicate_metas():
+    # two nearly equal one-dimensional metas give nearly parallel embeddings;
+    # the gradient then cancels down to ~1e-10 and carries rounding of order
+    # 1e-18 in either formula, so the bound is absolute, in units of |d_a|
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        k = int(rng.choice([2, 5, 18]))
+        net = RelationNet.init(1, rng, width=32, n_heads=int(rng.choice([1, 4])))
+        net.w = 1.0 + 0.3 * rng.normal(size=net.w.shape)
+        metas = rng.normal(size=(k, 1))
+        metas[1] = metas[0] + 10.0 ** rng.uniform(-6, -2)
+        d_a = rng.normal(size=(k, k))
+        np.fill_diagonal(d_a, 0.0)
+        a_l, a_ref, grads, refs = _gemm_and_einsum(net, metas, d_a)
+        assert np.array_equal(a_l, a_l.T)
+        assert np.abs(a_l - a_ref).max() <= 1e-14
+        for got, ref in zip(grads, refs):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(d_a).max()
 
 
 def test_relation_net_validation():

@@ -5,6 +5,7 @@ head-averaging oracle."""
 import numpy as np
 import pytest
 
+from relgen import theory
 from relgen.errors import ConfigError, NumericalError
 from relgen.theory import (
     AVERAGING_ORACLE_TARGET,
@@ -167,6 +168,15 @@ def test_calibration_picks_from_the_grid():
     assert c0 in (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
+def test_calibration_without_a_finite_risk_raises(monkeypatch):
+    # NaN compares False against the running best, so no grid value wins
+    monkeypatch.setattr(theory, "excess_risk", lambda *args, **kwargs: (np.nan, np.nan))
+    with pytest.raises(ConfigError, match="finite mean excess risk"):
+        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=2)
+    with pytest.raises(ConfigError, match="finite mean excess risk"):
+        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, grid=())
+
+
 # -- scaling experiment ------------------------------------------------------------
 
 
@@ -201,6 +211,11 @@ def test_scaling_validates_arguments():
         scaling_experiment((), n_seeds=3, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0)
     with pytest.raises(ConfigError):
         scaling_experiment((4,), n_seeds=1, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0)
+    kw = dict(n_seeds=2, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0, n_eval=300, c0=1.0)
+    for name, value in [("noise", np.nan), ("noise", np.inf), ("lipschitz", np.nan),
+                        ("lipschitz", np.inf), ("c0", np.nan), ("c0", np.inf), ("c0", 0.0)]:
+        with pytest.raises(ConfigError, match="finite"):
+            scaling_experiment((4, 8), **{**kw, name: value})
 
 
 # -- head averaging oracle -----------------------------------------------------------
