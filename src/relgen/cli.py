@@ -169,18 +169,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _train_one(dataset, cfg, method, resume):
+def _train_seeds(dataset, cfgs, method, resume):
+    """Train one model per config; yields (model, history, predictor) per seed.
+
+    Relational models train in lockstep, so all of them are trained before
+    the first is yielded; pooled models train one after another.
+    """
     if method == "relational":
         if resume:
             model, _ = load_checkpoint(resume)
             if not isinstance(model, MultiHeadModel):
                 raise ConfigError(f"{resume}: not a relational checkpoint")
+            models = [model]
         else:
-            model = build_model(dataset, cfg)
-        history = train(model, dataset, cfg)
-        mode = "uniform" if cfg.relation_mode == "uniform" else "fused"
-        predictor = relational_predictor(model, dataset, cfg.beta, mode)
-    else:
+            models = [build_model(dataset, cfg) for cfg in cfgs]
+        histories = train(models, dataset, cfgs)
+        mode = "uniform" if cfgs[0].relation_mode == "uniform" else "fused"
+        for model, history in zip(models, histories):
+            yield model, history, relational_predictor(model, dataset, cfgs[0].beta, mode)
+        return
+    for cfg in cfgs:
         if resume:
             model, _ = load_checkpoint(resume)
             if not isinstance(model, ErmModel):
@@ -188,8 +196,7 @@ def _train_one(dataset, cfg, method, resume):
             model, history = train_erm(dataset, cfg, model=model)
         else:
             model, history = train_erm(dataset, cfg)
-        predictor = erm_predictor(model, dataset)
-    return model, history, predictor
+        yield model, history, erm_predictor(model, dataset)
 
 
 def cmd_train(args) -> int:
@@ -199,11 +206,13 @@ def cmd_train(args) -> int:
     seeds = _parse_seeds(args, fallback=cfg0.seed)
     if args.resume and len(seeds) > 1:
         raise ConfigError("--resume works with a single seed")
+    cfgs = [replace(cfg0, seed=s) for s in seeds]
     per_seed = []
     valid_means, test_means = [], []
-    for s in seeds:
-        cfg = replace(cfg0, seed=s)
-        model, history, predictor = _train_one(dataset, cfg, args.method, args.resume)
+    for cfg, (model, history, predictor) in zip(
+        cfgs, _train_seeds(dataset, cfgs, args.method, args.resume)
+    ):
+        s = cfg.seed
         rep_valid = evaluate(predictor, dataset, "valid")
         rep_test = evaluate(predictor, dataset, "test")
         ckpt = os.path.join(args.out, f"checkpoint-{args.method}-seed{s}.npz")

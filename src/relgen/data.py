@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -97,6 +98,10 @@ class DomainDataset:
             raise DataError(f"unknown fixed relation kind {self.fixed_kind!r}")
         if self.fixed_kind == "adjacency" and self.edges is None:
             raise DataError("adjacency fixed relations need an edge list")
+        # built once; an edge naming an unknown domain raises DataError here
+        self._adjacency = (
+            adjacency_matrix(self.ids, self.edges) if self.fixed_kind == "adjacency" else None
+        )
 
     # -- views -----------------------------------------------------------
 
@@ -146,10 +151,9 @@ class DomainDataset:
     def fixed_between(self, ids_a: list[str], ids_b: list[str]) -> np.ndarray:
         """Fixed relations between two id lists, from the dataset's source."""
         if self.fixed_kind == "adjacency":
-            full = adjacency_matrix(self.ids, self.edges or [])
             ia = [self._index(d) for d in ids_a]
             ib = [self._index(d) for d in ids_b]
-            return full[np.ix_(ia, ib)]
+            return self._adjacency[np.ix_(ia, ib)]
         if self.meta_dim != 1:
             raise ConfigError("angle relations need one-dimensional meta-data")
         ta = self.meta_for(ids_a).ravel()
@@ -241,8 +245,8 @@ def gen_spatial_regression(
         raise ConfigError("grid must be at least 3x3")
     if n_per_domain < 1:
         raise ConfigError("n_per_domain must be positive")
-    if noise < 0:
-        raise ConfigError("noise must be nonnegative")
+    if not 0.0 <= noise < math.inf:  # False for NaN too
+        raise ConfigError("noise must be finite and nonnegative")
     ids, metas, xs, ys, doms = [], [], [], [], []
     split: dict[str, str] = {}
     edges: list[tuple[str, str]] = []

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -157,14 +157,40 @@ class MultiHeadModel:
         # row k of the head block is head k's weight rows, then its bias
         _, c, h = self.head_w.shape
         heads = np.concatenate([self.head_w.reshape(k, c * h), self.head_b], axis=1)
-        self.flat, views = pack(self.extractor.params() + [heads] + self.relation_net.params())
-        views = iter(views)
-        _bind_mlp(self.extractor, views)
-        heads = next(views)
-        self.head_w = heads[:, : c * h].reshape(k, c, h)
-        self.head_b = heads[:, c * h :]
-        _bind_mlp(self.relation_net.g, views)
-        self.relation_net.w = next(views)
+        blocks = self.extractor.params() + [heads] + self.relation_net.params()
+        self._shapes = [b.shape for b in blocks]
+        self.bind(flatten(blocks))
+
+    def views(self, buf: np.ndarray):
+        """Split a buffer laid out like ``flat`` into parameter-shaped views.
+
+        buf is (P,) or (S, P); each view keeps buf's leading axes. Returns
+        (extractor views, head_w, head_b, relation-net views), each list in
+        params() order.
+        """
+        lead = buf.shape[:-1]
+        out, start = [], 0
+        for shape in self._shapes:
+            stop = start + math.prod(shape)
+            out.append(buf[..., start:stop].reshape(lead + shape))
+            start = stop
+        n_ext = 2 * len(self.extractor.layers)
+        heads = out[n_ext]
+        c, h = self.head_w.shape[-2:]
+        head_w = heads[..., : c * h].reshape(heads.shape[:-1] + (c, h))
+        return out[:n_ext], head_w, heads[..., c * h :], out[n_ext + 1 :]
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Make every parameter a view into flat, laid out as in ``flat``.
+
+        A (S, P) buffer gives each parameter a leading seed axis: the model
+        then stands for S models at once (see stack_models).
+        """
+        ext, self.head_w, self.head_b, net = self.views(flat)
+        _bind_mlp(self.extractor, iter(ext))
+        _bind_mlp(self.relation_net.g, iter(net))
+        self.relation_net.w = net[-1]
+        self.flat = flat
 
     def params(self) -> list[np.ndarray]:
         """Live views of every parameter: extractor, each head's (w, b), relation net."""
@@ -190,6 +216,29 @@ class MultiHeadModel:
             raise ValueError("parameter list length mismatch")
         for p, a in zip(own, arrays):
             np.copyto(p, a)
+
+
+def stack_models(models: list[MultiHeadModel]) -> MultiHeadModel:
+    """One model whose parameters carry a leading seed axis over the models.
+
+    The models' parameters are copied into the rows of one (S, P) buffer,
+    and model s is rebound to row s, so updating the stacked model updates
+    every one of them. The models must have the same structure. The stack
+    is for training passes (total_loss_and_grads); params(), copy(),
+    inference and checkpoints work on the single models.
+    """
+    first = models[0]
+    for m in models[1:]:
+        if (m._shapes, m.head_domains, m.task, m.combine_space) != (
+            first._shapes, first.head_domains, first.task, first.combine_space
+        ):
+            raise ValueError("stacked models must have the same structure")
+    flat = np.stack([m.flat for m in models])
+    stacked = first.copy()
+    stacked.bind(flat)
+    for m, row in zip(models, flat):
+        m.bind(row)
+    return stacked
 
 
 def _out_dim(dataset: DomainDataset) -> int:
@@ -260,35 +309,37 @@ def _relation_rows(relations, head_domains: list[str]) -> np.ndarray | None:
 def _consistency_weights(a: np.ndarray | None, dom: np.ndarray, k: int):
     """Per-example weights over heads, self excluded, rows summing to one.
 
-    Returns (u, s, fallback) where s is the pre-normalization row sum and
-    fallback marks rows that degraded to uniform weights (no gradient flows
-    into the relations there).
+    dom is (n,) or (S, n), and a is (K, K) or, for S stacked models,
+    (S, K, K). Returns (u, s, fallback) where u is dom.shape + (K,), s is
+    the pre-normalization row sum and fallback marks rows that degraded to
+    uniform weights (no gradient flows into the relations there).
     """
-    n = dom.shape[0]
     if k < 2:
         raise ValueError("consistency needs at least two heads")
+    ix = np.indices(dom.shape, sparse=True)
+    self_entry = ix + (dom,)
     if a is None:
-        u = np.full((n, k), 1.0 / (k - 1))
-        u[np.arange(n), dom] = 0.0
+        u = np.full(dom.shape + (k,), 1.0 / (k - 1))
+        u[self_entry] = 0.0
         return u, None, None
-    rows = a[dom].copy()
-    rows[np.arange(n), dom] = 0.0
-    s = rows.sum(axis=1)
+    rows = a[ix[: a.ndim - 2] + (dom,)]  # fancy indexing, so already a copy
+    rows[self_entry] = 0.0
+    s = rows.sum(axis=-1)
     fallback = s <= REL_EPS
-    u = np.zeros_like(rows)
-    np.divide(rows, s[:, None], out=u, where=~fallback[:, None])
+    u = rows / np.where(fallback, np.inf, s)[..., None]
     if fallback.any():
         u[fallback] = 1.0 / (k - 1)
-        u[np.arange(n)[fallback], dom[fallback]] = 0.0
+        u[self_entry] = 0.0
     return u, s, fallback
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_arrays(batch, seed_axis: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch as arrays; with seed_axis, (S, n, p), (S, n), (S, n) is accepted too."""
     x, y, dom = batch
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     dom = np.asarray(dom, dtype=np.int64)
-    if x.ndim != 2 or y.shape != (x.shape[0],) or dom.shape != (x.shape[0],):
+    if x.ndim not in ((2, 3) if seed_axis else (2,)) or y.shape != x.shape[:-1] or dom.shape != y.shape:
         raise ValueError("batch must be (x (n,p), y (n,), domain (n,))")
     return x, y, dom
 
@@ -304,23 +355,24 @@ def loss_pred(model: MultiHeadModel, batch) -> float:
 
 
 def _mixture_forward(model, outs, u, y):
-    """Consistency prediction and loss for a batch; returns backward context."""
+    """Consistency prediction and loss for a batch; returns backward context.
+
+    outs is (..., K, n, c), u (..., n, K) and y (..., n); the loss is the
+    mean over n, one per leading index.
+    """
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
-        p = softmax(outs, axis=2)  # (K, n, c)
-        mix = np.einsum("nk,knc->nc", u, p)
-        n = len(y)
-        labels = np.asarray(y).astype(np.int64)
-        picked = np.maximum(mix[np.arange(n), labels], PROB_FLOOR)
-        loss = float(-np.mean(np.log(picked)))
+        p = softmax(outs, axis=-1)  # (..., K, n, c)
+        mix = np.einsum("...nk,...knc->...nc", u, p)
+        n = y.shape[-1]
+        label_entry = np.indices(y.shape, sparse=True) + (np.asarray(y).astype(np.int64),)
+        picked = np.maximum(mix[label_entry], PROB_FLOOR)
+        loss = -np.log(picked).mean(axis=-1)
         g_mix = np.zeros_like(mix)
-        g_mix[np.arange(n), labels] = -1.0 / (n * picked)
+        g_mix[label_entry] = -1.0 / (n * picked)
         return loss, g_mix, mix, p
-    mix = np.einsum("nk,knc->nc", u, outs)
-    if model.task == TASK_CLASSIFICATION:
-        loss, g_mix = loss_ce_batch(mix, y)
-    else:
-        loss, g_mix = loss_mse(mix, np.asarray(y, dtype=np.float64)[:, None])
-    return loss, g_mix, mix, None
+    mix = np.einsum("...nk,...knc->...nc", u, outs)
+    losses, g_mix = _example_losses(mix, y, model.task)
+    return losses.mean(axis=-1), g_mix, mix, None
 
 
 def loss_rel(model: MultiHeadModel, batch, relations) -> float:
@@ -355,19 +407,28 @@ def total_loss_and_grads(
     lam: float,
     beta: float,
     relation_mode: str = "fused",
+    grad: np.ndarray | None = None,
 ):
     """Training objective with exact gradients for every parameter.
 
     The relation matrix is rebuilt from the current relation-net parameters
     on every call so the gradients through the learned similarities are
-    exact. Returns (loss, (loss_pred, loss_rel), grads) with grads aligned
-    to model.params().
+    exact. Returns (loss, (loss_pred, loss_rel), grad) with grad laid out
+    like model.flat; it is written into ``grad`` when that is given.
+
+    For S stacked models (see stack_models) the batch carries the same
+    leading axis, x (S, n, p), y (S, n), domain (S, n), one batch per model,
+    and the three losses are (S,) arrays. One model is the S = 1 case.
     """
-    x, y, dom = _batch_arrays(batch)
-    n = len(y)
+    x, y, dom = _batch_arrays(batch, seed_axis=True)
+    single = x.ndim == 2
+    if single:
+        x, y, dom = x[None], y[None], dom[None]
+    if grad is None:
+        grad = np.empty_like(model.flat)
+    g_ext, g_hw, g_hb, g_net = model.views(grad.reshape(len(x), -1))
     k = len(model.head_domains)
     net = model.relation_net
-    classification = model.task == TASK_CLASSIFICATION
 
     cache = None
     pre = None
@@ -381,52 +442,48 @@ def total_loss_and_grads(
         pre = beta * np.asarray(fixed, dtype=np.float64) + (1.0 - beta) * a_l
         a = np.maximum(pre, 0.0)
 
-    phi, e_tape, outs = _stack_heads(model, x)
+    phi, e_tape, outs = _stack_heads(model, x)  # outs: (S, K, n, c)
 
-    o_self = outs[dom, np.arange(n)]
-    if classification:
-        lp, g_self = loss_ce_batch(o_self, y)
-    else:
-        lp, g_self = loss_mse(o_self, y[:, None])
+    seeds, cols = np.indices(dom.shape, sparse=True)
+    self_out = (seeds, dom, cols)
+    losses, g_self = _example_losses(outs[self_out], y, model.task)
+    lp = losses.mean(axis=-1)
 
     u, s, fallback = _consistency_weights(a, dom, k)
     lrel, g_mix, mix, p = _mixture_forward(model, outs, u, y)
     g_mix = lam * g_mix
 
     # gradients w.r.t. head outputs (in mixture space first)
-    g_heads = u.T[:, :, None] * g_mix[None, :, :]  # (K, n, c)
+    g_heads = u.swapaxes(-1, -2)[..., None] * g_mix[..., None, :, :]  # (S, K, n, c)
     if p is not None:
         # mixture was over probabilities: pull back through each softmax
-        inner = (g_heads * p).sum(axis=2, keepdims=True)
+        inner = (g_heads * p).sum(axis=-1, keepdims=True)
         g_heads = p * (g_heads - inner)
-    g_heads[dom, np.arange(n)] += g_self
+    g_heads[self_out] += g_self
 
     # gradients w.r.t. the relation entries actually used
     if a is None or s is None or cache is None:
-        net_grads = [np.zeros_like(q) for q in net.params()]
+        for view in g_net:
+            view[...] = 0.0
     else:
         src = p if p is not None else outs
-        tk = np.einsum("nc,knc->nk", g_mix, src)
-        mm = np.einsum("nc,nc->n", g_mix, mix)
-        contrib = np.zeros_like(u)
-        ok = ~fallback
-        np.divide(tk - mm[:, None], s[:, None], out=contrib, where=ok[:, None])
-        contrib[np.arange(n), dom] = 0.0
-        d_a = np.zeros((k, k))
-        np.add.at(d_a, dom, contrib)
+        tk = np.einsum("...nc,...knc->...nk", g_mix, src)
+        mm = np.einsum("...nc,...nc->...n", g_mix, mix)
+        contrib = (tk - mm[..., None]) / np.where(fallback, np.inf, s)[..., None]
+        contrib[seeds, cols, dom] = 0.0
+        d_a = np.zeros(dom.shape[:1] + (k, k))
+        np.add.at(d_a, (seeds, dom), contrib)
         d_a *= pre > 0.0  # clamp subgradient
-        np.fill_diagonal(d_a, 0.0)
-        net_grads = learned_matrix_backward(net, cache, (1.0 - beta) * d_a)
+        diag = np.arange(k)
+        d_a[:, diag, diag] = 0.0
+        learned_matrix_backward(net, cache, (1.0 - beta) * d_a, out=g_net)
 
-    g_w, g_b, d_phi = stack_backward(model.head_w, phi, g_heads)
-    e_grads, _ = backward(model.extractor, e_tape, d_phi)
-
+    _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
+    backward(model.extractor, e_tape, d_phi, out=g_ext)
     loss = lp + lam * lrel
-    grads = e_grads
-    for gw, gb in zip(g_w, g_b):
-        grads += [gw, gb]
-    grads += net_grads
-    return loss, (lp, lrel), grads
+    if single:
+        return loss[0], (lp[0], lrel[0]), grad
+    return loss, (lp, lrel), grad
 
 
 # -- training loops -----------------------------------------------------------
@@ -449,7 +506,7 @@ def _metric_better(candidate: float, best: float, task: str) -> bool:
     return candidate < best
 
 
-def train(model: MultiHeadModel, dataset: DomainDataset, config: TrainConfig) -> list[dict]:
+def train(model, dataset: DomainDataset, config):
     """Optimize the model on the dataset's training domains.
 
     Per epoch: seeded shuffle, mini-batches, one Adam step per batch; the
@@ -457,68 +514,92 @@ def train(model: MultiHeadModel, dataset: DomainDataset, config: TrainConfig) ->
     stay exact. If validation domains exist, the valid-split metric is
     recorded every eval_every epochs and the best parameters are restored
     at the end (config.select_best). Returns the per-epoch history.
+
+    Given a list of models and a list of configs that differ only in seed,
+    trains them in lockstep, each step one pass over all of them (see
+    stack_models), and returns one history per model. Each model ends
+    bit for bit where training it alone would leave it.
     """
-    config.validate()
-    if model.head_domains != dataset.ids_for_split("train"):
+    single = isinstance(model, MultiHeadModel)
+    models = [model] if single else list(model)
+    configs = [config] if single else list(config)
+    if len(models) != len(configs) or not models:
+        raise ValueError("need one config per model")
+    for cfg in configs:
+        cfg.validate()
+        if replace(cfg, seed=configs[0].seed) != configs[0]:
+            raise ConfigError("lockstep training needs configs that differ only in seed")
+    config = configs[0]
+    head_domains = models[0].head_domains
+    if head_domains != dataset.ids_for_split("train"):
         raise ValueError("model heads do not match the dataset's training domains")
-    if len(model.head_domains) < 2:
+    if len(head_domains) < 2:
         raise ConfigError("need at least two training domains")
-    x, y, dom = dataset.arrays_for(model.head_domains)
-    metas = dataset.meta_for(model.head_domains)
-    fixed = dataset.fixed_matrix(model.head_domains)
-    opt = init_opt_state([model.flat])
+    stack = stack_models(models)
+    x, y, dom = dataset.arrays_for(head_domains)
+    metas = dataset.meta_for(head_domains)
+    fixed = dataset.fixed_matrix(head_domains)
+    opt = init_opt_state([stack.flat])
+    grad = np.empty_like(stack.flat)
     n = len(y)
     has_valid = bool(dataset.ids_for_split("valid"))
     eval_mode = "uniform" if config.relation_mode == "uniform" else "fused"
 
-    history: list[dict] = []
-    best_metric: float | None = None
-    best_params: np.ndarray | None = None
+    histories: list[list[dict]] = [[] for _ in models]
+    best_metric: list[float | None] = [None] * len(models)
+    best_params: list[np.ndarray | None] = [None] * len(models)
     for epoch in range(config.epochs):
-        idx = _epoch_order(n, dom, config, epoch)
-        sums = np.zeros(3)
+        idx = np.stack([_epoch_order(n, dom, cfg, epoch) for cfg in configs])
+        sums = np.zeros((3, len(models)))
         seen = 0
-        for start in range(0, len(idx), config.batch_size):
-            b = idx[start : start + config.batch_size]
-            loss, (lp, lrel), grads = total_loss_and_grads(
-                model,
+        for start in range(0, idx.shape[1], config.batch_size):
+            b = idx[:, start : start + config.batch_size]
+            loss, (lp, lrel), _ = total_loss_and_grads(
+                stack,
                 (x[b], y[b], dom[b]),
                 fixed,
                 metas,
                 config.lam,
                 config.beta,
                 config.relation_mode,
+                grad,
             )
-            if not np.isfinite(loss):
+            bad = ~np.isfinite(loss)
+            if bad.any():
+                j = int(bad.argmax())
                 raise NumericalError(
-                    f"non-finite training loss at epoch {epoch}, batch {start // config.batch_size}"
-                    f" (pred={lp!r}, consistency={lrel!r})"
+                    f"non-finite training loss for seed {configs[j].seed} at epoch {epoch}, "
+                    f"batch {start // config.batch_size} "
+                    f"(pred={float(lp[j])!r}, consistency={float(lrel[j])!r})"
                 )
-            adam_step([model.flat], [flatten(grads)], opt, config.lr, config.weight_decay)
-            sums += np.array([loss, lp, lrel]) * len(b)
-            seen += len(b)
-        entry = {
-            "epoch": epoch,
-            "loss": sums[0] / seen,
-            "loss_pred": sums[1] / seen,
-            "loss_rel": sums[2] / seen,
-        }
-        if has_valid and ((epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1):
-            report = evaluate(
-                relational_predictor(model, dataset, config.beta, eval_mode),
-                dataset,
-                "valid",
-            )
-            entry["valid"] = report.mean
-            if config.select_best and (
-                best_metric is None or _metric_better(report.mean, best_metric, model.task)
-            ):
-                best_metric = report.mean
-                best_params = model.flat.copy()
-        history.append(entry)
-    if best_params is not None:
-        np.copyto(model.flat, best_params)
-    return history
+            adam_step([stack.flat], [grad], opt, config.lr, config.weight_decay)
+            sums += np.array([loss, lp, lrel]) * b.shape[1]
+            seen += b.shape[1]
+        evaluate_now = has_valid and (
+            (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
+        )
+        for j, m in enumerate(models):
+            entry = {
+                "epoch": epoch,
+                "loss": sums[0, j] / seen,
+                "loss_pred": sums[1, j] / seen,
+                "loss_rel": sums[2, j] / seen,
+            }
+            if evaluate_now:
+                report = evaluate(
+                    relational_predictor(m, dataset, config.beta, eval_mode), dataset, "valid"
+                )
+                entry["valid"] = report.mean
+                if config.select_best and (
+                    best_metric[j] is None or _metric_better(report.mean, best_metric[j], m.task)
+                ):
+                    best_metric[j] = report.mean
+                    best_params[j] = m.flat.copy()
+            histories[j].append(entry)
+    for m, best in zip(models, best_params):
+        if best is not None:
+            np.copyto(m.flat, best)
+    return histories[0] if single else histories
 
 
 # -- inference ----------------------------------------------------------------
@@ -749,11 +830,14 @@ def _erm_loop(
 
 
 def _example_losses(out: np.ndarray, y, task: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example losses and the gradient of their mean w.r.t. out."""
+    """Per-example losses and the gradient of their mean w.r.t. out.
+
+    out is (..., n, c) and y (..., n); the mean runs over the n examples.
+    """
     if task == TASK_CLASSIFICATION:
         return loss_ce_rows(out, y)
-    diff = out - np.asarray(y, dtype=np.float64)[:, None]
-    return diff[:, 0] * diff[:, 0], (2.0 / diff.size) * diff
+    diff = out - np.asarray(y, dtype=np.float64)[..., None]
+    return diff[..., 0] * diff[..., 0], (2.0 / diff.shape[-2]) * diff
 
 
 def erm_predictor(model: ErmModel, dataset: DomainDataset):

@@ -7,6 +7,11 @@ decay, a helper that packs parameter arrays into one flat buffer, and a
 central finite-difference gradient checker that every analytic gradient in
 the test suite is held against.
 
+The passes broadcast over leading axes: a network whose weights are
+(S, out, in) and biases (S, out) is S networks run at once, on S input
+batches of shape (S, n, in) or on one shared (n, in) batch. Each slice s
+gives the same bits as the network of slice s run on its own.
+
 All arithmetic is float64 so gradient checks can be tight.
 """
 
@@ -30,7 +35,7 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return x[None, :], True
-    if x.ndim == 2:
+    if x.ndim >= 2:
         return x, False
     raise ValueError(f"expected a vector or a matrix of rows, got shape {x.shape}")
 
@@ -74,11 +79,11 @@ class Mlp:
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].w.shape[1]
+        return self.layers[0].w.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].w.shape[0]
+        return self.layers[-1].w.shape[-2]
 
     def params(self) -> list[np.ndarray]:
         """Live references to all parameter arrays, in a fixed order."""
@@ -136,34 +141,37 @@ def _act_grad(g: np.ndarray, z: np.ndarray, a: np.ndarray, act: str) -> np.ndarr
 def forward(mlp: Mlp, x) -> tuple[np.ndarray, Tape]:
     """Evaluate the network; returns (output, tape for backward)."""
     h, single = _as_batch(x)
-    if h.shape[1] != mlp.in_dim:
-        raise ValueError(f"input dim {h.shape[1]} != network dim {mlp.in_dim}")
+    if h.shape[-1] != mlp.in_dim:
+        raise ValueError(f"input dim {h.shape[-1]} != network dim {mlp.in_dim}")
     steps = []
     for layer in mlp.layers:
-        z = h @ layer.w.T + layer.b
+        z = h @ layer.w.swapaxes(-1, -2) + layer.b[..., None, :]
         a = _act(z, layer.act)
         steps.append((h, z, a))
         h = a
     return (h[0] if single else h), Tape(steps, single)
 
 
-def backward(mlp: Mlp, tape: Tape, grad_output) -> tuple[list[np.ndarray], np.ndarray]:
+def backward(
+    mlp: Mlp, tape: Tape, grad_output, out: list[np.ndarray] | None = None
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact gradients of (output . grad_output) w.r.t. params and input.
 
-    Returns (grads, grad_x) with grads ordered like Mlp.params().
+    Returns (grads, grad_x) with grads ordered like Mlp.params(). Given out,
+    arrays shaped like those grads, the gradients are written into them.
     """
     if len(tape.steps) != len(mlp.layers):
         raise ValueError("tape does not match this network (stale tape?)")
     g, _ = _as_batch(grad_output)
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(mlp.layers))
+    grads = out if out is not None else [None] * (2 * len(mlp.layers))
     for k in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[k]
         x_in, z, a = tape.steps[k]
-        if z.shape != g.shape or x_in.shape[1] != layer.w.shape[1]:
+        if z.shape[-2:] != g.shape[-2:] or x_in.shape[-1] != layer.w.shape[-1]:
             raise ValueError("tape does not match this network (stale tape?)")
         dz = _act_grad(g, z, a, layer.act)
-        grads[2 * k] = dz.T @ x_in
-        grads[2 * k + 1] = dz.sum(axis=0)
+        grads[2 * k] = np.matmul(dz.swapaxes(-1, -2), x_in, out=grads[2 * k])
+        grads[2 * k + 1] = dz.sum(axis=-2, out=grads[2 * k + 1])
         g = dz @ layer.w
     return grads, (g[0] if tape.single else g)
 
@@ -171,24 +179,28 @@ def backward(mlp: Mlp, tape: Tape, grad_output) -> tuple[list[np.ndarray], np.nd
 def stack_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Outputs of K linear layers on one shared input batch.
 
-    w is (K, c, h), b is (K, c), x is (n, h); returns (K, n, c). Each slice
-    k gives the same bits as an identity Layer(w[k], b[k]) under forward().
+    w is (..., K, c, h), b is (..., K, c), x is (..., n, h); returns
+    (..., K, n, c). Each slice k gives the same bits as an identity
+    Layer(w[k], b[k]) under forward().
     """
-    return np.matmul(x[None], w.transpose(0, 2, 1)) + b[:, None, :]
+    return np.matmul(x[..., None, :, :], w.swapaxes(-1, -2)) + b[..., None, :]
 
 
 def stack_backward(
-    w: np.ndarray, x: np.ndarray, g: np.ndarray
+    w: np.ndarray, x: np.ndarray, g: np.ndarray, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(outputs * g) for stack_forward, with g of shape (K, n, c).
+    """Gradients of sum(outputs * g) for stack_forward, with g of shape (..., K, n, c).
 
-    Returns (grad_w (K, c, h), grad_b (K, c), grad_x (n, h)); grad_x sums
-    the K layers' input gradients in layer order.
+    Returns (grad_w (..., K, c, h), grad_b (..., K, c), grad_x (..., n, h));
+    grad_x sums the K layers' input gradients in layer order. Given out, a
+    (grad_w, grad_b) pair of arrays, the first two are written into it.
     """
+    out_w, out_b = out if out is not None else (None, None)
     # numpy picks its summation order from the memory layout; summing a C
     # order copy adds each layer's rows in the order backward() adds them
-    grad_b = np.ascontiguousarray(g).sum(axis=1)
-    return np.matmul(g.transpose(0, 2, 1), x), grad_b, np.matmul(g, w).sum(axis=0)
+    grad_b = np.ascontiguousarray(g).sum(axis=-2, out=out_b)
+    grad_w = np.matmul(g.swapaxes(-1, -2), x[..., None, :, :], out=out_w)
+    return grad_w, grad_b, np.matmul(g, w).sum(axis=-3)
 
 
 # -- losses ------------------------------------------------------------------
@@ -239,23 +251,24 @@ def loss_ce(logits, label: int) -> tuple[float, np.ndarray]:
 def loss_ce_rows(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy of each row, and the gradient of their mean.
 
-    Returns the (n,) per-row losses and the (n, k) gradient of the batch
-    mean, i.e. already divided by the count.
+    Takes (..., n, k) logits and (..., n) labels. Returns the (..., n)
+    per-row losses and the (..., n, k) gradient of each batch mean, i.e.
+    already divided by n.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
         raise ValueError("cross-entropy expects (n, k) logits and (n,) labels")
     labels = labels.astype(np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:
         raise ValueError("label out of range")
-    n = logits.shape[0]
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    grad = softmax(logits, axis=1)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return lse - logits[np.arange(n), labels], grad
+    m = logits.max(axis=-1)
+    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+    grad = softmax(logits, axis=-1)
+    hot = labels[..., None] == np.arange(logits.shape[-1])
+    grad -= hot
+    grad /= logits.shape[-2]
+    return lse - logits[hot].reshape(labels.shape), grad
 
 
 def loss_ce_batch(logits, labels) -> tuple[float, np.ndarray]:

@@ -70,7 +70,7 @@ class RelationNet:
 
     @property
     def n_heads(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     def params(self) -> list[np.ndarray]:
         return self.g.params() + [self.w]
@@ -112,11 +112,16 @@ def learned_relation(net: RelationNet, m_i, m_j) -> float:
 
 @dataclass
 class LearnedMatrixCache:
-    reps: np.ndarray  # (K, s) embeddings
+    reps: np.ndarray  # (..., K, s) embeddings
     tape: Tape
-    unit: np.ndarray  # (K, R, s) row-normalized masked embeddings, domain-major
-    norm: np.ndarray  # (K, R)
-    alive: np.ndarray  # (K, R) bool, norm > 0
+    unit: np.ndarray  # (..., K, R, s) row-normalized masked embeddings, domain-major
+    norm: np.ndarray  # (..., K, R)
+    alive: np.ndarray  # (..., K, R) bool, norm > 0
+
+
+def _unit_divisor(norm: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The norm, with inf where it is zero, so a zero embedding divides to 0."""
+    return np.where(alive, norm, np.inf)[..., None]
 
 
 def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCache]:
@@ -124,46 +129,43 @@ def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCa
 
     Domain k's R unit vectors, laid end to end, form row k of a (K, R*s)
     block U, so the head-averaged cosines are the single product U U^T / R.
+    A net whose parameters carry leading (seed) axes gives one (..., K, K)
+    matrix per slice.
     """
     metas = np.asarray(metas, dtype=np.float64)
     if metas.ndim != 2:
         raise ValueError("metas must be a (K, meta_dim) matrix")
     reps, tape = forward(net.g, metas)
-    masked = reps[:, None, :] * net.w[None, :, :]  # (K, R, s)
-    norm = np.sqrt((masked * masked).sum(axis=2))  # (K, R), as np.linalg.norm
+    masked = reps[..., None, :] * net.w[..., None, :, :]  # (..., K, R, s)
+    norm = np.sqrt((masked * masked).sum(axis=-1))  # (..., K, R), as np.linalg.norm
     alive = norm > 0.0
-    unit = np.zeros_like(masked)
-    np.divide(masked, norm[:, :, None], out=unit, where=alive[:, :, None])
-    block = unit.reshape(len(metas), -1)
-    a_l = (block @ block.T) / net.n_heads  # a syrk call, so exactly symmetric
+    unit = masked / _unit_divisor(norm, alive)
+    block = unit.reshape(unit.shape[:-2] + (-1,))
+    a_l = (block @ block.swapaxes(-1, -2)) / net.n_heads  # a syrk call, so exactly symmetric
     return a_l, LearnedMatrixCache(reps, tape, unit, norm, alive)
 
 
 def learned_matrix_backward(
-    net: RelationNet, cache: LearnedMatrixCache, d_a_l: np.ndarray
+    net: RelationNet, cache: LearnedMatrixCache, d_a_l: np.ndarray, out: list | None = None
 ) -> list[np.ndarray]:
     """Gradients of sum(d_a_l * A_l) w.r.t. RelationNet.params().
 
     d_a_l entries are treated independently; the caller is responsible for
-    zeroing the diagonal, which is constant and carries no gradient.
+    zeroing the diagonal, which is constant and carries no gradient. Given
+    out, arrays shaped like the gradients, they are written into it.
     """
+    out = out if out is not None else [None] * len(net.params())
     d_a_l = np.asarray(d_a_l, dtype=np.float64) / net.n_heads
     unit = cache.unit
-    k = unit.shape[0]
     # A_l = U U^T, so d U = (D + D^T) U on the (K, R*s) block
-    d_unit = ((d_a_l + d_a_l.T) @ unit.reshape(k, -1)).reshape(unit.shape)
+    d_block = (d_a_l + d_a_l.swapaxes(-1, -2)) @ unit.reshape(unit.shape[:-2] + (-1,))
+    d_unit = d_block.reshape(d_block.shape[:-1] + unit.shape[-2:])
     # back through row normalization u = m / |m|
-    inner = (d_unit * unit).sum(axis=2, keepdims=True)
-    d_masked = np.zeros_like(d_unit)
-    np.divide(
-        d_unit - inner * unit,
-        cache.norm[:, :, None],
-        out=d_masked,
-        where=cache.alive[:, :, None],
-    )
-    d_w = (d_masked * cache.reps[:, None, :]).sum(axis=0)  # (R, s)
-    d_reps = (d_masked * net.w[None, :, :]).sum(axis=1)  # (K, s)
-    g_grads, _ = backward(net.g, cache.tape, d_reps)
+    inner = (d_unit * unit).sum(axis=-1, keepdims=True)
+    d_masked = (d_unit - inner * unit) / _unit_divisor(cache.norm, cache.alive)
+    d_w = (d_masked * cache.reps[..., None, :]).sum(axis=-3, out=out[-1])  # (..., R, s)
+    d_reps = (d_masked * net.w[..., None, :, :]).sum(axis=-2)  # (..., K, s)
+    g_grads, _ = backward(net.g, cache.tape, d_reps, out=out[:-1])
     return g_grads + [d_w]
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import relgen.cli as cli
 from relgen.cli import main
 from relgen.relations import angle_matrix, load_relation_csv
 from relgen.data import load_meta_csv
@@ -249,6 +250,26 @@ def test_numerical_blowup_exits_4(spatial_dir, tmp_path):
     assert code == 4
 
 
+def test_one_diverging_seed_exits_4_and_names_it(dg15_dir, tmp_path, monkeypatch, capsys):
+    real_build = cli.build_model
+
+    def build(dataset, cfg):
+        model = real_build(dataset, cfg)
+        if cfg.seed == 1:
+            model.head_w[...] = np.inf
+        return model
+
+    monkeypatch.setattr(cli, "build_model", build)
+    with np.errstate(all="ignore"):
+        code = run(
+            "train", "--method", "relational", "--data", str(dg15_dir),
+            "--out", str(tmp_path / "boom"), "--seeds", "0,1,2", "--epochs", "1",
+        )
+    assert code == 4
+    assert "seed 1" in capsys.readouterr().err
+    assert not list((tmp_path / "boom").glob("*.npz"))  # the seeds train together
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -318,6 +339,13 @@ def test_theory_quick_run(tmp_path):
 
 def test_theory_rejects_bad_grid(tmp_path):
     assert run("theory", "--out", str(tmp_path / "t"), "--domain-grid", "a,b") == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_spatial_rejects_non_finite_noise(tmp_path, value):
+    out = tmp_path / "s"
+    assert run("gen", "spatial", "--noise", value, "--out", str(out)) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

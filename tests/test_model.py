@@ -3,12 +3,13 @@ suite against finite differences, training/checkpoint behavior, and the
 pooled baseline plus reweighted fine-tuning."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from relgen.data import DomainDataset, gen_dg15, gen_spatial_regression
-from relgen.errors import ConfigError, DataError
+from relgen.errors import ConfigError, DataError, NumericalError
 from relgen.model import (
     ErmModel,
     MultiHeadModel,
@@ -27,6 +28,7 @@ from relgen.model import (
     rw_finetune,
     rwft_predictor,
     save_checkpoint,
+    stack_models,
     total_loss,
     total_loss_and_grads,
     train,
@@ -209,13 +211,13 @@ def _grad_case(task, combine_space, lam, beta, relation_mode):
     fixed = ds.fixed_matrix(train_ids)
 
     def fn(params):
-        model.set_params(params)
-        loss, _, grads = total_loss_and_grads(
+        np.copyto(model.flat, params[0])
+        loss, _, grad = total_loss_and_grads(
             model, (x, y, dom), fixed, metas, lam, beta, relation_mode
         )
-        return loss, grads
+        return loss, [grad]
 
-    return fn, [p.copy() for p in model.params()]
+    return fn, [model.flat.copy()]
 
 
 @pytest.mark.parametrize(
@@ -676,6 +678,109 @@ def test_head_tensor_shape_is_checked():
         MultiHeadModel(extractor, np.zeros((2, 1, 2)), np.zeros((2, 1)), net, ["a", "b", "c"], "regression")
     with pytest.raises(ValueError, match="extractor output"):
         MultiHeadModel(extractor, np.zeros((2, 1, 3)), np.zeros((2, 1)), net, ["a", "b"], "regression")
+
+
+def test_stacked_model_rows_are_the_models():
+    ds = micro_dataset()
+    cfgs = [TrainConfig(hidden_width=4, relation_width=3, relation_heads=2, seed=s) for s in (1, 2)]
+    models = [build_model(ds, c) for c in cfgs]
+    before = [m.flat.copy() for m in models]
+    stack = stack_models(models)
+    assert stack.flat.shape == (2, models[0].flat.size)
+    assert stack.head_w.shape == (2, 3, 2, 4)
+    for j, m in enumerate(models):
+        assert np.array_equal(m.flat, before[j])
+        assert np.shares_memory(m.flat, stack.flat[j])
+        _assert_tiles(m)
+    other = build_model(micro_regression(), TrainConfig(hidden_width=4))
+    with pytest.raises(ValueError, match="same structure"):
+        stack_models([models[0], other])
+
+
+# -- seeds in lockstep ----------------------------------------------------------------
+
+LOCKSTEP_CASES = [
+    (data, case)
+    for data in ("dg15", "grid")
+    for case in ("fused", "uniform", "beta1", "balanced")
+] + [("dg15", "prob")]
+LOCKSTEP_CONFIGS = {
+    "fused": {},
+    "uniform": {"relation_mode": "uniform"},
+    "beta1": {"beta": 1.0},
+    "balanced": {"domain_balanced_sampling": True},
+    "prob": {"combine_space": "prob"},
+}
+
+
+def _lockstep_setup(data, case, seeds=(4, 5, 6)):
+    if data == "dg15":
+        ds = gen_dg15(0, n_per_class=10)
+    else:
+        ds = gen_spatial_regression(0, n_rows=3, n_cols=3, n_per_domain=12)
+    base = TrainConfig(lr=1e-3, epochs=3, **LOCKSTEP_CONFIGS[case])
+    return ds, [replace(base, seed=s) for s in seeds]
+
+
+@pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
+def test_lockstep_seeds_match_separate_runs(data, case):
+    """S seeds trained together end bit for bit where S separate runs do."""
+    ds, cfgs = _lockstep_setup(data, case)
+    alone = [build_model(ds, c) for c in cfgs]
+    alone_histories = [train(m, ds, c) for m, c in zip(alone, cfgs)]
+    together = [build_model(ds, c) for c in cfgs]
+    histories = train(together, ds, cfgs)
+    assert len(histories) == len(cfgs)
+    for a, t, ha, ht in zip(alone, together, alone_histories, histories):
+        assert a.flat.tobytes() == t.flat.tobytes()
+        assert ha == ht
+        assert not np.array_equal(t.flat, build_model(ds, cfgs[0]).flat)  # it did train
+
+
+@pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
+def test_lockstep_gradient_writes_every_slice(data, case):
+    """One stacked step fills a NaN-filled buffer with each seed's own gradient."""
+    ds, cfgs = _lockstep_setup(data, case)
+    cfg = cfgs[0]
+    models = [build_model(ds, c) for c in cfgs]
+    singles = [m.copy() for m in models]
+    stack = stack_models(models)
+    ids = ds.ids_for_split("train")
+    x, y, dom = ds.arrays_for(ids)
+    metas, fixed = ds.meta_for(ids), ds.fixed_matrix(ids)
+    rng = np.random.default_rng(3)
+    b = np.stack([rng.permutation(len(y))[:10] for _ in cfgs])
+    grad = np.full_like(stack.flat, np.nan)
+    loss, (lp, lrel), out = total_loss_and_grads(
+        stack, (x[b], y[b], dom[b]), fixed, metas, cfg.lam, cfg.beta, cfg.relation_mode, grad
+    )
+    assert out is grad and np.isfinite(grad).all()
+    for j, m in enumerate(singles):
+        one = total_loss_and_grads(
+            m, (x[b[j]], y[b[j]], dom[b[j]]), fixed, metas, cfg.lam, cfg.beta, cfg.relation_mode
+        )
+        assert (one[0], one[1]) == (loss[j], (lp[j], lrel[j]))
+        assert one[2].tobytes() == grad[j].tobytes()
+    net_grads = stack.views(grad)[3]
+    if case in ("uniform", "beta1"):
+        assert all((g == 0.0).all() for g in net_grads)  # zeroed, not left stale
+    else:
+        assert any((g != 0.0).any() for g in net_grads)
+
+
+def test_a_diverging_seed_is_named():
+    ds, cfgs = _lockstep_setup("dg15", "fused")
+    models = [build_model(ds, c) for c in cfgs]
+    models[1].head_w[...] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="seed 5"):
+        train(models, ds, cfgs)
+
+
+def test_lockstep_configs_must_differ_only_in_seed():
+    ds, cfgs = _lockstep_setup("dg15", "fused", seeds=(1, 2))
+    models = [build_model(ds, c) for c in cfgs]
+    with pytest.raises(ConfigError, match="differ only in seed"):
+        train(models, ds, [cfgs[0], replace(cfgs[1], lam=0.1)])
 
 
 # -- end-to-end sanity on the benchmark ---------------------------------------------

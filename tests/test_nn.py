@@ -303,6 +303,56 @@ def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
         assert np.array_equal(s_gx, gx)
 
 
+def _stacked_mlp(nets):
+    """One Mlp whose weights are (S, out, in): the nets on a leading seed axis."""
+    stacked = nets[0].copy()
+    for i, layer in enumerate(stacked.layers):
+        layer.w = np.stack([net.layers[i].w for net in nets])
+        layer.b = np.stack([net.layers[i].b for net in nets])
+    return stacked
+
+
+@pytest.mark.parametrize("shared_input", [False, True], ids=["per-seed", "shared"])
+def test_seed_axis_passes_match_each_network_bit_for_bit(shared_input):
+    rng = np.random.default_rng(21)
+    nets = [Mlp.init([3, 8, 2], ["tanh", "relu"], rng) for _ in range(3)]
+    stacked = _stacked_mlp(nets)
+    x = rng.normal(size=(7, 3)) if shared_input else rng.normal(size=(3, 7, 3))
+    g = rng.normal(size=(3, 7, 2))
+    out, tape = forward(stacked, x)
+    buffer = [np.full((3,) + p.shape, np.nan) for p in nets[0].params()]
+    grads, gx = backward(stacked, tape, g, out=buffer)
+    assert all(a is b for a, b in zip(grads, buffer))
+    for s, net in enumerate(nets):
+        o, t = forward(net, x if shared_input else x[s])
+        (ref_grads, ref_gx) = backward(net, t, g[s])
+        assert np.array_equal(out[s], o)
+        assert np.array_equal(gx[s], ref_gx)
+        for got, ref in zip(grads, ref_grads):
+            assert got[s].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k,c", [(5, 2), (18, 1)])
+def test_stacked_heads_with_a_seed_axis_match_each_seed(k, c):
+    rng = np.random.default_rng(k + c)
+    n_seeds, n, h = 3, 10, 16
+    w = rng.normal(size=(n_seeds, k, c, h))
+    b = rng.normal(size=(n_seeds, k, c))
+    x = np.maximum(rng.normal(size=(n_seeds, n, h)), 0.0)
+    # heads-fastest, as the training step builds its head gradients
+    u = rng.normal(size=(n_seeds, n, k)).swapaxes(-1, -2)
+    g = u[..., None] * rng.normal(size=(n_seeds, n, c))[:, None, :, :]
+    out_w, out_b = np.full(w.shape, np.nan), np.full(b.shape, np.nan)
+    outs = stack_forward(w, b, x)
+    gw, gb, gx = stack_backward(w, x, g, out=(out_w, out_b))
+    assert gw is out_w and gb is out_b
+    for s in range(n_seeds):
+        assert np.array_equal(outs[s], stack_forward(w[s], b[s], x[s]))
+        ref = stack_backward(w[s], x[s], g[s])
+        for got, want in zip((gw[s], gb[s], gx[s]), ref):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_adam_length_mismatch():
     p = [np.ones(2)]
     with pytest.raises(ValueError):

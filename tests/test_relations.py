@@ -185,6 +185,30 @@ def _gemm_and_einsum(net, metas, d_a):
     return a_l, a_ref, grads, refs
 
 
+@pytest.mark.parametrize("k", [2, 5, 18])
+def test_learned_matrix_with_a_seed_axis_matches_each_net(k):
+    rng = np.random.default_rng(7 * k)
+    nets = [RelationNet.init(2, rng, width=32, n_heads=4) for _ in range(3)]
+    for net in nets:
+        net.w = 1.0 + 0.3 * rng.normal(size=net.w.shape)
+    nets[1].w[2] = 0.0  # a dead head in one seed only
+    stacked = nets[0].copy()
+    for i, layer in enumerate(stacked.g.layers):
+        layer.w = np.stack([net.g.layers[i].w for net in nets])
+        layer.b = np.stack([net.g.layers[i].b for net in nets])
+    stacked.w = np.stack([net.w for net in nets])
+    metas = rng.normal(size=(k, 2))
+    d_a = rng.normal(size=(3, k, k))
+    a_l, cache = learned_matrix(stacked, metas)
+    grads = learned_matrix_backward(stacked, cache, d_a)
+    for s, net in enumerate(nets):
+        a_ref, cache_ref = learned_matrix(net, metas)
+        assert a_l[s].tobytes() == a_ref.tobytes()
+        refs = learned_matrix_backward(net, cache_ref, d_a[s])
+        for got, want in zip(grads, refs):
+            assert got[s].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 18])
 @pytest.mark.parametrize("n_heads", [1, 4])
 @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
