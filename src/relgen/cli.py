@@ -33,7 +33,9 @@ from .model import (
     ErmModel,
     MultiHeadModel,
     TrainConfig,
+    build_erm,
     build_model,
+    check_fits,
     erm_predictor,
     evaluate,
     load_checkpoint,
@@ -41,7 +43,6 @@ from .model import (
     rwft_predictor,
     save_checkpoint,
     train,
-    train_erm,
 )
 from .relations import (
     RelationMatrix,
@@ -170,33 +171,22 @@ def cmd_gen(args) -> int:
 
 
 def _train_seeds(dataset, cfgs, method, resume):
-    """Train one model per config; yields (model, history, predictor) per seed.
-
-    Relational models train in lockstep, so all of them are trained before
-    the first is yielded; pooled models train one after another.
-    """
-    if method == "relational":
-        if resume:
-            model, _ = load_checkpoint(resume)
-            if not isinstance(model, MultiHeadModel):
-                raise ConfigError(f"{resume}: not a relational checkpoint")
-            models = [model]
-        else:
-            models = [build_model(dataset, cfg) for cfg in cfgs]
-        histories = train(models, dataset, cfgs)
+    """Train one model per config, all in lockstep; returns (model, history, predictor) per seed."""
+    relational = method == "relational"
+    if resume:
+        model, _ = load_checkpoint(resume)
+        if not isinstance(model, MultiHeadModel if relational else ErmModel):
+            raise ConfigError(f"{resume}: not {'a relational' if relational else 'an erm'} checkpoint")
+        models = [model]
+    else:
+        models = [(build_model if relational else build_erm)(dataset, cfg) for cfg in cfgs]
+    histories = train(models, dataset, cfgs)
+    if relational:
         mode = "uniform" if cfgs[0].relation_mode == "uniform" else "fused"
-        for model, history in zip(models, histories):
-            yield model, history, relational_predictor(model, dataset, cfgs[0].beta, mode)
-        return
-    for cfg in cfgs:
-        if resume:
-            model, _ = load_checkpoint(resume)
-            if not isinstance(model, ErmModel):
-                raise ConfigError(f"{resume}: not an erm checkpoint")
-            model, history = train_erm(dataset, cfg, model=model)
-        else:
-            model, history = train_erm(dataset, cfg)
-        yield model, history, erm_predictor(model, dataset)
+        predictors = [relational_predictor(m, dataset, cfgs[0].beta, mode) for m in models]
+    else:
+        predictors = [erm_predictor(m, dataset) for m in models]
+    return zip(models, histories, predictors)
 
 
 def cmd_train(args) -> int:
@@ -260,6 +250,7 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset_dir(args.data, task=args.task)
     model, header = load_checkpoint(args.checkpoint)
+    check_fits(model, dataset)
     cfg_dict = header.get("config") or {}
     if isinstance(model, MultiHeadModel):
         if args.rw_finetune:
@@ -275,7 +266,7 @@ def cmd_eval(args) -> int:
                 cfg = replace(cfg, **{name: value})
         cfg.validate()
         if args.rw_finetune:
-            predictor = rwft_predictor(model, dataset, cfg)
+            predictor = rwft_predictor(model, dataset, cfg, args.split)
             method = "erm+rw_finetune"
         else:
             predictor = erm_predictor(model, dataset)

@@ -62,6 +62,8 @@ class DomainDataset:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.domain = np.asarray(self.domain, dtype=np.int64)
         self.meta = np.asarray(self.meta, dtype=np.float64)
+        if self.x.ndim != 2 or self.meta.ndim != 2:
+            raise DataError("x and meta must be matrices, one row per example or domain")
         n = self.x.shape[0]
         if self.y.shape != (n,) or self.domain.shape != (n,):
             raise DataError("x, y, and domain must have matching lengths")
@@ -90,6 +92,12 @@ class DomainDataset:
         if self.task == TASK_CLASSIFICATION and self.y.size:
             if not np.all(self.y == np.round(self.y)) or self.y.min() < 0:
                 raise DataError("classification labels must be nonnegative integers")
+            # one output per class up to the largest label: bound it by the data
+            if self.y.max() >= n:
+                raise DataError(
+                    f"classification label {self.y.max():g} is not below the number of "
+                    f"examples ({n}); numeric targets need the regression task"
+                )
         counts = np.bincount(self.domain, minlength=len(self.ids))
         if (counts < 1).any():
             empty = self.ids[int(np.argmin(counts))]
@@ -338,7 +346,7 @@ def _read_csv(path: str) -> list[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -378,7 +386,7 @@ def load_adjacency(path: str, known_ids=None) -> list[tuple[str, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     for line_no, line in enumerate(lines, start=1):
         parts = line.split()
@@ -426,6 +434,8 @@ def load_dataset(
         dom.append(seen[did])
         ys.append(vals[0])
         xs.append(vals[1:])
+    if not ids:
+        raise DataError(f"{data_path}: no data rows")
 
     meta_ids, meta_vals = load_meta_csv(meta_path)
     meta_by_id = {d: meta_vals[i] for i, d in enumerate(meta_ids)}

@@ -89,7 +89,7 @@ def method_comparison(
         metrics["erm"].append(rep_erm.mean)
         reports["erm"].append(rep_erm.to_dict())
         if include_rwft:
-            rep_ft = evaluate(rwft_predictor(erm_model, dataset, cfg), dataset, split)
+            rep_ft = evaluate(rwft_predictor(erm_model, dataset, cfg, split), dataset, split)
             metrics["rw_finetune"].append(rep_ft.mean)
             reports["rw_finetune"].append(rep_ft.to_dict())
     out = {}
@@ -109,17 +109,34 @@ RELATION_VARIANTS = (
 )
 
 
+def _relational_means(seeds, config: TrainConfig, dataset_factory, infer_mode: str) -> list[float]:
+    """Test metric of one relational run per seed, in seed order.
+
+    Seeds whose factory returns the same dataset object train in one
+    lockstep train call; a seed with a dataset of its own trains alone.
+    """
+    datasets = [dataset_factory(s) for s in seeds]
+    groups: dict[int, list[int]] = {}
+    for j, dataset in enumerate(datasets):
+        groups.setdefault(id(dataset), []).append(j)
+    means = [0.0] * len(seeds)
+    for group in groups.values():
+        dataset = datasets[group[0]]
+        cfgs = [replace(config, seed=seeds[j]) for j in group]
+        models = [build_model(dataset, c) for c in cfgs]
+        train(models, dataset, cfgs)
+        for j, model in zip(group, models):
+            predict = relational_predictor(model, dataset, config.beta, infer_mode)
+            means[j] = evaluate(predict, dataset, "test").mean
+    return means
+
+
 def relation_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
     """Test metric for each relation source: none/fixed/learned/fused."""
     seeds = [int(s) for s in seeds]
     rows = []
     for label, overrides, mode in RELATION_VARIANTS:
-        vals = []
-        for s in seeds:
-            dataset = dataset_factory(s)
-            cfg = replace(config, seed=s, **overrides)
-            _, _, rep = run_relational(dataset, cfg, infer_mode=mode)
-            vals.append(rep.mean)
+        vals = _relational_means(seeds, replace(config, **overrides), dataset_factory, mode)
         rows.append({"variant": label, **_aggregate(vals)})
     return rows
 
@@ -127,13 +144,9 @@ def relation_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> l
 def consistency_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
     """Test metric with the consistency term off versus at its configured weight."""
     seeds = [int(s) for s in seeds]
+    mode = "uniform" if config.relation_mode == "uniform" else "fused"
     rows = []
     for lam in (0.0, config.lam):
-        vals = []
-        for s in seeds:
-            dataset = dataset_factory(s)
-            cfg = replace(config, seed=s, lam=lam)
-            _, _, rep = run_relational(dataset, cfg)
-            vals.append(rep.mean)
+        vals = _relational_means(seeds, replace(config, lam=lam), dataset_factory, mode)
         rows.append({"variant": f"lam={lam:g}", **_aggregate(vals)})
     return rows

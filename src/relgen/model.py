@@ -38,8 +38,8 @@ from .nn import (
     loss_ce_batch,
     loss_ce_rows,
     loss_mse,
-    pack,
     softmax,
+    split,
     stack_backward,
     stack_forward,
 )
@@ -109,10 +109,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a mapping, got {type(d).__name__}")
+        fields = cls.__dataclass_fields__
+        bad = set(d) - set(fields)
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
+        for name, value in d.items():
+            want = type(fields[name].default)
+            # JSON numbers: an int may stand for a float, but a bool is no number
+            ok = isinstance(value, (int, float) if want is float else want)
+            if not ok or (isinstance(value, bool) and want is not bool):
+                raise ConfigError(f"config {name!r} must be a {want.__name__}, got {value!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -168,12 +176,7 @@ class MultiHeadModel:
         (extractor views, head_w, head_b, relation-net views), each list in
         params() order.
         """
-        lead = buf.shape[:-1]
-        out, start = [], 0
-        for shape in self._shapes:
-            stop = start + math.prod(shape)
-            out.append(buf[..., start:stop].reshape(lead + shape))
-            start = stop
+        out = split(buf, self._shapes)
         n_ext = 2 * len(self.extractor.layers)
         heads = out[n_ext]
         c, h = self.head_w.shape[-2:]
@@ -191,6 +194,9 @@ class MultiHeadModel:
         _bind_mlp(self.relation_net.g, iter(net))
         self.relation_net.w = net[-1]
         self.flat = flat
+
+    def _structure(self) -> tuple:
+        return self._shapes, self.head_domains, self.task, self.combine_space
 
     def params(self) -> list[np.ndarray]:
         """Live views of every parameter: extractor, each head's (w, b), relation net."""
@@ -218,20 +224,18 @@ class MultiHeadModel:
             np.copyto(p, a)
 
 
-def stack_models(models: list[MultiHeadModel]) -> MultiHeadModel:
+def stack_models(models):
     """One model whose parameters carry a leading seed axis over the models.
 
-    The models' parameters are copied into the rows of one (S, P) buffer,
-    and model s is rebound to row s, so updating the stacked model updates
-    every one of them. The models must have the same structure. The stack
-    is for training passes (total_loss_and_grads); params(), copy(),
-    inference and checkpoints work on the single models.
+    The models (all MultiHeadModel or all ErmModel) have their parameters
+    copied into the rows of one (S, P) buffer, and model s is rebound to
+    row s, so updating the stacked model updates every one of them. The
+    models must have the same structure. The stack is for training passes;
+    params(), copy(), inference and checkpoints work on the single models.
     """
     first = models[0]
     for m in models[1:]:
-        if (m._shapes, m.head_domains, m.task, m.combine_space) != (
-            first._shapes, first.head_domains, first.task, first.combine_space
-        ):
+        if m._structure() != first._structure():
             raise ValueError("stacked models must have the same structure")
     flat = np.stack([m.flat for m in models])
     stacked = first.copy()
@@ -243,6 +247,29 @@ def stack_models(models: list[MultiHeadModel]) -> MultiHeadModel:
 
 def _out_dim(dataset: DomainDataset) -> int:
     return dataset.n_classes if dataset.task == TASK_CLASSIFICATION else 1
+
+
+def check_fits(model, dataset: DomainDataset) -> None:
+    """Raise ConfigError unless the model's task and sizes fit the dataset.
+
+    Input features and meta-data columns must match; the model needs an
+    output for every class label in the dataset.
+    """
+    if isinstance(model, MultiHeadModel):
+        in_dim, outputs, meta_dim = (
+            model.extractor.in_dim, model.head_w.shape[-2], model.relation_net.g.in_dim
+        )
+        features = dataset.n_features
+    else:
+        in_dim, outputs, meta_dim = model.extractor.in_dim, model.head.out_dim, model.meta_dim
+        features = dataset.n_features + dataset.meta_dim
+    needed = _out_dim(dataset)
+    if (model.task, in_dim, meta_dim) != (dataset.task, features, dataset.meta_dim) or outputs < needed:
+        raise ConfigError(
+            f"{model.task} model expects {in_dim} input features and {meta_dim} meta-data "
+            f"columns and has {outputs} outputs; the {dataset.task} dataset gives {features} "
+            f"and {dataset.meta_dim} and needs {needed}"
+        )
 
 
 def build_model(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
@@ -479,7 +506,7 @@ def total_loss_and_grads(
         learned_matrix_backward(net, cache, (1.0 - beta) * d_a, out=g_net)
 
     _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
-    backward(model.extractor, e_tape, d_phi, out=g_ext)
+    backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
     loss = lp + lam * lrel
     if single:
         return loss[0], (lp[0], lrel[0]), grad
@@ -509,18 +536,20 @@ def _metric_better(candidate: float, best: float, task: str) -> bool:
 def train(model, dataset: DomainDataset, config):
     """Optimize the model on the dataset's training domains.
 
-    Per epoch: seeded shuffle, mini-batches, one Adam step per batch; the
-    relation matrix is rebuilt inside every batch so relation-net gradients
-    stay exact. If validation domains exist, the valid-split metric is
-    recorded every eval_every epochs and the best parameters are restored
-    at the end (config.select_best). Returns the per-epoch history.
+    A MultiHeadModel trains on the relational objective, rebuilding the
+    relation matrix inside every batch so relation-net gradients stay
+    exact (total_loss_and_grads); an ErmModel trains on the pooled data
+    with its meta-data as features (see train_erm). If validation domains
+    exist, the valid-split metric is recorded every eval_every epochs and
+    the best parameters are restored at the end (config.select_best).
+    Returns the per-epoch history.
 
-    Given a list of models and a list of configs that differ only in seed,
-    trains them in lockstep, each step one pass over all of them (see
-    stack_models), and returns one history per model. Each model ends
-    bit for bit where training it alone would leave it.
+    Given a list of models of one kind and a list of configs that differ
+    only in seed, trains them in lockstep (see _train_loop) and returns one
+    history per model. Each model ends bit for bit where training it alone
+    would leave it.
     """
-    single = isinstance(model, MultiHeadModel)
+    single = isinstance(model, (MultiHeadModel, ErmModel))
     models = [model] if single else list(model)
     configs = [config] if single else list(config)
     if len(models) != len(configs) or not models:
@@ -530,76 +559,121 @@ def train(model, dataset: DomainDataset, config):
         if replace(cfg, seed=configs[0].seed) != configs[0]:
             raise ConfigError("lockstep training needs configs that differ only in seed")
     config = configs[0]
-    head_domains = models[0].head_domains
-    if head_domains != dataset.ids_for_split("train"):
-        raise ValueError("model heads do not match the dataset's training domains")
-    if len(head_domains) < 2:
-        raise ConfigError("need at least two training domains")
+    check_fits(models[0], dataset)
+    train_ids = dataset.ids_for_split("train")
+    if isinstance(models[0], MultiHeadModel):
+        if models[0].head_domains != train_ids:
+            raise ConfigError(
+                f"model heads {models[0].head_domains} do not match the dataset's "
+                f"training domains {train_ids}"
+            )
+        if len(train_ids) < 2:
+            raise ConfigError("need at least two training domains")
+        x, y, dom = dataset.arrays_for(train_ids)
+        metas = dataset.meta_for(train_ids)
+        fixed = dataset.fixed_matrix(train_ids)
+        mode = "uniform" if config.relation_mode == "uniform" else "fused"
+        keys = ("loss", "loss_pred", "loss_rel")
+
+        def step(stack, b, grad):
+            loss, (lp, lrel), _ = total_loss_and_grads(
+                stack, (x[b], y[b], dom[b]), fixed, metas,
+                config.lam, config.beta, config.relation_mode, grad,
+            )
+            return loss, lp, lrel
+
+        def predictor(m):
+            return relational_predictor(m, dataset, config.beta, mode)
+    else:
+        if not train_ids:
+            raise ConfigError("no training domains")
+        x, y, dom = _pooled_features(dataset, train_ids)
+        keys = ("loss",)
+
+        def step(stack, b, grad):
+            return (_pooled_loss_and_grads(stack, x[b], y[b], None, grad),)
+
+        def predictor(m):
+            return erm_predictor(m, dataset)
+
+    def valid_metric(m) -> float:
+        return evaluate(predictor(m), dataset, "valid").mean
+
+    histories = _train_loop(
+        models,
+        config,
+        config.epochs,
+        lambda epoch: np.stack([_epoch_order(len(y), dom, c, epoch) for c in configs]),
+        step,
+        keys,
+        [f"seed {c.seed}" for c in configs],
+        valid_metric if dataset.ids_for_split("valid") else None,
+    )
+    return histories[0] if single else histories
+
+
+def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, names, valid=None):
+    """The training loop of every model kind, with the models in lockstep.
+
+    The models share one (S, P) parameter buffer (stack_models), one (S, P)
+    gradient buffer and one Adam state, so each batch is one step() call
+    and one adam_step call for all of them. order(epoch) gives the example
+    order, (S, m) with one row per model or (m,) shared by all. step(stack,
+    b, grad) writes every model's gradient for index batch b into grad and
+    returns its loss terms, one (S,) array per name in keys, the first
+    being the loss. A non-finite loss or gradient raises NumericalError
+    naming the model (names[s]), the epoch and the batch. valid(model),
+    if given, is the valid-split metric that selects each model's best
+    epoch. Returns one history per model.
+    """
     stack = stack_models(models)
-    x, y, dom = dataset.arrays_for(head_domains)
-    metas = dataset.meta_for(head_domains)
-    fixed = dataset.fixed_matrix(head_domains)
     opt = init_opt_state([stack.flat])
     grad = np.empty_like(stack.flat)
-    n = len(y)
-    has_valid = bool(dataset.ids_for_split("valid"))
-    eval_mode = "uniform" if config.relation_mode == "uniform" else "fused"
-
     histories: list[list[dict]] = [[] for _ in models]
     best_metric: list[float | None] = [None] * len(models)
     best_params: list[np.ndarray | None] = [None] * len(models)
-    for epoch in range(config.epochs):
-        idx = np.stack([_epoch_order(n, dom, cfg, epoch) for cfg in configs])
-        sums = np.zeros((3, len(models)))
+    for epoch in range(epochs):
+        idx = order(epoch)
+        sums = np.zeros((len(keys), len(models)))
         seen = 0
-        for start in range(0, idx.shape[1], config.batch_size):
-            b = idx[:, start : start + config.batch_size]
-            loss, (lp, lrel), _ = total_loss_and_grads(
-                stack,
-                (x[b], y[b], dom[b]),
-                fixed,
-                metas,
-                config.lam,
-                config.beta,
-                config.relation_mode,
-                grad,
-            )
-            bad = ~np.isfinite(loss)
+        for start in range(0, idx.shape[-1], config.batch_size):
+            b = idx[..., start : start + config.batch_size]
+            terms = np.array(step(stack, b, grad))
+            bad = ~np.isfinite(terms[0])
             if bad.any():
                 j = int(bad.argmax())
+                detail = ", ".join(f"{k}={float(v)!r}" for k, v in zip(keys, terms[:, j]))
                 raise NumericalError(
-                    f"non-finite training loss for seed {configs[j].seed} at epoch {epoch}, "
-                    f"batch {start // config.batch_size} "
-                    f"(pred={float(lp[j])!r}, consistency={float(lrel[j])!r})"
+                    f"non-finite training loss for {names[j]} at epoch {epoch}, "
+                    f"batch {start // config.batch_size} ({detail})"
                 )
-            adam_step([stack.flat], [grad], opt, config.lr, config.weight_decay)
-            sums += np.array([loss, lp, lrel]) * b.shape[1]
-            seen += b.shape[1]
-        evaluate_now = has_valid and (
-            (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1
+            try:
+                adam_step([stack.flat], [grad], opt, config.lr, config.weight_decay)
+            except NumericalError as exc:
+                j = int((~np.isfinite(grad).all(axis=-1)).argmax())
+                raise NumericalError(
+                    f"non-finite gradient for {names[j]} at epoch {epoch}, "
+                    f"batch {start // config.batch_size}"
+                ) from exc
+            sums += terms * b.shape[-1]
+            seen += b.shape[-1]
+        evaluate_now = valid is not None and (
+            (epoch + 1) % config.eval_every == 0 or epoch == epochs - 1
         )
         for j, m in enumerate(models):
-            entry = {
-                "epoch": epoch,
-                "loss": sums[0, j] / seen,
-                "loss_pred": sums[1, j] / seen,
-                "loss_rel": sums[2, j] / seen,
-            }
+            entry = {"epoch": epoch, **{k: sums[i, j] / seen for i, k in enumerate(keys)}}
             if evaluate_now:
-                report = evaluate(
-                    relational_predictor(m, dataset, config.beta, eval_mode), dataset, "valid"
-                )
-                entry["valid"] = report.mean
+                entry["valid"] = metric = valid(m)
                 if config.select_best and (
-                    best_metric[j] is None or _metric_better(report.mean, best_metric[j], m.task)
+                    best_metric[j] is None or _metric_better(metric, best_metric[j], m.task)
                 ):
-                    best_metric[j] = report.mean
+                    best_metric[j] = metric
                     best_params[j] = m.flat.copy()
             histories[j].append(entry)
     for m, best in zip(models, best_params):
         if best is not None:
             np.copyto(m.flat, best)
-    return histories[0] if single else histories
+    return histories
 
 
 # -- inference ----------------------------------------------------------------
@@ -687,7 +761,8 @@ def relational_predictor(
 class ErmModel:
     """Single-head baseline trained on pooled data, meta-data as features.
 
-    Like MultiHeadModel, its parameters are views into one vector, ``flat``.
+    Like MultiHeadModel, its parameters are views into one vector, ``flat``,
+    and a (S, P) buffer binds S models at once (see stack_models).
     """
 
     extractor: Mlp
@@ -697,10 +772,24 @@ class ErmModel:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat, views = pack(self.params())
-        views = iter(views)
-        _bind_mlp(self.extractor, views)
-        _bind_mlp(self.head, views)
+        self._shapes = [p.shape for p in self.params()]
+        self.bind(flatten(self.params()))
+
+    def views(self, buf: np.ndarray):
+        """Split a buffer laid out like ``flat`` into (extractor views, head views)."""
+        out = split(buf, self._shapes)
+        n_ext = 2 * len(self.extractor.layers)
+        return out[:n_ext], out[n_ext:]
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Make every parameter a view into flat, laid out as in ``flat``."""
+        ext, head = self.views(flat)
+        _bind_mlp(self.extractor, iter(ext))
+        _bind_mlp(self.head, iter(head))
+        self.flat = flat
+
+    def _structure(self) -> tuple:
+        return self._shapes, self.task, self.meta_dim
 
     def params(self) -> list[np.ndarray]:
         return self.extractor.params() + self.head.params()
@@ -728,10 +817,25 @@ def _pooled_features(dataset: DomainDataset, ids: list[str]):
     return np.hstack([x, metas[dom]]), y, dom
 
 
-def _plain_loss(net_out, y, task):
-    if task == TASK_CLASSIFICATION:
-        return loss_ce_batch(net_out, y)
-    return loss_mse(net_out, np.asarray(y, dtype=np.float64)[:, None])
+def build_erm(dataset: DomainDataset, config: TrainConfig) -> ErmModel:
+    """A fresh pooled model: the build_model extractor on features plus meta-data."""
+    config.validate()
+    if not dataset.ids_for_split("train"):
+        raise ConfigError("no training domains")
+    return ErmModel(
+        extractor=Mlp.init(
+            [dataset.n_features + dataset.meta_dim, config.hidden_width],
+            ["relu"],
+            substream(config.seed, "init", "erm-extractor"),
+        ),
+        head=Mlp.init(
+            [config.hidden_width, _out_dim(dataset)],
+            ["identity"],
+            substream(config.seed, "init", "erm-head"),
+        ),
+        task=dataset.task,
+        meta_dim=dataset.meta_dim,
+    )
 
 
 def train_erm(
@@ -744,89 +848,33 @@ def train_erm(
     Domain meta-data is appended to the input features so the baseline sees
     the same information the relation-weighted model gets through its
     relation net. The extractor architecture matches build_model. Pass an
-    existing model to continue training it in place.
+    existing model to continue training it in place. For several seeds at
+    once, pass build_erm models to train.
     """
-    config.validate()
-    train_ids = dataset.ids_for_split("train")
-    if not train_ids:
-        raise ConfigError("no training domains")
-    feats, y, dom = _pooled_features(dataset, train_ids)
-    out = _out_dim(dataset)
     if model is None:
-        model = ErmModel(
-            extractor=Mlp.init(
-                [feats.shape[1], config.hidden_width],
-                ["relu"],
-                substream(config.seed, "init", "erm-extractor"),
-            ),
-            head=Mlp.init(
-                [config.hidden_width, out], ["identity"], substream(config.seed, "init", "erm-head")
-            ),
-            task=dataset.task,
-            meta_dim=dataset.meta_dim,
-        )
-    elif model.extractor.in_dim != feats.shape[1] or model.head.out_dim != out:
-        raise ConfigError(
-            f"model expects {model.extractor.in_dim} input features and "
-            f"{model.head.out_dim} outputs; dataset provides {feats.shape[1]} and {out}"
-        )
-    history = _erm_loop(model, feats, y, dom, config, dataset)
-    return model, history
+        model = build_erm(dataset, config)
+    return model, train(model, dataset, config)
 
 
-def _erm_loop(
-    model: ErmModel,
-    feats: np.ndarray,
-    y: np.ndarray,
-    dom: np.ndarray,
-    config: TrainConfig,
-    dataset: DomainDataset | None,
-    example_weights: np.ndarray | None = None,
-    stream: str = "train",
-) -> list[dict]:
-    opt = init_opt_state([model.flat])
-    n = len(y)
-    has_valid = dataset is not None and bool(dataset.ids_for_split("valid"))
-    history: list[dict] = []
-    best_metric: float | None = None
-    best_params: np.ndarray | None = None
-    for epoch in range(config.epochs if example_weights is None else config.finetune_epochs):
-        idx = _epoch_order(n, dom, config, epoch) if stream == "train" else substream(
-            config.seed, stream, "shuffle", epoch
-        ).permutation(n)
-        total = 0.0
-        seen = 0
-        for start in range(0, len(idx), config.batch_size):
-            b = idx[start : start + config.batch_size]
-            phi, e_tape = forward(model.extractor, feats[b])
-            out, h_tape = forward(model.head, phi)
-            if example_weights is None:
-                loss, g = _plain_loss(out, y[b], model.task)
-            else:
-                losses, g = _example_losses(out, y[b], model.task)
-                q = example_weights[b]
-                loss = float(np.sum(q * losses) / len(b))
-                g = g * q[:, None]
-            if not np.isfinite(loss):
-                raise NumericalError(f"non-finite pooled-training loss at epoch {epoch}")
-            h_grads, d_phi = backward(model.head, h_tape, g)
-            e_grads, _ = backward(model.extractor, e_tape, d_phi)
-            adam_step([model.flat], [flatten(e_grads + h_grads)], opt, config.lr, config.weight_decay)
-            total += loss * len(b)
-            seen += len(b)
-        entry = {"epoch": epoch, "loss": total / seen}
-        if has_valid and ((epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1):
-            report = evaluate(erm_predictor(model, dataset), dataset, "valid")
-            entry["valid"] = report.mean
-            if config.select_best and (
-                best_metric is None or _metric_better(report.mean, best_metric, model.task)
-            ):
-                best_metric = report.mean
-                best_params = model.flat.copy()
-        history.append(entry)
-    if best_params is not None:
-        np.copyto(model.flat, best_params)
-    return history
+def _pooled_loss_and_grads(model: ErmModel, x, y, q, grad: np.ndarray) -> np.ndarray:
+    """Loss of each stacked pooled model on its batch; the gradient goes into grad.
+
+    x is (S, n, p) and y (S, n), one batch per model, or (n, p) and (n,)
+    shared by all. q, if given, holds (S, n) example weights, and the loss
+    is then sum(q * losses) / n. Returns the (S,) losses.
+    """
+    g_ext, g_head = model.views(grad)
+    phi, e_tape = forward(model.extractor, x)
+    out, h_tape = forward(model.head, phi)
+    losses, g = _example_losses(out, np.broadcast_to(y, out.shape[:-1]), model.task)
+    if q is None:
+        loss = losses.mean(axis=-1)
+    else:
+        loss = (q * losses).sum(axis=-1) / losses.shape[-1]
+        g = g * q[..., None]
+    _, d_phi = backward(model.head, h_tape, g, out=g_head)
+    backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
+    return loss
 
 
 def _example_losses(out: np.ndarray, y, task: str) -> tuple[np.ndarray, np.ndarray]:
@@ -852,7 +900,8 @@ def rw_finetune(
     dataset: DomainDataset,
     relation_weights,
     config: TrainConfig,
-) -> ErmModel:
+    targets: list[str] | None = None,
+):
     """Fine-tune a copy of the pooled model on relation-reweighted data.
 
     relation_weights holds one nonnegative weight per training domain (in
@@ -860,33 +909,64 @@ def rw_finetune(
     domain's weight, normalized to mean one over the training set, so
     zero-weight domains contribute nothing. With finetune_epochs == 0 the
     returned model equals the input.
+
+    A (T, K) block of weight rows fine-tunes T copies in lockstep and
+    returns a list of T models. All of them draw the same shuffle, so they
+    share each input batch; targets names the rows in error messages.
     """
     config.validate()
+    check_fits(erm, dataset)
     train_ids = dataset.ids_for_split("train")
-    w = normalize_weights(relation_weights)
-    if w.shape[0] != len(train_ids):
+    rows = np.asarray(relation_weights, dtype=np.float64)
+    w = np.stack([normalize_weights(r) for r in (rows if rows.ndim == 2 else rows[None])])
+    if w.shape[1] != len(train_ids):
         raise ValueError("need one relation weight per training domain")
     feats, y, dom = _pooled_features(dataset, train_ids)
-    q = w[dom]
-    q = q * (len(q) / q.sum())
-    tuned = erm.copy()
-    _erm_loop(tuned, feats, y, dom, config, None, example_weights=q, stream="rwft")
-    return tuned
+    # w[:, dom] and q[:, b] index the last axis, which numpy returns column
+    # major; each row of a C-order block is summed pairwise, as a lone row
+    # is, so every fine-tune keeps the bits of a run of its own
+    q = np.ascontiguousarray(w[:, dom])
+    q = q * (len(dom) / q.sum(axis=-1, keepdims=True))
+    tuned = [erm.copy() for _ in w]
+    names = (
+        [f"the fine-tune for domain {t!r}" for t in targets]
+        if targets
+        else [f"fine-tune row {j}" for j in range(len(w))]
+    )
+    _train_loop(
+        tuned,
+        config,
+        config.finetune_epochs,
+        lambda epoch: substream(config.seed, "rwft", "shuffle", epoch).permutation(len(y)),
+        lambda stack, b, grad: (
+            _pooled_loss_and_grads(stack, feats[b], y[b], np.ascontiguousarray(q[:, b]), grad),
+        ),
+        ("loss",),
+        names,
+    )
+    return tuned if rows.ndim == 2 else tuned[0]
 
 
-def rwft_predictor(erm: ErmModel, dataset: DomainDataset, config: TrainConfig):
+def rwft_predictor(
+    erm: ErmModel, dataset: DomainDataset, config: TrainConfig, split: str | None = None
+):
     """Per-domain prediction after fine-tuning on fixed-relation weights.
 
     The pooled baseline has no trained relation net, so the reweighting
-    uses the dataset's fixed relations to the target domain.
+    uses the dataset's fixed relations to the target domain. With split,
+    the first prediction fine-tunes one copy for every domain of that split
+    in one lockstep rw_finetune call; any other domain is tuned on its own
+    when first asked for.
     """
     train_ids = dataset.ids_for_split("train")
     tuned: dict[str, ErmModel] = {}
 
     def predict(domain_id: str, x):
         if domain_id not in tuned:
-            row = dataset.fixed_between([domain_id], train_ids)[0]
-            tuned[domain_id] = rw_finetune(erm, dataset, row, config)
+            ids = dataset.ids_for_split(split) if split else []
+            ids = ids if domain_id in ids else [domain_id]
+            rows = dataset.fixed_between(ids, train_ids)
+            tuned.update(zip(ids, rw_finetune(erm, dataset, rows, config, targets=ids)))
         return tuned[domain_id].predict(x, dataset.meta_for([domain_id])[0])
 
     return predict
@@ -1038,6 +1118,7 @@ def _read_checkpoint(path: str):
     header = json.loads(arrays.pop("__header__").tobytes().decode())
     if header.get("schema") != CHECKPOINT_SCHEMA:
         raise DataError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}")
+    TrainConfig.from_dict(header["config"])  # a ConfigError here is reported as a DataError
     bad = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
     if bad:
         raise DataError(f"{path}: non-finite parameters in {bad}")

@@ -3,7 +3,7 @@
 MLP forward/backward passes with hand-derived gradients, a batched pass
 for a stack of linear layers that share one input (the per-domain heads),
 the two loss functions used in this package, Adam with decoupled weight
-decay, a helper that packs parameter arrays into one flat buffer, and a
+decay, a helper that cuts one flat parameter buffer into array views, and a
 central finite-difference gradient checker that every analytic gradient in
 the test suite is held against.
 
@@ -17,6 +17,7 @@ All arithmetic is float64 so gradient checks can be tight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,12 +154,17 @@ def forward(mlp: Mlp, x) -> tuple[np.ndarray, Tape]:
 
 
 def backward(
-    mlp: Mlp, tape: Tape, grad_output, out: list[np.ndarray] | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
+    mlp: Mlp,
+    tape: Tape,
+    grad_output,
+    out: list[np.ndarray] | None = None,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of (output . grad_output) w.r.t. params and input.
 
     Returns (grads, grad_x) with grads ordered like Mlp.params(). Given out,
     arrays shaped like those grads, the gradients are written into them.
+    With input_grad=False the input gradient is skipped and grad_x is None.
     """
     if len(tape.steps) != len(mlp.layers):
         raise ValueError("tape does not match this network (stale tape?)")
@@ -172,6 +178,8 @@ def backward(
         dz = _act_grad(g, z, a, layer.act)
         grads[2 * k] = np.matmul(dz.swapaxes(-1, -2), x_in, out=grads[2 * k])
         grads[2 * k + 1] = dz.sum(axis=-2, out=grads[2 * k + 1])
+        if k == 0 and not input_grad:
+            return grads, None
         g = dz @ layer.w
     return grads, (g[0] if tape.single else g)
 
@@ -328,18 +336,19 @@ def flatten(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays, axis=None, dtype=np.float64)
 
 
-def pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Copy arrays into one flat buffer; returns (buffer, views shaped like arrays).
+def split(buf: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Views of consecutive blocks of buf's last axis, shaped like shapes.
 
     The views tile the buffer in order with no gaps, so one elementwise
-    update of the buffer (an Adam step) updates every array at once.
+    update of the buffer (an Adam step) updates every array at once. A
+    (S, P) buffer gives each view a leading axis of length S.
     """
-    flat = flatten(arrays)
     views, start = [], 0
-    for a in arrays:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(buf[..., start:stop].reshape(buf.shape[:-1] + tuple(shape)))
+        start = stop
+    return views
 
 
 # -- gradient checking ---------------------------------------------------------

@@ -3,9 +3,14 @@ report files, exit codes for the three failure families, and the relation
 matrix export."""
 
 import json
+import pathlib
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relgen.cli as cli
 from relgen.cli import main
@@ -240,6 +245,60 @@ def test_inf_meta_on_a_valid_domain_exits_3(trained, dg15_dir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["data.csv", "meta.csv", "splits.csv", "adjacency.txt"])
+def test_a_file_that_is_not_utf8_exits_3(spatial_dir, tmp_path, name):
+    bad = tmp_path / "bad"
+    shutil.copytree(spatial_dir, bad)
+    (bad / name).write_bytes(b"\xff" + (bad / name).read_bytes())
+    assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
+
+
+@pytest.mark.parametrize("label", ["1e308", "1000"])
+def test_a_class_label_beyond_the_example_count_exits_3(dg15_dir, tmp_path, label):
+    bad = tmp_path / "huge-label"
+    _damaged_copy(dg15_dir, bad, "data.csv", 1, 1, label)
+    assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
+
+
+def test_a_data_file_without_rows_exits_3(dg15_dir, tmp_path):
+    bad = tmp_path / "header-only"
+    shutil.copytree(dg15_dir, bad)
+    (bad / "data.csv").write_text("domain_id,y,x_1,x_2\n")
+    assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
+
+
+def test_a_checkpoint_that_does_not_fit_the_data_exits_2(trained, trained_erm, dg15_dir,
+                                                         spatial_dir, tmp_path):
+    relational = str(trained / "checkpoint-relational-seed0.npz")
+    erm = str(trained_erm / "checkpoint-erm-seed0.npz")
+    assert run("eval", "--checkpoint", erm, "--data", str(spatial_dir), "--rw-finetune") == 2
+    assert run("eval", "--checkpoint", relational, "--data", str(spatial_dir)) == 2
+    three_classes = tmp_path / "three-classes"
+    _damaged_copy(dg15_dir, three_classes, "data.csv", 1, 1, "2")
+    assert run("eval", "--checkpoint", erm, "--data", str(three_classes), "--rw-finetune") == 2
+    moved = tmp_path / "moved-split"
+    _damaged_copy(dg15_dir, moved, "splits.csv", 1, 1, "train")  # d00 valid -> train
+    assert run("train", "--data", str(moved), "--out", str(tmp_path / "o"), "--epochs", "1",
+               "--resume", relational) == 2
+
+
+def test_config_values_of_the_wrong_type_are_rejected(trained, dg15_dir, tmp_path):
+    out = str(tmp_path / "x")
+    cfg = tmp_path / "float-epochs.json"
+    cfg.write_text(json.dumps({"epochs": 1.5}))
+    assert run("train", "--data", str(dg15_dir), "--out", out, "--config", str(cfg)) == 2
+    cfg.write_text(json.dumps({"select_best": 1}))
+    assert run("train", "--data", str(dg15_dir), "--out", out, "--config", str(cfg)) == 2
+    with np.load(trained / "checkpoint-relational-seed0.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    header = json.loads(arrays["__header__"].tobytes().decode())
+    header["config"]["lr"] = None
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(tmp_path / "bad-config.npz", **arrays)
+    code = run("eval", "--checkpoint", str(tmp_path / "bad-config.npz"), "--data", str(dg15_dir))
+    assert code == 3
+
+
 def test_numerical_blowup_exits_4(spatial_dir, tmp_path):
     # the squared-error loss overflows after a few huge steps
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,6 +326,19 @@ def test_one_diverging_seed_exits_4_and_names_it(dg15_dir, tmp_path, monkeypatch
         )
     assert code == 4
     assert "seed 1" in capsys.readouterr().err
+    assert not list((tmp_path / "boom").glob("*.npz"))  # the seeds train together
+
+
+def test_one_diverging_erm_seed_exits_4_and_names_it(dg15_dir, tmp_path, capsys):
+    # Adam steps of 1e30 with weight decay grow the weights until the loss overflows
+    with np.errstate(all="ignore"):
+        code = run(
+            "train", "--method", "erm", "--data", str(dg15_dir),
+            "--out", str(tmp_path / "boom"), "--seeds", "1,2", "--epochs", "3", "--lr", "1e30",
+        )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "non-finite training loss for seed 1 at epoch 1, batch 0" in err
     assert not list((tmp_path / "boom").glob("*.npz"))  # the seeds train together
 
 
@@ -412,3 +484,86 @@ def test_export_adjacency_relations(spatial_dir, tmp_path):
     ids, matrix = load_relation_csv(str(out))
     assert matrix[ids.index("r0c0"), ids.index("r0c1")] == 1.0
     assert matrix[ids.index("r0c0"), ids.index("r1c1")] == 0.0
+
+
+# -- mutated inputs -------------------------------------------------------------------
+
+FIELD_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "2", "0.5", "1e308", "x", "d99", "valid", "test"]
+BYTE_VALUES = [b"0", b"7", b"-", b".", b"e", b",", b" ", b"\n", b'"', b"x", b"\xff"]
+JSON_VALUES = [None, -1, 0, 0.5, 1e308, "x", "prob", [], {}, True]
+TRAIN_ARGS = ["--epochs", "1", "--lr", "1e-3", "--seed", "0"]
+
+
+def _mutate_bytes(raw: bytes, data) -> bytes:
+    """Truncate the file, overwrite one byte, or edit one CSV line or field."""
+    kind = data.draw(st.sampled_from(["truncate", "byte", "field", "drop-line", "dup-line"]))
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, max(len(raw) - 1, 0)))]
+    if kind == "byte":
+        i = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:i] + data.draw(st.sampled_from(BYTE_VALUES)) + raw[i + 1 :]
+    lines = raw.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "drop-line":
+        del lines[i]
+    elif kind == "dup-line":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split(b",")
+        j = data.draw(st.integers(0, len(fields) - 1))
+        fields[j] = data.draw(st.sampled_from(FIELD_VALUES)).encode()
+        lines[i] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+def _mutate_header(src, dst, data) -> None:
+    """Rewrite a checkpoint with one header or config entry set to another JSON value."""
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    header = json.loads(arrays["__header__"].tobytes().decode())
+    node = header["config"] if data.draw(st.booleans()) else header
+    node[data.draw(st.sampled_from(sorted(node)))] = data.draw(st.sampled_from(JSON_VALUES))
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(dst, **arrays)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_inputs_end_in_a_documented_exit_code(
+    data, dg15_dir, spatial_dir, trained, trained_erm
+):
+    """Damaged data, split, adjacency or checkpoint files never raise out of main."""
+    target = data.draw(st.sampled_from(
+        ["data.csv", "meta.csv", "splits.csv", "adjacency.txt", "relational.npz", "erm.npz"]
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        src = spatial_dir if target == "adjacency.txt" else dg15_dir
+        shutil.copytree(src, tmp / "data")
+        ckpts = {
+            "relational.npz": trained / "checkpoint-relational-seed0.npz",
+            "erm.npz": trained_erm / "checkpoint-erm-seed0.npz",
+        }
+        for name, path in ckpts.items():
+            shutil.copy(path, tmp / name)
+        damaged = tmp / (target if target in ckpts else f"data/{target}")
+        if target in ckpts and data.draw(st.booleans()):
+            _mutate_header(damaged, damaged, data)
+        else:
+            damaged.write_bytes(_mutate_bytes(damaged.read_bytes(), data))
+        common = ["--data", str(tmp / "data"), "--out", str(tmp / "out")]
+        commands = {
+            "train-relational": ["train", "--method", "relational", *common, *TRAIN_ARGS],
+            "train-erm": ["train", "--method", "erm", *common, *TRAIN_ARGS],
+            "resume-relational": ["train", "--method", "relational", *common, *TRAIN_ARGS,
+                                  "--resume", str(tmp / "relational.npz")],
+            "eval-relational": ["eval", "--checkpoint", str(tmp / "relational.npz"), *common],
+            "eval-rw-finetune": ["eval", "--checkpoint", str(tmp / "erm.npz"), *common,
+                                 "--rw-finetune", "--finetune-epochs", "1"],
+        }
+        if target == "adjacency.txt":
+            commands = {k: v for k, v in commands.items() if k.startswith("train-")}
+        argv = commands[data.draw(st.sampled_from(sorted(commands)))]
+        with np.errstate(all="ignore"):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)

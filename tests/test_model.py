@@ -8,12 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import relgen.model as model_module
 from relgen.data import DomainDataset, gen_dg15, gen_spatial_regression
 from relgen.errors import ConfigError, DataError, NumericalError
 from relgen.model import (
     ErmModel,
     MultiHeadModel,
     TrainConfig,
+    build_erm,
     build_model,
     combine_heads,
     erm_predictor,
@@ -781,6 +783,119 @@ def test_lockstep_configs_must_differ_only_in_seed():
     models = [build_model(ds, c) for c in cfgs]
     with pytest.raises(ConfigError, match="differ only in seed"):
         train(models, ds, [cfgs[0], replace(cfgs[1], lam=0.1)])
+
+
+# -- pooled models and fine-tunes in lockstep ------------------------------------------
+
+
+@pytest.mark.parametrize("data", ["dg15", "grid"])
+@pytest.mark.parametrize("case", ["plain", "balanced"])
+def test_lockstep_erm_matches_separate_runs(data, case):
+    """S pooled seeds trained together end bit for bit where S train_erm runs do."""
+    ds, cfgs = _lockstep_setup(data, "fused")
+    if case == "balanced":
+        cfgs = [replace(c, domain_balanced_sampling=True) for c in cfgs]
+    alone = [train_erm(ds, c) for c in cfgs]
+    together = [build_erm(ds, c) for c in cfgs]
+    histories = train(together, ds, cfgs)
+    assert len(histories) == len(cfgs)
+    for (a, ha), t, ht in zip(alone, together, histories):
+        assert a.flat.tobytes() == t.flat.tobytes()
+        assert ha == ht
+        assert "valid" in ht[-1]
+        assert not np.array_equal(t.flat, build_erm(ds, cfgs[0]).flat)  # it did train
+
+
+def test_stacked_erm_rows_are_the_models():
+    ds = micro_dataset()
+    models = [build_erm(ds, TrainConfig(hidden_width=4, seed=s)) for s in (1, 2, 3)]
+    before = [m.flat.copy() for m in models]
+    stack = stack_models(models)
+    assert stack.flat.shape == (3, models[0].flat.size)
+    assert stack.extractor.layers[0].w.shape == (3, 4, 3)
+    for j, m in enumerate(models):
+        assert np.array_equal(m.flat, before[j])
+        assert np.shares_memory(m.flat, stack.flat[j])
+        _assert_tiles(m)
+    with pytest.raises(ValueError, match="same structure"):
+        stack_models([models[0], build_model(ds, TrainConfig(hidden_width=4))])
+    with pytest.raises(ValueError, match="same structure"):
+        stack_models([models[0], build_erm(ds, TrainConfig(hidden_width=5))])
+
+
+@pytest.mark.parametrize("data", ["dg15", "grid"])
+@pytest.mark.parametrize("finetune_epochs", [0, 3])
+def test_lockstep_rw_finetune_equals_one_call_per_row(data, finetune_epochs):
+    ds, cfgs = _lockstep_setup(data, "fused")
+    cfg = replace(cfgs[0], finetune_epochs=finetune_epochs)
+    erm, _ = train_erm(ds, cfg)
+    k = len(ds.ids_for_split("train"))
+    rows = np.random.default_rng(2).uniform(size=(4, k))
+    rows[1] = 0.0  # falls back to uniform weights
+    rows[3, ::2] = 0.0
+    tuned = rw_finetune(erm, ds, rows, cfg)
+    assert len(tuned) == len(rows)
+    for row, t in zip(rows, tuned):
+        one = rw_finetune(erm, ds, row, cfg)
+        assert isinstance(one, ErmModel)
+        assert one.flat.tobytes() == t.flat.tobytes()
+    assert (tuned[0].flat.tobytes() == erm.flat.tobytes()) == (finetune_epochs == 0)
+
+
+def test_rwft_predictor_tunes_a_split_in_one_call(monkeypatch):
+    ds = gen_dg15(0, n_per_class=10)
+    cfg = TrainConfig(lr=1e-3, epochs=2, finetune_epochs=2)
+    erm, _ = train_erm(ds, cfg)
+    calls = []
+    real = model_module.rw_finetune
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "rw_finetune", counting)
+    test_ids = ds.ids_for_split("test")
+    predict = rwft_predictor(erm, ds, cfg, "test")
+    together = evaluate(predict, ds, "test")
+    assert calls == [(len(test_ids), len(ds.ids_for_split("train")))]
+    valid_id = ds.ids_for_split("valid")[0]
+    predict(valid_id, ds.domain_arrays(valid_id)[0])  # outside the split: tuned on demand
+    assert calls[1:] == [(1, len(ds.ids_for_split("train")))]
+    calls.clear()
+    alone = evaluate(rwft_predictor(erm, ds, cfg), ds, "test")
+    assert len(calls) == len(test_ids)
+    assert together.to_dict() == alone.to_dict()
+    for d in test_ids:
+        x = ds.domain_arrays(d)[0]
+        meta = ds.meta_for([d])[0]
+        one = real(erm, ds, ds.fixed_between([d], ds.ids_for_split("train"))[0], cfg)
+        assert np.array_equal(predict(d, x), one.predict(x, meta))
+
+
+def test_a_diverging_erm_seed_or_fine_tune_is_named():
+    ds, cfgs = _lockstep_setup("dg15", "fused")
+    models = [build_erm(ds, c) for c in cfgs]
+    models[2].head.layers[0].w[...] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="seed 6 at epoch 0, batch 0"):
+        train(models, ds, cfgs)
+    erm = build_erm(ds, cfgs[0])
+    erm.head.layers[0].w[...] = 1e308  # finite, but the logits overflow
+    rows = np.ones((2, len(ds.ids_for_split("train"))))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="domain 'd01' at epoch 0"):
+        rw_finetune(erm, ds, rows, cfgs[0], targets=["d01", "d02"])
+
+
+def test_a_non_finite_gradient_under_a_finite_loss_is_named():
+    ds, cfgs = _lockstep_setup("dg15", "fused", seeds=(4, 5))
+    models = [build_erm(ds, c) for c in cfgs]
+    # tiny extractor weights keep the logits finite; the huge head overflows the
+    # extractor's gradient
+    models[1].extractor.layers[0].w[...] *= 1e-309
+    models[1].head.layers[0].w[...] = [[1.7e308], [-1.7e308]]
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericalError, match="non-finite gradient for seed 5 at epoch 0, batch 0"
+    ):
+        train(models, ds, cfgs)
 
 
 # -- end-to-end sanity on the benchmark ---------------------------------------------

@@ -14,6 +14,7 @@ from relgen.nn import (
     Mlp,
     adam_step,
     backward,
+    flatten,
     forward,
     grad_check,
     init_opt_state,
@@ -21,8 +22,8 @@ from relgen.nn import (
     loss_ce_batch,
     loss_ce_rows,
     loss_mse,
-    pack,
     softmax,
+    split,
     stack_backward,
     stack_forward,
 )
@@ -124,6 +125,28 @@ def test_backward_input_gradient():
         xm[i] -= h
         num = ((forward(mlp, xp)[0] * c).sum() - (forward(mlp, xm)[0] * c).sum()) / (2 * h)
         assert gx[i] == pytest.approx(num, abs=1e-7)
+
+
+@pytest.mark.parametrize("dims,acts", [
+    ([3, 4], ["relu"]),
+    ([3, 4, 2], ["tanh", "identity"]),
+    ([2, 5, 4, 3], ["relu", "tanh", "identity"]),
+])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "seed-axis"])
+def test_skipping_the_input_gradient_keeps_every_parameter_gradient(dims, acts, lead):
+    rng = np.random.default_rng(len(dims) + len(lead))
+    nets = [Mlp.init(dims, acts, rng) for _ in range(lead[0] if lead else 1)]
+    net = _stacked_mlp(nets) if lead else nets[0]
+    x = rng.normal(size=lead + (6, dims[0]))
+    g = rng.normal(size=lead + (6, dims[-1]))
+    _, tape = forward(net, x)
+    full, gx = backward(net, tape, g)
+    buffer = [np.full(p.shape, np.nan) for p in net.params()]
+    grads, none = backward(net, tape, g, out=buffer, input_grad=False)
+    assert gx is not None and none is None
+    assert all(a is b for a, b in zip(grads, buffer))
+    for got, want in zip(grads, full):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_backward_rejects_stale_tape():
@@ -252,7 +275,8 @@ def test_flat_adam_step_equals_per_array_steps():
     rng = np.random.default_rng(11)
     shapes = [(4, 3), (4,), (2, 4), (2,), (1,)]
     arrays = [rng.normal(size=s) for s in shapes]
-    flat, views = pack(arrays)
+    flat = flatten(arrays)
+    views = split(flat, shapes)
     state_flat, state_each = init_opt_state([flat]), init_opt_state(arrays)
     for _ in range(100):
         grads = [rng.normal(size=s) for s in shapes]
