@@ -182,8 +182,9 @@ def _train_seeds(dataset, cfgs, method, resume):
         models = [(build_model if relational else build_erm)(dataset, cfg) for cfg in cfgs]
     histories = train(models, dataset, cfgs)
     if relational:
-        mode = "uniform" if cfgs[0].relation_mode == "uniform" else "fused"
-        predictors = [relational_predictor(m, dataset, cfgs[0].beta, mode) for m in models]
+        predictors = [
+            relational_predictor(m, dataset, cfgs[0].beta, cfgs[0].relation_mode) for m in models
+        ]
     else:
         predictors = [erm_predictor(m, dataset) for m in models]
     return zip(models, histories, predictors)
@@ -251,22 +252,21 @@ def cmd_eval(args) -> int:
     dataset = load_dataset_dir(args.data, task=args.task)
     model, header = load_checkpoint(args.checkpoint)
     check_fits(model, dataset)
-    cfg_dict = header.get("config") or {}
+    cfg = TrainConfig.from_dict(header["config"])
     if isinstance(model, MultiHeadModel):
         if args.rw_finetune:
             raise ConfigError("--rw-finetune applies to erm checkpoints only")
-        beta = args.beta if args.beta is not None else float(cfg_dict.get("beta", 0.8))
+        beta = args.beta if args.beta is not None else cfg.beta
         predictor = relational_predictor(model, dataset, beta, args.relations)
         method = f"relational/{args.relations}"
     else:
-        cfg = TrainConfig.from_dict(cfg_dict)
         for name in ("lam", "lr", "finetune_epochs"):
             value = getattr(args, name, None)
             if value is not None:
                 cfg = replace(cfg, **{name: value})
         cfg.validate()
         if args.rw_finetune:
-            predictor = rwft_predictor(model, dataset, cfg, args.split)
+            predictor = rwft_predictor(model, dataset, cfg)
             method = "erm+rw_finetune"
         else:
             predictor = erm_predictor(model, dataset)
@@ -390,8 +390,7 @@ def cmd_export_relations(args) -> int:
             raise ConfigError(
                 f"relation net expects meta dim {net.g.in_dim}, file has {metas.shape[1]}"
             )
-        cfg_dict = header.get("config") or {}
-        beta = args.beta if args.beta is not None else float(cfg_dict.get("beta", 0.8))
+        beta = args.beta if args.beta is not None else TrainConfig.from_dict(header["config"]).beta
         matrix = build_matrix(ids, metas, net, beta, fixed)
     else:
         if args.beta is not None and args.beta != 1.0:

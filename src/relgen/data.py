@@ -32,6 +32,8 @@ SPLITS = ("train", "valid", "test")
 
 TASK_CLASSIFICATION = "classification"
 TASK_REGRESSION = "regression"
+# a classifier has one output per class up to its largest label
+MAX_CLASSES = 65536
 
 # 15-domain rotating two-Gaussian benchmark
 DG15_N_DOMAINS = 15
@@ -92,11 +94,10 @@ class DomainDataset:
         if self.task == TASK_CLASSIFICATION and self.y.size:
             if not np.all(self.y == np.round(self.y)) or self.y.min() < 0:
                 raise DataError("classification labels must be nonnegative integers")
-            # one output per class up to the largest label: bound it by the data
-            if self.y.max() >= n:
+            if self.y.max() >= MAX_CLASSES:
                 raise DataError(
-                    f"classification label {self.y.max():g} is not below the number of "
-                    f"examples ({n}); numeric targets need the regression task"
+                    f"classification label {self.y.max():g} is not below {MAX_CLASSES}, "
+                    "the most classes a model can have; numeric targets need the regression task"
                 )
         counts = np.bincount(self.domain, minlength=len(self.ids))
         if (counts < 1).any():

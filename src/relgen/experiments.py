@@ -12,7 +12,6 @@ import numpy as np
 
 from .data import DomainDataset, gen_dg15
 from .model import (
-    MultiHeadModel,
     TrainConfig,
     build_model,
     erm_predictor,
@@ -38,16 +37,28 @@ def tuned_config(**overrides) -> TrainConfig:
 
 def run_relational(
     dataset: DomainDataset,
-    config: TrainConfig,
+    config,
     infer_mode: str | None = None,
     split: str = "test",
 ):
-    """Train the relation-weighted model and evaluate one split."""
-    model = build_model(dataset, config)
-    history = train(model, dataset, config)
-    mode = infer_mode or ("uniform" if config.relation_mode == "uniform" else "fused")
-    report = evaluate(relational_predictor(model, dataset, config.beta, mode), dataset, split)
-    return model, history, report
+    """Train the relation-weighted model and evaluate one split.
+
+    Given a list of configs that differ only in seed, trains one model per
+    config in one lockstep train call and returns lists of models,
+    histories and reports, each as a run of its own would give it.
+    """
+    single = isinstance(config, TrainConfig)
+    configs = [config] if single else list(config)
+    models = [build_model(dataset, c) for c in configs]
+    histories = train(models, dataset, configs)
+    mode = infer_mode or configs[0].relation_mode
+    reports = [
+        evaluate(relational_predictor(m, dataset, configs[0].beta, mode), dataset, split)
+        for m in models
+    ]
+    if single:
+        return models[0], histories[0], reports[0]
+    return models, histories, reports
 
 
 def run_erm(dataset: DomainDataset, config: TrainConfig, split: str = "test"):
@@ -89,7 +100,7 @@ def method_comparison(
         metrics["erm"].append(rep_erm.mean)
         reports["erm"].append(rep_erm.to_dict())
         if include_rwft:
-            rep_ft = evaluate(rwft_predictor(erm_model, dataset, cfg, split), dataset, split)
+            rep_ft = evaluate(rwft_predictor(erm_model, dataset, cfg), dataset, split)
             metrics["rw_finetune"].append(rep_ft.mean)
             reports["rw_finetune"].append(rep_ft.to_dict())
     out = {}
@@ -109,11 +120,12 @@ RELATION_VARIANTS = (
 )
 
 
-def _relational_means(seeds, config: TrainConfig, dataset_factory, infer_mode: str) -> list[float]:
+def _relational_means(seeds, config: TrainConfig, dataset_factory, infer_mode=None) -> list[float]:
     """Test metric of one relational run per seed, in seed order.
 
     Seeds whose factory returns the same dataset object train in one
-    lockstep train call; a seed with a dataset of its own trains alone.
+    lockstep run_relational call; a seed with a dataset of its own trains
+    alone.
     """
     datasets = [dataset_factory(s) for s in seeds]
     groups: dict[int, list[int]] = {}
@@ -121,13 +133,10 @@ def _relational_means(seeds, config: TrainConfig, dataset_factory, infer_mode: s
         groups.setdefault(id(dataset), []).append(j)
     means = [0.0] * len(seeds)
     for group in groups.values():
-        dataset = datasets[group[0]]
         cfgs = [replace(config, seed=seeds[j]) for j in group]
-        models = [build_model(dataset, c) for c in cfgs]
-        train(models, dataset, cfgs)
-        for j, model in zip(group, models):
-            predict = relational_predictor(model, dataset, config.beta, infer_mode)
-            means[j] = evaluate(predict, dataset, "test").mean
+        _, _, reports = run_relational(datasets[group[0]], cfgs, infer_mode)
+        for j, rep in zip(group, reports):
+            means[j] = rep.mean
     return means
 
 
@@ -144,9 +153,8 @@ def relation_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> l
 def consistency_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
     """Test metric with the consistency term off versus at its configured weight."""
     seeds = [int(s) for s in seeds]
-    mode = "uniform" if config.relation_mode == "uniform" else "fused"
     rows = []
     for lam in (0.0, config.lam):
-        vals = _relational_means(seeds, replace(config, lam=lam), dataset_factory, mode)
+        vals = _relational_means(seeds, replace(config, lam=lam), dataset_factory)
         rows.append({"variant": f"lam={lam:g}", **_aggregate(vals)})
     return rows

@@ -572,7 +572,6 @@ def train(model, dataset: DomainDataset, config):
         x, y, dom = dataset.arrays_for(train_ids)
         metas = dataset.meta_for(train_ids)
         fixed = dataset.fixed_matrix(train_ids)
-        mode = "uniform" if config.relation_mode == "uniform" else "fused"
         keys = ("loss", "loss_pred", "loss_rel")
 
         def step(stack, b, grad):
@@ -583,7 +582,7 @@ def train(model, dataset: DomainDataset, config):
             return loss, lp, lrel
 
         def predictor(m):
-            return relational_predictor(m, dataset, config.beta, mode)
+            return relational_predictor(m, dataset, config.beta, config.relation_mode)
     else:
         if not train_ids:
             raise ConfigError("no training domains")
@@ -947,27 +946,24 @@ def rw_finetune(
     return tuned if rows.ndim == 2 else tuned[0]
 
 
-def rwft_predictor(
-    erm: ErmModel, dataset: DomainDataset, config: TrainConfig, split: str | None = None
-):
+def rwft_predictor(erm: ErmModel, dataset: DomainDataset, config: TrainConfig):
     """Per-domain prediction after fine-tuning on fixed-relation weights.
 
     The pooled baseline has no trained relation net, so the reweighting
-    uses the dataset's fixed relations to the target domain. With split,
-    the first prediction fine-tunes one copy for every domain of that split
-    in one lockstep rw_finetune call; any other domain is tuned on its own
-    when first asked for.
+    uses the dataset's fixed relations to the target domain. The first
+    prediction for a domain fine-tunes one copy for every domain of its
+    split in one lockstep rw_finetune call.
     """
     train_ids = dataset.ids_for_split("train")
     tuned: dict[str, ErmModel] = {}
 
     def predict(domain_id: str, x):
+        meta = dataset.meta_for([domain_id])[0]  # a DataError for an unknown id
         if domain_id not in tuned:
-            ids = dataset.ids_for_split(split) if split else []
-            ids = ids if domain_id in ids else [domain_id]
+            ids = dataset.ids_for_split(dataset.split[domain_id])
             rows = dataset.fixed_between(ids, train_ids)
             tuned.update(zip(ids, rw_finetune(erm, dataset, rows, config, targets=ids)))
-        return tuned[domain_id].predict(x, dataset.meta_for([domain_id])[0])
+        return tuned[domain_id].predict(x, meta)
 
     return predict
 

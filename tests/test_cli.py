@@ -253,11 +253,21 @@ def test_a_file_that_is_not_utf8_exits_3(spatial_dir, tmp_path, name):
     assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
 
 
-@pytest.mark.parametrize("label", ["1e308", "1000"])
-def test_a_class_label_beyond_the_example_count_exits_3(dg15_dir, tmp_path, label):
+@pytest.mark.parametrize("label", ["1e308", "65536"])
+def test_a_class_label_beyond_the_class_cap_exits_3(dg15_dir, tmp_path, label):
     bad = tmp_path / "huge-label"
     _damaged_copy(dg15_dir, bad, "data.csv", 1, 1, label)
     assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
+
+
+def test_sparse_class_labels_train(dg15_dir, tmp_path):
+    sparse = tmp_path / "sparse-labels"
+    _damaged_copy(dg15_dir, sparse, "data.csv", 1, 1, "1000")
+    out = tmp_path / "o"
+    assert run("train", "--data", str(sparse), "--out", str(out), "--epochs", "1",
+               "--method", "erm") == 0
+    report = json.loads((out / "train-report.json").read_text())
+    assert 0.0 <= report["test_mean"] <= 1.0
 
 
 def test_a_data_file_without_rows_exits_3(dg15_dir, tmp_path):

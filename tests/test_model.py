@@ -854,22 +854,22 @@ def test_rwft_predictor_tunes_a_split_in_one_call(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(model_module, "rw_finetune", counting)
+    train_ids = ds.ids_for_split("train")
     test_ids = ds.ids_for_split("test")
-    predict = rwft_predictor(erm, ds, cfg, "test")
-    together = evaluate(predict, ds, "test")
-    assert calls == [(len(test_ids), len(ds.ids_for_split("train")))]
-    valid_id = ds.ids_for_split("valid")[0]
-    predict(valid_id, ds.domain_arrays(valid_id)[0])  # outside the split: tuned on demand
-    assert calls[1:] == [(1, len(ds.ids_for_split("train")))]
-    calls.clear()
-    alone = evaluate(rwft_predictor(erm, ds, cfg), ds, "test")
-    assert len(calls) == len(test_ids)
-    assert together.to_dict() == alone.to_dict()
-    for d in test_ids:
+    valid_ids = ds.ids_for_split("valid")
+    predict = rwft_predictor(erm, ds, cfg)
+    evaluate(predict, ds, "test")
+    assert calls == [(len(test_ids), len(train_ids))]
+    predict(valid_ids[0], ds.domain_arrays(valid_ids[0])[0])  # a second split: one more call
+    evaluate(predict, ds, "valid")
+    assert calls[1:] == [(len(valid_ids), len(train_ids))]
+    for d in test_ids + valid_ids:
         x = ds.domain_arrays(d)[0]
         meta = ds.meta_for([d])[0]
-        one = real(erm, ds, ds.fixed_between([d], ds.ids_for_split("train"))[0], cfg)
+        one = real(erm, ds, ds.fixed_between([d], train_ids)[0], cfg)
         assert np.array_equal(predict(d, x), one.predict(x, meta))
+    with pytest.raises(DataError, match="unknown domain"):
+        predict("nowhere", ds.domain_arrays(test_ids[0])[0])
 
 
 def test_a_diverging_erm_seed_or_fine_tune_is_named():
