@@ -9,143 +9,3 @@ checks for the supporting theory.
 """
 
 from ._version import __version__
-from .data import (
-    DomainDataset,
-    gen_dg15,
-    gen_spatial_regression,
-    load_adjacency,
-    load_dataset,
-    load_dataset_dir,
-    load_meta_csv,
-    save_dataset,
-)
-from .experiments import (
-    consistency_ablation,
-    method_comparison,
-    relation_ablation,
-    run_erm,
-    run_relational,
-    tuned_config,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    MalformedRowError,
-    MissingMetaError,
-    NumericalError,
-    OverlappingSplitError,
-)
-from .model import (
-    ErmModel,
-    MetricsReport,
-    MultiHeadModel,
-    TrainConfig,
-    build_model,
-    combine_heads,
-    erm_predictor,
-    evaluate,
-    infer,
-    infer_uniform,
-    load_checkpoint,
-    loss_pred,
-    loss_rel,
-    predict_head,
-    relational_predictor,
-    rw_finetune,
-    rwft_predictor,
-    save_checkpoint,
-    total_loss,
-    train,
-    train_erm,
-)
-from .nn import Mlp, adam_step, forward, backward, grad_check, loss_ce, loss_mse
-from .relations import (
-    RelationMatrix,
-    RelationNet,
-    build_matrix,
-    fixed_angle_similarity,
-    fuse,
-    learned_relation,
-    normalize_weights,
-    relation_row,
-)
-from .rng import substream
-from .theory import (
-    LatentWorld,
-    ThresholdEstimator,
-    averaging_oracle,
-    excess_risk,
-    fit_heads,
-    sample_world,
-    scaling_experiment,
-    threshold_predict,
-)
-
-__all__ = [
-    "__version__",
-    "DomainDataset",
-    "gen_dg15",
-    "gen_spatial_regression",
-    "load_adjacency",
-    "load_dataset",
-    "load_dataset_dir",
-    "load_meta_csv",
-    "save_dataset",
-    "consistency_ablation",
-    "method_comparison",
-    "relation_ablation",
-    "run_erm",
-    "run_relational",
-    "tuned_config",
-    "ConfigError",
-    "DataError",
-    "MalformedRowError",
-    "MissingMetaError",
-    "NumericalError",
-    "OverlappingSplitError",
-    "ErmModel",
-    "MetricsReport",
-    "MultiHeadModel",
-    "TrainConfig",
-    "build_model",
-    "combine_heads",
-    "erm_predictor",
-    "evaluate",
-    "infer",
-    "infer_uniform",
-    "load_checkpoint",
-    "loss_pred",
-    "loss_rel",
-    "predict_head",
-    "relational_predictor",
-    "rw_finetune",
-    "rwft_predictor",
-    "save_checkpoint",
-    "total_loss",
-    "train",
-    "train_erm",
-    "Mlp",
-    "adam_step",
-    "forward",
-    "backward",
-    "grad_check",
-    "loss_ce",
-    "loss_mse",
-    "RelationMatrix",
-    "RelationNet",
-    "build_matrix",
-    "fixed_angle_similarity",
-    "fuse",
-    "learned_relation",
-    "normalize_weights",
-    "relation_row",
-    "substream",
-    "LatentWorld",
-    "ThresholdEstimator",
-    "averaging_oracle",
-    "excess_risk",
-    "fit_heads",
-    "sample_world",
-    "scaling_experiment",
-    "threshold_predict",
-]

@@ -30,6 +30,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .experiments import consistency_ablation, relation_ablation
 from .fileio import atomic_write_text
 from .model import (
+    INFERENCE_MODES,
     ErmModel,
     MultiHeadModel,
     TrainConfig,
@@ -44,13 +45,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .relations import (
-    RelationMatrix,
-    adjacency_matrix,
-    angle_matrix,
-    build_matrix,
-    save_relation_csv,
-)
+from .relations import adjacency_matrix, angle_between, fuse, learned_matrix, save_relation_csv
 from .theory import AVERAGING_ORACLE_TARGET, averaging_oracle, save_sweep_csv, scaling_experiment
 
 # train/eval flags that override the config file when given
@@ -65,8 +60,6 @@ _OVERRIDE_FIELDS = (
     "combine_space",
     "finetune_epochs",
 )
-
-INFERENCE_MODES = ("fused", "fixed", "learned", "uniform")
 
 
 def _jsonable(obj):
@@ -376,7 +369,7 @@ def cmd_export_relations(args) -> int:
         edges = load_adjacency(args.adjacency, known_ids=ids)
         fixed = adjacency_matrix(ids, edges)
     elif metas.shape[1] == 1:
-        fixed = angle_matrix(metas[:, 0])
+        fixed = angle_between(metas, metas)
     else:
         raise ConfigError(
             "fixed relations need either --adjacency or single-column angle meta-data"
@@ -391,21 +384,14 @@ def cmd_export_relations(args) -> int:
                 f"relation net expects meta dim {net.g.in_dim}, file has {metas.shape[1]}"
             )
         beta = args.beta if args.beta is not None else TrainConfig.from_dict(header["config"]).beta
-        matrix = build_matrix(ids, metas, net, beta, fixed)
+        fused = fuse(fixed, learned_matrix(net, metas)[0], beta)
     else:
         if args.beta is not None and args.beta != 1.0:
             raise ConfigError("beta < 1 requires --checkpoint for the learned relations")
-        fused = fixed.copy()
-        np.fill_diagonal(fused, 1.0)
-        matrix = RelationMatrix(
-            ids=ids,
-            fixed=fixed,
-            learned=np.zeros_like(fixed),
-            fused=fused,
-            beta=1.0,
-        )
-    save_relation_csv(args.out, matrix.ids, matrix.fused)
-    print(f"wrote {len(ids)}x{len(ids)} relation matrix (beta={matrix.beta:g}) -> {args.out}")
+        beta, fused = 1.0, fixed
+    np.fill_diagonal(fused, 1.0)  # the self-relation convention of build_matrix
+    save_relation_csv(args.out, ids, fused)
+    print(f"wrote {len(ids)}x{len(ids)} relation matrix (beta={beta:g}) -> {args.out}")
     return 0
 
 

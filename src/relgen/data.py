@@ -9,8 +9,6 @@ File layout (all CSV unless noted):
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -24,8 +22,8 @@ from .errors import (
     MissingMetaError,
     OverlappingSplitError,
 )
-from .fileio import atomic_write_text
-from .relations import adjacency_matrix, angle_matrix
+from .fileio import atomic_write_text, parse_floats, read_csv, write_csv
+from .relations import adjacency_matrix, angle_between
 from .rng import substream
 
 SPLITS = ("train", "valid", "test")
@@ -165,9 +163,7 @@ class DomainDataset:
             return self._adjacency[np.ix_(ia, ib)]
         if self.meta_dim != 1:
             raise ConfigError("angle relations need one-dimensional meta-data")
-        ta = self.meta_for(ids_a).ravel()
-        tb = self.meta_for(ids_b).ravel()
-        return np.maximum(0.0, np.cos(ta[:, None] - tb[None, :]))
+        return angle_between(self.meta_for(ids_a), self.meta_for(ids_b))
 
     def fixed_matrix(self, ids: list[str]) -> np.ndarray:
         return self.fixed_between(ids, ids)
@@ -311,30 +307,16 @@ def save_dataset(ds: DomainDataset, out_dir: str) -> dict[str, str]:
         "meta": os.path.join(out_dir, "meta.csv"),
         "splits": os.path.join(out_dir, "splits.csv"),
     }
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["domain_id", "y"] + [f"x_{j + 1}" for j in range(ds.n_features)])
     classification = ds.task == TASK_CLASSIFICATION
+    data = [["domain_id", "y"] + [f"x_{j + 1}" for j in range(ds.n_features)]]
     for i in range(ds.x.shape[0]):
         label = str(int(ds.y[i])) if classification else _fmt(ds.y[i])
-        w.writerow([ds.ids[int(ds.domain[i])], label] + [_fmt(v) for v in ds.x[i]])
-    atomic_write_text(paths["data"], buf.getvalue())
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["domain_id"] + [f"m_{j + 1}" for j in range(ds.meta_dim)])
-    for k, did in enumerate(ds.ids):
-        w.writerow([did] + [_fmt(v) for v in ds.meta[k]])
-    atomic_write_text(paths["meta"], buf.getvalue())
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["domain_id", "split"])
-    for did in ds.ids:
-        w.writerow([did, ds.split[did]])
-    atomic_write_text(paths["splits"], buf.getvalue())
-
+        data.append([ds.ids[int(ds.domain[i])], label] + [_fmt(v) for v in ds.x[i]])
+    write_csv(paths["data"], data)
+    meta = [["domain_id"] + [f"m_{j + 1}" for j in range(ds.meta_dim)]]
+    meta += [[did] + [_fmt(v) for v in ds.meta[k]] for k, did in enumerate(ds.ids)]
+    write_csv(paths["meta"], meta)
+    write_csv(paths["splits"], [["domain_id", "split"]] + [[did, ds.split[did]] for did in ds.ids])
     if ds.edges is not None:
         paths["adjacency"] = os.path.join(out_dir, "adjacency.txt")
         atomic_write_text(
@@ -343,24 +325,9 @@ def save_dataset(ds: DomainDataset, out_dir: str) -> dict[str, str]:
     return paths
 
 
-def _read_csv(path: str) -> list[list[str]]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_floats(row: list[str], path: str, line: int) -> list[float]:
-    try:
-        return [float(v) for v in row]
-    except ValueError as exc:
-        raise MalformedRowError(f"{path}: line {line}: {exc}") from exc
-
-
 def load_meta_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a meta-data table: header domain_id,m_1,... and one row per domain."""
-    mrows = _read_csv(path)
+    mrows = read_csv(path)
     if not mrows or mrows[0][:1] != ["domain_id"] or len(mrows[0]) < 2:
         raise MalformedRowError(f"{path}: expected header domain_id,m_1,...")
     mwidth = len(mrows[0])
@@ -374,7 +341,7 @@ def load_meta_csv(path: str) -> tuple[list[str], np.ndarray]:
         if row[0] in ids:
             raise MalformedRowError(f"{path}: line {line}: duplicate domain id {row[0]!r}")
         ids.append(row[0])
-        vals.append(_parse_floats(row[1:], path, line))
+        vals.append(parse_floats(row[1:], path, line))
     if not ids:
         raise DataError(f"{path}: no meta-data rows")
     return ids, np.array(vals)
@@ -415,7 +382,7 @@ def load_dataset(
     task may be "classification", "regression", or "auto" (classification
     iff every label is a nonnegative integer).
     """
-    rows = _read_csv(data_path)
+    rows = read_csv(data_path)
     if not rows or len(rows[0]) < 3 or rows[0][:2] != ["domain_id", "y"]:
         raise MalformedRowError(f"{data_path}: expected header domain_id,y,x_1,...")
     width = len(rows[0])
@@ -431,7 +398,7 @@ def load_dataset(
         if did not in seen:
             seen[did] = len(ids)
             ids.append(did)
-        vals = _parse_floats(row[1:], data_path, line)
+        vals = parse_floats(row[1:], data_path, line)
         dom.append(seen[did])
         ys.append(vals[0])
         xs.append(vals[1:])
@@ -444,7 +411,7 @@ def load_dataset(
         if did not in meta_by_id:
             raise MissingMetaError(f"no meta-data row for domain {did!r}")
 
-    srows = _read_csv(split_path)
+    srows = read_csv(split_path)
     if not srows or srows[0] != ["domain_id", "split"]:
         raise MalformedRowError(f"{split_path}: expected header domain_id,split")
     split: dict[str, str] = {}

@@ -35,16 +35,13 @@ from .nn import (
     forward,
     init_opt_state,
     init_weight,
-    loss_ce_batch,
     loss_ce_rows,
-    loss_mse,
     softmax,
     split,
     stack_backward,
     stack_forward,
 )
 from .relations import (
-    RelationMatrix,
     RelationNet,
     learned_matrix,
     learned_matrix_backward,
@@ -58,6 +55,7 @@ PROB_FLOOR = 1e-12
 
 COMBINE_SPACES = ("logit", "prob")
 RELATION_MODES = ("fused", "uniform")
+INFERENCE_MODES = ("fused", "fixed", "learned", "uniform")
 
 
 @dataclass
@@ -216,13 +214,6 @@ class MultiHeadModel:
             self.combine_space,
         )
 
-    def set_params(self, arrays: list[np.ndarray]) -> None:
-        own = self.params()
-        if len(own) != len(arrays):
-            raise ValueError("parameter list length mismatch")
-        for p, a in zip(own, arrays):
-            np.copyto(p, a)
-
 
 def stack_models(models):
     """One model whose parameters carry a leading seed axis over the models.
@@ -318,21 +309,6 @@ def _stack_heads(model: MultiHeadModel, x: np.ndarray):
     return phi, e_tape, stack_forward(model.head_w, model.head_b, phi)  # outs: (K, n, c)
 
 
-def _relation_rows(relations, head_domains: list[str]) -> np.ndarray | None:
-    """Normalize the accepted relation argument to a (K, K) array or None."""
-    if relations is None or (isinstance(relations, str) and relations == "uniform"):
-        return None
-    if isinstance(relations, RelationMatrix):
-        if relations.ids != list(head_domains):
-            raise ValueError("relation matrix domains do not match the model heads")
-        return relations.fused
-    a = np.asarray(relations, dtype=np.float64)
-    k = len(head_domains)
-    if a.shape != (k, k):
-        raise ValueError(f"expected a ({k}, {k}) relation matrix, got {a.shape}")
-    return a
-
-
 def _consistency_weights(a: np.ndarray | None, dom: np.ndarray, k: int):
     """Per-example weights over heads, self excluded, rows summing to one.
 
@@ -360,25 +336,15 @@ def _consistency_weights(a: np.ndarray | None, dom: np.ndarray, k: int):
     return u, s, fallback
 
 
-def _batch_arrays(batch, seed_axis: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batch as arrays; with seed_axis, (S, n, p), (S, n), (S, n) is accepted too."""
+def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch as arrays, (n, p), (n,), (n,) or, one per model, (S, n, p), (S, n), (S, n)."""
     x, y, dom = batch
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     dom = np.asarray(dom, dtype=np.int64)
-    if x.ndim not in ((2, 3) if seed_axis else (2,)) or y.shape != x.shape[:-1] or dom.shape != y.shape:
+    if x.ndim not in (2, 3) or y.shape != x.shape[:-1] or dom.shape != y.shape:
         raise ValueError("batch must be (x (n,p), y (n,), domain (n,))")
     return x, y, dom
-
-
-def loss_pred(model: MultiHeadModel, batch) -> float:
-    """Mean loss of each example under its own domain's head."""
-    x, y, dom = _batch_arrays(batch)
-    _, _, outs = _stack_heads(model, x)
-    o_self = outs[dom, np.arange(len(y))]
-    if model.task == TASK_CLASSIFICATION:
-        return loss_ce_batch(o_self, y)[0]
-    return loss_mse(o_self, y[:, None])[0]
 
 
 def _mixture_forward(model, outs, u, y):
@@ -402,30 +368,6 @@ def _mixture_forward(model, outs, u, y):
     return losses.mean(axis=-1), g_mix, mix, None
 
 
-def loss_rel(model: MultiHeadModel, batch, relations) -> float:
-    """Mean loss of the relation-weighted average of the other heads.
-
-    relations may be a RelationMatrix, a (K, K) array in head order, or
-    "uniform" for equal weights. Each example's own head is excluded, and
-    an all-zero relation row falls back to uniform weights.
-    """
-    x, y, dom = _batch_arrays(batch)
-    a = _relation_rows(relations, model.head_domains)
-    _, _, outs = _stack_heads(model, x)
-    u, _, _ = _consistency_weights(a, dom, len(model.head_domains))
-    return _mixture_forward(model, outs, u, y)[0]
-
-
-def total_loss(model: MultiHeadModel, batch, relations, lam: float) -> float:
-    """Prediction loss plus lam times the consistency loss."""
-    if lam < 0:
-        raise ConfigError("lam must be nonnegative")
-    base = loss_pred(model, batch)
-    if lam == 0.0:
-        return base
-    return base + lam * loss_rel(model, batch, relations)
-
-
 def total_loss_and_grads(
     model: MultiHeadModel,
     batch,
@@ -447,7 +389,7 @@ def total_loss_and_grads(
     leading axis, x (S, n, p), y (S, n), domain (S, n), one batch per model,
     and the three losses are (S,) arrays. One model is the S = 1 case.
     """
-    x, y, dom = _batch_arrays(batch, seed_axis=True)
+    x, y, dom = _batch_arrays(batch)
     single = x.ndim == 2
     if single:
         x, y, dom = x[None], y[None], dom[None]
@@ -511,6 +453,45 @@ def total_loss_and_grads(
     if single:
         return loss[0], (lp[0], lrel[0]), grad
     return loss, (lp, lrel), grad
+
+
+def _loss_terms(model: MultiHeadModel, batch, relations, lam: float = 0.0):
+    """(loss, loss_pred, loss_rel) of total_loss_and_grads on fixed relations only.
+
+    relations is a (K, K) array in head order, used as the fixed matrix at
+    beta = 1 (so negative entries clamp at zero, as in training), or
+    "uniform" for equal weights.
+    """
+    if isinstance(relations, str) and relations == "uniform":
+        fixed, mode = None, "uniform"
+    else:
+        fixed, mode = np.asarray(relations, dtype=np.float64), "fused"
+        k = len(model.head_domains)
+        if fixed.shape != (k, k):
+            raise ValueError(f"expected a ({k}, {k}) relation matrix, got {fixed.shape}")
+    loss, (lp, lrel), _ = total_loss_and_grads(model, batch, fixed, None, lam, 1.0, mode)
+    return float(loss), float(lp), float(lrel)
+
+
+def loss_pred(model: MultiHeadModel, batch) -> float:
+    """Mean loss of each example under its own domain's head."""
+    return _loss_terms(model, batch, "uniform")[1]
+
+
+def loss_rel(model: MultiHeadModel, batch, relations) -> float:
+    """Mean loss of the relation-weighted average of the other heads.
+
+    Each example's own head is excluded, and an all-zero relation row falls
+    back to uniform weights. See _loss_terms for relations.
+    """
+    return _loss_terms(model, batch, relations)[2]
+
+
+def total_loss(model: MultiHeadModel, batch, relations, lam: float) -> float:
+    """Prediction loss plus lam times the consistency loss."""
+    if lam < 0:
+        raise ConfigError("lam must be nonnegative")
+    return _loss_terms(model, batch, relations, lam)[0]
 
 
 # -- training loops -----------------------------------------------------------
@@ -662,7 +643,10 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, nam
         for j, m in enumerate(models):
             entry = {"epoch": epoch, **{k: sums[i, j] / seen for i, k in enumerate(keys)}}
             if evaluate_now:
-                entry["valid"] = metric = valid(m)
+                try:
+                    entry["valid"] = metric = valid(m)
+                except NumericalError as exc:
+                    raise NumericalError(f"{names[j]} at epoch {epoch}: {exc}") from exc
                 if config.select_best and (
                     best_metric[j] is None or _metric_better(metric, best_metric[j], m.task)
                 ):
@@ -697,21 +681,19 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
     return combined[0] if single else combined
 
 
+def _decide(out: np.ndarray, task: str) -> np.ndarray:
+    """Argmax labels or the first column of (n, c) outputs, which must be finite."""
+    if not np.isfinite(out).all():
+        raise NumericalError("non-finite model outputs (NaN or inf)")
+    return out.argmax(axis=1) if task == TASK_CLASSIFICATION else out[:, 0]
+
+
 def infer(model: MultiHeadModel, weights, x) -> np.ndarray | float | int:
     """Final prediction under relation weights: argmax label or value."""
     combined = combine_heads(model, weights, x)
-    single = combined.ndim == 1
-    block = combined[None, :] if single else combined
-    if model.task == TASK_CLASSIFICATION:
-        pred = block.argmax(axis=1)
-        return int(pred[0]) if single else pred
-    pred = block[:, 0]
-    return float(pred[0]) if single else pred
-
-
-def infer_uniform(model: MultiHeadModel, x):
-    """Prediction with equal weight on every head (no-relations variant)."""
-    return infer(model, np.ones(len(model.head_domains)), x)
+    if combined.ndim == 1:
+        return _decide(combined[None, :], model.task)[0].item()
+    return _decide(combined, model.task)
 
 
 def relational_predictor(
@@ -725,7 +707,7 @@ def relational_predictor(
     mode selects the weights: "fused" (fixed and learned, fused with beta),
     "fixed", "learned", or "uniform".
     """
-    if mode not in ("fused", "fixed", "learned", "uniform"):
+    if mode not in INFERENCE_MODES:
         raise ConfigError(f"unknown relation mode {mode!r}")
     train_ids = model.head_domains
     metas = dataset.meta_for(train_ids)
@@ -804,10 +786,7 @@ class ErmModel:
         return out
 
     def predict(self, x, meta_row):
-        out = self.predict_raw(x, meta_row)
-        if self.task == TASK_CLASSIFICATION:
-            return out.argmax(axis=1)
-        return out[:, 0]
+        return _decide(self.predict_raw(x, meta_row), self.task)
 
 
 def _pooled_features(dataset: DomainDataset, ids: list[str]):
@@ -983,28 +962,21 @@ class MetricsReport:
     n_examples: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "split": self.split,
-            "per_domain": dict(self.per_domain),
-            "mean": self.mean,
-            "worst": self.worst,
-            "n_examples": dict(self.n_examples),
-        }
+        return asdict(self)
 
 
-def evaluate(predict_fn, dataset: DomainDataset, split: str, task: str | None = None) -> MetricsReport:
+def evaluate(predict_fn, dataset: DomainDataset, split: str) -> MetricsReport:
     """Apply predict(domain_id, x) to every domain of a split.
 
     The mean is the unweighted mean over domains; "worst" is the minimum
     accuracy for classification and the maximum error for regression.
+    Non-finite model outputs raise NumericalError naming the domain.
     """
     if not callable(predict_fn):
         raise ValueError(
             "evaluate takes a predictor, not a model; wrap it with "
             "relational_predictor(...) or erm_predictor(...) first"
         )
-    task = task or dataset.task
     ids = dataset.ids_for_split(split)
     if not ids:
         raise DataError(f"no domains in split {split!r}")
@@ -1014,14 +986,17 @@ def evaluate(predict_fn, dataset: DomainDataset, split: str, task: str | None = 
         x, y = dataset.domain_arrays(d)
         if x.shape[0] == 0:
             raise DataError(f"domain {d!r} has no examples")
-        pred = np.asarray(predict_fn(d, x))
-        if task == TASK_CLASSIFICATION:
+        try:
+            pred = np.asarray(predict_fn(d, x))
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} on {split} domain {d!r}") from exc
+        if dataset.task == TASK_CLASSIFICATION:
             per[d] = float(np.mean(pred.astype(np.int64) == y.astype(np.int64)))
         else:
             per[d] = float(np.mean((pred - y) ** 2))
         counts[d] = int(x.shape[0])
     values = np.array([per[d] for d in ids])
-    if task == TASK_CLASSIFICATION:
+    if dataset.task == TASK_CLASSIFICATION:
         return MetricsReport("accuracy", split, per, float(values.mean()), float(values.min()), counts)
     return MetricsReport("mse", split, per, float(values.mean()), float(values.max()), counts)
 
@@ -1081,10 +1056,8 @@ def save_checkpoint(path: str, model, config: TrainConfig, extra: dict | None = 
         header["acts"] = acts
     else:
         raise ValueError(f"cannot checkpoint object of type {type(model).__name__}")
-    tmp, commit = atomic_writer(path)
-    with open(tmp, "wb") as fh:
+    with atomic_writer(path) as fh:
         np.savez(fh, __header__=np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8), **arrays)
-    commit()
 
 
 def load_checkpoint(path: str):

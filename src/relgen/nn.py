@@ -236,26 +236,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def loss_ce(logits, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one logit vector against an integer label.
-
-    Uses the log-sum-exp shift so extreme logits do not overflow; the
-    gradient is softmax(logits) minus the one-hot label.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError("loss_ce expects a single logit vector")
-    label = int(label)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    loss = float(lse - logits[label])
-    grad = softmax(logits)
-    grad[label] -= 1.0
-    return loss, grad
-
-
 def loss_ce_rows(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy of each row, and the gradient of their mean.
 

@@ -11,15 +11,13 @@ clamped at zero so downstream weighting never sees negative relations.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import atomic_write_text
+from .fileio import parse_floats, read_csv, write_csv
 from .nn import Mlp, Tape, backward, forward
 
 logger = logging.getLogger(__name__)
@@ -27,17 +25,15 @@ logger = logging.getLogger(__name__)
 SYMMETRY_TOL = 1e-12
 
 
-def fixed_angle_similarity(theta_i: float, theta_j: float) -> float:
-    """Similarity of two angular positions: max(0, cos(theta_i - theta_j)).
+def angle_between(ta, tb) -> np.ndarray:
+    """Similarities max(0, cos(a - b)) of every angle a in ta to every b in tb.
 
     Cosine handles wrap-around, so angles near +pi and -pi compare as close.
+    Returns a (len(ta), len(tb)) matrix; scalars count as one angle.
     """
-    return float(max(0.0, np.cos(float(theta_i) - float(theta_j))))
-
-
-def angle_matrix(angles) -> np.ndarray:
-    angles = np.asarray(angles, dtype=np.float64).reshape(-1)
-    return np.maximum(0.0, np.cos(angles[:, None] - angles[None, :]))
+    ta = np.asarray(ta, dtype=np.float64).reshape(-1)
+    tb = np.asarray(tb, dtype=np.float64).reshape(-1)
+    return np.maximum(0.0, np.cos(ta[:, None] - tb[None, :]))
 
 
 def adjacency_matrix(ids: list[str], edges) -> np.ndarray:
@@ -89,25 +85,6 @@ class RelationNet:
         # all-ones masks so the learned similarity starts near a plain cosine
         g = Mlp.init([meta_dim, width, width], ["tanh", "tanh"], rng)
         return cls(g, np.ones((n_heads, width)))
-
-
-def learned_relation(net: RelationNet, m_i, m_j) -> float:
-    """Masked-cosine similarity of two meta-data vectors, averaged over heads.
-
-    A head whose masked embedding has zero norm contributes 0.
-    """
-    gi, _ = forward(net.g, np.asarray(m_i, dtype=np.float64))
-    gj, _ = forward(net.g, np.asarray(m_j, dtype=np.float64))
-    total = 0.0
-    for r in range(net.n_heads):
-        u = net.w[r] * gi
-        v = net.w[r] * gj
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-        if nu == 0.0 or nv == 0.0:
-            continue
-        total += float(u @ v) / (nu * nv)
-    return total / net.n_heads
 
 
 @dataclass
@@ -254,22 +231,13 @@ def normalize_weights(weights) -> np.ndarray:
 # -- relation matrix export ----------------------------------------------------
 
 
-def relation_matrix_to_csv(ids: list[str], matrix: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["domain_id"] + list(ids))
-    for i, d in enumerate(ids):
-        writer.writerow([d] + [repr(float(v)) for v in matrix[i]])
-    return buf.getvalue()
-
-
 def save_relation_csv(path: str, ids: list[str], matrix: np.ndarray) -> None:
-    atomic_write_text(path, relation_matrix_to_csv(ids, matrix))
+    rows = [[d] + [repr(float(v)) for v in matrix[i]] for i, d in enumerate(ids)]
+    write_csv(path, [["domain_id"] + list(ids)] + rows)
 
 
 def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path)
     if not rows or rows[0][:1] != ["domain_id"]:
         raise DataError(f"{path}: expected a domain_id header row")
     ids = rows[0][1:]
@@ -279,5 +247,5 @@ def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:
     for i, row in enumerate(rows[1:]):
         if len(row) != len(ids) + 1 or row[0] != ids[i]:
             raise DataError(f"{path}: malformed matrix row {i + 2}")
-        matrix[i] = [float(v) for v in row[1:]]
+        matrix[i] = parse_floats(row[1:], path, i + 2)
     return ids, matrix

@@ -13,14 +13,12 @@ excess risk is exactly 1/12 in the reference construction.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .fileio import atomic_write_text
+from .fileio import write_csv
 from .rng import substream
 
 C0_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -120,23 +118,6 @@ def threshold_predict(slopes_hat: np.ndarray, dists: np.ndarray, bandwidth: floa
     if not mask.any():
         return 0.0
     return float(slopes_hat[mask].mean())
-
-
-@dataclass
-class ThresholdEstimator:
-    """Fitted slopes plus a bandwidth, applied to a latent test position."""
-
-    slopes_hat: np.ndarray
-    z_train: np.ndarray
-    bandwidth: float
-
-    def slope_for(self, z_test: np.ndarray) -> float:
-        dists = np.linalg.norm(self.z_train - np.asarray(z_test, dtype=np.float64), axis=1)
-        return threshold_predict(self.slopes_hat, dists, self.bandwidth)
-
-    def predictor(self, z_test: np.ndarray):
-        s = self.slope_for(z_test)
-        return lambda x: s * np.asarray(x, dtype=np.float64)
 
 
 def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tuple[float, float]:
@@ -252,17 +233,8 @@ def scaling_experiment(
 SWEEP_COLUMNS = ["N_tr", "r", "n", "B", "mean_excess_risk", "stderr", "seeds"]
 
 
-def sweep_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow({k: row[k] for k in SWEEP_COLUMNS})
-    return buf.getvalue()
-
-
 def save_sweep_csv(path: str, rows: list[dict]) -> None:
-    atomic_write_text(path, sweep_to_csv(rows))
+    write_csv(path, [SWEEP_COLUMNS] + [[row[k] for k in SWEEP_COLUMNS] for row in rows])
 
 
 def averaging_oracle(n_mc: int, seed: int = 0, use_true_head: bool = False) -> tuple[float, float]:

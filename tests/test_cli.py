@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import relgen.cli as cli
 from relgen.cli import main
-from relgen.relations import angle_matrix, load_relation_csv
+from relgen.relations import angle_between, load_relation_csv
 from relgen.data import load_meta_csv
 
 
@@ -340,7 +340,8 @@ def test_one_diverging_seed_exits_4_and_names_it(dg15_dir, tmp_path, monkeypatch
 
 
 def test_one_diverging_erm_seed_exits_4_and_names_it(dg15_dir, tmp_path, capsys):
-    # Adam steps of 1e30 with weight decay grow the weights until the loss overflows
+    # Adam steps of 1e30 grow the weights until the outputs overflow; the
+    # valid evaluation after the first epoch sees it before the loss does
     with np.errstate(all="ignore"):
         code = run(
             "train", "--method", "erm", "--data", str(dg15_dir),
@@ -348,8 +349,21 @@ def test_one_diverging_erm_seed_exits_4_and_names_it(dg15_dir, tmp_path, capsys)
         )
     assert code == 4
     err = capsys.readouterr().err
-    assert "non-finite training loss for seed 1 at epoch 1, batch 0" in err
+    assert "seed 1 at epoch 0: non-finite model outputs (NaN or inf) on valid domain 'd00'" in err
     assert not list((tmp_path / "boom").glob("*.npz"))  # the seeds train together
+
+
+@pytest.mark.parametrize("method", ["erm", "relational"])
+def test_non_finite_predictions_exit_4_and_name_the_domain(dg15_dir, tmp_path, method, capsys):
+    # one epoch of 1e30 steps leaves finite parameters whose outputs overflow
+    with np.errstate(all="ignore"):
+        code = run(
+            "train", "--method", method, "--data", str(dg15_dir),
+            "--out", str(tmp_path / "boom"), "--seeds", "1,2", "--epochs", "1", "--lr", "1e30",
+        )
+    assert code == 4
+    assert "non-finite model outputs (NaN or inf) on valid domain 'd" in capsys.readouterr().err
+    assert not list((tmp_path / "boom").glob("*.npz"))
 
 
 def test_version_flag(capsys):
@@ -455,7 +469,7 @@ def test_export_fixed_relations_round_trip(dg15_dir, tmp_path):
     ids, matrix = load_relation_csv(str(out))
     meta_ids, metas = load_meta_csv(str(dg15_dir / "meta.csv"))
     assert ids == meta_ids
-    expect = angle_matrix(metas[:, 0])
+    expect = angle_between(metas, metas)
     np.fill_diagonal(expect, 1.0)
     assert np.array_equal(matrix, expect)
     assert np.array_equal(matrix, matrix.T)
@@ -479,7 +493,7 @@ def test_export_with_checkpoint_fuses(trained, dg15_dir, tmp_path):
     assert np.allclose(np.diag(matrix), 1.0)
     assert np.all(matrix >= 0.0)
     meta_ids, metas = load_meta_csv(str(dg15_dir / "meta.csv"))
-    fixed_only = angle_matrix(metas[:, 0])
+    fixed_only = angle_between(metas, metas)
     np.fill_diagonal(fixed_only, 1.0)
     assert not np.array_equal(matrix, fixed_only)  # learned part moved it
 

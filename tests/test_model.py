@@ -21,7 +21,6 @@ from relgen.model import (
     erm_predictor,
     evaluate,
     infer,
-    infer_uniform,
     load_checkpoint,
     loss_pred,
     loss_rel,
@@ -296,7 +295,7 @@ def test_argmax_invariant_under_logit_rescale():
 def test_infer_uniform_equals_equal_weights():
     model = constant_model([1.0, 2.0, 4.0])
     x = np.ones((2, 2))
-    assert np.array_equal(infer_uniform(model, x), infer(model, np.ones(3), x))
+    assert np.array_equal(infer(model, np.ones(3), x), infer(model, [5.0, 5.0, 5.0], x))
 
 
 def test_infer_returns_scalar_for_single_example():
@@ -325,7 +324,7 @@ def test_relational_predictor_modes():
     model = build_model(ds, cfg)
     x, _ = ds.domain_arrays("m4")
     uni = relational_predictor(model, ds, 0.8, "uniform")("m4", x)
-    assert np.array_equal(uni, infer_uniform(model, x))
+    assert np.array_equal(uni, infer(model, np.ones(len(model.head_domains)), x))
     for mode in ("fused", "fixed", "learned"):
         out = relational_predictor(model, ds, 0.8, mode)("m4", x)
         assert out.shape == (x.shape[0],)
@@ -595,6 +594,38 @@ def test_checkpoint_error_paths(tmp_path):
         load_checkpoint(str(stray))
     with pytest.raises(ValueError, match="cannot checkpoint"):
         save_checkpoint(str(tmp_path / "x.npz"), object(), TrainConfig())
+
+
+def test_a_failed_checkpoint_write_leaves_no_trace(tmp_path, monkeypatch):
+    ds = micro_dataset()
+    cfg = TrainConfig(epochs=0, hidden_width=4, relation_width=3, relation_heads=2)
+    model = build_model(ds, cfg)
+    path = tmp_path / "model.npz"
+    save_checkpoint(str(path), model, cfg)
+    before = path.read_bytes()
+
+    def broken_savez(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_module.np, "savez", broken_savez)
+    for target in (path, tmp_path / "fresh.npz"):
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(target), model, cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+    assert path.read_bytes() == before
+
+
+def test_non_finite_outputs_are_numerical_errors_naming_the_domain():
+    ds = micro_dataset()
+    cfg = TrainConfig(epochs=0, hidden_width=4, relation_width=3, relation_heads=2)
+    model = build_model(ds, cfg)
+    model.head_b[...] = np.nan
+    with pytest.raises(NumericalError, match="non-finite model outputs .* test domain 'm4'"):
+        evaluate(relational_predictor(model, ds, cfg.beta), ds, "test")
+    erm = build_erm(ds, cfg)
+    erm.head.layers[-1].b[...] = np.inf
+    with pytest.raises(NumericalError, match="valid domain 'm3'"):
+        evaluate(erm_predictor(erm, ds), ds, "valid")
 
 
 def _rewrite_checkpoint(src, dst, edit):

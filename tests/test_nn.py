@@ -18,7 +18,6 @@ from relgen.nn import (
     forward,
     grad_check,
     init_opt_state,
-    loss_ce,
     loss_ce_batch,
     loss_ce_rows,
     loss_mse,
@@ -168,17 +167,23 @@ def test_grad_check_flags_a_wrong_gradient():
 # -- losses --------------------------------------------------------------------
 
 
+def ce_one_row(logits, label):
+    """Cross-entropy of one logit vector: loss_ce_rows on a single row."""
+    losses, grad = loss_ce_rows(np.asarray(logits, dtype=np.float64)[None], np.array([label]))
+    return float(losses[0]), grad[0]
+
+
 def test_ce_of_equal_logits_is_log_2():
-    loss, grad = loss_ce(np.array([0.0, 0.0]), 0)
+    loss, grad = ce_one_row(np.array([0.0, 0.0]), 0)
     assert loss == pytest.approx(math.log(2.0), abs=1e-15)
     assert grad == pytest.approx([-0.5, 0.5], abs=1e-15)
 
 
 def test_ce_extreme_logits_stay_finite():
-    loss, grad = loss_ce(np.array([1000.0, 0.0]), 0)
+    loss, grad = ce_one_row(np.array([1000.0, 0.0]), 0)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(grad).all()
-    loss, _ = loss_ce(np.array([-1000.0, 0.0]), 0)
+    loss, _ = ce_one_row(np.array([-1000.0, 0.0]), 0)
     assert loss == pytest.approx(1000.0, rel=1e-12)
     loss, _ = loss_ce_batch(np.array([[800.0, -800.0], [-800.0, 800.0]]), np.array([0, 1]))
     assert loss == pytest.approx(0.0, abs=1e-12)
@@ -187,7 +192,7 @@ def test_ce_extreme_logits_stay_finite():
 def test_ce_batch_is_mean_of_singles():
     logits = np.random.default_rng(11).normal(size=(6, 3))
     labels = np.array([0, 2, 1, 1, 0, 2])
-    singles = [loss_ce(logits[i], labels[i]) for i in range(6)]
+    singles = [ce_one_row(logits[i], labels[i]) for i in range(6)]
     loss, grad = loss_ce_batch(logits, labels)
     assert loss == pytest.approx(np.mean([s[0] for s in singles]), abs=1e-12)
     assert np.allclose(grad, np.stack([s[1] for s in singles]) / 6, atol=1e-15)
@@ -198,11 +203,11 @@ def test_ce_batch_is_mean_of_singles():
 
 def test_ce_label_validation():
     with pytest.raises(ValueError):
-        loss_ce(np.array([0.0, 0.0]), 2)
+        ce_one_row(np.array([0.0, 0.0]), 2)
     with pytest.raises(ValueError):
         loss_ce_batch(np.zeros((2, 2)), np.array([0, 3]))
     with pytest.raises(ValueError):
-        loss_ce(np.zeros((2, 2)), 0)
+        ce_one_row(np.zeros((2, 2)), 0)
 
 
 def test_ce_gradient_against_finite_differences():
@@ -210,7 +215,7 @@ def test_ce_gradient_against_finite_differences():
 
     def fn(params):
         (z,) = params
-        loss, grad = loss_ce(z, 1)
+        loss, grad = ce_one_row(z, 1)
         return loss, [grad]
 
     assert grad_check(fn, [logits]) < 1e-9

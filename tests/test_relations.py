@@ -12,16 +12,13 @@ from relgen.relations import (
     RelationMatrix,
     RelationNet,
     adjacency_matrix,
-    angle_matrix,
+    angle_between,
     build_matrix,
-    fixed_angle_similarity,
     fuse,
     learned_matrix,
     learned_matrix_backward,
-    learned_relation,
     load_relation_csv,
     normalize_weights,
-    relation_matrix_to_csv,
     relation_row,
     save_relation_csv,
 )
@@ -31,29 +28,52 @@ def tiny_net(meta_dim=2, width=3, n_heads=2, seed=5):
     return RelationNet.init(meta_dim, np.random.default_rng(seed), width=width, n_heads=n_heads)
 
 
+def angle_pair(theta_i, theta_j):
+    """angle_between on two single angles."""
+    return angle_between(theta_i, theta_j)[0, 0]
+
+
+def learned_pair(net, m_i, m_j):
+    """learned_matrix on the two rows, the only learned-similarity code."""
+    return learned_matrix(net, np.stack([m_i, m_j]))[0][0, 1]
+
+
+def brute_force_relation(net, m_i, m_j):
+    """Masked cosines of two meta rows, one head at a time; a dead head adds 0."""
+    gi, _ = forward(net.g, np.asarray(m_i, dtype=np.float64))
+    gj, _ = forward(net.g, np.asarray(m_j, dtype=np.float64))
+    total = 0.0
+    for r in range(net.n_heads):
+        u, v = net.w[r] * gi, net.w[r] * gj
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        if nu > 0.0 and nv > 0.0:
+            total += float(u @ v) / (nu * nv)
+    return total / net.n_heads
+
+
 # -- fixed relations -------------------------------------------------------------
 
 
 def test_angle_similarity_closed_forms():
-    assert fixed_angle_similarity(0.7, 0.7) == 1.0
-    assert fixed_angle_similarity(0.0, np.pi / 3) == pytest.approx(0.5, abs=1e-15)
-    assert fixed_angle_similarity(0.0, np.pi / 2) == pytest.approx(0.0, abs=1e-15)
+    assert angle_pair(0.7, 0.7) == 1.0
+    assert angle_pair(0.0, np.pi / 3) == pytest.approx(0.5, abs=1e-15)
+    assert angle_pair(0.0, np.pi / 2) == pytest.approx(0.0, abs=1e-15)
     # beyond a quarter turn the similarity clamps to zero
-    assert fixed_angle_similarity(0.0, 0.75 * np.pi) == 0.0
-    assert fixed_angle_similarity(0.0, np.pi) == 0.0
+    assert angle_pair(0.0, 0.75 * np.pi) == 0.0
+    assert angle_pair(0.0, np.pi) == 0.0
     # wrap-around: angles just inside +pi and -pi are near each other
-    assert fixed_angle_similarity(np.pi - 0.1, -np.pi + 0.1) == pytest.approx(
+    assert angle_pair(np.pi - 0.1, -np.pi + 0.1) == pytest.approx(
         np.cos(0.2), abs=1e-15
     )
 
 
 def test_angle_matrix_matches_pairwise_calls():
     angles = np.array([0.0, 0.4, -2.0, 3.1])
-    m = angle_matrix(angles)
+    m = angle_between(angles, angles)
     for i in range(4):
         for j in range(4):
             assert m[i, j] == pytest.approx(
-                fixed_angle_similarity(angles[i], angles[j]), abs=1e-15
+                angle_pair(angles[i], angles[j]), abs=1e-15
             )
     assert np.array_equal(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
@@ -81,7 +101,8 @@ def test_learned_relation_matches_brute_force():
         u, v = net.w[r] * gi, net.w[r] * gj
         expect += (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
     expect /= net.n_heads
-    assert learned_relation(net, m_i, m_j) == pytest.approx(expect, abs=1e-12)
+    assert learned_pair(net, m_i, m_j) == pytest.approx(expect, abs=1e-12)
+    assert brute_force_relation(net, m_i, m_j) == pytest.approx(expect, abs=1e-12)
 
 
 def test_learned_matrix_agrees_with_single_pairs():
@@ -91,7 +112,7 @@ def test_learned_matrix_agrees_with_single_pairs():
     for i in range(4):
         for j in range(4):
             assert m[i, j] == pytest.approx(
-                learned_relation(net, metas[i], metas[j]), abs=1e-12
+                brute_force_relation(net, metas[i], metas[j]), abs=1e-12
             )
     assert np.abs(m - m.T).max() <= 1e-12
     assert np.allclose(np.diag(m), 1.0, atol=1e-12)
@@ -100,7 +121,7 @@ def test_learned_matrix_agrees_with_single_pairs():
 def test_learned_relation_self_similarity_is_one():
     net = tiny_net(seed=3)
     m = np.array([0.5, 2.0])
-    assert learned_relation(net, m, m) == pytest.approx(1.0, abs=1e-12)
+    assert learned_pair(net, m, m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_embedding_contributes_zero():
@@ -109,7 +130,8 @@ def test_zero_embedding_contributes_zero():
     net = tiny_net(seed=7)
     zero = np.zeros(2)
     other = np.array([1.0, -0.5])
-    assert learned_relation(net, zero, other) == 0.0
+    assert learned_pair(net, zero, other) == 0.0
+    assert brute_force_relation(net, zero, other) == 0.0
     m, _ = learned_matrix(net, np.stack([zero, other]))
     assert m[0, 1] == 0.0 and m[0, 0] == 0.0
 
@@ -281,7 +303,7 @@ def test_build_matrix_pins_diagonal_and_symmetry():
     net = tiny_net(seed=17)
     angles = np.array([[0.1], [1.2], [-2.0]])
     net2 = RelationNet.init(1, np.random.default_rng(1), width=3, n_heads=2)
-    fixed = angle_matrix(angles.ravel())
+    fixed = angle_between(angles, angles)
     rm = build_matrix(["a", "b", "c"], angles, net2, 0.8, fixed)
     assert np.allclose(np.diag(rm.fused), 1.0)
     assert np.abs(rm.fused - rm.fused.T).max() <= 1e-12
@@ -308,10 +330,10 @@ def test_relation_row_matches_brute_force():
     net = RelationNet.init(1, np.random.default_rng(23), width=4, n_heads=3)
     metas = np.array([[0.2], [1.5], [-0.9]])
     theta_t = 0.6
-    fixed_row = np.array([fixed_angle_similarity(theta_t, m[0]) for m in metas])
+    fixed_row = np.array([angle_pair(theta_t, m[0]) for m in metas])
     row = relation_row(net, np.array([theta_t]), metas, fixed_row, 0.7)
     for j in range(3):
-        learned = learned_relation(net, np.array([theta_t]), metas[j])
+        learned = brute_force_relation(net, np.array([theta_t]), metas[j])
         assert row[j] == pytest.approx(
             max(0.0, 0.7 * fixed_row[j] + 0.3 * learned), abs=1e-12
         )
@@ -358,7 +380,7 @@ def test_normalize_weights_live_on_the_simplex(vals):
 )
 @settings(max_examples=300, deadline=None)
 def test_fused_angle_matrices_stay_in_unit_range(angles, beta):
-    fixed = angle_matrix(np.array(angles))
+    fixed = angle_between(angles, angles)
     fused = fuse(fixed, fixed, beta)  # degenerate fusion keeps the range
     assert fused.min() >= 0.0 and fused.max() <= 1.0 + 1e-12
     assert np.abs(fused - fused.T).max() <= 1e-12
@@ -377,9 +399,10 @@ def test_relation_csv_round_trip(tmp_path):
     assert np.array_equal(m, m2)  # repr round-trips float64 exactly
 
 
-def test_relation_csv_header_is_stable():
-    text = relation_matrix_to_csv(["x", "y"], np.eye(2))
-    lines = text.splitlines()
+def test_relation_csv_header_is_stable(tmp_path):
+    path = tmp_path / "rel.csv"
+    save_relation_csv(str(path), ["x", "y"], np.eye(2))
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "domain_id,x,y"
     assert lines[1].startswith("x,1.0,")
 
@@ -394,4 +417,10 @@ def test_load_relation_csv_rejects_malformed(tmp_path):
         load_relation_csv(str(p))
     p.write_text("domain_id,a,b\na,1.0,0.0\nc,0.0,1.0\n")
     with pytest.raises(DataError, match="malformed"):
+        load_relation_csv(str(p))
+    p.write_text("domain_id,a,b\na,1.0,zero\nb,0.0,1.0\n")
+    with pytest.raises(DataError, match="line 2"):
+        load_relation_csv(str(p))
+    p.write_bytes(b"domain_id,a,b\na,1.0,0.0\nb,0.0,\xff\n")
+    with pytest.raises(DataError, match="cannot read"):
         load_relation_csv(str(p))
