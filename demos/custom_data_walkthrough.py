@@ -83,18 +83,17 @@ def main() -> None:
               f"per domain { {d: round(v, 3) for d, v in rep.per_domain.items()} }")
 
     train_ids = loaded.ids_for_split("train")
-    matrix = build_matrix(
-        train_ids,
+    fused = build_matrix(
         loaded.meta_for(train_ids),
         model.relation_net,
         cfg.beta,
         loaded.fixed_matrix(train_ids),
     )
     rel_csv = os.path.join(args.workdir, "relations.csv")
-    save_relation_csv(rel_csv, matrix.ids, matrix.fused)
+    save_relation_csv(rel_csv, train_ids, fused)
     print(f"\nfused train-domain relations (beta={cfg.beta:g}) -> {rel_csv}")
     with np.printoptions(precision=2, suppress=True):
-        print(matrix.fused)
+        print(fused)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .experiments import consistency_ablation, relation_ablation
 from .fileio import atomic_write_text
 from .model import (
-    INFERENCE_MODES,
+    RELATION_MODES,
     ErmModel,
     MultiHeadModel,
     TrainConfig,
@@ -45,7 +45,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .relations import adjacency_matrix, angle_between, fuse, learned_matrix, save_relation_csv
+from .relations import adjacency_matrix, angle_between, build_matrix, check_beta, save_relation_csv
 from .theory import AVERAGING_ORACLE_TARGET, averaging_oracle, save_sweep_csv, scaling_experiment
 
 # train/eval flags that override the config file when given
@@ -253,7 +253,7 @@ def cmd_eval(args) -> int:
         predictor = relational_predictor(model, dataset, beta, args.relations)
         method = f"relational/{args.relations}"
     else:
-        for name in ("lam", "lr", "finetune_epochs"):
+        for name in ("lr", "finetune_epochs"):
             value = getattr(args, name, None)
             if value is not None:
                 cfg = replace(cfg, **{name: value})
@@ -374,6 +374,8 @@ def cmd_export_relations(args) -> int:
         raise ConfigError(
             "fixed relations need either --adjacency or single-column angle meta-data"
         )
+    net, beta = None, 1.0 if args.beta is None else args.beta
+    check_beta(beta)
     if args.checkpoint:
         model, header = load_checkpoint(args.checkpoint)
         if not isinstance(model, MultiHeadModel):
@@ -383,14 +385,11 @@ def cmd_export_relations(args) -> int:
             raise ConfigError(
                 f"relation net expects meta dim {net.g.in_dim}, file has {metas.shape[1]}"
             )
-        beta = args.beta if args.beta is not None else TrainConfig.from_dict(header["config"]).beta
-        fused = fuse(fixed, learned_matrix(net, metas)[0], beta)
-    else:
-        if args.beta is not None and args.beta != 1.0:
-            raise ConfigError("beta < 1 requires --checkpoint for the learned relations")
-        beta, fused = 1.0, fixed
-    np.fill_diagonal(fused, 1.0)  # the self-relation convention of build_matrix
-    save_relation_csv(args.out, ids, fused)
+        if args.beta is None:
+            beta = TrainConfig.from_dict(header["config"]).beta
+    elif beta != 1.0:
+        raise ConfigError("beta < 1 requires --checkpoint for the learned relations")
+    save_relation_csv(args.out, ids, build_matrix(metas, net, beta, fixed))
     print(f"wrote {len(ids)}x{len(ids)} relation matrix (beta={beta:g}) -> {args.out}")
     return 0
 
@@ -427,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lr", type=float, default=None)
         sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
         sp.add_argument("--relation-mode", dest="relation_mode",
-                        choices=("fused", "uniform"), default=None)
+                        choices=RELATION_MODES, default=None)
         sp.add_argument("--combine-space", dest="combine_space",
                         choices=("logit", "prob"), default=None)
         sp.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None)
@@ -446,10 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--split", choices=SPLITS, default="test")
     e.add_argument("--task", choices=("auto", "classification", "regression"), default="auto")
-    e.add_argument("--relations", choices=INFERENCE_MODES, default="fused",
+    e.add_argument("--relations", choices=RELATION_MODES, default="fused",
                    help="relation source for head weighting")
     e.add_argument("--beta", type=float, default=None)
-    e.add_argument("--lam", type=float, default=None, help=argparse.SUPPRESS)
     e.add_argument("--lr", type=float, default=None, help="fine-tuning learning rate")
     e.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None)
     e.add_argument("--rw-finetune", action="store_true",

@@ -35,13 +35,8 @@ def tuned_config(**overrides) -> TrainConfig:
     return cfg
 
 
-def run_relational(
-    dataset: DomainDataset,
-    config,
-    infer_mode: str | None = None,
-    split: str = "test",
-):
-    """Train the relation-weighted model and evaluate one split.
+def run_relational(dataset: DomainDataset, config, split: str = "test"):
+    """Train the relation-weighted model and evaluate one split under its relation mode.
 
     Given a list of configs that differ only in seed, trains one model per
     config in one lockstep train call and returns lists of models,
@@ -51,10 +46,9 @@ def run_relational(
     configs = [config] if single else list(config)
     models = [build_model(dataset, c) for c in configs]
     histories = train(models, dataset, configs)
-    mode = infer_mode or configs[0].relation_mode
     reports = [
-        evaluate(relational_predictor(m, dataset, configs[0].beta, mode), dataset, split)
-        for m in models
+        evaluate(relational_predictor(m, dataset, c.beta, c.relation_mode), dataset, split)
+        for m, c in zip(models, configs)
     ]
     if single:
         return models[0], histories[0], reports[0]
@@ -111,16 +105,11 @@ def method_comparison(
     return out
 
 
-RELATION_VARIANTS = (
-    # (label, config overrides, inference mode)
-    ("none", {"relation_mode": "uniform"}, "uniform"),
-    ("fixed", {"beta": 1.0}, "fused"),
-    ("learned", {"beta": 0.0}, "fused"),
-    ("fused", {}, "fused"),
-)
+# ablation row label -> the relation mode its models train and infer under
+RELATION_VARIANTS = {"none": "uniform", "fixed": "fixed", "learned": "learned", "fused": "fused"}
 
 
-def _relational_means(seeds, config: TrainConfig, dataset_factory, infer_mode=None) -> list[float]:
+def _relational_means(seeds, config: TrainConfig, dataset_factory) -> list[float]:
     """Test metric of one relational run per seed, in seed order.
 
     Seeds whose factory returns the same dataset object train in one
@@ -134,7 +123,7 @@ def _relational_means(seeds, config: TrainConfig, dataset_factory, infer_mode=No
     means = [0.0] * len(seeds)
     for group in groups.values():
         cfgs = [replace(config, seed=seeds[j]) for j in group]
-        _, _, reports = run_relational(datasets[group[0]], cfgs, infer_mode)
+        _, _, reports = run_relational(datasets[group[0]], cfgs)
         for j, rep in zip(group, reports):
             means[j] = rep.mean
     return means
@@ -144,8 +133,8 @@ def relation_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> l
     """Test metric for each relation source: none/fixed/learned/fused."""
     seeds = [int(s) for s in seeds]
     rows = []
-    for label, overrides, mode in RELATION_VARIANTS:
-        vals = _relational_means(seeds, replace(config, **overrides), dataset_factory, mode)
+    for label, mode in RELATION_VARIANTS.items():
+        vals = _relational_means(seeds, replace(config, relation_mode=mode), dataset_factory)
         rows.append({"variant": label, **_aggregate(vals)})
     return rows
 

@@ -42,9 +42,13 @@ from .nn import (
     stack_forward,
 )
 from .relations import (
+    RELATION_MODES,
     RelationNet,
+    check_beta,
+    fuse,
     learned_matrix,
     learned_matrix_backward,
+    mode_fusion,
     normalize_weights,
     relation_row,
 )
@@ -54,8 +58,6 @@ REL_EPS = 1e-12
 PROB_FLOOR = 1e-12
 
 COMBINE_SPACES = ("logit", "prob")
-RELATION_MODES = ("fused", "uniform")
-INFERENCE_MODES = ("fused", "fixed", "learned", "uniform")
 
 
 @dataclass
@@ -73,7 +75,7 @@ class TrainConfig:
     relation_width: int = 32
     relation_heads: int = 4
     combine_space: str = "logit"
-    relation_mode: str = "fused"  # "uniform" trains with equal consistency weights
+    relation_mode: str = "fused"  # relations that weight the heads (relations.mode_fusion)
     domain_balanced_sampling: bool = False
     eval_every: int = 1
     select_best: bool = True  # restore the best valid-split epoch after training
@@ -83,8 +85,7 @@ class TrainConfig:
         # chained comparisons are False for NaN, so NaN and inf fail here too
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError("lam must be finite and nonnegative")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("beta must lie in [0, 1]")
+        check_beta(self.beta)
         if not 0.0 < self.lr < math.inf:
             raise ConfigError("lr must be finite and positive")
         if not 0.0 <= self.weight_decay < math.inf:
@@ -309,7 +310,7 @@ def _stack_heads(model: MultiHeadModel, x: np.ndarray):
     return phi, e_tape, stack_forward(model.head_w, model.head_b, phi)  # outs: (K, n, c)
 
 
-def _consistency_weights(a: np.ndarray | None, dom: np.ndarray, k: int):
+def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int):
     """Per-example weights over heads, self excluded, rows summing to one.
 
     dom is (n,) or (S, n), and a is (K, K) or, for S stacked models,
@@ -321,10 +322,6 @@ def _consistency_weights(a: np.ndarray | None, dom: np.ndarray, k: int):
         raise ValueError("consistency needs at least two heads")
     ix = np.indices(dom.shape, sparse=True)
     self_entry = ix + (dom,)
-    if a is None:
-        u = np.full(dom.shape + (k,), 1.0 / (k - 1))
-        u[self_entry] = 0.0
-        return u, None, None
     rows = a[ix[: a.ndim - 2] + (dom,)]  # fancy indexing, so already a copy
     rows[self_entry] = 0.0
     s = rows.sum(axis=-1)
@@ -371,19 +368,18 @@ def _mixture_forward(model, outs, u, y):
 def total_loss_and_grads(
     model: MultiHeadModel,
     batch,
-    fixed: np.ndarray | None,
+    fixed: np.ndarray,
     metas: np.ndarray | None,
     lam: float,
     beta: float,
-    relation_mode: str = "fused",
     grad: np.ndarray | None = None,
 ):
     """Training objective with exact gradients for every parameter.
 
-    The relation matrix is rebuilt from the current relation-net parameters
-    on every call so the gradients through the learned similarities are
-    exact. Returns (loss, (loss_pred, loss_rel), grad) with grad laid out
-    like model.flat; it is written into ``grad`` when that is given.
+    The relations are fuse(fixed, learned, beta); the learned matrix is
+    rebuilt on every call, so its gradients are exact, or skipped at beta 1.
+    Returns (loss, (loss_pred, loss_rel), grad) with grad laid out like
+    model.flat; it is written into ``grad`` when that is given.
 
     For S stacked models (see stack_models) the batch carries the same
     leading axis, x (S, n, p), y (S, n), domain (S, n), one batch per model,
@@ -399,17 +395,8 @@ def total_loss_and_grads(
     k = len(model.head_domains)
     net = model.relation_net
 
-    cache = None
-    pre = None
-    if relation_mode == "uniform":
-        a = None
-    elif beta == 1.0:
-        pre = np.asarray(fixed, dtype=np.float64)
-        a = np.maximum(pre, 0.0)
-    else:
-        a_l, cache = learned_matrix(net, metas)
-        pre = beta * np.asarray(fixed, dtype=np.float64) + (1.0 - beta) * a_l
-        a = np.maximum(pre, 0.0)
+    a_l, cache = (0.0, None) if beta == 1.0 else learned_matrix(net, metas)
+    a = fuse(fixed, a_l, beta)
 
     phi, e_tape, outs = _stack_heads(model, x)  # outs: (S, K, n, c)
 
@@ -431,7 +418,7 @@ def total_loss_and_grads(
     g_heads[self_out] += g_self
 
     # gradients w.r.t. the relation entries actually used
-    if a is None or s is None or cache is None:
+    if cache is None:
         for view in g_net:
             view[...] = 0.0
     else:
@@ -442,7 +429,7 @@ def total_loss_and_grads(
         contrib[seeds, cols, dom] = 0.0
         d_a = np.zeros(dom.shape[:1] + (k, k))
         np.add.at(d_a, (seeds, dom), contrib)
-        d_a *= pre > 0.0  # clamp subgradient
+        d_a *= a > 0.0  # clamp subgradient
         diag = np.arange(k)
         d_a[:, diag, diag] = 0.0
         learned_matrix_backward(net, cache, (1.0 - beta) * d_a, out=g_net)
@@ -459,23 +446,20 @@ def _loss_terms(model: MultiHeadModel, batch, relations, lam: float = 0.0):
     """(loss, loss_pred, loss_rel) of total_loss_and_grads on fixed relations only.
 
     relations is a (K, K) array in head order, used as the fixed matrix at
-    beta = 1 (so negative entries clamp at zero, as in training), or
-    "uniform" for equal weights.
+    beta = 1 (so negative entries clamp at zero, as in training); all ones
+    give equal weights.
     """
-    if isinstance(relations, str) and relations == "uniform":
-        fixed, mode = None, "uniform"
-    else:
-        fixed, mode = np.asarray(relations, dtype=np.float64), "fused"
-        k = len(model.head_domains)
-        if fixed.shape != (k, k):
-            raise ValueError(f"expected a ({k}, {k}) relation matrix, got {fixed.shape}")
-    loss, (lp, lrel), _ = total_loss_and_grads(model, batch, fixed, None, lam, 1.0, mode)
+    fixed = np.asarray(relations, dtype=np.float64)
+    k = len(model.head_domains)
+    if fixed.shape != (k, k):
+        raise ValueError(f"expected a ({k}, {k}) relation matrix, got {fixed.shape}")
+    loss, (lp, lrel), _ = total_loss_and_grads(model, batch, fixed, None, lam, 1.0)
     return float(loss), float(lp), float(lrel)
 
 
 def loss_pred(model: MultiHeadModel, batch) -> float:
     """Mean loss of each example under its own domain's head."""
-    return _loss_terms(model, batch, "uniform")[1]
+    return _loss_terms(model, batch, np.ones((len(model.head_domains),) * 2))[1]
 
 
 def loss_rel(model: MultiHeadModel, batch, relations) -> float:
@@ -552,13 +536,13 @@ def train(model, dataset: DomainDataset, config):
             raise ConfigError("need at least two training domains")
         x, y, dom = dataset.arrays_for(train_ids)
         metas = dataset.meta_for(train_ids)
-        fixed = dataset.fixed_matrix(train_ids)
+        fixed = dataset.fixed_matrix(train_ids)  # read in every mode, so bad meta-data fails
+        fixed, beta = mode_fusion(config.relation_mode, config.beta, lambda: fixed, fixed.shape)
         keys = ("loss", "loss_pred", "loss_rel")
 
         def step(stack, b, grad):
             loss, (lp, lrel), _ = total_loss_and_grads(
-                stack, (x[b], y[b], dom[b]), fixed, metas,
-                config.lam, config.beta, config.relation_mode, grad,
+                stack, (x[b], y[b], dom[b]), fixed, metas, config.lam, beta, grad
             )
             return loss, lp, lrel
 
@@ -704,10 +688,10 @@ def relational_predictor(
 ):
     """Build predict(domain_id, x) using the domain's relation row.
 
-    mode selects the weights: "fused" (fixed and learned, fused with beta),
-    "fixed", "learned", or "uniform".
+    mode selects the weights (see mode_fusion): "fused" (fixed and learned,
+    fused with beta), "fixed", "learned", or "uniform".
     """
-    if mode not in INFERENCE_MODES:
+    if mode not in RELATION_MODES:
         raise ConfigError(f"unknown relation mode {mode!r}")
     train_ids = model.head_domains
     metas = dataset.meta_for(train_ids)
@@ -715,18 +699,11 @@ def relational_predictor(
 
     def row_for(domain_id: str) -> np.ndarray:
         if domain_id not in rows:
-            if mode == "uniform":
-                rows[domain_id] = np.ones(len(train_ids))
-            else:
-                fixed_row = dataset.fixed_between([domain_id], train_ids)[0]
-                eff_beta = {"fused": beta, "fixed": 1.0, "learned": 0.0}[mode]
-                rows[domain_id] = relation_row(
-                    model.relation_net,
-                    dataset.meta_for([domain_id])[0],
-                    metas,
-                    fixed_row,
-                    eff_beta,
-                )
+            fixed_row, b = mode_fusion(
+                mode, beta, lambda: dataset.fixed_between([domain_id], train_ids)[0], len(train_ids)
+            )
+            meta_t = dataset.meta_for([domain_id])[0]
+            rows[domain_id] = relation_row(model.relation_net, meta_t, metas, fixed_row, b)
         return rows[domain_id]
 
     def predict(domain_id: str, x):

@@ -22,7 +22,7 @@ from .nn import Mlp, Tape, backward, forward
 
 logger = logging.getLogger(__name__)
 
-SYMMETRY_TOL = 1e-12
+RELATION_MODES = ("fused", "fixed", "learned", "uniform")
 
 
 def angle_between(ta, tb) -> np.ndarray:
@@ -146,10 +146,14 @@ def learned_matrix_backward(
     return g_grads + [d_w]
 
 
+def check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:  # False for NaN too
+        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
+
+
 def fuse(fixed, learned, beta: float):
     """beta * fixed + (1 - beta) * learned, clamped at zero elementwise."""
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
+    check_beta(beta)
     pre = beta * np.asarray(fixed, dtype=np.float64) + (1.0 - beta) * np.asarray(
         learned, dtype=np.float64
     )
@@ -157,56 +161,36 @@ def fuse(fixed, learned, beta: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass
-class RelationMatrix:
-    """Fused relation matrix for a set of domains, with its two components."""
+def mode_fusion(mode: str, beta: float, fixed, shape) -> tuple[np.ndarray, float]:
+    """(fixed relations, beta) for a relation mode; fixed() gives those from meta-data.
 
-    ids: list[str]
-    fixed: np.ndarray
-    learned: np.ndarray
-    fused: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        d = len(self.ids)
-        for name in ("fixed", "learned", "fused"):
-            m = getattr(self, name)
-            if m.shape != (d, d):
-                raise ValueError(f"{name} matrix shape {m.shape} != ({d}, {d})")
-            if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOL:
-                raise ValueError(f"{name} matrix is not symmetric")
-        if self.fused.min(initial=0.0) < 0.0:
-            raise ValueError("fused matrix has negative entries")
-
-    def row(self, domain_id: str) -> np.ndarray:
-        return self.fused[self.ids.index(domain_id)]
+    "fixed" is beta 1 and "learned" beta 0; "uniform" is all-ones fixed
+    relations of the given shape at beta 1, so it never calls fixed.
+    """
+    if mode not in RELATION_MODES:
+        raise ConfigError(f"unknown relation mode {mode!r}")
+    if mode == "uniform":
+        return np.ones(shape), 1.0
+    return fixed(), {"fused": beta, "fixed": 1.0, "learned": 0.0}[mode]
 
 
-def build_matrix(
-    ids: list[str],
-    metas,
-    net: RelationNet,
-    beta: float,
-    fixed: np.ndarray,
-) -> RelationMatrix:
+def build_matrix(metas, net: RelationNet, beta: float, fixed: np.ndarray) -> np.ndarray:
     """Fuse a precomputed fixed matrix with the net's learned similarities.
 
-    The diagonal of the fused matrix is pinned to 1 (self-relation
-    convention); no consumer reads it, but exports should show it.
+    The diagonal is pinned to 1 (self-relation convention); no consumer
+    reads it, but exports should show it. At beta 1 the net is not read.
     """
-    learned, _ = learned_matrix(net, metas)
-    fused = fuse(fixed, learned, beta)
+    fused = fuse(fixed, 0.0 if beta == 1.0 else learned_matrix(net, metas)[0], beta)
     np.fill_diagonal(fused, 1.0)
-    return RelationMatrix(list(ids), np.asarray(fixed, dtype=np.float64), learned, fused, beta)
+    return fused
 
 
 def relation_row(net: RelationNet, meta_t, metas, fixed_row, beta: float) -> np.ndarray:
     """Fused relations between one held-out domain and a stack of domains."""
-    meta_t = np.asarray(meta_t, dtype=np.float64).reshape(1, -1)
-    metas = np.asarray(metas, dtype=np.float64)
-    stacked = np.vstack([meta_t, metas])
-    a_l, _ = learned_matrix(net, stacked)
-    return fuse(np.asarray(fixed_row, dtype=np.float64), a_l[0, 1:], beta)
+    if beta == 1.0:
+        return fuse(fixed_row, 0.0, 1.0)  # the net is not read
+    stacked = np.vstack([np.reshape(meta_t, (1, -1)), metas])
+    return fuse(fixed_row, learned_matrix(net, stacked)[0][0, 1:], beta)
 
 
 def normalize_weights(weights) -> np.ndarray:

@@ -34,7 +34,7 @@ from relgen.model import (
     save_checkpoint,
 )
 from relgen.nn import grad_check
-from relgen.relations import RelationNet, build_matrix, normalize_weights
+from relgen.relations import RelationNet, build_matrix, learned_matrix, normalize_weights
 from relgen.theory import (
     AVERAGING_ORACLE_TARGET,
     averaging_oracle,
@@ -279,12 +279,11 @@ def test_criterion_7_inference_invariants():
                                width=8, n_heads=2)
         for p in net.g.params():
             p += rng.normal(size=p.shape) * 0.3
-        ids = [f"p{j}" for j in range(k)]
         fixed = rng.uniform(0.0, 1.0, size=(k, k))
         fixed = (fixed + fixed.T) / 2.0
         beta = float(rng.uniform(0.0, 1.0))
-        mat = build_matrix(ids, metas, net, beta, fixed)
-        for part in (mat.fixed, mat.learned, mat.fused):
+        parts = (fixed, learned_matrix(net, metas)[0], build_matrix(metas, net, beta, fixed))
+        for part in parts:
             if np.abs(part - part.T).max() > 1e-12:
                 failures["symmetry"] += 1
                 break

@@ -385,6 +385,25 @@ def test_eval_relation_modes_run(trained, dg15_dir):
         assert code == 0
 
 
+def test_uniform_eval_reads_no_fixed_relations(spatial_dir, tmp_path):
+    """2-D meta-data without adjacency.txt gives no fixed relations; uniform weights need none."""
+    out = tmp_path / "t"
+    assert run("train", "--data", str(spatial_dir), "--out", str(out), "--epochs", "1") == 0
+    data = tmp_path / "data"
+    shutil.copytree(spatial_dir, data)
+    (data / "adjacency.txt").unlink()
+    ckpt = str(out / "checkpoint-relational-seed0.npz")
+    assert run("eval", "--checkpoint", ckpt, "--data", str(data), "--relations", "uniform") == 0
+    assert run("eval", "--checkpoint", ckpt, "--data", str(data), "--relations", "fixed") == 2
+
+
+def test_eval_has_no_lam_flag(trained, dg15_dir):
+    with pytest.raises(SystemExit) as exc:
+        run("eval", "--checkpoint", str(trained / "checkpoint-relational-seed0.npz"),
+            "--data", str(dg15_dir), "--lam", "0.3")
+    assert exc.value.code == 2
+
+
 def test_eval_rw_finetune_on_erm(trained_erm, dg15_dir, tmp_path):
     out = tmp_path / "rwft"
     code = run(
@@ -481,6 +500,19 @@ def test_export_learned_needs_a_checkpoint(dg15_dir, tmp_path):
                "--beta", "0.5", "--out", str(out)) == 2
 
 
+@pytest.mark.parametrize(
+    "beta,message",
+    [("1.5", "beta must lie in [0, 1]"), ("nan", "beta must lie in [0, 1]"),
+     ("-0.5", "beta must lie in [0, 1]"), ("0.5", "requires --checkpoint")],
+)
+def test_export_checks_the_beta_range_first(dg15_dir, tmp_path, capsys, beta, message):
+    out = tmp_path / "r.csv"
+    assert run("export-relations", "--meta", str(dg15_dir / "meta.csv"),
+               "--beta", beta, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_with_checkpoint_fuses(trained, dg15_dir, tmp_path):
     out = tmp_path / "fused.csv"
     code = run(
@@ -515,7 +547,6 @@ def test_export_adjacency_relations(spatial_dir, tmp_path):
 FIELD_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "2", "0.5", "1e308", "x", "d99", "valid", "test"]
 BYTE_VALUES = [b"0", b"7", b"-", b".", b"e", b",", b" ", b"\n", b'"', b"x", b"\xff"]
 JSON_VALUES = [None, -1, 0, 0.5, 1e308, "x", "prob", [], {}, True]
-TRAIN_ARGS = ["--epochs", "1", "--lr", "1e-3", "--seed", "0"]
 
 
 def _mutate_bytes(raw: bytes, data) -> bytes:
@@ -556,7 +587,8 @@ def _mutate_header(src, dst, data) -> None:
 def test_mutated_inputs_end_in_a_documented_exit_code(
     data, dg15_dir, spatial_dir, trained, trained_erm
 ):
-    """Damaged data, split, adjacency or checkpoint files never raise out of main."""
+    """Damaged data, split, adjacency or checkpoint files never raise out of main,
+    at a sane or a diverging learning rate and at zero to three epochs."""
     target = data.draw(st.sampled_from(
         ["data.csv", "meta.csv", "splits.csv", "adjacency.txt", "relational.npz", "erm.npz"]
     ))
@@ -576,17 +608,25 @@ def test_mutated_inputs_end_in_a_documented_exit_code(
         else:
             damaged.write_bytes(_mutate_bytes(damaged.read_bytes(), data))
         common = ["--data", str(tmp / "data"), "--out", str(tmp / "out")]
+        train_args = ["--epochs", data.draw(st.sampled_from(["0", "1", "3"])),
+                      "--lr", data.draw(st.sampled_from(["1e-3", "1e30"])), "--seed", "0"]
+        export = ["export-relations", "--meta", str(tmp / "data" / "meta.csv"),
+                  "--out", str(tmp / "relations.csv")]
+        if target == "adjacency.txt":
+            export += ["--adjacency", str(tmp / "data" / "adjacency.txt")]
         commands = {
-            "train-relational": ["train", "--method", "relational", *common, *TRAIN_ARGS],
-            "train-erm": ["train", "--method", "erm", *common, *TRAIN_ARGS],
-            "resume-relational": ["train", "--method", "relational", *common, *TRAIN_ARGS,
+            "train-relational": ["train", "--method", "relational", *common, *train_args],
+            "train-erm": ["train", "--method", "erm", *common, *train_args],
+            "resume-relational": ["train", "--method", "relational", *common, *train_args,
                                   "--resume", str(tmp / "relational.npz")],
             "eval-relational": ["eval", "--checkpoint", str(tmp / "relational.npz"), *common],
             "eval-rw-finetune": ["eval", "--checkpoint", str(tmp / "erm.npz"), *common,
                                  "--rw-finetune", "--finetune-epochs", "1"],
+            "export-relations": export,
+            "export-relations-checkpoint": export + ["--checkpoint", str(tmp / "relational.npz")],
         }
         if target == "adjacency.txt":
-            commands = {k: v for k, v in commands.items() if k.startswith("train-")}
+            commands = {k: v for k, v in commands.items() if k.startswith(("train-", "export-"))}
         argv = commands[data.draw(st.sampled_from(sorted(commands)))]
         with np.errstate(all="ignore"):
             code = main(argv)

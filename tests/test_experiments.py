@@ -21,9 +21,9 @@ SEEDS = [3, 1, 4]
 def _per_seed_rows(datasets, cfg):
     """The ablation rows as one run_relational call per seed would give them."""
     rel = []
-    for label, overrides, mode in RELATION_VARIANTS:
+    for label, mode in RELATION_VARIANTS.items():
         vals = [
-            run_relational(datasets[s], replace(cfg, seed=s, **overrides), infer_mode=mode)[2].mean
+            run_relational(datasets[s], replace(cfg, seed=s, relation_mode=mode))[2].mean
             for s in SEEDS
         ]
         rel.append({"variant": label, **experiments._aggregate(vals)})
@@ -54,3 +54,14 @@ def test_ablation_rows_equal_per_seed_runs(shared, monkeypatch):
     # one lockstep call per variant when the seeds share a dataset
     n_variants = len(RELATION_VARIANTS) + 2
     assert calls == ([len(SEEDS)] * n_variants if shared else [1] * (n_variants * len(SEEDS)))
+
+
+def test_relation_rows_do_not_depend_on_the_base_relation_mode():
+    """Each variant sets its own relation mode, so a uniform base gives the fused base's rows."""
+    ds = gen_dg15(0, n_per_class=10)
+    cfg = TrainConfig(lr=1e-3, epochs=2)
+    fused, uniform = (
+        relation_ablation([0, 1], replace(cfg, relation_mode=mode), dataset_factory=lambda s: ds)
+        for mode in ("fused", "uniform")
+    )
+    assert uniform == fused

@@ -36,7 +36,7 @@ from relgen.model import (
     train_erm,
 )
 from relgen.nn import Layer, Mlp, grad_check
-from relgen.relations import RelationNet
+from relgen.relations import RelationNet, mode_fusion
 
 
 def constant_model(values, task="regression", combine_space="logit", out=1):
@@ -131,7 +131,7 @@ def test_unrelated_row_falls_back_to_uniform_over_others():
     model = constant_model([1.0, 2.0, 4.0])
     lonely = np.eye(3)  # every row all-zero once self is excluded
     got = loss_rel(model, THREE_DOMAIN_BATCH, lonely)
-    want = loss_rel(model, THREE_DOMAIN_BATCH, "uniform")
+    want = loss_rel(model, THREE_DOMAIN_BATCH, np.ones((3, 3)))
     assert got == pytest.approx(want, abs=1e-14)
     # uniform mixes: dom0 (2+4)/2=3, dom1 (1+4)/2=2.5, dom2 (1+2)/2=1.5
     assert want == pytest.approx((9.0 + 6.25 + 2.25) / 3.0, abs=1e-14)
@@ -162,7 +162,7 @@ def test_prob_space_mixture_floor_keeps_loss_finite():
     model.head_b[1] = [800.0, -800.0]
     model.head_b[2] = [800.0, -800.0]
     batch = (np.ones((3, 2)), np.array([1, 1, 1]), np.array([0, 1, 2]))
-    val = loss_rel(model, batch, "uniform")
+    val = loss_rel(model, batch, np.ones((3, 3)))
     assert np.isfinite(val)
     assert val == pytest.approx(-math.log(1e-12), rel=1e-6)
 
@@ -209,13 +209,12 @@ def _grad_case(task, combine_space, lam, beta, relation_mode):
     x, y, dom = ds.arrays_for(train_ids)
     x, y, dom = x[:6], y[:6], dom[:6]
     metas = ds.meta_for(train_ids)
-    fixed = ds.fixed_matrix(train_ids)
+    k = len(train_ids)
+    fixed, beta = mode_fusion(relation_mode, beta, lambda: ds.fixed_matrix(train_ids), (k, k))
 
     def fn(params):
         np.copyto(model.flat, params[0])
-        loss, _, grad = total_loss_and_grads(
-            model, (x, y, dom), fixed, metas, lam, beta, relation_mode
-        )
+        loss, _, grad = total_loss_and_grads(model, (x, y, dom), fixed, metas, lam, beta)
         return loss, [grad]
 
     return fn, [model.flat.copy()]
@@ -780,18 +779,17 @@ def test_lockstep_gradient_writes_every_slice(data, case):
     stack = stack_models(models)
     ids = ds.ids_for_split("train")
     x, y, dom = ds.arrays_for(ids)
-    metas, fixed = ds.meta_for(ids), ds.fixed_matrix(ids)
+    metas, k = ds.meta_for(ids), len(ids)
+    fixed, beta = mode_fusion(cfg.relation_mode, cfg.beta, lambda: ds.fixed_matrix(ids), (k, k))
     rng = np.random.default_rng(3)
     b = np.stack([rng.permutation(len(y))[:10] for _ in cfgs])
     grad = np.full_like(stack.flat, np.nan)
     loss, (lp, lrel), out = total_loss_and_grads(
-        stack, (x[b], y[b], dom[b]), fixed, metas, cfg.lam, cfg.beta, cfg.relation_mode, grad
+        stack, (x[b], y[b], dom[b]), fixed, metas, cfg.lam, beta, grad
     )
     assert out is grad and np.isfinite(grad).all()
     for j, m in enumerate(singles):
-        one = total_loss_and_grads(
-            m, (x[b[j]], y[b[j]], dom[b[j]]), fixed, metas, cfg.lam, cfg.beta, cfg.relation_mode
-        )
+        one = total_loss_and_grads(m, (x[b[j]], y[b[j]], dom[b[j]]), fixed, metas, cfg.lam, beta)
         assert (one[0], one[1]) == (loss[j], (lp[j], lrel[j]))
         assert one[2].tobytes() == grad[j].tobytes()
     net_grads = stack.views(grad)[3]

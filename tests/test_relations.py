@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from relgen.errors import ConfigError, DataError
 from relgen.nn import Mlp, backward, forward, grad_check
 from relgen.relations import (
-    RelationMatrix,
     RelationNet,
     adjacency_matrix,
     angle_between,
@@ -300,30 +299,32 @@ def test_fuse_arithmetic():
 
 
 def test_build_matrix_pins_diagonal_and_symmetry():
-    net = tiny_net(seed=17)
     angles = np.array([[0.1], [1.2], [-2.0]])
-    net2 = RelationNet.init(1, np.random.default_rng(1), width=3, n_heads=2)
+    net = RelationNet.init(1, np.random.default_rng(1), width=3, n_heads=2)
     fixed = angle_between(angles, angles)
-    rm = build_matrix(["a", "b", "c"], angles, net2, 0.8, fixed)
-    assert np.allclose(np.diag(rm.fused), 1.0)
-    assert np.abs(rm.fused - rm.fused.T).max() <= 1e-12
-    assert rm.fused.min() >= 0.0
-    assert rm.row("b") is rm.fused[1] or np.array_equal(rm.row("b"), rm.fused[1])
+    fused = build_matrix(angles, net, 0.8, fixed)
+    learned = learned_matrix(net, angles)[0]
+    assert np.allclose(np.diag(fused), 1.0)
+    assert np.abs(fused - fused.T).max() <= 1e-12
+    assert fused.min() >= 0.0
     # off-diagonal entries follow the fusion rule
-    assert rm.fused[0, 1] == pytest.approx(
-        max(0.0, 0.8 * fixed[0, 1] + 0.2 * rm.learned[0, 1]), abs=1e-12
+    assert fused[0, 1] == pytest.approx(
+        max(0.0, 0.8 * fixed[0, 1] + 0.2 * learned[0, 1]), abs=1e-12
     )
 
 
 def test_relation_matrix_rejects_asymmetry_and_negatives():
-    ids = ["a", "b"]
-    sym = np.eye(2)
-    with pytest.raises(ValueError, match="not symmetric"):
-        RelationMatrix(ids, np.array([[1.0, 0.2], [0.1, 1.0]]), sym, sym, 0.5)
-    with pytest.raises(ValueError, match="negative"):
-        RelationMatrix(ids, sym, sym, np.array([[1.0, -0.1], [-0.1, 1.0]]), 0.5)
-    with pytest.raises(ValueError, match="shape"):
-        RelationMatrix(ids, np.eye(3), sym, sym, 0.5)
+    """At beta 0, build_matrix is the learned matrix: (K, K), symmetric, negatives clamped."""
+    metas = np.random.default_rng(4).normal(size=(4, 2))
+    net = tiny_net(seed=9)
+    learned = learned_matrix(net, metas)[0]
+    assert learned.min() < 0.0  # so the clamp has work to do
+    fused = build_matrix(metas, net, 0.0, np.full((4, 4), 5.0))
+    assert fused.shape == (4, 4)
+    assert np.array_equal(fused, fused.T)
+    assert fused.min() >= 0.0
+    off = ~np.eye(4, dtype=bool)
+    assert np.array_equal(fused[off], np.maximum(learned, 0.0)[off])
 
 
 def test_relation_row_matches_brute_force():
