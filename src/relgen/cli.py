@@ -30,13 +30,14 @@ from .errors import ConfigError, DataError, NumericalError
 from .experiments import consistency_ablation, relation_ablation
 from .fileio import atomic_write_text
 from .model import (
-    RELATION_MODES,
+    TRAIN_RELATION_MODES,
     ErmModel,
     MultiHeadModel,
     TrainConfig,
     build_erm,
     build_model,
     check_fits,
+    config_predictor,
     erm_predictor,
     evaluate,
     load_checkpoint,
@@ -45,7 +46,15 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .relations import adjacency_matrix, angle_between, build_matrix, check_beta, save_relation_csv
+from .relations import (
+    RELATION_MODES,
+    adjacency_matrix,
+    angle_between,
+    build_matrix,
+    check_beta,
+    mode_fusion,
+    save_relation_csv,
+)
 from .theory import AVERAGING_ORACLE_TARGET, averaging_oracle, save_sweep_csv, scaling_experiment
 
 # train/eval flags that override the config file when given
@@ -174,13 +183,7 @@ def _train_seeds(dataset, cfgs, method, resume):
     else:
         models = [(build_model if relational else build_erm)(dataset, cfg) for cfg in cfgs]
     histories = train(models, dataset, cfgs)
-    if relational:
-        predictors = [
-            relational_predictor(m, dataset, cfgs[0].beta, cfgs[0].relation_mode) for m in models
-        ]
-    else:
-        predictors = [erm_predictor(m, dataset) for m in models]
-    return zip(models, histories, predictors)
+    return zip(models, histories, [config_predictor(m, dataset, cfgs[0]) for m in models])
 
 
 def cmd_train(args) -> int:
@@ -250,8 +253,9 @@ def cmd_eval(args) -> int:
         if args.rw_finetune:
             raise ConfigError("--rw-finetune applies to erm checkpoints only")
         beta = args.beta if args.beta is not None else cfg.beta
-        predictor = relational_predictor(model, dataset, beta, args.relations)
-        method = f"relational/{args.relations}"
+        mode = args.relations or cfg.relation_mode
+        predictor = relational_predictor(model, dataset, beta, mode)
+        method = f"relational/{mode}"
     else:
         for name in ("lr", "finetune_epochs"):
             value = getattr(args, name, None)
@@ -385,8 +389,9 @@ def cmd_export_relations(args) -> int:
             raise ConfigError(
                 f"relation net expects meta dim {net.g.in_dim}, file has {metas.shape[1]}"
             )
-        if args.beta is None:
-            beta = TrainConfig.from_dict(header["config"]).beta
+        if args.beta is None:  # the relations the checkpoint was trained with
+            cfg = TrainConfig.from_dict(header["config"])
+            fixed, beta = mode_fusion(cfg.relation_mode, cfg.beta, lambda: fixed, fixed.shape)
     elif beta != 1.0:
         raise ConfigError("beta < 1 requires --checkpoint for the learned relations")
     save_relation_csv(args.out, ids, build_matrix(metas, net, beta, fixed))
@@ -426,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lr", type=float, default=None)
         sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
         sp.add_argument("--relation-mode", dest="relation_mode",
-                        choices=RELATION_MODES, default=None)
+                        choices=TRAIN_RELATION_MODES, default=None)
         sp.add_argument("--combine-space", dest="combine_space",
                         choices=("logit", "prob"), default=None)
         sp.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None)
@@ -445,8 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--split", choices=SPLITS, default="test")
     e.add_argument("--task", choices=("auto", "classification", "regression"), default="auto")
-    e.add_argument("--relations", choices=RELATION_MODES, default="fused",
-                   help="relation source for head weighting")
+    e.add_argument("--relations", choices=RELATION_MODES, default=None,
+                   help="relation source for head weighting (default: the training mode)")
     e.add_argument("--beta", type=float, default=None)
     e.add_argument("--lr", type=float, default=None, help="fine-tuning learning rate")
     e.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None)

@@ -14,9 +14,8 @@ from .data import DomainDataset, gen_dg15
 from .model import (
     TrainConfig,
     build_model,
-    erm_predictor,
+    config_predictor,
     evaluate,
-    relational_predictor,
     rwft_predictor,
     train,
     train_erm,
@@ -47,7 +46,7 @@ def run_relational(dataset: DomainDataset, config, split: str = "test"):
     models = [build_model(dataset, c) for c in configs]
     histories = train(models, dataset, configs)
     reports = [
-        evaluate(relational_predictor(m, dataset, c.beta, c.relation_mode), dataset, split)
+        evaluate(config_predictor(m, dataset, c), dataset, split)
         for m, c in zip(models, configs)
     ]
     if single:
@@ -57,7 +56,7 @@ def run_relational(dataset: DomainDataset, config, split: str = "test"):
 
 def run_erm(dataset: DomainDataset, config: TrainConfig, split: str = "test"):
     model, history = train_erm(dataset, config)
-    report = evaluate(erm_predictor(model, dataset), dataset, split)
+    report = evaluate(config_predictor(model, dataset, config), dataset, split)
     return model, history, report
 
 
@@ -105,8 +104,13 @@ def method_comparison(
     return out
 
 
-# ablation row label -> the relation mode its models train and infer under
-RELATION_VARIANTS = {"none": "uniform", "fixed": "fixed", "learned": "learned", "fused": "fused"}
+# ablation row label -> config overrides; each sets the mode its models train and infer under
+RELATION_VARIANTS = {
+    "none": {"relation_mode": "uniform"},
+    "fixed": {"relation_mode": "fused", "beta": 1.0},
+    "learned": {"relation_mode": "fused", "beta": 0.0},
+    "fused": {"relation_mode": "fused"},
+}
 
 
 def _relational_means(seeds, config: TrainConfig, dataset_factory) -> list[float]:
@@ -133,8 +137,8 @@ def relation_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> l
     """Test metric for each relation source: none/fixed/learned/fused."""
     seeds = [int(s) for s in seeds]
     rows = []
-    for label, mode in RELATION_VARIANTS.items():
-        vals = _relational_means(seeds, replace(config, relation_mode=mode), dataset_factory)
+    for label, overrides in RELATION_VARIANTS.items():
+        vals = _relational_means(seeds, replace(config, **overrides), dataset_factory)
         rows.append({"variant": label, **_aggregate(vals)})
     return rows
 

@@ -58,6 +58,7 @@ REL_EPS = 1e-12
 PROB_FLOOR = 1e-12
 
 COMBINE_SPACES = ("logit", "prob")
+TRAIN_RELATION_MODES = ("fused", "uniform")  # fixed and learned train as fused at beta 1 and 0
 
 
 @dataclass
@@ -75,7 +76,7 @@ class TrainConfig:
     relation_width: int = 32
     relation_heads: int = 4
     combine_space: str = "logit"
-    relation_mode: str = "fused"  # relations that weight the heads (relations.mode_fusion)
+    relation_mode: str = "fused"  # "uniform" trains with equal consistency weights
     domain_balanced_sampling: bool = False
     eval_every: int = 1
     select_best: bool = True  # restore the best valid-split epoch after training
@@ -98,8 +99,8 @@ class TrainConfig:
             raise ConfigError("network widths must be positive")
         if self.combine_space not in COMBINE_SPACES:
             raise ConfigError(f"combine_space must be one of {COMBINE_SPACES}")
-        if self.relation_mode not in RELATION_MODES:
-            raise ConfigError(f"relation_mode must be one of {RELATION_MODES}")
+        if self.relation_mode not in TRAIN_RELATION_MODES:
+            raise ConfigError(f"relation_mode must be one of {TRAIN_RELATION_MODES}")
         if self.finetune_epochs < 0:
             raise ConfigError("finetune_epochs must be nonnegative")
 
@@ -545,9 +546,6 @@ def train(model, dataset: DomainDataset, config):
                 stack, (x[b], y[b], dom[b]), fixed, metas, config.lam, beta, grad
             )
             return loss, lp, lrel
-
-        def predictor(m):
-            return relational_predictor(m, dataset, config.beta, config.relation_mode)
     else:
         if not train_ids:
             raise ConfigError("no training domains")
@@ -557,11 +555,8 @@ def train(model, dataset: DomainDataset, config):
         def step(stack, b, grad):
             return (_pooled_loss_and_grads(stack, x[b], y[b], None, grad),)
 
-        def predictor(m):
-            return erm_predictor(m, dataset)
-
     def valid_metric(m) -> float:
-        return evaluate(predictor(m), dataset, "valid").mean
+        return evaluate(config_predictor(m, dataset, config), dataset, "valid").mean
 
     histories = _train_loop(
         models,
@@ -693,6 +688,7 @@ def relational_predictor(
     """
     if mode not in RELATION_MODES:
         raise ConfigError(f"unknown relation mode {mode!r}")
+    check_beta(beta)  # in every mode, so no given beta is silently ignored
     train_ids = model.head_domains
     metas = dataset.meta_for(train_ids)
     rows: dict[str, np.ndarray] = {}
@@ -848,6 +844,13 @@ def erm_predictor(model: ErmModel, dataset: DomainDataset):
         return model.predict(x, dataset.meta_for([domain_id])[0])
 
     return predict
+
+
+def config_predictor(model, dataset: DomainDataset, config: TrainConfig):
+    """The predictor that training under config selects and reports with."""
+    if isinstance(model, MultiHeadModel):
+        return relational_predictor(model, dataset, config.beta, config.relation_mode)
+    return erm_predictor(model, dataset)
 
 
 def rw_finetune(

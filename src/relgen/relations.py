@@ -22,7 +22,7 @@ from .nn import Mlp, Tape, backward, forward
 
 logger = logging.getLogger(__name__)
 
-RELATION_MODES = ("fused", "fixed", "learned", "uniform")
+RELATION_MODES = ("fused", "fixed", "learned", "uniform")  # the modes mode_fusion maps
 
 
 def angle_between(ta, tb) -> np.ndarray:
@@ -162,13 +162,11 @@ def fuse(fixed, learned, beta: float):
 
 
 def mode_fusion(mode: str, beta: float, fixed, shape) -> tuple[np.ndarray, float]:
-    """(fixed relations, beta) for a relation mode; fixed() gives those from meta-data.
+    """(fixed relations, beta) for one of RELATION_MODES; fixed() gives those from meta-data.
 
     "fixed" is beta 1 and "learned" beta 0; "uniform" is all-ones fixed
     relations of the given shape at beta 1, so it never calls fixed.
     """
-    if mode not in RELATION_MODES:
-        raise ConfigError(f"unknown relation mode {mode!r}")
     if mode == "uniform":
         return np.ones(shape), 1.0
     return fixed(), {"fused": beta, "fixed": 1.0, "learned": 0.0}[mode]

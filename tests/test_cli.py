@@ -111,6 +111,24 @@ def test_eval_matches_the_train_report(trained, dg15_dir, tmp_path):
     assert eval_report["method"] == "relational/fused"
 
 
+def test_eval_and_export_default_to_the_training_relation_mode(dg15_dir, tmp_path):
+    """A uniform-trained checkpoint is scored and exported with the equal weights it trained with."""
+    out = tmp_path / "t"
+    assert run("train", "--data", str(dg15_dir), "--out", str(out), "--epochs", "2",
+               "--lr", "1e-3", "--relation-mode", "uniform") == 0
+    ckpt = str(out / "checkpoint-relational-seed0.npz")
+    assert run("eval", "--checkpoint", ckpt, "--data", str(dg15_dir),
+               "--out", str(tmp_path / "e")) == 0
+    eval_report = json.loads((tmp_path / "e" / "eval-report.json").read_text())
+    train_report = json.loads((out / "train-report.json").read_text())
+    assert eval_report["metrics"]["mean"] == train_report["per_seed"][0]["test"]["mean"]
+    assert eval_report["method"] == "relational/uniform"
+    csv = tmp_path / "r.csv"
+    assert run("export-relations", "--meta", str(dg15_dir / "meta.csv"),
+               "--checkpoint", ckpt, "--out", str(csv)) == 0
+    assert np.array_equal(load_relation_csv(str(csv))[1], np.ones((15, 15)))
+
+
 def test_resume_with_zero_epochs_reproduces_metrics(trained, dg15_dir, tmp_path):
     out = tmp_path / "resumed"
     code = run(
@@ -376,13 +394,18 @@ def test_version_flag(capsys):
 # -- eval variants ------------------------------------------------------------------
 
 
-def test_eval_relation_modes_run(trained, dg15_dir):
+def test_eval_relation_modes_run(trained, dg15_dir, capsys):
+    ckpt = str(trained / "checkpoint-relational-seed0.npz")
     for mode in ("fixed", "learned", "uniform"):
         code = run(
-            "eval", "--checkpoint", str(trained / "checkpoint-relational-seed0.npz"),
+            "eval", "--checkpoint", ckpt,
             "--data", str(dg15_dir), "--relations", mode,
         )
         assert code == 0
+    for mode in ("fused", "fixed", "learned", "uniform"):  # no mode ignores a given beta
+        assert run("eval", "--checkpoint", ckpt, "--data", str(dg15_dir),
+                   "--relations", mode, "--beta", "1.5") == 2
+        assert "beta must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_uniform_eval_reads_no_fixed_relations(spatial_dir, tmp_path):

@@ -21,9 +21,9 @@ SEEDS = [3, 1, 4]
 def _per_seed_rows(datasets, cfg):
     """The ablation rows as one run_relational call per seed would give them."""
     rel = []
-    for label, mode in RELATION_VARIANTS.items():
+    for label, overrides in RELATION_VARIANTS.items():
         vals = [
-            run_relational(datasets[s], replace(cfg, seed=s, relation_mode=mode))[2].mean
+            run_relational(datasets[s], replace(cfg, seed=s, **overrides))[2].mean
             for s in SEEDS
         ]
         rel.append({"variant": label, **experiments._aggregate(vals)})

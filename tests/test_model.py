@@ -357,6 +357,7 @@ def test_config_round_trip_and_validation():
         {"hidden_width": 0},
         {"combine_space": "log-prob"},
         {"relation_mode": "cosine"},
+        {"relation_mode": "fixed"},  # an inference mode: it trains as fused at beta 1
         {"finetune_epochs": -2},
         {"eval_every": 0},
     ]
