@@ -114,14 +114,12 @@ def _load_config(args) -> TrainConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected a JSON object")
-    cfg = TrainConfig.from_dict(data)
-    updates = {}
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    if updates:
-        cfg = replace(cfg, **updates)
+    return _override(TrainConfig.from_dict(data), args)
+
+
+def _override(cfg: TrainConfig, args, names=_OVERRIDE_FIELDS) -> TrainConfig:
+    """cfg with the value of each of the named flags that was given, validated."""
+    cfg = replace(cfg, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
     cfg.validate()
     return cfg
 
@@ -195,7 +193,6 @@ def cmd_train(args) -> int:
         raise ConfigError("--resume works with a single seed")
     cfgs = [replace(cfg0, seed=s) for s in seeds]
     per_seed = []
-    valid_means, test_means = [], []
     for cfg, (model, history, predictor) in zip(
         cfgs, _train_seeds(dataset, cfgs, args.method, args.resume)
     ):
@@ -214,10 +211,9 @@ def cmd_train(args) -> int:
                 "history": history,
             }
         )
-        valid_means.append(rep_valid.mean)
-        test_means.append(rep_test.mean)
         print(f"seed {s}: valid {rep_valid.mean:.4f}  test {rep_test.mean:.4f}  -> {ckpt}")
     n = len(seeds)
+    test_means = [e["test"]["mean"] for e in per_seed]
     payload = {
         "command": "train",
         "method": args.method,
@@ -226,7 +222,7 @@ def cmd_train(args) -> int:
         "config": cfg0.to_dict(),
         "seeds": seeds,
         "per_seed": per_seed,
-        "valid_mean": float(np.mean(valid_means)),
+        "valid_mean": float(np.mean([e["valid"]["mean"] for e in per_seed])),
         "test_mean": float(np.mean(test_means)),
         "test_std": float(np.std(test_means, ddof=1)) if n > 1 else 0.0,
         "provenance": _provenance(t0),
@@ -257,11 +253,7 @@ def cmd_eval(args) -> int:
         predictor = relational_predictor(model, dataset, beta, mode)
         method = f"relational/{mode}"
     else:
-        for name in ("lr", "finetune_epochs"):
-            value = getattr(args, name, None)
-            if value is not None:
-                cfg = replace(cfg, **{name: value})
-        cfg.validate()
+        cfg = _override(cfg, args, ("lr", "finetune_epochs"))
         if args.rw_finetune:
             predictor = rwft_predictor(model, dataset, cfg)
             method = "erm+rw_finetune"
@@ -290,14 +282,10 @@ def cmd_ablate(args) -> int:
     dataset = load_dataset_dir(args.data, task=args.task)
     cfg = _load_config(args)
     seeds = _parse_seeds(args, fallback=cfg.seed)
-
-    def factory(_seed):
-        return dataset
-
-    rel_rows = relation_ablation(seeds, cfg, dataset_factory=factory)
-    con_rows = consistency_ablation(seeds, cfg, dataset_factory=factory)
-    rows = [{"group": "relations", **r} for r in rel_rows]
-    rows += [{"group": "consistency", **r} for r in con_rows]
+    rows = [{"group": "relations", **r} for r in relation_ablation(seeds, cfg, lambda _: dataset)]
+    rows += [
+        {"group": "consistency", **r} for r in consistency_ablation(seeds, cfg, lambda _: dataset)
+    ]
     lines = [f"ablation data={args.data} seeds={seeds}"]
     lines.append(f"{'group':<12} {'variant':<10} {'mean':>8} {'std':>8}")
     for r in rows:

@@ -13,12 +13,12 @@ import numpy as np
 from .data import DomainDataset, gen_dg15
 from .model import (
     TrainConfig,
+    build_erm,
     build_model,
     config_predictor,
     evaluate,
     rwft_predictor,
     train,
-    train_erm,
 )
 
 # the reference benchmark's learning rate underfits a fresh width-64 network
@@ -34,30 +34,34 @@ def tuned_config(**overrides) -> TrainConfig:
     return cfg
 
 
-def run_relational(dataset: DomainDataset, config, split: str = "test"):
-    """Train the relation-weighted model and evaluate one split under its relation mode.
-
-    Given a list of configs that differ only in seed, trains one model per
-    config in one lockstep train call and returns lists of models,
-    histories and reports, each as a run of its own would give it.
-    """
+def _run(build, dataset, config, split: str):
+    """Build one model per config, train them in one lockstep call and evaluate each."""
     single = isinstance(config, TrainConfig)
     configs = [config] if single else list(config)
-    models = [build_model(dataset, c) for c in configs]
-    histories = train(models, dataset, configs)
+    datasets = [dataset] * len(configs) if isinstance(dataset, DomainDataset) else list(dataset)
+    models = [build(d, c) for d, c in zip(datasets, configs)]
+    histories = train(models, datasets, configs)
     reports = [
-        evaluate(config_predictor(m, dataset, c), dataset, split)
-        for m, c in zip(models, configs)
+        evaluate(config_predictor(m, d, c), d, split) for m, d, c in zip(models, datasets, configs)
     ]
     if single:
         return models[0], histories[0], reports[0]
     return models, histories, reports
 
 
-def run_erm(dataset: DomainDataset, config: TrainConfig, split: str = "test"):
-    model, history = train_erm(dataset, config)
-    report = evaluate(config_predictor(model, dataset, config), dataset, split)
-    return model, history, report
+def run_relational(dataset, config, split: str = "test"):
+    """Train the relation-weighted model and evaluate one split under its relation mode.
+
+    Given a list of configs (and a dataset or one per config), trains one
+    model per config in one lockstep train call and returns lists of models,
+    histories and reports, each as a run of its own would give it.
+    """
+    return _run(build_model, dataset, config, split)
+
+
+def run_erm(dataset, config, split: str = "test"):
+    """The pooled baseline's run_relational."""
+    return _run(build_erm, dataset, config, split)
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -76,30 +80,19 @@ def method_comparison(
     include_rwft: bool = False,
     split: str = "test",
 ) -> dict:
-    """Mean test metric per method over seeds; one fresh world per seed."""
+    """Mean test metric per method over seeds; one fresh world per seed, one call per method."""
     seeds = [int(s) for s in seeds]
-    metrics: dict[str, list[float]] = {"relational": [], "erm": []}
-    reports: dict[str, list[dict]] = {"relational": [], "erm": []}
+    datasets = [dataset_factory(s) for s in seeds]
+    cfgs = [replace(config, seed=s) for s in seeds]
+    reports = {"relational": run_relational(datasets, cfgs, split)[2]}
+    erm_models, _, reports["erm"] = run_erm(datasets, cfgs, split)
     if include_rwft:
-        metrics["rw_finetune"] = []
-        reports["rw_finetune"] = []
-    for s in seeds:
-        dataset = dataset_factory(s)
-        cfg = replace(config, seed=s)
-        _, _, rep_rel = run_relational(dataset, cfg, split=split)
-        metrics["relational"].append(rep_rel.mean)
-        reports["relational"].append(rep_rel.to_dict())
-        erm_model, _, rep_erm = run_erm(dataset, cfg, split=split)
-        metrics["erm"].append(rep_erm.mean)
-        reports["erm"].append(rep_erm.to_dict())
-        if include_rwft:
-            rep_ft = evaluate(rwft_predictor(erm_model, dataset, cfg), dataset, split)
-            metrics["rw_finetune"].append(rep_ft.mean)
-            reports["rw_finetune"].append(rep_ft.to_dict())
-    out = {}
-    for name, vals in metrics.items():
-        out[name] = _aggregate(vals)
-        out[name]["reports"] = reports[name]
+        rwft = [rwft_predictor(m, d, c) for m, d, c in zip(erm_models, datasets, cfgs)]
+        reports["rw_finetune"] = [evaluate(p, d, split) for p, d in zip(rwft, datasets)]
+    out = {
+        name: {**_aggregate([r.mean for r in reps]), "reports": [r.to_dict() for r in reps]}
+        for name, reps in reports.items()
+    }
     out["seeds"] = seeds
     return out
 
@@ -113,41 +106,26 @@ RELATION_VARIANTS = {
 }
 
 
-def _relational_means(seeds, config: TrainConfig, dataset_factory) -> list[float]:
-    """Test metric of one relational run per seed, in seed order.
-
-    Seeds whose factory returns the same dataset object train in one
-    lockstep run_relational call; a seed with a dataset of its own trains
-    alone.
-    """
+def _ablation(seeds, config: TrainConfig, dataset_factory, variants) -> list[dict]:
+    """Test metric over seeds per (label, overrides) variant, all in one run_relational call."""
+    seeds = [int(s) for s in seeds]
     datasets = [dataset_factory(s) for s in seeds]
-    groups: dict[int, list[int]] = {}
-    for j, dataset in enumerate(datasets):
-        groups.setdefault(id(dataset), []).append(j)
-    means = [0.0] * len(seeds)
-    for group in groups.values():
-        cfgs = [replace(config, seed=seeds[j]) for j in group]
-        _, _, reports = run_relational(datasets[group[0]], cfgs)
-        for j, rep in zip(group, reports):
-            means[j] = rep.mean
-    return means
+    cfgs = [replace(config, seed=s, **overrides) for _, overrides in variants for s in seeds]
+    _, _, reports = run_relational(datasets * len(variants), cfgs)
+    means = [r.mean for r in reports]
+    n = len(seeds)
+    return [
+        {"variant": label, **_aggregate(means[i * n : (i + 1) * n])}
+        for i, (label, _) in enumerate(variants)
+    ]
 
 
 def relation_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
     """Test metric for each relation source: none/fixed/learned/fused."""
-    seeds = [int(s) for s in seeds]
-    rows = []
-    for label, overrides in RELATION_VARIANTS.items():
-        vals = _relational_means(seeds, replace(config, **overrides), dataset_factory)
-        rows.append({"variant": label, **_aggregate(vals)})
-    return rows
+    return _ablation(seeds, config, dataset_factory, list(RELATION_VARIANTS.items()))
 
 
 def consistency_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
     """Test metric with the consistency term off versus at its configured weight."""
-    seeds = [int(s) for s in seeds]
-    rows = []
-    for lam in (0.0, config.lam):
-        vals = _relational_means(seeds, replace(config, lam=lam), dataset_factory)
-        rows.append({"variant": f"lam={lam:g}", **_aggregate(vals)})
-    return rows
+    variants = [(f"lam={lam:g}", {"lam": lam}) for lam in (0.0, config.lam)]
+    return _ablation(seeds, config, dataset_factory, variants)

@@ -14,6 +14,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -59,6 +60,7 @@ PROB_FLOOR = 1e-12
 
 COMBINE_SPACES = ("logit", "prob")
 TRAIN_RELATION_MODES = ("fused", "uniform")  # fixed and learned train as fused at beta 1 and 0
+ROW_FIELDS = ("seed", "lam", "beta", "relation_mode")  # config fields that lockstep rows may vary
 
 
 @dataclass
@@ -196,7 +198,7 @@ class MultiHeadModel:
         self.flat = flat
 
     def _structure(self) -> tuple:
-        return self._shapes, self.head_domains, self.task, self.combine_space
+        return self._shapes, self.task, self.combine_space
 
     def params(self) -> list[np.ndarray]:
         """Live views of every parameter: extractor, each head's (w, b), relation net."""
@@ -223,8 +225,9 @@ def stack_models(models):
     The models (all MultiHeadModel or all ErmModel) have their parameters
     copied into the rows of one (S, P) buffer, and model s is rebound to
     row s, so updating the stacked model updates every one of them. The
-    models must have the same structure. The stack is for training passes;
-    params(), copy(), inference and checkpoints work on the single models.
+    models must have the same shapes and task, not the same head domains.
+    The stack is for training passes; params(), copy(), inference and
+    checkpoints work on the single models.
     """
     first = models[0]
     for m in models[1:]:
@@ -371,8 +374,8 @@ def total_loss_and_grads(
     batch,
     fixed: np.ndarray,
     metas: np.ndarray | None,
-    lam: float,
-    beta: float,
+    lam,
+    beta,
     grad: np.ndarray | None = None,
 ):
     """Training objective with exact gradients for every parameter.
@@ -385,6 +388,8 @@ def total_loss_and_grads(
     For S stacked models (see stack_models) the batch carries the same
     leading axis, x (S, n, p), y (S, n), domain (S, n), one batch per model,
     and the three losses are (S,) arrays. One model is the S = 1 case.
+    fixed (S, K, K), metas (S, K, m), lam (S,) and beta (S,) may give one
+    value per model; (1 - beta) zeroes the relation-net gradient at beta 1.
     """
     x, y, dom = _batch_arrays(batch)
     single = x.ndim == 2
@@ -395,9 +400,12 @@ def total_loss_and_grads(
     g_ext, g_hw, g_hb, g_net = model.views(grad.reshape(len(x), -1))
     k = len(model.head_domains)
     net = model.relation_net
+    per_row = isinstance(beta, np.ndarray)
+    row_beta = beta[:, None, None] if per_row else beta
+    row_lam = lam[:, None, None] if isinstance(lam, np.ndarray) else lam
 
-    a_l, cache = (0.0, None) if beta == 1.0 else learned_matrix(net, metas)
-    a = fuse(fixed, a_l, beta)
+    a_l, cache = (0.0, None) if not per_row and beta == 1.0 else learned_matrix(net, metas)
+    a = fuse(fixed, a_l, row_beta)
 
     phi, e_tape, outs = _stack_heads(model, x)  # outs: (S, K, n, c)
 
@@ -408,7 +416,7 @@ def total_loss_and_grads(
 
     u, s, fallback = _consistency_weights(a, dom, k)
     lrel, g_mix, mix, p = _mixture_forward(model, outs, u, y)
-    g_mix = lam * g_mix
+    g_mix = row_lam * g_mix
 
     # gradients w.r.t. head outputs (in mixture space first)
     g_heads = u.swapaxes(-1, -2)[..., None] * g_mix[..., None, :, :]  # (S, K, n, c)
@@ -433,7 +441,7 @@ def total_loss_and_grads(
         d_a *= a > 0.0  # clamp subgradient
         diag = np.arange(k)
         d_a[:, diag, diag] = 0.0
-        learned_matrix_backward(net, cache, (1.0 - beta) * d_a, out=g_net)
+        learned_matrix_backward(net, cache, (1.0 - row_beta) * d_a, out=g_net)
 
     _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
     backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
@@ -499,7 +507,20 @@ def _metric_better(candidate: float, best: float, task: str) -> bool:
     return candidate < best
 
 
-def train(model, dataset: DomainDataset, config):
+def _rows(values):
+    """The value every row shares, as it is, or the rows' values stacked on a new leading axis."""
+    return values[0] if all(np.array_equal(v, values[0]) for v in values[1:]) else np.stack(values)
+
+
+def _row_names(configs) -> list[str]:
+    """Each row's seed, then its value of each other ROW_FIELDS field in which the rows differ."""
+    differ = [f for f in ROW_FIELDS[1:] if len({getattr(c, f) for c in configs}) > 1]
+    spec = {"lam": "g", "beta": "g", "relation_mode": ""}
+    return [", ".join([f"seed {c.seed}"] + [f"{f} {getattr(c, f):{spec[f]}}" for f in differ])
+            for c in configs]
+
+
+def train(model, dataset, config):
     """Optimize the model on the dataset's training domains.
 
     A MultiHeadModel trains on the relational objective, rebuilding the
@@ -510,64 +531,77 @@ def train(model, dataset: DomainDataset, config):
     the best parameters are restored at the end (config.select_best).
     Returns the per-epoch history.
 
-    Given a list of models of one kind and a list of configs that differ
-    only in seed, trains them in lockstep (see _train_loop) and returns one
-    history per model. Each model ends bit for bit where training it alone
-    would leave it.
+    Given a list of models of one kind, one config each and a dataset or
+    one dataset each, trains them in lockstep (see _train_loop) and returns
+    one history per model. The rows may differ in dataset and in the
+    ROW_FIELDS of their configs, but not in training-set shape. Each model
+    ends bit for bit where training it alone would leave it.
     """
     single = isinstance(model, (MultiHeadModel, ErmModel))
     models = [model] if single else list(model)
     configs = [config] if single else list(config)
-    if len(models) != len(configs) or not models:
-        raise ValueError("need one config per model")
+    datasets = [dataset] * len(models) if isinstance(dataset, DomainDataset) else list(dataset)
+    if not models or not len(models) == len(configs) == len(datasets):
+        raise ValueError("need one config and one dataset per model")
+    config = configs[0]
     for cfg in configs:
         cfg.validate()
-        if replace(cfg, seed=configs[0].seed) != configs[0]:
-            raise ConfigError("lockstep training needs configs that differ only in seed")
-    config = configs[0]
-    check_fits(models[0], dataset)
-    train_ids = dataset.ids_for_split("train")
-    if isinstance(models[0], MultiHeadModel):
-        if models[0].head_domains != train_ids:
+        if replace(cfg, **{f: getattr(config, f) for f in ROW_FIELDS}) != config:
+            raise ConfigError(f"lockstep rows may differ only in dataset, {', '.join(ROW_FIELDS)}")
+    relational = isinstance(models[0], MultiHeadModel)
+    rows = []  # each row's (x, y, dom, metas, lazy fixed()); shared by the rows of a dataset
+    for m, d in zip(models, datasets):
+        check_fits(m, d)
+        ids = d.ids_for_split("train")
+        if relational and m.head_domains != ids:
             raise ConfigError(
-                f"model heads {models[0].head_domains} do not match the dataset's "
-                f"training domains {train_ids}"
+                f"model heads {m.head_domains} do not match the dataset's training domains {ids}"
             )
-        if len(train_ids) < 2:
-            raise ConfigError("need at least two training domains")
-        x, y, dom = dataset.arrays_for(train_ids)
-        metas = dataset.meta_for(train_ids)
-        fixed = dataset.fixed_matrix(train_ids)  # read in every mode, so bad meta-data fails
-        fixed, beta = mode_fusion(config.relation_mode, config.beta, lambda: fixed, fixed.shape)
+        if len(ids) < 1 + relational:
+            raise ConfigError("need at least two training domains" if relational else
+                              "no training domains")
+        data = next((r for r, e in zip(rows, datasets) if e is d), None)
+        if data is None:
+            xyd = d.arrays_for(ids) if relational else _pooled_features(d, ids)
+            fixed_fn = functools.cache(lambda d=d, ids=ids: d.fixed_matrix(ids))
+            data = (*xyd, d.meta_for(ids), fixed_fn)
+        rows.append(data)
+    x, y, doms, metas, fixed_fns = zip(*rows)
+    # a domain-balanced epoch is K times the largest domain long
+    largest = [config.domain_balanced_sampling and np.bincount(dm).max() for dm in doms]
+    if len({(a.shape, m.shape, g) for a, m, g in zip(x, metas, largest)}) > 1:
+        raise ConfigError("lockstep rows need training sets of one shape (n, K, p, meta_dim and, "
+                          "under domain-balanced sampling, the largest domain)")
+    n = len(y[0])
+    x, y, dom = (np.concatenate(a) for a in (x, y, doms))  # row j's examples start at j * n
+    if relational:
+        k = len(metas[0])
+        fixed, beta = zip(*[
+            mode_fusion(c.relation_mode, c.beta, fn, (k, k)) for c, fn in zip(configs, fixed_fns)
+        ])
+        metas, fixed, lam, beta = (_rows(v) for v in (metas, fixed, [c.lam for c in configs], beta))
         keys = ("loss", "loss_pred", "loss_rel")
 
         def step(stack, b, grad):
             loss, (lp, lrel), _ = total_loss_and_grads(
-                stack, (x[b], y[b], dom[b]), fixed, metas, config.lam, beta, grad
+                stack, (x[b], y[b], dom[b]), fixed, metas, lam, beta, grad
             )
             return loss, lp, lrel
     else:
-        if not train_ids:
-            raise ConfigError("no training domains")
-        x, y, dom = _pooled_features(dataset, train_ids)
         keys = ("loss",)
 
         def step(stack, b, grad):
             return (_pooled_loss_and_grads(stack, x[b], y[b], None, grad),)
 
-    def valid_metric(m) -> float:
-        return evaluate(config_predictor(m, dataset, config), dataset, "valid").mean
+    def order(epoch):
+        return n * np.arange(len(rows))[:, None] + np.stack(
+            [_epoch_order(n, dm, c, epoch) for dm, c in zip(doms, configs)]
+        )
 
-    histories = _train_loop(
-        models,
-        config,
-        config.epochs,
-        lambda epoch: np.stack([_epoch_order(len(y), dom, c, epoch) for c in configs]),
-        step,
-        keys,
-        [f"seed {c.seed}" for c in configs],
-        valid_metric if dataset.ids_for_split("valid") else None,
-    )
+    valid = [(lambda m, d=d, c=c: evaluate(config_predictor(m, d, c), d, "valid").mean)
+             if d.ids_for_split("valid") else None for d, c in zip(datasets, configs)]
+    names = _row_names(configs)
+    histories = _train_loop(models, config, config.epochs, order, step, keys, names, valid)
     return histories[0] if single else histories
 
 
@@ -581,9 +615,9 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, nam
     b, grad) writes every model's gradient for index batch b into grad and
     returns its loss terms, one (S,) array per name in keys, the first
     being the loss. A non-finite loss or gradient raises NumericalError
-    naming the model (names[s]), the epoch and the batch. valid(model),
-    if given, is the valid-split metric that selects each model's best
-    epoch. Returns one history per model.
+    naming the model (names[s]), the epoch and the batch. valid[s](model),
+    if given and not None, is the valid-split metric that selects model s's
+    best epoch. Returns one history per model.
     """
     stack = stack_models(models)
     opt = init_opt_state([stack.flat])
@@ -621,9 +655,9 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, nam
         )
         for j, m in enumerate(models):
             entry = {"epoch": epoch, **{k: sums[i, j] / seen for i, k in enumerate(keys)}}
-            if evaluate_now:
+            if evaluate_now and valid[j] is not None:
                 try:
-                    entry["valid"] = metric = valid(m)
+                    entry["valid"] = metric = valid[j](m)
                 except NumericalError as exc:
                     raise NumericalError(f"{names[j]} at epoch {epoch}: {exc}") from exc
                 if config.select_best and (
@@ -751,15 +785,11 @@ class ErmModel:
     def copy(self) -> "ErmModel":
         return ErmModel(self.extractor.copy(), self.head.copy(), self.task, self.meta_dim)
 
-    def predict_raw(self, x, meta_row) -> np.ndarray:
+    def predict(self, x, meta_row):
         x = np.asarray(x, dtype=np.float64)
         feats = np.hstack([x, np.tile(np.asarray(meta_row, dtype=np.float64), (x.shape[0], 1))])
         phi, _ = forward(self.extractor, feats)
-        out, _ = forward(self.head, phi)
-        return out
-
-    def predict(self, x, meta_row):
-        return _decide(self.predict_raw(x, meta_row), self.task)
+        return _decide(forward(self.head, phi)[0], self.task)
 
 
 def _pooled_features(dataset: DomainDataset, ids: list[str]):
@@ -1027,15 +1057,13 @@ def save_checkpoint(path: str, model, config: TrainConfig, extra: dict | None = 
         _mlp_entries("relation/g", model.relation_net.g, arrays, acts["relation_g"])
         arrays["relation/w"] = model.relation_net.w
         header["acts"] = acts
-    elif isinstance(model, ErmModel):
+    else:
         header["kind"] = "erm"
         header["meta_dim"] = model.meta_dim
         acts = {"extractor": [], "head": []}
         _mlp_entries("extractor", model.extractor, arrays, acts["extractor"])
         _mlp_entries("head", model.head, arrays, acts["head"])
         header["acts"] = acts
-    else:
-        raise ValueError(f"cannot checkpoint object of type {type(model).__name__}")
     with atomic_writer(path) as fh:
         np.savez(fh, __header__=np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 

@@ -106,12 +106,12 @@ def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCa
 
     Domain k's R unit vectors, laid end to end, form row k of a (K, R*s)
     block U, so the head-averaged cosines are the single product U U^T / R.
-    A net whose parameters carry leading (seed) axes gives one (..., K, K)
-    matrix per slice.
+    A net whose parameters carry a leading (seed) axis gives one (S, K, K)
+    matrix per slice, from one shared (K, m) metas or from (S, K, m).
     """
     metas = np.asarray(metas, dtype=np.float64)
-    if metas.ndim != 2:
-        raise ValueError("metas must be a (K, meta_dim) matrix")
+    if metas.ndim not in (2, 3):
+        raise ValueError("metas must be a (K, meta_dim) matrix or one per slice")
     reps, tape = forward(net.g, metas)
     masked = reps[..., None, :] * net.w[..., None, :, :]  # (..., K, R, s)
     norm = np.sqrt((masked * masked).sum(axis=-1))  # (..., K, R), as np.linalg.norm
@@ -146,13 +146,15 @@ def learned_matrix_backward(
     return g_grads + [d_w]
 
 
-def check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:  # False for NaN too
+def check_beta(beta) -> None:
+    # an array holds one beta per row; the comparisons are False for NaN
+    rows = isinstance(beta, np.ndarray)
+    if not (((beta >= 0.0) & (beta <= 1.0)).all() if rows else 0.0 <= beta <= 1.0):
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
 
 
-def fuse(fixed, learned, beta: float):
-    """beta * fixed + (1 - beta) * learned, clamped at zero elementwise."""
+def fuse(fixed, learned, beta):
+    """beta * fixed + (1 - beta) * learned, clamped at zero; beta broadcasts, e.g. as (S, 1, 1)."""
     check_beta(beta)
     pre = beta * np.asarray(fixed, dtype=np.float64) + (1.0 - beta) * np.asarray(
         learned, dtype=np.float64
@@ -165,11 +167,13 @@ def mode_fusion(mode: str, beta: float, fixed, shape) -> tuple[np.ndarray, float
     """(fixed relations, beta) for one of RELATION_MODES; fixed() gives those from meta-data.
 
     "fixed" is beta 1 and "learned" beta 0; "uniform" is all-ones fixed
-    relations of the given shape at beta 1, so it never calls fixed.
+    relations of the given shape at beta 1. At beta 0 the fixed part is
+    zeros, which fuse to the bits the finite, nonnegative fixed() would.
     """
     if mode == "uniform":
         return np.ones(shape), 1.0
-    return fixed(), {"fused": beta, "fixed": 1.0, "learned": 0.0}[mode]
+    beta = {"fused": beta, "fixed": 1.0, "learned": 0.0}[mode]
+    return (np.zeros(shape) if beta == 0.0 else fixed()), beta
 
 
 def build_matrix(metas, net: RelationNet, beta: float, fixed: np.ndarray) -> np.ndarray:

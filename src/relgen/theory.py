@@ -147,6 +147,13 @@ def bandwidth_schedule(c0: float, n_per_domain: int, n_domains: int, r: int) -> 
     return float(c0) * float(n_per_domain * n_domains) ** (-1.0 / (r + 2))
 
 
+def _threshold_risk(world_args: tuple, bandwidth: float, seed: int, n_eval: int) -> float:
+    """Excess risk of the threshold estimator on the world of seed, on the draws of seed + 1."""
+    world = sample_world(*world_args, seed=seed)
+    est = threshold_predict(fit_heads(world), world.distances_to_test(), bandwidth)
+    return excess_risk(est, world, n_eval, seed=seed + 1)[0]
+
+
 def calibrate_bandwidth(
     r: int,
     n_per_domain: int,
@@ -166,14 +173,11 @@ def calibrate_bandwidth(
     finite mean excess risk (an empty grid included).
     """
     best_c0, best_val = None, np.inf
+    world_args = (n_domains, r, lipschitz, n_per_domain, noise)
+    seeds = [seed * 1000 + 7 * s + 1 for s in range(n_inner)]
     for c0 in grid:
         b = bandwidth_schedule(c0, n_per_domain, n_domains, r)
-        vals = []
-        for s in range(n_inner):
-            world = sample_world(n_domains, r, lipschitz, n_per_domain, noise, seed=seed * 1000 + 7 * s + 1)
-            est = threshold_predict(fit_heads(world), world.distances_to_test(), b)
-            vals.append(excess_risk(est, world, n_eval, seed=seed * 1000 + 7 * s + 2)[0])
-        mean = float(np.mean(vals))
+        mean = float(np.mean([_threshold_risk(world_args, b, s, n_eval) for s in seeds]))
         if mean < best_val:
             best_c0, best_val = float(c0), mean
     if best_c0 is None:
@@ -209,13 +213,9 @@ def scaling_experiment(
     rows = []
     for n_domains in domain_grid:
         b = bandwidth_schedule(c0, n_per_domain, n_domains, r)
-        vals = []
-        for s in range(n_seeds):
-            cell_seed = seed + 10_000 * n_domains + s
-            world = sample_world(n_domains, r, lipschitz, n_per_domain, noise, seed=cell_seed)
-            est = threshold_predict(fit_heads(world), world.distances_to_test(), b)
-            vals.append(excess_risk(est, world, n_eval, seed=cell_seed + 1)[0])
-        vals = np.array(vals)
+        world_args = (n_domains, r, lipschitz, n_per_domain, noise)
+        first = seed + 10_000 * n_domains  # cell s draws its world from seed first + s
+        vals = np.array([_threshold_risk(world_args, b, first + s, n_eval) for s in range(n_seeds)])
         rows.append(
             {
                 "N_tr": n_domains,

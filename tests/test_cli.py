@@ -420,6 +420,21 @@ def test_uniform_eval_reads_no_fixed_relations(spatial_dir, tmp_path):
     assert run("eval", "--checkpoint", ckpt, "--data", str(data), "--relations", "fixed") == 2
 
 
+def test_runs_that_weight_no_fixed_relations_need_none(spatial_dir, tmp_path, capsys):
+    """Uniform and beta-0 training, and learned-relation eval, run without adjacency.txt."""
+    data = tmp_path / "data"
+    shutil.copytree(spatial_dir, data)
+    (data / "adjacency.txt").unlink()
+    train = ["train", "--data", str(data), "--epochs", "1"]
+    assert run(*train, "--out", str(tmp_path / "u"), "--relation-mode", "uniform") == 0
+    assert run(*train, "--out", str(tmp_path / "b0"), "--beta", "0") == 0
+    capsys.readouterr()
+    assert run(*train, "--out", str(tmp_path / "b5"), "--beta", "0.5") == 2
+    assert "angle relations need one-dimensional meta-data" in capsys.readouterr().err
+    ckpt = str(tmp_path / "b0" / "checkpoint-relational-seed0.npz")
+    assert run("eval", "--checkpoint", ckpt, "--data", str(data), "--relations", "learned") == 0
+
+
 def test_eval_has_no_lam_flag(trained, dg15_dir):
     with pytest.raises(SystemExit) as exc:
         run("eval", "--checkpoint", str(trained / "checkpoint-relational-seed0.npz"),

@@ -1,5 +1,5 @@
-"""Experiment helpers: ablation rows from lockstep training equal those of
-one run per seed."""
+"""Experiment helpers: ablation rows from one lockstep training call equal
+those of one run per seed and variant."""
 
 from dataclasses import replace
 
@@ -51,9 +51,8 @@ def test_ablation_rows_equal_per_seed_runs(shared, monkeypatch):
     rel = relation_ablation(SEEDS, cfg, dataset_factory=datasets.__getitem__)
     con = consistency_ablation(SEEDS, cfg, dataset_factory=datasets.__getitem__)
     assert (rel, con) == expected
-    # one lockstep call per variant when the seeds share a dataset
-    n_variants = len(RELATION_VARIANTS) + 2
-    assert calls == ([len(SEEDS)] * n_variants if shared else [1] * (n_variants * len(SEEDS)))
+    # one lockstep call per ablation, over every (variant, seed) row
+    assert calls == [len(RELATION_VARIANTS) * len(SEEDS), 2 * len(SEEDS)]
 
 
 def test_relation_rows_do_not_depend_on_the_base_relation_mode():

@@ -736,13 +736,23 @@ LOCKSTEP_CASES = [
     (data, case)
     for data in ("dg15", "grid")
     for case in ("fused", "uniform", "beta1", "balanced")
-] + [("dg15", "prob")]
+] + [("dg15", "prob"), ("mixed", "mixed")]
 LOCKSTEP_CONFIGS = {
     "fused": {},
     "uniform": {"relation_mode": "uniform"},
     "beta1": {"beta": 1.0},
     "balanced": {"domain_balanced_sampling": True},
     "prob": {"combine_space": "prob"},
+}
+
+
+# the mixed case: three dg15 worlds, each under every one of these variants
+MIXED_VARIANTS = {
+    "fused": {},
+    "uniform": {"relation_mode": "uniform"},
+    "beta1": {"beta": 1.0},
+    "beta0": {"beta": 0.0},
+    "lam0": {"lam": 0.0},
 }
 
 
@@ -755,85 +765,111 @@ def _lockstep_setup(data, case, seeds=(4, 5, 6)):
     return ds, [replace(base, seed=s) for s in seeds]
 
 
+def _rows_setup(data, case="fused", seeds=(4, 5, 6)):
+    """(one dataset per row, one config per row) of a lockstep case."""
+    if data != "mixed":
+        ds, cfgs = _lockstep_setup(data, case, seeds)
+        return [ds] * len(cfgs), cfgs
+    worlds = [gen_dg15(w, n_per_class=10) for w in range(len(seeds))]
+    base = TrainConfig(lr=1e-3, epochs=3)
+    cfgs = [replace(base, seed=s, **over) for over in MIXED_VARIANTS.values() for s in seeds]
+    return worlds * len(MIXED_VARIANTS), cfgs
+
+
 @pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
 def test_lockstep_seeds_match_separate_runs(data, case):
-    """S seeds trained together end bit for bit where S separate runs do."""
-    ds, cfgs = _lockstep_setup(data, case)
-    alone = [build_model(ds, c) for c in cfgs]
-    alone_histories = [train(m, ds, c) for m, c in zip(alone, cfgs)]
-    together = [build_model(ds, c) for c in cfgs]
-    histories = train(together, ds, cfgs)
+    """S rows trained together end bit for bit where S separate runs do."""
+    datasets, cfgs = _rows_setup(data, case)
+    alone = [build_model(d, c) for d, c in zip(datasets, cfgs)]
+    alone_histories = [train(m, d, c) for m, d, c in zip(alone, datasets, cfgs)]
+    together = [build_model(d, c) for d, c in zip(datasets, cfgs)]
+    histories = train(together, datasets, cfgs)
     assert len(histories) == len(cfgs)
-    for a, t, ha, ht in zip(alone, together, alone_histories, histories):
+    for a, t, ha, ht, d, c in zip(alone, together, alone_histories, histories, datasets, cfgs):
         assert a.flat.tobytes() == t.flat.tobytes()
         assert ha == ht
-        assert not np.array_equal(t.flat, build_model(ds, cfgs[0]).flat)  # it did train
+        assert not np.array_equal(t.flat, build_model(d, c).flat)  # it did train
 
 
 @pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
 def test_lockstep_gradient_writes_every_slice(data, case):
-    """One stacked step fills a NaN-filled buffer with each seed's own gradient."""
-    ds, cfgs = _lockstep_setup(data, case)
-    cfg = cfgs[0]
-    models = [build_model(ds, c) for c in cfgs]
+    """One stacked step fills a NaN-filled buffer with each row's own gradient."""
+    datasets, cfgs = _rows_setup(data, case)
+    models = [build_model(d, c) for d, c in zip(datasets, cfgs)]
     singles = [m.copy() for m in models]
     stack = stack_models(models)
-    ids = ds.ids_for_split("train")
-    x, y, dom = ds.arrays_for(ids)
-    metas, k = ds.meta_for(ids), len(ids)
-    fixed, beta = mode_fusion(cfg.relation_mode, cfg.beta, lambda: ds.fixed_matrix(ids), (k, k))
     rng = np.random.default_rng(3)
-    b = np.stack([rng.permutation(len(y))[:10] for _ in cfgs])
+    rows = []  # each row's batch, fixed relations, metas, lam and beta
+    for d, c in zip(datasets, cfgs):
+        ids = d.ids_for_split("train")
+        x, y, dom = d.arrays_for(ids)
+        k = len(ids)
+        fixed, beta = mode_fusion(c.relation_mode, c.beta, lambda: d.fixed_matrix(ids), (k, k))
+        b = rng.permutation(len(y))[:10]
+        rows.append(((x[b], y[b], dom[b]), fixed, d.meta_for(ids), c.lam, beta))
+    batches, fixed, metas, lam, beta = zip(*rows)
+    batch = tuple(np.stack(v) for v in zip(*batches))
+    # as train passes them: unstacked where every row agrees
+    fixed, metas, lam, beta = (model_module._rows(v) for v in (fixed, metas, lam, beta))
     grad = np.full_like(stack.flat, np.nan)
-    loss, (lp, lrel), out = total_loss_and_grads(
-        stack, (x[b], y[b], dom[b]), fixed, metas, cfg.lam, beta, grad
-    )
+    loss, (lp, lrel), out = total_loss_and_grads(stack, batch, fixed, metas, lam, beta, grad)
     assert out is grad and np.isfinite(grad).all()
-    for j, m in enumerate(singles):
-        one = total_loss_and_grads(m, (x[b[j]], y[b[j]], dom[b[j]]), fixed, metas, cfg.lam, beta)
+    net_grads = stack.views(grad)[3]
+    for j, (m, row, c) in enumerate(zip(singles, rows, cfgs)):
+        one = total_loss_and_grads(m, *row)
         assert (one[0], one[1]) == (loss[j], (lp[j], lrel[j]))
         assert one[2].tobytes() == grad[j].tobytes()
-    net_grads = stack.views(grad)[3]
-    if case in ("uniform", "beta1"):
-        assert all((g == 0.0).all() for g in net_grads)  # zeroed, not left stale
-    else:
-        assert any((g != 0.0).any() for g in net_grads)
+        # uniform and beta-1 rows read no learned relations, and lam 0 sends
+        # no gradient through the consistency term
+        no_net = c.relation_mode == "uniform" or c.beta == 1.0 or c.lam == 0.0
+        assert all((g[j] == 0.0).all() for g in net_grads) == no_net  # zeroed, not left stale
 
 
 def test_a_diverging_seed_is_named():
     ds, cfgs = _lockstep_setup("dg15", "fused")
     models = [build_model(ds, c) for c in cfgs]
     models[1].head_w[...] = np.inf
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="seed 5"):
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="seed 5 at epoch 0"):
+        train(models, ds, cfgs)
+    # in a mixed call the name adds each field in which the rows differ
+    cfgs = [replace(c, lam=lam) for c, lam in zip(cfgs, (0.5, 0.0, 0.5))]
+    models = [build_model(ds, c) for c in cfgs]
+    models[1].head_w[...] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="seed 5, lam 0 at epoch 0"):
         train(models, ds, cfgs)
 
 
 def test_lockstep_configs_must_differ_only_in_seed():
+    """Rows may differ in seed, lam, beta, relation mode and dataset; not in lr, epochs or shape."""
     ds, cfgs = _lockstep_setup("dg15", "fused", seeds=(1, 2))
     models = [build_model(ds, c) for c in cfgs]
-    with pytest.raises(ConfigError, match="differ only in seed"):
-        train(models, ds, [cfgs[0], replace(cfgs[1], lam=0.1)])
+    for other in (replace(cfgs[1], lr=0.1), replace(cfgs[1], epochs=1)):
+        with pytest.raises(ConfigError, match="only in dataset, seed, lam, beta, relation_mode"):
+            train(models, ds, [cfgs[0], other])
+    bigger = gen_dg15(1, n_per_class=12)
+    with pytest.raises(ConfigError, match="training sets of one shape"):
+        train([models[0], build_model(bigger, cfgs[1])], [ds, bigger], cfgs)
 
 
 # -- pooled models and fine-tunes in lockstep ------------------------------------------
 
 
-@pytest.mark.parametrize("data", ["dg15", "grid"])
+@pytest.mark.parametrize("data", ["dg15", "grid", "mixed"])
 @pytest.mark.parametrize("case", ["plain", "balanced"])
 def test_lockstep_erm_matches_separate_runs(data, case):
-    """S pooled seeds trained together end bit for bit where S train_erm runs do."""
-    ds, cfgs = _lockstep_setup(data, "fused")
+    """S pooled rows trained together end bit for bit where S train_erm runs do."""
+    datasets, cfgs = _rows_setup(data)
     if case == "balanced":
         cfgs = [replace(c, domain_balanced_sampling=True) for c in cfgs]
-    alone = [train_erm(ds, c) for c in cfgs]
-    together = [build_erm(ds, c) for c in cfgs]
-    histories = train(together, ds, cfgs)
+    alone = [train_erm(d, c) for d, c in zip(datasets, cfgs)]
+    together = [build_erm(d, c) for d, c in zip(datasets, cfgs)]
+    histories = train(together, datasets, cfgs)
     assert len(histories) == len(cfgs)
-    for (a, ha), t, ht in zip(alone, together, histories):
+    for (a, ha), t, ht, d, c in zip(alone, together, histories, datasets, cfgs):
         assert a.flat.tobytes() == t.flat.tobytes()
         assert ha == ht
         assert "valid" in ht[-1]
-        assert not np.array_equal(t.flat, build_erm(ds, cfgs[0]).flat)  # it did train
+        assert not np.array_equal(t.flat, build_erm(d, c).flat)  # it did train
 
 
 def test_stacked_erm_rows_are_the_models():
