@@ -322,10 +322,10 @@ def cmd_theory(args) -> int:
         seed=args.seed,
         c0=args.c0,
     )
+    mc_mean, mc_err = averaging_oracle(args.mc, args.seed)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "scaling.csv")
     save_sweep_csv(csv_path, rows)
-    mc_mean, mc_err = averaging_oracle(args.mc, args.seed)
     gap = abs(mc_mean - AVERAGING_ORACLE_TARGET)
     ok = gap <= 3.0 * mc_err
     lines = [f"scaling sweep -> {csv_path}"]

@@ -9,11 +9,15 @@ parameter init, and batch shuffling never share state.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
 
+
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 1 and True have different reprs
 def _label_key(label) -> int:
     digest = hashlib.blake2b(repr(label).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
@@ -28,7 +32,7 @@ def substream(seed: int, *labels) -> np.random.Generator:
     """
     seed = int(seed)
     if seed < 0:
-        raise ValueError("seed must be non-negative")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     key = tuple(_label_key(lab) for lab in labels)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

@@ -120,6 +120,19 @@ def threshold_predict(slopes_hat: np.ndarray, dists: np.ndarray, bandwidth: floa
     return float(slopes_hat[mask].mean())
 
 
+def _eval_draws(seed: int, noise: float, x: np.ndarray, eps: np.ndarray) -> None:
+    """Fill x with U[-1, 1) inputs and eps with noise * N(0, 1) from seed's excess-risk stream.
+
+    Bit-identical to uniform(-1, 1) and noise * normal() on the same stream.
+    """
+    rng = substream(seed, "excess-risk")
+    rng.random(out=x)
+    x *= 2.0
+    x -= 1.0
+    rng.standard_normal(out=eps)
+    eps *= noise
+
+
 def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo excess absolute-error risk on the test domain.
 
@@ -130,9 +143,8 @@ def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tu
     """
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
-    rng = substream(seed, "excess-risk")
-    x = rng.uniform(-1.0, 1.0, size=n_eval)
-    eps = world.noise * rng.normal(size=n_eval)
+    x, eps = np.empty(n_eval), np.empty(n_eval)
+    _eval_draws(seed, world.noise, x, eps)
     signal = world.slope_test * x
     yhat = predictor(x) if callable(predictor) else float(predictor) * x
     # subtract the signal before the noise so the true head cancels exactly
@@ -144,14 +156,33 @@ def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tu
 
 def bandwidth_schedule(c0: float, n_per_domain: int, n_domains: int, r: int) -> float:
     """B = c0 * (n * N)^(-1/(r+2)), the rate the bound is minimized at."""
+    if n_per_domain * n_domains <= 0 or r < 1:
+        raise ConfigError(f"need n * N > 0 and r >= 1, got n={n_per_domain}, N={n_domains}, r={r}")
     return float(c0) * float(n_per_domain * n_domains) ** (-1.0 / (r + 2))
 
 
-def _threshold_risk(world_args: tuple, bandwidth: float, seed: int, n_eval: int) -> float:
-    """Excess risk of the threshold estimator on the world of seed, on the draws of seed + 1."""
-    world = sample_world(*world_args, seed=seed)
-    est = threshold_predict(fit_heads(world), world.distances_to_test(), bandwidth)
-    return excess_risk(est, world, n_eval, seed=seed + 1)[0]
+def _threshold_risks(world_args: tuple, bandwidth: float, seeds, n_eval: int) -> np.ndarray:
+    """Excess risk of the threshold estimator on the world of each seed, on the draws of seed + 1.
+
+    Each entry equals excess_risk(...)[0] bit for bit: the same ops in the
+    same order, run in place on three buffers shared by all seeds.
+    """
+    if n_eval < 2:
+        raise ConfigError("n_eval must be at least 2")
+    x, eps, diff = np.empty(n_eval), np.empty(n_eval), np.empty(n_eval)
+    risks = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        world = sample_world(*world_args, seed=seed)
+        est = threshold_predict(fit_heads(world), world.distances_to_test(), bandwidth)
+        _eval_draws(seed + 1, world.noise, x, eps)
+        np.multiply(x, est, out=diff)  # yhat
+        x *= world.slope_test  # signal
+        diff -= x
+        diff -= eps
+        np.abs(diff, out=diff)
+        diff -= np.abs(eps, out=eps)
+        risks[i] = diff.mean()
+    return risks
 
 
 def calibrate_bandwidth(
@@ -177,7 +208,7 @@ def calibrate_bandwidth(
     seeds = [seed * 1000 + 7 * s + 1 for s in range(n_inner)]
     for c0 in grid:
         b = bandwidth_schedule(c0, n_per_domain, n_domains, r)
-        mean = float(np.mean([_threshold_risk(world_args, b, s, n_eval) for s in seeds]))
+        mean = float(np.mean(_threshold_risks(world_args, b, seeds, n_eval)))
         if mean < best_val:
             best_c0, best_val = float(c0), mean
     if best_c0 is None:
@@ -205,6 +236,8 @@ def scaling_experiment(
     domain_grid = [int(v) for v in domain_grid]
     if not domain_grid or n_seeds < 2:
         raise ConfigError("need a domain grid and at least two seeds")
+    if min(domain_grid) < 1:
+        raise ConfigError(f"domain counts must be at least 1, got {domain_grid}")
     if c0 is not None and not 0.0 < c0 < np.inf:
         raise ConfigError(f"c0 must be finite and positive, got {c0}")
     if c0 is None:
@@ -215,7 +248,7 @@ def scaling_experiment(
         b = bandwidth_schedule(c0, n_per_domain, n_domains, r)
         world_args = (n_domains, r, lipschitz, n_per_domain, noise)
         first = seed + 10_000 * n_domains  # cell s draws its world from seed first + s
-        vals = np.array([_threshold_risk(world_args, b, first + s, n_eval) for s in range(n_seeds)])
+        vals = _threshold_risks(world_args, b, range(first, first + n_seeds), n_eval)
         rows.append(
             {
                 "N_tr": n_domains,
@@ -254,7 +287,11 @@ def averaging_oracle(n_mc: int, seed: int = 0, use_true_head: bool = False) -> t
     if use_true_head:
         vals = np.zeros(n_mc)
     else:
-        vals = (d - 0.5) ** 2 * e ** 2
+        # (d - 0.5) ** 2 * e ** 2, in place
+        d -= 0.5
+        np.square(d, out=d)
+        vals = np.multiply(d, np.square(e, out=e), out=d)
+    del d, e  # so std() below can reuse their memory for its (n_mc,) temporary
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_mc))
     return est, stderr

@@ -494,6 +494,25 @@ def test_theory_rejects_bad_grid(tmp_path):
     assert run("theory", "--out", str(tmp_path / "t"), "--domain-grid", "a,b") == 2
 
 
+@pytest.mark.parametrize("flag", ["--domain-grid=0,8", "--domain-grid=-4,8", "--r=-2"])
+def test_theory_rejects_non_positive_sizes(tmp_path, flag):
+    out = tmp_path / "t"
+    assert run("theory", "--out", str(out), flag, "--n-seeds", "3") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "dg15"],
+     ["theory", "--domain-grid", "4,8", "--n-seeds", "3", "--n-eval", "200", "--mc", "100"]],
+)
+def test_a_negative_seed_exits_2(tmp_path, argv, capsys):
+    out = tmp_path / "o"
+    assert run(*argv, "--seed", "-1", "--out", str(out)) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_gen_spatial_rejects_non_finite_noise(tmp_path, value):
     out = tmp_path / "s"

@@ -160,6 +160,9 @@ def test_bandwidth_schedule_formula():
     assert bandwidth_schedule(2.0, 50, 8, 3) == pytest.approx(2.0 * 400.0 ** (-0.2))
     # denser worlds get tighter bandwidths
     assert bandwidth_schedule(1.0, 10, 64, 2) < bandwidth_schedule(1.0, 10, 8, 2)
+    for n, n_domains, r in ((10, 0, 2), (10, -4, 2), (0, 8, 2), (10, 8, 0), (10, 8, -2)):
+        with pytest.raises(ConfigError, match="n \\* N > 0 and r >= 1"):
+            bandwidth_schedule(1.0, n, n_domains, r)
 
 
 def test_calibration_picks_from_the_grid():
@@ -170,7 +173,8 @@ def test_calibration_picks_from_the_grid():
 
 def test_calibration_without_a_finite_risk_raises(monkeypatch):
     # NaN compares False against the running best, so no grid value wins
-    monkeypatch.setattr(theory, "excess_risk", lambda *args, **kwargs: (np.nan, np.nan))
+    monkeypatch.setattr(theory, "_threshold_risks",
+                        lambda world_args, bandwidth, seeds, n_eval: np.full(len(seeds), np.nan))
     with pytest.raises(ConfigError, match="finite mean excess risk"):
         calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=2)
     with pytest.raises(ConfigError, match="finite mean excess risk"):
@@ -211,11 +215,45 @@ def test_scaling_validates_arguments():
         scaling_experiment((), n_seeds=3, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0)
     with pytest.raises(ConfigError):
         scaling_experiment((4,), n_seeds=1, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0)
+    for grid in ((0, 8), (-4, 8)):  # rejected before calibrating
+        with pytest.raises(ConfigError, match="domain counts must be at least 1"):
+            scaling_experiment(grid, n_seeds=3, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0)
     kw = dict(n_seeds=2, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0, n_eval=300, c0=1.0)
     for name, value in [("noise", np.nan), ("noise", np.inf), ("lipschitz", np.nan),
                         ("lipschitz", np.inf), ("c0", np.nan), ("c0", np.inf), ("c0", 0.0)]:
         with pytest.raises(ConfigError, match="finite"):
             scaling_experiment((4, 8), **{**kw, name: value})
+
+
+def test_threshold_risks_equal_one_excess_risk_per_seed():
+    world_args = (8, 2, 1.0, 20, 0.3)
+    seeds = [3, 9, 40]
+    for bandwidth in (0.0, 0.4, 5.0):
+        risks = theory._threshold_risks(world_args, bandwidth, seeds, 700)
+        for seed, risk in zip(seeds, risks):
+            w = sample_world(*world_args, seed=seed)
+            est = threshold_predict(fit_heads(w), w.distances_to_test(), bandwidth)
+            assert risk.hex() == excess_risk(est, w, 700, seed=seed + 1)[0].hex()
+    with pytest.raises(ConfigError, match="n_eval"):
+        theory._threshold_risks(world_args, 0.4, seeds, 1)
+
+
+def test_theory_outputs_keep_their_recorded_bits():
+    # recorded before the sweep's risk loop and the oracle ran in place; a change to
+    # a draw or to the order of the evaluation ops moves these bits
+    rows = scaling_experiment((4, 8), n_seeds=3, r=2, n_per_domain=10, noise=0.1,
+                              lipschitz=1.0, n_eval=500, seed=0)  # c0 calibrated
+    got = [[row["N_tr"]] + [row[k].hex() for k in ("B", "mean_excess_risk", "stderr")]
+           for row in rows]
+    assert got == [
+        [4, "0x1.972db9970a880p-2", "0x1.7e194e3d4c435p-4", "0x1.33e81294eb58cp-4"],
+        [8, "0x1.56652116c816cp-2", "0x1.624f6abcba610p-10", "0x1.01f063850f2e1p-10"],
+    ]
+    assert [v.hex() for v in averaging_oracle(10_000, seed=0)] == [
+        "0x1.50860d4618485p-4", "0x1.b92989103e4b4p-10"]
+    w = sample_world(8, 2, 1.0, 50, 0.1, seed=3)
+    assert [v.hex() for v in excess_risk(0.3, w, 10_000, seed=4)] == [
+        "0x1.0479317fc76c1p-8", "0x1.35919bbd8f1dcp-12"]
 
 
 # -- head averaging oracle -----------------------------------------------------------
