@@ -381,8 +381,7 @@ def total_loss_and_grads(
     """Training objective with exact gradients for every parameter.
 
     The relations are fuse(fixed, learned, beta); the learned matrix is
-    rebuilt on every call, so its gradients are exact; its backward pass is
-    skipped at beta 1 or lam 0.
+    rebuilt on every call, so its gradients are exact, or skipped at beta 1.
     Returns (loss, (loss_pred, loss_rel), grad) with grad laid out like
     model.flat; it is written into ``grad`` when that is given.
 
@@ -404,7 +403,6 @@ def total_loss_and_grads(
     per_row = isinstance(beta, np.ndarray)
     row_beta = beta[:, None, None] if per_row else beta
     row_lam = lam[:, None, None] if isinstance(lam, np.ndarray) else lam
-    lam_zero = not lam.any() if isinstance(lam, np.ndarray) else lam == 0.0  # on every row
 
     a_l, cache = (0.0, None) if not per_row and beta == 1.0 else learned_matrix(net, metas)
     a = fuse(fixed, a_l, row_beta)
@@ -428,8 +426,8 @@ def total_loss_and_grads(
         g_heads = p * (g_heads - inner)
     g_heads[self_out] += g_self
 
-    # gradients w.r.t. the relation entries actually used; lam 0 zeroes them
-    if cache is None or lam_zero:
+    # gradients w.r.t. the relation entries actually used
+    if cache is None:
         for view in g_net:
             view[...] = 0.0
     else:

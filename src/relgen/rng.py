@@ -9,7 +9,6 @@ parameter init, and batch shuffling never share state.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: 1 and True have different reprs
 def _label_key(label) -> int:
     digest = hashlib.blake2b(repr(label).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")

@@ -140,6 +140,9 @@ def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tu
     draws evaluate the candidate and the true head, so the difference's
     standard error is small; estimates can dip slightly below zero within
     Monte Carlo noise. Returns (estimate, stderr).
+
+    The sweep runs _threshold_risks instead; this stays the reference whose
+    estimate it reproduces bit for bit.
     """
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
@@ -155,9 +158,14 @@ def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tu
 
 
 def bandwidth_schedule(c0: float, n_per_domain: int, n_domains: int, r: int) -> float:
-    """B = c0 * (n * N)^(-1/(r+2)), the rate the bound is minimized at."""
-    if n_per_domain * n_domains <= 0 or r < 1:
-        raise ConfigError(f"need n * N > 0 and r >= 1, got n={n_per_domain}, N={n_domains}, r={r}")
+    """B = c0 * (n * N)^(-1/(r+2)), the rate the bound is minimized at.
+
+    Domain counts are checked by scaling_experiment, before calibrating; n
+    and r are checked here because the sweep computes B before sample_world
+    would reject them.
+    """
+    if n_per_domain <= 0 or r < 1:
+        raise ConfigError(f"need n > 0 and r >= 1, got n={n_per_domain}, r={r}")
     return float(c0) * float(n_per_domain * n_domains) ** (-1.0 / (r + 2))
 
 

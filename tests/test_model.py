@@ -825,30 +825,6 @@ def test_lockstep_gradient_writes_every_slice(data, case):
         assert all((g[j] == 0.0).all() for g in net_grads) == no_net  # zeroed, not left stale
 
 
-def test_lam_zero_skips_the_relation_net_backward(monkeypatch):
-    """With lam 0 on every row the relation-net gradient is written as zeros, not backpropagated."""
-    ds, cfgs = _lockstep_setup("dg15", "fused", seeds=(1, 2))
-
-    def poisoned(*args, **kwargs):
-        raise AssertionError("relation-net backward ran")
-
-    monkeypatch.setattr(model_module, "learned_matrix_backward", poisoned)
-    lam0 = [replace(c, lam=0.0) for c in cfgs]
-    models = [build_model(ds, c) for c in lam0]
-    train(models, ds, lam0)
-    ids = ds.ids_for_split("train")
-    x, y, dom = ds.arrays_for(ids)
-    grad = np.full_like(models[0].flat, np.nan)
-    total_loss_and_grads(models[0], (x[:10], y[:10], dom[:10]), ds.fixed_matrix(ids),
-                         ds.meta_for(ids), 0.0, 0.8, grad)
-    assert np.isfinite(grad).all()
-    assert all((g == 0.0).all() for g in models[0].views(grad)[3])
-    # one row with lam > 0 needs the backward pass
-    mixed = [lam0[0], cfgs[1]]
-    with pytest.raises(AssertionError, match="relation-net backward ran"):
-        train([build_model(ds, c) for c in mixed], ds, mixed)
-
-
 def test_a_diverging_seed_is_named():
     ds, cfgs = _lockstep_setup("dg15", "fused")
     models = [build_model(ds, c) for c in cfgs]

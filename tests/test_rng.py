@@ -1,11 +1,9 @@
-"""Deterministic substreams: seed validation and the cached label keys."""
-
-import hashlib
+"""Deterministic substreams: seed validation."""
 
 import pytest
 
 from relgen.errors import ConfigError
-from relgen.rng import _label_key, substream
+from relgen.rng import substream
 
 
 def test_a_negative_seed_is_a_config_error():
@@ -13,12 +11,3 @@ def test_a_negative_seed_is_a_config_error():
         substream(-1, "world")
     assert issubclass(ConfigError, ValueError)  # older `except ValueError` sites still hold
 
-
-def test_cached_label_keys_stay_per_repr():
-    # 1, True and 1.0 hash equal but have different reprs, so they key different streams
-    labels = [1, True, 1.0, "1", "train", 1, True]
-    for label in labels:
-        digest = hashlib.blake2b(repr(label).encode("utf-8"), digest_size=8).digest()
-        assert _label_key(label) == int.from_bytes(digest, "little")
-    assert len({_label_key(label) for label in labels}) == 5
-    assert substream(3, "a", 1).random() != substream(3, "a", True).random()
