@@ -133,6 +133,9 @@ def _parse_seeds(args, fallback: int) -> list[int]:
             raise ConfigError(f"--seeds expects comma-separated integers: {raw!r}") from exc
         if not seeds:
             raise ConfigError("--seeds given but empty")
+        repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"--seeds repeats seed {repeated}")
         return seeds
     if getattr(args, "seed", None) is not None:
         return [args.seed]

@@ -32,11 +32,12 @@ from .nn import (
     Mlp,
     adam_step,
     backward,
+    check_labels,
+    cross_entropy,
     flatten,
     forward,
     init_opt_state,
     init_weight,
-    loss_ce_rows,
     softmax,
     split,
     stack_backward,
@@ -47,6 +48,7 @@ from .relations import (
     RelationNet,
     check_beta,
     fuse,
+    fuse_halves,
     learned_matrix,
     learned_matrix_backward,
     mode_fusion,
@@ -314,27 +316,28 @@ def _stack_heads(model: MultiHeadModel, x: np.ndarray):
     return phi, e_tape, stack_forward(model.head_w, model.head_b, phi)  # outs: (K, n, c)
 
 
-def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int):
+def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int, ix: tuple):
     """Per-example weights over heads, self excluded, rows summing to one.
 
     dom is (n,) or (S, n), and a is (K, K) or, for S stacked models,
-    (S, K, K). Returns (u, s, fallback) where u is dom.shape + (K,), s is
-    the pre-normalization row sum and fallback marks rows that degraded to
-    uniform weights (no gradient flows into the relations there).
+    (S, K, K); ix is np.indices(dom.shape, sparse=True). Returns (u,
+    divisor) where u is dom.shape + (K,) and divisor, dom.shape + (1,), the
+    pre-normalization row sum, or inf on rows that degraded to uniform
+    weights (no gradient flows into the relations there).
     """
     if k < 2:
         raise ValueError("consistency needs at least two heads")
-    ix = np.indices(dom.shape, sparse=True)
     self_entry = ix + (dom,)
     rows = a[ix[: a.ndim - 2] + (dom,)]  # fancy indexing, so already a copy
     rows[self_entry] = 0.0
     s = rows.sum(axis=-1)
     fallback = s <= REL_EPS
-    u = rows / np.where(fallback, np.inf, s)[..., None]
+    divisor = np.where(fallback, np.inf, s)[..., None]
+    u = rows / divisor
     if fallback.any():
         u[fallback] = 1.0 / (k - 1)
         u[self_entry] = 0.0
-    return u, s, fallback
+    return u, divisor
 
 
 def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,25 +351,74 @@ def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, dom
 
 
-def _mixture_forward(model, outs, u, y):
-    """Consistency prediction and loss for a batch; returns backward context.
+def _losses(model, outs, self_out, u, y, ix):
+    """Both loss terms of a batch and their gradients w.r.t. the mixture space.
 
-    outs is (..., K, n, c), u (..., n, K) and y (..., n); the loss is the
-    mean over n, one per leading index.
+    outs is (S, K, n, c), u (S, n, K) and y (S, n) targets as _targets
+    returns them. In logit space (and for regression) the own-head outputs
+    and the mixture share one loss pass over a (2, S, n, c) stack. In prob
+    space the mixture averages each head's softmax, p. Returns (lp, lrel,
+    g_self, g_mix, mix, p), the losses being means over n and p None in
+    logit space.
     """
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
-        p = softmax(outs, axis=-1)  # (..., K, n, c)
+        losses, g_self = cross_entropy(outs[self_out], y)
+        p = softmax(outs, axis=-1)  # (S, K, n, c)
         mix = np.einsum("...nk,...knc->...nc", u, p)
-        n = y.shape[-1]
-        label_entry = np.indices(y.shape, sparse=True) + (np.asarray(y).astype(np.int64),)
+        label_entry = ix + (y,)
         picked = np.maximum(mix[label_entry], PROB_FLOOR)
-        loss = -np.log(picked).mean(axis=-1)
         g_mix = np.zeros_like(mix)
-        g_mix[label_entry] = -1.0 / (n * picked)
-        return loss, g_mix, mix, p
+        g_mix[label_entry] = -1.0 / (y.shape[-1] * picked)
+        return losses.mean(axis=-1), -np.log(picked).mean(axis=-1), g_self, g_mix, mix, p
     mix = np.einsum("...nk,...knc->...nc", u, outs)
-    losses, g_mix = _example_losses(mix, y, model.task)
-    return losses.mean(axis=-1), g_mix, mix, None
+    losses, (g_self, g_mix) = _example_losses(np.stack([outs[self_out], mix]), y, model.task)
+    lp, lrel = losses.mean(axis=-1)
+    return lp, lrel, g_self, g_mix, mix, None
+
+
+@dataclass
+class StepPlan:
+    """What total_loss_and_grads reuses over the steps of one training run.
+
+    grad is the gradient buffer and views its parameter views, one leading
+    row per model; the relations are max(fixed_part + share * learned, 0),
+    or the constant ``relations`` when the net is not read (beta 1 for
+    every row); grids holds np.indices(shape, sparse=True) per batch shape.
+    """
+
+    grad: np.ndarray
+    views: tuple
+    fixed_part: np.ndarray
+    share: object
+    relations: np.ndarray | None
+    grids: dict = field(default_factory=dict)
+
+    def grid(self, shape: tuple) -> tuple:
+        if shape not in self.grids:
+            self.grids[shape] = np.indices(shape, sparse=True)
+        return self.grids[shape]
+
+
+def plan_step(model: MultiHeadModel, fixed, beta, grad: np.ndarray) -> StepPlan:
+    """The StepPlan of total_loss_and_grads for these relations and gradient buffer.
+
+    beta is a float or (S,) per model, and grad is laid out like model.flat,
+    for a single model or for the S stacked ones.
+    """
+    per_row = isinstance(beta, np.ndarray)
+    fixed_part, share = fuse_halves(fixed, beta[:, None, None] if per_row else beta)
+    constant = None if per_row or beta != 1.0 else fuse(fixed, 0.0, 1.0)
+    views = model.views(grad.reshape(-1, grad.shape[-1]))
+    return StepPlan(grad, views, fixed_part, share, constant)
+
+
+def _targets(model, y) -> np.ndarray:
+    """Training targets as the losses read them: float64 values, or int64 class
+    labels checked against the model's outputs (a ValueError if out of range)."""
+    if model.task != TASK_CLASSIFICATION:
+        return np.asarray(y, dtype=np.float64)
+    outputs = model.head_w.shape[-2] if isinstance(model, MultiHeadModel) else model.head.out_dim
+    return check_labels(y, outputs)
 
 
 def total_loss_and_grads(
@@ -377,6 +429,7 @@ def total_loss_and_grads(
     lam,
     beta,
     grad: np.ndarray | None = None,
+    plan: StepPlan | None = None,
 ):
     """Training objective with exact gradients for every parameter.
 
@@ -390,32 +443,35 @@ def total_loss_and_grads(
     and the three losses are (S,) arrays. One model is the S = 1 case.
     fixed (S, K, K), metas (S, K, m), lam (S,) and beta (S,) may give one
     value per model; (1 - beta) zeroes the relation-net gradient at beta 1.
+
+    A training loop passes plan_step(model, fixed, beta, grad) as plan,
+    made once, and y as _targets made it; the step then takes fixed, beta
+    and grad from the plan and trusts the labels.
     """
     x, y, dom = _batch_arrays(batch)
     single = x.ndim == 2
     if single:
         x, y, dom = x[None], y[None], dom[None]
-    if grad is None:
-        grad = np.empty_like(model.flat)
-    g_ext, g_hw, g_hb, g_net = model.views(grad.reshape(len(x), -1))
+    if plan is None:
+        plan = plan_step(model, fixed, beta, np.empty_like(model.flat) if grad is None else grad)
+        y = _targets(model, y)
+    g_ext, g_hw, g_hb, g_net = plan.views
     k = len(model.head_domains)
     net = model.relation_net
-    per_row = isinstance(beta, np.ndarray)
-    row_beta = beta[:, None, None] if per_row else beta
     row_lam = lam[:, None, None] if isinstance(lam, np.ndarray) else lam
 
-    a_l, cache = (0.0, None) if not per_row and beta == 1.0 else learned_matrix(net, metas)
-    a = fuse(fixed, a_l, row_beta)
+    a, cache = plan.relations, None
+    if a is None:
+        a_l, cache = learned_matrix(net, metas)
+        a = np.maximum(plan.fixed_part + plan.share * a_l, 0.0)  # fuse, with its halves planned
 
     phi, e_tape, outs = _stack_heads(model, x)  # outs: (S, K, n, c)
 
-    seeds, cols = np.indices(dom.shape, sparse=True)
+    ix = plan.grid(dom.shape)
+    seeds, cols = ix
     self_out = (seeds, dom, cols)
-    losses, g_self = _example_losses(outs[self_out], y, model.task)
-    lp = losses.mean(axis=-1)
-
-    u, s, fallback = _consistency_weights(a, dom, k)
-    lrel, g_mix, mix, p = _mixture_forward(model, outs, u, y)
+    u, divisor = _consistency_weights(a, dom, k, ix)
+    lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y, ix)
     g_mix = row_lam * g_mix
 
     # gradients w.r.t. head outputs (in mixture space first)
@@ -434,21 +490,21 @@ def total_loss_and_grads(
         src = p if p is not None else outs
         tk = np.einsum("...nc,...knc->...nk", g_mix, src)
         mm = np.einsum("...nc,...nc->...n", g_mix, mix)
-        contrib = (tk - mm[..., None]) / np.where(fallback, np.inf, s)[..., None]
+        contrib = (tk - mm[..., None]) / divisor
         contrib[seeds, cols, dom] = 0.0
         d_a = np.zeros(dom.shape[:1] + (k, k))
         np.add.at(d_a, (seeds, dom), contrib)
         d_a *= a > 0.0  # clamp subgradient
         diag = np.arange(k)
         d_a[:, diag, diag] = 0.0
-        learned_matrix_backward(net, cache, (1.0 - row_beta) * d_a, out=g_net)
+        learned_matrix_backward(net, cache, plan.share * d_a, out=g_net)
 
     _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
     backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
     loss = lp + lam * lrel
     if single:
-        return loss[0], (lp[0], lrel[0]), grad
-    return loss, (lp, lrel), grad
+        return loss[0], (lp[0], lrel[0]), plan.grad
+    return loss, (lp, lrel), plan.grad
 
 
 def _loss_terms(model: MultiHeadModel, batch, relations, lam: float = 0.0):
@@ -574,6 +630,7 @@ def train(model, dataset, config):
                           "under domain-balanced sampling, the largest domain)")
     n = len(y[0])
     x, y, dom = (np.concatenate(a) for a in (x, y, doms))  # row j's examples start at j * n
+    y = _targets(models[0], y)
     if relational:
         k = len(metas[0])
         fixed, beta = zip(*[
@@ -582,46 +639,64 @@ def train(model, dataset, config):
         metas, fixed, lam, beta = (_rows(v) for v in (metas, fixed, [c.lam for c in configs], beta))
         keys = ("loss", "loss_pred", "loss_rel")
 
-        def step(stack, b, grad):
-            loss, (lp, lrel), _ = total_loss_and_grads(
-                stack, (x[b], y[b], dom[b]), fixed, metas, lam, beta, grad
-            )
-            return loss, lp, lrel
+        def plan(stack, grad):
+            step_plan = plan_step(stack, fixed, beta, grad)
+
+            def step(b):
+                loss, (lp, lrel), _ = total_loss_and_grads(
+                    stack, (x[b], y[b], dom[b]), fixed, metas, lam, beta, plan=step_plan
+                )
+                return loss, lp, lrel
+
+            return step
     else:
         keys = ("loss",)
-
-        def step(stack, b, grad):
-            return (_pooled_loss_and_grads(stack, x[b], y[b], None, grad),)
+        plan = _pooled_step(x, y)
 
     def order(epoch):
         return n * np.arange(len(rows))[:, None] + np.stack(
             [_epoch_order(n, dm, c, epoch) for dm, c in zip(doms, configs)]
         )
 
-    valid = [(lambda m, d=d, c=c: evaluate(config_predictor(m, d, c), d, "valid").mean)
-             if d.ids_for_split("valid") else None for d, c in zip(datasets, configs)]
     names = _row_names(configs)
-    histories = _train_loop(models, config, config.epochs, order, step, keys, names, valid)
+    valid = _valid_pass(models, datasets, configs, names)
+    histories = _train_loop(models, config, config.epochs, order, plan, keys, names, valid)
     return histories[0] if single else histories
 
 
-def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, names, valid=None):
+def _pooled_step(x, y, q=None):
+    """The _train_loop plan of pooled models on examples x, y, weighted by q (S, n) if given."""
+
+    def plan(stack, grad):
+        views = stack.views(grad)
+        if q is None:
+            return lambda b: (_pooled_loss_and_grads(stack, x[b], y[b], None, views),)
+        return lambda b: (
+            _pooled_loss_and_grads(stack, x[b], y[b], np.ascontiguousarray(q[:, b]), views),
+        )
+
+    return plan
+
+
+def _train_loop(models, config: TrainConfig, epochs: int, order, plan, keys, names, valid=None):
     """The training loop of every model kind, with the models in lockstep.
 
     The models share one (S, P) parameter buffer (stack_models), one (S, P)
     gradient buffer and one Adam state, so each batch is one step() call
     and one adam_step call for all of them. order(epoch) gives the example
-    order, (S, m) with one row per model or (m,) shared by all. step(stack,
-    b, grad) writes every model's gradient for index batch b into grad and
-    returns its loss terms, one (S,) array per name in keys, the first
-    being the loss. A non-finite loss or gradient raises NumericalError
-    naming the model (names[s]), the epoch and the batch. valid[s](model),
-    if given and not None, is the valid-split metric that selects model s's
-    best epoch. Returns one history per model.
+    order, (S, m) with one row per model or (m,) shared by all.
+    plan(stack, grad), called once, returns step(b), which writes every
+    model's gradient for index batch b into grad and returns its loss
+    terms, one (S,) array per name in keys, the first being the loss. A
+    non-finite loss or gradient raises NumericalError naming the model
+    (names[s]), the epoch and the batch. valid(stack, epoch), if given,
+    returns each model's valid-split metric, or None for a model without
+    one, which selects its best epoch. Returns one history per model.
     """
     stack = stack_models(models)
     opt = init_opt_state([stack.flat])
     grad = np.empty_like(stack.flat)
+    step = plan(stack, grad)
     histories: list[list[dict]] = [[] for _ in models]
     best_metric: list[float | None] = [None] * len(models)
     best_params: list[np.ndarray | None] = [None] * len(models)
@@ -631,7 +706,7 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, nam
         seen = 0
         for start in range(0, idx.shape[-1], config.batch_size):
             b = idx[..., start : start + config.batch_size]
-            terms = np.array(step(stack, b, grad))
+            terms = np.array(step(b))
             bad = ~np.isfinite(terms[0])
             if bad.any():
                 j = int(bad.argmax())
@@ -653,13 +728,11 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, nam
         evaluate_now = valid is not None and (
             (epoch + 1) % config.eval_every == 0 or epoch == epochs - 1
         )
-        for j, m in enumerate(models):
+        metrics = valid(stack, epoch) if evaluate_now else [None] * len(models)
+        for j, (m, metric) in enumerate(zip(models, metrics)):
             entry = {"epoch": epoch, **{k: sums[i, j] / seen for i, k in enumerate(keys)}}
-            if evaluate_now and valid[j] is not None:
-                try:
-                    entry["valid"] = metric = valid[j](m)
-                except NumericalError as exc:
-                    raise NumericalError(f"{names[j]} at epoch {epoch}: {exc}") from exc
+            if metric is not None:
+                entry["valid"] = metric
                 if config.select_best and (
                     best_metric[j] is None or _metric_better(metric, best_metric[j], m.task)
                 ):
@@ -670,6 +743,147 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, step, keys, nam
         if best is not None:
             np.copyto(m.flat, best)
     return histories
+
+
+def _valid_pass(models, datasets, configs, names):
+    """valid(stack, epoch) of _train_loop: every row's valid-split metric, None without one.
+
+    Rows that share a dataset and a predictor (for a MultiHeadModel, the
+    relation mode and beta) are scored as one _ValidGroup. Each metric has
+    the bits of evaluate(config_predictor(model, dataset, config), dataset,
+    "valid").mean. Non-finite outputs raise NumericalError naming the first
+    such row, the epoch and that row's first such valid domain, as one
+    evaluate call per row would. Returns None when no row has valid domains.
+    """
+    relational = isinstance(models[0], MultiHeadModel)
+    members: dict[tuple, list[int]] = {}
+    for j, (d, c) in enumerate(zip(datasets, configs)):
+        if d.ids_for_split("valid"):
+            key = (id(d), c.relation_mode, c.beta) if relational else (id(d),)
+            members.setdefault(key, []).append(j)
+    if not members:
+        return None
+    groups = [_ValidGroup(models, datasets[rows[0]], configs[rows[0]], rows)
+              for rows in members.values()]
+
+    def valid(stack, epoch):
+        metrics: list[float | None] = [None] * len(models)
+        bad: dict[int, str] = {}
+        for group in groups:
+            group.score(stack, metrics, bad)
+        if bad:
+            j = min(bad)
+            raise NumericalError(
+                f"{names[j]} at epoch {epoch}: non-finite model outputs (NaN or inf) "
+                f"on valid domain {bad[j]!r}"
+            )
+        return metrics
+
+    return valid
+
+
+class _ValidGroup:
+    """The valid split of one dataset, scored for some rows of a lockstep stack.
+
+    Built once: each valid domain's examples (pooled features for an
+    ErmModel) and, for a MultiHeadModel, the fixed relation rows, the
+    meta-data stacks relation_row builds, and the weight rows if the net is
+    not read. score() computes every row's weight rows in one pass and runs
+    one forward per valid domain for all the group's rows. Not one forward
+    over the whole split: BLAS may round an example's output differently at
+    another offset in a larger block (a 1-ulp valid MSE on a 6x6 grid with
+    6 examples per domain).
+    """
+
+    def __init__(self, models, dataset: DomainDataset, config: TrainConfig, rows: list[int]):
+        self.rows = rows
+        self.task = dataset.task
+        self.ids = dataset.ids_for_split("valid")
+        arrays = [dataset.domain_arrays(d) for d in self.ids]
+        for d, (x, _) in zip(self.ids, arrays):
+            if x.shape[0] == 0:
+                raise DataError(f"domain {d!r} has no examples")
+        classes = self.task == TASK_CLASSIFICATION
+        self.ys = [y.astype(np.int64) if classes else y for _, y in arrays]
+        template = models[rows[0]]
+        self.sub = None  # the group's rows of the stack, unless it holds all rows in order
+        if rows != list(range(len(models))):
+            self.sub = template.copy()
+            self.sub.bind(np.empty((len(rows),) + template.flat.shape))
+        if not isinstance(template, MultiHeadModel):
+            metas = dataset.meta_for(self.ids)
+            self.xs = [np.hstack([x, np.tile(meta, (len(x), 1))]) for (x, _), meta in zip(arrays, metas)]
+            return
+        self.xs = [x for x, _ in arrays]
+        train_ids = template.head_domains
+        fixed, beta = mode_fusion(
+            config.relation_mode,
+            config.beta,
+            lambda: dataset.fixed_between(self.ids, train_ids),
+            (len(self.ids), len(train_ids)),
+        )
+        self.weights = None
+        if beta == 1.0:  # the net is not read, so the weight rows never change
+            weights = _normalized_rows(fuse(fixed, 0.0, 1.0))
+            self.weights = np.broadcast_to(weights, (len(rows),) + weights.shape)
+            return
+        self.fixed_part, self.share = fuse_halves(fixed, beta)
+        # as in relation_row, valid domain t's meta-data above the training domains';
+        # the (T, 1, K + 1, m) block broadcasts against the rows' relation nets
+        metas = dataset.meta_for(train_ids)
+        self.metas = np.stack([np.vstack([t[None], metas]) for t in dataset.meta_for(self.ids)])[:, None]
+
+    def _outputs(self, model):
+        """Each valid domain's (S, n, c) outputs, as its predictor combines them."""
+        if not isinstance(model, MultiHeadModel):
+            for x in self.xs:
+                yield forward(model.head, forward(model.extractor, x)[0])[0]
+            return
+        w = self.weights  # (S, T, K)
+        if w is None:
+            learned = learned_matrix(model.relation_net, self.metas)[0][..., 0, 1:]  # (T, S, K)
+            w = _normalized_rows(np.maximum(
+                self.fixed_part + self.share * np.ascontiguousarray(learned.swapaxes(0, 1)), 0.0
+            ))
+        prob = model.task == TASK_CLASSIFICATION and model.combine_space == "prob"
+        for t, x in enumerate(self.xs):
+            outs = _stack_heads(model, x)[2]  # (S, K, n, c)
+            if prob:
+                outs = softmax(outs, axis=-1)
+            yield np.einsum("...k,...knc->...nc", w[:, t], outs)
+
+    def score(self, stack, metrics: list, bad: dict) -> None:
+        """Set metrics[j] for each of the group's rows j; bad[j] names j's first
+        valid domain with non-finite outputs."""
+        model = stack
+        if self.sub is not None:
+            np.take(stack.flat, self.rows, axis=0, out=self.sub.flat)
+            model = self.sub
+        per = []
+        for d, y, out in zip(self.ids, self.ys, self._outputs(model)):
+            for s in np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))):
+                bad.setdefault(self.rows[s], d)
+            # each domain's metric as evaluate computes it, for every row at once
+            hits_or_errors = (out.argmax(axis=-1) == y if self.task == TASK_CLASSIFICATION
+                              else (out[..., 0] - y) ** 2)
+            per.append(np.mean(hits_or_errors, axis=-1))
+        metrics_rows = np.stack(per, axis=-1).mean(axis=-1).tolist()
+        for j, mean in zip(self.rows, metrics_rows):
+            metrics[j] = mean
+
+
+def _normalized_rows(rows: np.ndarray) -> np.ndarray:
+    """normalize_weights applied to each row of a (..., K) stack, with its bits.
+
+    A row that normalize_weights rejects raises its ValueError, and an
+    all-zero row gets its uniform fallback and its warning.
+    """
+    s = rows.sum(axis=-1, keepdims=True)
+    special = ~(np.isfinite(rows) & (rows >= 0.0)).all(axis=-1) | (s[..., 0] <= 0.0)
+    out = rows / np.where(special[..., None], 1.0, s)
+    for i in zip(*np.nonzero(special)):
+        out[i] = normalize_weights(rows[i])
+    return out
 
 
 # -- inference ----------------------------------------------------------------
@@ -837,17 +1051,18 @@ def train_erm(
     return model, train(model, dataset, config)
 
 
-def _pooled_loss_and_grads(model: ErmModel, x, y, q, grad: np.ndarray) -> np.ndarray:
-    """Loss of each stacked pooled model on its batch; the gradient goes into grad.
+def _pooled_loss_and_grads(model: ErmModel, x, y, q, views) -> np.ndarray:
+    """Loss of each stacked pooled model on its batch; the gradient goes into views.
 
     x is (S, n, p) and y (S, n), one batch per model, or (n, p) and (n,)
-    shared by all. q, if given, holds (S, n) example weights, and the loss
+    shared by all, y as _targets returns it; views is model.views of the
+    gradient buffer. q, if given, holds (S, n) example weights, and the loss
     is then sum(q * losses) / n. Returns the (S,) losses.
     """
-    g_ext, g_head = model.views(grad)
+    g_ext, g_head = views
     phi, e_tape = forward(model.extractor, x)
     out, h_tape = forward(model.head, phi)
-    losses, g = _example_losses(out, np.broadcast_to(y, out.shape[:-1]), model.task)
+    losses, g = _example_losses(out, y, model.task)
     if q is None:
         loss = losses.mean(axis=-1)
     else:
@@ -858,14 +1073,15 @@ def _pooled_loss_and_grads(model: ErmModel, x, y, q, grad: np.ndarray) -> np.nda
     return loss
 
 
-def _example_losses(out: np.ndarray, y, task: str) -> tuple[np.ndarray, np.ndarray]:
+def _example_losses(out: np.ndarray, y: np.ndarray, task: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-example losses and the gradient of their mean w.r.t. out.
 
-    out is (..., n, c) and y (..., n); the mean runs over the n examples.
+    out is (..., n, c) and y, as _targets returns it, has a trailing part
+    of out's leading axes, e.g. (n,); the mean runs over the n examples.
     """
     if task == TASK_CLASSIFICATION:
-        return loss_ce_rows(out, y)
-    diff = out - np.asarray(y, dtype=np.float64)[..., None]
+        return cross_entropy(out, y)
+    diff = out - y[..., None]
     return diff[..., 0] * diff[..., 0], (2.0 / diff.shape[-2]) * diff
 
 
@@ -910,6 +1126,7 @@ def rw_finetune(
     if w.shape[1] != len(train_ids):
         raise ValueError("need one relation weight per training domain")
     feats, y, dom = _pooled_features(dataset, train_ids)
+    y = _targets(erm, y)
     # w[:, dom] and q[:, b] index the last axis, which numpy returns column
     # major; each row of a C-order block is summed pairwise, as a lone row
     # is, so every fine-tune keeps the bits of a run of its own
@@ -926,9 +1143,7 @@ def rw_finetune(
         config,
         config.finetune_epochs,
         lambda epoch: substream(config.seed, "rwft", "shuffle", epoch).permutation(len(y)),
-        lambda stack, b, grad: (
-            _pooled_loss_and_grads(stack, feats[b], y[b], np.ascontiguousarray(q[:, b]), grad),
-        ),
+        _pooled_step(feats, y, q),
         ("loss",),
         names,
     )

@@ -247,16 +247,34 @@ def loss_ce_rows(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels)
     if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
         raise ValueError("cross-entropy expects (n, k) logits and (n,) labels")
-    labels = labels.astype(np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:
+    return cross_entropy(logits, check_labels(labels, logits.shape[-1]))
+
+
+def check_labels(labels, n_outputs: int) -> np.ndarray:
+    """Class labels as int64; a ValueError unless each lies in [0, n_outputs)."""
+    labels = np.asarray(labels).astype(np.int64)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_outputs:
         raise ValueError("label out of range")
-    m = logits.max(axis=-1)
-    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
-    grad = softmax(logits, axis=-1)
+    return labels
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """loss_ce_rows for labels that check_labels has passed.
+
+    The labels' shape may be a trailing part of the logits' leading axes,
+    e.g. (n,) labels for a (2, n, k) stack of two logit sets. One exp feeds
+    both the log-sum-exp and the softmax in the gradient.
+    """
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    total = e.sum(axis=-1, keepdims=True)
+    lse = (m + np.log(total))[..., 0]
+    grad = e / total
     hot = labels[..., None] == np.arange(logits.shape[-1])
     grad -= hot
     grad /= logits.shape[-2]
-    return lse - logits[hot].reshape(labels.shape), grad
+    picked = logits[(slice(None),) * (logits.ndim - hot.ndim) + (hot,)]  # each row's label entry
+    return lse - picked.reshape(lse.shape), grad
 
 
 def loss_ce_batch(logits, labels) -> tuple[float, np.ndarray]:

@@ -92,13 +92,7 @@ class LearnedMatrixCache:
     reps: np.ndarray  # (..., K, s) embeddings
     tape: Tape
     unit: np.ndarray  # (..., K, R, s) row-normalized masked embeddings, domain-major
-    norm: np.ndarray  # (..., K, R)
-    alive: np.ndarray  # (..., K, R) bool, norm > 0
-
-
-def _unit_divisor(norm: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """The norm, with inf where it is zero, so a zero embedding divides to 0."""
-    return np.where(alive, norm, np.inf)[..., None]
+    divisor: np.ndarray  # (..., K, R, 1) norms, inf where zero, so a zero embedding divides to 0
 
 
 def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCache]:
@@ -107,19 +101,21 @@ def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCa
     Domain k's R unit vectors, laid end to end, form row k of a (K, R*s)
     block U, so the head-averaged cosines are the single product U U^T / R.
     A net whose parameters carry a leading (seed) axis gives one (S, K, K)
-    matrix per slice, from one shared (K, m) metas or from (S, K, m).
+    matrix per slice, from one shared (K, m) metas or from (S, K, m); more
+    leading axes of metas broadcast against it, so (T, 1, K, m) gives
+    (T, S, K, K), each slice the bits of its own (K, m) call.
     """
     metas = np.asarray(metas, dtype=np.float64)
-    if metas.ndim not in (2, 3):
-        raise ValueError("metas must be a (K, meta_dim) matrix or one per slice")
+    if metas.ndim < 2:
+        raise ValueError("metas must be a (K, meta_dim) matrix or a stack of them")
     reps, tape = forward(net.g, metas)
     masked = reps[..., None, :] * net.w[..., None, :, :]  # (..., K, R, s)
     norm = np.sqrt((masked * masked).sum(axis=-1))  # (..., K, R), as np.linalg.norm
-    alive = norm > 0.0
-    unit = masked / _unit_divisor(norm, alive)
+    divisor = np.where(norm > 0.0, norm, np.inf)[..., None]
+    unit = masked / divisor
     block = unit.reshape(unit.shape[:-2] + (-1,))
     a_l = (block @ block.swapaxes(-1, -2)) / net.n_heads  # a syrk call, so exactly symmetric
-    return a_l, LearnedMatrixCache(reps, tape, unit, norm, alive)
+    return a_l, LearnedMatrixCache(reps, tape, unit, divisor)
 
 
 def learned_matrix_backward(
@@ -139,7 +135,7 @@ def learned_matrix_backward(
     d_unit = d_block.reshape(d_block.shape[:-1] + unit.shape[-2:])
     # back through row normalization u = m / |m|
     inner = (d_unit * unit).sum(axis=-1, keepdims=True)
-    d_masked = (d_unit - inner * unit) / _unit_divisor(cache.norm, cache.alive)
+    d_masked = (d_unit - inner * unit) / cache.divisor
     d_w = (d_masked * cache.reps[..., None, :]).sum(axis=-3, out=out[-1])  # (..., R, s)
     d_reps = (d_masked * net.w[..., None, :, :]).sum(axis=-2)  # (..., K, s)
     g_grads, _ = backward(net.g, cache.tape, d_reps, out=out[:-1])
@@ -153,13 +149,16 @@ def check_beta(beta) -> None:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
 
 
+def fuse_halves(fixed, beta) -> tuple[np.ndarray, object]:
+    """The constant halves of fuse: (beta * fixed, 1 - beta), after one check_beta."""
+    check_beta(beta)
+    return beta * np.asarray(fixed, dtype=np.float64), 1.0 - beta
+
+
 def fuse(fixed, learned, beta):
     """beta * fixed + (1 - beta) * learned, clamped at zero; beta broadcasts, e.g. as (S, 1, 1)."""
-    check_beta(beta)
-    pre = beta * np.asarray(fixed, dtype=np.float64) + (1.0 - beta) * np.asarray(
-        learned, dtype=np.float64
-    )
-    out = np.maximum(pre, 0.0)
+    fixed_part, share = fuse_halves(fixed, beta)
+    out = np.maximum(fixed_part + share * np.asarray(learned, dtype=np.float64), 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -371,6 +371,29 @@ def test_one_diverging_erm_seed_exits_4_and_names_it(dg15_dir, tmp_path, capsys)
     assert not list((tmp_path / "boom").glob("*.npz"))  # the seeds train together
 
 
+def test_one_diverging_relational_seed_exits_4_and_names_it(dg15_dir, tmp_path, capsys):
+    # the relational twin of the test above: the valid pass scores every
+    # seed's valid split at once and names the first seed that overflows
+    with np.errstate(all="ignore"):
+        code = run(
+            "train", "--method", "relational", "--data", str(dg15_dir),
+            "--out", str(tmp_path / "boom"), "--seeds", "1,2", "--epochs", "3", "--lr", "1e30",
+        )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "seed 1 at epoch 0: non-finite model outputs (NaN or inf) on valid domain 'd00'" in err
+    assert not list((tmp_path / "boom").glob("*.npz"))  # the seeds train together
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_repeated_seed_exits_2_and_names_it(dg15_dir, tmp_path, command, capsys):
+    out = tmp_path / "o"
+    assert run(command, "--data", str(dg15_dir), "--out", str(out), "--seeds", "3,1,3",
+               "--epochs", "1") == 2
+    assert "--seeds repeats seed 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["erm", "relational"])
 def test_non_finite_predictions_exit_4_and_name_the_domain(dg15_dir, tmp_path, method, capsys):
     # one epoch of 1e30 steps leaves finite parameters whose outputs overflow

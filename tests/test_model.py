@@ -2,6 +2,7 @@
 suite against finite differences, training/checkpoint behavior, and the
 pooled baseline plus reweighted fine-tuning."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from relgen.model import (
     build_erm,
     build_model,
     combine_heads,
+    config_predictor,
     erm_predictor,
     evaluate,
     infer,
@@ -791,6 +793,57 @@ def test_lockstep_seeds_match_separate_runs(data, case):
         assert not np.array_equal(t.flat, build_model(d, c).flat)  # it did train
 
 
+VALID_PASS_VARIANTS = {k: MIXED_VARIANTS[k] for k in ("fused", "uniform", "beta1", "beta0")}
+
+
+@pytest.mark.parametrize("kind", ["relational", "erm"])
+@pytest.mark.parametrize(
+    "data,space,variants",
+    [("dg15", "logit", "seeds"), ("dg15", "logit", "all"), ("dg15", "prob", "all"),
+     ("grid", "logit", "seeds"), ("grid", "logit", "all"), ("mixed", "logit", "all"),
+     ("mixed", "prob", "all")],
+)
+def test_valid_pass_equals_evaluate_at_every_epoch(monkeypatch, kind, data, space, variants):
+    """Each row's batched valid metric has the bits of evaluate on its own predictor.
+
+    "seeds" rows differ only in seed, so one group holds the whole stack;
+    "all" rows also run fused, uniform, beta 1 and beta 0, one group each,
+    on one dataset or, "mixed", on three dg15 worlds.
+    """
+    seeds = (4, 5)
+    if data == "mixed":
+        datasets = [gen_dg15(w, n_per_class=10) for w in range(len(seeds))]
+    elif data == "grid":  # 18 heads: enough weight rows that a rounding change shows
+        datasets = [gen_spatial_regression(0, n_rows=6, n_cols=6, n_per_domain=6)] * len(seeds)
+    else:
+        datasets = [gen_dg15(0, n_per_class=10)] * len(seeds)
+    base = TrainConfig(lr=1e-3, epochs=3, combine_space=space)
+    overs = VALID_PASS_VARIANTS.values() if variants == "all" else [{}]
+    cfgs = [replace(base, seed=s, **over) for over in overs for s in seeds]
+    datasets = datasets * len(overs)
+    real = model_module._valid_pass
+    checked = []
+
+    def checking(models, sets, configs, names):
+        valid = real(models, sets, configs, names)
+
+        def scored(stack, epoch):
+            got = valid(stack, epoch)
+            for j, (m, d, c) in enumerate(zip(models, sets, configs)):
+                want = evaluate(config_predictor(m, d, c), d, "valid").mean
+                assert got[j].hex() == want.hex(), (j, epoch)
+                checked.append((j, epoch))
+            return got
+
+        return scored
+
+    monkeypatch.setattr(model_module, "_valid_pass", checking)
+    build = build_model if kind == "relational" else build_erm
+    histories = train([build(d, c) for d, c in zip(datasets, cfgs)], datasets, cfgs)
+    assert sorted(checked) == [(j, e) for j in range(len(cfgs)) for e in range(3)]
+    assert all("valid" in entry for h in histories for entry in h)
+
+
 @pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
 def test_lockstep_gradient_writes_every_slice(data, case):
     """One stacked step fills a NaN-filled buffer with each row's own gradient."""
@@ -823,6 +876,37 @@ def test_lockstep_gradient_writes_every_slice(data, case):
         # no gradient through the consistency term
         no_net = c.relation_mode == "uniform" or c.beta == 1.0 or c.lam == 0.0
         assert all((g[j] == 0.0).all() for g in net_grads) == no_net  # zeroed, not left stale
+
+
+def test_lockstep_training_keeps_its_recorded_bits():
+    # recorded before the step was planned once per train call and the valid
+    # split was scored in one pass; a change to the order of the step's ops,
+    # to a loss or to the valid metric moves these bits
+    ds = gen_dg15(0)
+    cfgs = [TrainConfig(lr=1e-3, epochs=2, seed=s) for s in (0, 1, 2)]
+    models = [build_model(ds, c) for c in cfgs]
+    histories = train(models, ds, cfgs)
+    assert [hashlib.sha256(m.flat.tobytes()).hexdigest() for m in models] == [
+        "6d42e395f34e3f2a36282707e17de3be87685c061e8090ea5c86e09fb27096fa",
+        "41ea8388e694c71b40f9592f0d926c3c6e2a0f8ddc31da0cb979456e256722b6",
+        "67878b3a471dcf4349df54b0a139ff598c2455a8c487f4cf38b2608275a9cccd",
+    ]
+    got = [[[e[k].hex() for k in ("loss", "loss_pred", "loss_rel", "valid")] for e in h]
+           for h in histories]
+    assert got == [
+        [["0x1.219e2dc521b84p-1", "0x1.55309a8a742a0p-2", "0x1.dc1781ff9e8d0p-2",
+          "0x1.2f1a9fbe76c8bp-1"],
+         ["0x1.5af548c1dcdd1p-3", "0x1.675f57cd332dap-4", "0x1.4e8b39b6868c4p-3",
+          "0x1.28f5c28f5c28fp-1"]],
+        [["0x1.326fbaf55a0c8p-1", "0x1.7f742e61932b3p-2", "0x1.cad68f1241db8p-2",
+          "0x1.20c49ba5e353fp-1"],
+         ["0x1.7c406858bb5eep-3", "0x1.93af947b9d9abp-4", "0x1.64d13c35d9233p-3",
+          "0x1.24dd2f1a9fbe7p-1"]],
+        [["0x1.3e61b3f4d1e5ep-1", "0x1.a8177273ce39fp-2", "0x1.a957eaebab23cp-2",
+          "0x1.126e978d4fdf3p-1"],
+         ["0x1.94ed639191964p-3", "0x1.de7216d21ea38p-4", "0x1.4b68b05104891p-3",
+          "0x1.26e978d4fdf3bp-1"]],
+    ]
 
 
 def test_a_diverging_seed_is_named():
