@@ -37,13 +37,12 @@ from .model import (
     build_erm,
     build_model,
     check_fits,
-    config_predictor,
-    erm_predictor,
     evaluate,
     load_checkpoint,
-    relational_predictor,
     rwft_predictor,
     save_checkpoint,
+    score,
+    split_ids,
     train,
 )
 from .relations import (
@@ -173,20 +172,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _train_seeds(dataset, cfgs, method, resume):
-    """Train one model per config, all in lockstep; returns (model, history, predictor) per seed."""
-    relational = method == "relational"
-    if resume:
-        model, _ = load_checkpoint(resume)
-        if not isinstance(model, MultiHeadModel if relational else ErmModel):
-            raise ConfigError(f"{resume}: not {'a relational' if relational else 'an erm'} checkpoint")
-        models = [model]
-    else:
-        models = [(build_model if relational else build_erm)(dataset, cfg) for cfg in cfgs]
-    histories = train(models, dataset, cfgs)
-    return zip(models, histories, [config_predictor(m, dataset, cfgs[0]) for m in models])
-
-
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset_dir(args.data, task=args.task)
@@ -194,14 +179,23 @@ def cmd_train(args) -> int:
     seeds = _parse_seeds(args, fallback=cfg0.seed)
     if args.resume and len(seeds) > 1:
         raise ConfigError("--resume works with a single seed")
+    for split in ("valid", "test"):  # the splits the report scores, checked before training
+        split_ids(dataset, split)
     cfgs = [replace(cfg0, seed=s) for s in seeds]
+    relational = args.method == "relational"
+    if args.resume:
+        model, _ = load_checkpoint(args.resume)
+        if not isinstance(model, MultiHeadModel if relational else ErmModel):
+            raise ConfigError(f"{args.resume}: not {'a relational' if relational else 'an erm'} checkpoint")
+        models = [model]
+    else:
+        models = [(build_model if relational else build_erm)(dataset, cfg) for cfg in cfgs]
+    histories = train(models, dataset, cfgs)
+    modes = [(cfg.relation_mode, cfg.beta) for cfg in cfgs]
+    reports = zip(*(score(models, dataset, modes, split) for split in ("valid", "test")))
     per_seed = []
-    for cfg, (model, history, predictor) in zip(
-        cfgs, _train_seeds(dataset, cfgs, args.method, args.resume)
-    ):
+    for cfg, model, history, (rep_valid, rep_test) in zip(cfgs, models, histories, reports):
         s = cfg.seed
-        rep_valid = evaluate(predictor, dataset, "valid")
-        rep_test = evaluate(predictor, dataset, "test")
         ckpt = os.path.join(args.out, f"checkpoint-{args.method}-seed{s}.npz")
         os.makedirs(args.out, exist_ok=True)
         save_checkpoint(ckpt, model, cfg, extra={"method": args.method})
@@ -248,22 +242,24 @@ def cmd_eval(args) -> int:
     model, header = load_checkpoint(args.checkpoint)
     check_fits(model, dataset)
     cfg = TrainConfig.from_dict(header["config"])
-    if isinstance(model, MultiHeadModel):
-        if args.rw_finetune:
-            raise ConfigError("--rw-finetune applies to erm checkpoints only")
-        beta = args.beta if args.beta is not None else cfg.beta
-        mode = args.relations or cfg.relation_mode
-        predictor = relational_predictor(model, dataset, beta, mode)
-        method = f"relational/{mode}"
-    else:
+    relational = isinstance(model, MultiHeadModel)
+    for flag, given, scope, applies in (
+        ("--rw-finetune", args.rw_finetune, "erm checkpoints", not relational),
+        ("--relations", args.relations is not None, "relational checkpoints", relational),
+        ("--beta", args.beta is not None, "relational checkpoints", relational),
+        ("--lr", args.lr is not None, "--rw-finetune", args.rw_finetune),
+        ("--finetune-epochs", args.finetune_epochs is not None, "--rw-finetune", args.rw_finetune),
+    ):
+        if given and not applies:
+            raise ConfigError(f"{flag} applies to {scope} only")
+    if args.rw_finetune:
         cfg = _override(cfg, args, ("lr", "finetune_epochs"))
-        if args.rw_finetune:
-            predictor = rwft_predictor(model, dataset, cfg)
-            method = "erm+rw_finetune"
-        else:
-            predictor = erm_predictor(model, dataset)
-            method = "erm"
-    rep = evaluate(predictor, dataset, args.split)
+        rep = evaluate(rwft_predictor(model, dataset, cfg), dataset, args.split)
+        method = "erm+rw_finetune"
+    else:
+        mode = (args.relations or cfg.relation_mode, cfg.beta if args.beta is None else args.beta)
+        rep = score([model], dataset, [mode], args.split)[0]
+        method = f"relational/{mode[0]}" if relational else "erm"
     lines = [f"eval method={method} checkpoint={args.checkpoint}"] + _metrics_text(rep)
     print("\n".join(lines))
     if args.out:

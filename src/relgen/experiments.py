@@ -15,9 +15,10 @@ from .model import (
     TrainConfig,
     build_erm,
     build_model,
-    config_predictor,
     evaluate,
     rwft_predictor,
+    score,
+    split_ids,
     train,
 )
 
@@ -35,15 +36,15 @@ def tuned_config(**overrides) -> TrainConfig:
 
 
 def _run(build, dataset, config, split: str):
-    """Build one model per config, train them in one lockstep call and evaluate each."""
+    """Build one model per config, train them in one lockstep call and score each on split."""
     single = isinstance(config, TrainConfig)
     configs = [config] if single else list(config)
     datasets = [dataset] * len(configs) if isinstance(dataset, DomainDataset) else list(dataset)
+    for d in datasets:  # before training, so an empty split costs no epochs
+        split_ids(d, split)
     models = [build(d, c) for d, c in zip(datasets, configs)]
     histories = train(models, datasets, configs)
-    reports = [
-        evaluate(config_predictor(m, d, c), d, split) for m, d, c in zip(models, datasets, configs)
-    ]
+    reports = score(models, datasets, [(c.relation_mode, c.beta) for c in configs], split)
     if single:
         return models[0], histories[0], reports[0]
     return models, histories, reports

@@ -14,6 +14,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -44,9 +45,9 @@ from .nn import (
     stack_forward,
 )
 from .relations import (
-    RELATION_MODES,
     RelationNet,
     check_beta,
+    check_mode,
     fuse,
     fuse_halves,
     learned_matrix,
@@ -536,13 +537,6 @@ def loss_rel(model: MultiHeadModel, batch, relations) -> float:
     return _loss_terms(model, batch, relations)[2]
 
 
-def total_loss(model: MultiHeadModel, batch, relations, lam: float) -> float:
-    """Prediction loss plus lam times the consistency loss."""
-    if lam < 0:
-        raise ConfigError("lam must be nonnegative")
-    return _loss_terms(model, batch, relations, lam)[0]
-
-
 # -- training loops -----------------------------------------------------------
 
 
@@ -748,128 +742,25 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, plan, keys, nam
 def _valid_pass(models, datasets, configs, names):
     """valid(stack, epoch) of _train_loop: every row's valid-split metric, None without one.
 
-    Rows that share a dataset and a predictor (for a MultiHeadModel, the
-    relation mode and beta) are scored as one _ValidGroup. Each metric has
-    the bits of evaluate(config_predictor(model, dataset, config), dataset,
-    "valid").mean. Non-finite outputs raise NumericalError naming the first
-    such row, the epoch and that row's first such valid domain, as one
-    evaluate call per row would. Returns None when no row has valid domains.
+    A metric is the mean of the per-domain values score reports under the
+    row's config. Non-finite outputs raise NumericalError naming the first
+    such row, the epoch and that row's first such valid domain.
     """
-    relational = isinstance(models[0], MultiHeadModel)
-    members: dict[tuple, list[int]] = {}
-    for j, (d, c) in enumerate(zip(datasets, configs)):
-        if d.ids_for_split("valid"):
-            key = (id(d), c.relation_mode, c.beta) if relational else (id(d),)
-            members.setdefault(key, []).append(j)
-    if not members:
-        return None
-    groups = [_ValidGroup(models, datasets[rows[0]], configs[rows[0]], rows)
-              for rows in members.values()]
+    groups = _split_groups(models, datasets, [(c.relation_mode, c.beta) for c in configs], "valid")
 
     def valid(stack, epoch):
-        metrics: list[float | None] = [None] * len(models)
-        bad: dict[int, str] = {}
+        values, bad = {}, {}  # (T,) values and first non-finite domain, by row
         for group in groups:
-            group.score(stack, metrics, bad)
+            group.score(stack.flat, values, bad)
         if bad:
             j = min(bad)
             raise NumericalError(
                 f"{names[j]} at epoch {epoch}: non-finite model outputs (NaN or inf) "
                 f"on valid domain {bad[j]!r}"
             )
-        return metrics
+        return [float(values[j].mean()) if j in values else None for j in range(len(models))]
 
     return valid
-
-
-class _ValidGroup:
-    """The valid split of one dataset, scored for some rows of a lockstep stack.
-
-    Built once: each valid domain's examples (pooled features for an
-    ErmModel) and, for a MultiHeadModel, the fixed relation rows, the
-    meta-data stacks relation_row builds, and the weight rows if the net is
-    not read. score() computes every row's weight rows in one pass and runs
-    one forward per valid domain for all the group's rows. Not one forward
-    over the whole split: BLAS may round an example's output differently at
-    another offset in a larger block (a 1-ulp valid MSE on a 6x6 grid with
-    6 examples per domain).
-    """
-
-    def __init__(self, models, dataset: DomainDataset, config: TrainConfig, rows: list[int]):
-        self.rows = rows
-        self.task = dataset.task
-        self.ids = dataset.ids_for_split("valid")
-        arrays = [dataset.domain_arrays(d) for d in self.ids]
-        for d, (x, _) in zip(self.ids, arrays):
-            if x.shape[0] == 0:
-                raise DataError(f"domain {d!r} has no examples")
-        classes = self.task == TASK_CLASSIFICATION
-        self.ys = [y.astype(np.int64) if classes else y for _, y in arrays]
-        template = models[rows[0]]
-        self.sub = None  # the group's rows of the stack, unless it holds all rows in order
-        if rows != list(range(len(models))):
-            self.sub = template.copy()
-            self.sub.bind(np.empty((len(rows),) + template.flat.shape))
-        if not isinstance(template, MultiHeadModel):
-            metas = dataset.meta_for(self.ids)
-            self.xs = [np.hstack([x, np.tile(meta, (len(x), 1))]) for (x, _), meta in zip(arrays, metas)]
-            return
-        self.xs = [x for x, _ in arrays]
-        train_ids = template.head_domains
-        fixed, beta = mode_fusion(
-            config.relation_mode,
-            config.beta,
-            lambda: dataset.fixed_between(self.ids, train_ids),
-            (len(self.ids), len(train_ids)),
-        )
-        self.weights = None
-        if beta == 1.0:  # the net is not read, so the weight rows never change
-            weights = _normalized_rows(fuse(fixed, 0.0, 1.0))
-            self.weights = np.broadcast_to(weights, (len(rows),) + weights.shape)
-            return
-        self.fixed_part, self.share = fuse_halves(fixed, beta)
-        # as in relation_row, valid domain t's meta-data above the training domains';
-        # the (T, 1, K + 1, m) block broadcasts against the rows' relation nets
-        metas = dataset.meta_for(train_ids)
-        self.metas = np.stack([np.vstack([t[None], metas]) for t in dataset.meta_for(self.ids)])[:, None]
-
-    def _outputs(self, model):
-        """Each valid domain's (S, n, c) outputs, as its predictor combines them."""
-        if not isinstance(model, MultiHeadModel):
-            for x in self.xs:
-                yield forward(model.head, forward(model.extractor, x)[0])[0]
-            return
-        w = self.weights  # (S, T, K)
-        if w is None:
-            learned = learned_matrix(model.relation_net, self.metas)[0][..., 0, 1:]  # (T, S, K)
-            w = _normalized_rows(np.maximum(
-                self.fixed_part + self.share * np.ascontiguousarray(learned.swapaxes(0, 1)), 0.0
-            ))
-        prob = model.task == TASK_CLASSIFICATION and model.combine_space == "prob"
-        for t, x in enumerate(self.xs):
-            outs = _stack_heads(model, x)[2]  # (S, K, n, c)
-            if prob:
-                outs = softmax(outs, axis=-1)
-            yield np.einsum("...k,...knc->...nc", w[:, t], outs)
-
-    def score(self, stack, metrics: list, bad: dict) -> None:
-        """Set metrics[j] for each of the group's rows j; bad[j] names j's first
-        valid domain with non-finite outputs."""
-        model = stack
-        if self.sub is not None:
-            np.take(stack.flat, self.rows, axis=0, out=self.sub.flat)
-            model = self.sub
-        per = []
-        for d, y, out in zip(self.ids, self.ys, self._outputs(model)):
-            for s in np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))):
-                bad.setdefault(self.rows[s], d)
-            # each domain's metric as evaluate computes it, for every row at once
-            hits_or_errors = (out.argmax(axis=-1) == y if self.task == TASK_CLASSIFICATION
-                              else (out[..., 0] - y) ** 2)
-            per.append(np.mean(hits_or_errors, axis=-1))
-        metrics_rows = np.stack(per, axis=-1).mean(axis=-1).tolist()
-        for j, mean in zip(self.rows, metrics_rows):
-            metrics[j] = mean
 
 
 def _normalized_rows(rows: np.ndarray) -> np.ndarray:
@@ -934,9 +825,7 @@ def relational_predictor(
     mode selects the weights (see mode_fusion): "fused" (fixed and learned,
     fused with beta), "fixed", "learned", or "uniform".
     """
-    if mode not in RELATION_MODES:
-        raise ConfigError(f"unknown relation mode {mode!r}")
-    check_beta(beta)  # in every mode, so no given beta is silently ignored
+    check_mode(mode, beta)
     train_ids = model.head_domains
     metas = dataset.meta_for(train_ids)
     rows: dict[str, np.ndarray] = {}
@@ -1092,13 +981,6 @@ def erm_predictor(model: ErmModel, dataset: DomainDataset):
     return predict
 
 
-def config_predictor(model, dataset: DomainDataset, config: TrainConfig):
-    """The predictor that training under config selects and reports with."""
-    if isinstance(model, MultiHeadModel):
-        return relational_predictor(model, dataset, config.beta, config.relation_mode)
-    return erm_predictor(model, dataset)
-
-
 def rw_finetune(
     erm: ErmModel,
     dataset: DomainDataset,
@@ -1190,40 +1072,151 @@ class MetricsReport:
         return asdict(self)
 
 
-def evaluate(predict_fn, dataset: DomainDataset, split: str) -> MetricsReport:
-    """Apply predict(domain_id, x) to every domain of a split.
-
-    The mean is the unweighted mean over domains; "worst" is the minimum
-    accuracy for classification and the maximum error for regression.
-    Non-finite model outputs raise NumericalError naming the domain.
-    """
-    if not callable(predict_fn):
-        raise ValueError(
-            "evaluate takes a predictor, not a model; wrap it with "
-            "relational_predictor(...) or erm_predictor(...) first"
-        )
+def split_ids(dataset: DomainDataset, split: str) -> list[str]:
+    """The domain ids of a split that is to be scored; a DataError if it has none."""
     ids = dataset.ids_for_split(split)
     if not ids:
         raise DataError(f"no domains in split {split!r}")
-    per: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for d in ids:
+    return ids
+
+
+def _report(dataset: DomainDataset, split: str, values: np.ndarray) -> MetricsReport:
+    """A split's report from its (T,) per-domain values: their unweighted mean and worst."""
+    ids = dataset.ids_for_split(split)
+    classes = dataset.task == TASK_CLASSIFICATION
+    worst = values.min() if classes else values.max()
+    return MetricsReport("accuracy" if classes else "mse", split, dict(zip(ids, values.tolist())),
+                         float(values.mean()), float(worst), dataset.counts(ids))
+
+
+def evaluate(predict_fn, dataset: DomainDataset, split: str) -> MetricsReport:
+    """Apply predict(domain_id, x) to every domain of a split (see _report).
+
+    Non-finite model outputs raise NumericalError naming the domain.
+    """
+    if not callable(predict_fn):
+        raise ValueError("evaluate takes a predictor, not a model; score takes models")
+    values = []
+    for d in split_ids(dataset, split):
         x, y = dataset.domain_arrays(d)
-        if x.shape[0] == 0:
-            raise DataError(f"domain {d!r} has no examples")
         try:
             pred = np.asarray(predict_fn(d, x))
         except NumericalError as exc:
             raise NumericalError(f"{exc} on {split} domain {d!r}") from exc
-        if dataset.task == TASK_CLASSIFICATION:
-            per[d] = float(np.mean(pred.astype(np.int64) == y.astype(np.int64)))
-        else:
-            per[d] = float(np.mean((pred - y) ** 2))
-        counts[d] = int(x.shape[0])
-    values = np.array([per[d] for d in ids])
-    if dataset.task == TASK_CLASSIFICATION:
-        return MetricsReport("accuracy", split, per, float(values.mean()), float(values.min()), counts)
-    return MetricsReport("mse", split, per, float(values.mean()), float(values.max()), counts)
+        hits_or_errors = (pred.astype(np.int64) == y.astype(np.int64)
+                          if dataset.task == TASK_CLASSIFICATION else (pred - y) ** 2)
+        values.append(np.mean(hits_or_errors))
+    return _report(dataset, split, np.array(values))
+
+
+def score(models, datasets, modes, split: str) -> list[MetricsReport]:
+    """Each model's report on one split of its dataset (one for all, or one each).
+
+    modes[j] is model j's (relation mode, beta), beta checked in every mode,
+    or None; an ErmModel reads no mode. Models of one structure, dataset and mode are
+    scored together (see _SplitGroup), each with the bits of evaluate on
+    relational_predictor(model, dataset, beta, mode) or erm_predictor(model,
+    dataset). Non-finite outputs raise NumericalError naming the split and
+    the first such model's first such domain.
+    """
+    datasets = [datasets] * len(models) if isinstance(datasets, DomainDataset) else list(datasets)
+    groups = _split_groups(models, datasets, modes, split)
+    for d in datasets:
+        split_ids(d, split)
+    flat = np.stack([m.flat for m in models])
+    values, bad = {}, {}  # (T,) values and first non-finite domain, by row
+    for group in groups:
+        group.score(flat, values, bad)
+    if bad:
+        raise NumericalError(f"non-finite model outputs (NaN or inf) on {split} domain {bad[min(bad)]!r}")
+    return [_report(d, split, values[j]) for j, d in enumerate(datasets)]
+
+
+def _split_groups(models, datasets, modes, split: str) -> list:
+    """One _SplitGroup per set of rows that share a dataset and a mode; rows
+    without domains in the split are left out."""
+    members: dict[tuple, list[int]] = {}
+    for j, (d, mode) in enumerate(zip(datasets, modes)):
+        if d.ids_for_split(split):
+            members.setdefault((id(d), mode), []).append(j)
+    return [_SplitGroup(models, rows, datasets[rows[0]], modes[rows[0]], split)
+            for rows in members.values()]
+
+
+class _SplitGroup:
+    """One split of one dataset, scored for some rows of a stack under one predictor.
+
+    Built once: each domain's examples (pooled features for an ErmModel)
+    and, for a MultiHeadModel under mode (relation mode, beta), the fixed
+    relation rows, the meta-data stacks relation_row builds, and the weight
+    rows if the net is not read. score() computes every row's weight rows in
+    one pass and runs one forward per domain for all rows, not one over the
+    whole split: BLAS may round an example's output differently at another
+    offset in a larger block (1 ulp of valid MSE on a 6x6 grid).
+    """
+
+    def __init__(self, models, rows: list[int], dataset: DomainDataset, mode, split: str):
+        self.rows = rows
+        self.model = copy.deepcopy(models[rows[0]])  # copy() rejects non-finite parameters
+        self.model.bind(np.empty((len(rows),) + self.model.flat.shape))  # score() loads the rows
+        self.task = dataset.task
+        self.ids = dataset.ids_for_split(split)
+        arrays = [dataset.domain_arrays(d) for d in self.ids]
+        classes = self.task == TASK_CLASSIFICATION
+        self.ys = [y.astype(np.int64) if classes else y for _, y in arrays]
+        if not isinstance(self.model, MultiHeadModel):
+            metas = dataset.meta_for(self.ids)
+            self.xs = [np.hstack([x, np.tile(meta, (len(x), 1))]) for (x, _), meta in zip(arrays, metas)]
+            return
+        self.xs = [x for x, _ in arrays]
+        train_ids = self.model.head_domains
+        fixed, beta = mode_fusion(
+            *mode, lambda: dataset.fixed_between(self.ids, train_ids), (len(self.ids), len(train_ids))
+        )
+        self.weights = None
+        if beta == 1.0:  # the net is not read, so the weight rows never change
+            weights = _normalized_rows(fuse(fixed, 0.0, 1.0))
+            self.weights = np.broadcast_to(weights, (len(rows),) + weights.shape)
+            return
+        self.fixed_part, self.share = fuse_halves(fixed, beta)
+        # as in relation_row, domain t's meta-data above the training domains';
+        # the (T, 1, K + 1, m) block broadcasts against the rows' relation nets
+        metas = dataset.meta_for(train_ids)
+        self.metas = np.stack([np.vstack([t[None], metas]) for t in dataset.meta_for(self.ids)])[:, None]
+
+    def _outputs(self):
+        """Each domain's (S, n, c) outputs, as its predictor combines them."""
+        model = self.model
+        if not isinstance(model, MultiHeadModel):
+            for x in self.xs:
+                yield forward(model.head, forward(model.extractor, x)[0])[0]
+            return
+        w = self.weights  # (S, T, K)
+        if w is None:
+            learned = learned_matrix(model.relation_net, self.metas)[0][..., 0, 1:]  # (T, S, K)
+            w = _normalized_rows(np.maximum(
+                self.fixed_part + self.share * np.ascontiguousarray(learned.swapaxes(0, 1)), 0.0
+            ))
+        prob = model.task == TASK_CLASSIFICATION and model.combine_space == "prob"
+        for t, x in enumerate(self.xs):
+            outs = _stack_heads(model, x)[2]  # (S, K, n, c)
+            if prob:
+                outs = softmax(outs, axis=-1)
+            yield np.einsum("...k,...knc->...nc", w[:, t], outs)
+
+    def score(self, flat: np.ndarray, values: dict, bad: dict) -> None:
+        """From every row's (S, P) parameters, set values[j] to the (T,) per-domain metric
+        of each of the group's rows j, and bad[j] to j's first non-finite domain."""
+        np.take(flat, self.rows, axis=0, out=self.model.flat)
+        per = []
+        for d, y, out in zip(self.ids, self.ys, self._outputs()):
+            for s in np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))):
+                bad.setdefault(self.rows[s], d)
+            # each domain's metric as evaluate computes it, for every row at once
+            hits_or_errors = (out.argmax(axis=-1) == y if self.task == TASK_CLASSIFICATION
+                              else (out[..., 0] - y) ** 2)
+            per.append(np.mean(hits_or_errors, axis=-1))
+        values.update(zip(self.rows, np.stack(per, axis=-1)))
 
 
 # -- checkpoints ----------------------------------------------------------------

@@ -162,6 +162,13 @@ def fuse(fixed, learned, beta):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def check_mode(mode: str, beta) -> None:
+    """Raise ConfigError unless mode is one of RELATION_MODES and beta lies in [0, 1]."""
+    if mode not in RELATION_MODES:
+        raise ConfigError(f"unknown relation mode {mode!r}")
+    check_beta(beta)  # in every mode, so no given beta is silently ignored
+
+
 def mode_fusion(mode: str, beta: float, fixed, shape) -> tuple[np.ndarray, float]:
     """(fixed relations, beta) for one of RELATION_MODES; fixed() gives those from meta-data.
 
@@ -169,6 +176,7 @@ def mode_fusion(mode: str, beta: float, fixed, shape) -> tuple[np.ndarray, float
     relations of the given shape at beta 1. At beta 0 the fixed part is
     zeros, which fuse to the bits the finite, nonnegative fixed() would.
     """
+    check_mode(mode, beta)
     if mode == "uniform":
         return np.ones(shape), 1.0
     beta = {"fused": beta, "fixed": 1.0, "learned": 0.0}[mode]

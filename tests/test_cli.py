@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relgen.cli as cli
+import relgen.model as model_module
 from relgen.cli import main
 from relgen.relations import angle_between, load_relation_csv
 from relgen.data import load_meta_csv
@@ -212,6 +213,27 @@ def test_rw_finetune_needs_an_erm_checkpoint(trained, dg15_dir):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "kind,flags,scope",
+    [("erm", ["--relations", "fixed"], "relational checkpoints"),
+     ("erm", ["--beta", "0.5"], "relational checkpoints"),
+     ("erm", ["--beta", "5"], "relational checkpoints"),
+     ("erm", ["--lr", "1e-3"], "--rw-finetune"),
+     ("erm", ["--finetune-epochs", "1"], "--rw-finetune"),
+     ("relational", ["--lr", "1e-3"], "--rw-finetune"),
+     ("relational", ["--finetune-epochs", "1"], "--rw-finetune")],
+)
+def test_eval_rejects_flags_that_do_not_apply(trained, trained_erm, dg15_dir, tmp_path, capsys,
+                                              kind, flags, scope):
+    ckpt = (trained / "checkpoint-relational-seed0.npz" if kind == "relational"
+            else trained_erm / "checkpoint-erm-seed0.npz")
+    out = tmp_path / "e"
+    assert run("eval", "--checkpoint", str(ckpt), "--data", str(dg15_dir), "--out", str(out),
+               *flags) == 2
+    assert f"config error: {flags[0]} applies to {scope} only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors_exit_3(tmp_path):
     assert run("train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")) == 3
 
@@ -391,6 +413,29 @@ def test_a_repeated_seed_exits_2_and_names_it(dg15_dir, tmp_path, command, capsy
     assert run(command, "--data", str(dg15_dir), "--out", str(out), "--seeds", "3,1,3",
                "--epochs", "1") == 2
     assert "--seeds repeats seed 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,relabel,split",
+    [("train", ("valid", "test"), "valid"), ("train", ("test", "valid"), "test"),
+     ("ablate", ("test", "valid"), "test")],
+)
+def test_a_scored_split_without_domains_exits_3_before_training(
+    dg15_dir, tmp_path, monkeypatch, capsys, command, relabel, split
+):
+    data = tmp_path / "data"
+    shutil.copytree(dg15_dir, data)
+    splits = data / "splits.csv"
+    splits.write_text(splits.read_text().replace(f",{relabel[0]}\n", f",{relabel[1]}\n"))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(model_module, "_train_loop", no_training)
+    out = tmp_path / "o"
+    assert run(command, "--data", str(data), "--out", str(out), "--epochs", "1") == 3
+    assert f"data error: no domains in split {split!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

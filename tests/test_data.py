@@ -216,6 +216,9 @@ def test_container_invariants_are_enforced():
     with pytest.raises(DataError, match="duplicate"):
         DomainDataset(x=base.x, y=base.y, domain=base.domain, ids=["a", "a", "c"],
                       meta=base.meta, split=base.split, task=base.task)
+    with pytest.raises(DataError, match="domain 'b' has no examples"):
+        DomainDataset(x=base.x, y=base.y, domain=np.array([0, 0, 0, 0, 2, 2]),
+                      ids=base.ids, meta=base.meta, split=base.split, task=base.task)
 
 
 def test_classification_labels_must_be_integral():

@@ -19,7 +19,6 @@ from relgen.model import (
     build_erm,
     build_model,
     combine_heads,
-    config_predictor,
     erm_predictor,
     evaluate,
     infer,
@@ -31,8 +30,8 @@ from relgen.model import (
     rw_finetune,
     rwft_predictor,
     save_checkpoint,
+    score,
     stack_models,
-    total_loss,
     total_loss_and_grads,
     train,
     train_erm,
@@ -115,10 +114,10 @@ def test_total_loss_is_affine_in_lambda():
     lp = loss_pred(model, THREE_DOMAIN_BATCH)
     lr = loss_rel(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)
     for lam in (0.0, 0.3, 1.0, 2.5):
-        got = total_loss(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS, lam)
+        got = model_module._loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS, lam)[0]
         assert got == pytest.approx(lp + lam * lr, abs=1e-12)
     with pytest.raises(ConfigError):
-        total_loss(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS, -0.1)
+        TrainConfig(lam=-0.1).validate()
 
 
 def test_consistency_ignores_self_relations():
@@ -628,6 +627,12 @@ def test_non_finite_outputs_are_numerical_errors_naming_the_domain():
     erm.head.layers[-1].b[...] = np.inf
     with pytest.raises(NumericalError, match="valid domain 'm3'"):
         evaluate(erm_predictor(erm, ds), ds, "valid")
+    # score names the split and the first bad model's domain, as evaluate on it does
+    fine = build_model(ds, cfg)
+    with pytest.raises(NumericalError, match=r"^non-finite model outputs \(NaN or inf\) on test domain 'm4'$"):
+        score([fine, model], ds, [("fused", cfg.beta)] * 2, "test")
+    with pytest.raises(NumericalError, match="on valid domain 'm3'"):
+        score([erm], ds, [None], "valid")
 
 
 def _rewrite_checkpoint(src, dst, edit):
@@ -796,6 +801,13 @@ def test_lockstep_seeds_match_separate_runs(data, case):
 VALID_PASS_VARIANTS = {k: MIXED_VARIANTS[k] for k in ("fused", "uniform", "beta1", "beta0")}
 
 
+def reference_report(model, dataset, mode, split):
+    """evaluate on the predictor that score stands for, under mode (relation mode, beta)."""
+    if isinstance(model, MultiHeadModel):
+        return evaluate(relational_predictor(model, dataset, mode[1], mode[0]), dataset, split)
+    return evaluate(erm_predictor(model, dataset), dataset, split)
+
+
 @pytest.mark.parametrize("kind", ["relational", "erm"])
 @pytest.mark.parametrize(
     "data,space,variants",
@@ -830,7 +842,7 @@ def test_valid_pass_equals_evaluate_at_every_epoch(monkeypatch, kind, data, spac
         def scored(stack, epoch):
             got = valid(stack, epoch)
             for j, (m, d, c) in enumerate(zip(models, sets, configs)):
-                want = evaluate(config_predictor(m, d, c), d, "valid").mean
+                want = reference_report(m, d, (c.relation_mode, c.beta), "valid").mean
                 assert got[j].hex() == want.hex(), (j, epoch)
                 checked.append((j, epoch))
             return got
@@ -842,6 +854,68 @@ def test_valid_pass_equals_evaluate_at_every_epoch(monkeypatch, kind, data, spac
     histories = train([build(d, c) for d, c in zip(datasets, cfgs)], datasets, cfgs)
     assert sorted(checked) == [(j, e) for j in range(len(cfgs)) for e in range(3)]
     assert all("valid" in entry for h in histories for entry in h)
+
+
+# every relation mode at the training beta, and a beta override
+SCORE_MODES = [("fused", 0.8), ("fixed", 0.8), ("learned", 0.8), ("uniform", 0.8), ("fused", 0.3)]
+
+
+@pytest.mark.parametrize("kind", ["relational", "erm"])
+@pytest.mark.parametrize(
+    "data,space", [("dg15", "logit"), ("dg15", "prob"), ("grid", "logit"), ("mixed", "logit"),
+                   ("mixed", "prob")],
+)
+def test_score_equals_evaluate_on_every_split(kind, data, space):
+    """score's reports have the bits of evaluate on each model's own predictor.
+
+    One call scores two trained models under every mode of SCORE_MODES, so
+    its groups hold two rows of one dataset or, "mixed", one row of each of
+    two dg15 worlds; an erm model reads no mode.
+    """
+    seeds = (4, 5)
+    if data == "mixed":
+        datasets = [gen_dg15(w, n_per_class=10) for w in range(len(seeds))]
+    elif data == "grid":
+        datasets = [gen_spatial_regression(0, n_rows=6, n_cols=6, n_per_domain=6)] * len(seeds)
+    else:
+        datasets = [gen_dg15(0, n_per_class=10)] * len(seeds)
+    cfgs = [TrainConfig(lr=1e-3, epochs=2, seed=s, combine_space=space) for s in seeds]
+    build = build_model if kind == "relational" else build_erm
+    trained = [build(d, c) for d, c in zip(datasets, cfgs)]
+    train(trained, datasets, cfgs)
+    modes = SCORE_MODES if kind == "relational" else [None]
+    rows = [(m, d, mode) for mode in modes for m, d in zip(trained, datasets)]
+    models, sets, row_modes = (list(v) for v in zip(*rows))
+    before = [m.flat.copy() for m in trained]
+    for split in ("valid", "test"):
+        got = score(models, sets, row_modes, split)
+        assert len(got) == len(rows)
+        for rep, (m, d, mode) in zip(got, rows):
+            want = reference_report(m, d, mode, split)
+            assert (rep.metric, rep.split, list(rep.per_domain)) == (want.metric, split,
+                                                                     list(want.per_domain))
+            assert [v.hex() for v in rep.per_domain.values()] == [
+                v.hex() for v in want.per_domain.values()
+            ]
+            assert (rep.mean.hex(), rep.worst.hex()) == (want.mean.hex(), want.worst.hex())
+            per = list(rep.per_domain.values())
+            assert rep.worst == (min(per) if rep.metric == "accuracy" else max(per))
+            assert rep.n_examples == want.n_examples == {
+                i: len(d.domain_arrays(i)[1]) for i in d.ids_for_split(split)
+            }
+    assert all(np.array_equal(m.flat, b) for m, b in zip(trained, before))
+
+
+def test_score_checks_its_modes_and_splits():
+    ds = micro_dataset()
+    cfg = TrainConfig(epochs=0, hidden_width=4, relation_width=3, relation_heads=2)
+    model = build_model(ds, cfg)
+    with pytest.raises(ConfigError, match="unknown relation mode 'nearest'"):
+        score([model], ds, [("nearest", 0.8)], "test")
+    with pytest.raises(ConfigError, match="beta must lie in"):
+        score([model], ds, [("uniform", 1.5)], "test")
+    with pytest.raises(DataError, match="no domains in split 'valid'"):
+        score([model], replace(ds, split={**ds.split, "m3": "test"}), [("fused", 0.8)], "valid")
 
 
 @pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
