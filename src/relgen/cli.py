@@ -68,20 +68,8 @@ _OVERRIDE_FIELDS = (
     "combine_space",
     "finetune_epochs",
 )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+# config fields that shape a model: a resumed checkpoint's values for them stand
+_MODEL_FIELDS = ("combine_space", "hidden_width", "relation_width", "relation_heads")
 
 
 def _provenance(t0: float) -> dict:
@@ -93,26 +81,28 @@ def _provenance(t0: float) -> dict:
 
 def _write_report(out_dir: str, stem: str, payload: dict, text: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    body = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     atomic_write_text(os.path.join(out_dir, stem + ".json"), body)
     if not text.endswith("\n"):
         text += "\n"
     atomic_write_text(os.path.join(out_dir, stem + ".txt"), text)
 
 
-def _load_config(args) -> TrainConfig:
-    data: dict = {}
+def _load_config(args, base: TrainConfig | None = None) -> TrainConfig:
+    """base (or the defaults), then the keys of the --config file, then the flags given."""
+    data = base.to_dict() if base else {}
     path = getattr(args, "config", None)
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+                given = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(given, dict):
             raise ConfigError(f"{path}: expected a JSON object")
+        data.update(given)
     return _override(TrainConfig.from_dict(data), args)
 
 
@@ -175,18 +165,25 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset_dir(args.data, task=args.task)
-    cfg0 = _load_config(args)
+    relational = args.method == "relational"
+    base = None
+    if args.resume:
+        model, header = load_checkpoint(args.resume)
+        if not isinstance(model, MultiHeadModel if relational else ErmModel):
+            raise ConfigError(f"{args.resume}: not {'a relational' if relational else 'an erm'} checkpoint")
+        base = TrainConfig.from_dict(header["config"])
+    cfg0 = _load_config(args, base)
+    for name in _MODEL_FIELDS if base else ():
+        if getattr(cfg0, name) != getattr(base, name):
+            raise ConfigError(f"{args.resume} holds a model with {name} "
+                              f"{getattr(base, name)!r}, not {getattr(cfg0, name)!r}")
     seeds = _parse_seeds(args, fallback=cfg0.seed)
     if args.resume and len(seeds) > 1:
         raise ConfigError("--resume works with a single seed")
     for split in ("valid", "test"):  # the splits the report scores, checked before training
         split_ids(dataset, split)
     cfgs = [replace(cfg0, seed=s) for s in seeds]
-    relational = args.method == "relational"
     if args.resume:
-        model, _ = load_checkpoint(args.resume)
-        if not isinstance(model, MultiHeadModel if relational else ErmModel):
-            raise ConfigError(f"{args.resume}: not {'a relational' if relational else 'an erm'} checkpoint")
         models = [model]
     else:
         models = [(build_model if relational else build_erm)(dataset, cfg) for cfg in cfgs]
@@ -405,11 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--noise", type=float, default=0.1, help="spatial label noise")
     g.set_defaults(func=cmd_gen)
 
-    def add_config_flags(sp, with_seeds=True):
+    def add_config_flags(sp):
         sp.add_argument("--config", help="JSON file of training-config fields")
         sp.add_argument("--seed", type=int, default=None)
-        if with_seeds:
-            sp.add_argument("--seeds", default=None, help="comma-separated seed list")
+        sp.add_argument("--seeds", default=None, help="comma-separated seed list")
         sp.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="consistency-loss weight")
         sp.add_argument("--beta", type=float, default=None,

@@ -55,7 +55,6 @@ class DomainDataset:
     split: dict[str, str]
     task: str
     edges: list[tuple[str, str]] | None = None
-    fixed_kind: str = "angle"  # which fixed-relation source applies
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -101,16 +100,15 @@ class DomainDataset:
         if (counts < 1).any():
             empty = self.ids[int(np.argmin(counts))]
             raise DataError(f"domain {empty!r} has no examples")
-        if self.fixed_kind not in ("angle", "adjacency"):
-            raise DataError(f"unknown fixed relation kind {self.fixed_kind!r}")
-        if self.fixed_kind == "adjacency" and self.edges is None:
-            raise DataError("adjacency fixed relations need an edge list")
         # built once; an edge naming an unknown domain raises DataError here
-        self._adjacency = (
-            adjacency_matrix(self.ids, self.edges) if self.fixed_kind == "adjacency" else None
-        )
+        self._adjacency = None if self.edges is None else adjacency_matrix(self.ids, self.edges)
 
     # -- views -----------------------------------------------------------
+
+    @property
+    def fixed_kind(self) -> str:
+        """The fixed-relation source: "adjacency" given an edge list, else "angle"."""
+        return "angle" if self._adjacency is None else "adjacency"
 
     @property
     def n_features(self) -> int:
@@ -157,7 +155,7 @@ class DomainDataset:
 
     def fixed_between(self, ids_a: list[str], ids_b: list[str]) -> np.ndarray:
         """Fixed relations between two id lists, from the dataset's source."""
-        if self.fixed_kind == "adjacency":
+        if self._adjacency is not None:
             ia = [self._index(d) for d in ids_a]
             ib = [self._index(d) for d in ids_b]
             return self._adjacency[np.ix_(ia, ib)]
@@ -217,7 +215,6 @@ def gen_dg15(seed: int, n_per_class: int = 50) -> DomainDataset:
         meta=angles[:, None],
         split=split,
         task=TASK_CLASSIFICATION,
-        fixed_kind="angle",
     )
 
 
@@ -288,7 +285,6 @@ def gen_spatial_regression(
         split=split,
         task=TASK_REGRESSION,
         edges=edges,
-        fixed_kind="adjacency",
     )
 
 
@@ -431,10 +427,6 @@ def load_dataset(
     if adjacency_path is not None:
         edges = load_adjacency(adjacency_path, known_ids=ids)
 
-    for did in ids:
-        if did not in split:
-            raise DataError(f"domain {did!r} has no split assignment")
-
     y = np.array(ys)
     if task == "auto":
         integral = np.all(y == np.round(y)) and y.size > 0 and y.min() >= 0
@@ -445,10 +437,9 @@ def load_dataset(
         domain=np.array(dom),
         ids=ids,
         meta=np.array([meta_by_id[d] for d in ids]),
-        split={d: split[d] for d in ids},
+        split={d: split[d] for d in ids if d in split},  # a missing one fails __post_init__
         task=task,
         edges=edges,
-        fixed_kind="adjacency" if edges is not None else "angle",
     )
 
 

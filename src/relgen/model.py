@@ -237,11 +237,17 @@ def stack_models(models):
         if m._structure() != first._structure():
             raise ValueError("stacked models must have the same structure")
     flat = np.stack([m.flat for m in models])
-    stacked = first.copy()
-    stacked.bind(flat)
+    stacked = _bound_copy(first, flat)
     for m, row in zip(models, flat):
         m.bind(row)
     return stacked
+
+
+def _bound_copy(model, flat: np.ndarray):
+    """A deep copy of the model, bound to flat; unlike copy(), it accepts non-finite parameters."""
+    twin = copy.deepcopy(model)
+    twin.bind(flat)
+    return twin
 
 
 def _out_dim(dataset: DomainDataset) -> int:
@@ -1148,36 +1154,31 @@ class _SplitGroup:
 
     Built once: each domain's examples (pooled features for an ErmModel)
     and, for a MultiHeadModel under mode (relation mode, beta), the fixed
-    relation rows, the meta-data stacks relation_row builds, and the weight
-    rows if the net is not read. score() computes every row's weight rows in
-    one pass and runs one forward per domain for all rows, not one over the
-    whole split: BLAS may round an example's output differently at another
-    offset in a larger block (1 ulp of valid MSE on a 6x6 grid).
+    relation rows and the meta-data stacks relation_row builds. score()
+    computes every row's weight rows in one pass, the net read in every mode
+    (at beta 1 its share is 0, which keeps the fixed rows' bits), and runs one
+    forward per domain for all rows, not one over the whole split: BLAS may
+    round an example's output differently at another offset in a larger
+    block (1 ulp of valid MSE on a 6x6 grid).
     """
 
     def __init__(self, models, rows: list[int], dataset: DomainDataset, mode, split: str):
         self.rows = rows
-        self.model = copy.deepcopy(models[rows[0]])  # copy() rejects non-finite parameters
-        self.model.bind(np.empty((len(rows),) + self.model.flat.shape))  # score() loads the rows
+        template = models[rows[0]]  # score() loads the rows into the copy's buffer
+        self.model = _bound_copy(template, np.empty((len(rows),) + template.flat.shape))
         self.task = dataset.task
         self.ids = dataset.ids_for_split(split)
         arrays = [dataset.domain_arrays(d) for d in self.ids]
         classes = self.task == TASK_CLASSIFICATION
         self.ys = [y.astype(np.int64) if classes else y for _, y in arrays]
         if not isinstance(self.model, MultiHeadModel):
-            metas = dataset.meta_for(self.ids)
-            self.xs = [np.hstack([x, np.tile(meta, (len(x), 1))]) for (x, _), meta in zip(arrays, metas)]
+            self.xs = [_pooled_features(dataset, [d])[0] for d in self.ids]
             return
         self.xs = [x for x, _ in arrays]
         train_ids = self.model.head_domains
         fixed, beta = mode_fusion(
             *mode, lambda: dataset.fixed_between(self.ids, train_ids), (len(self.ids), len(train_ids))
         )
-        self.weights = None
-        if beta == 1.0:  # the net is not read, so the weight rows never change
-            weights = _normalized_rows(fuse(fixed, 0.0, 1.0))
-            self.weights = np.broadcast_to(weights, (len(rows),) + weights.shape)
-            return
         self.fixed_part, self.share = fuse_halves(fixed, beta)
         # as in relation_row, domain t's meta-data above the training domains';
         # the (T, 1, K + 1, m) block broadcasts against the rows' relation nets
@@ -1191,12 +1192,10 @@ class _SplitGroup:
             for x in self.xs:
                 yield forward(model.head, forward(model.extractor, x)[0])[0]
             return
-        w = self.weights  # (S, T, K)
-        if w is None:
-            learned = learned_matrix(model.relation_net, self.metas)[0][..., 0, 1:]  # (T, S, K)
-            w = _normalized_rows(np.maximum(
-                self.fixed_part + self.share * np.ascontiguousarray(learned.swapaxes(0, 1)), 0.0
-            ))
+        learned = learned_matrix(model.relation_net, self.metas)[0][..., 0, 1:]  # (T, S, K)
+        w = _normalized_rows(np.maximum(  # (S, T, K)
+            self.fixed_part + self.share * np.ascontiguousarray(learned.swapaxes(0, 1)), 0.0
+        ))
         prob = model.task == TASK_CLASSIFICATION and model.combine_space == "prob"
         for t, x in enumerate(self.xs):
             outs = _stack_heads(model, x)[2]  # (S, K, n, c)

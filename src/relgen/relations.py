@@ -138,7 +138,7 @@ def learned_matrix_backward(
     d_masked = (d_unit - inner * unit) / cache.divisor
     d_w = (d_masked * cache.reps[..., None, :]).sum(axis=-3, out=out[-1])  # (..., R, s)
     d_reps = (d_masked * net.w[..., None, :, :]).sum(axis=-2)  # (..., K, s)
-    g_grads, _ = backward(net.g, cache.tape, d_reps, out=out[:-1])
+    g_grads, _ = backward(net.g, cache.tape, d_reps, out=out[:-1], input_grad=False)
     return g_grads + [d_w]
 
 

@@ -143,6 +143,61 @@ def test_resume_with_zero_epochs_reproduces_metrics(trained, dg15_dir, tmp_path)
     assert b["per_seed"][0]["test"] == a["per_seed"][0]["test"]
 
 
+def test_resume_starts_from_the_checkpoint_config(dg15_dir, tmp_path):
+    """The checkpoint's config, then the --config keys, then the flags; a non-default beta is kept."""
+    first = tmp_path / "first"
+    assert run("train", "--data", str(dg15_dir), "--out", str(first), "--beta", "0.3",
+               "--lr", "1e-3", "--epochs", "2", "--seed", "5") == 0
+    ckpt = str(first / "checkpoint-relational-seed5.npz")
+    resumed = tmp_path / "resumed"
+    assert run("train", "--data", str(dg15_dir), "--out", str(resumed), "--epochs", "0",
+               "--resume", ckpt) == 0
+    a = json.loads((first / "train-report.json").read_text())
+    b = json.loads((resumed / "train-report.json").read_text())
+    assert b["config"] == {**a["config"], "epochs": 0}
+    assert b["per_seed"][0]["test"] == a["per_seed"][0]["test"]
+    header = model_module.load_checkpoint(str(resumed / "checkpoint-relational-seed5.npz"))[1]
+    assert header["config"] == b["config"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 0.25, "lr": 2e-3}))
+    assert run("train", "--data", str(dg15_dir), "--out", str(tmp_path / "r2"), "--epochs", "0",
+               "--resume", ckpt, "--config", str(cfg), "--lr", "3e-3") == 0
+    c = json.loads((tmp_path / "r2" / "train-report.json").read_text())["config"]
+    assert (c["beta"], c["lam"], c["lr"], c["seed"]) == (0.3, 0.25, 3e-3, 5)
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [(["--combine-space", "prob"], "combine_space"),
+     ({"hidden_width": 8}, "hidden_width"),
+     ({"relation_width": 8}, "relation_width"),
+     ({"relation_heads": 2}, "relation_heads")],
+)
+def test_resume_rejects_a_config_of_another_model(trained, dg15_dir, tmp_path, capsys, flags, field):
+    if isinstance(flags, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "o"
+    ckpt = str(trained / "checkpoint-relational-seed0.npz")
+    assert run("train", "--data", str(dg15_dir), "--out", str(out), "--epochs", "1",
+               "--resume", ckpt, *flags) == 2
+    assert f"holds a model with {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["relational", "erm"])
+def test_resume_rejects_a_checkpoint_of_the_other_kind(trained, trained_erm, dg15_dir, tmp_path,
+                                                       capsys, method):
+    ckpt = (trained_erm / "checkpoint-erm-seed0.npz" if method == "relational"
+            else trained / "checkpoint-relational-seed0.npz")
+    out = tmp_path / "o"
+    assert run("train", "--method", method, "--data", str(dg15_dir), "--out", str(out),
+               "--resume", str(ckpt)) == 2
+    assert f"not {'a relational' if method == 'relational' else 'an erm'} checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_multi_seed_aggregates(dg15_dir, tmp_path):
     out = tmp_path / "multi"
     code = run(
@@ -185,6 +240,10 @@ def test_config_errors_exit_2(dg15_dir, trained, tmp_path):
     not_json = tmp_path / "broken.json"
     not_json.write_text("{nope")
     assert run(*base, "--config", str(not_json)) == 2
+    assert run(*base, "--config", str(tmp_path / "missing.json")) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert run(*base, "--config", str(not_object)) == 2
     assert run(*base, "--seeds", "0,1", "--resume",
                str(trained / "checkpoint-relational-seed0.npz")) == 2
     assert run(*base, "--seeds", "0,x") == 2
@@ -298,6 +357,13 @@ def test_a_class_label_beyond_the_class_cap_exits_3(dg15_dir, tmp_path, label):
     bad = tmp_path / "huge-label"
     _damaged_copy(dg15_dir, bad, "data.csv", 1, 1, label)
     assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
+
+
+def test_a_splits_row_with_three_fields_exits_3(dg15_dir, tmp_path, capsys):
+    bad = tmp_path / "three-fields"
+    _damaged_copy(dg15_dir, bad, "splits.csv", 1, 1, "valid,extra")
+    assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
+    assert "line 2: expected 2 fields" in capsys.readouterr().err
 
 
 def test_sparse_class_labels_train(dg15_dir, tmp_path):
@@ -560,6 +626,8 @@ def test_theory_quick_run(tmp_path):
 
 def test_theory_rejects_bad_grid(tmp_path):
     assert run("theory", "--out", str(tmp_path / "t"), "--domain-grid", "a,b") == 2
+    assert run("theory", "--out", str(tmp_path / "t"), "--domain-grid", ",") == 2
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("flag", ["--domain-grid=0,8", "--domain-grid=-4,8", "--r=-2"])
@@ -653,6 +721,17 @@ def test_export_with_checkpoint_fuses(trained, dg15_dir, tmp_path):
     fixed_only = angle_between(metas, metas)
     np.fill_diagonal(fixed_only, 1.0)
     assert not np.array_equal(matrix, fixed_only)  # learned part moved it
+
+
+def test_export_needs_fixed_relations_and_a_relational_checkpoint(spatial_dir, dg15_dir,
+                                                                 trained_erm, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run("export-relations", "--meta", str(spatial_dir / "meta.csv"), "--out", str(out)) == 2
+    assert "need either --adjacency or single-column angle meta-data" in capsys.readouterr().err
+    assert run("export-relations", "--meta", str(dg15_dir / "meta.csv"), "--out", str(out),
+               "--checkpoint", str(trained_erm / "checkpoint-erm-seed0.npz")) == 2
+    assert "not a relational checkpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_adjacency_relations(spatial_dir, tmp_path):

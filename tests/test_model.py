@@ -1109,6 +1109,16 @@ def test_a_diverging_erm_seed_or_fine_tune_is_named():
         rw_finetune(erm, ds, rows, cfgs[0], targets=["d01", "d02"])
 
 
+@pytest.mark.parametrize("build", [build_erm, build_model])
+def test_a_non_finite_parameter_in_the_first_row_is_named(build):
+    """Row 0 gets the same NumericalError as any other row, not the constructor's ValueError."""
+    ds, cfgs = _lockstep_setup("dg15", "fused")
+    models = [build(ds, c) for c in cfgs]
+    models[0].flat[0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="seed 4 at epoch 0, batch 0"):
+        train(models, ds, cfgs)
+
+
 def test_a_non_finite_gradient_under_a_finite_loss_is_named():
     ds, cfgs = _lockstep_setup("dg15", "fused", seeds=(4, 5))
     models = [build_erm(ds, c) for c in cfgs]
