@@ -337,13 +337,14 @@ def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int, ix: tuple):
     self_entry = ix + (dom,)
     rows = a[ix[: a.ndim - 2] + (dom,)]  # fancy indexing, so already a copy
     rows[self_entry] = 0.0
-    s = rows.sum(axis=-1)
+    s = np.add.reduce(rows, axis=-1)[..., None]
     fallback = s <= REL_EPS
-    divisor = np.where(fallback, np.inf, s)[..., None]
+    if not np.logical_or.reduce(fallback, axis=None):
+        return rows / s, s
+    divisor = np.where(fallback, np.inf, s)
     u = rows / divisor
-    if fallback.any():
-        u[fallback] = 1.0 / (k - 1)
-        u[self_entry] = 0.0
+    u[fallback[..., 0]] = 1.0 / (k - 1)
+    u[self_entry] = 0.0
     return u, divisor
 
 
@@ -363,11 +364,12 @@ def _losses(model, outs, self_out, u, y, ix):
 
     outs is (S, K, n, c), u (S, n, K) and y (S, n) targets as _targets
     returns them. In logit space (and for regression) the own-head outputs
-    and the mixture share one loss pass over a (2, S, n, c) stack. In prob
-    space the mixture averages each head's softmax, p. Returns (lp, lrel,
-    g_self, g_mix, mix, p), the losses being means over n and p None in
-    logit space.
+    and the mixture share one loss pass over one (2, S, n, c) buffer. In
+    prob space the mixture averages each head's softmax, p. Returns (lp,
+    lrel, g_self, g_mix, mix, p), the losses being means over n and p None
+    in logit space.
     """
+    n = y.shape[-1]
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         losses, g_self = cross_entropy(outs[self_out], y)
         p = softmax(outs, axis=-1)  # (S, K, n, c)
@@ -375,11 +377,14 @@ def _losses(model, outs, self_out, u, y, ix):
         label_entry = ix + (y,)
         picked = np.maximum(mix[label_entry], PROB_FLOOR)
         g_mix = np.zeros_like(mix)
-        g_mix[label_entry] = -1.0 / (y.shape[-1] * picked)
-        return losses.mean(axis=-1), -np.log(picked).mean(axis=-1), g_self, g_mix, mix, p
-    mix = np.einsum("...nk,...knc->...nc", u, outs)
-    losses, (g_self, g_mix) = _example_losses(np.stack([outs[self_out], mix]), y, model.task)
-    lp, lrel = losses.mean(axis=-1)
+        g_mix[label_entry] = -1.0 / (n * picked)
+        return (np.add.reduce(losses, axis=-1) / n, -np.add.reduce(np.log(picked), axis=-1) / n,
+                g_self, g_mix, mix, p)
+    both = np.empty((2,) + u.shape[:-1] + outs.shape[-1:])
+    both[0] = outs[self_out]
+    mix = np.einsum("...nk,...knc->...nc", u, outs, out=both[1])
+    losses, (g_self, g_mix) = _example_losses(both, y, model.task)
+    lp, lrel = np.add.reduce(losses, axis=-1) / n
     return lp, lrel, g_self, g_mix, mix, None
 
 
@@ -390,7 +395,9 @@ class StepPlan:
     grad is the gradient buffer and views its parameter views, one leading
     row per model; the relations are max(fixed_part + share * learned, 0),
     or the constant ``relations`` when the net is not read (beta 1 for
-    every row); grids holds np.indices(shape, sparse=True) per batch shape.
+    every row); d_a is the (S, K, K) buffer of their gradient and diagonal
+    a view of its diagonals; grids holds np.indices(shape, sparse=True) per
+    batch shape.
     """
 
     grad: np.ndarray
@@ -398,6 +405,8 @@ class StepPlan:
     fixed_part: np.ndarray
     share: object
     relations: np.ndarray | None
+    d_a: np.ndarray
+    diagonal: np.ndarray
     grids: dict = field(default_factory=dict)
 
     def grid(self, shape: tuple) -> tuple:
@@ -415,8 +424,11 @@ def plan_step(model: MultiHeadModel, fixed, beta, grad: np.ndarray) -> StepPlan:
     per_row = isinstance(beta, np.ndarray)
     fixed_part, share = fuse_halves(fixed, beta[:, None, None] if per_row else beta)
     constant = None if per_row or beta != 1.0 else fuse(fixed, 0.0, 1.0)
-    views = model.views(grad.reshape(-1, grad.shape[-1]))
-    return StepPlan(grad, views, fixed_part, share, constant)
+    rows = grad.reshape(-1, grad.shape[-1])
+    k = len(model.head_domains)
+    d_a = np.empty((len(rows), k, k))
+    diagonal = d_a.reshape(len(rows), k * k)[:, :: k + 1]
+    return StepPlan(grad, model.views(rows), fixed_part, share, constant, d_a, diagonal)
 
 
 def _targets(model, y) -> np.ndarray:
@@ -469,8 +481,10 @@ def total_loss_and_grads(
 
     a, cache = plan.relations, None
     if a is None:
-        a_l, cache = learned_matrix(net, metas)
-        a = np.maximum(plan.fixed_part + plan.share * a_l, 0.0)  # fuse, with its halves planned
+        a, cache = learned_matrix(net, metas)
+        a *= plan.share  # fuse, in place, with its halves planned
+        a += plan.fixed_part
+        np.maximum(a, 0.0, out=a)
 
     phi, e_tape, outs = _stack_heads(model, x)  # outs: (S, K, n, c)
 
@@ -479,7 +493,7 @@ def total_loss_and_grads(
     self_out = (seeds, dom, cols)
     u, divisor = _consistency_weights(a, dom, k, ix)
     lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y, ix)
-    g_mix = row_lam * g_mix
+    g_mix *= row_lam
 
     # gradients w.r.t. head outputs (in mixture space first)
     g_heads = u.swapaxes(-1, -2)[..., None] * g_mix[..., None, :, :]  # (S, K, n, c)
@@ -487,7 +501,7 @@ def total_loss_and_grads(
         # mixture was over probabilities: pull back through each softmax
         inner = (g_heads * p).sum(axis=-1, keepdims=True)
         g_heads = p * (g_heads - inner)
-    g_heads[self_out] += g_self
+    np.add.at(g_heads, self_out, g_self)
 
     # gradients w.r.t. the relation entries actually used
     if cache is None:
@@ -495,15 +509,15 @@ def total_loss_and_grads(
             view[...] = 0.0
     else:
         src = p if p is not None else outs
-        tk = np.einsum("...nc,...knc->...nk", g_mix, src)
-        mm = np.einsum("...nc,...nc->...n", g_mix, mix)
-        contrib = (tk - mm[..., None]) / divisor
-        contrib[seeds, cols, dom] = 0.0
-        d_a = np.zeros(dom.shape[:1] + (k, k))
+        contrib = np.einsum("...nc,...knc->...nk", g_mix, src)
+        contrib -= np.einsum("...nc,...nc->...n", g_mix, mix)[..., None]
+        contrib /= divisor
+        # each example's own entry lands on the diagonal, zeroed below
+        d_a = plan.d_a
+        d_a.fill(0.0)
         np.add.at(d_a, (seeds, dom), contrib)
         d_a *= a > 0.0  # clamp subgradient
-        diag = np.arange(k)
-        d_a[:, diag, diag] = 0.0
+        plan.diagonal.fill(0.0)
         learned_matrix_backward(net, cache, plan.share * d_a, out=g_net)
 
     _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
@@ -642,13 +656,19 @@ def train(model, dataset, config):
         def plan(stack, grad):
             step_plan = plan_step(stack, fixed, beta, grad)
 
-            def step(b):
-                loss, (lp, lrel), _ = total_loss_and_grads(
-                    stack, (x[b], y[b], dom[b]), fixed, metas, lam, beta, plan=step_plan
-                )
-                return loss, lp, lrel
+            def epoch(idx):
+                xe, ye, de = x[idx], y[idx], dom[idx]
 
-            return step
+                def step(lo, hi):
+                    batch = xe[:, lo:hi], ye[:, lo:hi], de[:, lo:hi]
+                    loss, (lp, lrel), _ = total_loss_and_grads(
+                        stack, batch, fixed, metas, lam, beta, plan=step_plan
+                    )
+                    return loss, lp, lrel
+
+                return step
+
+            return epoch
     else:
         keys = ("loss",)
         plan = _pooled_step(x, y)
@@ -669,11 +689,15 @@ def _pooled_step(x, y, q=None):
 
     def plan(stack, grad):
         views = stack.views(grad)
-        if q is None:
-            return lambda b: (_pooled_loss_and_grads(stack, x[b], y[b], None, views),)
-        return lambda b: (
-            _pooled_loss_and_grads(stack, x[b], y[b], np.ascontiguousarray(q[:, b]), views),
-        )
+
+        def epoch(idx):
+            xe, ye = x[idx], y[idx]
+            qe = None if q is None else np.ascontiguousarray(q[:, idx])  # C order, see rw_finetune
+            return lambda lo, hi: (_pooled_loss_and_grads(
+                stack, xe[..., lo:hi, :], ye[..., lo:hi], None if qe is None else qe[:, lo:hi], views
+            ),)
+
+        return epoch
 
     return plan
 
@@ -685,46 +709,48 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, plan, keys, nam
     gradient buffer and one Adam state, so each batch is one step() call
     and one adam_step call for all of them. order(epoch) gives the example
     order, (S, m) with one row per model or (m,) shared by all.
-    plan(stack, grad), called once, returns step(b), which writes every
-    model's gradient for index batch b into grad and returns its loss
-    terms, one (S,) array per name in keys, the first being the loss. A
-    non-finite loss or gradient raises NumericalError naming the model
-    (names[s]), the epoch and the batch. valid(stack, epoch), if given,
-    returns each model's valid-split metric, or None for a model without
-    one, which selects its best epoch. Returns one history per model.
+    plan(stack, grad), called once, returns epoch(idx), which gathers the
+    examples of that order once and returns step(lo, hi); step writes every
+    model's gradient for the batch idx[..., lo:hi] into grad and returns
+    its loss terms, one (S,) array per name in keys, the first being the
+    loss. A non-finite loss or gradient raises NumericalError naming the
+    model (names[s]), the epoch and the batch. valid(stack, epoch), if
+    given, returns each model's valid-split metric, or None for a model
+    without one, which selects its best epoch. Returns one history per model.
     """
     stack = stack_models(models)
-    opt = init_opt_state([stack.flat])
-    grad = np.empty_like(stack.flat)
-    step = plan(stack, grad)
+    params, grads = [stack.flat], [np.empty_like(stack.flat)]
+    opt = init_opt_state(params)
+    epoch_steps = plan(stack, grads[0])
     histories: list[list[dict]] = [[] for _ in models]
     best_metric: list[float | None] = [None] * len(models)
     best_params: list[np.ndarray | None] = [None] * len(models)
+    size = config.batch_size
     for epoch in range(epochs):
         idx = order(epoch)
-        sums = np.zeros((len(keys), len(models)))
-        seen = 0
-        for start in range(0, idx.shape[-1], config.batch_size):
-            b = idx[..., start : start + config.batch_size]
-            terms = np.array(step(b))
-            bad = ~np.isfinite(terms[0])
-            if bad.any():
-                j = int(bad.argmax())
-                detail = ", ".join(f"{k}={float(v)!r}" for k, v in zip(keys, terms[:, j]))
+        step = epoch_steps(idx)
+        seen = idx.shape[-1]
+        counts = np.minimum(seen - np.arange(0, seen, size), size)  # each batch's size
+        terms = np.empty((len(counts), len(keys), len(models)))  # each batch's loss terms
+        for b in range(len(counts)):
+            terms[b] = step(b * size, (b + 1) * size)
+            finite = np.isfinite(terms[b, 0])
+            if not np.logical_and.reduce(finite):
+                j = int(finite.argmin())
+                detail = ", ".join(f"{k}={float(v)!r}" for k, v in zip(keys, terms[b, :, j]))
                 raise NumericalError(
                     f"non-finite training loss for {names[j]} at epoch {epoch}, "
-                    f"batch {start // config.batch_size} ({detail})"
+                    f"batch {b} ({detail})"
                 )
             try:
-                adam_step([stack.flat], [grad], opt, config.lr, config.weight_decay)
+                adam_step(params, grads, opt, config.lr, config.weight_decay)
             except NumericalError as exc:
-                j = int((~np.isfinite(grad).all(axis=-1)).argmax())
+                j = int((~np.isfinite(grads[0]).all(axis=-1)).argmax())
                 raise NumericalError(
-                    f"non-finite gradient for {names[j]} at epoch {epoch}, "
-                    f"batch {start // config.batch_size}"
+                    f"non-finite gradient for {names[j]} at epoch {epoch}, batch {b}"
                 ) from exc
-            sums += terms * b.shape[-1]
-            seen += b.shape[-1]
+        # each batch's terms times its size, added in batch order (a running sum)
+        sums = np.add.accumulate(terms * counts[:, None, None])[-1]
         evaluate_now = valid is not None and (
             (epoch + 1) % config.eval_every == 0 or epoch == epochs - 1
         )
@@ -959,10 +985,10 @@ def _pooled_loss_and_grads(model: ErmModel, x, y, q, views) -> np.ndarray:
     out, h_tape = forward(model.head, phi)
     losses, g = _example_losses(out, y, model.task)
     if q is None:
-        loss = losses.mean(axis=-1)
+        loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
     else:
-        loss = (q * losses).sum(axis=-1) / losses.shape[-1]
-        g = g * q[..., None]
+        loss = np.add.reduce(q * losses, axis=-1) / losses.shape[-1]
+        g *= q[..., None]
     _, d_phi = backward(model.head, h_tape, g, out=g_head)
     backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
     return loss
@@ -1015,12 +1041,12 @@ def rw_finetune(
         raise ValueError("need one relation weight per training domain")
     feats, y, dom = _pooled_features(dataset, train_ids)
     y = _targets(erm, y)
-    # w[:, dom] and q[:, b] index the last axis, which numpy returns column
-    # major; each row of a C-order block is summed pairwise, as a lone row
-    # is, so every fine-tune keeps the bits of a run of its own
+    # w[:, dom], and q[:, idx] in each epoch, index the last axis, which numpy
+    # returns column major; each row of a C-order block is summed pairwise, as
+    # a lone row is, so every fine-tune keeps the bits of a run of its own
     q = np.ascontiguousarray(w[:, dom])
     q = q * (len(dom) / q.sum(axis=-1, keepdims=True))
-    tuned = [erm.copy() for _ in w]
+    tuned = [_bound_copy(erm, erm.flat.copy()) for _ in w]
     names = (
         [f"the fine-tune for domain {t!r}" for t in targets]
         if targets

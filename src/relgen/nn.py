@@ -18,7 +18,7 @@ All arithmetic is float64 so gradient checks can be tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,31 +123,21 @@ class Tape:
     single: bool
 
 
-def _act(z: np.ndarray, act: str) -> np.ndarray:
-    if act == "identity":
-        return z
-    if act == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _act_grad(g: np.ndarray, z: np.ndarray, a: np.ndarray, act: str) -> np.ndarray:
-    if act == "identity":
-        return g
-    if act == "relu":
-        return g * (z > 0.0)
-    return g * (1.0 - a * a)
-
-
 def forward(mlp: Mlp, x) -> tuple[np.ndarray, Tape]:
     """Evaluate the network; returns (output, tape for backward)."""
-    h, single = _as_batch(x)
-    if h.shape[-1] != mlp.in_dim:
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim >= 2:
+        h, single = x, False  # already a batch of rows
+    else:
+        h, single = _as_batch(x)
+    layers = mlp.layers
+    if h.shape[-1] != layers[0].w.shape[-1]:
         raise ValueError(f"input dim {h.shape[-1]} != network dim {mlp.in_dim}")
     steps = []
-    for layer in mlp.layers:
-        z = h @ layer.w.swapaxes(-1, -2) + layer.b[..., None, :]
-        a = _act(z, layer.act)
+    for layer in layers:
+        z = np.matmul(h, layer.w.swapaxes(-1, -2))
+        z += layer.b[..., None, :]
+        act = layer.act
+        a = np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z
         steps.append((h, z, a))
         h = a
     return (h[0] if single else h), Tape(steps, single)
@@ -166,18 +156,22 @@ def backward(
     arrays shaped like those grads, the gradients are written into them.
     With input_grad=False the input gradient is skipped and grad_x is None.
     """
-    if len(tape.steps) != len(mlp.layers):
+    layers, steps = mlp.layers, tape.steps
+    if len(steps) != len(layers):
         raise ValueError("tape does not match this network (stale tape?)")
-    g, _ = _as_batch(grad_output)
-    grads = out if out is not None else [None] * (2 * len(mlp.layers))
-    for k in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[k]
-        x_in, z, a = tape.steps[k]
+    g = grad_output
+    if not (type(g) is np.ndarray and g.dtype == np.float64 and g.ndim >= 2):
+        g, _ = _as_batch(g)
+    grads = out if out is not None else [None] * (2 * len(layers))
+    for k in range(len(layers) - 1, -1, -1):
+        layer = layers[k]
+        x_in, z, a = steps[k]
         if z.shape[-2:] != g.shape[-2:] or x_in.shape[-1] != layer.w.shape[-1]:
             raise ValueError("tape does not match this network (stale tape?)")
-        dz = _act_grad(g, z, a, layer.act)
+        act = layer.act
+        dz = g * (z > 0.0) if act == "relu" else g * (1.0 - a * a) if act == "tanh" else g
         grads[2 * k] = np.matmul(dz.swapaxes(-1, -2), x_in, out=grads[2 * k])
-        grads[2 * k + 1] = dz.sum(axis=-2, out=grads[2 * k + 1])
+        grads[2 * k + 1] = np.add.reduce(dz, axis=-2, out=grads[2 * k + 1])
         if k == 0 and not input_grad:
             return grads, None
         g = dz @ layer.w
@@ -206,9 +200,14 @@ def stack_backward(
     out_w, out_b = out if out is not None else (None, None)
     # numpy picks its summation order from the memory layout; summing a C
     # order copy adds each layer's rows in the order backward() adds them
-    grad_b = np.ascontiguousarray(g).sum(axis=-2, out=out_b)
+    grad_b = np.add.reduce(np.ascontiguousarray(g), axis=-2, out=out_b)
     grad_w = np.matmul(g.swapaxes(-1, -2), x[..., None, :, :], out=out_w)
-    return grad_w, grad_b, np.matmul(g, w).sum(axis=-3)
+    if g.shape[-1] == 1:
+        # one output per layer: matmul is slow on a contraction of length 1,
+        # and einsum forms the same single products and adds them in layer
+        # order; with more outputs einsum rounds unlike BLAS, so matmul stays
+        return grad_w, grad_b, np.einsum("...knc,...kch->...nh", g, w)
+    return grad_w, grad_b, np.add.reduce(np.matmul(g, w), axis=-3)
 
 
 # -- losses ------------------------------------------------------------------
@@ -265,9 +264,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     e.g. (n,) labels for a (2, n, k) stack of two logit sets. One exp feeds
     both the log-sum-exp and the softmax in the gradient.
     """
-    m = logits.max(axis=-1, keepdims=True)
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    total = e.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
     lse = (m + np.log(total))[..., 0]
     grad = e / total
     hot = labels[..., None] == np.arange(logits.shape[-1])
@@ -288,11 +287,22 @@ def loss_ce_batch(logits, labels) -> tuple[float, np.ndarray]:
 
 @dataclass
 class OptState:
-    """Adam moment estimates plus the step counter."""
+    """Adam moment estimates plus the step counter.
+
+    buffers holds two work arrays per parameter shape, which adam_step
+    writes its intermediate results into, so a step allocates nothing.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
+    buffers: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def scratch(self, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        pair = self.buffers.get(shape)
+        if pair is None:
+            pair = self.buffers[shape] = (np.empty(shape), np.empty(shape))
+        return pair
 
 
 def init_opt_state(params: list[np.ndarray]) -> OptState:
@@ -309,23 +319,36 @@ def adam_step(
     """One Adam update, in place, with decoupled weight decay.
 
     Weight decay is applied directly to the parameters (not folded into the
-    gradient), so it does not interact with the moment estimates.
+    gradient), so it does not interact with the moment estimates. The
+    update is p -= lr * (step + weight_decay * p) with step = (m / c1) /
+    (sqrt(v / c2) + eps), each operation done in that order into the two
+    scratch buffers of the state.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params/grads/state length mismatch")
     for g in grads:
-        if not np.isfinite(g).all():
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
             raise NumericalError("non-finite gradient passed to adam_step")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        a, b = state.scratch(p.shape)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        step = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        p -= lr * (step + weight_decay * p)
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, c1, out=b)
+        b /= a
+        np.multiply(weight_decay, p, out=a)
+        np.add(b, a, out=a)
+        np.multiply(lr, a, out=a)
+        p -= a
     return state
 
 

@@ -93,6 +93,8 @@ class LearnedMatrixCache:
     tape: Tape
     unit: np.ndarray  # (..., K, R, s) row-normalized masked embeddings, domain-major
     divisor: np.ndarray  # (..., K, R, 1) norms, inf where zero, so a zero embedding divides to 0
+    block: np.ndarray  # unit as (..., K, R*s) rows
+    mask: np.ndarray  # the net's mask vectors as a (..., 1, R, s) view
 
 
 def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCache]:
@@ -109,13 +111,14 @@ def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCa
     if metas.ndim < 2:
         raise ValueError("metas must be a (K, meta_dim) matrix or a stack of them")
     reps, tape = forward(net.g, metas)
-    masked = reps[..., None, :] * net.w[..., None, :, :]  # (..., K, R, s)
-    norm = np.sqrt((masked * masked).sum(axis=-1))  # (..., K, R), as np.linalg.norm
+    mask = net.w[..., None, :, :]
+    masked = reps[..., None, :] * mask  # (..., K, R, s)
+    norm = np.sqrt(np.add.reduce(masked * masked, axis=-1))  # (..., K, R), as np.linalg.norm
     divisor = np.where(norm > 0.0, norm, np.inf)[..., None]
     unit = masked / divisor
     block = unit.reshape(unit.shape[:-2] + (-1,))
-    a_l = (block @ block.swapaxes(-1, -2)) / net.n_heads  # a syrk call, so exactly symmetric
-    return a_l, LearnedMatrixCache(reps, tape, unit, divisor)
+    a_l = (block @ block.swapaxes(-1, -2)) / mask.shape[-2]  # a syrk call, so exactly symmetric
+    return a_l, LearnedMatrixCache(reps, tape, unit, divisor, block, mask)
 
 
 def learned_matrix_backward(
@@ -128,16 +131,16 @@ def learned_matrix_backward(
     out, arrays shaped like the gradients, they are written into it.
     """
     out = out if out is not None else [None] * len(net.params())
-    d_a_l = np.asarray(d_a_l, dtype=np.float64) / net.n_heads
-    unit = cache.unit
+    unit, mask = cache.unit, cache.mask
+    d_a_l = np.asarray(d_a_l, dtype=np.float64) / mask.shape[-2]
     # A_l = U U^T, so d U = (D + D^T) U on the (K, R*s) block
-    d_block = (d_a_l + d_a_l.swapaxes(-1, -2)) @ unit.reshape(unit.shape[:-2] + (-1,))
+    d_block = (d_a_l + d_a_l.swapaxes(-1, -2)) @ cache.block
     d_unit = d_block.reshape(d_block.shape[:-1] + unit.shape[-2:])
     # back through row normalization u = m / |m|
-    inner = (d_unit * unit).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(d_unit * unit, axis=-1, keepdims=True)
     d_masked = (d_unit - inner * unit) / cache.divisor
-    d_w = (d_masked * cache.reps[..., None, :]).sum(axis=-3, out=out[-1])  # (..., R, s)
-    d_reps = (d_masked * net.w[..., None, :, :]).sum(axis=-2)  # (..., K, s)
+    d_w = np.add.reduce(d_masked * cache.reps[..., None, :], axis=-3, out=out[-1])  # (..., R, s)
+    d_reps = np.add.reduce(d_masked * mask, axis=-2)  # (..., K, s)
     g_grads, _ = backward(net.g, cache.tape, d_reps, out=out[:-1], input_grad=False)
     return g_grads + [d_w]
 

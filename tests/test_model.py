@@ -983,6 +983,65 @@ def test_lockstep_training_keeps_its_recorded_bits():
     ]
 
 
+def test_lockstep_regression_training_keeps_its_recorded_bits():
+    # one-output heads on a 6x6 grid, recorded before the step's head input
+    # gradient and Adam's update were rewritten; the c = 1 head path, the
+    # adjacency relations and the MSE loss must keep these bits
+    ds = gen_spatial_regression(0, n_rows=6, n_cols=6)
+    cfgs = [TrainConfig(lr=1e-3, epochs=2, seed=s) for s in (0, 1)]
+    models = [build_model(ds, c) for c in cfgs]
+    histories = train(models, ds, cfgs)
+    assert [hashlib.sha256(m.flat.tobytes()).hexdigest() for m in models] == [
+        "c0e60b1459731560225e92cd18c33f10870fe776ec7e32bcd16408805298850e",
+        "bc27947946059fc745cd3ea7f6b6ab27adc22e193742c0f164a152053c0513b8",
+    ]
+    got = [[[e[k].hex() for k in ("loss", "loss_pred", "loss_rel", "valid")] for e in h]
+           for h in histories]
+    assert got == [
+        [["0x1.0a5ebc1335b4dp+2", "0x1.62dde479fbed6p+1", "0x1.63bf2758def90p+1",
+          "0x1.03bde9546ce02p+3"],
+         ["0x1.51c200fc09de9p+1", "0x1.be4f1e92fd804p+0", "0x1.ca69c6ca2c79cp+0",
+          "0x1.aeb9200c154dcp+2"]],
+        [["0x1.1384908097309p+2", "0x1.6e760890eec9ap+1", "0x1.712630e07f2f2p+1",
+          "0x1.06091d116a456p+3"],
+         ["0x1.60cb9490a8e29p+1", "0x1.d3f4e61b29689p+0", "0x1.db44860c50b90p+0",
+          "0x1.87edac0774d30p+2"]],
+    ]
+
+
+def test_pooled_training_and_fine_tunes_keep_their_recorded_bits():
+    # three pooled seeds, then a (T, K) block of fine-tunes of the first one,
+    # recorded before the pooled step and Adam's update were rewritten
+    ds = gen_dg15(0)
+    cfgs = [TrainConfig(lr=1e-3, epochs=2, seed=s, finetune_epochs=2) for s in (0, 1, 2)]
+    models = [build_erm(ds, c) for c in cfgs]
+    histories = train(models, ds, cfgs)
+    assert [hashlib.sha256(m.flat.tobytes()).hexdigest() for m in models] == [
+        "bb1a5f250b3a100353b67473171830cf70e4ac0a0209474679599f22d9e1ed41",
+        "8c2c15834510e949f0b71e0104bf2a0196b8b97b1cae8e124a50f33cbd28fba4",
+        "0bf195958411e5bb0bf9263e069d075852174b6026f14fd3c59673d9cb111194",
+    ]
+    got = [[[e[k].hex() for k in ("loss", "valid")] for e in h] for h in histories]
+    assert got == [
+        [["0x1.5236e0a04abb2p-1", "0x1.916872b020c4ap-2"],
+         ["0x1.9cc59fb98183ep-2", "0x1.b020c49ba5e35p-2"]],
+        [["0x1.3ba17f2ee4ae5p-1", "0x1.b020c49ba5e33p-2"],
+         ["0x1.9ed588bc5ff76p-2", "0x1.d916872b020c3p-2"]],
+        [["0x1.4306be6320982p-1", "0x1.be76c8b439580p-2"],
+         ["0x1.6f2db5f5955cep-2", "0x1.c6a7ef9db22d0p-2"]],
+    ]
+    test_ids = ds.ids_for_split("test")
+    rows = ds.fixed_between(test_ids, ds.ids_for_split("train"))
+    tuned = rw_finetune(models[0], ds, rows, cfgs[0], targets=test_ids)
+    assert [hashlib.sha256(m.flat.tobytes()).hexdigest() for m in tuned] == [
+        "3f62e733ea6d785f424ee10de93d42d26da06c7c9dbbf8aeaedd388a856010b4",
+        "c20e6ac30eb424b79d3bed18a47514834909c4035775ed3b098734efc55924da",
+        "ed4d1fad581b54fd42406286ad1ac9d287ac081dd3333d42c8cdd3706ce94589",
+        "c035cd21eb7137850e754ab22322900f38d32cade6a823b15d01150b9df22db0",
+        "62111a4a46239cbe02559c561093e407a6ad7c041e5feac1624c6c13c5471a0c",
+    ]
+
+
 def test_a_diverging_seed_is_named():
     ds, cfgs = _lockstep_setup("dg15", "fused")
     models = [build_model(ds, c) for c in cfgs]
@@ -1106,6 +1165,13 @@ def test_a_diverging_erm_seed_or_fine_tune_is_named():
     erm.head.layers[0].w[...] = 1e308  # finite, but the logits overflow
     rows = np.ones((2, len(ds.ids_for_split("train"))))
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="domain 'd01' at epoch 0"):
+        rw_finetune(erm, ds, rows, cfgs[0], targets=["d01", "d02"])
+    # a non-finite pooled model is named the same way, not refused by a copy's constructor
+    erm = build_erm(ds, cfgs[0])
+    erm.flat[0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericalError, match="for the fine-tune for domain 'd01' at epoch 0, batch 0"
+    ):
         rw_finetune(erm, ds, rows, cfgs[0], targets=["d01", "d02"])
 
 

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from relgen.errors import NumericalError
 from relgen.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Layer,
     Mlp,
     adam_step,
@@ -292,6 +295,39 @@ def test_flat_adam_step_equals_per_array_steps():
         assert np.array_equal(a, v)
 
 
+def _adam_expression(p, g, m, v, t, lr, weight_decay):
+    """adam_step's update written as plain expressions, each making its own temporaries."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    p -= lr * (step + weight_decay * p)
+
+
+@pytest.mark.parametrize("shape", [(1, 2642), (3, 386), (12, 2090)])
+def test_adam_scratch_buffers_keep_the_bits_of_the_plain_update(shape):
+    # two states stepped in turn, each reusing its own scratch buffers, and
+    # one state over params of two shapes, which gets one pair per shape
+    rng = np.random.default_rng(shape[1])
+    params = [rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape),
+              rng.normal(size=shape[:1] + (7,))]
+    ref = [p.copy() for p in params]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    states = [init_opt_state(params[:1]), init_opt_state(params[1:2]), init_opt_state(params[2:])]
+    groups = [[0], [1], [2, 3]]
+    for t in range(1, 51):
+        for state, group in zip(states, groups):
+            grads = [rng.normal(size=params[i].shape) * 10.0 ** rng.integers(-6, 3) for i in group]
+            adam_step([params[i] for i in group], grads, state, lr=1e-3, weight_decay=5e-4)
+            for i, g in zip(group, grads):
+                _adam_expression(ref[i], g, *moments[i], t, 1e-3, 5e-4)
+    assert sorted(states[2].buffers) == sorted([shape, shape[:1] + (7,)])
+    for p, r, (m, v), state, slot in zip(params, ref, moments, states + states[2:], (0, 0, 0, 1)):
+        assert p.tobytes() == r.tobytes()
+        assert state.m[slot].tobytes() == m.tobytes() and state.v[slot].tobytes() == v.tobytes()
+
+
 # -- stacked heads ---------------------------------------------------------------
 
 
@@ -310,7 +346,11 @@ def _per_head_reference(w, b, x, g):
     return np.stack(outs), np.stack(grads_w), np.stack(grads_b), grad_x
 
 
-@pytest.mark.parametrize("k,c", [(5, 2), (18, 1)])
+# c = 1 takes stack_backward's einsum path, c = 2 its matmul path
+HEAD_SHAPES = [(5, 2), (1, 1), (2, 1), (18, 1), (36, 1)]
+
+
+@pytest.mark.parametrize("k,c", HEAD_SHAPES)
 @pytest.mark.parametrize("layout", ["c-order", "heads-fastest"])
 def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
     rng = np.random.default_rng(k * 10 + c)
@@ -361,7 +401,7 @@ def test_seed_axis_passes_match_each_network_bit_for_bit(shared_input):
             assert got[s].tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("k,c", [(5, 2), (18, 1)])
+@pytest.mark.parametrize("k,c", HEAD_SHAPES)
 def test_stacked_heads_with_a_seed_axis_match_each_seed(k, c):
     rng = np.random.default_rng(k + c)
     n_seeds, n, h = 3, 10, 16

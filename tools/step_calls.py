@@ -1,0 +1,74 @@
+"""Count the Python calls one training step makes, for three training configs.
+
+Each config is trained for a few epochs under ``cProfile``; the calls the
+profiler sees during the ``train`` call (function calls, and C functions
+or methods called from Python; numpy's ufuncs are neither), divided by the
+optimizer steps, are the calls per step. Unlike a time, the count does not
+move with the host's speed. Seeds train in lockstep, so one step serves
+all seeds of a config. The valid pass of each epoch is counted too.
+
+    python3 tools/step_calls.py [--epochs 3] [--small]
+
+``--small`` trains on tiny datasets, for a quick check that the tool runs.
+The relgen under ``src`` next to this file is imported. Stdlib and relgen
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import math
+import pathlib
+import pstats
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from relgen.data import gen_dg15, gen_spatial_regression  # noqa: E402
+from relgen.model import TrainConfig, build_erm, build_model, train  # noqa: E402
+
+# name -> (dataset kind, model builder, seeds)
+CONFIGS = {
+    "dg15-relational": ("dg15", build_model, (0, 1, 2)),
+    "dg15-pooled": ("dg15", build_erm, (0, 1, 2)),
+    "grid-relational": ("grid", build_model, (0,)),
+}
+
+
+def dataset(kind: str, small: bool):
+    if kind == "dg15":
+        return gen_dg15(0, n_per_class=6 if small else 50)
+    if small:
+        return gen_spatial_regression(0, n_rows=3, n_cols=3, n_per_domain=12)
+    return gen_spatial_regression(0, n_rows=6, n_cols=6)
+
+
+def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int, int]:
+    """(Python calls during train, optimizer steps) of one config."""
+    kind, build, seeds = CONFIGS[name]
+    ds = dataset(kind, small)
+    configs = [TrainConfig(lr=1e-3, epochs=epochs, seed=s) for s in seeds]
+    models = [build(ds, c) for c in configs]
+    profile = cProfile.Profile()
+    profile.runcall(train, models, ds, configs)
+    n_train = len(ds.arrays_for(ds.ids_for_split("train"))[1])
+    return pstats.Stats(profile).total_calls, epochs * math.ceil(n_train / configs[0].batch_size)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--epochs", type=int, default=3, help="epochs per config (default 3)")
+    parser.add_argument("--small", action="store_true", help="train on tiny datasets")
+    args = parser.parse_args(argv)
+    if args.epochs < 1:
+        parser.error("--epochs must be at least 1")
+    print(f"{'config':<16} {'steps':>6} {'calls':>8} {'calls/step':>10}")
+    for name in CONFIGS:
+        calls, steps = calls_per_step(name, args.epochs, args.small)
+        print(f"{name:<16} {steps:>6} {calls:>8} {calls / steps:>10.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
