@@ -240,10 +240,12 @@ def cmd_eval(args) -> int:
     check_fits(model, dataset)
     cfg = TrainConfig.from_dict(header["config"])
     relational = isinstance(model, MultiHeadModel)
+    mode = (args.relations or cfg.relation_mode, cfg.beta if args.beta is None else args.beta)
     for flag, given, scope, applies in (
         ("--rw-finetune", args.rw_finetune, "erm checkpoints", not relational),
         ("--relations", args.relations is not None, "relational checkpoints", relational),
         ("--beta", args.beta is not None, "relational checkpoints", relational),
+        ("--beta", args.beta is not None, "the fused relation mode", mode[0] == "fused"),
         ("--lr", args.lr is not None, "--rw-finetune", args.rw_finetune),
         ("--finetune-epochs", args.finetune_epochs is not None, "--rw-finetune", args.rw_finetune),
     ):
@@ -254,7 +256,6 @@ def cmd_eval(args) -> int:
         rep = evaluate(rwft_predictor(model, dataset, cfg), dataset, args.split)
         method = "erm+rw_finetune"
     else:
-        mode = (args.relations or cfg.relation_mode, cfg.beta if args.beta is None else args.beta)
         rep = score([model], dataset, [mode], args.split)[0]
         method = f"relational/{mode[0]}" if relational else "erm"
     lines = [f"eval method={method} checkpoint={args.checkpoint}"] + _metrics_text(rep)

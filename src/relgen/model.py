@@ -53,7 +53,7 @@ from .relations import (
     learned_matrix,
     learned_matrix_backward,
     mode_fusion,
-    normalize_weights,
+    normalize_rows,
     relation_row,
 )
 from .rng import substream
@@ -781,32 +781,11 @@ def _valid_pass(models, datasets, configs, names):
     groups = _split_groups(models, datasets, [(c.relation_mode, c.beta) for c in configs], "valid")
 
     def valid(stack, epoch):
-        values, bad = {}, {}  # (T,) values and first non-finite domain, by row
-        for group in groups:
-            group.score(stack.flat, values, bad)
-        if bad:
-            j = min(bad)
-            raise NumericalError(
-                f"{names[j]} at epoch {epoch}: non-finite model outputs (NaN or inf) "
-                f"on valid domain {bad[j]!r}"
-            )
+        values = _score_groups(groups, stack.flat, "valid",
+                               lambda j: f"{names[j]} at epoch {epoch}: ")
         return [float(values[j].mean()) if j in values else None for j in range(len(models))]
 
     return valid
-
-
-def _normalized_rows(rows: np.ndarray) -> np.ndarray:
-    """normalize_weights applied to each row of a (..., K) stack, with its bits.
-
-    A row that normalize_weights rejects raises its ValueError, and an
-    all-zero row gets its uniform fallback and its warning.
-    """
-    s = rows.sum(axis=-1, keepdims=True)
-    special = ~(np.isfinite(rows) & (rows >= 0.0)).all(axis=-1) | (s[..., 0] <= 0.0)
-    out = rows / np.where(special[..., None], 1.0, s)
-    for i in zip(*np.nonzero(special)):
-        out[i] = normalize_weights(rows[i])
-    return out
 
 
 # -- inference ----------------------------------------------------------------
@@ -817,33 +796,46 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
 
     Weights are normalized to a simplex (all-zero rows fall back to uniform
     with a logged warning). In "prob" combine space the heads' softmax
-    outputs are averaged instead of raw logits.
+    outputs are averaged instead of raw logits. A model stacked over S rows
+    (see stack_models) takes (S, K) weights, one row each, and gives one
+    output block per row.
     """
-    w = normalize_weights(weights)
-    if w.shape[0] != len(model.head_domains):
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != model.head_w.shape[:-2]:
         raise ValueError("need one weight per head")
+    w = normalize_rows(w)
     xb = np.asarray(x, dtype=np.float64)
     single = xb.ndim == 1
-    outs = _stack_heads(model, xb if not single else xb[None, :])[2]
+    outs = _stack_heads(model, xb if not single else xb[None, :])[2]  # (..., K, n, c)
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
-        outs = softmax(outs, axis=2)
-    combined = np.einsum("k,knc->nc", w, outs)
-    return combined[0] if single else combined
+        outs = softmax(outs, axis=-1)
+    combined = np.einsum("...k,...knc->...nc", w, outs)
+    return combined[..., 0, :] if single else combined
+
+
+def _check_finite(out: np.ndarray) -> np.ndarray:
+    """out, unless it holds NaN or inf: then a NumericalError."""
+    if not np.isfinite(out).all():
+        raise NumericalError("non-finite model outputs (NaN or inf)")
+    return out
 
 
 def _decide(out: np.ndarray, task: str) -> np.ndarray:
-    """Argmax labels or the first column of (n, c) outputs, which must be finite."""
-    if not np.isfinite(out).all():
-        raise NumericalError("non-finite model outputs (NaN or inf)")
-    return out.argmax(axis=1) if task == TASK_CLASSIFICATION else out[:, 0]
+    """Argmax labels or the first column of (..., n, c) outputs."""
+    return out.argmax(axis=-1) if task == TASK_CLASSIFICATION else out[..., 0]
+
+
+def _metric(pred: np.ndarray, y: np.ndarray, task: str):
+    """Mean hits of predicted labels, or mean squared error of values, over the last axis."""
+    hits_or_errors = (pred.astype(np.int64, copy=False) == y.astype(np.int64, copy=False)
+                      if task == TASK_CLASSIFICATION else (pred - y) ** 2)
+    return np.mean(hits_or_errors, axis=-1)
 
 
 def infer(model: MultiHeadModel, weights, x) -> np.ndarray | float | int:
     """Final prediction under relation weights: argmax label or value."""
-    combined = combine_heads(model, weights, x)
-    if combined.ndim == 1:
-        return _decide(combined[None, :], model.task)[0].item()
-    return _decide(combined, model.task)
+    pred = _decide(_check_finite(combine_heads(model, weights, x)), model.task)
+    return pred.item() if pred.ndim == 0 else pred
 
 
 def relational_predictor(
@@ -860,16 +852,14 @@ def relational_predictor(
     check_mode(mode, beta)
     train_ids = model.head_domains
     metas = dataset.meta_for(train_ids)
-    rows: dict[str, np.ndarray] = {}
 
+    @functools.cache
     def row_for(domain_id: str) -> np.ndarray:
-        if domain_id not in rows:
-            fixed_row, b = mode_fusion(
-                mode, beta, lambda: dataset.fixed_between([domain_id], train_ids)[0], len(train_ids)
-            )
-            meta_t = dataset.meta_for([domain_id])[0]
-            rows[domain_id] = relation_row(model.relation_net, meta_t, metas, fixed_row, b)
-        return rows[domain_id]
+        fixed_row, b = mode_fusion(
+            mode, beta, lambda: dataset.fixed_between([domain_id], train_ids)[0], len(train_ids)
+        )
+        meta_t = dataset.meta_for([domain_id])[0]
+        return relation_row(model.relation_net, meta_t, metas, fixed_row, b)
 
     def predict(domain_id: str, x):
         return infer(model, row_for(domain_id), x)
@@ -923,8 +913,12 @@ class ErmModel:
     def predict(self, x, meta_row):
         x = np.asarray(x, dtype=np.float64)
         feats = np.hstack([x, np.tile(np.asarray(meta_row, dtype=np.float64), (x.shape[0], 1))])
-        phi, _ = forward(self.extractor, feats)
-        return _decide(forward(self.head, phi)[0], self.task)
+        return _decide(_check_finite(_pooled_outputs(self, feats)), self.task)
+
+
+def _pooled_outputs(model: ErmModel, feats: np.ndarray) -> np.ndarray:
+    """The pooled model's (..., n, c) outputs on features plus meta-data."""
+    return forward(model.head, forward(model.extractor, feats)[0])[0]
 
 
 def _pooled_features(dataset: DomainDataset, ids: list[str]):
@@ -1036,8 +1030,8 @@ def rw_finetune(
     check_fits(erm, dataset)
     train_ids = dataset.ids_for_split("train")
     rows = np.asarray(relation_weights, dtype=np.float64)
-    w = np.stack([normalize_weights(r) for r in (rows if rows.ndim == 2 else rows[None])])
-    if w.shape[1] != len(train_ids):
+    w = normalize_rows(rows if rows.ndim == 2 else rows[None])
+    if w.shape[1:] != (len(train_ids),):
         raise ValueError("need one relation weight per training domain")
     feats, y, dom = _pooled_features(dataset, train_ids)
     y = _targets(erm, y)
@@ -1135,9 +1129,7 @@ def evaluate(predict_fn, dataset: DomainDataset, split: str) -> MetricsReport:
             pred = np.asarray(predict_fn(d, x))
         except NumericalError as exc:
             raise NumericalError(f"{exc} on {split} domain {d!r}") from exc
-        hits_or_errors = (pred.astype(np.int64) == y.astype(np.int64)
-                          if dataset.task == TASK_CLASSIFICATION else (pred - y) ** 2)
-        values.append(np.mean(hits_or_errors))
+        values.append(_metric(pred, y, dataset.task))
     return _report(dataset, split, np.array(values))
 
 
@@ -1155,13 +1147,25 @@ def score(models, datasets, modes, split: str) -> list[MetricsReport]:
     groups = _split_groups(models, datasets, modes, split)
     for d in datasets:
         split_ids(d, split)
-    flat = np.stack([m.flat for m in models])
+    values = _score_groups(groups, np.stack([m.flat for m in models]), split)
+    return [_report(d, split, values[j]) for j, d in enumerate(datasets)]
+
+
+def _score_groups(groups, flat: np.ndarray, split: str, prefix=lambda j: "") -> dict:
+    """The (T,) per-domain values of every group's rows j, by j, from the (S, P) parameters.
+
+    Non-finite outputs raise NumericalError, led by prefix(j), for the first
+    such row j and its first such domain of the split.
+    """
     values, bad = {}, {}  # (T,) values and first non-finite domain, by row
     for group in groups:
         group.score(flat, values, bad)
     if bad:
-        raise NumericalError(f"non-finite model outputs (NaN or inf) on {split} domain {bad[min(bad)]!r}")
-    return [_report(d, split, values[j]) for j, d in enumerate(datasets)]
+        j = min(bad)
+        raise NumericalError(
+            f"{prefix(j)}non-finite model outputs (NaN or inf) on {split} domain {bad[j]!r}"
+        )
+    return values
 
 
 def _split_groups(models, datasets, modes, split: str) -> list:
@@ -1179,68 +1183,43 @@ class _SplitGroup:
     """One split of one dataset, scored for some rows of a stack under one predictor.
 
     Built once: each domain's examples (pooled features for an ErmModel)
-    and, for a MultiHeadModel under mode (relation mode, beta), the fixed
-    relation rows and the meta-data stacks relation_row builds. score()
-    computes every row's weight rows in one pass, the net read in every mode
-    (at beta 1 its share is 0, which keeps the fixed rows' bits), and runs one
-    forward per domain for all rows, not one over the whole split: BLAS may
-    round an example's output differently at another offset in a larger
-    block (1 ulp of valid MSE on a 6x6 grid).
+    and, for a MultiHeadModel under mode (relation mode, beta), the split's
+    fixed relation rows and meta-data. score() makes one relation_row call
+    for all rows and one combine_heads call per domain, not one over the
+    whole split: BLAS may round an example's output differently at another
+    offset in a larger block (1 ulp of valid MSE on a 6x6 grid).
     """
 
     def __init__(self, models, rows: list[int], dataset: DomainDataset, mode, split: str):
         self.rows = rows
         template = models[rows[0]]  # score() loads the rows into the copy's buffer
         self.model = _bound_copy(template, np.empty((len(rows),) + template.flat.shape))
-        self.task = dataset.task
         self.ids = dataset.ids_for_split(split)
-        arrays = [dataset.domain_arrays(d) for d in self.ids]
-        classes = self.task == TASK_CLASSIFICATION
-        self.ys = [y.astype(np.int64) if classes else y for _, y in arrays]
+        self.xs, self.ys = zip(*[dataset.domain_arrays(d) for d in self.ids])
         if not isinstance(self.model, MultiHeadModel):
             self.xs = [_pooled_features(dataset, [d])[0] for d in self.ids]
             return
-        self.xs = [x for x, _ in arrays]
         train_ids = self.model.head_domains
-        fixed, beta = mode_fusion(
+        self.fixed, self.beta = mode_fusion(
             *mode, lambda: dataset.fixed_between(self.ids, train_ids), (len(self.ids), len(train_ids))
         )
-        self.fixed_part, self.share = fuse_halves(fixed, beta)
-        # as in relation_row, domain t's meta-data above the training domains';
-        # the (T, 1, K + 1, m) block broadcasts against the rows' relation nets
-        metas = dataset.meta_for(train_ids)
-        self.metas = np.stack([np.vstack([t[None], metas]) for t in dataset.meta_for(self.ids)])[:, None]
-
-    def _outputs(self):
-        """Each domain's (S, n, c) outputs, as its predictor combines them."""
-        model = self.model
-        if not isinstance(model, MultiHeadModel):
-            for x in self.xs:
-                yield forward(model.head, forward(model.extractor, x)[0])[0]
-            return
-        learned = learned_matrix(model.relation_net, self.metas)[0][..., 0, 1:]  # (T, S, K)
-        w = _normalized_rows(np.maximum(  # (S, T, K)
-            self.fixed_part + self.share * np.ascontiguousarray(learned.swapaxes(0, 1)), 0.0
-        ))
-        prob = model.task == TASK_CLASSIFICATION and model.combine_space == "prob"
-        for t, x in enumerate(self.xs):
-            outs = _stack_heads(model, x)[2]  # (S, K, n, c)
-            if prob:
-                outs = softmax(outs, axis=-1)
-            yield np.einsum("...k,...knc->...nc", w[:, t], outs)
+        self.meta_t, self.metas = dataset.meta_for(self.ids), dataset.meta_for(train_ids)
 
     def score(self, flat: np.ndarray, values: dict, bad: dict) -> None:
         """From every row's (S, P) parameters, set values[j] to the (T,) per-domain metric
         of each of the group's rows j, and bad[j] to j's first non-finite domain."""
-        np.take(flat, self.rows, axis=0, out=self.model.flat)
+        model = self.model
+        np.take(flat, self.rows, axis=0, out=model.flat)
+        if isinstance(model, MultiHeadModel):  # (S, T, K) weight rows, then (S, n, c) per domain
+            w = relation_row(model.relation_net, self.meta_t, self.metas, self.fixed, self.beta)
+            outs = (combine_heads(model, w[:, t], x) for t, x in enumerate(self.xs))
+        else:
+            outs = (_pooled_outputs(model, x) for x in self.xs)
         per = []
-        for d, y, out in zip(self.ids, self.ys, self._outputs()):
+        for d, y, out in zip(self.ids, self.ys, outs):
             for s in np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))):
                 bad.setdefault(self.rows[s], d)
-            # each domain's metric as evaluate computes it, for every row at once
-            hits_or_errors = (out.argmax(axis=-1) == y if self.task == TASK_CLASSIFICATION
-                              else (out[..., 0] - y) ** 2)
-            per.append(np.mean(hits_or_errors, axis=-1))
+            per.append(_metric(_decide(out, model.task), y, model.task))
         values.update(zip(self.rows, np.stack(per, axis=-1)))
 
 

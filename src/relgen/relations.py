@@ -198,30 +198,45 @@ def build_matrix(metas, net: RelationNet, beta: float, fixed: np.ndarray) -> np.
 
 
 def relation_row(net: RelationNet, meta_t, metas, fixed_row, beta: float) -> np.ndarray:
-    """Fused relations between one held-out domain and a stack of domains."""
-    if beta == 1.0:
-        return fuse(fixed_row, 0.0, 1.0)  # the net is not read
-    stacked = np.vstack([np.reshape(meta_t, (1, -1)), metas])
-    return fuse(fixed_row, learned_matrix(net, stacked)[0][0, 1:], beta)
+    """Fused relations of held-out domains to a stack of K domains, from one learned_matrix call.
+
+    meta_t is one domain's meta-data row with its (K,) fixed_row, or a (T, m)
+    block with (T, K) fixed rows. A net with a seed axis (see learned_matrix)
+    gives (S, K) or (S, T, K), seeds first, in C order. At beta 1 the net's
+    share of 0 keeps the fixed rows' bits.
+    """
+    metas = np.asarray(metas, dtype=np.float64)
+    # target t's meta-data above the stack's; the (T, 1) grid broadcasts against a seed axis
+    targets = np.reshape(meta_t, (-1, 1, 1, metas.shape[-1]))
+    stacked = np.concatenate([targets, np.broadcast_to(metas, (len(targets), 1) + metas.shape)], axis=2)
+    learned = learned_matrix(net, stacked)[0][..., 0, 1:]  # (T, S or 1, K)
+    shape = net.w.shape[:-2] + np.shape(meta_t)[:-1] + metas.shape[:1]
+    return fuse(fixed_row, np.ascontiguousarray(learned.swapaxes(0, 1)).reshape(shape), beta)
 
 
 def normalize_weights(weights) -> np.ndarray:
-    """Scale finite nonnegative weights to sum to one.
-
-    An all-zero row means "no related domain"; the fallback is uniform
-    weights, logged as a warning so silent degradation is visible. NaN and
-    inf are rejected like negative weights.
-    """
+    """Scale a vector of finite nonnegative weights to sum to one (see normalize_rows)."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty vector")
+    return normalize_rows(w)
+
+
+def normalize_rows(rows) -> np.ndarray:
+    """Scale each row of a (..., K) stack of finite nonnegative weights to sum to one.
+
+    An all-zero row means "no related domain"; the fallback is uniform
+    weights, logged as a warning per row so silent degradation is visible.
+    NaN and inf are rejected like negative weights.
+    """
+    w = np.asarray(rows, dtype=np.float64)
     if not (np.isfinite(w).all() and (w >= 0.0).all()):
         raise ValueError("weights must be finite and nonnegative")
-    s = w.sum()
-    if s <= 0.0:
+    s = np.add.reduce(w, axis=-1, keepdims=True)
+    zero = s <= 0.0
+    for _ in range(np.count_nonzero(zero)):
         logger.warning("all-zero relation row; falling back to uniform weights")
-        return np.full(w.shape, 1.0 / w.size)
-    return w / s
+    return np.where(zero, 1.0, w) / np.where(zero, w.shape[-1], s)
 
 
 # -- relation matrix export ----------------------------------------------------

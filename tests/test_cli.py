@@ -59,6 +59,17 @@ def trained_erm(dg15_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained_uniform(dg15_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained-uniform")
+    code = run(
+        "train", "--data", str(dg15_dir), "--out", str(out), "--seed", "0", "--epochs", "2",
+        "--lr", "1e-3", "--relation-mode", "uniform",
+    )
+    assert code == 0
+    return out
+
+
 # -- gen ------------------------------------------------------------------------
 
 
@@ -280,12 +291,17 @@ def test_rw_finetune_needs_an_erm_checkpoint(trained, dg15_dir):
      ("erm", ["--lr", "1e-3"], "--rw-finetune"),
      ("erm", ["--finetune-epochs", "1"], "--rw-finetune"),
      ("relational", ["--lr", "1e-3"], "--rw-finetune"),
-     ("relational", ["--finetune-epochs", "1"], "--rw-finetune")],
+     ("relational", ["--finetune-epochs", "1"], "--rw-finetune"),
+     ("relational", ["--beta", "0.3", "--relations", "fixed"], "the fused relation mode"),
+     ("relational", ["--beta", "0.3", "--relations", "learned"], "the fused relation mode"),
+     ("relational", ["--beta", "0.3", "--relations", "uniform"], "the fused relation mode"),
+     ("uniform", ["--beta", "0.3"], "the fused relation mode")],
 )
-def test_eval_rejects_flags_that_do_not_apply(trained, trained_erm, dg15_dir, tmp_path, capsys,
-                                              kind, flags, scope):
-    ckpt = (trained / "checkpoint-relational-seed0.npz" if kind == "relational"
-            else trained_erm / "checkpoint-erm-seed0.npz")
+def test_eval_rejects_flags_that_do_not_apply(trained, trained_erm, trained_uniform, dg15_dir,
+                                              tmp_path, capsys, kind, flags, scope):
+    ckpt = {"relational": trained / "checkpoint-relational-seed0.npz",
+            "uniform": trained_uniform / "checkpoint-relational-seed0.npz",
+            "erm": trained_erm / "checkpoint-erm-seed0.npz"}[kind]
     out = tmp_path / "e"
     assert run("eval", "--checkpoint", str(ckpt), "--data", str(dg15_dir), "--out", str(out),
                *flags) == 2
@@ -539,7 +555,8 @@ def test_eval_relation_modes_run(trained, dg15_dir, capsys):
     for mode in ("fused", "fixed", "learned", "uniform"):  # no mode ignores a given beta
         assert run("eval", "--checkpoint", ckpt, "--data", str(dg15_dir),
                    "--relations", mode, "--beta", "1.5") == 2
-        assert "beta must lie in [0, 1]" in capsys.readouterr().err
+        assert ("beta must lie in [0, 1]" if mode == "fused" else
+                "--beta applies to the fused relation mode only") in capsys.readouterr().err
 
 
 def test_uniform_eval_reads_no_fixed_relations(spatial_dir, tmp_path):

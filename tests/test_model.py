@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import relgen.model as model_module
+import relgen.relations as relations_module
 from relgen.data import DomainDataset, gen_dg15, gen_spatial_regression
 from relgen.errors import ConfigError, DataError, NumericalError
 from relgen.model import (
@@ -316,6 +317,25 @@ def test_prob_space_combination_is_a_distribution():
     out = combine_heads(model, [0.5, 0.5], np.ones((3, 2)))
     assert np.all(out >= 0.0)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", ["logit", "prob"])
+def test_combine_heads_with_a_seed_axis_matches_each_model(space, caplog):
+    """(S, K) weights on a model stacked over S rows: each row the bits of its own call."""
+    ds = gen_dg15(0, n_per_class=10)
+    models = [build_model(ds, TrainConfig(seed=s, combine_space=space)) for s in (1, 2, 3)]
+    stack = stack_models(models)
+    weights = np.random.default_rng(5).uniform(size=(3, len(models[0].head_domains)))
+    weights[1] = 0.0  # falls back to uniform weights, with a warning
+    x, _ = ds.domain_arrays(ds.ids_for_split("test")[0])
+    with caplog.at_level("WARNING", logger="relgen.relations"):
+        got = combine_heads(stack, weights, x)
+    assert sum("all-zero" in r.message for r in caplog.records) == 1
+    assert got.shape == (3, len(x), 2)
+    for s, m in enumerate(models):
+        assert got[s].tobytes() == combine_heads(m, weights[s], x).tobytes()
+    with pytest.raises(ValueError, match="one weight per head"):
+        combine_heads(stack, weights[0], x)
 
 
 def test_relational_predictor_modes():
@@ -904,6 +924,32 @@ def test_score_equals_evaluate_on_every_split(kind, data, space):
                 i: len(d.domain_arrays(i)[1]) for i in d.ids_for_split(split)
             }
     assert all(np.array_equal(m.flat, b) for m, b in zip(trained, before))
+
+
+def test_score_weights_each_group_through_one_relation_row_call(monkeypatch):
+    """One learned_matrix call per relational group of a score call, through relation_row,
+    and one combine_heads call per domain of each group."""
+    calls = dict.fromkeys(["learned_matrix", "relation_row", "combine_heads"], 0)
+    for module, name in [(relations_module, "learned_matrix"), (model_module, "relation_row"),
+                         (model_module, "combine_heads")]:
+        def counting(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    worlds = [gen_dg15(w, n_per_class=10) for w in (0, 1)]
+    a, b = (build_model(worlds[0], TrainConfig(seed=s)) for s in (4, 5))
+    c = build_model(worlds[1], TrainConfig(seed=6))
+    # four groups: world 0 fused (rows a and b), world 1 fused, and each world uniform
+    rows = [(a, worlds[0], ("fused", 0.8)), (b, worlds[0], ("fused", 0.8)),
+            (c, worlds[1], ("fused", 0.8)), (a, worlds[0], ("uniform", 0.8)),
+            (c, worlds[1], ("uniform", 0.8))]
+    models, sets, modes = (list(v) for v in zip(*rows))
+    reports = score(models, sets, modes, "test")
+    assert len(reports) == 5
+    per_world = [len(d.ids_for_split("test")) for d in worlds]
+    assert calls == {"learned_matrix": 4, "relation_row": 4,
+                     "combine_heads": 2 * per_world[0] + 2 * per_world[1]}
 
 
 def test_score_checks_its_modes_and_splits():

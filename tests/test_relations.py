@@ -17,6 +17,7 @@ from relgen.relations import (
     learned_matrix,
     learned_matrix_backward,
     load_relation_csv,
+    normalize_rows,
     normalize_weights,
     relation_row,
     save_relation_csv,
@@ -48,6 +49,16 @@ def brute_force_relation(net, m_i, m_j):
         if nu > 0.0 and nv > 0.0:
             total += float(u @ v) / (nu * nv)
     return total / net.n_heads
+
+
+def stack_nets(nets):
+    """One RelationNet whose parameters carry a leading seed axis over the nets."""
+    stacked = nets[0].copy()
+    for i, layer in enumerate(stacked.g.layers):
+        layer.w = np.stack([net.g.layers[i].w for net in nets])
+        layer.b = np.stack([net.g.layers[i].b for net in nets])
+    stacked.w = np.stack([net.w for net in nets])
+    return stacked
 
 
 # -- fixed relations -------------------------------------------------------------
@@ -213,11 +224,7 @@ def test_learned_matrix_with_a_seed_axis_matches_each_net(k):
     for net in nets:
         net.w = 1.0 + 0.3 * rng.normal(size=net.w.shape)
     nets[1].w[2] = 0.0  # a dead head in one seed only
-    stacked = nets[0].copy()
-    for i, layer in enumerate(stacked.g.layers):
-        layer.w = np.stack([net.g.layers[i].w for net in nets])
-        layer.b = np.stack([net.g.layers[i].b for net in nets])
-    stacked.w = np.stack([net.w for net in nets])
+    stacked = stack_nets(nets)
     metas = rng.normal(size=(k, 2))
     d_a = rng.normal(size=(3, k, k))
     a_l, cache = learned_matrix(stacked, metas)
@@ -328,16 +335,42 @@ def test_relation_matrix_rejects_asymmetry_and_negatives():
 
 
 def test_relation_row_matches_brute_force():
+    """One target's row, and each row of a (T, m) block of targets."""
     net = RelationNet.init(1, np.random.default_rng(23), width=4, n_heads=3)
     metas = np.array([[0.2], [1.5], [-0.9]])
-    theta_t = 0.6
-    fixed_row = np.array([angle_pair(theta_t, m[0]) for m in metas])
-    row = relation_row(net, np.array([theta_t]), metas, fixed_row, 0.7)
-    for j in range(3):
-        learned = brute_force_relation(net, np.array([theta_t]), metas[j])
-        assert row[j] == pytest.approx(
-            max(0.0, 0.7 * fixed_row[j] + 0.3 * learned), abs=1e-12
-        )
+    thetas = [0.6, -2.1, 1.1, 3.0]
+    fixed = np.array([[angle_pair(theta_t, m[0]) for m in metas] for theta_t in thetas])
+    block = relation_row(net, np.array(thetas)[:, None], metas, fixed, 0.7)
+    assert block.shape == (len(thetas), 3)
+    for t, theta_t in enumerate(thetas):
+        row = relation_row(net, np.array([theta_t]), metas, fixed[t], 0.7)
+        for j in range(3):
+            learned = brute_force_relation(net, np.array([theta_t]), metas[j])
+            want = max(0.0, 0.7 * fixed[t, j] + 0.3 * learned)
+            assert row[j] == pytest.approx(want, abs=1e-12)
+            assert block[t, j] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.8, 1.0, 0.0])
+def test_relation_row_on_a_block_with_a_seed_axis_matches_single_calls(beta):
+    """(S, T, K) from one call, each row the bits of its own net on its own target."""
+    rng = np.random.default_rng(31)
+    nets = [RelationNet.init(2, rng, width=8, n_heads=3) for _ in range(3)]
+    for net in nets:
+        net.w = 1.0 + 0.3 * rng.normal(size=net.w.shape)
+    metas, targets = rng.normal(size=(5, 2)), rng.normal(size=(4, 2))
+    fixed = rng.uniform(size=(4, 5))
+    block = relation_row(stack_nets(nets), targets, metas, fixed, beta)
+    assert block.shape == (3, 4, 5) and block.flags.c_contiguous
+    for s, net in enumerate(nets):
+        alone = relation_row(net, targets, metas, fixed, beta)
+        for t in range(4):
+            want = relation_row(net, targets[t], metas, fixed[t], beta).tobytes()
+            assert block[s, t].tobytes() == alone[t].tobytes() == want
+    one = relation_row(stack_nets(nets), targets[2], metas, fixed[2], beta)
+    assert one.shape == (3, 5) and one.tobytes() == np.ascontiguousarray(block[:, 2]).tobytes()
+    if beta == 1.0:  # the net's share of 0 keeps the fixed rows' bits
+        assert block.tobytes() == np.broadcast_to(fixed, block.shape).tobytes()
 
 
 # -- weight normalization -----------------------------------------------------------
@@ -365,6 +398,20 @@ def test_normalize_zero_row_falls_back_to_uniform(caplog):
         w = normalize_weights([0.0, 0.0, 0.0, 0.0])
     assert w.tolist() == [0.25, 0.25, 0.25, 0.25]
     assert any("all-zero relation row" in rec.message for rec in caplog.records)
+
+
+def test_normalize_rows_matches_normalize_weights_on_each_row(caplog):
+    rows = np.random.default_rng(3).uniform(size=(2, 3, 4))
+    rows[1, 2] = 0.0
+    with caplog.at_level("WARNING", logger="relgen.relations"):
+        got = normalize_rows(rows)
+    assert sum("all-zero relation row" in rec.message for rec in caplog.records) == 1
+    assert got[1, 2].tolist() == [0.25] * 4
+    for i in np.ndindex(2, 3):
+        assert got[i].tobytes() == normalize_weights(rows[i]).tobytes()
+    rows[0, 1, 3] = -0.5
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        normalize_rows(rows)
 
 
 @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))

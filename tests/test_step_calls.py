@@ -1,4 +1,5 @@
-"""tools/step_calls.py: calls per training step of its three configs, on tiny data."""
+"""tools/step_calls.py: calls per training step and per score call of its three configs,
+on tiny data."""
 
 import importlib.util
 import math
@@ -13,12 +14,13 @@ _spec.loader.exec_module(step_calls)
 def test_each_config_reports_its_calls_per_step(capsys):
     assert step_calls.main(["--small", "--epochs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["config", "steps", "calls", "calls/step"]
+    assert lines[0].split() == ["config", "steps", "calls", "calls/step", "calls/score"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
     assert list(rows) == list(step_calls.CONFIGS)
-    for name, (steps, calls, per_step) in rows.items():
+    for name, (steps, calls, per_step, per_score) in rows.items():
         ds = step_calls.dataset(step_calls.CONFIGS[name][0], small=True)
         n_train = len(ds.arrays_for(ds.ids_for_split("train"))[1])
         assert int(steps) == math.ceil(n_train / 10)  # one epoch of 10-example batches
         assert float(per_step) == round(int(calls) / int(steps), 1) > 0
+        assert 0 < int(per_score) < int(calls)
 

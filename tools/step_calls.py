@@ -6,6 +6,8 @@ or methods called from Python; numpy's ufuncs are neither), divided by the
 optimizer steps, are the calls per step. Unlike a time, the count does not
 move with the host's speed. Seeds train in lockstep, so one step serves
 all seeds of a config. The valid pass of each epoch is counted too.
+``calls/score`` counts one more valid-split ``score`` call on the trained
+models, the scorer alone.
 
     python3 tools/step_calls.py [--epochs 3] [--small]
 
@@ -26,7 +28,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from relgen.data import gen_dg15, gen_spatial_regression  # noqa: E402
-from relgen.model import TrainConfig, build_erm, build_model, train  # noqa: E402
+from relgen.model import TrainConfig, build_erm, build_model, score, train  # noqa: E402
 
 # name -> (dataset kind, model builder, seeds)
 CONFIGS = {
@@ -44,16 +46,23 @@ def dataset(kind: str, small: bool):
     return gen_spatial_regression(0, n_rows=6, n_cols=6)
 
 
-def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int, int]:
-    """(Python calls during train, optimizer steps) of one config."""
+def _calls(fn, *args) -> int:
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return pstats.Stats(profile).total_calls
+
+
+def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int, int, int]:
+    """(Python calls during train, optimizer steps, calls of one valid score call) of one config."""
     kind, build, seeds = CONFIGS[name]
     ds = dataset(kind, small)
     configs = [TrainConfig(lr=1e-3, epochs=epochs, seed=s) for s in seeds]
     models = [build(ds, c) for c in configs]
-    profile = cProfile.Profile()
-    profile.runcall(train, models, ds, configs)
+    calls = _calls(train, models, ds, configs)
     n_train = len(ds.arrays_for(ds.ids_for_split("train"))[1])
-    return pstats.Stats(profile).total_calls, epochs * math.ceil(n_train / configs[0].batch_size)
+    steps = epochs * math.ceil(n_train / configs[0].batch_size)
+    per_score = _calls(score, models, ds, [(c.relation_mode, c.beta) for c in configs], "valid")
+    return calls, steps, per_score
 
 
 def main(argv=None) -> int:
@@ -63,10 +72,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.epochs < 1:
         parser.error("--epochs must be at least 1")
-    print(f"{'config':<16} {'steps':>6} {'calls':>8} {'calls/step':>10}")
+    print(f"{'config':<16} {'steps':>6} {'calls':>8} {'calls/step':>10} {'calls/score':>11}")
     for name in CONFIGS:
-        calls, steps = calls_per_step(name, args.epochs, args.small)
-        print(f"{name:<16} {steps:>6} {calls:>8} {calls / steps:>10.1f}")
+        calls, steps, per_score = calls_per_step(name, args.epochs, args.small)
+        print(f"{name:<16} {steps:>6} {calls:>8} {calls / steps:>10.1f} {per_score:>11}")
     return 0
 
 
