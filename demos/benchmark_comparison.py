@@ -19,7 +19,6 @@ import numpy as np
 
 from relgen.data import gen_dg15
 from relgen.experiments import method_comparison, run_erm, run_relational, tuned_config
-from relgen.model import evaluate, erm_predictor, relational_predictor
 
 
 def angle_gap(a: float, b: float) -> float:

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from relgen.data import DomainDataset, load_dataset_dir, save_dataset
-from relgen.model import TrainConfig, build_model, evaluate, relational_predictor, train
+from relgen.model import TrainConfig, build_model, score, train
 from relgen.relations import build_matrix, save_relation_csv
 from relgen.rng import substream
 
@@ -77,8 +77,7 @@ def main() -> None:
           f"best valid accuracy {max(h['valid'] for h in history):.3f}")
 
     for split in ("valid", "test"):
-        rep = evaluate(relational_predictor(model, loaded, cfg.beta, "fused"),
-                       loaded, split)
+        rep = score([model], loaded, [("fused", cfg.beta)], split)[0]
         print(f"{split}: mean {rep.mean:.3f}, worst domain {rep.worst:.3f}, "
               f"per domain { {d: round(v, 3) for d, v in rep.per_domain.items()} }")
 

@@ -106,11 +106,6 @@ class DomainDataset:
     # -- views -----------------------------------------------------------
 
     @property
-    def fixed_kind(self) -> str:
-        """The fixed-relation source: "adjacency" given an edge list, else "angle"."""
-        return "angle" if self._adjacency is None else "adjacency"
-
-    @property
     def n_features(self) -> int:
         return self.x.shape[1]
 

@@ -47,7 +47,6 @@ from .nn import (
 from .relations import (
     RelationNet,
     check_beta,
-    check_mode,
     fuse,
     fuse_halves,
     learned_matrix,
@@ -210,17 +209,6 @@ class MultiHeadModel:
             out += [w, b]
         return out + self.relation_net.params()
 
-    def copy(self) -> "MultiHeadModel":
-        return MultiHeadModel(
-            self.extractor.copy(),
-            self.head_w,
-            self.head_b,
-            self.relation_net.copy(),
-            list(self.head_domains),
-            self.task,
-            self.combine_space,
-        )
-
 
 def stack_models(models):
     """One model whose parameters carry a leading seed axis over the models.
@@ -229,8 +217,8 @@ def stack_models(models):
     copied into the rows of one (S, P) buffer, and model s is rebound to
     row s, so updating the stacked model updates every one of them. The
     models must have the same shapes and task, not the same head domains.
-    The stack is for training passes; params(), copy(), inference and
-    checkpoints work on the single models.
+    The stack is for training and scoring passes; params() and checkpoints
+    work on the single models.
     """
     first = models[0]
     for m in models[1:]:
@@ -244,7 +232,10 @@ def stack_models(models):
 
 
 def _bound_copy(model, flat: np.ndarray):
-    """A deep copy of the model, bound to flat; unlike copy(), it accepts non-finite parameters."""
+    """A deep copy of the model, bound to flat, which may hold non-finite parameters.
+
+    _bound_copy(m, m.flat.copy()) is a copy of m with a buffer of its own.
+    """
     twin = copy.deepcopy(model)
     twin.bind(flat)
     return twin
@@ -303,16 +294,6 @@ def build_model(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
     return MultiHeadModel(
         extractor, head_w, np.zeros((k, out)), net, train_ids, dataset.task, config.combine_space
     )
-
-
-def predict_head(model: MultiHeadModel, domain_id: str, x) -> np.ndarray:
-    """Raw output of one domain's head on extractor features."""
-    if domain_id not in model.head_domains:
-        raise ValueError(f"unknown training domain {domain_id!r}")
-    xb = np.asarray(x, dtype=np.float64)
-    outs = _stack_heads(model, xb if xb.ndim == 2 else xb[None, :])[2]
-    out = outs[model.head_domains.index(domain_id)]
-    return out if xb.ndim == 2 else out[0]
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -421,11 +402,13 @@ def plan_step(model: MultiHeadModel, fixed, beta, grad: np.ndarray) -> StepPlan:
     beta is a float or (S,) per model, and grad is laid out like model.flat,
     for a single model or for the S stacked ones.
     """
+    k = len(model.head_domains)
+    if np.shape(fixed)[-2:] != (k, k):
+        raise ValueError(f"expected a ({k}, {k}) relation matrix per model, got {np.shape(fixed)}")
     per_row = isinstance(beta, np.ndarray)
     fixed_part, share = fuse_halves(fixed, beta[:, None, None] if per_row else beta)
     constant = None if per_row or beta != 1.0 else fuse(fixed, 0.0, 1.0)
     rows = grad.reshape(-1, grad.shape[-1])
-    k = len(model.head_domains)
     d_a = np.empty((len(rows), k, k))
     diagonal = d_a.reshape(len(rows), k * k)[:, :: k + 1]
     return StepPlan(grad, model.views(rows), fixed_part, share, constant, d_a, diagonal)
@@ -528,35 +511,6 @@ def total_loss_and_grads(
     return loss, (lp, lrel), plan.grad
 
 
-def _loss_terms(model: MultiHeadModel, batch, relations, lam: float = 0.0):
-    """(loss, loss_pred, loss_rel) of total_loss_and_grads on fixed relations only.
-
-    relations is a (K, K) array in head order, used as the fixed matrix at
-    beta = 1 (so negative entries clamp at zero, as in training); all ones
-    give equal weights.
-    """
-    fixed = np.asarray(relations, dtype=np.float64)
-    k = len(model.head_domains)
-    if fixed.shape != (k, k):
-        raise ValueError(f"expected a ({k}, {k}) relation matrix, got {fixed.shape}")
-    loss, (lp, lrel), _ = total_loss_and_grads(model, batch, fixed, None, lam, 1.0)
-    return float(loss), float(lp), float(lrel)
-
-
-def loss_pred(model: MultiHeadModel, batch) -> float:
-    """Mean loss of each example under its own domain's head."""
-    return _loss_terms(model, batch, np.ones((len(model.head_domains),) * 2))[1]
-
-
-def loss_rel(model: MultiHeadModel, batch, relations) -> float:
-    """Mean loss of the relation-weighted average of the other heads.
-
-    Each example's own head is excluded, and an all-zero relation row falls
-    back to uniform weights. See _loss_terms for relations.
-    """
-    return _loss_terms(model, batch, relations)[2]
-
-
 # -- training loops -----------------------------------------------------------
 
 
@@ -596,7 +550,7 @@ def train(model, dataset, config):
     A MultiHeadModel trains on the relational objective, rebuilding the
     relation matrix inside every batch so relation-net gradients stay
     exact (total_loss_and_grads); an ErmModel trains on the pooled data
-    with its meta-data as features (see train_erm). If validation domains
+    with its meta-data as features (see build_erm). If validation domains
     exist, the valid-split metric is recorded every eval_every epochs and
     the best parameters are restored at the end (config.select_best).
     Returns the per-epoch history.
@@ -832,41 +786,6 @@ def _metric(pred: np.ndarray, y: np.ndarray, task: str):
     return np.mean(hits_or_errors, axis=-1)
 
 
-def infer(model: MultiHeadModel, weights, x) -> np.ndarray | float | int:
-    """Final prediction under relation weights: argmax label or value."""
-    pred = _decide(_check_finite(combine_heads(model, weights, x)), model.task)
-    return pred.item() if pred.ndim == 0 else pred
-
-
-def relational_predictor(
-    model: MultiHeadModel,
-    dataset: DomainDataset,
-    beta: float,
-    mode: str = "fused",
-):
-    """Build predict(domain_id, x) using the domain's relation row.
-
-    mode selects the weights (see mode_fusion): "fused" (fixed and learned,
-    fused with beta), "fixed", "learned", or "uniform".
-    """
-    check_mode(mode, beta)
-    train_ids = model.head_domains
-    metas = dataset.meta_for(train_ids)
-
-    @functools.cache
-    def row_for(domain_id: str) -> np.ndarray:
-        fixed_row, b = mode_fusion(
-            mode, beta, lambda: dataset.fixed_between([domain_id], train_ids)[0], len(train_ids)
-        )
-        meta_t = dataset.meta_for([domain_id])[0]
-        return relation_row(model.relation_net, meta_t, metas, fixed_row, b)
-
-    def predict(domain_id: str, x):
-        return infer(model, row_for(domain_id), x)
-
-    return predict
-
-
 # -- pooled baseline and reweighted fine-tuning --------------------------------
 
 
@@ -906,9 +825,6 @@ class ErmModel:
 
     def params(self) -> list[np.ndarray]:
         return self.extractor.params() + self.head.params()
-
-    def copy(self) -> "ErmModel":
-        return ErmModel(self.extractor.copy(), self.head.copy(), self.task, self.meta_dim)
 
     def predict(self, x, meta_row):
         x = np.asarray(x, dtype=np.float64)
@@ -998,13 +914,6 @@ def _example_losses(out: np.ndarray, y: np.ndarray, task: str) -> tuple[np.ndarr
         return cross_entropy(out, y)
     diff = out - y[..., None]
     return diff[..., 0] * diff[..., 0], (2.0 / diff.shape[-2]) * diff
-
-
-def erm_predictor(model: ErmModel, dataset: DomainDataset):
-    def predict(domain_id: str, x):
-        return model.predict(x, dataset.meta_for([domain_id])[0])
-
-    return predict
 
 
 def rw_finetune(
@@ -1137,11 +1046,13 @@ def score(models, datasets, modes, split: str) -> list[MetricsReport]:
     """Each model's report on one split of its dataset (one for all, or one each).
 
     modes[j] is model j's (relation mode, beta), beta checked in every mode,
-    or None; an ErmModel reads no mode. Models of one structure, dataset and mode are
-    scored together (see _SplitGroup), each with the bits of evaluate on
-    relational_predictor(model, dataset, beta, mode) or erm_predictor(model,
-    dataset). Non-finite outputs raise NumericalError naming the split and
-    the first such model's first such domain.
+    or None; an ErmModel reads no mode. A MultiHeadModel predicts each
+    domain through relation_row, normalize_rows and combine_heads; an
+    ErmModel through the output function of ErmModel.predict. The decision is
+    the argmax label or the first output column. Models of one structure,
+    dataset and mode are scored together (see _SplitGroup), each with the
+    bits it gets when scored alone. Non-finite outputs raise NumericalError
+    naming the split and the first such model's first such domain.
     """
     datasets = [datasets] * len(models) if isinstance(datasets, DomainDataset) else list(datasets)
     groups = _split_groups(models, datasets, modes, split)

@@ -2,10 +2,9 @@
 
 MLP forward/backward passes with hand-derived gradients, a batched pass
 for a stack of linear layers that share one input (the per-domain heads),
-the two loss functions used in this package, Adam with decoupled weight
-decay, a helper that cuts one flat parameter buffer into array views, and a
-central finite-difference gradient checker that every analytic gradient in
-the test suite is held against.
+softmax with the cross-entropy and squared-error losses, Adam with
+decoupled weight decay, and a helper that cuts one flat parameter buffer
+into array views.
 
 The passes broadcast over leading axes: a network whose weights are
 (S, out, in) and biases (S, out) is S networks run at once, on S input
@@ -93,9 +92,6 @@ class Mlp:
             out.append(layer.w)
             out.append(layer.b)
         return out
-
-    def copy(self) -> "Mlp":
-        return Mlp([Layer(l.w.copy(), l.b.copy(), l.act) for l in self.layers])
 
     @classmethod
     def init(cls, dims: list[int], acts: list[str], rng: np.random.Generator) -> "Mlp":
@@ -370,33 +366,3 @@ def split(buf: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
         views.append(buf[..., start:stop].reshape(buf.shape[:-1] + tuple(shape)))
         start = stop
     return views
-
-
-# -- gradient checking ---------------------------------------------------------
-
-
-def grad_check(fn, params: list[np.ndarray], h: float = 1e-5) -> float:
-    """Max relative error between fn's analytic gradient and central differences.
-
-    fn(params) must return (value, grads) with grads ordered like params.
-    The relative error of a coordinate is |a - n| / max(1, |a|, |n|).
-    """
-    params = [np.array(p, dtype=np.float64) for p in params]
-    _, analytic = fn(params)
-    worst = 0.0
-    for k, p in enumerate(params):
-        flat = p.ravel()
-        ana = np.asarray(analytic[k], dtype=np.float64).ravel()
-        if ana.shape != flat.shape:
-            raise ValueError("analytic gradient shape mismatch")
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus, _ = fn(params)
-            flat[i] = orig - h
-            f_minus, _ = fn(params)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = abs(ana[i] - numeric) / max(1.0, abs(ana[i]), abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import parse_floats, read_csv, write_csv
+from .fileio import write_csv
 from .nn import Mlp, Tape, backward, forward
 
 logger = logging.getLogger(__name__)
@@ -64,15 +64,8 @@ class RelationNet:
         if self.w.ndim != 2 or self.w.shape[1] != self.g.out_dim:
             raise ValueError("mask vectors must match the embedding dimension")
 
-    @property
-    def n_heads(self) -> int:
-        return self.w.shape[-2]
-
     def params(self) -> list[np.ndarray]:
         return self.g.params() + [self.w]
-
-    def copy(self) -> "RelationNet":
-        return RelationNet(self.g.copy(), self.w.copy())
 
     @classmethod
     def init(
@@ -214,14 +207,6 @@ def relation_row(net: RelationNet, meta_t, metas, fixed_row, beta: float) -> np.
     return fuse(fixed_row, np.ascontiguousarray(learned.swapaxes(0, 1)).reshape(shape), beta)
 
 
-def normalize_weights(weights) -> np.ndarray:
-    """Scale a vector of finite nonnegative weights to sum to one (see normalize_rows)."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty vector")
-    return normalize_rows(w)
-
-
 def normalize_rows(rows) -> np.ndarray:
     """Scale each row of a (..., K) stack of finite nonnegative weights to sum to one.
 
@@ -230,8 +215,8 @@ def normalize_rows(rows) -> np.ndarray:
     NaN and inf are rejected like negative weights.
     """
     w = np.asarray(rows, dtype=np.float64)
-    if not (np.isfinite(w).all() and (w >= 0.0).all()):
-        raise ValueError("weights must be finite and nonnegative")
+    if not (w.shape[-1:] != (0,) and np.isfinite(w).all() and (w >= 0.0).all()):
+        raise ValueError("weights must be non-empty, finite and nonnegative")
     s = np.add.reduce(w, axis=-1, keepdims=True)
     zero = s <= 0.0
     for _ in range(np.count_nonzero(zero)):
@@ -245,18 +230,3 @@ def normalize_rows(rows) -> np.ndarray:
 def save_relation_csv(path: str, ids: list[str], matrix: np.ndarray) -> None:
     rows = [[d] + [repr(float(v)) for v in matrix[i]] for i, d in enumerate(ids)]
     write_csv(path, [["domain_id"] + list(ids)] + rows)
-
-
-def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:
-    rows = read_csv(path)
-    if not rows or rows[0][:1] != ["domain_id"]:
-        raise DataError(f"{path}: expected a domain_id header row")
-    ids = rows[0][1:]
-    matrix = np.zeros((len(ids), len(ids)))
-    if len(rows) - 1 != len(ids):
-        raise DataError(f"{path}: expected {len(ids)} matrix rows")
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(ids) + 1 or row[0] != ids[i]:
-            raise DataError(f"{path}: malformed matrix row {i + 2}")
-        matrix[i] = parse_floats(row[1:], path, i + 2)
-    return ids, matrix

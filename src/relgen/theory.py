@@ -38,10 +38,6 @@ class LatentWorld:
     x: np.ndarray  # (N, n) inputs per training domain
     y: np.ndarray  # (N, n) noisy targets
 
-    @property
-    def n_domains(self) -> int:
-        return self.z_train.shape[0]
-
     def distances_to_test(self) -> np.ndarray:
         return np.linalg.norm(self.z_train - self.z_test, axis=1)
 
@@ -79,23 +75,6 @@ def sample_world(
     x = data_rng.uniform(-1.0, 1.0, size=(n_domains, n_per_domain))
     y = slopes[:, None] * x + noise * data_rng.normal(size=(n_domains, n_per_domain))
     return LatentWorld(z_train, z_test, anchor, lipschitz, noise, slopes, slope_test, x, y)
-
-
-def lipschitz_certificate(world: LatentWorld, n_pairs: int = 100, n_probe: int = 100, seed: int = 0) -> float:
-    """Largest violation of |h_i(e) - h_j(e)| <= G * |Z_i - Z_j| on probes.
-
-    Nonpositive (up to rounding) when the world construction is sound.
-    """
-    rng = substream(seed, "lipschitz")
-    n = world.n_domains
-    worst = -np.inf
-    for _ in range(n_pairs):
-        i, j = rng.integers(0, n, size=2)
-        probes = rng.uniform(-1.0, 1.0, size=n_probe)
-        gap = np.abs(world.slopes[i] * probes - world.slopes[j] * probes).max()
-        bound = world.lipschitz * np.linalg.norm(world.z_train[i] - world.z_train[j])
-        worst = max(worst, float(gap - bound))
-    return worst
 
 
 def fit_heads(world: LatentWorld) -> np.ndarray:

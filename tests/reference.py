@@ -1,0 +1,51 @@
+"""Reference code that only the test suite runs: a central finite-difference
+gradient checker, which every hand-derived gradient is held against, and a
+reader for the relation CSV that `relgen export-relations` writes."""
+
+import numpy as np
+
+from relgen.errors import DataError
+from relgen.fileio import parse_floats, read_csv
+
+
+def grad_check(fn, params: list[np.ndarray], h: float = 1e-5) -> float:
+    """Max relative error between fn's analytic gradient and central differences.
+
+    fn(params) must return (value, grads) with grads ordered like params.
+    The relative error of a coordinate is |a - n| / max(1, |a|, |n|).
+    """
+    params = [np.array(p, dtype=np.float64) for p in params]
+    _, analytic = fn(params)
+    worst = 0.0
+    for k, p in enumerate(params):
+        flat = p.ravel()
+        ana = np.asarray(analytic[k], dtype=np.float64).ravel()
+        if ana.shape != flat.shape:
+            raise ValueError("analytic gradient shape mismatch")
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus, _ = fn(params)
+            flat[i] = orig - h
+            f_minus, _ = fn(params)
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            err = abs(ana[i] - numeric) / max(1.0, abs(ana[i]), abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """(domain ids, matrix) of a relation CSV; a DataError names a malformed file."""
+    rows = read_csv(path)
+    if not rows or rows[0][:1] != ["domain_id"]:
+        raise DataError(f"{path}: expected a domain_id header row")
+    ids = rows[0][1:]
+    matrix = np.zeros((len(ids), len(ids)))
+    if len(rows) - 1 != len(ids):
+        raise DataError(f"{path}: expected {len(ids)} matrix rows")
+    for i, row in enumerate(rows[1:]):
+        if len(row) != len(ids) + 1 or row[0] != ids[i]:
+            raise DataError(f"{path}: malformed matrix row {i + 2}")
+        matrix[i] = parse_floats(row[1:], path, i + 2)
+    return ids, matrix

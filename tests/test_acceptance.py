@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from test_model import _grad_case, constant_model
+from reference import grad_check
+from test_model import _grad_case, constant_model, loss_terms
 
 from relgen.data import gen_dg15
 from relgen.experiments import (
@@ -24,17 +25,12 @@ from relgen.experiments import (
 from relgen.model import (
     TrainConfig,
     combine_heads,
-    evaluate,
-    infer,
     load_checkpoint,
-    loss_pred,
-    loss_rel,
-    predict_head,
-    relational_predictor,
     save_checkpoint,
+    score,
 )
-from relgen.nn import grad_check
-from relgen.relations import RelationNet, build_matrix, learned_matrix, normalize_weights
+from relgen.nn import forward, stack_forward
+from relgen.relations import RelationNet, build_matrix, learned_matrix, normalize_rows
 from relgen.theory import (
     AVERAGING_ORACLE_TARGET,
     averaging_oracle,
@@ -211,7 +207,7 @@ def test_criterion_7_inference_invariants():
             row = rng.uniform(0.0, 3.0, size=k)
             if case % 10 == 0:
                 row[:] = 0.0
-            w = normalize_weights(row)
+            w = normalize_rows(row)
             if not (abs(w.sum() - 1.0) <= 1e-12 and w.min() >= 0.0):
                 failures["simplex"] += 1
     finally:
@@ -233,7 +229,8 @@ def test_criterion_7_inference_invariants():
         x = rng.normal(size=(3, 2)) ** 2 + 0.1  # keep the relu extractor active
         w = rng.uniform(0.1, 2.0, size=k)
         scale = float(rng.uniform(0.5, 20.0))
-        if not np.array_equal(infer(model, w, x), infer(model, scale * w, x)):
+        labels = combine_heads(model, w, x).argmax(axis=-1)
+        if not np.array_equal(labels, combine_heads(model, scale * w, x).argmax(axis=-1)):
             failures["rescale"] += 1
 
     for _ in range(N_PROPERTY_CASES):
@@ -246,7 +243,7 @@ def test_criterion_7_inference_invariants():
         pick = int(rng.integers(0, k))
         one_hot = np.zeros(k)
         one_hot[pick] = 1.0
-        direct = predict_head(model, model.head_domains[pick], x)
+        direct = stack_forward(model.head_w, model.head_b, forward(model.extractor, x)[0])[pick]
         if not np.array_equal(combine_heads(model, one_hot, x), direct):
             failures["one_hot"] += 1
 
@@ -267,7 +264,7 @@ def test_criterion_7_inference_invariants():
         )
         rel = rng.uniform(0.0, 2.0, size=(k, k))
         rel = (rel + rel.T) / 2.0
-        lp, lr = loss_pred(model, batch), loss_rel(model, batch, rel)
+        _, lp, lr = loss_terms(model, batch, rel)
         if abs(lr - lp) > 1e-12 * max(1.0, abs(lp)):
             failures["heads_equal"] += 1
 
@@ -312,10 +309,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     path = str(tmp_path / "roundtrip.npz")
     save_checkpoint(path, model_a, cfg)
     loaded, _ = load_checkpoint(path)
-    rep_c = evaluate(relational_predictor(loaded, ds, cfg.beta, "fused"), ds, "test")
-    round_trip = rep_c.to_dict() == evaluate(
-        relational_predictor(model_a, ds, cfg.beta, "fused"), ds, "test"
-    ).to_dict()
+    rep_c, rep_a_again = score([loaded, model_a], ds, [("fused", cfg.beta)] * 2, "test")
+    round_trip = rep_c.to_dict() == rep_a_again.to_dict()
 
     ok = same_reports and same_params and round_trip
     emit(

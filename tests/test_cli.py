@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import relgen.cli as cli
 import relgen.model as model_module
 from relgen.cli import main
-from relgen.relations import angle_between, load_relation_csv
+from relgen.relations import angle_between
 from relgen.data import load_meta_csv
+
+from reference import load_relation_csv
 
 
 def run(*argv):

@@ -107,7 +107,7 @@ def test_dg15_cluster_geometry():
 
 def test_dg15_fixed_relations_come_from_angles():
     ds = gen_dg15(0)
-    assert ds.fixed_kind == "angle"
+    assert ds.edges is None
     a, b = ds.ids[0], ds.ids[1]
     ta, tb = ds.meta_for([a])[0][0], ds.meta_for([b])[0][0]
     got = ds.fixed_between([a], [b])[0, 0]
@@ -146,7 +146,7 @@ def test_spatial_noise_free_targets_match_coefficients():
 
 def test_spatial_adjacency_is_the_grid():
     ds = gen_spatial_regression(0)
-    assert ds.fixed_kind == "adjacency"
+    assert ds.edges is not None
 
     def rel(a, b):
         return ds.fixed_between([a], [b])[0, 0]
@@ -261,7 +261,6 @@ def test_angle_dataset_round_trips_exactly(tmp_path):
     assert back.ids == ds.ids
     assert back.split == ds.split
     assert back.task == ds.task
-    assert back.fixed_kind == "angle"
     assert back.edges is None
 
 
@@ -273,7 +272,6 @@ def test_adjacency_dataset_round_trips_exactly(tmp_path):
     back = load_dataset_dir(str(tmp_path))
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
-    assert back.fixed_kind == "adjacency"
     assert sorted(back.edges) == sorted(ds.edges)
     assert np.array_equal(back.fixed_matrix(back.ids), ds.fixed_matrix(ds.ids))
 
@@ -309,7 +307,7 @@ def test_loader_reads_a_hand_written_directory(tmp_path):
     assert ds.task == "classification"
     assert ds.x.shape == (4, 2)
     assert ds.meta_for(["b"])[0][0] == pytest.approx(1.2)
-    assert ds.fixed_kind == "angle"
+    assert ds.edges is None
 
 
 def test_loader_infers_regression_from_float_labels(tmp_path):
@@ -394,7 +392,7 @@ def test_adjacency_file_switches_fixed_kind(tmp_path):
     d = good_dir(tmp_path)
     write_rows(d / "adjacency.txt", ["a b"])
     ds = load_dataset_dir(str(d))
-    assert ds.fixed_kind == "adjacency"
+    assert ds.edges is not None
     assert ds.fixed_between(["a"], ["b"])[0, 0] == 1.0
 
 

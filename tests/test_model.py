@@ -20,14 +20,8 @@ from relgen.model import (
     build_erm,
     build_model,
     combine_heads,
-    erm_predictor,
     evaluate,
-    infer,
     load_checkpoint,
-    loss_pred,
-    loss_rel,
-    predict_head,
-    relational_predictor,
     rw_finetune,
     rwft_predictor,
     save_checkpoint,
@@ -37,8 +31,10 @@ from relgen.model import (
     train,
     train_erm,
 )
-from relgen.nn import Layer, Mlp, grad_check
-from relgen.relations import RelationNet, mode_fusion
+from relgen.nn import Layer, Mlp, forward, stack_forward
+from relgen.relations import RelationNet, mode_fusion, relation_row
+
+from reference import grad_check
 
 
 def constant_model(values, task="regression", combine_space="logit", out=1):
@@ -94,10 +90,20 @@ THREE_DOMAIN_RELATIONS = np.array(
 )
 
 
+def loss_terms(model, batch, relations, lam=0.0):
+    """(loss, loss_pred, loss_rel) of total_loss_and_grads with relations as
+    the fixed matrix at beta 1: negative entries clamp at zero, as in
+    training, and all ones give equal weights. loss_pred reads no relations."""
+    loss, (lp, lrel), _ = total_loss_and_grads(model, batch, relations, None, lam, 1.0)
+    return loss, lp, lrel
+
+
 def test_loss_pred_hand_computed():
     model = constant_model([1.0, 2.0, 4.0])
     # own-head squared errors against zero targets: 1, 4, 16
-    assert loss_pred(model, THREE_DOMAIN_BATCH) == pytest.approx(7.0, abs=1e-14)
+    assert loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)[1] == pytest.approx(
+        7.0, abs=1e-14
+    )
 
 
 def test_loss_rel_hand_computed():
@@ -106,16 +112,15 @@ def test_loss_rel_hand_computed():
     # domain 1: weights (.5,1)->(1/3,2/3),  mix 3,   se 9
     # domain 2: weights (.25,1)->(.2,.8),   mix 1.8, se 81/25
     expect = (64.0 / 9.0 + 9.0 + 81.0 / 25.0) / 3.0
-    got = loss_rel(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)
+    got = loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)[2]
     assert got == pytest.approx(expect, abs=1e-14)
 
 
 def test_total_loss_is_affine_in_lambda():
     model = constant_model([1.0, 2.0, 4.0])
-    lp = loss_pred(model, THREE_DOMAIN_BATCH)
-    lr = loss_rel(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)
+    _, lp, lr = loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)
     for lam in (0.0, 0.3, 1.0, 2.5):
-        got = model_module._loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS, lam)[0]
+        got = loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS, lam)[0]
         assert got == pytest.approx(lp + lam * lr, abs=1e-12)
     with pytest.raises(ConfigError):
         TrainConfig(lam=-0.1).validate()
@@ -123,17 +128,17 @@ def test_total_loss_is_affine_in_lambda():
 
 def test_consistency_ignores_self_relations():
     model = constant_model([1.0, 2.0, 4.0])
-    base = loss_rel(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)
+    base = loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS)[2]
     boosted = THREE_DOMAIN_RELATIONS.copy()
     np.fill_diagonal(boosted, 1e6)
-    assert loss_rel(model, THREE_DOMAIN_BATCH, boosted) == pytest.approx(base, abs=1e-12)
+    assert loss_terms(model, THREE_DOMAIN_BATCH, boosted)[2] == pytest.approx(base, abs=1e-12)
 
 
 def test_unrelated_row_falls_back_to_uniform_over_others():
     model = constant_model([1.0, 2.0, 4.0])
     lonely = np.eye(3)  # every row all-zero once self is excluded
-    got = loss_rel(model, THREE_DOMAIN_BATCH, lonely)
-    want = loss_rel(model, THREE_DOMAIN_BATCH, np.ones((3, 3)))
+    got = loss_terms(model, THREE_DOMAIN_BATCH, lonely)[2]
+    want = loss_terms(model, THREE_DOMAIN_BATCH, np.ones((3, 3)))[2]
     assert got == pytest.approx(want, abs=1e-14)
     # uniform mixes: dom0 (2+4)/2=3, dom1 (1+4)/2=2.5, dom2 (1+2)/2=1.5
     assert want == pytest.approx((9.0 + 6.25 + 2.25) / 3.0, abs=1e-14)
@@ -145,15 +150,15 @@ def test_equal_heads_make_both_losses_agree():
         batch = (np.ones((3, 2)), np.array([0, 1, 0]), np.array([0, 1, 2]))
         rel = np.random.default_rng(3).uniform(0.1, 1.0, size=(3, 3))
         rel = (rel + rel.T) / 2
-        lp = loss_pred(model, batch)
-        lr = loss_rel(model, batch, rel)
+        _, lp, lr = loss_terms(model, batch, rel)
         assert lr == pytest.approx(lp, abs=1e-12)
 
 
 def test_loss_rel_rejects_bad_relations():
     model = constant_model([1.0, 2.0, 4.0])
-    with pytest.raises(ValueError, match="relation matrix"):
-        loss_rel(model, THREE_DOMAIN_BATCH, np.eye(4))
+    for bad in (np.eye(4), np.eye(2)):
+        with pytest.raises(ValueError, match=r"expected a \(3, 3\) relation matrix"):
+            loss_terms(model, THREE_DOMAIN_BATCH, bad)
 
 
 def test_prob_space_mixture_floor_keeps_loss_finite():
@@ -164,7 +169,7 @@ def test_prob_space_mixture_floor_keeps_loss_finite():
     model.head_b[1] = [800.0, -800.0]
     model.head_b[2] = [800.0, -800.0]
     batch = (np.ones((3, 2)), np.array([1, 1, 1]), np.array([0, 1, 2]))
-    val = loss_rel(model, batch, np.ones((3, 3)))
+    val = loss_terms(model, batch, np.ones((3, 3)))[2]
     assert np.isfinite(val)
     assert val == pytest.approx(-math.log(1e-12), rel=1e-6)
 
@@ -248,12 +253,17 @@ def test_loss_value_matches_loss_functions():
     metas = ds.meta_for(train_ids)
     fixed = ds.fixed_matrix(train_ids)
     loss, (lp, lrel), _ = total_loss_and_grads(model, (x, y, dom), fixed, metas, 0.5, 1.0)
-    assert lp == pytest.approx(loss_pred(model, (x, y, dom)), abs=1e-12)
-    assert lrel == pytest.approx(loss_rel(model, (x, y, dom), np.maximum(fixed, 0.0)), abs=1e-12)
+    assert lp == pytest.approx(loss_terms(model, (x, y, dom), np.ones((3, 3)))[1], abs=1e-12)
+    assert lrel == pytest.approx(loss_terms(model, (x, y, dom), np.maximum(fixed, 0.0))[2], abs=1e-12)
     assert loss == pytest.approx(lp + 0.5 * lrel, abs=1e-12)
 
 
 # -- inference ----------------------------------------------------------------------
+
+
+def decide(model, weights, x):
+    """Argmax labels or first-column values of the heads mixed under weights."""
+    return model_module._decide(combine_heads(model, weights, x), model.task)
 
 
 def test_one_hot_weights_pick_a_single_head():
@@ -261,7 +271,8 @@ def test_one_hot_weights_pick_a_single_head():
     x = np.ones((3, 2))
     out = combine_heads(model, [0.0, 1.0, 0.0], x)
     assert np.allclose(out, 2.0)
-    assert predict_head(model, "d1", x) == pytest.approx(out)
+    own = stack_forward(model.head_w, model.head_b, forward(model.extractor, x)[0])[1]
+    assert np.array_equal(out, own)
 
 
 def test_zero_weights_fall_back_to_uniform(caplog):
@@ -286,28 +297,29 @@ def test_argmax_invariant_under_logit_rescale():
         b[:] = rng.normal(size=3)
     x = np.ones((4, 2))
     w = [0.3, 0.7]
-    before = infer(model, w, x)
+    before = decide(model, w, x)
     for b in model.head_b:
         b *= 5.5
-    after = infer(model, w, x)
+    after = decide(model, w, x)
     assert np.array_equal(before, after)
 
 
 def test_infer_uniform_equals_equal_weights():
     model = constant_model([1.0, 2.0, 4.0])
     x = np.ones((2, 2))
-    assert np.array_equal(infer(model, np.ones(3), x), infer(model, [5.0, 5.0, 5.0], x))
+    assert np.array_equal(decide(model, np.ones(3), x), decide(model, [5.0, 5.0, 5.0], x))
 
 
 def test_infer_returns_scalar_for_single_example():
     model = constant_model([1.0, 3.0])
-    out = infer(model, [1.0, 1.0], np.ones(2))
-    assert isinstance(out, float)
-    assert out == pytest.approx(2.0)
+    assert combine_heads(model, [1.0, 1.0], np.ones(2)).shape == (1,)  # one output row
+    out = decide(model, [1.0, 1.0], np.ones(2))
+    assert out.shape == ()
+    assert out.item() == pytest.approx(2.0)
     cls = constant_model([0.0, 0.0], task="classification", out=2)
     cls.head_b[0] = [0.0, 1.0]
     cls.head_b[1] = [0.0, 1.0]
-    assert infer(cls, [1.0, 1.0], np.ones(2)) == 1
+    assert decide(cls, [1.0, 1.0], np.ones(2)).item() == 1
 
 
 def test_prob_space_combination_is_a_distribution():
@@ -342,20 +354,21 @@ def test_relational_predictor_modes():
     ds = micro_dataset()
     cfg = TrainConfig(hidden_width=3, relation_width=3, relation_heads=2, seed=3)
     model = build_model(ds, cfg)
-    x, _ = ds.domain_arrays("m4")
-    uni = relational_predictor(model, ds, 0.8, "uniform")("m4", x)
-    assert np.array_equal(uni, infer(model, np.ones(len(model.head_domains)), x))
-    for mode in ("fused", "fixed", "learned"):
-        out = relational_predictor(model, ds, 0.8, mode)("m4", x)
-        assert out.shape == (x.shape[0],)
+    modes = [("uniform", 0.8), ("fused", 0.8), ("fixed", 0.8), ("learned", 0.8)]
+    reports = score([model] * len(modes), ds, modes, "test")
+    equal = evaluate(lambda d, x: decide(model, np.ones(len(model.head_domains)), x), ds, "test")
+    assert reports[0].to_dict() == equal.to_dict()
+    for rep, mode in zip(reports, modes):
+        assert rep.to_dict() == reference_report(model, ds, mode, "test").to_dict()
+        assert rep.n_examples == {"m4": len(ds.domain_arrays("m4")[1])}
     with pytest.raises(ConfigError):
-        relational_predictor(model, ds, 0.8, "nearest")
+        score([model], ds, [("nearest", 0.8)], "test")
 
 
-def test_predict_head_rejects_unknown_domain():
-    model = constant_model([1.0, 2.0])
-    with pytest.raises(ValueError, match="unknown training domain"):
-        predict_head(model, "nope", np.ones(2))
+def test_score_rejects_heads_of_unknown_domains():
+    model = constant_model([1.0, 2.0])  # heads d0 and d1
+    with pytest.raises(DataError, match="unknown domain id 'd0'"):
+        score([model], micro_regression(), [("fused", 0.8)], "test")
 
 
 # -- config -------------------------------------------------------------------------
@@ -418,7 +431,7 @@ def test_select_best_restores_the_best_valid_epoch():
     cfg = TrainConfig(epochs=8, lr=5e-3, hidden_width=8, relation_width=3, relation_heads=2)
     model = build_model(ds, cfg)
     history = train(model, ds, cfg)
-    final = evaluate(relational_predictor(model, ds, cfg.beta, "fused"), ds, "valid")
+    final = score([model], ds, [("fused", cfg.beta)], "valid")[0]
     assert final.mean == pytest.approx(max(h["valid"] for h in history), abs=1e-12)
 
 
@@ -517,7 +530,7 @@ def test_erm_training_and_prediction_shapes():
     cfg = TrainConfig(epochs=6, lr=5e-3, hidden_width=8)
     model, history = train_erm(ds, cfg)
     assert len(history) == 6
-    rep = evaluate(erm_predictor(model, ds), ds, "test")
+    rep = score([model], ds, [None], "test")[0]
     assert 0.0 <= rep.mean <= 1.0
     assert model.extractor.in_dim == ds.n_features + ds.meta_dim
 
@@ -587,8 +600,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.head_domains == model.head_domains
     for p, q in zip(loaded.params(), model.params()):
         assert np.array_equal(p, q)
-    a = evaluate(relational_predictor(model, ds, cfg.beta, "fused"), ds, "test")
-    b = evaluate(relational_predictor(loaded, ds, cfg.beta, "fused"), ds, "test")
+    a, b = score([model, loaded], ds, [("fused", cfg.beta)] * 2, "test")
     assert a.to_dict() == b.to_dict()
 
 
@@ -601,8 +613,7 @@ def test_erm_checkpoint_round_trip(tmp_path):
     loaded, header = load_checkpoint(path)
     assert header["kind"] == "erm"
     assert loaded.meta_dim == 1
-    a = evaluate(erm_predictor(model, ds), ds, "test")
-    b = evaluate(erm_predictor(loaded, ds), ds, "test")
+    a, b = score([model, loaded], ds, [None, None], "test")
     assert a.to_dict() == b.to_dict()
 
 
@@ -642,11 +653,11 @@ def test_non_finite_outputs_are_numerical_errors_naming_the_domain():
     model = build_model(ds, cfg)
     model.head_b[...] = np.nan
     with pytest.raises(NumericalError, match="non-finite model outputs .* test domain 'm4'"):
-        evaluate(relational_predictor(model, ds, cfg.beta), ds, "test")
+        score([model], ds, [("fused", cfg.beta)], "test")
     erm = build_erm(ds, cfg)
     erm.head.layers[-1].b[...] = np.inf
     with pytest.raises(NumericalError, match="valid domain 'm3'"):
-        evaluate(erm_predictor(erm, ds), ds, "valid")
+        evaluate(lambda d, x: erm.predict(x, ds.meta_for([d])[0]), ds, "valid")
     # score names the split and the first bad model's domain, as evaluate on it does
     fine = build_model(ds, cfg)
     with pytest.raises(NumericalError, match=r"^non-finite model outputs \(NaN or inf\) on test domain 'm4'$"):
@@ -723,7 +734,7 @@ def test_copy_owns_a_separate_buffer():
     model = build_model(ds, TrainConfig(hidden_width=4, relation_width=3, relation_heads=2))
     erm, _ = train_erm(ds, TrainConfig(epochs=0, hidden_width=4))
     for original in (model, erm):
-        twin = original.copy()
+        twin = model_module._bound_copy(original, original.flat.copy())
         assert np.array_equal(twin.flat, original.flat)
         assert not np.shares_memory(twin.flat, original.flat)
         twin.flat += 1.0
@@ -822,10 +833,26 @@ VALID_PASS_VARIANTS = {k: MIXED_VARIANTS[k] for k in ("fused", "uniform", "beta1
 
 
 def reference_report(model, dataset, mode, split):
-    """evaluate on the predictor that score stands for, under mode (relation mode, beta)."""
-    if isinstance(model, MultiHeadModel):
-        return evaluate(relational_predictor(model, dataset, mode[1], mode[0]), dataset, split)
-    return evaluate(erm_predictor(model, dataset), dataset, split)
+    """The split's report, one domain at a time, under mode (relation mode, beta).
+
+    A MultiHeadModel weights its heads by the domain's relation_row and
+    mixes them with combine_heads; an ErmModel predicts with its meta-data
+    row. Then the argmax or first-column decision.
+    """
+    if not isinstance(model, MultiHeadModel):
+        return evaluate(lambda d, x: model.predict(x, dataset.meta_for([d])[0]), dataset, split)
+    train_ids = model.head_domains
+
+    def predict(d, x):
+        fixed_row, beta = mode_fusion(
+            *mode, lambda: dataset.fixed_between([d], train_ids)[0], len(train_ids)
+        )
+        w = relation_row(
+            model.relation_net, dataset.meta_for([d])[0], dataset.meta_for(train_ids), fixed_row, beta
+        )
+        return decide(model, w, x)
+
+    return evaluate(predict, dataset, split)
 
 
 @pytest.mark.parametrize("kind", ["relational", "erm"])
@@ -969,7 +996,7 @@ def test_lockstep_gradient_writes_every_slice(data, case):
     """One stacked step fills a NaN-filled buffer with each row's own gradient."""
     datasets, cfgs = _rows_setup(data, case)
     models = [build_model(d, c) for d, c in zip(datasets, cfgs)]
-    singles = [m.copy() for m in models]
+    singles = [model_module._bound_copy(m, m.flat.copy()) for m in models]
     stack = stack_models(models)
     rng = np.random.default_rng(3)
     rows = []  # each row's batch, fixed relations, metas, lam and beta
@@ -1252,6 +1279,6 @@ def test_small_benchmark_end_to_end():
     cfg = TrainConfig(epochs=4, lr=1e-3)
     model = build_model(ds, cfg)
     train(model, ds, cfg)
-    rep = evaluate(relational_predictor(model, ds, cfg.beta, "fused"), ds, "test")
+    rep = score([model], ds, [("fused", cfg.beta)], "test")[0]
     assert set(rep.per_domain) == set(ds.ids_for_split("test"))
     assert 0.0 <= rep.mean <= 1.0

@@ -1,6 +1,7 @@
 """Network building blocks: forwards against hand arithmetic, backwards
 against central finite differences, and the numeric edge cases."""
 
+import copy
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from relgen.nn import (
     backward,
     flatten,
     forward,
-    grad_check,
     init_opt_state,
     loss_ce_batch,
     loss_ce_rows,
@@ -29,6 +29,8 @@ from relgen.nn import (
     stack_backward,
     stack_forward,
 )
+
+from reference import grad_check
 
 
 def small_mlp(rng=None):
@@ -374,7 +376,7 @@ def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
 
 def _stacked_mlp(nets):
     """One Mlp whose weights are (S, out, in): the nets on a leading seed axis."""
-    stacked = nets[0].copy()
+    stacked = copy.deepcopy(nets[0])
     for i, layer in enumerate(stacked.layers):
         layer.w = np.stack([net.layers[i].w for net in nets])
         layer.b = np.stack([net.layers[i].b for net in nets])

@@ -1,13 +1,15 @@
 """Relation sources and their fusion: closed-form angle cases, brute-force
 oracles for the learned similarity, and finite-difference gradients."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgen.errors import ConfigError, DataError
-from relgen.nn import Mlp, backward, forward, grad_check
+from relgen.nn import Mlp, backward, forward
 from relgen.relations import (
     RelationNet,
     adjacency_matrix,
@@ -16,12 +18,12 @@ from relgen.relations import (
     fuse,
     learned_matrix,
     learned_matrix_backward,
-    load_relation_csv,
     normalize_rows,
-    normalize_weights,
     relation_row,
     save_relation_csv,
 )
+
+from reference import grad_check, load_relation_csv
 
 
 def tiny_net(meta_dim=2, width=3, n_heads=2, seed=5):
@@ -43,17 +45,17 @@ def brute_force_relation(net, m_i, m_j):
     gi, _ = forward(net.g, np.asarray(m_i, dtype=np.float64))
     gj, _ = forward(net.g, np.asarray(m_j, dtype=np.float64))
     total = 0.0
-    for r in range(net.n_heads):
+    for r in range(len(net.w)):
         u, v = net.w[r] * gi, net.w[r] * gj
         nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
         if nu > 0.0 and nv > 0.0:
             total += float(u @ v) / (nu * nv)
-    return total / net.n_heads
+    return total / len(net.w)
 
 
 def stack_nets(nets):
     """One RelationNet whose parameters carry a leading seed axis over the nets."""
-    stacked = nets[0].copy()
+    stacked = copy.deepcopy(nets[0])
     for i, layer in enumerate(stacked.g.layers):
         layer.w = np.stack([net.g.layers[i].w for net in nets])
         layer.b = np.stack([net.g.layers[i].b for net in nets])
@@ -107,10 +109,10 @@ def test_learned_relation_matches_brute_force():
     gi, _ = forward(net.g, m_i)
     gj, _ = forward(net.g, m_j)
     expect = 0.0
-    for r in range(net.n_heads):
+    for r in range(len(net.w)):
         u, v = net.w[r] * gi, net.w[r] * gj
         expect += (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    expect /= net.n_heads
+    expect /= len(net.w)
     assert learned_pair(net, m_i, m_j) == pytest.approx(expect, abs=1e-12)
     assert brute_force_relation(net, m_i, m_j) == pytest.approx(expect, abs=1e-12)
 
@@ -191,13 +193,13 @@ def _einsum_learned_matrix(net, metas):
     alive = norm > 0.0
     unit = np.zeros_like(masked)
     np.divide(masked, norm[:, :, None], out=unit, where=alive[:, :, None])
-    a_l = np.einsum("rks,rls->kl", unit, unit) / net.n_heads
+    a_l = np.einsum("rks,rls->kl", unit, unit) / len(net.w)
     return a_l, (reps, tape, unit, norm, alive)
 
 
 def _einsum_learned_matrix_backward(net, cache, d_a_l):
     reps, tape, unit, norm, alive = cache
-    d_a_l = d_a_l / net.n_heads
+    d_a_l = d_a_l / len(net.w)
     d_unit = np.einsum("kl,rls->rks", d_a_l, unit)
     d_unit += np.einsum("lk,rls->rks", d_a_l, unit)
     inner = (d_unit * unit).sum(axis=2, keepdims=True)
@@ -376,31 +378,33 @@ def test_relation_row_on_a_block_with_a_seed_axis_matches_single_calls(beta):
 # -- weight normalization -----------------------------------------------------------
 
 
-def test_normalize_weights_examples():
-    assert normalize_weights([1.0, 3.0]).tolist() == [0.25, 0.75]
+def test_normalize_weights_examples(caplog):
+    assert normalize_rows([1.0, 3.0]).tolist() == [0.25, 0.75]
     with pytest.raises(ValueError):
-        normalize_weights([-0.1, 1.0])
-    with pytest.raises(ValueError):
-        normalize_weights([])
-    with pytest.raises(ValueError):
-        normalize_weights(np.zeros((2, 2)))
+        normalize_rows([-0.1, 1.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        normalize_rows([])
+    with pytest.raises(ValueError, match="non-empty"):
+        normalize_rows(np.zeros((2, 0)))
+    with caplog.at_level("WARNING", logger="relgen.relations"):
+        assert normalize_rows(np.zeros((2, 2))).tolist() == [[0.5, 0.5], [0.5, 0.5]]  # row by row
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_normalize_weights_rejects_non_finite(bad):
     # NaN passes both a "< 0" and a "<= 0" test, so it must be caught by name
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        normalize_weights([bad, 1.0])
+        normalize_rows([bad, 1.0])
 
 
 def test_normalize_zero_row_falls_back_to_uniform(caplog):
     with caplog.at_level("WARNING", logger="relgen.relations"):
-        w = normalize_weights([0.0, 0.0, 0.0, 0.0])
+        w = normalize_rows([0.0, 0.0, 0.0, 0.0])
     assert w.tolist() == [0.25, 0.25, 0.25, 0.25]
     assert any("all-zero relation row" in rec.message for rec in caplog.records)
 
 
-def test_normalize_rows_matches_normalize_weights_on_each_row(caplog):
+def test_normalize_rows_matches_each_row_alone(caplog):
     rows = np.random.default_rng(3).uniform(size=(2, 3, 4))
     rows[1, 2] = 0.0
     with caplog.at_level("WARNING", logger="relgen.relations"):
@@ -408,7 +412,7 @@ def test_normalize_rows_matches_normalize_weights_on_each_row(caplog):
     assert sum("all-zero relation row" in rec.message for rec in caplog.records) == 1
     assert got[1, 2].tolist() == [0.25] * 4
     for i in np.ndindex(2, 3):
-        assert got[i].tobytes() == normalize_weights(rows[i]).tobytes()
+        assert got[i].tobytes() == normalize_rows(rows[i]).tobytes()
     rows[0, 1, 3] = -0.5
     with pytest.raises(ValueError, match="finite and nonnegative"):
         normalize_rows(rows)
@@ -417,7 +421,7 @@ def test_normalize_rows_matches_normalize_weights_on_each_row(caplog):
 @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_normalize_weights_live_on_the_simplex(vals):
-    w = normalize_weights(vals)
+    w = normalize_rows(vals)
     assert abs(w.sum() - 1.0) < 1e-12
     assert (w >= 0.0).all()
 

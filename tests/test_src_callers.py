@@ -1,0 +1,153 @@
+"""Every definition in src/relgen has a caller in the shipped code, and no
+shipped module imports a name it never uses.
+
+The shipped code is src/, demos/ and tools/. A use in tests/ does not
+count: code that only tests reach belongs in tests/. Names are matched
+with stdlib ast, so a use is a load of the name (f(), x.f, f in an
+annotation), not a string or a comment.
+"""
+
+import ast
+import pathlib
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED = ("src", "demos", "tools")
+
+# defined in src with no caller there, but perfbench/tracer.py resolves each
+# by name when it installs its spans; they go when the tracer stops naming them
+TRACER_BOUND = {
+    "relgen.nn.loss_ce_batch": "perfbench/tracer.py traces nn.loss_ce_batch",
+    "relgen.nn.loss_mse": "perfbench/tracer.py traces nn.loss_mse",
+    "relgen.model.train_erm": "perfbench/tracer.py traces model.train_erm",
+    "relgen.theory.excess_risk": "perfbench/tracer.py traces theory.excess_risk",
+}
+
+# x.copy() most likely reads an array's method, so a method that an ndarray
+# also has counts as used only as Class.name or, inside its class, self.name
+# (or cls.name)
+ARRAY_NAMES = frozenset(dir(np.ndarray))
+
+
+def _modules(root: pathlib.Path) -> dict:
+    return {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for top in SHIPPED for p in sorted((root / top).rglob("*.py"))}
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name, class or None, node) of each module-level
+    function and class and of each method, dunders left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield f"{module}.{node.name}", node.name, None, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, node.name, item
+
+
+def _walk(node, skip):
+    """ast.walk, minus the subtrees rooted at the nodes in skip."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node not in skip:
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _is_used(name, cls, uses) -> bool:
+    names, attrs, qualified, self_attrs = uses
+    if cls is None:
+        return name in names or name in attrs
+    if name in ARRAY_NAMES:
+        return (cls, name) in qualified or (cls, name) in self_attrs
+    return name in attrs
+
+
+def uncalled(root: pathlib.Path = ROOT, live=TRACER_BOUND) -> list[str]:
+    """Qualified names of the src definitions that no shipped module under root uses.
+
+    A use inside a definition that is itself uncalled does not count, so a
+    helper that only such code calls is uncalled too. The definitions named
+    in live count as used.
+    """
+    modules = _modules(root)
+    defs = [d for path, tree in modules.items() if (root / "src") in path.parents
+            for d in _definitions(".".join(path.relative_to(root / "src").with_suffix("").parts),
+                                  tree)]
+    dead: set = set()
+    while True:
+        uses = (set(), set(), set(), set())  # names, attributes, (receiver, attr), (class, self.attr)
+        for tree in modules.values():
+            for node in _walk(tree, dead):
+                if isinstance(node, ast.Name):
+                    uses[0].add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    uses[1].add(node.attr)
+                    if isinstance(node.value, ast.Name):
+                        uses[2].add((node.value.id, node.attr))
+                elif isinstance(node, ast.ClassDef):
+                    uses[3].update((node.name, sub.attr) for sub in _walk(node, dead)
+                                   if isinstance(sub, ast.Attribute)
+                                   and isinstance(sub.value, ast.Name)
+                                   and sub.value.id in ("self", "cls"))
+        now = {node for qual, name, cls, node in defs
+               if qual not in live and not _is_used(name, cls, uses)}
+        if now == dead:
+            return [qual for qual, _, _, node in defs if node in dead]
+        dead = now
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never loads, __future__ imports left out."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    return [b for b in bound if b not in names]
+
+
+def test_every_src_definition_has_a_shipped_caller():
+    missing = uncalled()
+    assert missing == [], f"defined in src, used only by tests or by nothing: {missing}"
+
+
+def test_the_tracer_allowlist_is_still_needed():
+    """Each allowlisted name is still defined, still without a shipped caller,
+    and still named by the tracer."""
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    assert sorted(q for q in uncalled(live=()) if q in TRACER_BOUND) == sorted(TRACER_BOUND)
+    for qual in TRACER_BOUND:
+        assert f'"{qual.rsplit(".", 1)[1]}"' in tracer, qual
+
+
+def test_no_shipped_module_imports_a_name_it_never_uses():
+    # a package's __init__ imports to re-export (relgen.__version__)
+    bad = {str(p.relative_to(ROOT)): names
+           for p, t in _modules(ROOT).items()
+           if p.name != "__init__.py" and (names := unused_imports(t))}
+    assert bad == {}
+
+
+def test_the_checks_see_a_test_only_method_and_an_unused_import(tmp_path):
+    files = {
+        "src/pkg/core.py": "import os\nfrom m import a, b as c\n\n\nclass C:\n"
+                           "    def copy(self):\n        return c\n\n"
+                           "    def run(self):\n        return self.size()\n\n"
+                           "    def size(self):\n        return 1\n\n"
+                           "    def __init__(self):\n        pass\n",
+        "tools/use.py": "from pkg.core import C\n\nC().run()\nx = [1].copy()\n",
+        "tests/test_core.py": "from pkg.core import C\n\nC().copy()\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    # copy is an array method name: [1].copy() in tools and C().copy() in tests do not count
+    assert uncalled(tmp_path) == ["pkg.core.C.copy"]
+    assert unused_imports(ast.parse(files["src/pkg/core.py"])) == ["os", "a"]

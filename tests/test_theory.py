@@ -7,6 +7,7 @@ import pytest
 
 from relgen import theory
 from relgen.errors import ConfigError, NumericalError
+from relgen.rng import substream
 from relgen.theory import (
     AVERAGING_ORACLE_TARGET,
     SWEEP_COLUMNS,
@@ -15,7 +16,6 @@ from relgen.theory import (
     calibrate_bandwidth,
     excess_risk,
     fit_heads,
-    lipschitz_certificate,
     sample_world,
     save_sweep_csv,
     scaling_experiment,
@@ -33,7 +33,6 @@ def test_world_shapes_and_ranges():
     assert w.x.shape == (12, 20) and w.y.shape == (12, 20)
     assert np.all(w.z_train >= 0) and np.all(w.z_train <= 1)
     assert np.all(np.abs(w.x) <= 1)
-    assert w.n_domains == 12
     assert w.distances_to_test().shape == (12,)
 
 
@@ -67,6 +66,23 @@ def test_world_validates_arguments():
     ):
         with pytest.raises(ConfigError):
             sample_world(seed=0, **kw)
+
+
+def lipschitz_certificate(world, n_pairs: int = 100, n_probe: int = 100, seed: int = 0) -> float:
+    """Largest violation of |h_i(e) - h_j(e)| <= G * |Z_i - Z_j| on probes.
+
+    Nonpositive (up to rounding) when the world construction is sound.
+    """
+    rng = substream(seed, "lipschitz")
+    n = len(world.z_train)
+    worst = -np.inf
+    for _ in range(n_pairs):
+        i, j = rng.integers(0, n, size=2)
+        probes = rng.uniform(-1.0, 1.0, size=n_probe)
+        gap = np.abs(world.slopes[i] * probes - world.slopes[j] * probes).max()
+        bound = world.lipschitz * np.linalg.norm(world.z_train[i] - world.z_train[j])
+        worst = max(worst, float(gap - bound))
+    return worst
 
 
 def test_lipschitz_certificate_is_nonpositive():
