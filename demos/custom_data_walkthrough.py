@@ -86,7 +86,7 @@ def main() -> None:
         loaded.meta_for(train_ids),
         model.relation_net,
         cfg.beta,
-        loaded.fixed_matrix(train_ids),
+        loaded.fixed_between(train_ids, train_ids),
     )
     rel_csv = os.path.join(args.workdir, "relations.csv")
     save_relation_csv(rel_csv, train_ids, fused)

@@ -158,9 +158,6 @@ class DomainDataset:
             raise ConfigError("angle relations need one-dimensional meta-data")
         return angle_between(self.meta_for(ids_a), self.meta_for(ids_b))
 
-    def fixed_matrix(self, ids: list[str]) -> np.ndarray:
-        return self.fixed_between(ids, ids)
-
 
 # -- synthetic benchmarks -----------------------------------------------------
 

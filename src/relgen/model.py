@@ -144,7 +144,7 @@ class MultiHeadModel:
     Head k is the identity layer phi -> head_w[k] @ phi + head_b[k], with
     head_w of shape (K, c, h) and head_b of shape (K, c). Construction
     copies every parameter into one float64 vector, ``flat``, and makes each
-    parameter array a view into it, laid out in params() order.
+    parameter array a view into it, in the order views() returns them.
     """
 
     extractor: Mlp
@@ -178,7 +178,7 @@ class MultiHeadModel:
 
         buf is (P,) or (S, P); each view keeps buf's leading axes. Returns
         (extractor views, head_w, head_b, relation-net views), each list in
-        params() order.
+        its network's params() order.
         """
         out = split(buf, self._shapes)
         n_ext = 2 * len(self.extractor.layers)
@@ -202,13 +202,6 @@ class MultiHeadModel:
     def _structure(self) -> tuple:
         return self._shapes, self.task, self.combine_space
 
-    def params(self) -> list[np.ndarray]:
-        """Live views of every parameter: extractor, each head's (w, b), relation net."""
-        out = self.extractor.params()
-        for w, b in zip(self.head_w, self.head_b):
-            out += [w, b]
-        return out + self.relation_net.params()
-
 
 def stack_models(models):
     """One model whose parameters carry a leading seed axis over the models.
@@ -217,8 +210,8 @@ def stack_models(models):
     copied into the rows of one (S, P) buffer, and model s is rebound to
     row s, so updating the stacked model updates every one of them. The
     models must have the same shapes and task, not the same head domains.
-    The stack is for training and scoring passes; params() and checkpoints
-    work on the single models.
+    The stack is for training and scoring passes; checkpoints work on the
+    single models.
     """
     first = models[0]
     for m in models[1:]:
@@ -329,17 +322,6 @@ def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int, ix: tuple):
     return u, divisor
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The batch as arrays, (n, p), (n,), (n,) or, one per model, (S, n, p), (S, n), (S, n)."""
-    x, y, dom = batch
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    dom = np.asarray(dom, dtype=np.int64)
-    if x.ndim not in (2, 3) or y.shape != x.shape[:-1] or dom.shape != y.shape:
-        raise ValueError("batch must be (x (n,p), y (n,), domain (n,))")
-    return x, y, dom
-
-
 def _losses(model, outs, self_out, u, y, ix):
     """Both loss terms of a batch and their gradients w.r.t. the mixture space.
 
@@ -423,40 +405,23 @@ def _targets(model, y) -> np.ndarray:
     return check_labels(y, outputs)
 
 
-def total_loss_and_grads(
-    model: MultiHeadModel,
-    batch,
-    fixed: np.ndarray,
-    metas: np.ndarray | None,
-    lam,
-    beta,
-    grad: np.ndarray | None = None,
-    plan: StepPlan | None = None,
-):
-    """Training objective with exact gradients for every parameter.
+def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None, lam,
+                         plan: StepPlan):
+    """Training objective of S models with exact gradients for every parameter.
 
-    The relations are fuse(fixed, learned, beta); the learned matrix is
-    rebuilt on every call, so its gradients are exact, or skipped at beta 1.
-    Returns (loss, (loss_pred, loss_rel), grad) with grad laid out like
-    model.flat; it is written into ``grad`` when that is given.
-
-    For S stacked models (see stack_models) the batch carries the same
-    leading axis, x (S, n, p), y (S, n), domain (S, n), one batch per model,
-    and the three losses are (S,) arrays. One model is the S = 1 case.
-    fixed (S, K, K), metas (S, K, m), lam (S,) and beta (S,) may give one
-    value per model; (1 - beta) zeroes the relation-net gradient at beta 1.
-
-    A training loop passes plan_step(model, fixed, beta, grad) as plan,
-    made once, and y as _targets made it; the step then takes fixed, beta
-    and grad from the plan and trusts the labels.
+    The model is S stacked models (see stack_models), or one model for
+    S = 1, and the batch holds one batch per model: x (S, n, p) float64, y
+    (S, n) as _targets returns it and domain (S, n) int64. plan is
+    plan_step(model, fixed, beta, grad), made once per training run, which
+    holds the fixed relations, beta and the gradient buffer. The relations
+    are fuse(fixed, learned, beta), the learned matrix rebuilt from metas,
+    (K, m) or (S, K, m), on every call so its gradients are exact; it is not
+    built when every beta is 1, and a row's (1 - beta) zeroes its
+    relation-net gradient at beta 1. lam is a float or (S,), one per model.
+    Returns (loss, (loss_pred, loss_rel), grad): three (S,) arrays and
+    plan.grad, laid out like model.flat.
     """
-    x, y, dom = _batch_arrays(batch)
-    single = x.ndim == 2
-    if single:
-        x, y, dom = x[None], y[None], dom[None]
-    if plan is None:
-        plan = plan_step(model, fixed, beta, np.empty_like(model.flat) if grad is None else grad)
-        y = _targets(model, y)
+    x, y, dom = batch
     g_ext, g_hw, g_hb, g_net = plan.views
     k = len(model.head_domains)
     net = model.relation_net
@@ -505,10 +470,7 @@ def total_loss_and_grads(
 
     _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
     backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
-    loss = lp + lam * lrel
-    if single:
-        return loss[0], (lp[0], lrel[0]), plan.grad
-    return loss, (lp, lrel), plan.grad
+    return lp + lam * lrel, (lp, lrel), plan.grad
 
 
 # -- training loops -----------------------------------------------------------
@@ -587,7 +549,7 @@ def train(model, dataset, config):
         data = next((r for r, e in zip(rows, datasets) if e is d), None)
         if data is None:
             xyd = d.arrays_for(ids) if relational else _pooled_features(d, ids)
-            fixed_fn = functools.cache(lambda d=d, ids=ids: d.fixed_matrix(ids))
+            fixed_fn = functools.cache(lambda d=d, ids=ids: d.fixed_between(ids, ids))
             data = (*xyd, d.meta_for(ids), fixed_fn)
         rows.append(data)
     x, y, doms, metas, fixed_fns = zip(*rows)
@@ -615,9 +577,7 @@ def train(model, dataset, config):
 
                 def step(lo, hi):
                     batch = xe[:, lo:hi], ye[:, lo:hi], de[:, lo:hi]
-                    loss, (lp, lrel), _ = total_loss_and_grads(
-                        stack, batch, fixed, metas, lam, beta, plan=step_plan
-                    )
+                    loss, (lp, lrel), _ = total_loss_and_grads(stack, batch, metas, lam, step_plan)
                     return loss, lp, lrel
 
                 return step
@@ -746,25 +706,22 @@ def _valid_pass(models, datasets, configs, names):
 
 
 def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
-    """Relation-weighted combination of head outputs on x.
+    """Relation-weighted combination of head outputs on a float64 (n, p) batch x.
 
     Weights are normalized to a simplex (all-zero rows fall back to uniform
     with a logged warning). In "prob" combine space the heads' softmax
-    outputs are averaged instead of raw logits. A model stacked over S rows
-    (see stack_models) takes (S, K) weights, one row each, and gives one
-    output block per row.
+    outputs are averaged instead of raw logits. Returns the (n, c) outputs;
+    a model stacked over S rows (see stack_models) takes (S, K) weights,
+    one row each, and gives (S, n, c), one output block per row.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != model.head_w.shape[:-2]:
         raise ValueError("need one weight per head")
     w = normalize_rows(w)
-    xb = np.asarray(x, dtype=np.float64)
-    single = xb.ndim == 1
-    outs = _stack_heads(model, xb if not single else xb[None, :])[2]  # (..., K, n, c)
+    outs = _stack_heads(model, x)[2]  # (..., K, n, c)
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         outs = softmax(outs, axis=-1)
-    combined = np.einsum("...k,...knc->...nc", w, outs)
-    return combined[..., 0, :] if single else combined
+    return np.einsum("...k,...knc->...nc", w, outs)
 
 
 def _check_finite(out: np.ndarray) -> np.ndarray:
@@ -921,27 +878,26 @@ def rw_finetune(
     dataset: DomainDataset,
     relation_weights,
     config: TrainConfig,
-    targets: list[str] | None = None,
-):
-    """Fine-tune a copy of the pooled model on relation-reweighted data.
+    targets: list[str],
+) -> list[ErmModel]:
+    """Fine-tune copies of the pooled model on relation-reweighted data, one per target.
 
-    relation_weights holds one nonnegative weight per training domain (in
-    ids_for_split("train") order); each example's loss is scaled by its
-    domain's weight, normalized to mean one over the training set, so
-    zero-weight domains contribute nothing. With finetune_epochs == 0 the
-    returned model equals the input.
-
-    A (T, K) block of weight rows fine-tunes T copies in lockstep and
-    returns a list of T models. All of them draw the same shuffle, so they
-    share each input batch; targets names the rows in error messages.
+    relation_weights is a (T, K) block, one row per domain of targets, each
+    holding one nonnegative weight per training domain (in
+    ids_for_split("train") order). A copy's example losses are scaled by
+    their domain's weight in its row, normalized to mean one over the
+    training set, so zero-weight domains contribute nothing. The T copies
+    train in lockstep and draw the same shuffle, so they share each input
+    batch; targets names them in error messages. Returns the T models; with
+    finetune_epochs == 0 each equals the input.
     """
     config.validate()
     check_fits(erm, dataset)
     train_ids = dataset.ids_for_split("train")
-    rows = np.asarray(relation_weights, dtype=np.float64)
-    w = normalize_rows(rows if rows.ndim == 2 else rows[None])
-    if w.shape[1:] != (len(train_ids),):
-        raise ValueError("need one relation weight per training domain")
+    w = normalize_rows(relation_weights)
+    if w.shape != (len(targets), len(train_ids)):
+        raise ValueError("need one row of relation weights per target, "
+                         "one weight per training domain")
     feats, y, dom = _pooled_features(dataset, train_ids)
     y = _targets(erm, y)
     # w[:, dom], and q[:, idx] in each epoch, index the last axis, which numpy
@@ -950,11 +906,6 @@ def rw_finetune(
     q = np.ascontiguousarray(w[:, dom])
     q = q * (len(dom) / q.sum(axis=-1, keepdims=True))
     tuned = [_bound_copy(erm, erm.flat.copy()) for _ in w]
-    names = (
-        [f"the fine-tune for domain {t!r}" for t in targets]
-        if targets
-        else [f"fine-tune row {j}" for j in range(len(w))]
-    )
     _train_loop(
         tuned,
         config,
@@ -962,9 +913,9 @@ def rw_finetune(
         lambda epoch: substream(config.seed, "rwft", "shuffle", epoch).permutation(len(y)),
         _pooled_step(feats, y, q),
         ("loss",),
-        names,
+        [f"the fine-tune for domain {t!r}" for t in targets],
     )
-    return tuned if rows.ndim == 2 else tuned[0]
+    return tuned
 
 
 def rwft_predictor(erm: ErmModel, dataset: DomainDataset, config: TrainConfig):

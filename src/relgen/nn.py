@@ -30,16 +30,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    """Promote a vector to a 1-row matrix; report whether it was single."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim >= 2:
-        return x, False
-    raise ValueError(f"expected a vector or a matrix of rows, got shape {x.shape}")
-
-
 @dataclass
 class Layer:
     """One dense layer: y = act(w @ x + b), with w of shape (out, in)."""
@@ -113,22 +103,24 @@ def init_weight(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class Tape:
-    """Per-layer forward cache: (input, pre-activation, activation)."""
+    """Per-layer forward cache of one batch: (input, pre-activation, activation)."""
 
     steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    single: bool
 
 
-def forward(mlp: Mlp, x) -> tuple[np.ndarray, Tape]:
-    """Evaluate the network; returns (output, tape for backward)."""
-    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim >= 2:
-        h, single = x, False  # already a batch of rows
-    else:
-        h, single = _as_batch(x)
+def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """Evaluate the network on a float64 (..., n, in) batch of rows.
+
+    Returns the (..., n, out) output and the tape for backward. A single
+    row is the batch x[None]; fewer than two axes or the wrong width is a
+    ValueError.
+    """
     layers = mlp.layers
-    if h.shape[-1] != layers[0].w.shape[-1]:
-        raise ValueError(f"input dim {h.shape[-1]} != network dim {mlp.in_dim}")
-    steps = []
+    if x.ndim < 2:
+        raise ValueError(f"expected a (..., n, {mlp.in_dim}) batch of rows, got shape {x.shape}")
+    if x.shape[-1] != layers[0].w.shape[-1]:
+        raise ValueError(f"input dim {x.shape[-1]} != network dim {mlp.in_dim}")
+    h, steps = x, []
     for layer in layers:
         z = np.matmul(h, layer.w.swapaxes(-1, -2))
         z += layer.b[..., None, :]
@@ -136,19 +128,20 @@ def forward(mlp: Mlp, x) -> tuple[np.ndarray, Tape]:
         a = np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z
         steps.append((h, z, a))
         h = a
-    return (h[0] if single else h), Tape(steps, single)
+    return h, Tape(steps)
 
 
 def backward(
     mlp: Mlp,
     tape: Tape,
-    grad_output,
+    grad_output: np.ndarray,
     out: list[np.ndarray] | None = None,
     input_grad: bool = True,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of (output . grad_output) w.r.t. params and input.
 
-    Returns (grads, grad_x) with grads ordered like Mlp.params(). Given out,
+    grad_output is a float64 array shaped like forward's output. Returns
+    (grads, grad_x) with grads ordered like Mlp.params(). Given out,
     arrays shaped like those grads, the gradients are written into them.
     With input_grad=False the input gradient is skipped and grad_x is None.
     """
@@ -156,8 +149,6 @@ def backward(
     if len(steps) != len(layers):
         raise ValueError("tape does not match this network (stale tape?)")
     g = grad_output
-    if not (type(g) is np.ndarray and g.dtype == np.float64 and g.ndim >= 2):
-        g, _ = _as_batch(g)
     grads = out if out is not None else [None] * (2 * len(layers))
     for k in range(len(layers) - 1, -1, -1):
         layer = layers[k]
@@ -171,7 +162,7 @@ def backward(
         if k == 0 and not input_grad:
             return grads, None
         g = dz @ layer.w
-    return grads, (g[0] if tape.single else g)
+    return grads, g
 
 
 def stack_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -193,10 +193,12 @@ def build_matrix(metas, net: RelationNet, beta: float, fixed: np.ndarray) -> np.
 def relation_row(net: RelationNet, meta_t, metas, fixed_row, beta: float) -> np.ndarray:
     """Fused relations of held-out domains to a stack of K domains, from one learned_matrix call.
 
-    meta_t is one domain's meta-data row with its (K,) fixed_row, or a (T, m)
-    block with (T, K) fixed rows. A net with a seed axis (see learned_matrix)
-    gives (S, K) or (S, T, K), seeds first, in C order. At beta 1 the net's
-    share of 0 keeps the fixed rows' bits.
+    meta_t is a (T, m) block of the held-out domains' meta-data and
+    fixed_row their (T, K) fixed relations; the result is (T, K), or (S, T,
+    K), seeds first, in C order, for a net with a seed axis (see
+    learned_matrix). One (m,) row with a (K,) fixed row takes the same path
+    and drops the T axis. At beta 1 the net's share of 0 keeps the fixed
+    rows' bits.
     """
     metas = np.asarray(metas, dtype=np.float64)
     # target t's meta-data above the stack's; the (T, 1) grid broadcasts against a seed axis
@@ -211,16 +213,18 @@ def normalize_rows(rows) -> np.ndarray:
     """Scale each row of a (..., K) stack of finite nonnegative weights to sum to one.
 
     An all-zero row means "no related domain"; the fallback is uniform
-    weights, logged as a warning per row so silent degradation is visible.
-    NaN and inf are rejected like negative weights.
+    weights, logged as one warning per call that counts the rows, so silent
+    degradation is visible. NaN and inf are rejected like negative weights.
     """
     w = np.asarray(rows, dtype=np.float64)
     if not (w.shape[-1:] != (0,) and np.isfinite(w).all() and (w >= 0.0).all()):
         raise ValueError("weights must be non-empty, finite and nonnegative")
     s = np.add.reduce(w, axis=-1, keepdims=True)
     zero = s <= 0.0
-    for _ in range(np.count_nonzero(zero)):
-        logger.warning("all-zero relation row; falling back to uniform weights")
+    fallbacks = np.count_nonzero(zero)
+    if fallbacks:
+        logger.warning("all-zero relation rows: %d of %d; falling back to uniform weights",
+                       fallbacks, zero.size)
     return np.where(zero, 1.0, w) / np.where(zero, w.shape[-1], s)
 
 

@@ -257,27 +257,23 @@ def save_sweep_csv(path: str, rows: list[dict]) -> None:
     write_csv(path, [SWEEP_COLUMNS] + [[row[k] for k in SWEEP_COLUMNS] for row in rows])
 
 
-def averaging_oracle(n_mc: int, seed: int = 0, use_true_head: bool = False) -> tuple[float, float]:
+def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of the population risk of plain head averaging.
 
     Construction: domain parameter d ~ U[0, 1], feature e ~ N(0, 1), true
     response d * e. Averaging the per-domain predictors yields e / 2, whose
-    squared-error risk is E[(d - 1/2)^2 e^2] = 1/12 exactly. With
-    use_true_head the per-domain predictor itself is scored (risk 0).
-    Returns (estimate, stderr).
+    squared-error risk is E[(d - 1/2)^2 e^2] = 1/12 exactly. Returns
+    (estimate, stderr).
     """
     if n_mc < 2:
         raise ConfigError("n_mc must be at least 2")
     rng = substream(seed, "averaging-oracle")
     d = rng.uniform(0.0, 1.0, size=n_mc)
     e = rng.normal(size=n_mc)
-    if use_true_head:
-        vals = np.zeros(n_mc)
-    else:
-        # (d - 0.5) ** 2 * e ** 2, in place
-        d -= 0.5
-        np.square(d, out=d)
-        vals = np.multiply(d, np.square(e, out=e), out=d)
+    # (d - 0.5) ** 2 * e ** 2, in place
+    d -= 0.5
+    np.square(d, out=d)
+    vals = np.multiply(d, np.square(e, out=e), out=d)
     del d, e  # so std() below can reuse their memory for its (n_mc,) temporary
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_mc))

@@ -112,7 +112,7 @@ def test_dg15_fixed_relations_come_from_angles():
     ta, tb = ds.meta_for([a])[0][0], ds.meta_for([b])[0][0]
     got = ds.fixed_between([a], [b])[0, 0]
     assert got == pytest.approx(max(0.0, np.cos(ta - tb)))
-    full = ds.fixed_matrix(ds.ids)
+    full = ds.fixed_between(ds.ids, ds.ids)
     assert np.array_equal(full, full.T)
     assert np.allclose(np.diag(full), 1.0)
 
@@ -273,7 +273,7 @@ def test_adjacency_dataset_round_trips_exactly(tmp_path):
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     assert sorted(back.edges) == sorted(ds.edges)
-    assert np.array_equal(back.fixed_matrix(back.ids), ds.fixed_matrix(ds.ids))
+    assert np.array_equal(back.fixed_between(back.ids, back.ids), ds.fixed_between(ds.ids, ds.ids))
 
 
 def write_rows(path, rows):

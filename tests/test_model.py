@@ -22,6 +22,7 @@ from relgen.model import (
     combine_heads,
     evaluate,
     load_checkpoint,
+    plan_step,
     rw_finetune,
     rwft_predictor,
     save_checkpoint,
@@ -90,11 +91,21 @@ THREE_DOMAIN_RELATIONS = np.array(
 )
 
 
+def one_step(model, batch, fixed, metas, lam, beta, grad=None):
+    """total_loss_and_grads of one model on its (n, p) batch, x[None] with a plan
+    of its own: (loss, (loss_pred, loss_rel), grad) with scalar losses."""
+    x, y, dom = batch
+    plan = plan_step(model, fixed, beta, np.empty_like(model.flat) if grad is None else grad)
+    rows = (x[None], model_module._targets(model, y)[None], dom[None])
+    loss, (lp, lrel), grad = total_loss_and_grads(model, rows, metas, lam, plan)
+    return loss[0], (lp[0], lrel[0]), grad
+
+
 def loss_terms(model, batch, relations, lam=0.0):
     """(loss, loss_pred, loss_rel) of total_loss_and_grads with relations as
     the fixed matrix at beta 1: negative entries clamp at zero, as in
     training, and all ones give equal weights. loss_pred reads no relations."""
-    loss, (lp, lrel), _ = total_loss_and_grads(model, batch, relations, None, lam, 1.0)
+    loss, (lp, lrel), _ = one_step(model, batch, relations, None, lam, 1.0)
     return loss, lp, lrel
 
 
@@ -217,11 +228,12 @@ def _grad_case(task, combine_space, lam, beta, relation_mode):
     x, y, dom = x[:6], y[:6], dom[:6]
     metas = ds.meta_for(train_ids)
     k = len(train_ids)
-    fixed, beta = mode_fusion(relation_mode, beta, lambda: ds.fixed_matrix(train_ids), (k, k))
+    fixed, beta = mode_fusion(relation_mode, beta, lambda: ds.fixed_between(train_ids, train_ids),
+                              (k, k))
 
     def fn(params):
         np.copyto(model.flat, params[0])
-        loss, _, grad = total_loss_and_grads(model, (x, y, dom), fixed, metas, lam, beta)
+        loss, _, grad = one_step(model, (x, y, dom), fixed, metas, lam, beta)
         return loss, [grad]
 
     return fn, [model.flat.copy()]
@@ -251,8 +263,8 @@ def test_loss_value_matches_loss_functions():
     train_ids = ds.ids_for_split("train")
     x, y, dom = ds.arrays_for(train_ids)
     metas = ds.meta_for(train_ids)
-    fixed = ds.fixed_matrix(train_ids)
-    loss, (lp, lrel), _ = total_loss_and_grads(model, (x, y, dom), fixed, metas, 0.5, 1.0)
+    fixed = ds.fixed_between(train_ids, train_ids)
+    loss, (lp, lrel), _ = one_step(model, (x, y, dom), fixed, metas, 0.5, 1.0)
     assert lp == pytest.approx(loss_terms(model, (x, y, dom), np.ones((3, 3)))[1], abs=1e-12)
     assert lrel == pytest.approx(loss_terms(model, (x, y, dom), np.maximum(fixed, 0.0))[2], abs=1e-12)
     assert loss == pytest.approx(lp + 0.5 * lrel, abs=1e-12)
@@ -278,15 +290,15 @@ def test_one_hot_weights_pick_a_single_head():
 def test_zero_weights_fall_back_to_uniform(caplog):
     model = constant_model([1.0, 2.0, 4.0])
     with caplog.at_level("WARNING", logger="relgen.relations"):
-        out = combine_heads(model, [0.0, 0.0, 0.0], np.ones(2))
-    assert out[0] == pytest.approx((1.0 + 2.0 + 4.0) / 3.0, abs=1e-14)
+        out = combine_heads(model, [0.0, 0.0, 0.0], np.ones((1, 2)))
+    assert out[0, 0] == pytest.approx((1.0 + 2.0 + 4.0) / 3.0, abs=1e-14)
     assert any("all-zero" in r.message for r in caplog.records)
 
 
 def test_weights_are_scale_invariant():
     model = constant_model([1.0, 2.0, 4.0])
-    a = combine_heads(model, [1.0, 2.0, 1.0], np.ones(2))
-    b = combine_heads(model, [10.0, 20.0, 10.0], np.ones(2))
+    a = combine_heads(model, [1.0, 2.0, 1.0], np.ones((1, 2)))
+    b = combine_heads(model, [10.0, 20.0, 10.0], np.ones((1, 2)))
     assert np.array_equal(a, b)
 
 
@@ -310,16 +322,19 @@ def test_infer_uniform_equals_equal_weights():
     assert np.array_equal(decide(model, np.ones(3), x), decide(model, [5.0, 5.0, 5.0], x))
 
 
-def test_infer_returns_scalar_for_single_example():
+def test_infer_on_a_single_example_gives_one_row():
+    # a single example is the one-row batch x[None]
     model = constant_model([1.0, 3.0])
-    assert combine_heads(model, [1.0, 1.0], np.ones(2)).shape == (1,)  # one output row
-    out = decide(model, [1.0, 1.0], np.ones(2))
-    assert out.shape == ()
+    assert combine_heads(model, [1.0, 1.0], np.ones((1, 2))).shape == (1, 1)  # one output row
+    out = decide(model, [1.0, 1.0], np.ones((1, 2)))
+    assert out.shape == (1,)
     assert out.item() == pytest.approx(2.0)
     cls = constant_model([0.0, 0.0], task="classification", out=2)
     cls.head_b[0] = [0.0, 1.0]
     cls.head_b[1] = [0.0, 1.0]
-    assert decide(cls, [1.0, 1.0], np.ones(2)).item() == 1
+    assert decide(cls, [1.0, 1.0], np.ones((1, 2))).item() == 1
+    with pytest.raises(ValueError, match="batch of rows"):
+        combine_heads(model, [1.0, 1.0], np.ones(2))
 
 
 def test_prob_space_combination_is_a_distribution():
@@ -407,11 +422,10 @@ def test_zero_epochs_leave_parameters_untouched():
     ds = micro_dataset()
     cfg = TrainConfig(epochs=0, hidden_width=3, relation_width=3, relation_heads=2)
     model = build_model(ds, cfg)
-    before = [p.copy() for p in model.params()]
+    before = model.flat.copy()
     history = train(model, ds, cfg)
     assert history == []
-    for p, q in zip(model.params(), before):
-        assert np.array_equal(p, q)
+    assert np.array_equal(model.flat, before)
 
 
 def test_training_reduces_the_loss():
@@ -443,12 +457,11 @@ def test_training_is_deterministic_per_seed():
     m2 = build_model(ds, cfg)
     h2 = train(m2, ds, cfg)
     assert h1 == h2
-    for p, q in zip(m1.params(), m2.params()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(m1.flat, m2.flat)
     cfg2 = TrainConfig(epochs=3, lr=1e-3, hidden_width=4, relation_width=3, relation_heads=2, seed=6)
     m3 = build_model(ds, cfg2)
     train(m3, ds, cfg2)
-    assert any(not np.array_equal(p, q) for p, q in zip(m1.params(), m3.params()))
+    assert not np.array_equal(m1.flat, m3.flat)
 
 
 def test_domain_balanced_sampling_runs():
@@ -558,7 +571,7 @@ def test_rw_finetune_zero_epochs_is_identity():
     ds = micro_dataset()
     cfg = TrainConfig(epochs=2, lr=1e-3, hidden_width=4, finetune_epochs=0)
     model, _ = train_erm(ds, cfg)
-    tuned = rw_finetune(model, ds, np.ones(3), cfg)
+    (tuned,) = rw_finetune(model, ds, np.ones((1, 3)), cfg, ["m4"])
     for p, q in zip(tuned.params(), model.params()):
         assert np.array_equal(p, q)
 
@@ -567,12 +580,13 @@ def test_rw_finetune_weights_are_scale_invariant():
     ds = micro_dataset()
     cfg = TrainConfig(epochs=2, lr=1e-3, hidden_width=4, finetune_epochs=2)
     model, _ = train_erm(ds, cfg)
-    t1 = rw_finetune(model, ds, np.array([1.0, 2.0, 1.0]), cfg)
-    t2 = rw_finetune(model, ds, np.array([10.0, 20.0, 10.0]), cfg)
+    (t1,) = rw_finetune(model, ds, np.array([[1.0, 2.0, 1.0]]), cfg, ["m4"])
+    (t2,) = rw_finetune(model, ds, np.array([[10.0, 20.0, 10.0]]), cfg, ["m4"])
     for p, q in zip(t1.params(), t2.params()):
         assert np.array_equal(p, q)
-    with pytest.raises(ValueError, match="one relation weight"):
-        rw_finetune(model, ds, np.ones(4), cfg)
+    for rows, targets in ((np.ones((1, 4)), ["m4"]), (np.ones(3), ["m4"]), (np.ones((2, 3)), ["m4"])):
+        with pytest.raises(ValueError, match="one row of relation weights per target"):
+            rw_finetune(model, ds, rows, cfg, targets)
 
 
 def test_rwft_predictor_runs_per_domain():
@@ -598,8 +612,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert header["config"] == cfg.to_dict()
     assert header["extra"] == {"note": "roundtrip"}
     assert loaded.head_domains == model.head_domains
-    for p, q in zip(loaded.params(), model.params()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(loaded.flat, model.flat)
     a, b = score([model, loaded], ds, [("fused", cfg.beta)] * 2, "test")
     assert a.to_dict() == b.to_dict()
 
@@ -705,10 +718,18 @@ def test_damaged_checkpoints_are_data_errors(tmp_path):
 # -- parameter buffer ---------------------------------------------------------------
 
 
+def _live_params(model):
+    """The arrays the model computes with, each head as its own (w, b) pair."""
+    if isinstance(model, ErmModel):
+        return model.params()
+    heads = [a for w, b in zip(model.head_w, model.head_b) for a in (w, b)]
+    return model.extractor.params() + heads + model.relation_net.params()
+
+
 def _assert_tiles(model):
-    """params() are views laid end to end over model.flat, in order."""
+    """The live parameter arrays are views laid end to end over model.flat, in order."""
     start = 0
-    for p in model.params():
+    for p in _live_params(model):
         assert np.shares_memory(p, model.flat)
         block = model.flat[start : start + p.size]
         assert np.array_equal(p.ravel(), block)
@@ -1004,7 +1025,7 @@ def test_lockstep_gradient_writes_every_slice(data, case):
         ids = d.ids_for_split("train")
         x, y, dom = d.arrays_for(ids)
         k = len(ids)
-        fixed, beta = mode_fusion(c.relation_mode, c.beta, lambda: d.fixed_matrix(ids), (k, k))
+        fixed, beta = mode_fusion(c.relation_mode, c.beta, lambda: d.fixed_between(ids, ids), (k, k))
         b = rng.permutation(len(y))[:10]
         rows.append(((x[b], y[b], dom[b]), fixed, d.meta_for(ids), c.lam, beta))
     batches, fixed, metas, lam, beta = zip(*rows)
@@ -1012,11 +1033,13 @@ def test_lockstep_gradient_writes_every_slice(data, case):
     # as train passes them: unstacked where every row agrees
     fixed, metas, lam, beta = (model_module._rows(v) for v in (fixed, metas, lam, beta))
     grad = np.full_like(stack.flat, np.nan)
-    loss, (lp, lrel), out = total_loss_and_grads(stack, batch, fixed, metas, lam, beta, grad)
+    batch = (batch[0], model_module._targets(stack, batch[1]), batch[2])
+    plan = plan_step(stack, fixed, beta, grad)
+    loss, (lp, lrel), out = total_loss_and_grads(stack, batch, metas, lam, plan)
     assert out is grad and np.isfinite(grad).all()
     net_grads = stack.views(grad)[3]
     for j, (m, row, c) in enumerate(zip(singles, rows, cfgs)):
-        one = total_loss_and_grads(m, *row)
+        one = one_step(m, *row)
         assert (one[0], one[1]) == (loss[j], (lp[j], lrel[j]))
         assert one[2].tobytes() == grad[j].tobytes()
         # uniform and beta-1 rows read no learned relations, and lam 0 sends
@@ -1189,10 +1212,11 @@ def test_lockstep_rw_finetune_equals_one_call_per_row(data, finetune_epochs):
     rows = np.random.default_rng(2).uniform(size=(4, k))
     rows[1] = 0.0  # falls back to uniform weights
     rows[3, ::2] = 0.0
-    tuned = rw_finetune(erm, ds, rows, cfg)
+    targets = [f"t{j}" for j in range(len(rows))]
+    tuned = rw_finetune(erm, ds, rows, cfg, targets)
     assert len(tuned) == len(rows)
-    for row, t in zip(rows, tuned):
-        one = rw_finetune(erm, ds, row, cfg)
+    for row, target, t in zip(rows, targets, tuned):
+        (one,) = rw_finetune(erm, ds, row[None], cfg, [target])
         assert isinstance(one, ErmModel)
         assert one.flat.tobytes() == t.flat.tobytes()
     assert (tuned[0].flat.tobytes() == erm.flat.tobytes()) == (finetune_epochs == 0)
@@ -1222,7 +1246,7 @@ def test_rwft_predictor_tunes_a_split_in_one_call(monkeypatch):
     for d in test_ids + valid_ids:
         x = ds.domain_arrays(d)[0]
         meta = ds.meta_for([d])[0]
-        one = real(erm, ds, ds.fixed_between([d], train_ids)[0], cfg)
+        (one,) = real(erm, ds, ds.fixed_between([d], train_ids), cfg, [d])
         assert np.array_equal(predict(d, x), one.predict(x, meta))
     with pytest.raises(DataError, match="unknown domain"):
         predict("nowhere", ds.domain_arrays(test_ids[0])[0])

@@ -45,19 +45,19 @@ def test_forward_matches_hand_arithmetic():
     # one relu layer: y = max(0, w @ x + b)
     layer = Layer(np.array([[1.0, -2.0], [0.5, 0.5]]), np.array([0.0, -1.0]), "relu")
     mlp = Mlp([layer])
-    out, _ = forward(mlp, np.array([3.0, 1.0]))
+    out, _ = forward(mlp, np.array([[3.0, 1.0]]))
     # row 0: 3 - 2 = 1; row 1: 1.5 + 0.5 - 1 = 1
-    assert out.tolist() == [1.0, 1.0]
-    out, _ = forward(mlp, np.array([1.0, 2.0]))
+    assert out.tolist() == [[1.0, 1.0]]
+    out, _ = forward(mlp, np.array([[1.0, 2.0]]))
     # row 0: 1 - 4 = -3 -> 0; row 1: 0.5 + 1 - 1 = 0.5
-    assert out.tolist() == [0.0, 0.5]
+    assert out.tolist() == [[0.0, 0.5]]
 
 
 def test_forward_two_layers_tanh():
     l1 = Layer(np.array([[2.0]]), np.array([0.0]), "tanh")
     l2 = Layer(np.array([[3.0]]), np.array([1.0]), "identity")
-    out, _ = forward(Mlp([l1, l2]), np.array([0.5]))
-    assert out[0] == pytest.approx(3.0 * math.tanh(1.0) + 1.0, abs=1e-15)
+    out, _ = forward(Mlp([l1, l2]), np.array([[0.5]]))
+    assert out[0, 0] == pytest.approx(3.0 * math.tanh(1.0) + 1.0, abs=1e-15)
 
 
 def test_forward_batch_matches_single_rows():
@@ -65,14 +65,21 @@ def test_forward_batch_matches_single_rows():
     xb = np.random.default_rng(0).normal(size=(5, 3))
     batch, _ = forward(mlp, xb)
     for i in range(5):
-        single, _ = forward(mlp, xb[i])
+        single, _ = forward(mlp, xb[i : i + 1])
         # matrix and vector BLAS paths may differ in the last ulp
-        assert np.allclose(batch[i], single, rtol=1e-14, atol=1e-15)
+        assert np.allclose(batch[i], single[0], rtol=1e-14, atol=1e-15)
 
 
 def test_forward_rejects_wrong_width():
     with pytest.raises(ValueError, match="input dim"):
-        forward(small_mlp(), np.zeros(4))
+        forward(small_mlp(), np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3,), ()], ids=["vector", "scalar"])
+def test_forward_rejects_an_input_that_is_not_a_batch(shape):
+    # a single row is the batch x[None], never promoted silently
+    with pytest.raises(ValueError, match="batch of rows"):
+        forward(small_mlp(), np.zeros(shape))
 
 
 def test_init_shapes_and_bounds():
@@ -118,17 +125,17 @@ def test_backward_matches_finite_differences():
 
 def test_backward_input_gradient():
     mlp = small_mlp()
-    x0 = np.random.default_rng(5).normal(size=3)
-    c = np.array([1.0, -2.0])
+    x0 = np.random.default_rng(5).normal(size=(1, 3))
+    c = np.array([[1.0, -2.0]])
     out, tape = forward(mlp, x0)
     _, gx = backward(mlp, tape, c)
     h = 1e-6
     for i in range(3):
         xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
+        xp[0, i] += h
+        xm[0, i] -= h
         num = ((forward(mlp, xp)[0] * c).sum() - (forward(mlp, xm)[0] * c).sum()) / (2 * h)
-        assert gx[i] == pytest.approx(num, abs=1e-7)
+        assert gx[0, i] == pytest.approx(num, abs=1e-7)
 
 
 @pytest.mark.parametrize("dims,acts", [
@@ -156,9 +163,9 @@ def test_skipping_the_input_gradient_keeps_every_parameter_gradient(dims, acts, 
 def test_backward_rejects_stale_tape():
     mlp = small_mlp()
     other = Mlp.init([3, 5, 2], ["tanh", "identity"], np.random.default_rng(8))
-    _, tape = forward(other, np.zeros(3))
+    _, tape = forward(other, np.zeros((1, 3)))
     with pytest.raises(ValueError, match="stale"):
-        backward(mlp, tape, np.zeros(2))
+        backward(mlp, tape, np.zeros((1, 2)))
 
 
 def test_grad_check_flags_a_wrong_gradient():

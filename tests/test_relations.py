@@ -42,8 +42,8 @@ def learned_pair(net, m_i, m_j):
 
 def brute_force_relation(net, m_i, m_j):
     """Masked cosines of two meta rows, one head at a time; a dead head adds 0."""
-    gi, _ = forward(net.g, np.asarray(m_i, dtype=np.float64))
-    gj, _ = forward(net.g, np.asarray(m_j, dtype=np.float64))
+    gi = forward(net.g, np.asarray(m_i, dtype=np.float64)[None])[0][0]
+    gj = forward(net.g, np.asarray(m_j, dtype=np.float64)[None])[0][0]
     total = 0.0
     for r in range(len(net.w)):
         u, v = net.w[r] * gi, net.w[r] * gj
@@ -106,8 +106,8 @@ def test_adjacency_matrix_oracle():
 def test_learned_relation_matches_brute_force():
     net = tiny_net()
     m_i, m_j = np.array([0.3, -1.0]), np.array([0.8, 0.2])
-    gi, _ = forward(net.g, m_i)
-    gj, _ = forward(net.g, m_j)
+    gi = forward(net.g, m_i[None])[0][0]
+    gj = forward(net.g, m_j[None])[0][0]
     expect = 0.0
     for r in range(len(net.w)):
         u, v = net.w[r] * gi, net.w[r] * gj
@@ -411,6 +411,19 @@ def test_normalize_rows_matches_each_row_alone(caplog):
         got = normalize_rows(rows)
     assert sum("all-zero relation row" in rec.message for rec in caplog.records) == 1
     assert got[1, 2].tolist() == [0.25] * 4
+    for i in np.ndindex(2, 3):
+        assert got[i].tobytes() == normalize_rows(rows[i]).tobytes()
+
+
+def test_normalize_rows_counts_its_fallback_rows_in_one_warning(caplog):
+    rows = np.random.default_rng(4).uniform(size=(2, 3, 4))
+    rows[0, 1] = rows[1, 2] = 0.0
+    with caplog.at_level("WARNING", logger="relgen.relations"):
+        got = normalize_rows(rows)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "all-zero relation rows: 2 of 6; falling back to uniform weights"
+    ]
+    assert got[0, 1].tolist() == got[1, 2].tolist() == [0.25] * 4
     for i in np.ndindex(2, 3):
         assert got[i].tobytes() == normalize_rows(rows[i]).tobytes()
     rows[0, 1, 3] = -0.5

@@ -4,6 +4,7 @@ on tiny data."""
 import importlib.util
 import math
 import pathlib
+from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("step_calls", ROOT / "tools" / "step_calls.py")
@@ -24,3 +25,24 @@ def test_each_config_reports_its_calls_per_step(capsys):
         assert float(per_step) == round(int(calls) / int(steps), 1) > 0
         assert 0 < int(per_score) < int(calls)
 
+
+
+@dataclass
+class _First:
+    a: int = 0
+
+
+@dataclass
+class _Second:
+    b: int = 0
+
+
+def test_calls_keep_each_dataclass_constructor():
+    # both generated __init__ methods share the key ('<string>', 2, '__init__')
+    def build_two():
+        return _First(), _Second()
+
+    def build_one_twice():
+        return _First(), _First()
+
+    assert step_calls._calls(build_two) == step_calls._calls(build_one_twice) >= 3

@@ -281,11 +281,6 @@ def test_averaging_oracle_matches_the_closed_form():
     assert abs(est - AVERAGING_ORACLE_TARGET) <= 4 * stderr
 
 
-def test_averaging_oracle_true_head_has_zero_risk():
-    est, stderr = averaging_oracle(1000, seed=0, use_true_head=True)
-    assert est == 0.0 and stderr == 0.0
-
-
 def test_averaging_oracle_validates():
     with pytest.raises(ConfigError):
         averaging_oracle(1)
