@@ -322,8 +322,8 @@ def test_infer_uniform_equals_equal_weights():
     assert np.array_equal(decide(model, np.ones(3), x), decide(model, [5.0, 5.0, 5.0], x))
 
 
-def test_infer_on_a_single_example_gives_one_row():
-    # a single example is the one-row batch x[None]
+def test_infer_returns_scalar_for_single_example():
+    # a single example is the one-row batch x[None]; its one output is read with .item()
     model = constant_model([1.0, 3.0])
     assert combine_heads(model, [1.0, 1.0], np.ones((1, 2))).shape == (1, 1)  # one output row
     out = decide(model, [1.0, 1.0], np.ones((1, 2)))
