@@ -39,7 +39,6 @@ from .model import (
     check_fits,
     evaluate,
     load_checkpoint,
-    rwft_predictor,
     save_checkpoint,
     score,
     split_ids,
@@ -253,7 +252,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"{flag} applies to {scope} only")
     if args.rw_finetune:
         cfg = _override(cfg, args, ("lr", "finetune_epochs"))
-        rep = evaluate(rwft_predictor(model, dataset, cfg), dataset, args.split)
+        rep = evaluate(model, dataset, cfg, args.split)
         method = "erm+rw_finetune"
     else:
         rep = score([model], dataset, [mode], args.split)[0]
@@ -354,16 +353,18 @@ def cmd_theory(args) -> int:
 
 def cmd_export_relations(args) -> int:
     ids, metas = load_meta_csv(args.meta)
-    if args.adjacency:
-        edges = load_adjacency(args.adjacency, known_ids=ids)
-        fixed = adjacency_matrix(ids, edges)
-    elif metas.shape[1] == 1:
-        fixed = angle_between(metas, metas)
-    else:
+    edges = load_adjacency(args.adjacency, known_ids=ids) if args.adjacency else None
+
+    def fixed():
+        if edges is not None:
+            return adjacency_matrix(ids, edges)
+        if metas.shape[1] == 1:
+            return angle_between(metas, metas)
         raise ConfigError(
             "fixed relations need either --adjacency or single-column angle meta-data"
         )
-    net, beta = None, 1.0 if args.beta is None else args.beta
+
+    net, mode, beta = None, "fused", 1.0 if args.beta is None else args.beta
     check_beta(beta)
     if args.checkpoint:
         model, header = load_checkpoint(args.checkpoint)
@@ -376,9 +377,11 @@ def cmd_export_relations(args) -> int:
             )
         if args.beta is None:  # the relations the checkpoint was trained with
             cfg = TrainConfig.from_dict(header["config"])
-            fixed, beta = mode_fusion(cfg.relation_mode, cfg.beta, lambda: fixed, fixed.shape)
+            mode, beta = cfg.relation_mode, cfg.beta
     elif beta != 1.0:
         raise ConfigError("beta < 1 requires --checkpoint for the learned relations")
+    # fixed() runs only if the mode reads fixed relations, as in training
+    fixed, beta = mode_fusion(mode, beta, fixed, (len(ids), len(ids)))
     save_relation_csv(args.out, ids, build_matrix(metas, net, beta, fixed))
     print(f"wrote {len(ids)}x{len(ids)} relation matrix (beta={beta:g}) -> {args.out}")
     return 0

@@ -314,7 +314,7 @@ def save_dataset(ds: DomainDataset, out_dir: str) -> dict[str, str]:
 
 
 def load_meta_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Read a meta-data table: header domain_id,m_1,... and one row per domain."""
+    """Read a meta-data table: header domain_id,m_1,... and one row of finite values per domain."""
     mrows = read_csv(path)
     if not mrows or mrows[0][:1] != ["domain_id"] or len(mrows[0]) < 2:
         raise MalformedRowError(f"{path}: expected header domain_id,m_1,...")
@@ -330,6 +330,8 @@ def load_meta_csv(path: str) -> tuple[list[str], np.ndarray]:
             raise MalformedRowError(f"{path}: line {line}: duplicate domain id {row[0]!r}")
         ids.append(row[0])
         vals.append(parse_floats(row[1:], path, line))
+        if not np.isfinite(vals[-1]).all():  # the message DomainDataset gives
+            raise DataError(f"non-finite meta-data value (NaN or inf) in domain {row[0]!r}")
     if not ids:
         raise DataError(f"{path}: no meta-data rows")
     return ids, np.array(vals)

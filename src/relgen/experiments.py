@@ -16,7 +16,6 @@ from .model import (
     build_erm,
     build_model,
     evaluate,
-    rwft_predictor,
     score,
     split_ids,
     train,
@@ -88,8 +87,8 @@ def method_comparison(
     reports = {"relational": run_relational(datasets, cfgs, split)[2]}
     erm_models, _, reports["erm"] = run_erm(datasets, cfgs, split)
     if include_rwft:
-        rwft = [rwft_predictor(m, d, c) for m, d, c in zip(erm_models, datasets, cfgs)]
-        reports["rw_finetune"] = [evaluate(p, d, split) for p, d in zip(rwft, datasets)]
+        reports["rw_finetune"] = [evaluate(m, d, c, split)
+                                  for m, d, c in zip(erm_models, datasets, cfgs)]
     out = {
         name: {**_aggregate([r.mean for r in reps]), "reports": [r.to_dict() for r in reps]}
         for name, reps in reports.items()

@@ -706,10 +706,10 @@ def _valid_pass(models, datasets, configs, names):
 
 
 def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
-    """Relation-weighted combination of head outputs on a float64 (n, p) batch x.
+    """Weighted combination of head outputs on a float64 (n, p) batch x.
 
-    Weights are normalized to a simplex (all-zero rows fall back to uniform
-    with a logged warning). In "prob" combine space the heads' softmax
+    The weights are mixed as given: one per head, normalized by the caller
+    (see normalize_rows). In "prob" combine space the heads' softmax
     outputs are averaged instead of raw logits. Returns the (n, c) outputs;
     a model stacked over S rows (see stack_models) takes (S, K) weights,
     one row each, and gives (S, n, c), one output block per row.
@@ -717,18 +717,10 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != model.head_w.shape[:-2]:
         raise ValueError("need one weight per head")
-    w = normalize_rows(w)
     outs = _stack_heads(model, x)[2]  # (..., K, n, c)
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         outs = softmax(outs, axis=-1)
     return np.einsum("...k,...knc->...nc", w, outs)
-
-
-def _check_finite(out: np.ndarray) -> np.ndarray:
-    """out, unless it holds NaN or inf: then a NumericalError."""
-    if not np.isfinite(out).all():
-        raise NumericalError("non-finite model outputs (NaN or inf)")
-    return out
 
 
 def _decide(out: np.ndarray, task: str) -> np.ndarray:
@@ -782,11 +774,6 @@ class ErmModel:
 
     def params(self) -> list[np.ndarray]:
         return self.extractor.params() + self.head.params()
-
-    def predict(self, x, meta_row):
-        x = np.asarray(x, dtype=np.float64)
-        feats = np.hstack([x, np.tile(np.asarray(meta_row, dtype=np.float64), (x.shape[0], 1))])
-        return _decide(_check_finite(_pooled_outputs(self, feats)), self.task)
 
 
 def _pooled_outputs(model: ErmModel, feats: np.ndarray) -> np.ndarray:
@@ -918,28 +905,6 @@ def rw_finetune(
     return tuned
 
 
-def rwft_predictor(erm: ErmModel, dataset: DomainDataset, config: TrainConfig):
-    """Per-domain prediction after fine-tuning on fixed-relation weights.
-
-    The pooled baseline has no trained relation net, so the reweighting
-    uses the dataset's fixed relations to the target domain. The first
-    prediction for a domain fine-tunes one copy for every domain of its
-    split in one lockstep rw_finetune call.
-    """
-    train_ids = dataset.ids_for_split("train")
-    tuned: dict[str, ErmModel] = {}
-
-    def predict(domain_id: str, x):
-        meta = dataset.meta_for([domain_id])[0]  # a DataError for an unknown id
-        if domain_id not in tuned:
-            ids = dataset.ids_for_split(dataset.split[domain_id])
-            rows = dataset.fixed_between(ids, train_ids)
-            tuned.update(zip(ids, rw_finetune(erm, dataset, rows, config, targets=ids)))
-        return tuned[domain_id].predict(x, meta)
-
-    return predict
-
-
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -975,22 +940,19 @@ def _report(dataset: DomainDataset, split: str, values: np.ndarray) -> MetricsRe
                          float(values.mean()), float(worst), dataset.counts(ids))
 
 
-def evaluate(predict_fn, dataset: DomainDataset, split: str) -> MetricsReport:
-    """Apply predict(domain_id, x) to every domain of a split (see _report).
+def evaluate(erm: ErmModel, dataset: DomainDataset, config: TrainConfig, split: str) -> MetricsReport:
+    """The split's report (see _report) after relation-weighted fine-tuning, one copy per domain.
 
-    Non-finite model outputs raise NumericalError naming the domain.
+    The pooled baseline has no trained relation net, so each domain of the
+    split weights the training domains by its fixed relations to them. One
+    lockstep rw_finetune call tunes the copies; one score call scores each
+    copy on the whole split, and each domain reads its own copy's value.
+    A non-finite output of any copy raises score's NumericalError.
     """
-    if not callable(predict_fn):
-        raise ValueError("evaluate takes a predictor, not a model; score takes models")
-    values = []
-    for d in split_ids(dataset, split):
-        x, y = dataset.domain_arrays(d)
-        try:
-            pred = np.asarray(predict_fn(d, x))
-        except NumericalError as exc:
-            raise NumericalError(f"{exc} on {split} domain {d!r}") from exc
-        values.append(_metric(pred, y, dataset.task))
-    return _report(dataset, split, np.array(values))
+    ids = split_ids(dataset, split)
+    rows = dataset.fixed_between(ids, dataset.ids_for_split("train"))
+    reports = score(rw_finetune(erm, dataset, rows, config, ids), dataset, [None] * len(ids), split)
+    return _report(dataset, split, np.array([r.per_domain[d] for r, d in zip(reports, ids)]))
 
 
 def score(models, datasets, modes, split: str) -> list[MetricsReport]:
@@ -999,8 +961,8 @@ def score(models, datasets, modes, split: str) -> list[MetricsReport]:
     modes[j] is model j's (relation mode, beta), beta checked in every mode,
     or None; an ErmModel reads no mode. A MultiHeadModel predicts each
     domain through relation_row, normalize_rows and combine_heads; an
-    ErmModel through the output function of ErmModel.predict. The decision is
-    the argmax label or the first output column. Models of one structure,
+    ErmModel from its features plus the domain's meta-data row. The decision
+    is the argmax label or the first output column. Models of one structure,
     dataset and mode are scored together (see _SplitGroup), each with the
     bits it gets when scored alone. Non-finite outputs raise NumericalError
     naming the split and the first such model's first such domain.
@@ -1047,9 +1009,11 @@ class _SplitGroup:
     Built once: each domain's examples (pooled features for an ErmModel)
     and, for a MultiHeadModel under mode (relation mode, beta), the split's
     fixed relation rows and meta-data. score() makes one relation_row call
-    for all rows and one combine_heads call per domain, not one over the
-    whole split: BLAS may round an example's output differently at another
-    offset in a larger block (1 ulp of valid MSE on a 6x6 grid).
+    for all rows, one normalize_rows call on its (S, T, K) block (so at most
+    one fallback warning per split and pass) and one combine_heads call per
+    domain, not one over the whole split: BLAS may round an example's
+    output differently at another offset in a larger block (1 ulp of valid
+    MSE on a 6x6 grid).
     """
 
     def __init__(self, models, rows: list[int], dataset: DomainDataset, mode, split: str):
@@ -1074,6 +1038,7 @@ class _SplitGroup:
         np.take(flat, self.rows, axis=0, out=model.flat)
         if isinstance(model, MultiHeadModel):  # (S, T, K) weight rows, then (S, n, c) per domain
             w = relation_row(model.relation_net, self.meta_t, self.metas, self.fixed, self.beta)
+            w = normalize_rows(w)
             outs = (combine_heads(model, w[:, t], x) for t, x in enumerate(self.xs))
         else:
             outs = (_pooled_outputs(model, x) for x in self.xs)

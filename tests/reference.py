@@ -1,11 +1,13 @@
 """Reference code that only the test suite runs: a central finite-difference
-gradient checker, which every hand-derived gradient is held against, and a
-reader for the relation CSV that `relgen export-relations` writes."""
+gradient checker, which every hand-derived gradient is held against, a
+per-domain scorer, which the batched scorer is held against, and a reader
+for the relation CSV that `relgen export-relations` writes."""
 
 import numpy as np
 
 from relgen.errors import DataError
 from relgen.fileio import parse_floats, read_csv
+from relgen.model import _metric, _report, split_ids
 
 
 def grad_check(fn, params: list[np.ndarray], h: float = 1e-5) -> float:
@@ -33,6 +35,16 @@ def grad_check(fn, params: list[np.ndarray], h: float = 1e-5) -> float:
             err = abs(ana[i] - numeric) / max(1.0, abs(ana[i]), abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+def evaluate_per_domain(predict, dataset, split: str):
+    """The split's report (see model._report), one domain at a time: predict(domain_id, x)
+    gives a domain's labels or values, and _metric scores them against its targets."""
+    values = []
+    for d in split_ids(dataset, split):
+        x, y = dataset.domain_arrays(d)
+        values.append(_metric(np.asarray(predict(d, x)), y, dataset.task))
+    return _report(dataset, split, np.array(values))
 
 
 def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:

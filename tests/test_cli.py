@@ -753,6 +753,36 @@ def test_export_needs_fixed_relations_and_a_relational_checkpoint(spatial_dir, d
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_export_rejects_non_finite_meta_data(tmp_path, capsys, value):
+    meta = tmp_path / "meta.csv"
+    meta.write_text(f"domain_id,angle\na,0.1\nb,{value}\nc,0.3\n")
+    out = tmp_path / "r.csv"
+    assert run("export-relations", "--meta", str(meta), "--out", str(out)) == 3
+    assert "non-finite meta-data value (NaN or inf) in domain 'b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_of_a_learned_only_model_reads_no_fixed_relations(spatial_dir, tmp_path, capsys):
+    """2-D meta-data without an adjacency file has no fixed relations; at beta 0 none are read."""
+    data = tmp_path / "data"
+    shutil.copytree(spatial_dir, data)
+    (data / "adjacency.txt").unlink()
+    assert run("train", "--data", str(data), "--out", str(tmp_path / "t"), "--epochs", "1",
+               "--beta", "0") == 0
+    export = ["export-relations", "--meta", str(data / "meta.csv"),
+              "--checkpoint", str(tmp_path / "t" / "checkpoint-relational-seed0.npz")]
+    assert run(*export, "--beta", "0", "--out", str(tmp_path / "given.csv")) == 0
+    assert run(*export, "--out", str(tmp_path / "trained.csv")) == 0  # the checkpoint's beta 0
+    given = (tmp_path / "given.csv").read_bytes()
+    assert given == (tmp_path / "trained.csv").read_bytes()
+    matrix = load_relation_csv(str(tmp_path / "given.csv"))[1]
+    assert np.all(matrix >= 0.0) and np.array_equal(np.diag(matrix), np.ones(len(matrix)))
+    capsys.readouterr()
+    assert run(*export, "--beta", "0.5", "--out", str(tmp_path / "fused.csv")) == 2
+    assert "need either --adjacency or single-column angle meta-data" in capsys.readouterr().err
+
+
 def test_export_adjacency_relations(spatial_dir, tmp_path):
     out = tmp_path / "adj.csv"
     code = run(

@@ -21,10 +21,10 @@ from relgen.model import (
     build_model,
     combine_heads,
     evaluate,
+    split_ids,
     load_checkpoint,
     plan_step,
     rw_finetune,
-    rwft_predictor,
     save_checkpoint,
     score,
     stack_models,
@@ -33,9 +33,9 @@ from relgen.model import (
     train_erm,
 )
 from relgen.nn import Layer, Mlp, forward, stack_forward
-from relgen.relations import RelationNet, mode_fusion, relation_row
+from relgen.relations import RelationNet, mode_fusion, normalize_rows, relation_row
 
-from reference import grad_check
+from reference import evaluate_per_domain, grad_check
 
 
 def constant_model(values, task="regression", combine_space="logit", out=1):
@@ -274,8 +274,8 @@ def test_loss_value_matches_loss_functions():
 
 
 def decide(model, weights, x):
-    """Argmax labels or first-column values of the heads mixed under weights."""
-    return model_module._decide(combine_heads(model, weights, x), model.task)
+    """Argmax labels or first-column values of the heads mixed under normalized weights."""
+    return model_module._decide(combine_heads(model, normalize_rows(weights), x), model.task)
 
 
 def test_one_hot_weights_pick_a_single_head():
@@ -290,15 +290,15 @@ def test_one_hot_weights_pick_a_single_head():
 def test_zero_weights_fall_back_to_uniform(caplog):
     model = constant_model([1.0, 2.0, 4.0])
     with caplog.at_level("WARNING", logger="relgen.relations"):
-        out = combine_heads(model, [0.0, 0.0, 0.0], np.ones((1, 2)))
+        out = combine_heads(model, normalize_rows([0.0, 0.0, 0.0]), np.ones((1, 2)))
     assert out[0, 0] == pytest.approx((1.0 + 2.0 + 4.0) / 3.0, abs=1e-14)
     assert any("all-zero" in r.message for r in caplog.records)
 
 
 def test_weights_are_scale_invariant():
     model = constant_model([1.0, 2.0, 4.0])
-    a = combine_heads(model, [1.0, 2.0, 1.0], np.ones((1, 2)))
-    b = combine_heads(model, [10.0, 20.0, 10.0], np.ones((1, 2)))
+    a = combine_heads(model, normalize_rows([1.0, 2.0, 1.0]), np.ones((1, 2)))
+    b = combine_heads(model, normalize_rows([10.0, 20.0, 10.0]), np.ones((1, 2)))
     assert np.array_equal(a, b)
 
 
@@ -348,7 +348,7 @@ def test_prob_space_combination_is_a_distribution():
 
 @pytest.mark.parametrize("space", ["logit", "prob"])
 def test_combine_heads_with_a_seed_axis_matches_each_model(space, caplog):
-    """(S, K) weights on a model stacked over S rows: each row the bits of its own call."""
+    """(S, K) normalized weights on a stacked model: each row the bits of its own call."""
     ds = gen_dg15(0, n_per_class=10)
     models = [build_model(ds, TrainConfig(seed=s, combine_space=space)) for s in (1, 2, 3)]
     stack = stack_models(models)
@@ -356,8 +356,9 @@ def test_combine_heads_with_a_seed_axis_matches_each_model(space, caplog):
     weights[1] = 0.0  # falls back to uniform weights, with a warning
     x, _ = ds.domain_arrays(ds.ids_for_split("test")[0])
     with caplog.at_level("WARNING", logger="relgen.relations"):
-        got = combine_heads(stack, weights, x)
+        weights = normalize_rows(weights)
     assert sum("all-zero" in r.message for r in caplog.records) == 1
+    got = combine_heads(stack, weights, x)
     assert got.shape == (3, len(x), 2)
     for s, m in enumerate(models):
         assert got[s].tobytes() == combine_heads(m, weights[s], x).tobytes()
@@ -371,7 +372,9 @@ def test_relational_predictor_modes():
     model = build_model(ds, cfg)
     modes = [("uniform", 0.8), ("fused", 0.8), ("fixed", 0.8), ("learned", 0.8)]
     reports = score([model] * len(modes), ds, modes, "test")
-    equal = evaluate(lambda d, x: decide(model, np.ones(len(model.head_domains)), x), ds, "test")
+    equal = evaluate_per_domain(
+        lambda d, x: decide(model, np.ones(len(model.head_domains)), x), ds, "test"
+    )
     assert reports[0].to_dict() == equal.to_dict()
     for rep, mode in zip(reports, modes):
         assert rep.to_dict() == reference_report(model, ds, mode, "test").to_dict()
@@ -505,10 +508,10 @@ def test_build_model_needs_two_training_domains():
 def test_evaluate_perfect_and_constant_predictors():
     ds = micro_dataset()
     truth = {d: ds.domain_arrays(d)[1] for d in ds.ids}
-    perfect = evaluate(lambda d, x: truth[d], ds, "test")
+    perfect = evaluate_per_domain(lambda d, x: truth[d], ds, "test")
     assert perfect.mean == 1.0 and perfect.worst == 1.0
     assert perfect.metric == "accuracy"
-    zeros = evaluate(lambda d, x: np.zeros(len(x)), ds, "train")
+    zeros = evaluate_per_domain(lambda d, x: np.zeros(len(x)), ds, "train")
     assert zeros.mean == pytest.approx(0.5)  # labels are balanced
     report = perfect.to_dict()
     assert report["split"] == "test" and report["n_examples"] == {"m4": 4}
@@ -516,11 +519,11 @@ def test_evaluate_perfect_and_constant_predictors():
 
 def test_evaluate_regression_worst_is_the_max_error():
     ds = gen_spatial_regression(0, n_rows=3, n_cols=3, n_per_domain=6, noise=0.0)
-    rep = evaluate(lambda d, x: np.zeros(len(x)), ds, "test")
+    rep = evaluate_per_domain(lambda d, x: np.zeros(len(x)), ds, "test")
     assert rep.metric == "mse"
     assert rep.worst == pytest.approx(max(rep.per_domain.values()))
     truth = {d: ds.domain_arrays(d)[1] for d in ds.ids}
-    exact = evaluate(lambda d, x: truth[d], ds, "test")
+    exact = evaluate_per_domain(lambda d, x: truth[d], ds, "test")
     assert exact.mean == 0.0
 
 
@@ -531,8 +534,11 @@ def test_evaluate_requires_a_populated_split():
         split={"m0": "train", "m1": "train", "m2": "train", "m3": "train", "m4": "test"},
         task="classification",
     )
-    with pytest.raises(DataError, match="no domains"):
-        evaluate(lambda d, x: np.zeros(len(x)), none_valid, "valid")
+    with pytest.raises(DataError, match="no domains in split 'valid'"):
+        split_ids(none_valid, "valid")
+    cfg = TrainConfig(epochs=0, hidden_width=4)
+    with pytest.raises(DataError, match="no domains in split 'valid'"):
+        evaluate(build_erm(none_valid, cfg), none_valid, cfg, "valid")
 
 
 # -- pooled baseline and fine-tuning ---------------------------------------------------
@@ -593,8 +599,9 @@ def test_rwft_predictor_runs_per_domain():
     ds = micro_dataset()
     cfg = TrainConfig(epochs=2, lr=1e-3, hidden_width=4, finetune_epochs=1)
     model, _ = train_erm(ds, cfg)
-    rep = evaluate(rwft_predictor(model, ds, cfg), ds, "test")
+    rep = evaluate(model, ds, cfg, "test")
     assert 0.0 <= rep.mean <= 1.0
+    assert list(rep.per_domain) == ds.ids_for_split("test")
 
 
 # -- checkpoints ------------------------------------------------------------------------
@@ -670,8 +677,8 @@ def test_non_finite_outputs_are_numerical_errors_naming_the_domain():
     erm = build_erm(ds, cfg)
     erm.head.layers[-1].b[...] = np.inf
     with pytest.raises(NumericalError, match="valid domain 'm3'"):
-        evaluate(lambda d, x: erm.predict(x, ds.meta_for([d])[0]), ds, "valid")
-    # score names the split and the first bad model's domain, as evaluate on it does
+        evaluate(erm, ds, replace(cfg, finetune_epochs=0), "valid")
+    # score names the split and the first bad model's domain
     fine = build_model(ds, cfg)
     with pytest.raises(NumericalError, match=r"^non-finite model outputs \(NaN or inf\) on test domain 'm4'$"):
         score([fine, model], ds, [("fused", cfg.beta)] * 2, "test")
@@ -856,12 +863,17 @@ VALID_PASS_VARIANTS = {k: MIXED_VARIANTS[k] for k in ("fused", "uniform", "beta1
 def reference_report(model, dataset, mode, split):
     """The split's report, one domain at a time, under mode (relation mode, beta).
 
-    A MultiHeadModel weights its heads by the domain's relation_row and
-    mixes them with combine_heads; an ErmModel predicts with its meta-data
-    row. Then the argmax or first-column decision.
+    A MultiHeadModel weights its heads by the domain's normalized
+    relation_row and mixes them with combine_heads; an ErmModel reads its
+    features with the domain's meta-data row appended. Then the argmax or
+    first-column decision.
     """
     if not isinstance(model, MultiHeadModel):
-        return evaluate(lambda d, x: model.predict(x, dataset.meta_for([d])[0]), dataset, split)
+        def pooled(d, x):
+            feats = np.hstack([x, np.tile(dataset.meta_for([d]), (len(x), 1))])
+            return model_module._decide(model_module._pooled_outputs(model, feats), model.task)
+
+        return evaluate_per_domain(pooled, dataset, split)
     train_ids = model.head_domains
 
     def predict(d, x):
@@ -873,7 +885,7 @@ def reference_report(model, dataset, mode, split):
         )
         return decide(model, w, x)
 
-    return evaluate(predict, dataset, split)
+    return evaluate_per_domain(predict, dataset, split)
 
 
 @pytest.mark.parametrize("kind", ["relational", "erm"])
@@ -1010,6 +1022,20 @@ def test_score_checks_its_modes_and_splits():
         score([model], ds, [("uniform", 1.5)], "test")
     with pytest.raises(DataError, match="no domains in split 'valid'"):
         score([model], replace(ds, split={**ds.split, "m3": "test"}), [("fused", 0.8)], "valid")
+
+
+def test_score_warns_once_per_group_about_its_fallback_rows(caplog):
+    """On a 6x6 grid at beta 1, 6 of the 9 test cells have no adjacent training cell;
+    one score call logs them, for all its rows, in one warning."""
+    ds = gen_spatial_regression(0, n_rows=6, n_cols=6, n_per_domain=6)
+    models = [build_model(ds, TrainConfig(seed=s)) for s in (4, 5)]
+    for rows, count in (([models[0]], "6 of 9"), (models, "12 of 18")):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="relgen.relations"):
+            score(rows, ds, [("fused", 1.0)] * len(rows), "test")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"all-zero relation rows: {count}; falling back to uniform weights"
+        ]
 
 
 @pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
@@ -1223,33 +1249,35 @@ def test_lockstep_rw_finetune_equals_one_call_per_row(data, finetune_epochs):
 
 
 def test_rwft_predictor_tunes_a_split_in_one_call(monkeypatch):
+    """evaluate tunes a split's copies in one rw_finetune call and scores them in one
+    score call; each domain's value has the bits of its own copy tuned and scored alone."""
     ds = gen_dg15(0, n_per_class=10)
     cfg = TrainConfig(lr=1e-3, epochs=2, finetune_epochs=2)
     erm, _ = train_erm(ds, cfg)
     calls = []
-    real = model_module.rw_finetune
+    real_tune, real_score = model_module.rw_finetune, model_module.score
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[2]))
-        return real(*args, **kwargs)
+    def tuning(*args):
+        calls.append(("rw_finetune", np.shape(args[2])))
+        return real_tune(*args)
 
-    monkeypatch.setattr(model_module, "rw_finetune", counting)
+    def scoring(*args):
+        calls.append(("score", len(args[0])))
+        return real_score(*args)
+
+    monkeypatch.setattr(model_module, "rw_finetune", tuning)
+    monkeypatch.setattr(model_module, "score", scoring)
     train_ids = ds.ids_for_split("train")
-    test_ids = ds.ids_for_split("test")
-    valid_ids = ds.ids_for_split("valid")
-    predict = rwft_predictor(erm, ds, cfg)
-    evaluate(predict, ds, "test")
-    assert calls == [(len(test_ids), len(train_ids))]
-    predict(valid_ids[0], ds.domain_arrays(valid_ids[0])[0])  # a second split: one more call
-    evaluate(predict, ds, "valid")
-    assert calls[1:] == [(len(valid_ids), len(train_ids))]
-    for d in test_ids + valid_ids:
-        x = ds.domain_arrays(d)[0]
-        meta = ds.meta_for([d])[0]
-        (one,) = real(erm, ds, ds.fixed_between([d], train_ids), cfg, [d])
-        assert np.array_equal(predict(d, x), one.predict(x, meta))
-    with pytest.raises(DataError, match="unknown domain"):
-        predict("nowhere", ds.domain_arrays(test_ids[0])[0])
+    for split in ("test", "valid"):
+        ids = ds.ids_for_split(split)
+        calls.clear()
+        rep = evaluate(erm, ds, cfg, split)
+        assert calls == [("rw_finetune", (len(ids), len(train_ids))), ("score", len(ids))]
+        assert list(rep.per_domain) == ids
+        for d in ids:
+            (one,) = real_tune(erm, ds, ds.fixed_between([d], train_ids), cfg, [d])
+            want = real_score([one], ds, [None], split)[0].per_domain[d]
+            assert rep.per_domain[d].hex() == want.hex()
 
 
 def test_a_diverging_erm_seed_or_fine_tune_is_named():

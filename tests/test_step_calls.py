@@ -1,5 +1,5 @@
-"""tools/step_calls.py: calls per training step and per score call of its three configs,
-on tiny data."""
+"""tools/step_calls.py: calls per training step, per score call and per scoring of
+prebuilt groups of its three configs, on tiny data."""
 
 import importlib.util
 import math
@@ -15,15 +15,17 @@ _spec.loader.exec_module(step_calls)
 def test_each_config_reports_its_calls_per_step(capsys):
     assert step_calls.main(["--small", "--epochs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["config", "steps", "calls", "calls/step", "calls/score"]
+    assert lines[0].split() == ["config", "steps", "calls", "calls/step", "calls/score",
+                                "calls/scored"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
     assert list(rows) == list(step_calls.CONFIGS)
-    for name, (steps, calls, per_step, per_score) in rows.items():
+    for name, (steps, calls, per_step, per_score, per_scored) in rows.items():
         ds = step_calls.dataset(step_calls.CONFIGS[name][0], small=True)
         n_train = len(ds.arrays_for(ds.ids_for_split("train"))[1])
         assert int(steps) == math.ceil(n_train / 10)  # one epoch of 10-example batches
         assert float(per_step) == round(int(calls) / int(steps), 1) > 0
         assert 0 < int(per_score) < int(calls)
+        assert 0 < int(per_scored) < int(per_score)  # the groups are built beforehand
 
 
 

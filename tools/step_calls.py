@@ -7,13 +7,15 @@ optimizer steps, are the calls per step. Unlike a time, the count does not
 move with the host's speed. Seeds train in lockstep, so one step serves
 all seeds of a config. The valid pass of each epoch is counted too.
 ``calls/score`` counts one more valid-split ``score`` call on the trained
-models, the scorer alone.
+models, the scorer alone. ``calls/scored`` counts only the scoring part of
+that call, ``_score_groups`` on groups built beforehand, so that a change
+to the scorer is not diluted by the cost of building its groups.
 
     python3 tools/step_calls.py [--epochs 3] [--small]
 
 ``--small`` trains on tiny datasets, for a quick check that the tool runs.
-The relgen under ``src`` next to this file is imported. Stdlib and relgen
-only.
+The relgen under ``src`` next to this file is imported. Stdlib, numpy and
+relgen only.
 """
 
 from __future__ import annotations
@@ -24,10 +26,20 @@ import math
 import pathlib
 import sys
 
+import numpy as np
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from relgen.data import gen_dg15, gen_spatial_regression  # noqa: E402
-from relgen.model import TrainConfig, build_erm, build_model, score, train  # noqa: E402
+from relgen.model import (  # noqa: E402
+    TrainConfig,
+    _score_groups,
+    _split_groups,
+    build_erm,
+    build_model,
+    score,
+    train,
+)
 
 # name -> (dataset kind, model builder, seeds)
 CONFIGS = {
@@ -57,8 +69,9 @@ def _calls(fn, *args) -> int:
     return sum(entry.callcount for entry in profile.getstats())
 
 
-def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int, int, int]:
-    """(Python calls during train, optimizer steps, calls of one valid score call) of one config."""
+def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int, int, int, int]:
+    """(Python calls during train, optimizer steps, calls of one valid score call, calls
+    of its scoring on prebuilt groups) of one config."""
     kind, build, seeds = CONFIGS[name]
     ds = dataset(kind, small)
     configs = [TrainConfig(lr=1e-3, epochs=epochs, seed=s) for s in seeds]
@@ -66,8 +79,11 @@ def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int
     calls = _calls(train, models, ds, configs)
     n_train = len(ds.arrays_for(ds.ids_for_split("train"))[1])
     steps = epochs * math.ceil(n_train / configs[0].batch_size)
-    per_score = _calls(score, models, ds, [(c.relation_mode, c.beta) for c in configs], "valid")
-    return calls, steps, per_score
+    modes = [(c.relation_mode, c.beta) for c in configs]
+    per_score = _calls(score, models, ds, modes, "valid")
+    groups = _split_groups(models, [ds] * len(models), modes, "valid")
+    per_scored = _calls(_score_groups, groups, np.stack([m.flat for m in models]), "valid")
+    return calls, steps, per_score, per_scored
 
 
 def main(argv=None) -> int:
@@ -77,10 +93,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.epochs < 1:
         parser.error("--epochs must be at least 1")
-    print(f"{'config':<16} {'steps':>6} {'calls':>8} {'calls/step':>10} {'calls/score':>11}")
+    print(f"{'config':<16} {'steps':>6} {'calls':>8} {'calls/step':>10} {'calls/score':>11} "
+          f"{'calls/scored':>12}")
     for name in CONFIGS:
-        calls, steps, per_score = calls_per_step(name, args.epochs, args.small)
-        print(f"{name:<16} {steps:>6} {calls:>8} {calls / steps:>10.1f} {per_score:>11}")
+        calls, steps, per_score, per_scored = calls_per_step(name, args.epochs, args.small)
+        print(f"{name:<16} {steps:>6} {calls:>8} {calls / steps:>10.1f} {per_score:>11} "
+              f"{per_scored:>12}")
     return 0
 
 
