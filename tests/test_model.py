@@ -21,12 +21,12 @@ from relgen.model import (
     build_model,
     combine_heads,
     evaluate,
-    split_ids,
     load_checkpoint,
     plan_step,
     rw_finetune,
     save_checkpoint,
     score,
+    split_ids,
     stack_models,
     total_loss_and_grads,
     train,
