@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -55,18 +55,6 @@ from .relations import (
 )
 from .theory import AVERAGING_ORACLE_TARGET, averaging_oracle, save_sweep_csv, scaling_experiment
 
-# train/eval flags that override the config file when given
-_OVERRIDE_FIELDS = (
-    "seed",
-    "lam",
-    "beta",
-    "epochs",
-    "lr",
-    "batch_size",
-    "relation_mode",
-    "combine_space",
-    "finetune_epochs",
-)
 # config fields that shape a model: a resumed checkpoint's values for them stand
 _MODEL_FIELDS = ("combine_space", "hidden_width", "relation_width", "relation_heads")
 
@@ -78,13 +66,11 @@ def _provenance(t0: float) -> dict:
     }
 
 
-def _write_report(out_dir: str, stem: str, payload: dict, text: str) -> None:
+def _write_report(out_dir: str, stem: str, payload: dict, lines: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     atomic_write_text(os.path.join(out_dir, stem + ".json"), body)
-    if not text.endswith("\n"):
-        text += "\n"
-    atomic_write_text(os.path.join(out_dir, stem + ".txt"), text)
+    atomic_write_text(os.path.join(out_dir, stem + ".txt"), "\n".join(lines) + "\n")
 
 
 def _load_config(args, base: TrainConfig | None = None) -> TrainConfig:
@@ -102,32 +88,50 @@ def _load_config(args, base: TrainConfig | None = None) -> TrainConfig:
         if not isinstance(given, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         data.update(given)
-    return _override(TrainConfig.from_dict(data), args)
+    # the flags that override it are the TrainConfig fields the parsed args hold
+    return _override(TrainConfig.from_dict(data), args,
+                     [f.name for f in fields(TrainConfig) if hasattr(args, f.name)])
 
 
-def _override(cfg: TrainConfig, args, names=_OVERRIDE_FIELDS) -> TrainConfig:
+def _override(cfg: TrainConfig, args, names) -> TrainConfig:
     """cfg with the value of each of the named flags that was given, validated."""
-    cfg = replace(cfg, **{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
+    cfg = replace(cfg, **{n: getattr(args, n) for n in names if getattr(args, n) is not None})
     cfg.validate()
     return cfg
 
 
-def _parse_seeds(args, fallback: int) -> list[int]:
-    raw = getattr(args, "seeds", None)
-    if raw:
-        try:
-            seeds = [int(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--seeds expects comma-separated integers: {raw!r}") from exc
-        if not seeds:
-            raise ConfigError("--seeds given but empty")
-        repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
-        if repeated is not None:
-            raise ConfigError(f"--seeds repeats seed {repeated}")
-        return seeds
-    if getattr(args, "seed", None) is not None:
-        return [args.seed]
-    return [fallback]
+def _int_list(flag: str, raw: str) -> list[int]:
+    """The comma-separated integers of a flag's value; ConfigError if malformed or empty."""
+    try:
+        values = [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} expects comma-separated integers: {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"{flag} is empty")
+    return values
+
+
+def _check_out(path: str, is_file: bool) -> None:
+    """ConfigError unless the --out file or directory can be made; run before any work."""
+    target = os.path.abspath(path)
+    if is_file and os.path.isdir(target):
+        raise ConfigError(f"--out {path} is a directory")
+    probe = os.path.dirname(target) if is_file else target
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {path}: {probe} is not a writable directory")
+
+
+def _parse_seeds(args, cfg: TrainConfig) -> list[int]:
+    """The --seeds list, else the seed of cfg, which --seed overrides."""
+    if args.seeds is None:
+        return [cfg.seed]
+    seeds = _int_list("--seeds", args.seeds)
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"--seeds repeats seed {repeated}")
+    return seeds
 
 
 def _metrics_text(rep) -> list[str]:
@@ -176,7 +180,7 @@ def cmd_train(args) -> int:
         if getattr(cfg0, name) != getattr(base, name):
             raise ConfigError(f"{args.resume} holds a model with {name} "
                               f"{getattr(base, name)!r}, not {getattr(cfg0, name)!r}")
-    seeds = _parse_seeds(args, fallback=cfg0.seed)
+    seeds = _parse_seeds(args, cfg0)
     if args.resume and len(seeds) > 1:
         raise ConfigError("--resume works with a single seed")
     for split in ("valid", "test"):  # the splits the report scores, checked before training
@@ -227,7 +231,7 @@ def cmd_train(args) -> int:
     ]
     for entry in per_seed:
         lines.append(f"  seed {entry['seed']}: test {entry['test']['mean']:.4f}")
-    _write_report(args.out, "train-report", payload, "\n".join(lines))
+    _write_report(args.out, "train-report", payload, lines)
     print(f"test mean over {n} seed(s): {payload['test_mean']:.4f}")
     return 0
 
@@ -269,7 +273,7 @@ def cmd_eval(args) -> int:
             "metrics": rep.to_dict(),
             "provenance": _provenance(t0),
         }
-        _write_report(args.out, "eval-report", payload, "\n".join(lines))
+        _write_report(args.out, "eval-report", payload, lines)
     return 0
 
 
@@ -277,7 +281,7 @@ def cmd_ablate(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset_dir(args.data, task=args.task)
     cfg = _load_config(args)
-    seeds = _parse_seeds(args, fallback=cfg.seed)
+    seeds = _parse_seeds(args, cfg)
     rows = [{"group": "relations", **r} for r in relation_ablation(seeds, cfg, lambda _: dataset)]
     rows += [
         {"group": "consistency", **r} for r in consistency_ablation(seeds, cfg, lambda _: dataset)
@@ -294,21 +298,15 @@ def cmd_ablate(args) -> int:
         "rows": rows,
         "provenance": _provenance(t0),
     }
-    _write_report(args.out, "ablation-report", payload, "\n".join(lines))
+    _write_report(args.out, "ablation-report", payload, lines)
     print("\n".join(lines))
     return 0
 
 
 def cmd_theory(args) -> int:
     t0 = time.perf_counter()
-    try:
-        grid = [int(tok) for tok in args.domain_grid.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--domain-grid expects comma-separated integers: {args.domain_grid!r}") from exc
-    if not grid:
-        raise ConfigError("--domain-grid is empty")
     rows = scaling_experiment(
-        grid,
+        _int_list("--domain-grid", args.domain_grid),
         n_seeds=args.n_seeds,
         r=args.r,
         n_per_domain=args.n,
@@ -346,23 +344,17 @@ def cmd_theory(args) -> int:
         },
         "provenance": _provenance(t0),
     }
-    _write_report(args.out, "theory-report", payload, "\n".join(lines))
+    _write_report(args.out, "theory-report", payload, lines)
     print("\n".join(lines))
     return 0
 
 
 def cmd_export_relations(args) -> int:
     ids, metas = load_meta_csv(args.meta)
-    edges = load_adjacency(args.adjacency, known_ids=ids) if args.adjacency else None
+    edges = load_adjacency(args.adjacency, ids) if args.adjacency else None
 
     def fixed():
-        if edges is not None:
-            return adjacency_matrix(ids, edges)
-        if metas.shape[1] == 1:
-            return angle_between(metas, metas)
-        raise ConfigError(
-            "fixed relations need either --adjacency or single-column angle meta-data"
-        )
+        return angle_between(metas, metas) if edges is None else adjacency_matrix(ids, edges)
 
     net, mode, beta = None, "fused", 1.0 if args.beta is None else args.beta
     check_beta(beta)
@@ -382,6 +374,7 @@ def cmd_export_relations(args) -> int:
         raise ConfigError("beta < 1 requires --checkpoint for the learned relations")
     # fixed() runs only if the mode reads fixed relations, as in training
     fixed, beta = mode_fusion(mode, beta, fixed, (len(ids), len(ids)))
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_relation_csv(args.out, ids, build_matrix(metas, net, beta, fixed))
     print(f"wrote {len(ids)}x{len(ids)} relation matrix (beta={beta:g}) -> {args.out}")
     return 0
@@ -484,6 +477,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out, is_file=args.command == "export-relations")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -149,13 +149,11 @@ class DomainDataset:
         return {d: int(c[self._index(d)]) for d in ids}
 
     def fixed_between(self, ids_a: list[str], ids_b: list[str]) -> np.ndarray:
-        """Fixed relations between two id lists, from the dataset's source."""
+        """Fixed relations between two id lists: adjacency, else angle_between of the meta-data."""
         if self._adjacency is not None:
             ia = [self._index(d) for d in ids_a]
             ib = [self._index(d) for d in ids_b]
             return self._adjacency[np.ix_(ia, ib)]
-        if self.meta_dim != 1:
-            raise ConfigError("angle relations need one-dimensional meta-data")
         return angle_between(self.meta_for(ids_a), self.meta_for(ids_b))
 
 
@@ -337,10 +335,10 @@ def load_meta_csv(path: str) -> tuple[list[str], np.ndarray]:
     return ids, np.array(vals)
 
 
-def load_adjacency(path: str, known_ids=None) -> list[tuple[str, str]]:
-    """Read an edge list, one 'id_i id_j' pair per line; blank lines skipped."""
+def load_adjacency(path: str, known_ids) -> list[tuple[str, str]]:
+    """Read an edge list, one 'id_i id_j' pair of known_ids per line; blank lines skipped."""
     edges: list[tuple[str, str]] = []
-    known = set(known_ids) if known_ids is not None else None
+    known = set(known_ids)
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -352,26 +350,22 @@ def load_adjacency(path: str, known_ids=None) -> list[tuple[str, str]]:
             continue
         if len(parts) != 2:
             raise MalformedRowError(f"{path}: line {line_no}: expected 'id_i id_j'")
-        if known is not None:
-            for p in parts:
-                if p not in known:
-                    raise DataError(f"{path}: line {line_no}: unknown domain id {p!r}")
+        for p in parts:
+            if p not in known:
+                raise DataError(f"{path}: line {line_no}: unknown domain id {p!r}")
         edges.append((parts[0], parts[1]))
     return edges
 
 
-def load_dataset(
-    data_path: str,
-    meta_path: str,
-    split_path: str,
-    adjacency_path: str | None = None,
-    task: str = "auto",
-) -> DomainDataset:
-    """Load a dataset from its CSV files, validating layout eagerly.
+def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
+    """Load a dataset from a directory laid out the way save_dataset writes it.
 
-    task may be "classification", "regression", or "auto" (classification
-    iff every label is a nonnegative integer).
+    data.csv, meta.csv and splits.csv are read and checked eagerly, and
+    adjacency.txt if it exists. task may be "classification", "regression",
+    or "auto" (classification iff every label is a nonnegative integer).
     """
+    data_path, meta_path, split_path, adjacency_path = (
+        os.path.join(path, f) for f in ("data.csv", "meta.csv", "splits.csv", "adjacency.txt"))
     rows = read_csv(data_path)
     if not rows or len(rows[0]) < 3 or rows[0][:2] != ["domain_id", "y"]:
         raise MalformedRowError(f"{data_path}: expected header domain_id,y,x_1,...")
@@ -417,9 +411,7 @@ def load_dataset(
             )
         split[did] = s
 
-    edges = None
-    if adjacency_path is not None:
-        edges = load_adjacency(adjacency_path, known_ids=ids)
+    edges = load_adjacency(adjacency_path, ids) if os.path.exists(adjacency_path) else None
 
     y = np.array(ys)
     if task == "auto":
@@ -436,14 +428,3 @@ def load_dataset(
         edges=edges,
     )
 
-
-def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
-    """Load from a directory laid out the way save_dataset writes it."""
-    adjacency = os.path.join(path, "adjacency.txt")
-    return load_dataset(
-        os.path.join(path, "data.csv"),
-        os.path.join(path, "meta.csv"),
-        os.path.join(path, "splits.csv"),
-        adjacency_path=adjacency if os.path.exists(adjacency) else None,
-        task=task,
-    )

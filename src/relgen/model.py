@@ -300,16 +300,16 @@ def _stack_heads(model: MultiHeadModel, x: np.ndarray):
 def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int, ix: tuple):
     """Per-example weights over heads, self excluded, rows summing to one.
 
-    dom is (n,) or (S, n), and a is (K, K) or, for S stacked models,
-    (S, K, K); ix is np.indices(dom.shape, sparse=True). Returns (u,
-    divisor) where u is dom.shape + (K,) and divisor, dom.shape + (1,), the
-    pre-normalization row sum, or inf on rows that degraded to uniform
-    weights (no gradient flows into the relations there).
+    dom is (S, n) and a (S, K, K), one row each of S stacked models; ix is
+    np.indices(dom.shape, sparse=True). Returns (u, divisor) where u is
+    (S, n, K) and divisor, (S, n, 1), the pre-normalization row sum, or inf
+    on rows that degraded to uniform weights (no gradient flows into the
+    relations there).
     """
     if k < 2:
         raise ValueError("consistency needs at least two heads")
     self_entry = ix + (dom,)
-    rows = a[ix[: a.ndim - 2] + (dom,)]  # fancy indexing, so already a copy
+    rows = a[ix[0], dom]  # fancy indexing, so already a copy
     rows[self_entry] = 0.0
     s = np.add.reduce(rows, axis=-1)[..., None]
     fallback = s <= REL_EPS
@@ -378,22 +378,22 @@ class StepPlan:
         return self.grids[shape]
 
 
-def plan_step(model: MultiHeadModel, fixed, beta, grad: np.ndarray) -> StepPlan:
+def plan_step(model: MultiHeadModel, fixed: np.ndarray, beta: np.ndarray,
+              grad: np.ndarray) -> StepPlan:
     """The StepPlan of total_loss_and_grads for these relations and gradient buffer.
 
-    beta is a float or (S,) per model, and grad is laid out like model.flat,
-    for a single model or for the S stacked ones.
+    model is S stacked models (see stack_models); fixed holds their (S, K,
+    K) fixed relations and beta their (S,) betas, one row per model, and
+    grad is the (S, P) buffer laid out like model.flat.
     """
-    k = len(model.head_domains)
-    if np.shape(fixed)[-2:] != (k, k):
+    s, k = len(grad), len(model.head_domains)
+    if np.shape(fixed) != (s, k, k):
         raise ValueError(f"expected a ({k}, {k}) relation matrix per model, got {np.shape(fixed)}")
-    per_row = isinstance(beta, np.ndarray)
-    fixed_part, share = fuse_halves(fixed, beta[:, None, None] if per_row else beta)
-    constant = None if per_row or beta != 1.0 else fuse(fixed, 0.0, 1.0)
-    rows = grad.reshape(-1, grad.shape[-1])
-    d_a = np.empty((len(rows), k, k))
-    diagonal = d_a.reshape(len(rows), k * k)[:, :: k + 1]
-    return StepPlan(grad, model.views(rows), fixed_part, share, constant, d_a, diagonal)
+    fixed_part, share = fuse_halves(fixed, beta[:, None, None])
+    constant = fuse(fixed, 0.0, 1.0) if (beta == 1.0).all() else None
+    d_a = np.empty((s, k, k))
+    diagonal = d_a.reshape(s, k * k)[:, :: k + 1]
+    return StepPlan(grad, model.views(grad), fixed_part, share, constant, d_a, diagonal)
 
 
 def _targets(model, y) -> np.ndarray:
@@ -405,27 +405,27 @@ def _targets(model, y) -> np.ndarray:
     return check_labels(y, outputs)
 
 
-def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None, lam,
-                         plan: StepPlan):
+def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
+                         lam: np.ndarray, plan: StepPlan):
     """Training objective of S models with exact gradients for every parameter.
 
-    The model is S stacked models (see stack_models), or one model for
-    S = 1, and the batch holds one batch per model: x (S, n, p) float64, y
-    (S, n) as _targets returns it and domain (S, n) int64. plan is
-    plan_step(model, fixed, beta, grad), made once per training run, which
-    holds the fixed relations, beta and the gradient buffer. The relations
-    are fuse(fixed, learned, beta), the learned matrix rebuilt from metas,
-    (K, m) or (S, K, m), on every call so its gradients are exact; it is not
-    built when every beta is 1, and a row's (1 - beta) zeroes its
-    relation-net gradient at beta 1. lam is a float or (S,), one per model.
-    Returns (loss, (loss_pred, loss_rel), grad): three (S,) arrays and
-    plan.grad, laid out like model.flat.
+    The model is S stacked models (see stack_models), and every input holds
+    one row per model: the batch x (S, n, p) float64, y (S, n) as _targets
+    returns it and domain (S, n) int64; metas, the (S, K, m) meta-data; lam,
+    the (S,) consistency weights. plan is plan_step(model, fixed, beta,
+    grad), made once per training run, which holds the fixed relations,
+    beta and the gradient buffer. The relations are fuse(fixed, learned,
+    beta), the learned matrix rebuilt from metas on every call so its
+    gradients are exact; it is not built (and metas not read) when every
+    beta is 1, and a row's (1 - beta) zeroes its relation-net gradient at
+    beta 1. Returns (loss, (loss_pred, loss_rel), grad): three (S,) arrays
+    and plan.grad, laid out like model.flat.
     """
     x, y, dom = batch
     g_ext, g_hw, g_hb, g_net = plan.views
     k = len(model.head_domains)
     net = model.relation_net
-    row_lam = lam[:, None, None] if isinstance(lam, np.ndarray) else lam
+    row_lam = lam[:, None, None]
 
     a, cache = plan.relations, None
     if a is None:
@@ -491,11 +491,6 @@ def _metric_better(candidate: float, best: float, task: str) -> bool:
     if task == TASK_CLASSIFICATION:
         return candidate > best
     return candidate < best
-
-
-def _rows(values):
-    """The value every row shares, as it is, or the rows' values stacked on a new leading axis."""
-    return values[0] if all(np.array_equal(v, values[0]) for v in values[1:]) else np.stack(values)
 
 
 def _row_names(configs) -> list[str]:
@@ -566,7 +561,7 @@ def train(model, dataset, config):
         fixed, beta = zip(*[
             mode_fusion(c.relation_mode, c.beta, fn, (k, k)) for c, fn in zip(configs, fixed_fns)
         ])
-        metas, fixed, lam, beta = (_rows(v) for v in (metas, fixed, [c.lam for c in configs], beta))
+        metas, fixed, lam, beta = (np.stack(v) for v in (metas, fixed, [c.lam for c in configs], beta))
         keys = ("loss", "loss_pred", "loss_rel")
 
         def plan(stack, grad):
@@ -875,16 +870,16 @@ def rw_finetune(
     their domain's weight in its row, normalized to mean one over the
     training set, so zero-weight domains contribute nothing. The T copies
     train in lockstep and draw the same shuffle, so they share each input
-    batch; targets names them in error messages. Returns the T models; with
+    batch; targets names them in error messages and warnings. Returns the T models; with
     finetune_epochs == 0 each equals the input.
     """
     config.validate()
     check_fits(erm, dataset)
     train_ids = dataset.ids_for_split("train")
-    w = normalize_rows(relation_weights)
-    if w.shape != (len(targets), len(train_ids)):
+    if np.shape(relation_weights) != (len(targets), len(train_ids)):
         raise ValueError("need one row of relation weights per target, "
                          "one weight per training domain")
+    w = normalize_rows(relation_weights, targets)
     feats, y, dom = _pooled_features(dataset, train_ids)
     y = _targets(erm, y)
     # w[:, dom], and q[:, idx] in each epoch, index the last axis, which numpy
@@ -1038,7 +1033,7 @@ class _SplitGroup:
         np.take(flat, self.rows, axis=0, out=model.flat)
         if isinstance(model, MultiHeadModel):  # (S, T, K) weight rows, then (S, n, c) per domain
             w = relation_row(model.relation_net, self.meta_t, self.metas, self.fixed, self.beta)
-            w = normalize_rows(w)
+            w = normalize_rows(w, self.ids)
             outs = (combine_heads(model, w[:, t], x) for t, x in enumerate(self.xs))
         else:
             outs = (_pooled_outputs(model, x) for x in self.xs)

@@ -29,11 +29,13 @@ def angle_between(ta, tb) -> np.ndarray:
     """Similarities max(0, cos(a - b)) of every angle a in ta to every b in tb.
 
     Cosine handles wrap-around, so angles near +pi and -pi compare as close.
-    Returns a (len(ta), len(tb)) matrix; scalars count as one angle.
+    ta and tb are (n, 1) meta-data, n angles or one scalar angle; wider
+    meta-data raises ConfigError. Returns a (len(ta), len(tb)) matrix.
     """
-    ta = np.asarray(ta, dtype=np.float64).reshape(-1)
-    tb = np.asarray(tb, dtype=np.float64).reshape(-1)
-    return np.maximum(0.0, np.cos(ta[:, None] - tb[None, :]))
+    ta, tb = np.asarray(ta, dtype=np.float64), np.asarray(tb, dtype=np.float64)
+    if ta.shape[1:] not in ((), (1,)) or tb.shape[1:] not in ((), (1,)):
+        raise ConfigError("fixed relations need an adjacency list or one-column angle meta-data")
+    return np.maximum(0.0, np.cos(ta.reshape(-1, 1) - tb.reshape(1, -1)))
 
 
 def adjacency_matrix(ids: list[str], edges) -> np.ndarray:
@@ -96,9 +98,9 @@ def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCa
     Domain k's R unit vectors, laid end to end, form row k of a (K, R*s)
     block U, so the head-averaged cosines are the single product U U^T / R.
     A net whose parameters carry a leading (seed) axis gives one (S, K, K)
-    matrix per slice, from one shared (K, m) metas or from (S, K, m); more
-    leading axes of metas broadcast against it, so (T, 1, K, m) gives
-    (T, S, K, K), each slice the bits of its own (K, m) call.
+    matrix per slice from (S, K, m) metas; more leading axes of metas
+    broadcast against it, so (T, 1, K, m) gives (T, S, K, K), each slice
+    the bits of its own (K, m) call.
     """
     metas = np.asarray(metas, dtype=np.float64)
     if metas.ndim < 2:
@@ -139,9 +141,8 @@ def learned_matrix_backward(
 
 
 def check_beta(beta) -> None:
-    # an array holds one beta per row; the comparisons are False for NaN
-    rows = isinstance(beta, np.ndarray)
-    if not (((beta >= 0.0) & (beta <= 1.0)).all() if rows else 0.0 <= beta <= 1.0):
+    """Raise ConfigError unless beta, a float or an array of one per row, lies in [0, 1]."""
+    if not np.logical_and(beta >= 0.0, beta <= 1.0).all():  # False for NaN
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
 
 
@@ -151,18 +152,10 @@ def fuse_halves(fixed, beta) -> tuple[np.ndarray, object]:
     return beta * np.asarray(fixed, dtype=np.float64), 1.0 - beta
 
 
-def fuse(fixed, learned, beta):
+def fuse(fixed, learned, beta) -> np.ndarray:
     """beta * fixed + (1 - beta) * learned, clamped at zero; beta broadcasts, e.g. as (S, 1, 1)."""
     fixed_part, share = fuse_halves(fixed, beta)
-    out = np.maximum(fixed_part + share * np.asarray(learned, dtype=np.float64), 0.0)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def check_mode(mode: str, beta) -> None:
-    """Raise ConfigError unless mode is one of RELATION_MODES and beta lies in [0, 1]."""
-    if mode not in RELATION_MODES:
-        raise ConfigError(f"unknown relation mode {mode!r}")
-    check_beta(beta)  # in every mode, so no given beta is silently ignored
+    return np.maximum(fixed_part + share * np.asarray(learned, dtype=np.float64), 0.0)
 
 
 def mode_fusion(mode: str, beta: float, fixed, shape) -> tuple[np.ndarray, float]:
@@ -172,7 +165,9 @@ def mode_fusion(mode: str, beta: float, fixed, shape) -> tuple[np.ndarray, float
     relations of the given shape at beta 1. At beta 0 the fixed part is
     zeros, which fuse to the bits the finite, nonnegative fixed() would.
     """
-    check_mode(mode, beta)
+    if mode not in RELATION_MODES:
+        raise ConfigError(f"unknown relation mode {mode!r}")
+    check_beta(beta)  # in every mode, so no given beta is silently ignored
     if mode == "uniform":
         return np.ones(shape), 1.0
     beta = {"fused": beta, "fixed": 1.0, "learned": 0.0}[mode]
@@ -209,12 +204,13 @@ def relation_row(net: RelationNet, meta_t, metas, fixed_row, beta: float) -> np.
     return fuse(fixed_row, np.ascontiguousarray(learned.swapaxes(0, 1)).reshape(shape), beta)
 
 
-def normalize_rows(rows) -> np.ndarray:
+def normalize_rows(rows, names=None) -> np.ndarray:
     """Scale each row of a (..., K) stack of finite nonnegative weights to sum to one.
 
     An all-zero row means "no related domain"; the fallback is uniform
-    weights, logged as one warning per call that counts the rows, so silent
-    degradation is visible. NaN and inf are rejected like negative weights.
+    weights, logged as one warning per call that counts the rows and names
+    those of the targets that names, if given, label along axis -2, so
+    silent degradation is visible. NaN and inf are rejected like negative weights.
     """
     w = np.asarray(rows, dtype=np.float64)
     if not (w.shape[-1:] != (0,) and np.isfinite(w).all() and (w >= 0.0).all()):
@@ -223,8 +219,10 @@ def normalize_rows(rows) -> np.ndarray:
     zero = s <= 0.0
     fallbacks = np.count_nonzero(zero)
     if fallbacks:
-        logger.warning("all-zero relation rows: %d of %d; falling back to uniform weights",
-                       fallbacks, zero.size)
+        which = "" if names is None else " (%s)" % ", ".join(
+            np.compress(zero.reshape(-1, len(names)).any(axis=0), names))
+        logger.warning("all-zero relation rows: %d of %d%s; falling back to uniform weights",
+                       fallbacks, zero.size, which)
     return np.where(zero, 1.0, w) / np.where(zero, w.shape[-1], s)
 
 

@@ -243,7 +243,7 @@ def test_config_file_is_read_and_overridden(dg15_dir, tmp_path):
 # -- exit codes -------------------------------------------------------------------
 
 
-def test_config_errors_exit_2(dg15_dir, trained, tmp_path):
+def test_config_errors_exit_2(dg15_dir, trained, tmp_path, capsys):
     out = str(tmp_path / "x")
     base = ["train", "--data", str(dg15_dir), "--out", out, "--epochs", "1"]
     assert run(*base, "--lambda", "-1") == 2
@@ -260,6 +260,45 @@ def test_config_errors_exit_2(dg15_dir, trained, tmp_path):
     assert run(*base, "--seeds", "0,1", "--resume",
                str(trained / "checkpoint-relational-seed0.npz")) == 2
     assert run(*base, "--seeds", "0,x") == 2
+    capsys.readouterr()
+    assert run(*base, "--seeds", ",") == 2
+    assert capsys.readouterr().err == "config error: --seeds is empty\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "ablate", "theory", "export-relations"])
+def test_unwritable_out_exits_2_before_any_work(command, dg15_dir, trained, tmp_path,
+                                                monkeypatch, capsys):
+    """An --out under a regular file is rejected, naming it, before any work, and
+    the run leaves nothing behind."""
+    (tmp_path / "f").write_text("")
+    out = str(tmp_path / "f" / ("x.csv" if command == "export-relations" else "sub"))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite an unwritable --out")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    data = ["--data", str(dg15_dir)]
+    argv = {
+        "gen": ["dg15", "--n-per-class", "6"],
+        "train": [*data, "--epochs", "1"],
+        "eval": ["--checkpoint", str(trained / "checkpoint-relational-seed0.npz"), *data],
+        "ablate": [*data, "--epochs", "1", "--seeds", "0,1"],
+        "theory": ["--domain-grid", "4", "--n-seeds", "2", "--n-eval", "100", "--mc", "100"],
+        "export-relations": ["--meta", str(dg15_dir / "meta.csv")],
+    }[command]
+    assert run(command, *argv, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out {out}: {tmp_path / 'f'} is not a writable directory\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+def test_export_makes_the_directory_of_its_file(dg15_dir, tmp_path):
+    out = tmp_path / "new" / "dir" / "r.csv"
+    assert run("export-relations", "--meta", str(dg15_dir / "meta.csv"), "--out", str(out)) == 0
+    assert load_relation_csv(str(out))[1].shape == (15, 15)
+    assert run("export-relations", "--meta", str(dg15_dir / "meta.csv"), "--out", str(out.parent)) == 2
 
 
 @pytest.mark.parametrize(
@@ -583,7 +622,7 @@ def test_runs_that_weight_no_fixed_relations_need_none(spatial_dir, tmp_path, ca
     assert run(*train, "--out", str(tmp_path / "b0"), "--beta", "0") == 0
     capsys.readouterr()
     assert run(*train, "--out", str(tmp_path / "b5"), "--beta", "0.5") == 2
-    assert "angle relations need one-dimensional meta-data" in capsys.readouterr().err
+    assert "fixed relations need an adjacency list or one-column angle meta-data" in capsys.readouterr().err
     ckpt = str(tmp_path / "b0" / "checkpoint-relational-seed0.npz")
     assert run("eval", "--checkpoint", ckpt, "--data", str(data), "--relations", "learned") == 0
 
@@ -746,7 +785,7 @@ def test_export_needs_fixed_relations_and_a_relational_checkpoint(spatial_dir, d
                                                                  trained_erm, tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert run("export-relations", "--meta", str(spatial_dir / "meta.csv"), "--out", str(out)) == 2
-    assert "need either --adjacency or single-column angle meta-data" in capsys.readouterr().err
+    assert "fixed relations need an adjacency list or one-column angle meta-data" in capsys.readouterr().err
     assert run("export-relations", "--meta", str(dg15_dir / "meta.csv"), "--out", str(out),
                "--checkpoint", str(trained_erm / "checkpoint-erm-seed0.npz")) == 2
     assert "not a relational checkpoint" in capsys.readouterr().err
@@ -780,7 +819,7 @@ def test_export_of_a_learned_only_model_reads_no_fixed_relations(spatial_dir, tm
     assert np.all(matrix >= 0.0) and np.array_equal(np.diag(matrix), np.ones(len(matrix)))
     capsys.readouterr()
     assert run(*export, "--beta", "0.5", "--out", str(tmp_path / "fused.csv")) == 2
-    assert "need either --adjacency or single-column angle meta-data" in capsys.readouterr().err
+    assert "fixed relations need an adjacency list or one-column angle meta-data" in capsys.readouterr().err
 
 
 def test_export_adjacency_relations(spatial_dir, tmp_path):

@@ -13,7 +13,6 @@ from relgen.data import (
     gen_dg15,
     gen_spatial_regression,
     load_adjacency,
-    load_dataset,
     load_dataset_dir,
     load_meta_csv,
     save_dataset,
@@ -420,24 +419,18 @@ def test_meta_csv_empty_is_an_error(tmp_path):
 def test_load_adjacency_parses_pairs(tmp_path):
     p = tmp_path / "adjacency.txt"
     write_rows(p, ["a b", "", "b c"])
-    assert load_adjacency(str(p)) == [("a", "b"), ("b", "c")]
+    assert load_adjacency(str(p), ["a", "b", "c"]) == [("a", "b"), ("b", "c")]
     write_rows(p, ["a b c"])
     with pytest.raises(DataError):
-        load_adjacency(str(p))
+        load_adjacency(str(p), ["a", "b", "c"])
 
 
 def test_load_dataset_accepts_explicit_paths(tmp_path):
+    """The directory's three files, read by the one loader, with the task given explicitly."""
     d = good_dir(tmp_path)
-    ds = load_dataset(
-        str(d / "data.csv"),
-        str(d / "meta.csv"),
-        str(d / "splits.csv"),
-    )
+    ds = load_dataset_dir(str(d), task="auto")
     assert ds.ids == ["a", "b"]
-    forced = load_dataset(
-        str(d / "data.csv"),
-        str(d / "meta.csv"),
-        str(d / "splits.csv"),
-        task="regression",
-    )
+    assert ds.task == "classification"
+    forced = load_dataset_dir(str(d), task="regression")
     assert forced.task == "regression"
+    assert forced.ids == ds.ids and np.array_equal(forced.y, ds.y)

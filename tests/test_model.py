@@ -91,14 +91,19 @@ THREE_DOMAIN_RELATIONS = np.array(
 )
 
 
-def one_step(model, batch, fixed, metas, lam, beta, grad=None):
-    """total_loss_and_grads of one model on its (n, p) batch, x[None] with a plan
-    of its own: (loss, (loss_pred, loss_rel), grad) with scalar losses."""
+def one_step(model, batch, fixed, metas, lam, beta):
+    """total_loss_and_grads of one model on its (n, p) batch, as a one-row stack
+    with a plan of its own: (loss, (loss_pred, loss_rel), grad) with scalar
+    losses and the model's (P,) gradient."""
     x, y, dom = batch
-    plan = plan_step(model, fixed, beta, np.empty_like(model.flat) if grad is None else grad)
+    stack = model_module._bound_copy(model, model.flat[None].copy())
+    grad = np.empty_like(stack.flat)
+    plan = plan_step(stack, np.asarray(fixed)[None], np.array([beta]), grad)
     rows = (x[None], model_module._targets(model, y)[None], dom[None])
-    loss, (lp, lrel), grad = total_loss_and_grads(model, rows, metas, lam, plan)
-    return loss[0], (lp[0], lrel[0]), grad
+    loss, (lp, lrel), grad = total_loss_and_grads(
+        stack, rows, None if metas is None else metas[None], np.array([lam]), plan
+    )
+    return loss[0], (lp[0], lrel[0]), grad[0]
 
 
 def loss_terms(model, batch, relations, lam=0.0):
@@ -1026,16 +1031,33 @@ def test_score_checks_its_modes_and_splits():
 
 def test_score_warns_once_per_group_about_its_fallback_rows(caplog):
     """On a 6x6 grid at beta 1, 6 of the 9 test cells have no adjacent training cell;
-    one score call logs them, for all its rows, in one warning."""
+    one score call logs them, for all its rows, in one warning that names them."""
     ds = gen_spatial_regression(0, n_rows=6, n_cols=6, n_per_domain=6)
     models = [build_model(ds, TrainConfig(seed=s)) for s in (4, 5)]
+    cells = "r4c1, r4c3, r4c5, r5c1, r5c3, r5c5"
     for rows, count in (([models[0]], "6 of 9"), (models, "12 of 18")):
         caplog.clear()
         with caplog.at_level("WARNING", logger="relgen.relations"):
             score(rows, ds, [("fused", 1.0)] * len(rows), "test")
         assert [r.getMessage() for r in caplog.records] == [
-            f"all-zero relation rows: {count}; falling back to uniform weights"
+            f"all-zero relation rows: {count} ({cells}); falling back to uniform weights"
         ]
+
+
+def test_valid_pass_warning_names_exactly_its_fallback_cells(caplog):
+    """Training at beta 1 on a 6x6 grid: each epoch's valid pass warns once and names
+    the 6 valid cells that no training cell is adjacent to, and no other."""
+    ds = gen_spatial_regression(0, n_rows=6, n_cols=6, n_per_domain=6)
+    valid_ids = ds.ids_for_split("valid")
+    rows = ds.fixed_between(valid_ids, ds.ids_for_split("train"))
+    lonely = [d for d, row in zip(valid_ids, rows) if not row.any()]
+    assert lonely == ["r4c0", "r4c2", "r4c4", "r5c0", "r5c2", "r5c4"]
+    cfg = TrainConfig(beta=1.0, epochs=2, lr=1e-3)
+    with caplog.at_level("WARNING", logger="relgen.relations"):
+        train(build_model(ds, cfg), ds, cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"all-zero relation rows: 6 of 9 ({', '.join(lonely)}); falling back to uniform weights"
+    ] * 2
 
 
 @pytest.mark.parametrize("data,case", LOCKSTEP_CASES)
@@ -1056,8 +1078,8 @@ def test_lockstep_gradient_writes_every_slice(data, case):
         rows.append(((x[b], y[b], dom[b]), fixed, d.meta_for(ids), c.lam, beta))
     batches, fixed, metas, lam, beta = zip(*rows)
     batch = tuple(np.stack(v) for v in zip(*batches))
-    # as train passes them: unstacked where every row agrees
-    fixed, metas, lam, beta = (model_module._rows(v) for v in (fixed, metas, lam, beta))
+    # as train passes them: one row per model
+    fixed, metas, lam, beta = (np.stack(v) for v in (fixed, metas, lam, beta))
     grad = np.full_like(stack.flat, np.nan)
     batch = (batch[0], model_module._targets(stack, batch[1]), batch[2])
     plan = plan_step(stack, fixed, beta, grad)

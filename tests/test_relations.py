@@ -91,6 +91,14 @@ def test_angle_matrix_matches_pairwise_calls():
     assert np.allclose(np.diag(m), 1.0)
 
 
+def test_angle_between_takes_one_column_meta_data_only():
+    column = np.array([[0.0], [0.4], [-2.0]])
+    assert angle_between(column, column).tobytes() == angle_between(column[:, 0], column[:, 0]).tobytes()
+    for ta, tb in ((np.zeros((3, 2)), np.zeros((3, 2))), (column, np.zeros((2, 2)))):
+        with pytest.raises(ConfigError, match="an adjacency list or one-column angle meta-data"):
+            angle_between(ta, tb)
+
+
 def test_adjacency_matrix_oracle():
     m = adjacency_matrix(["a", "b", "c"], [("a", "b")])
     assert m.tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
@@ -423,6 +431,14 @@ def test_normalize_rows_counts_its_fallback_rows_in_one_warning(caplog):
     assert [rec.getMessage() for rec in caplog.records] == [
         "all-zero relation rows: 2 of 6; falling back to uniform weights"
     ]
+    # given names for the rows along axis -2, the warning names each one that fell back
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="relgen.relations"):
+        named = normalize_rows(rows, ["a", "b", "c"])
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "all-zero relation rows: 2 of 6 (b, c); falling back to uniform weights"
+    ]
+    assert named.tobytes() == got.tobytes()
     assert got[0, 1].tolist() == got[1, 2].tolist() == [0.25] * 4
     for i in np.ndindex(2, 3):
         assert got[i].tobytes() == normalize_rows(rows[i]).tobytes()
