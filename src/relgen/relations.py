@@ -208,9 +208,9 @@ def normalize_rows(rows, names=None) -> np.ndarray:
     """Scale each row of a (..., K) stack of finite nonnegative weights to sum to one.
 
     An all-zero row means "no related domain"; the fallback is uniform
-    weights, logged as one warning per call that counts the rows and names
-    those of the targets that names, if given, label along axis -2, so
-    silent degradation is visible. NaN and inf are rejected like negative weights.
+    weights, logged as one warning per call that counts the rows and, given
+    names (labels of axis -2), names them, so silent degradation is
+    visible. NaN and inf are rejected like negative weights.
     """
     w = np.asarray(rows, dtype=np.float64)
     if not (w.shape[-1:] != (0,) and np.isfinite(w).all() and (w >= 0.0).all()):
