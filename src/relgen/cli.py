@@ -305,6 +305,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_theory(args) -> int:
     t0 = time.perf_counter()
+    # the oracle's stream does not depend on the sweep, so an --mc that cannot be
+    # allocated fails before the sweep's work
+    mc_mean, mc_err = averaging_oracle(args.mc, args.seed)
     rows = scaling_experiment(
         _int_list("--domain-grid", args.domain_grid),
         n_seeds=args.n_seeds,
@@ -316,7 +319,6 @@ def cmd_theory(args) -> int:
         seed=args.seed,
         c0=args.c0,
     )
-    mc_mean, mc_err = averaging_oracle(args.mc, args.seed)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "scaling.csv")
     save_sweep_csv(csv_path, rows)

@@ -940,14 +940,18 @@ def evaluate(erm: ErmModel, dataset: DomainDataset, config: TrainConfig, split: 
 
     The pooled baseline has no trained relation net, so each domain of the
     split weights the training domains by its fixed relations to them. One
-    lockstep rw_finetune call tunes the copies; one score call scores each
-    copy on the whole split, and each domain reads its own copy's value.
-    A non-finite output of any copy raises score's NumericalError.
+    lockstep rw_finetune call tunes the copies, and each copy is scored on
+    its own domain only, with the bits score gives it there. A non-finite
+    output of a copy on its own domain raises score's NumericalError.
     """
     ids = split_ids(dataset, split)
     rows = dataset.fixed_between(ids, dataset.ids_for_split("train"))
-    reports = score(rw_finetune(erm, dataset, rows, config, ids), dataset, [None] * len(ids), split)
-    return _report(dataset, split, np.array([r.per_domain[d] for r, d in zip(reports, ids)]))
+    values, bad = [], {}
+    for j, (tuned, d) in enumerate(zip(rw_finetune(erm, dataset, rows, config, ids), ids)):
+        out = _pooled_outputs(tuned, _pooled_features(dataset, [d])[0])[None]  # (1, n, c)
+        values.append(_domain_values([j], d, dataset.domain_arrays(d)[1], out, erm.task, bad)[0])
+    _raise_non_finite(bad, split)
+    return _report(dataset, split, np.array(values))
 
 
 def score(models, datasets, modes, split: str) -> list[MetricsReport]:
@@ -979,12 +983,29 @@ def _score_groups(groups, flat: np.ndarray, split: str, prefix=lambda j: "") -> 
     values, bad = {}, {}  # (T,) values and first non-finite domain, by row
     for group in groups:
         group.score(flat, values, bad)
+    _raise_non_finite(bad, split, prefix)
+    return values
+
+
+def _raise_non_finite(bad: dict, split: str, prefix=lambda j: "") -> None:
+    """Raise NumericalError, led by prefix(j), for the first row j of bad and its domain bad[j]."""
     if bad:
         j = min(bad)
         raise NumericalError(
             f"{prefix(j)}non-finite model outputs (NaN or inf) on {split} domain {bad[j]!r}"
         )
-    return values
+
+
+def _domain_values(rows: list[int], d: str, y: np.ndarray, out: np.ndarray, task: str,
+                   bad: dict) -> np.ndarray:
+    """The (S,) metric of each row's (S, n, c) outputs on domain d against its targets y.
+
+    Sets bad[rows[s]] to d for each row s with a non-finite output, unless
+    it already names an earlier domain.
+    """
+    for s in np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))):
+        bad.setdefault(rows[s], d)
+    return _metric(_decide(out, task), y, task)
 
 
 def _split_groups(models, datasets, modes, split: str) -> list:
@@ -1037,11 +1058,8 @@ class _SplitGroup:
             outs = (combine_heads(model, w[:, t], x) for t, x in enumerate(self.xs))
         else:
             outs = (_pooled_outputs(model, x) for x in self.xs)
-        per = []
-        for d, y, out in zip(self.ids, self.ys, outs):
-            for s in np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))):
-                bad.setdefault(self.rows[s], d)
-            per.append(_metric(_decide(out, model.task), y, model.task))
+        per = [_domain_values(self.rows, d, y, out, model.task, bad)
+               for d, y, out in zip(self.ids, self.ys, outs)]
         values.update(zip(self.rows, np.stack(per, axis=-1)))
 
 

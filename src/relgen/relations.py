@@ -89,7 +89,6 @@ class LearnedMatrixCache:
     unit: np.ndarray  # (..., K, R, s) row-normalized masked embeddings, domain-major
     divisor: np.ndarray  # (..., K, R, 1) norms, inf where zero, so a zero embedding divides to 0
     block: np.ndarray  # unit as (..., K, R*s) rows
-    mask: np.ndarray  # the net's mask vectors as a (..., 1, R, s) view
 
 
 def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCache]:
@@ -113,7 +112,7 @@ def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCa
     unit = masked / divisor
     block = unit.reshape(unit.shape[:-2] + (-1,))
     a_l = (block @ block.swapaxes(-1, -2)) / mask.shape[-2]  # a syrk call, so exactly symmetric
-    return a_l, LearnedMatrixCache(reps, tape, unit, divisor, block, mask)
+    return a_l, LearnedMatrixCache(reps, tape, unit, divisor, block)
 
 
 def learned_matrix_backward(
@@ -126,16 +125,16 @@ def learned_matrix_backward(
     out, arrays shaped like the gradients, they are written into it.
     """
     out = out if out is not None else [None] * len(net.params())
-    unit, mask = cache.unit, cache.mask
-    d_a_l = np.asarray(d_a_l, dtype=np.float64) / mask.shape[-2]
+    unit = cache.unit
+    d_a_l = np.asarray(d_a_l, dtype=np.float64) / net.w.shape[-2]
     # A_l = U U^T, so d U = (D + D^T) U on the (K, R*s) block
     d_block = (d_a_l + d_a_l.swapaxes(-1, -2)) @ cache.block
     d_unit = d_block.reshape(d_block.shape[:-1] + unit.shape[-2:])
     # back through row normalization u = m / |m|
     inner = np.add.reduce(d_unit * unit, axis=-1, keepdims=True)
     d_masked = (d_unit - inner * unit) / cache.divisor
-    d_w = np.add.reduce(d_masked * cache.reps[..., None, :], axis=-3, out=out[-1])  # (..., R, s)
-    d_reps = np.add.reduce(d_masked * mask, axis=-2)  # (..., K, s)
+    d_w = np.einsum("...krs,...ks->...rs", d_masked, cache.reps, out=out[-1])  # (..., R, s)
+    d_reps = np.einsum("...krs,...rs->...ks", d_masked, net.w)  # (..., K, s)
     g_grads, _ = backward(net.g, cache.tape, d_reps, out=out[:-1], input_grad=False)
     return g_grads + [d_w]
 

@@ -148,27 +148,44 @@ def bandwidth_schedule(c0: float, n_per_domain: int, n_domains: int, r: int) -> 
     return float(c0) * float(n_per_domain * n_domains) ** (-1.0 / (r + 2))
 
 
-def _threshold_risks(world_args: tuple, bandwidth: float, seeds, n_eval: int) -> np.ndarray:
-    """Excess risk of the threshold estimator on the world of each seed, on the draws of seed + 1.
+def _empty(n: int, name: str) -> np.ndarray:
+    """An uninitialised float64 buffer of n values.
+
+    A size numpy cannot allocate (a MemoryError, or a ValueError for a size
+    past its index range) is a ConfigError naming the parameter.
+    """
+    try:
+        return np.empty(n)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{name} = {n} cannot be allocated ({exc})") from None
+
+
+def _threshold_risks(world_args: tuple, bandwidths, seeds, n_eval: int) -> np.ndarray:
+    """(seeds, bandwidths) excess risks of the threshold estimator: each seed's world, scored
+    at every bandwidth on the draws of seed + 1.
 
     Each entry equals excess_risk(...)[0] bit for bit: the same ops in the
-    same order, run in place on three buffers shared by all seeds.
+    same order, run in place. A seed's world, fits and draws are made once
+    for all bandwidths; the draws, the signal, |eps| and the difference each
+    have a buffer shared by all seeds.
     """
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
-    x, eps, diff = np.empty(n_eval), np.empty(n_eval), np.empty(n_eval)
-    risks = np.empty(len(seeds))
+    x, eps, signal, abs_eps, diff = (_empty(n_eval, "n_eval") for _ in range(5))
+    risks = np.empty((len(seeds), len(bandwidths)))
     for i, seed in enumerate(seeds):
         world = sample_world(*world_args, seed=seed)
-        est = threshold_predict(fit_heads(world), world.distances_to_test(), bandwidth)
+        slopes_hat, dists = fit_heads(world), world.distances_to_test()
         _eval_draws(seed + 1, world.noise, x, eps)
-        np.multiply(x, est, out=diff)  # yhat
-        x *= world.slope_test  # signal
-        diff -= x
-        diff -= eps
-        np.abs(diff, out=diff)
-        diff -= np.abs(eps, out=eps)
-        risks[i] = diff.mean()
+        np.multiply(x, world.slope_test, out=signal)
+        np.abs(eps, out=abs_eps)
+        for j, bandwidth in enumerate(bandwidths):
+            np.multiply(x, threshold_predict(slopes_hat, dists, bandwidth), out=diff)  # yhat
+            diff -= signal
+            diff -= eps
+            np.abs(diff, out=diff)
+            diff -= abs_eps
+            risks[i, j] = diff.mean()
     return risks
 
 
@@ -193,9 +210,10 @@ def calibrate_bandwidth(
     best_c0, best_val = None, np.inf
     world_args = (n_domains, r, lipschitz, n_per_domain, noise)
     seeds = [seed * 1000 + 7 * s + 1 for s in range(n_inner)]
-    for c0 in grid:
-        b = bandwidth_schedule(c0, n_per_domain, n_domains, r)
-        mean = float(np.mean(_threshold_risks(world_args, b, seeds, n_eval)))
+    bandwidths = [bandwidth_schedule(c0, n_per_domain, n_domains, r) for c0 in grid]
+    risks = _threshold_risks(world_args, bandwidths, seeds, n_eval)
+    for c0, column in zip(grid, risks.T):
+        mean = float(np.mean(column))
         if mean < best_val:
             best_c0, best_val = float(c0), mean
     if best_c0 is None:
@@ -235,7 +253,7 @@ def scaling_experiment(
         b = bandwidth_schedule(c0, n_per_domain, n_domains, r)
         world_args = (n_domains, r, lipschitz, n_per_domain, noise)
         first = seed + 10_000 * n_domains  # cell s draws its world from seed first + s
-        vals = _threshold_risks(world_args, b, range(first, first + n_seeds), n_eval)
+        vals = _threshold_risks(world_args, [b], range(first, first + n_seeds), n_eval)[:, 0]
         rows.append(
             {
                 "N_tr": n_domains,
@@ -257,6 +275,9 @@ def save_sweep_csv(path: str, rows: list[dict]) -> None:
     write_csv(path, [SWEEP_COLUMNS] + [[row[k] for k in SWEEP_COLUMNS] for row in rows])
 
 
+ORACLE_BLOCK = 1 << 16  # averaging_oracle draws e in blocks of this many samples
+
+
 def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of the population risk of plain head averaging.
 
@@ -264,19 +285,35 @@ def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     response d * e. Averaging the per-domain predictors yields e / 2, whose
     squared-error risk is E[(d - 1/2)^2 e^2] = 1/12 exactly. Returns
     (estimate, stderr).
+
+    Holds one float64 per sample plus one block of ORACLE_BLOCK: d is drawn
+    into the buffer that becomes the values, then e from the same stream one
+    block at a time, each block the matching slice of a single n_mc draw.
+    The stderr runs the ops of std(ddof=1) in place, so every bit is that
+    of the two whole draws and vals.std(ddof=1).
     """
     if n_mc < 2:
         raise ConfigError("n_mc must be at least 2")
     rng = substream(seed, "averaging-oracle")
-    d = rng.uniform(0.0, 1.0, size=n_mc)
-    e = rng.normal(size=n_mc)
+    vals = _empty(n_mc, "n_mc")
+    rng.random(out=vals)  # d, the bits of uniform(0.0, 1.0)
     # (d - 0.5) ** 2 * e ** 2, in place
-    d -= 0.5
-    np.square(d, out=d)
-    vals = np.multiply(d, np.square(e, out=e), out=d)
-    del d, e  # so std() below can reuse their memory for its (n_mc,) temporary
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_mc))
-    return est, stderr
+    vals -= 0.5
+    np.square(vals, out=vals)
+    block = np.empty(min(n_mc, ORACLE_BLOCK))
+    for start in range(0, n_mc, ORACLE_BLOCK):
+        part = vals[start:start + ORACLE_BLOCK]
+        e = block[: len(part)]
+        rng.standard_normal(out=e)  # the bits of normal() for e ** 2
+        part *= np.square(e, out=e)
+    # std(ddof=1): a keepdims sum divided by n, subtract, square, sum, / (n - 1), sqrt
+    mean = np.add.reduce(vals, axis=None, keepdims=True)
+    np.true_divide(mean, n_mc, out=mean)
+    est = float(mean[0])  # vals.mean()
+    vals -= mean
+    np.square(vals, out=vals)
+    std = np.sqrt(np.add.reduce(vals, axis=None) / (n_mc - 1))
+    return est, float(std / np.sqrt(n_mc))
+
 
 AVERAGING_ORACLE_TARGET = 1.0 / 12.0

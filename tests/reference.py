@@ -1,13 +1,15 @@
 """Reference code that only the test suite runs: a central finite-difference
 gradient checker, which every hand-derived gradient is held against, a
-per-domain scorer, which the batched scorer is held against, and a reader
-for the relation CSV that `relgen export-relations` writes."""
+per-domain scorer, which the batched scorer is held against, the averaging
+oracle on two whole draws, which the streamed one is held against, and a
+reader for the relation CSV that `relgen export-relations` writes."""
 
 import numpy as np
 
-from relgen.errors import DataError
+from relgen.errors import ConfigError, DataError
 from relgen.fileio import parse_floats, read_csv
 from relgen.model import _metric, _report, split_ids
+from relgen.rng import substream
 
 
 def grad_check(fn, params: list[np.ndarray], h: float = 1e-5) -> float:
@@ -45,6 +47,23 @@ def evaluate_per_domain(predict, dataset, split: str):
         x, y = dataset.domain_arrays(d)
         values.append(_metric(np.asarray(predict(d, x)), y, dataset.task))
     return _report(dataset, split, np.array(values))
+
+
+def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
+    """theory.averaging_oracle on whole draws: d and e of n_mc values each, then std()."""
+    if n_mc < 2:
+        raise ConfigError("n_mc must be at least 2")
+    rng = substream(seed, "averaging-oracle")
+    d = rng.uniform(0.0, 1.0, size=n_mc)
+    e = rng.normal(size=n_mc)
+    # (d - 0.5) ** 2 * e ** 2, in place
+    d -= 0.5
+    np.square(d, out=d)
+    vals = np.multiply(d, np.square(e, out=e), out=d)
+    del d, e  # so std() below can reuse their memory for its (n_mc,) temporary
+    est = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / np.sqrt(n_mc))
+    return est, stderr
 
 
 def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:

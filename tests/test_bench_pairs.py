@@ -50,6 +50,7 @@ def test_committed_bench_files_follow_the_schema(path):
         check_case(case)
     if data.get("claim"):
         assert data["claim"]["workload"] in {c["workload"] for c in data["cases"]}
+        assert data["claim"]["metric"] in bench_pairs.METRICS
 
 
 def _run_output(work_per_s, run_s, exact=True):
@@ -96,3 +97,21 @@ def test_the_writer_summarises_alternating_pairs(tmp_path):
     (runs / "theory-sweep_44_1_parent.txt").write_text(_run_output(10.0, 1.0))  # no partner
     assert bench_pairs.main(["--runs", str(runs), "--label", "x", "--parent-sha", "a",
                              "--change-sha", "b", "--out", str(out)]) == 2
+
+
+def test_a_claim_names_its_metric(tmp_path):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for seed in (1, 2):
+        (runs / f"theory-sweep_{seed}_1_parent.txt").write_text(_run_output(10.0, 1.0))
+        (runs / f"theory-sweep_{seed}_2_change.txt").write_text(_run_output(11.0, 1.0))
+    out = tmp_path / "BENCH_x.json"
+    argv = ["--runs", str(runs), "--label", "x", "--parent-sha", "a", "--change-sha", "b",
+            "--out", str(out), "--claim"]
+    for claim, metric in (("theory-sweep/peak_rss_mb", "peak_rss_mb"),
+                          ("theory-sweep", "work_per_s")):
+        assert bench_pairs.main(argv + [claim]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["claim"] == {"workload": "theory-sweep", "metric": metric}
+    for claim in ("theory-sweep/speed", "/run_s", "theory-sweep/", "dg15-relational/run_s"):
+        assert bench_pairs.main(argv + [claim]) == 2

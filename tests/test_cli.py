@@ -695,6 +695,17 @@ def test_theory_rejects_non_positive_sizes(tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,name", [("--mc", "n_mc"), ("--n-eval", "n_eval")])
+def test_theory_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, flag, name):
+    # 8 * 10**17 bytes exceed a 47-bit address space, so no overcommit mode maps them
+    out = tmp_path / "t"
+    size = str(10**17)
+    assert run("theory", "--out", str(out), "--domain-grid", "4", "--n-seeds", "2",
+               "--n-eval", "100", "--mc", "100", flag, size) == 2
+    assert f"config error: {name} = {size} cannot be allocated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gen", "dg15"],

@@ -1271,8 +1271,9 @@ def test_lockstep_rw_finetune_equals_one_call_per_row(data, finetune_epochs):
 
 
 def test_rwft_predictor_tunes_a_split_in_one_call(monkeypatch):
-    """evaluate tunes a split's copies in one rw_finetune call and scores them in one
-    score call; each domain's value has the bits of its own copy tuned and scored alone."""
+    """evaluate tunes a split's copies in one rw_finetune call and scores each on its own
+    domain, calling no score; each domain's value has the bits of its own copy tuned and
+    scored alone."""
     ds = gen_dg15(0, n_per_class=10)
     cfg = TrainConfig(lr=1e-3, epochs=2, finetune_epochs=2)
     erm, _ = train_erm(ds, cfg)
@@ -1294,12 +1295,42 @@ def test_rwft_predictor_tunes_a_split_in_one_call(monkeypatch):
         ids = ds.ids_for_split(split)
         calls.clear()
         rep = evaluate(erm, ds, cfg, split)
-        assert calls == [("rw_finetune", (len(ids), len(train_ids))), ("score", len(ids))]
+        assert calls == [("rw_finetune", (len(ids), len(train_ids)))]
         assert list(rep.per_domain) == ids
         for d in ids:
             (one,) = real_tune(erm, ds, ds.fixed_between([d], train_ids), cfg, [d])
             want = real_score([one], ds, [None], split)[0].per_domain[d]
             assert rep.per_domain[d].hex() == want.hex()
+
+
+def test_a_fine_tune_is_scored_on_its_own_domain_only(monkeypatch):
+    """A fine-tune whose outputs are non-finite on another domain of the split does not
+    stop the eval: each copy is read on its own domain alone."""
+    ds = gen_dg15(0, n_per_class=10)
+    cfg = TrainConfig(lr=1e-3, epochs=1, finetune_epochs=1)
+    erm, _ = train_erm(ds, cfg)
+    ids = ds.ids_for_split("test")
+    metas = ds.meta_for(ids)[:, 0]
+    assert metas[0] < 0.0 < 1.0 < metas.max()
+    real_tune = model_module.rw_finetune
+    tuned = []
+
+    def tuning(*args):
+        tuned[:] = real_tune(*args)
+        # hidden unit 0 reads the meta-data alone: 0 on the first copy's own (negative
+        # angle) domain, inf on the split's domain of largest angle
+        ext, head = tuned[0].extractor.layers[0], tuned[0].head.layers[0]
+        ext.w[0], ext.b[0], head.w[:, 0] = 0.0, 0.0, 1e-3
+        ext.w[0, -1] = 1e308
+        return tuned
+
+    monkeypatch.setattr(model_module, "rw_finetune", tuning)
+    rep = evaluate(erm, ds, cfg, "test")
+    far = ids[int(np.argmax(metas))]
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"test domain {far!r}"):
+        score(tuned[:1], ds, [None], "test")
+    assert list(rep.per_domain) == ids
+    assert all(0.0 <= v <= 1.0 for v in rep.per_domain.values())
 
 
 def test_a_diverging_erm_seed_or_fine_tune_is_named():

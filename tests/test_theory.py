@@ -2,6 +2,8 @@
 estimator's contracts, the bandwidth schedule, and the closed-form
 head-averaging oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from relgen.theory import (
     scaling_experiment,
     threshold_predict,
 )
+
+import reference
 
 
 # -- world construction ----------------------------------------------------------
@@ -189,8 +193,8 @@ def test_calibration_picks_from_the_grid():
 
 def test_calibration_without_a_finite_risk_raises(monkeypatch):
     # NaN compares False against the running best, so no grid value wins
-    monkeypatch.setattr(theory, "_threshold_risks",
-                        lambda world_args, bandwidth, seeds, n_eval: np.full(len(seeds), np.nan))
+    monkeypatch.setattr(theory, "_threshold_risks", lambda world_args, bandwidths, seeds, n_eval:
+                        np.full((len(seeds), len(bandwidths)), np.nan))
     with pytest.raises(ConfigError, match="finite mean excess risk"):
         calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=2)
     with pytest.raises(ConfigError, match="finite mean excess risk"):
@@ -243,15 +247,36 @@ def test_scaling_validates_arguments():
 
 def test_threshold_risks_equal_one_excess_risk_per_seed():
     world_args = (8, 2, 1.0, 20, 0.3)
-    seeds = [3, 9, 40]
-    for bandwidth in (0.0, 0.4, 5.0):
-        risks = theory._threshold_risks(world_args, bandwidth, seeds, 700)
-        for seed, risk in zip(seeds, risks):
-            w = sample_world(*world_args, seed=seed)
+    seeds, bandwidths = [3, 9, 40], (0.0, 0.4, 5.0, np.inf)
+    risks = theory._threshold_risks(world_args, bandwidths, seeds, 700)
+    assert risks.shape == (3, 4)
+    for seed, row in zip(seeds, risks):
+        w = sample_world(*world_args, seed=seed)
+        for bandwidth, risk in zip(bandwidths, row):
             est = threshold_predict(fit_heads(w), w.distances_to_test(), bandwidth)
             assert risk.hex() == excess_risk(est, w, 700, seed=seed + 1)[0].hex()
     with pytest.raises(ConfigError, match="n_eval"):
-        theory._threshold_risks(world_args, 0.4, seeds, 1)
+        theory._threshold_risks(world_args, [0.4], seeds, 1)
+
+
+def test_calibration_builds_each_held_out_world_once(monkeypatch):
+    calls = []
+    real = theory.sample_world
+    monkeypatch.setattr(theory, "sample_world", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=5,
+                        n_eval=200)
+    assert len(calls) == 5  # one per held-out seed, not one per seed and grid value
+
+
+@pytest.mark.parametrize("n", [10**17, 2**62, 2**63])
+def test_sizes_that_cannot_be_allocated_are_config_errors(n):
+    # 8 * 10**17 bytes exceed a 47-bit address space under any overcommit mode;
+    # past numpy's index range, np.empty raises ValueError instead of MemoryError
+    with pytest.raises(ConfigError, match=f"n_mc = {n} cannot be allocated"):
+        averaging_oracle(n)
+    with pytest.raises(ConfigError, match=f"n_eval = {n} cannot be allocated"):
+        scaling_experiment((4,), n_seeds=2, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0,
+                           n_eval=n, c0=1.0)
 
 
 def test_theory_outputs_keep_their_recorded_bits():
@@ -284,3 +309,24 @@ def test_averaging_oracle_matches_the_closed_form():
 def test_averaging_oracle_validates():
     with pytest.raises(ConfigError):
         averaging_oracle(1)
+
+
+@pytest.mark.parametrize(
+    "n_mc", [2, 10, 10_000, 65_535, 65_536, 65_537, 3 * 65_536 + 7, 10**6])
+def test_the_streamed_oracle_keeps_the_bits_of_two_whole_draws(n_mc):
+    assert theory.ORACLE_BLOCK == 65_536
+    for seed in (0, 1, 17):
+        got = averaging_oracle(n_mc, seed=seed)
+        want = reference.averaging_oracle(n_mc, seed=seed)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_the_oracle_holds_one_buffer_plus_a_block():
+    # 8 MB of values and a 0.5 MiB block; two whole draws and std() peak near 16 MiB
+    tracemalloc.start()
+    try:
+        averaging_oracle(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

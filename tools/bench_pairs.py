@@ -8,8 +8,11 @@ and quartiles of either side, the ratio of the medians and the number of pairs
 the change won, then every pair with both sides' results and environments.
 
     python3 tools/bench_pairs.py --runs DIR --label dg15_relational \\
-        --parent-sha SHA --change-sha SHA --note TEXT [--claim WORKLOAD] \\
+        --parent-sha SHA --change-sha SHA --note TEXT [--claim WORKLOAD[/METRIC]] \\
         [--seconds 25] [--out BENCH_dg15_relational.json]
+
+--claim names the workload and the end-to-end metric the change claims a
+gain in, e.g. ``theory-sweep/peak_rss_mb``; the metric defaults to work_per_s.
 
 Stdlib only, so it runs wherever perfbench/run.py does.
 """
@@ -24,7 +27,16 @@ import sys
 
 SIDES = ("parent", "change")
 METRICS = {"work_per_s": "higher", "run_s": "lower", "peak_rss_mb": "lower", "setup_s": "lower"}
-CLAIM_METRIC = "work_per_s"
+
+
+def parse_claim(claim: str) -> dict:
+    """{"workload", "metric"} of a WORKLOAD[/METRIC] claim; the metric is one of METRICS."""
+    workload, slash, metric = claim.partition("/")
+    metric = metric if slash else "work_per_s"
+    if not workload or metric not in METRICS:
+        raise ValueError(f"--claim {claim!r}: expected WORKLOAD[/METRIC], METRIC one of "
+                         f"{', '.join(METRICS)}")
+    return {"workload": workload, "metric": metric}
 
 
 def read_run(path: pathlib.Path) -> tuple[dict, dict]:
@@ -81,12 +93,13 @@ def summarise(pairs: list) -> dict:
 
 
 def build(cases: dict, args) -> dict:
+    claim = parse_claim(args.claim) if args.claim else None
     out = {
         "label": args.label,
         "parent_sha": args.parent_sha,
         "change_sha": args.change_sha,
         "note": args.note,
-        "claim": {"workload": args.claim, "metric": CLAIM_METRIC} if args.claim else None,
+        "claim": claim,
         "cases": [],
     }
     for workload, pairs in cases.items():
@@ -102,8 +115,8 @@ def build(cases: dict, args) -> dict:
             "summary": summarise(pairs),
             "pairs": pairs,
         })
-    if args.claim and args.claim not in cases:
-        raise ValueError(f"no runs of the claimed workload {args.claim!r}")
+    if claim and claim["workload"] not in cases:
+        raise ValueError(f"no runs of the claimed workload {claim['workload']!r}")
     return out
 
 
@@ -114,7 +127,8 @@ def main(argv=None) -> int:
     p.add_argument("--parent-sha", required=True)
     p.add_argument("--change-sha", required=True)
     p.add_argument("--note", default="")
-    p.add_argument("--claim", default=None, help="the workload whose work_per_s the change claims")
+    p.add_argument("--claim", default=None,
+                   help="WORKLOAD[/METRIC]: the metric (default work_per_s) the change claims")
     p.add_argument("--seconds", type=float, default=25.0, help="the --seconds the runs used")
     p.add_argument("--out", type=pathlib.Path, default=None)
     args = p.parse_args(argv)
