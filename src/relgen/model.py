@@ -31,14 +31,15 @@ from .fileio import atomic_writer
 from .nn import (
     Layer,
     Mlp,
+    Pass,
     adam_step,
     backward,
-    check_labels,
     cross_entropy,
     flatten,
     forward,
     init_opt_state,
     init_weight,
+    one_hot,
     softmax,
     split,
     stack_backward,
@@ -234,6 +235,20 @@ def _bound_copy(model, flat: np.ndarray):
     return twin
 
 
+def _planned(model, grad: np.ndarray | None = None):
+    """A shallow copy of the model, sharing its parameters, whose networks are Passes;
+    given grad, a buffer laid out like model.flat, they write their gradients into it."""
+    views = model.views(grad) if grad is not None else None
+    twin = copy.copy(model)
+    if isinstance(model, MultiHeadModel):
+        twin.relation_net = copy.copy(model.relation_net)
+        twin.relation_net.g = Pass(model.relation_net.g, views and views[3][:-1])
+    else:
+        twin.head = Pass(model.head, views and views[1])
+    twin.extractor = Pass(model.extractor, views and views[0])
+    return twin
+
+
 def _out_dim(dataset: DomainDataset) -> int:
     return dataset.n_classes if dataset.task == TASK_CLASSIFICATION else 1
 
@@ -268,33 +283,20 @@ def build_model(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
         raise ConfigError("need at least two training domains")
     out = _out_dim(dataset)
     k = len(train_ids)
-    extractor = Mlp.init(
-        [dataset.n_features, config.hidden_width],
-        ["relu"],
-        substream(config.seed, "init", "extractor"),
-    )
+    extractor = Mlp.init([dataset.n_features, config.hidden_width], ["relu"],
+                         substream(config.seed, "init", "extractor"))
     # one substream per head, so a head's init does not depend on K
     head_w = np.stack([
         init_weight(config.hidden_width, out, substream(config.seed, "init", "head", j))
         for j in range(k)
     ])
-    net = RelationNet.init(
-        dataset.meta_dim,
-        substream(config.seed, "init", "relations"),
-        width=config.relation_width,
-        n_heads=config.relation_heads,
-    )
-    return MultiHeadModel(
-        extractor, head_w, np.zeros((k, out)), net, train_ids, dataset.task, config.combine_space
-    )
+    net = RelationNet.init(dataset.meta_dim, substream(config.seed, "init", "relations"),
+                           width=config.relation_width, n_heads=config.relation_heads)
+    return MultiHeadModel(extractor, head_w, np.zeros((k, out)), net, train_ids, dataset.task,
+                          config.combine_space)
 
 
 # -- loss terms ---------------------------------------------------------------
-
-
-def _stack_heads(model: MultiHeadModel, x: np.ndarray):
-    phi, e_tape = forward(model.extractor, x)
-    return phi, e_tape, stack_forward(model.head_w, model.head_b, phi)  # outs: (K, n, c)
 
 
 def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int, ix: tuple):
@@ -322,27 +324,26 @@ def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int, ix: tuple):
     return u, divisor
 
 
-def _losses(model, outs, self_out, u, y, ix):
+def _losses(model, outs, self_out, u, y):
     """Both loss terms of a batch and their gradients w.r.t. the mixture space.
 
-    outs is (S, K, n, c), u (S, n, K) and y (S, n) targets as _targets
+    outs is (S, K, n, c), u (S, n, K) and y (S, n, c) targets as _targets
     returns them. In logit space (and for regression) the own-head outputs
     and the mixture share one loss pass over one (2, S, n, c) buffer. In
     prob space the mixture averages each head's softmax, p. Returns (lp,
     lrel, g_self, g_mix, mix, p), the losses being means over n and p None
     in logit space.
     """
-    n = y.shape[-1]
+    n = y.shape[-2]
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         losses, g_self = cross_entropy(outs[self_out], y)
         p = softmax(outs, axis=-1)  # (S, K, n, c)
         mix = np.einsum("...nk,...knc->...nc", u, p)
-        label_entry = ix + (y,)
-        picked = np.maximum(mix[label_entry], PROB_FLOOR)
+        picked = np.maximum(mix[y], PROB_FLOOR)  # each row's label entry, rows in C order
         g_mix = np.zeros_like(mix)
-        g_mix[label_entry] = -1.0 / (n * picked)
-        return (np.add.reduce(losses, axis=-1) / n, -np.add.reduce(np.log(picked), axis=-1) / n,
-                g_self, g_mix, mix, p)
+        g_mix[y] = -1.0 / (n * picked)
+        lrel = -np.add.reduce(np.log(picked).reshape(y.shape[:-1]), axis=-1) / n
+        return np.add.reduce(losses, axis=-1) / n, lrel, g_self, g_mix, mix, p
     both = np.empty((2,) + u.shape[:-1] + outs.shape[-1:])
     both[0] = outs[self_out]
     mix = np.einsum("...nk,...knc->...nc", u, outs, out=both[1])
@@ -356,15 +357,16 @@ class StepPlan:
     """What total_loss_and_grads reuses over the steps of one training run.
 
     grad is the gradient buffer and views its parameter views, one leading
-    row per model; the relations are max(fixed_part + share * learned, 0),
-    or the constant ``relations`` when the net is not read (beta 1 for
-    every row); d_a is the (S, K, K) buffer of their gradient and diagonal
-    a view of its diagonals; grids holds np.indices(shape, sparse=True) per
-    batch shape.
+    row per model; nets is the model _planned with grad; the relations are
+    max(fixed_part + share * learned, 0), or the constant ``relations``
+    when the net is not read (beta 1 for every row); d_a is the (S, K, K)
+    buffer of their gradient and diagonal a view of its diagonals; grids
+    holds np.indices(shape, sparse=True) per batch shape.
     """
 
     grad: np.ndarray
     views: tuple
+    nets: MultiHeadModel
     fixed_part: np.ndarray
     share: object
     relations: np.ndarray | None
@@ -393,16 +395,18 @@ def plan_step(model: MultiHeadModel, fixed: np.ndarray, beta: np.ndarray,
     constant = fuse(fixed, 0.0, 1.0) if (beta == 1.0).all() else None
     d_a = np.empty((s, k, k))
     diagonal = d_a.reshape(s, k * k)[:, :: k + 1]
-    return StepPlan(grad, model.views(grad), fixed_part, share, constant, d_a, diagonal)
+    return StepPlan(grad, model.views(grad), _planned(model, grad), fixed_part, share, constant,
+                    d_a, diagonal)
 
 
 def _targets(model, y) -> np.ndarray:
-    """Training targets as the losses read them: float64 values, or int64 class
-    labels checked against the model's outputs (a ValueError if out of range)."""
+    """Training targets as the losses read them, one row per example: a float64
+    column of values, or the one_hot mask of class labels checked against the
+    model's outputs (a ValueError if out of range)."""
     if model.task != TASK_CLASSIFICATION:
-        return np.asarray(y, dtype=np.float64)
+        return np.asarray(y, dtype=np.float64)[..., None]
     outputs = model.head_w.shape[-2] if isinstance(model, MultiHeadModel) else model.head.out_dim
-    return check_labels(y, outputs)
+    return one_hot(y, outputs)
 
 
 def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
@@ -410,11 +414,11 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
     """Training objective of S models with exact gradients for every parameter.
 
     The model is S stacked models (see stack_models), and every input holds
-    one row per model: the batch x (S, n, p) float64, y (S, n) as _targets
-    returns it and domain (S, n) int64; metas, the (S, K, m) meta-data; lam,
-    the (S,) consistency weights. plan is plan_step(model, fixed, beta,
-    grad), made once per training run, which holds the fixed relations,
-    beta and the gradient buffer. The relations are fuse(fixed, learned,
+    one row per model: the batch x (S, n, p) float64, y (S, n, c) as
+    _targets returns it and domain (S, n) int64; metas, the (S, K, m)
+    meta-data; lam, the (S,) consistency weights. plan is plan_step(model,
+    fixed, beta, grad), made once per training run, which holds the fixed
+    relations, beta, the planned passes and the gradient buffer. The relations are fuse(fixed, learned,
     beta), the learned matrix rebuilt from metas on every call so its
     gradients are exact; it is not built (and metas not read) when every
     beta is 1, and a row's (1 - beta) zeroes its relation-net gradient at
@@ -422,9 +426,9 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
     and plan.grad, laid out like model.flat.
     """
     x, y, dom = batch
-    g_ext, g_hw, g_hb, g_net = plan.views
+    _, g_hw, g_hb, g_net = plan.views
     k = len(model.head_domains)
-    net = model.relation_net
+    net = plan.nets.relation_net
     row_lam = lam[:, None, None]
 
     a, cache = plan.relations, None
@@ -434,13 +438,14 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
         a += plan.fixed_part
         np.maximum(a, 0.0, out=a)
 
-    phi, e_tape, outs = _stack_heads(model, x)  # outs: (S, K, n, c)
+    phi, e_tape = forward(plan.nets.extractor, x)
+    outs = stack_forward(model.head_w, model.head_b, phi)  # (S, K, n, c)
 
     ix = plan.grid(dom.shape)
     seeds, cols = ix
     self_out = (seeds, dom, cols)
     u, divisor = _consistency_weights(a, dom, k, ix)
-    lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y, ix)
+    lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y)
     g_mix *= row_lam
 
     # gradients w.r.t. head outputs (in mixture space first)
@@ -466,10 +471,10 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
         np.add.at(d_a, (seeds, dom), contrib)
         d_a *= a > 0.0  # clamp subgradient
         plan.diagonal.fill(0.0)
-        learned_matrix_backward(net, cache, plan.share * d_a, out=g_net)
+        learned_matrix_backward(net, cache, plan.share * d_a, out_w=g_net[-1])
 
     _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
-    backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
+    backward(plan.nets.extractor, e_tape, d_phi, input_grad=False)
     return lp + lam * lrel, (lp, lrel), plan.grad
 
 
@@ -594,17 +599,29 @@ def train(model, dataset, config):
 
 
 def _pooled_step(x, y, q=None):
-    """The _train_loop plan of pooled models on examples x, y, weighted by q (S, n) if given."""
+    """The _train_loop plan of pooled models on examples x, y (as _targets returns them): a
+    step's loss is the mean example loss, or sum(q * losses) / n given (S, n) weights q."""
 
     def plan(stack, grad):
-        views = stack.views(grad)
+        twin = _planned(stack, grad)
+        ext, head, task = twin.extractor, twin.head, stack.task
 
         def epoch(idx):
             xe, ye = x[idx], y[idx]
             qe = None if q is None else np.ascontiguousarray(q[:, idx])  # C order, see rw_finetune
-            return lambda lo, hi: (_pooled_loss_and_grads(
-                stack, xe[..., lo:hi, :], ye[..., lo:hi], None if qe is None else qe[:, lo:hi], views
-            ),)
+
+            def step(lo, hi):
+                phi, e_tape = forward(ext, xe[..., lo:hi, :])
+                out, h_tape = forward(head, phi)
+                losses, g = _example_losses(out, ye[..., lo:hi, :], task)
+                if qe is not None:
+                    losses *= qe[:, lo:hi]
+                    g *= qe[:, lo:hi, None]
+                _, d_phi = backward(head, h_tape, g)
+                backward(ext, e_tape, d_phi, input_grad=False)
+                return (np.add.reduce(losses, axis=-1) / losses.shape[-1],)
+
+            return step
 
         return epoch
 
@@ -712,7 +729,8 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != model.head_w.shape[:-2]:
         raise ValueError("need one weight per head")
-    outs = _stack_heads(model, x)[2]  # (..., K, n, c)
+    phi = forward(model.extractor, x)[0]
+    outs = stack_forward(model.head_w, model.head_b, phi)  # (..., K, n, c)
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         outs = softmax(outs, axis=-1)
     return np.einsum("...k,...knc->...nc", w, outs)
@@ -787,20 +805,11 @@ def build_erm(dataset: DomainDataset, config: TrainConfig) -> ErmModel:
     config.validate()
     if not dataset.ids_for_split("train"):
         raise ConfigError("no training domains")
-    return ErmModel(
-        extractor=Mlp.init(
-            [dataset.n_features + dataset.meta_dim, config.hidden_width],
-            ["relu"],
-            substream(config.seed, "init", "erm-extractor"),
-        ),
-        head=Mlp.init(
-            [config.hidden_width, _out_dim(dataset)],
-            ["identity"],
-            substream(config.seed, "init", "erm-head"),
-        ),
-        task=dataset.task,
-        meta_dim=dataset.meta_dim,
-    )
+    width, seed = config.hidden_width, config.seed
+    extractor = Mlp.init([dataset.n_features + dataset.meta_dim, width], ["relu"],
+                         substream(seed, "init", "erm-extractor"))
+    head = Mlp.init([width, _out_dim(dataset)], ["identity"], substream(seed, "init", "erm-head"))
+    return ErmModel(extractor, head, dataset.task, dataset.meta_dim)
 
 
 def train_erm(
@@ -821,37 +830,15 @@ def train_erm(
     return model, train(model, dataset, config)
 
 
-def _pooled_loss_and_grads(model: ErmModel, x, y, q, views) -> np.ndarray:
-    """Loss of each stacked pooled model on its batch; the gradient goes into views.
-
-    x is (S, n, p) and y (S, n), one batch per model, or (n, p) and (n,)
-    shared by all, y as _targets returns it; views is model.views of the
-    gradient buffer. q, if given, holds (S, n) example weights, and the loss
-    is then sum(q * losses) / n. Returns the (S,) losses.
-    """
-    g_ext, g_head = views
-    phi, e_tape = forward(model.extractor, x)
-    out, h_tape = forward(model.head, phi)
-    losses, g = _example_losses(out, y, model.task)
-    if q is None:
-        loss = np.add.reduce(losses, axis=-1) / losses.shape[-1]
-    else:
-        loss = np.add.reduce(q * losses, axis=-1) / losses.shape[-1]
-        g *= q[..., None]
-    _, d_phi = backward(model.head, h_tape, g, out=g_head)
-    backward(model.extractor, e_tape, d_phi, out=g_ext, input_grad=False)
-    return loss
-
-
 def _example_losses(out: np.ndarray, y: np.ndarray, task: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-example losses and the gradient of their mean w.r.t. out.
 
     out is (..., n, c) and y, as _targets returns it, has a trailing part
-    of out's leading axes, e.g. (n,); the mean runs over the n examples.
+    of out's shape, e.g. (n, c); the mean runs over the n examples.
     """
     if task == TASK_CLASSIFICATION:
         return cross_entropy(out, y)
-    diff = out - y[..., None]
+    diff = out - y
     return diff[..., 0] * diff[..., 0], (2.0 / diff.shape[-2]) * diff
 
 
@@ -868,10 +855,12 @@ def rw_finetune(
     holding one nonnegative weight per training domain (in
     ids_for_split("train") order). A copy's example losses are scaled by
     their domain's weight in its row, normalized to mean one over the
-    training set, so zero-weight domains contribute nothing. The T copies
-    train in lockstep and draw the same shuffle, so they share each input
-    batch; targets names them in error messages and warnings. Returns the T models; with
-    finetune_epochs == 0 each equals the input.
+    training set, so zero-weight domains contribute nothing. Each distinct
+    row (bit for bit) is tuned once, named after its first target in error
+    messages; the tunes train in lockstep and draw the same shuffle, so
+    they share each input batch. targets names the rows in warnings.
+    Returns T independent models; with finetune_epochs == 0 each equals
+    the input.
     """
     config.validate()
     check_fits(erm, dataset)
@@ -880,24 +869,28 @@ def rw_finetune(
         raise ValueError("need one row of relation weights per target, "
                          "one weight per training domain")
     w = normalize_rows(relation_weights, targets)
+    first: dict[bytes, int] = {}  # each distinct row's first target
+    which = [first.setdefault(row.tobytes(), j) for j, row in enumerate(w)]
+    keep = list(first.values())
     feats, y, dom = _pooled_features(dataset, train_ids)
     y = _targets(erm, y)
     # w[:, dom], and q[:, idx] in each epoch, index the last axis, which numpy
     # returns column major; each row of a C-order block is summed pairwise, as
     # a lone row is, so every fine-tune keeps the bits of a run of its own
-    q = np.ascontiguousarray(w[:, dom])
+    q = np.ascontiguousarray(w[keep][:, dom])
     q = q * (len(dom) / q.sum(axis=-1, keepdims=True))
-    tuned = [_bound_copy(erm, erm.flat.copy()) for _ in w]
+    tuned = dict(zip(keep, [_bound_copy(erm, erm.flat.copy()) for _ in keep]))
     _train_loop(
-        tuned,
+        list(tuned.values()),
         config,
         config.finetune_epochs,
         lambda epoch: substream(config.seed, "rwft", "shuffle", epoch).permutation(len(y)),
         _pooled_step(feats, y, q),
         ("loss",),
-        [f"the fine-tune for domain {t!r}" for t in targets],
+        [f"the fine-tune for domain {targets[j]!r}" for j in keep],
     )
-    return tuned
+    return [tuned[i] if i == j else _bound_copy(tuned[i], tuned[i].flat.copy())
+            for j, i in enumerate(which)]
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -1035,7 +1028,7 @@ class _SplitGroup:
     def __init__(self, models, rows: list[int], dataset: DomainDataset, mode, split: str):
         self.rows = rows
         template = models[rows[0]]  # score() loads the rows into the copy's buffer
-        self.model = _bound_copy(template, np.empty((len(rows),) + template.flat.shape))
+        self.model = _planned(_bound_copy(template, np.empty((len(rows),) + template.flat.shape)))
         self.ids = dataset.ids_for_split(split)
         self.xs, self.ys = zip(*[dataset.domain_arrays(d) for d in self.ids])
         if not isinstance(self.model, MultiHeadModel):

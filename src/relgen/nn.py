@@ -1,10 +1,10 @@
 """Dense-network building blocks.
 
-MLP forward/backward passes with hand-derived gradients, a batched pass
-for a stack of linear layers that share one input (the per-domain heads),
-softmax with the cross-entropy and squared-error losses, Adam with
-decoupled weight decay, and a helper that cuts one flat parameter buffer
-into array views.
+MLP forward/backward passes with hand-derived gradients, planned once
+per network for many calls (Pass), a batched pass for a stack of linear
+layers that share one input (the per-domain heads), softmax with the
+cross-entropy and squared-error losses, Adam with decoupled weight decay,
+and a helper that cuts one flat parameter buffer into array views.
 
 The passes broadcast over leading axes: a network whose weights are
 (S, out, in) and biases (S, out) is S networks run at once, on S input
@@ -101,67 +101,71 @@ def init_weight(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(d_out, d_in))
 
 
-@dataclass
-class Tape:
-    """Per-layer forward cache of one batch: (input, pre-activation, activation)."""
+class Pass:
+    """A network's forward and backward pass, planned and checked once for many calls.
 
-    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Evaluate the network on a float64 (..., n, in) batch of rows.
-
-    Returns the (..., n, out) output and the tape for backward. A single
-    row is the batch x[None]; fewer than two axes or the wrong width is a
-    ValueError.
+    steps holds each layer's (transposed weight, bias as a (..., 1, out)
+    row, activation) for forward, back each layer's (index, weight,
+    activation) in backward's order, and grads the arrays backward writes
+    into, in Mlp.params() order (None for a forward-only pass). All are
+    views, so in-place updates (an Adam step on their buffers) show through.
     """
-    layers = mlp.layers
-    if x.ndim < 2:
-        raise ValueError(f"expected a (..., n, {mlp.in_dim}) batch of rows, got shape {x.shape}")
-    if x.shape[-1] != layers[0].w.shape[-1]:
-        raise ValueError(f"input dim {x.shape[-1]} != network dim {mlp.in_dim}")
-    h, steps = x, []
-    for layer in layers:
-        z = np.matmul(h, layer.w.swapaxes(-1, -2))
-        z += layer.b[..., None, :]
-        act = layer.act
-        a = np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z
-        steps.append((h, z, a))
+
+    def __init__(self, mlp: Mlp, grads=None):
+        if grads is not None and [g.shape for g in grads] != [p.shape for p in mlp.params()]:
+            raise ValueError("gradient arrays must match the network's parameters")
+        self.layers, self.in_dim = mlp.layers, mlp.in_dim  # perfbench's tracer reads layers
+        self.steps = [(v.w.swapaxes(-1, -2), v.b[..., None, :], v.act) for v in mlp.layers]
+        self.back = [(k, v.w, v.act) for k, v in enumerate(mlp.layers)][::-1]
+        self.grads = grads
+
+
+def forward(net, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Evaluate an Mlp or its Pass on a float64 (..., n, in) batch of rows.
+
+    Returns the (..., n, out) output and the tape for backward, each
+    layer's (input, activation computed in place). A single row is x[None];
+    for an Mlp, fewer than two axes or the wrong width is a ValueError (a
+    Pass's callers check their data once, see model.check_fits).
+    """
+    planned = isinstance(net, Pass)
+    p = net if planned else Pass(net)
+    if not planned and (x.ndim < 2 or x.shape[-1] != p.in_dim):
+        raise ValueError(f"expected a (..., n, {p.in_dim}) batch of rows (input dim {p.in_dim}), "
+                         f"got shape {x.shape}")
+    h, tape = x, []
+    for wt, b, act in p.steps:
+        z = np.matmul(h, wt)
+        z += b
+        a = np.maximum(z, 0.0, out=z) if act == "relu" else np.tanh(z, out=z) if act == "tanh" else z
+        tape.append((h, a))
         h = a
-    return h, Tape(steps)
+    return h, tape
 
 
-def backward(
-    mlp: Mlp,
-    tape: Tape,
-    grad_output: np.ndarray,
-    out: list[np.ndarray] | None = None,
-    input_grad: bool = True,
-) -> tuple[list[np.ndarray], np.ndarray | None]:
+def backward(net, tape: list, grad_output: np.ndarray,
+             input_grad: bool = True) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of (output . grad_output) w.r.t. params and input.
 
-    grad_output is a float64 array shaped like forward's output. Returns
-    (grads, grad_x) with grads ordered like Mlp.params(). Given out,
-    arrays shaped like those grads, the gradients are written into them.
-    With input_grad=False the input gradient is skipped and grad_x is None.
+    net is the Mlp or Pass that forward made the tape with, and grad_output
+    a float64 array shaped like forward's output. Returns (grads, grad_x),
+    grads being the Pass's gradient arrays (new ones for an Mlp), written
+    in Mlp.params() order. With input_grad=False the input gradient is
+    skipped and grad_x is None. An Mlp's tape is checked against it.
     """
-    layers, steps = mlp.layers, tape.steps
-    if len(steps) != len(layers):
-        raise ValueError("tape does not match this network (stale tape?)")
-    g = grad_output
-    grads = out if out is not None else [None] * (2 * len(layers))
-    for k in range(len(layers) - 1, -1, -1):
-        layer = layers[k]
-        x_in, z, a = steps[k]
-        if z.shape[-2:] != g.shape[-2:] or x_in.shape[-1] != layer.w.shape[-1]:
+    planned = isinstance(net, Pass)
+    p = net if planned else Pass(net, [np.empty_like(q) for q in net.params()])
+    g, grads = grad_output, p.grads
+    for k, w, act in p.back:
+        x_in, a = tape[k]  # relu's a > 0 where its input z > 0
+        if not planned and (a.shape[-2:] != g.shape[-2:] or x_in.shape[-1] != w.shape[-1]):
             raise ValueError("tape does not match this network (stale tape?)")
-        act = layer.act
-        dz = g * (z > 0.0) if act == "relu" else g * (1.0 - a * a) if act == "tanh" else g
-        grads[2 * k] = np.matmul(dz.swapaxes(-1, -2), x_in, out=grads[2 * k])
-        grads[2 * k + 1] = np.add.reduce(dz, axis=-2, out=grads[2 * k + 1])
+        dz = g * (a > 0.0) if act == "relu" else g * (1.0 - a * a) if act == "tanh" else g
+        np.matmul(dz.swapaxes(-1, -2), x_in, out=grads[2 * k])
+        np.add.reduce(dz, axis=-2, out=grads[2 * k + 1])
         if k == 0 and not input_grad:
             return grads, None
-        g = dz @ layer.w
+        g = dz @ w
     return grads, g
 
 
@@ -233,30 +237,30 @@ def loss_ce_rows(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels)
     if logits.ndim < 2 or labels.shape != logits.shape[:-1]:
         raise ValueError("cross-entropy expects (n, k) logits and (n,) labels")
-    return cross_entropy(logits, check_labels(labels, logits.shape[-1]))
+    return cross_entropy(logits, one_hot(labels, logits.shape[-1]))
 
 
-def check_labels(labels, n_outputs: int) -> np.ndarray:
-    """Class labels as int64; a ValueError unless each lies in [0, n_outputs)."""
+def one_hot(labels, n_outputs: int) -> np.ndarray:
+    """The (..., n_outputs) boolean mask of class labels; a ValueError unless each lies in
+    [0, n_outputs)."""
     labels = np.asarray(labels).astype(np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_outputs:
         raise ValueError("label out of range")
-    return labels
+    return labels[..., None] == np.arange(n_outputs)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """loss_ce_rows for labels that check_labels has passed.
+def cross_entropy(logits: np.ndarray, hot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """loss_ce_rows for the labels' one_hot mask.
 
-    The labels' shape may be a trailing part of the logits' leading axes,
-    e.g. (n,) labels for a (2, n, k) stack of two logit sets. One exp feeds
-    both the log-sum-exp and the softmax in the gradient.
+    The mask's shape may be a trailing part of the logits' shape, e.g. (n,
+    k) for a (2, n, k) stack of two logit sets. One exp feeds both the
+    log-sum-exp and the softmax in the gradient.
     """
     m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits - m)
     total = np.add.reduce(e, axis=-1, keepdims=True)
     lse = (m + np.log(total))[..., 0]
     grad = e / total
-    hot = labels[..., None] == np.arange(logits.shape[-1])
     grad -= hot
     grad /= logits.shape[-2]
     picked = logits[(slice(None),) * (logits.ndim - hot.ndim) + (hot,)]  # each row's label entry

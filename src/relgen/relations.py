@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import write_csv
-from .nn import Mlp, Tape, backward, forward
+from .nn import Mlp, backward, forward
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +85,7 @@ class RelationNet:
 @dataclass
 class LearnedMatrixCache:
     reps: np.ndarray  # (..., K, s) embeddings
-    tape: Tape
+    tape: list  # forward's tape of g
     unit: np.ndarray  # (..., K, R, s) row-normalized masked embeddings, domain-major
     divisor: np.ndarray  # (..., K, R, 1) norms, inf where zero, so a zero embedding divides to 0
     block: np.ndarray  # unit as (..., K, R*s) rows
@@ -116,15 +116,15 @@ def learned_matrix(net: RelationNet, metas) -> tuple[np.ndarray, LearnedMatrixCa
 
 
 def learned_matrix_backward(
-    net: RelationNet, cache: LearnedMatrixCache, d_a_l: np.ndarray, out: list | None = None
+    net: RelationNet, cache: LearnedMatrixCache, d_a_l: np.ndarray, out_w: np.ndarray | None = None
 ) -> list[np.ndarray]:
     """Gradients of sum(d_a_l * A_l) w.r.t. RelationNet.params().
 
     d_a_l entries are treated independently; the caller is responsible for
-    zeroing the diagonal, which is constant and carries no gradient. Given
-    out, arrays shaped like the gradients, they are written into it.
+    zeroing the diagonal, which is constant and carries no gradient. The
+    gradients of g go where backward(net.g, ...) puts them (into a Pass's
+    gradient arrays), and the mask vectors' gradient into out_w, if given.
     """
-    out = out if out is not None else [None] * len(net.params())
     unit = cache.unit
     d_a_l = np.asarray(d_a_l, dtype=np.float64) / net.w.shape[-2]
     # A_l = U U^T, so d U = (D + D^T) U on the (K, R*s) block
@@ -133,9 +133,9 @@ def learned_matrix_backward(
     # back through row normalization u = m / |m|
     inner = np.add.reduce(d_unit * unit, axis=-1, keepdims=True)
     d_masked = (d_unit - inner * unit) / cache.divisor
-    d_w = np.einsum("...krs,...ks->...rs", d_masked, cache.reps, out=out[-1])  # (..., R, s)
+    d_w = np.einsum("...krs,...ks->...rs", d_masked, cache.reps, out=out_w)  # (..., R, s)
     d_reps = np.einsum("...krs,...rs->...ks", d_masked, net.w)  # (..., K, s)
-    g_grads, _ = backward(net.g, cache.tape, d_reps, out=out[:-1], input_grad=False)
+    g_grads, _ = backward(net.g, cache.tape, d_reps, input_grad=False)
     return g_grads + [d_w]
 
 

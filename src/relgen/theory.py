@@ -148,14 +148,14 @@ def bandwidth_schedule(c0: float, n_per_domain: int, n_domains: int, r: int) -> 
     return float(c0) * float(n_per_domain * n_domains) ** (-1.0 / (r + 2))
 
 
-def _empty(n: int, name: str) -> np.ndarray:
-    """An uninitialised float64 buffer of n values.
+def _empty(n: int, name: str, *rest: int) -> np.ndarray:
+    """An uninitialised float64 buffer of shape (n, *rest).
 
     A size numpy cannot allocate (a MemoryError, or a ValueError for a size
-    past its index range) is a ConfigError naming the parameter.
+    past its index range) is a ConfigError naming the parameter of n.
     """
     try:
-        return np.empty(n)
+        return np.empty((n, *rest))
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"{name} = {n} cannot be allocated ({exc})") from None
 
@@ -245,6 +245,8 @@ def scaling_experiment(
         raise ConfigError(f"domain counts must be at least 1, got {domain_grid}")
     if c0 is not None and not 0.0 < c0 < np.inf:
         raise ConfigError(f"c0 must be finite and positive, got {c0}")
+    # sizes too large to allocate fail here, before any work (n <= 0 fails in bandwidth_schedule)
+    _empty(n_seeds, "n_seeds"), _empty(max(n_per_domain, 0), "n_per_domain", max(domain_grid))
     if c0 is None:
         mid = domain_grid[len(domain_grid) // 2]
         c0 = calibrate_bandwidth(r, n_per_domain, noise, lipschitz, mid, seed=seed + 999_331)

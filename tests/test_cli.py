@@ -695,7 +695,8 @@ def test_theory_rejects_non_positive_sizes(tmp_path, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,name", [("--mc", "n_mc"), ("--n-eval", "n_eval")])
+@pytest.mark.parametrize("flag,name", [("--mc", "n_mc"), ("--n-eval", "n_eval"),
+                                       ("--n-seeds", "n_seeds"), ("--n", "n_per_domain")])
 def test_theory_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, flag, name):
     # 8 * 10**17 bytes exceed a 47-bit address space, so no overcommit mode maps them
     out = tmp_path / "t"

@@ -1270,6 +1270,34 @@ def test_lockstep_rw_finetune_equals_one_call_per_row(data, finetune_epochs):
     assert (tuned[0].flat.tobytes() == erm.flat.tobytes()) == (finetune_epochs == 0)
 
 
+def test_rw_finetune_trains_each_distinct_row_once(monkeypatch):
+    """On a 6x6 grid's test split, 6 of the 9 fixed relation rows fall back to uniform
+    weights and 4 rows are distinct: 4 fine-tunes train, and every target gets an
+    independent model with the bits of its own one-row call."""
+    ds = gen_spatial_regression(0, n_rows=6, n_cols=6, n_per_domain=6)
+    cfg = TrainConfig(lr=1e-3, epochs=1, finetune_epochs=2)
+    erm, _ = train_erm(ds, cfg)
+    ids = ds.ids_for_split("test")
+    rows = ds.fixed_between(ids, ds.ids_for_split("train"))
+    assert len(ids) == 9 and len(np.unique(normalize_rows(rows), axis=0)) == 4
+    trained = []
+    real_loop = model_module._train_loop
+
+    def loop(models, *args):
+        trained.append(len(models))
+        return real_loop(models, *args)
+
+    monkeypatch.setattr(model_module, "_train_loop", loop)
+    tuned = rw_finetune(erm, ds, rows, cfg, ids)
+    assert trained == [4]
+    assert len(tuned) == 9
+    for j, (row, d, t) in enumerate(zip(rows, ids, tuned)):
+        (one,) = rw_finetune(erm, ds, row[None], cfg, [d])
+        assert one.flat.tobytes() == t.flat.tobytes()
+        assert not any(np.shares_memory(t.flat, u.flat) for u in tuned[:j])
+    assert trained == [4] + [1] * 9
+
+
 def test_rwft_predictor_tunes_a_split_in_one_call(monkeypatch):
     """evaluate tunes a split's copies in one rw_finetune call and scores each on its own
     domain, calling no score; each domain's value has the bits of its own copy tuned and

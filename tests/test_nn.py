@@ -16,14 +16,17 @@ from relgen.nn import (
     ADAM_EPS,
     Layer,
     Mlp,
+    Pass,
     adam_step,
     backward,
+    cross_entropy,
     flatten,
     forward,
     init_opt_state,
     loss_ce_batch,
     loss_ce_rows,
     loss_mse,
+    one_hot,
     softmax,
     split,
     stack_backward,
@@ -153,7 +156,7 @@ def test_skipping_the_input_gradient_keeps_every_parameter_gradient(dims, acts, 
     _, tape = forward(net, x)
     full, gx = backward(net, tape, g)
     buffer = [np.full(p.shape, np.nan) for p in net.params()]
-    grads, none = backward(net, tape, g, out=buffer, input_grad=False)
+    grads, none = backward(Pass(net, buffer), tape, g, input_grad=False)
     assert gx is not None and none is None
     assert all(a is b for a, b in zip(grads, buffer))
     for got, want in zip(grads, full):
@@ -166,6 +169,51 @@ def test_backward_rejects_stale_tape():
     _, tape = forward(other, np.zeros((1, 3)))
     with pytest.raises(ValueError, match="stale"):
         backward(mlp, tape, np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("acts", [["relu"], ["tanh"], ["identity"], ["tanh", "relu"],
+                                  ["relu", "identity"], ["identity", "tanh"]])
+@pytest.mark.parametrize("seeds", [None, 3], ids=["(n,p)", "(S,n,p)"])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_a_pass_stays_live_across_in_place_adam_updates(acts, seeds, input_grad):
+    """A Pass planned once, on a network whose parameters and gradients are views of two
+    flat buffers, gives the bits of fresh forward/backward calls after every Adam step."""
+    rng = np.random.default_rng(len(acts) * 7 + (seeds or 0))
+    lead = () if seeds is None else (seeds,)
+    dims = [4, 5, 3][: len(acts) + 1]
+    net = Mlp.init(dims, acts, rng)
+    shapes = [p.shape for p in net.params()]
+    buf = rng.normal(size=lead + (sum(math.prod(s) for s in shapes),))
+    grad = np.full_like(buf, np.nan)
+    views = iter(split(buf, shapes))
+    for layer in net.layers:
+        layer.w, layer.b = next(views), next(views)
+    planned = Pass(net, split(grad, shapes))
+    opt = init_opt_state([buf])
+    for step in range(4):
+        x = rng.normal(size=lead + (6, dims[0]))
+        g = rng.normal(size=lead + (6, dims[-1]))
+        out, tape = forward(planned, x)
+        grads, gx = backward(planned, tape, g, input_grad=input_grad)
+        fresh_out, fresh_tape = forward(net, x)
+        fresh_grads, fresh_gx = backward(net, fresh_tape, g, input_grad=input_grad)
+        assert out.tobytes() == fresh_out.tobytes()
+        assert all(np.shares_memory(a, grad) for a in grads)
+        for got, want in zip(grads, fresh_grads):
+            assert got.tobytes() == want.tobytes()
+        assert (gx is None) == (fresh_gx is None) == (not input_grad)
+        assert gx is None or gx.tobytes() == fresh_gx.tobytes()
+        before = buf.copy()
+        adam_step([buf], [grad], opt, lr=0.1)
+        assert not np.array_equal(before, buf)  # the weights did move under the plan
+
+
+def test_a_pass_checks_its_gradient_arrays():
+    mlp = small_mlp()
+    with pytest.raises(ValueError, match="gradient arrays"):
+        Pass(mlp, [np.empty(p.shape) for p in mlp.params()[:-1]])
+    with pytest.raises(ValueError, match="gradient arrays"):
+        Pass(mlp, [np.empty(p.shape + (1,)) for p in mlp.params()])
 
 
 def test_grad_check_flags_a_wrong_gradient():
@@ -220,6 +268,30 @@ def test_ce_label_validation():
         loss_ce_batch(np.zeros((2, 2)), np.array([0, 3]))
     with pytest.raises(ValueError):
         ce_one_row(np.zeros((2, 2)), 0)
+
+
+@pytest.mark.parametrize("case", ["(n,c)", "(S,n,c)/(n,)", "(S,n,c)/(S,n)", "(2,S,n,c)"])
+def test_a_per_epoch_mask_sliced_per_batch_keeps_the_bits_of_loss_ce_rows(case):
+    """The one_hot mask gathered once per epoch and sliced per batch, as training
+    does, gives cross_entropy the bits loss_ce_rows gets from the batch's labels."""
+    rng = np.random.default_rng(len(case))
+    s, n, c, size = 3, 23, 4, 10
+    per_row = case in ("(S,n,c)/(S,n)", "(2,S,n,c)")
+    labels = rng.integers(0, c, size=(s, n) if per_row else n)
+    if per_row:
+        idx = np.stack([rng.permutation(n) for _ in range(s)])
+        ye, me = (a[np.arange(s)[:, None], idx] for a in (labels, one_hot(labels, c)))
+    else:
+        idx = rng.permutation(n)
+        ye, me = labels[idx], one_hot(labels, c)[idx]
+    lead = {"(n,c)": (), "(2,S,n,c)": (2, s)}.get(case, (s,))
+    for lo in range(0, n, size):
+        hi = lo + size
+        logits = rng.normal(size=lead + (min(hi, n) - lo, c)) * 5.0
+        losses, grad = cross_entropy(logits, me[..., lo:hi, :])
+        want, want_grad = loss_ce_rows(logits, np.broadcast_to(ye[..., lo:hi], logits.shape[:-1]))
+        assert losses.tobytes() == want.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_ce_gradient_against_finite_differences():
@@ -399,7 +471,7 @@ def test_seed_axis_passes_match_each_network_bit_for_bit(shared_input):
     g = rng.normal(size=(3, 7, 2))
     out, tape = forward(stacked, x)
     buffer = [np.full((3,) + p.shape, np.nan) for p in nets[0].params()]
-    grads, gx = backward(stacked, tape, g, out=buffer)
+    grads, gx = backward(Pass(stacked, buffer), tape, g)
     assert all(a is b for a, b in zip(grads, buffer))
     for s, net in enumerate(nets):
         o, t = forward(net, x if shared_input else x[s])

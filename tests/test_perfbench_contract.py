@@ -49,3 +49,25 @@ def test_workload_names_match_the_benchmark():
     workloads = _load("workloads")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert set(workloads.WORKLOADS) == {w["name"] for w in declared}
+
+
+def test_the_tracer_sees_planned_passes_by_role():
+    """The network spans read the role from args[0].layers[0].act; training runs
+    through planned passes (nn.Pass), and each role's calls still count."""
+    tracer = _load("tracer")
+    from relgen.data import gen_dg15
+    from relgen.model import TrainConfig, build_erm, build_model, train
+
+    ds = gen_dg15(0, n_per_class=6)
+    cfg = TrainConfig(lr=1e-3, epochs=1)
+    probe = tracer.Tracer()
+    probe.install()
+    try:
+        train(build_erm(ds, cfg), ds, cfg)
+        train(build_model(ds, cfg), ds, cfg)
+    finally:
+        probe.uninstall()
+    spans = [probe.names[i] for i in probe.arrays()["name"]]
+    for fn in tracer.NETWORK_FUNCTIONS:
+        for role in tracer.NETWORK_ROLES.values():
+            assert spans.count(f"nn.{fn}.{role}") > 0, f"nn.{fn}.{role}"
