@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .fileio import write_csv
-from .rng import substream
+from .rng import substream, substreams
 
 C0_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -53,25 +53,31 @@ def sample_world(
     lipschitz: float,
     n_per_domain: int,
     noise: float,
-    seed: int,
+    seed: int | None = None,
+    *,
+    rngs: tuple[np.random.Generator, np.random.Generator] | None = None,
 ) -> LatentWorld:
     """Draw latent positions uniformly in [0, 1]^r and per-domain data.
 
     Inputs are uniform on [-1, 1] so the sup-norm gap between two domains'
     predictors is exactly |slope_i - slope_j| <= lipschitz * |Z_i - Z_j|.
     With lipschitz == 0 every domain shares the same (zero) predictor.
+
+    The latent draws come from seed's ("world", "latent") stream and the data
+    from its ("world", "data") stream. rngs, a (latent, data) pair of those
+    generators, replaces seed: the sweep passes the re-keyed generators of
+    rng.substreams, whose draws are the same bits.
     """
     if n_domains < 1 or r < 1 or n_per_domain < 2:
         raise ConfigError("need n_domains >= 1, r >= 1, n_per_domain >= 2")
     if not (0.0 <= lipschitz < np.inf and 0.0 <= noise < np.inf):
         raise ConfigError("lipschitz and noise must be finite and nonnegative")
-    rng = substream(seed, "world", "latent")
+    rng, data_rng = rngs or (substream(seed, "world", "latent"), substream(seed, "world", "data"))
     z_train = rng.uniform(0.0, 1.0, size=(n_domains, r))
     z_test = rng.uniform(0.0, 1.0, size=r)
     anchor = rng.uniform(0.0, 1.0, size=r)
     slopes = _slope(z_train, anchor, lipschitz)
     slope_test = float(_slope(z_test, anchor, lipschitz))
-    data_rng = substream(seed, "world", "data")
     x = data_rng.uniform(-1.0, 1.0, size=(n_domains, n_per_domain))
     y = slopes[:, None] * x + noise * data_rng.normal(size=(n_domains, n_per_domain))
     return LatentWorld(z_train, z_test, anchor, lipschitz, noise, slopes, slope_test, x, y)
@@ -99,12 +105,12 @@ def threshold_predict(slopes_hat: np.ndarray, dists: np.ndarray, bandwidth: floa
     return float(slopes_hat[mask].mean())
 
 
-def _eval_draws(seed: int, noise: float, x: np.ndarray, eps: np.ndarray) -> None:
-    """Fill x with U[-1, 1) inputs and eps with noise * N(0, 1) from seed's excess-risk stream.
+def _eval_draws(rng: np.random.Generator, noise: float, x: np.ndarray, eps: np.ndarray) -> None:
+    """Fill x with U[-1, 1) inputs and eps with noise * N(0, 1) from rng, a seed's
+    excess-risk stream.
 
     Bit-identical to uniform(-1, 1) and noise * normal() on the same stream.
     """
-    rng = substream(seed, "excess-risk")
     rng.random(out=x)
     x *= 2.0
     x -= 1.0
@@ -126,7 +132,7 @@ def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tu
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
     x, eps = np.empty(n_eval), np.empty(n_eval)
-    _eval_draws(seed, world.noise, x, eps)
+    _eval_draws(substream(seed, "excess-risk"), world.noise, x, eps)
     signal = world.slope_test * x
     yhat = predictor(x) if callable(predictor) else float(predictor) * x
     # subtract the signal before the noise so the true head cancels exactly
@@ -167,16 +173,21 @@ def _threshold_risks(world_args: tuple, bandwidths, seeds, n_eval: int) -> np.nd
     Each entry equals excess_risk(...)[0] bit for bit: the same ops in the
     same order, run in place. A seed's world, fits and draws are made once
     for all bandwidths; the draws, the signal, |eps| and the difference each
-    have a buffer shared by all seeds.
+    have a buffer shared by all seeds. The three streams of a seed, its
+    world's latent and data streams and the excess-risk stream of seed + 1,
+    come from rng.substreams: one re-keyed generator per stream for all
+    seeds, with the bits of the substream each would build.
     """
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
     x, eps, signal, abs_eps, diff = (_empty(n_eval, "n_eval") for _ in range(5))
     risks = np.empty((len(seeds), len(bandwidths)))
-    for i, seed in enumerate(seeds):
-        world = sample_world(*world_args, seed=seed)
+    streams = zip(substreams(seeds, "world", "latent"), substreams(seeds, "world", "data"),
+                  substreams((seed + 1 for seed in seeds), "excess-risk"))
+    for i, (latent_rng, data_rng, eval_rng) in enumerate(streams):
+        world = sample_world(*world_args, rngs=(latent_rng, data_rng))
         slopes_hat, dists = fit_heads(world), world.distances_to_test()
-        _eval_draws(seed + 1, world.noise, x, eps)
+        _eval_draws(eval_rng, world.noise, x, eps)
         np.multiply(x, world.slope_test, out=signal)
         np.abs(eps, out=abs_eps)
         for j, bandwidth in enumerate(bandwidths):
@@ -245,8 +256,10 @@ def scaling_experiment(
         raise ConfigError(f"domain counts must be at least 1, got {domain_grid}")
     if c0 is not None and not 0.0 < c0 < np.inf:
         raise ConfigError(f"c0 must be finite and positive, got {c0}")
-    # sizes too large to allocate fail here, before any work (n <= 0 fails in bandwidth_schedule)
+    # sizes too large to allocate fail here, before any work (n <= 0 and r < 1 fail in
+    # bandwidth_schedule): the risks, and sample_world's (N, n) data and (N, r) latents
     _empty(n_seeds, "n_seeds"), _empty(max(n_per_domain, 0), "n_per_domain", max(domain_grid))
+    _empty(max(r, 0), "r", max(domain_grid))
     if c0 is None:
         mid = domain_grid[len(domain_grid) // 2]
         c0 = calibrate_bandwidth(r, n_per_domain, noise, lipschitz, mid, seed=seed + 999_331)

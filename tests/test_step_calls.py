@@ -1,5 +1,5 @@
 """tools/step_calls.py: calls per training step, per score call and per scoring of
-prebuilt groups of its three configs, on tiny data."""
+prebuilt groups of its three configs, and calls per theory sweep cell, on tiny data."""
 
 import importlib.util
 import math
@@ -17,7 +17,7 @@ def test_each_config_reports_its_calls_per_step(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["config", "steps", "calls", "calls/step", "calls/score",
                                 "calls/scored"]
-    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:1 + len(step_calls.CONFIGS)]}
     assert list(rows) == list(step_calls.CONFIGS)
     for name, (steps, calls, per_step, per_score, per_scored) in rows.items():
         ds = step_calls.dataset(step_calls.CONFIGS[name][0], small=True)
@@ -26,6 +26,10 @@ def test_each_config_reports_its_calls_per_step(capsys):
         assert float(per_step) == round(int(calls) / int(steps), 1) > 0
         assert 0 < int(per_score) < int(calls)
         assert 0 < int(per_scored) < int(per_score)  # the groups are built beforehand
+    assert lines[-3:-1] == ["", f"{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10}"]
+    name, cells, calls, per_cell = lines[-1].split()
+    assert name == "theory-sweep" and int(cells) == 2 * 3  # the small sweep's (N, seed) cells
+    assert float(per_cell) == round(int(calls) / int(cells), 1) > 0
 
 
 

@@ -11,9 +11,15 @@ models, the scorer alone. ``calls/scored`` counts only the scoring part of
 that call, ``_score_groups`` on groups built beforehand, so that a change
 to the scorer is not diluted by the cost of building its groups.
 
+A second table counts the calls of one theory sweep (``scaling_experiment``
+at the sizes of the perfbench theory-sweep workload, c0 calibrated, seed 0)
+per (domain count, seed) cell; the calibration's held-out cells are not
+counted as cells.
+
     python3 tools/step_calls.py [--epochs 3] [--small]
 
-``--small`` trains on tiny datasets, for a quick check that the tool runs.
+``--small`` trains on tiny datasets and runs a tiny sweep, for a quick
+check that the tool runs.
 The relgen under ``src`` next to this file is imported. Stdlib, numpy and
 relgen only.
 """
@@ -40,6 +46,7 @@ from relgen.model import (  # noqa: E402
     score,
     train,
 )
+from relgen.theory import scaling_experiment  # noqa: E402
 
 # name -> (dataset kind, model builder, seeds)
 CONFIGS = {
@@ -47,6 +54,11 @@ CONFIGS = {
     "dg15-pooled": ("dg15", build_erm, (0, 1, 2)),
     "grid-relational": ("grid", build_model, (0,)),
 }
+
+# scaling_experiment's arguments in the theory-sweep workload: `relgen theory` at --n-seeds 500
+SWEEP = dict(domain_grid=(8, 16, 32, 64), n_seeds=500, r=2, n_per_domain=50, noise=0.1,
+             lipschitz=1.0, n_eval=10_000)
+SMALL_SWEEP = dict(SWEEP, domain_grid=(4, 8), n_seeds=3, n_per_domain=10, n_eval=500)
 
 
 def dataset(kind: str, small: bool):
@@ -86,6 +98,13 @@ def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int
     return calls, steps, per_score, per_scored
 
 
+def calls_per_sweep(small: bool = False) -> tuple[int, int]:
+    """(Python calls during one theory sweep, its (domain count, seed) cells)."""
+    sweep = SMALL_SWEEP if small else SWEEP
+    cells = len(sweep["domain_grid"]) * sweep["n_seeds"]
+    return _calls(lambda: scaling_experiment(**sweep)), cells
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, default=3, help="epochs per config (default 3)")
@@ -99,6 +118,9 @@ def main(argv=None) -> int:
         calls, steps, per_score, per_scored = calls_per_step(name, args.epochs, args.small)
         print(f"{name:<16} {steps:>6} {calls:>8} {calls / steps:>10.1f} {per_score:>11} "
               f"{per_scored:>12}")
+    calls, cells = calls_per_sweep(args.small)
+    print(f"\n{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10}")
+    print(f"{'theory-sweep':<16} {cells:>6} {calls:>8} {calls / cells:>10.1f}")
     return 0
 
 
