@@ -22,11 +22,17 @@ from .fileio import write_csv
 from .rng import substream, substreams
 
 C0_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+WORLD_BLOCK = 16  # seeds whose worlds _threshold_risks builds in one sample_world call
+WORLD_VALUES = 1 << 18  # fewer seeds when their latent or data buffer would pass this many doubles
 
 
 @dataclass
 class LatentWorld:
-    """Sampled domains with latent positions, true slopes, and local data."""
+    """Sampled domains with latent positions, true slopes, and local data.
+
+    A block of worlds (sample_world's rngs) puts a leading block axis on
+    every array, slope_test included.
+    """
 
     z_train: np.ndarray  # (N, r)
     z_test: np.ndarray  # (r,)
@@ -34,12 +40,12 @@ class LatentWorld:
     lipschitz: float
     noise: float
     slopes: np.ndarray  # (N,) true per-domain slopes
-    slope_test: float
+    slope_test: float | np.ndarray
     x: np.ndarray  # (N, n) inputs per training domain
     y: np.ndarray  # (N, n) noisy targets
 
     def distances_to_test(self) -> np.ndarray:
-        return np.linalg.norm(self.z_train - self.z_test, axis=1)
+        return np.linalg.norm(self.z_train - self.z_test[..., None, :], axis=-1)
 
 
 def _slope(z: np.ndarray, anchor: np.ndarray, lipschitz: float) -> np.ndarray:
@@ -55,7 +61,8 @@ def sample_world(
     noise: float,
     seed: int | None = None,
     *,
-    rngs: tuple[np.random.Generator, np.random.Generator] | None = None,
+    rngs=None,
+    n_worlds: int = 1,
 ) -> LatentWorld:
     """Draw latent positions uniformly in [0, 1]^r and per-domain data.
 
@@ -64,45 +71,67 @@ def sample_world(
     With lipschitz == 0 every domain shares the same (zero) predictor.
 
     The latent draws come from seed's ("world", "latent") stream and the data
-    from its ("world", "data") stream. rngs, a (latent, data) pair of those
-    generators, replaces seed: the sweep passes the re-keyed generators of
-    rng.substreams, whose draws are the same bits.
+    from its ("world", "data") stream. rngs, an iterator of (latent, data)
+    pairs of those generators (the sweep passes the re-keyed ones of
+    rng.substreams), replaces seed and builds a block of n_worlds worlds,
+    world i from the i-th pair, each array with a leading block axis. The
+    seed form is the block of one, without that axis. A world's latent row
+    (z_train, z_test, anchor: N * r + 2 * r doubles) is one random() draw,
+    and its data are random() then standard_normal() into its rows of the
+    (n_worlds, N, n) buffers: the bits of uniform(0, 1), uniform(-1, 1) and
+    normal() on the same streams (normal() adds 0.0, which would turn a
+    standard_normal() of -0.0 into 0.0).
     """
     if n_domains < 1 or r < 1 or n_per_domain < 2:
         raise ConfigError("need n_domains >= 1, r >= 1, n_per_domain >= 2")
     if not (0.0 <= lipschitz < np.inf and 0.0 <= noise < np.inf):
         raise ConfigError("lipschitz and noise must be finite and nonnegative")
-    rng, data_rng = rngs or (substream(seed, "world", "latent"), substream(seed, "world", "data"))
-    z_train = rng.uniform(0.0, 1.0, size=(n_domains, r))
-    z_test = rng.uniform(0.0, 1.0, size=r)
-    anchor = rng.uniform(0.0, 1.0, size=r)
-    slopes = _slope(z_train, anchor, lipschitz)
-    slope_test = float(_slope(z_test, anchor, lipschitz))
-    x = data_rng.uniform(-1.0, 1.0, size=(n_domains, n_per_domain))
-    y = slopes[:, None] * x + noise * data_rng.normal(size=(n_domains, n_per_domain))
+    one = rngs is None
+    if one:
+        rngs = iter([(substream(seed, "world", "latent"), substream(seed, "world", "data"))])
+        n_worlds = 1
+    latent = np.empty((n_worlds, (n_domains + 2) * r))
+    x = np.empty((n_worlds, n_domains, n_per_domain))
+    y = np.empty_like(x)
+    # latent comes first, so zip takes no pair from rngs past the last world
+    for row, (latent_rng, data_rng), x_i, y_i in zip(latent, rngs, x, y):
+        latent_rng.random(out=row)
+        data_rng.random(out=x_i)
+        data_rng.standard_normal(out=y_i)
+    z_train = latent[:, : n_domains * r].reshape(n_worlds, n_domains, r)
+    z_test, anchor = latent[:, -2 * r : -r], latent[:, -r:]
+    x *= 2.0
+    x -= 1.0
+    slopes = _slope(z_train, anchor[:, None], lipschitz)
+    slope_test = _slope(z_test, anchor, lipschitz)
+    y *= noise
+    y += slopes[..., None] * x  # slopes * x + noise * normal(): a sum rounds alike either way
+    if one:
+        return LatentWorld(z_train[0], z_test[0], anchor[0], lipschitz, noise, slopes[0],
+                           float(slope_test[0]), x[0], y[0])
     return LatentWorld(z_train, z_test, anchor, lipschitz, noise, slopes, slope_test, x, y)
 
 
 def fit_heads(world: LatentWorld) -> np.ndarray:
     """Per-domain least-squares slope through the origin."""
-    sxx = (world.x * world.x).sum(axis=1)
+    sxx = (world.x * world.x).sum(axis=-1)
     if (sxx == 0.0).any():
         raise NumericalError("singular design: a domain has all-zero inputs")
-    return (world.x * world.y).sum(axis=1) / sxx
+    return (world.x * world.y).sum(axis=-1) / sxx
 
 
 def threshold_predict(slopes_hat: np.ndarray, dists: np.ndarray, bandwidth: float) -> float:
     """Average the fitted slopes of domains with latent distance < bandwidth.
 
     No domain within the bandwidth means no usable information; the
-    estimator returns 0 in that case (the zero predictor).
+    estimator returns 0 in that case (the zero predictor). The average is
+    the near slopes' sum over their count, the bits of their .mean(). A
+    negative or NaN bandwidth is a ConfigError.
     """
-    if bandwidth < 0:
-        raise ConfigError("bandwidth must be nonnegative")
-    mask = dists < bandwidth
-    if not mask.any():
-        return 0.0
-    return float(slopes_hat[mask].mean())
+    if not bandwidth >= 0:
+        raise ConfigError(f"bandwidth must be nonnegative, got {bandwidth}")
+    near = slopes_hat.compress(dists < bandwidth)
+    return float(np.add.reduce(near) / near.size) if near.size else 0.0
 
 
 def _eval_draws(rng: np.random.Generator, noise: float, x: np.ndarray, eps: np.ndarray) -> None:
@@ -171,32 +200,46 @@ def _threshold_risks(world_args: tuple, bandwidths, seeds, n_eval: int) -> np.nd
     at every bandwidth on the draws of seed + 1.
 
     Each entry equals excess_risk(...)[0] bit for bit: the same ops in the
-    same order, run in place. A seed's world, fits and draws are made once
-    for all bandwidths; the draws, the signal, |eps| and the difference each
-    have a buffer shared by all seeds. The three streams of a seed, its
-    world's latent and data streams and the excess-risk stream of seed + 1,
-    come from rng.substreams: one re-keyed generator per stream for all
-    seeds, with the bits of the substream each would build.
+    same order, run in place. The worlds are built a block of WORLD_BLOCK
+    seeds at a time (fewer when a block's data would pass WORLD_VALUES
+    doubles), so slopes, fits and distances are array ops over the block.
+    Each seed is then scored in turn, its fits and draws made once for all
+    bandwidths; the draws, the signal, |eps| and the difference each have a
+    buffer shared by all seeds. The three streams of a seed, its world's
+    latent and data streams and the excess-risk stream of seed + 1, come
+    from rng.substreams: one re-keyed generator per stream for all seeds,
+    with the bits of the substream each would build. A non-finite risk
+    (float64 overflow) raises NumericalError naming N_tr and the seed.
     """
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
     x, eps, signal, abs_eps, diff = (_empty(n_eval, "n_eval") for _ in range(5))
     risks = np.empty((len(seeds), len(bandwidths)))
-    streams = zip(substreams(seeds, "world", "latent"), substreams(seeds, "world", "data"),
-                  substreams((seed + 1 for seed in seeds), "excess-risk"))
-    for i, (latent_rng, data_rng, eval_rng) in enumerate(streams):
-        world = sample_world(*world_args, rngs=(latent_rng, data_rng))
-        slopes_hat, dists = fit_heads(world), world.distances_to_test()
-        _eval_draws(eval_rng, world.noise, x, eps)
-        np.multiply(x, world.slope_test, out=signal)
-        np.abs(eps, out=abs_eps)
-        for j, bandwidth in enumerate(bandwidths):
-            np.multiply(x, threshold_predict(slopes_hat, dists, bandwidth), out=diff)  # yhat
-            diff -= signal
-            diff -= eps
-            np.abs(diff, out=diff)
-            diff -= abs_eps
-            risks[i, j] = diff.mean()
+    n_domains, r, lipschitz, n_per_domain, noise = world_args
+    per_world = max(1, n_domains * n_per_domain, (n_domains + 2) * r)
+    block = max(1, min(WORLD_BLOCK, WORLD_VALUES // per_world))
+    worlds = zip(substreams(seeds, "world", "latent"), substreams(seeds, "world", "data"))
+    evals = substreams((seed + 1 for seed in seeds), "excess-risk")
+    for start in range(0, len(seeds), block):
+        world = sample_world(*world_args, rngs=worlds, n_worlds=min(block, len(seeds) - start))
+        cells = zip(world.slope_test, fit_heads(world), world.distances_to_test(), evals)
+        for i, (slope_test, slopes_hat, dists, eval_rng) in enumerate(cells, start):
+            _eval_draws(eval_rng, noise, x, eps)
+            np.multiply(x, slope_test, out=signal)
+            np.abs(eps, out=abs_eps)
+            for j, bandwidth in enumerate(bandwidths):
+                np.multiply(x, threshold_predict(slopes_hat, dists, bandwidth), out=diff)  # yhat
+                diff -= signal
+                diff -= eps
+                np.abs(diff, out=diff)
+                diff -= abs_eps
+                risks[i, j] = np.add.reduce(diff) / n_eval  # the bits of diff.mean()
+    bad = np.argwhere(~np.isfinite(risks))
+    if len(bad):
+        i, j = bad[0]
+        raise NumericalError(
+            f"excess risk is {risks[i, j]} at N_tr = {n_domains}, seed {seeds[i]}, bandwidth "
+            f"{bandwidths[j]}: float64 overflowed (lipschitz = {lipschitz}, noise = {noise})")
     return risks
 
 

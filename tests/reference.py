@@ -1,8 +1,9 @@
 """Reference code that only the test suite runs: a central finite-difference
 gradient checker, which every hand-derived gradient is held against, a
 per-domain scorer, which the batched scorer is held against, the averaging
-oracle on two whole draws, which the streamed one is held against, and a
-reader for the relation CSV that `relgen export-relations` writes."""
+oracle on two whole draws, which the streamed one is held against, one
+latent world drawn with uniform() and normal(), which the block world
+builder is held against, and a reader for the relation CSV that `relgen export-relations` writes."""
 
 import numpy as np
 
@@ -64,6 +65,19 @@ def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_mc))
     return est, stderr
+
+
+def latent_world(n_domains, r, lipschitz, n_per_domain, noise, seed):
+    """(z_train, z_test, anchor, slopes, slope_test, x, y) of seed's world, one draw per array."""
+    rng, data_rng = substream(seed, "world", "latent"), substream(seed, "world", "data")
+    z_train = rng.uniform(0.0, 1.0, size=(n_domains, r))
+    z_test = rng.uniform(0.0, 1.0, size=r)
+    anchor = rng.uniform(0.0, 1.0, size=r)
+    slopes = lipschitz * np.linalg.norm(z_train - anchor, axis=-1)
+    slope_test = float(lipschitz * np.linalg.norm(z_test - anchor, axis=-1))
+    x = data_rng.uniform(-1.0, 1.0, size=(n_domains, n_per_domain))
+    y = slopes[:, None] * x + noise * data_rng.normal(size=(n_domains, n_per_domain))
+    return z_train, z_test, anchor, slopes, slope_test, x, y
 
 
 def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:

@@ -708,6 +708,21 @@ def test_theory_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, flag, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--lipschitz", "--noise"])
+@pytest.mark.parametrize("c0", [["--c0", "1"], []])  # a sweep cell, a calibration cell
+def test_theory_overflow_exits_4_and_names_the_cell(tmp_path, capsys, flag, c0):
+    out = tmp_path / "t"
+    with np.errstate(all="ignore"):
+        code = run("theory", "--out", str(out), flag, "1e308", *c0, "--domain-grid", "4",
+                   "--n-seeds", "2", "--mc", "100", "--n-eval", "100")
+    assert code == 4
+    seed = 40000 if c0 else 999331001  # seed + 10_000 * N_tr; the first held-out seed
+    err = capsys.readouterr().err
+    assert "numerical failure: excess risk is " in err
+    assert f" at N_tr = 4, seed {seed}, " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gen", "dg15"],

@@ -9,7 +9,7 @@ import pytest
 
 from relgen import theory
 from relgen.errors import ConfigError, NumericalError
-from relgen.rng import substream
+from relgen.rng import substream, substreams
 from relgen.theory import (
     AVERAGING_ORACLE_TARGET,
     SWEEP_COLUMNS,
@@ -260,12 +260,85 @@ def test_threshold_risks_equal_one_excess_risk_per_seed():
 
 
 def test_calibration_builds_each_held_out_world_once(monkeypatch):
-    calls = []
+    built = []
     real = theory.sample_world
-    monkeypatch.setattr(theory, "sample_world", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+
+    def counting(*args, **kwargs):
+        world = real(*args, **kwargs)
+        built.extend(world.z_train)  # one (N, r) latent block row per world built
+        return world
+
+    monkeypatch.setattr(theory, "sample_world", counting)
     calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=5,
                         n_eval=200)
-    assert len(calls) == 5  # one per held-out seed, not one per seed and grid value
+    # one world per held-out seed, not one per seed and grid value
+    held_out = [sample_world(8, 2, 1.0, 20, 0.1, seed=7 * s + 1).z_train for s in range(5)]
+    assert [z.tobytes() for z in built] == [z.tobytes() for z in held_out]
+
+
+WORLD_CASES = [(8, 2, 1.0, 20, 0.3), (1, 1, 1.0, 5, 0.2), (6, 3, 0.0, 4, 0.0), (5, 9, 2.0, 12, 0.5)]
+
+
+@pytest.mark.parametrize("first", [11, 2**64 - 8, 2**128 - 8])  # the last two cross 2^64, 2^128
+@pytest.mark.parametrize("n_seeds", [1, theory.WORLD_BLOCK - 1, theory.WORLD_BLOCK,
+                                     theory.WORLD_BLOCK + 1])
+@pytest.mark.parametrize("world_args", WORLD_CASES)  # N = 1, r = 1, 3 and 9, G = 0 with noise 0
+def test_block_worlds_keep_the_bits_of_one_world_per_seed(world_args, n_seeds, first):
+    seeds = range(first, first + n_seeds)
+    pairs = zip(substreams(seeds, "world", "latent"), substreams(seeds, "world", "data"))
+    block = sample_world(*world_args, rngs=pairs, n_worlds=n_seeds)
+    assert block.x.shape == (n_seeds, world_args[0], world_args[3])
+    fits, dists = fit_heads(block), block.distances_to_test()
+    bandwidths = (0.0, 0.4, np.inf)
+    risks = theory._threshold_risks(world_args, bandwidths, seeds, 300)
+    for i, seed in enumerate(seeds):
+        want = reference.latent_world(*world_args, seed=seed)
+        one = sample_world(*world_args, seed=seed)
+        got = (one.z_train, one.z_test, one.anchor, one.slopes, one.slope_test, one.x, one.y)
+        rows = (block.z_train[i], block.z_test[i], block.anchor[i], block.slopes[i],
+                block.slope_test[i], block.x[i], block.y[i])
+        for w, g, row in zip(want, got, rows):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert np.asarray(row).tobytes() == np.asarray(w).tobytes()
+        assert isinstance(one.slope_test, float)
+        assert fits[i].tobytes() == fit_heads(one).tobytes()
+        assert dists[i].tobytes() == one.distances_to_test().tobytes()
+        for bandwidth, risk in zip(bandwidths, risks[i]):
+            est = threshold_predict(fit_heads(one), one.distances_to_test(), bandwidth)
+            near = fit_heads(one)[one.distances_to_test() < bandwidth]
+            assert est.hex() == (float(near.mean()) if near.size else 0.0).hex()
+            assert risk.hex() == excess_risk(est, one, 300, seed=seed + 1)[0].hex()
+
+
+def test_large_worlds_are_built_in_smaller_blocks(monkeypatch):
+    world_args, seeds, bandwidths = (8, 2, 1.0, 20, 0.3), range(10), (0.4, np.inf)
+    whole = theory._threshold_risks(world_args, bandwidths, seeds, 300)
+    sizes = []
+    real = theory.sample_world
+    monkeypatch.setattr(theory, "sample_world",
+                        lambda *a, **kw: sizes.append(kw["n_worlds"]) or real(*a, **kw))
+    monkeypatch.setattr(theory, "WORLD_VALUES", 3 * 8 * 20 + 1)  # three worlds' (N, n) data
+    split = theory._threshold_risks(world_args, bandwidths, seeds, 300)
+    assert sizes == [3, 3, 3, 1]
+    assert split.tobytes() == whole.tobytes()
+
+
+def test_a_nan_bandwidth_is_a_config_error():
+    slopes, dists = np.array([1.0, 2.0]), np.array([0.1, 0.2])
+    for bandwidth in (np.nan, -np.inf, -0.5):
+        with pytest.raises(ConfigError, match="bandwidth must be nonnegative"):
+            threshold_predict(slopes, dists, bandwidth)
+    with pytest.raises(ConfigError, match="bandwidth must be nonnegative, got nan"):
+        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0,
+                            grid=(np.nan,), n_inner=2, n_eval=100)
+
+
+@pytest.mark.parametrize("lipschitz,noise", [(1e308, 0.1), (1.0, 1e308)])
+def test_a_non_finite_risk_is_a_numerical_error(lipschitz, noise):
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=r"excess risk is (inf|nan) at N_tr = 4, seed 40000, "):
+        scaling_experiment((4,), n_seeds=2, r=2, n_per_domain=10, noise=noise,
+                           lipschitz=lipschitz, n_eval=100, c0=1.0)
 
 
 @pytest.mark.parametrize("n", [10**17, 2**62, 2**63])
