@@ -259,7 +259,8 @@ def calibrate_bandwidth(
     Runs a small sweep at a single domain count and returns the c0 with the
     lowest mean excess risk. Callers pass a seed disjoint from the seeds of
     the experiment proper. Raises ConfigError if no grid value gives a
-    finite mean excess risk (an empty grid included).
+    finite mean excess risk (an empty grid included); a non-finite risk of
+    one held-out world is a NumericalError before that.
     """
     best_c0, best_val = None, np.inf
     world_args = (n_domains, r, lipschitz, n_per_domain, noise)

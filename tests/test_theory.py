@@ -301,11 +301,12 @@ def test_block_worlds_keep_the_bits_of_one_world_per_seed(world_args, n_seeds, f
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
             assert np.asarray(row).tobytes() == np.asarray(w).tobytes()
         assert isinstance(one.slope_test, float)
-        assert fits[i].tobytes() == fit_heads(one).tobytes()
-        assert dists[i].tobytes() == one.distances_to_test().tobytes()
+        fits_one, dists_one = fit_heads(one), one.distances_to_test()
+        assert fits[i].tobytes() == fits_one.tobytes()
+        assert dists[i].tobytes() == dists_one.tobytes()
         for bandwidth, risk in zip(bandwidths, risks[i]):
-            est = threshold_predict(fit_heads(one), one.distances_to_test(), bandwidth)
-            near = fit_heads(one)[one.distances_to_test() < bandwidth]
+            est = threshold_predict(fits_one, dists_one, bandwidth)
+            near = fits_one[dists_one < bandwidth]
             assert est.hex() == (float(near.mean()) if near.size else 0.0).hex()
             assert risk.hex() == excess_risk(est, one, 300, seed=seed + 1)[0].hex()
 
