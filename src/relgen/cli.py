@@ -31,8 +31,6 @@ from .experiments import consistency_ablation, relation_ablation
 from .fileio import atomic_write_text
 from .model import (
     TRAIN_RELATION_MODES,
-    ErmModel,
-    MultiHeadModel,
     TrainConfig,
     build_erm,
     build_model,
@@ -172,7 +170,7 @@ def cmd_train(args) -> int:
     base = None
     if args.resume:
         model, header = load_checkpoint(args.resume)
-        if not isinstance(model, MultiHeadModel if relational else ErmModel):
+        if (model.relation_net is not None) != relational:
             raise ConfigError(f"{args.resume}: not {'a relational' if relational else 'an erm'} checkpoint")
         base = TrainConfig.from_dict(header["config"])
     cfg0 = _load_config(args, base)
@@ -242,7 +240,7 @@ def cmd_eval(args) -> int:
     model, header = load_checkpoint(args.checkpoint)
     check_fits(model, dataset)
     cfg = TrainConfig.from_dict(header["config"])
-    relational = isinstance(model, MultiHeadModel)
+    relational = model.relation_net is not None
     mode = (args.relations or cfg.relation_mode, cfg.beta if args.beta is None else args.beta)
     for flag, given, scope, applies in (
         ("--rw-finetune", args.rw_finetune, "erm checkpoints", not relational),
@@ -362,7 +360,7 @@ def cmd_export_relations(args) -> int:
     check_beta(beta)
     if args.checkpoint:
         model, header = load_checkpoint(args.checkpoint)
-        if not isinstance(model, MultiHeadModel):
+        if model.relation_net is None:
             raise ConfigError(f"{args.checkpoint}: not a relational checkpoint")
         net = model.relation_net
         if net.g.in_dim != metas.shape[1]:
@@ -481,7 +479,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None) is not None:
             _check_out(args.out, is_file=args.command == "export-relations")
-        return args.func(args)
+        # every overflow the commands meet ends in a NumericalError of their own
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

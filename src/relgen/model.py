@@ -146,31 +146,40 @@ class MultiHeadModel:
     head_w of shape (K, c, h) and head_b of shape (K, c). Construction
     copies every parameter into one float64 vector, ``flat``, and makes each
     parameter array a view into it, in the order views() returns them.
+
+    The pooled baseline (build_erm) is the K = 1 case: one head for all
+    training domains, head_domains [] and relation_net None. Its extractor
+    reads the features and then meta_dim meta-data columns; a relational
+    model's meta_dim is its relation net's input width.
     """
 
     extractor: Mlp
     head_w: np.ndarray
     head_b: np.ndarray
-    relation_net: RelationNet
+    relation_net: RelationNet | None
     head_domains: list[str]
     task: str
     combine_space: str = "logit"
+    meta_dim: int = 0
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.head_w = np.asarray(self.head_w, dtype=np.float64)
         self.head_b = np.asarray(self.head_b, dtype=np.float64)
-        k = len(self.head_domains)
+        net = self.relation_net
+        k = 1 if net is None else len(self.head_domains)
         if self.head_w.ndim != 3 or self.head_w.shape[0] != k or self.head_b.shape != self.head_w.shape[:2]:
-            raise ValueError("need exactly one head per training domain")
+            raise ValueError("need exactly one head per training domain, or one pooled head")
         if self.head_w.shape[2] != self.extractor.out_dim:
             raise ValueError("head input dim must equal the extractor output dim")
         if not (np.isfinite(self.head_w).all() and np.isfinite(self.head_b).all()):
             raise ValueError("layer parameters must be finite")
+        if net is not None:
+            self.meta_dim = net.g.in_dim
         # row k of the head block is head k's weight rows, then its bias
         _, c, h = self.head_w.shape
         heads = np.concatenate([self.head_w.reshape(k, c * h), self.head_b], axis=1)
-        blocks = self.extractor.params() + [heads] + self.relation_net.params()
+        blocks = self.extractor.params() + [heads] + (net.params() if net is not None else [])
         self._shapes = [b.shape for b in blocks]
         self.bind(flatten(blocks))
 
@@ -179,7 +188,7 @@ class MultiHeadModel:
 
         buf is (P,) or (S, P); each view keeps buf's leading axes. Returns
         (extractor views, head_w, head_b, relation-net views), each list in
-        its network's params() order.
+        its network's params() order (no relation-net views when pooled).
         """
         out = split(buf, self._shapes)
         n_ext = 2 * len(self.extractor.layers)
@@ -196,21 +205,23 @@ class MultiHeadModel:
         """
         ext, self.head_w, self.head_b, net = self.views(flat)
         _bind_mlp(self.extractor, iter(ext))
-        _bind_mlp(self.relation_net.g, iter(net))
-        self.relation_net.w = net[-1]
+        if self.relation_net is not None:
+            _bind_mlp(self.relation_net.g, iter(net))
+            self.relation_net.w = net[-1]
         self.flat = flat
 
     def _structure(self) -> tuple:
-        return self._shapes, self.task, self.combine_space
+        return self._shapes, self.task, self.combine_space, self.meta_dim
 
 
 def stack_models(models):
     """One model whose parameters carry a leading seed axis over the models.
 
-    The models (all MultiHeadModel or all ErmModel) have their parameters
-    copied into the rows of one (S, P) buffer, and model s is rebound to
-    row s, so updating the stacked model updates every one of them. The
-    models must have the same shapes and task, not the same head domains.
+    The models (all relational or all pooled) have their parameters copied
+    into the rows of one (S, P) buffer, and model s is rebound to row s, so
+    updating the stacked model updates every one of them. The models must
+    have the same shapes, task, combine space and meta_dim, not the same
+    head domains.
     The stack is for training and scoring passes; checkpoints work on the
     single models.
     """
@@ -237,15 +248,21 @@ def _bound_copy(model, flat: np.ndarray):
 
 def _planned(model, grad: np.ndarray | None = None):
     """A shallow copy of the model, sharing its parameters, whose networks are Passes;
-    given grad, a buffer laid out like model.flat, they write their gradients into it."""
+    given grad, a buffer laid out like model.flat, they write their gradients into it.
+
+    A pooled model's copy also gets ``head``: the Pass of an identity Layer over row 0
+    of the head block, so its head runs through nn.forward and nn.backward.
+    """
     views = model.views(grad) if grad is not None else None
     twin = copy.copy(model)
-    if isinstance(model, MultiHeadModel):
+    twin.extractor = Pass(model.extractor, views and views[0])
+    if model.relation_net is None:
+        head = Mlp([Layer(np.zeros(model.head_w.shape[-2:]), np.zeros(model.head_b.shape[-1]))])
+        _bind_mlp(head, iter((model.head_w[..., 0, :, :], model.head_b[..., 0, :])))
+        twin.head = Pass(head, views and [views[1][..., 0, :, :], views[2][..., 0, :]])
+    else:
         twin.relation_net = copy.copy(model.relation_net)
         twin.relation_net.g = Pass(model.relation_net.g, views and views[3][:-1])
-    else:
-        twin.head = Pass(model.head, views and views[1])
-    twin.extractor = Pass(model.extractor, views and views[0])
     return twin
 
 
@@ -256,17 +273,12 @@ def _out_dim(dataset: DomainDataset) -> int:
 def check_fits(model, dataset: DomainDataset) -> None:
     """Raise ConfigError unless the model's task and sizes fit the dataset.
 
-    Input features and meta-data columns must match; the model needs an
-    output for every class label in the dataset.
+    Input features (a pooled model's: the features, then the meta-data)
+    and meta-data columns must match; the model needs an output for every
+    class label in the dataset.
     """
-    if isinstance(model, MultiHeadModel):
-        in_dim, outputs, meta_dim = (
-            model.extractor.in_dim, model.head_w.shape[-2], model.relation_net.g.in_dim
-        )
-        features = dataset.n_features
-    else:
-        in_dim, outputs, meta_dim = model.extractor.in_dim, model.head.out_dim, model.meta_dim
-        features = dataset.n_features + dataset.meta_dim
+    in_dim, outputs, meta_dim = model.extractor.in_dim, model.head_w.shape[-2], model.meta_dim
+    features = dataset.n_features + (model.relation_net is None) * dataset.meta_dim
     needed = _out_dim(dataset)
     if (model.task, in_dim, meta_dim) != (dataset.task, features, dataset.meta_dim) or outputs < needed:
         raise ConfigError(
@@ -405,8 +417,7 @@ def _targets(model, y) -> np.ndarray:
     model's outputs (a ValueError if out of range)."""
     if model.task != TASK_CLASSIFICATION:
         return np.asarray(y, dtype=np.float64)[..., None]
-    outputs = model.head_w.shape[-2] if isinstance(model, MultiHeadModel) else model.head.out_dim
-    return one_hot(y, outputs)
+    return one_hot(y, model.head_w.shape[-2])
 
 
 def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
@@ -509,21 +520,22 @@ def _row_names(configs) -> list[str]:
 def train(model, dataset, config):
     """Optimize the model on the dataset's training domains.
 
-    A MultiHeadModel trains on the relational objective, rebuilding the
+    A relational model trains on the relational objective, rebuilding the
     relation matrix inside every batch so relation-net gradients stay
-    exact (total_loss_and_grads); an ErmModel trains on the pooled data
-    with its meta-data as features (see build_erm). If validation domains
-    exist, the valid-split metric is recorded every eval_every epochs and
-    the best parameters are restored at the end (config.select_best).
-    Returns the per-epoch history.
+    exact (total_loss_and_grads); a pooled model (relation_net None) trains
+    on the pooled data with its meta-data as features (see build_erm). If
+    validation domains exist, the valid-split metric is recorded every
+    eval_every epochs and the best parameters are restored at the end
+    (config.select_best). Returns the per-epoch history.
 
-    Given a list of models of one kind, one config each and a dataset or
-    one dataset each, trains them in lockstep (see _train_loop) and returns
+    Given a list of models, all relational or all pooled, one config each
+    and a dataset or one dataset each, trains them in lockstep (see
+    _train_loop) and returns
     one history per model. The rows may differ in dataset and in the
     ROW_FIELDS of their configs, but not in training-set shape. Each model
     ends bit for bit where training it alone would leave it.
     """
-    single = isinstance(model, (MultiHeadModel, ErmModel))
+    single = isinstance(model, MultiHeadModel)
     models = [model] if single else list(model)
     configs = [config] if single else list(config)
     datasets = [dataset] * len(models) if isinstance(dataset, DomainDataset) else list(dataset)
@@ -534,7 +546,7 @@ def train(model, dataset, config):
         cfg.validate()
         if replace(cfg, **{f: getattr(config, f) for f in ROW_FIELDS}) != config:
             raise ConfigError(f"lockstep rows may differ only in dataset, {', '.join(ROW_FIELDS)}")
-    relational = isinstance(models[0], MultiHeadModel)
+    relational = models[0].relation_net is not None
     rows = []  # each row's (x, y, dom, metas, lazy fixed()); shared by the rows of a dataset
     for m, d in zip(models, datasets):
         check_fits(m, d)
@@ -751,46 +763,8 @@ def _metric(pred: np.ndarray, y: np.ndarray, task: str):
 # -- pooled baseline and reweighted fine-tuning --------------------------------
 
 
-@dataclass
-class ErmModel:
-    """Single-head baseline trained on pooled data, meta-data as features.
-
-    Like MultiHeadModel, its parameters are views into one vector, ``flat``,
-    and a (S, P) buffer binds S models at once (see stack_models).
-    """
-
-    extractor: Mlp
-    head: Mlp
-    task: str
-    meta_dim: int
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._shapes = [p.shape for p in self.params()]
-        self.bind(flatten(self.params()))
-
-    def views(self, buf: np.ndarray):
-        """Split a buffer laid out like ``flat`` into (extractor views, head views)."""
-        out = split(buf, self._shapes)
-        n_ext = 2 * len(self.extractor.layers)
-        return out[:n_ext], out[n_ext:]
-
-    def bind(self, flat: np.ndarray) -> None:
-        """Make every parameter a view into flat, laid out as in ``flat``."""
-        ext, head = self.views(flat)
-        _bind_mlp(self.extractor, iter(ext))
-        _bind_mlp(self.head, iter(head))
-        self.flat = flat
-
-    def _structure(self) -> tuple:
-        return self._shapes, self.task, self.meta_dim
-
-    def params(self) -> list[np.ndarray]:
-        return self.extractor.params() + self.head.params()
-
-
-def _pooled_outputs(model: ErmModel, feats: np.ndarray) -> np.ndarray:
-    """The pooled model's (..., n, c) outputs on features plus meta-data."""
+def _pooled_outputs(model: MultiHeadModel, feats: np.ndarray) -> np.ndarray:
+    """A _planned pooled model's (..., n, c) outputs on features plus meta-data."""
     return forward(model.head, forward(model.extractor, feats)[0])[0]
 
 
@@ -800,30 +774,32 @@ def _pooled_features(dataset: DomainDataset, ids: list[str]):
     return np.hstack([x, metas[dom]]), y, dom
 
 
-def build_erm(dataset: DomainDataset, config: TrainConfig) -> ErmModel:
-    """A fresh pooled model: the build_model extractor on features plus meta-data."""
+def build_erm(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
+    """A fresh pooled model: the build_model extractor on features plus meta-data, one head
+    for every training domain (a one-row head block) and no relation net."""
     config.validate()
     if not dataset.ids_for_split("train"):
         raise ConfigError("no training domains")
-    width, seed = config.hidden_width, config.seed
+    width, seed, out = config.hidden_width, config.seed, _out_dim(dataset)
     extractor = Mlp.init([dataset.n_features + dataset.meta_dim, width], ["relu"],
                          substream(seed, "init", "erm-extractor"))
-    head = Mlp.init([width, _out_dim(dataset)], ["identity"], substream(seed, "init", "erm-head"))
-    return ErmModel(extractor, head, dataset.task, dataset.meta_dim)
+    head_w = init_weight(width, out, substream(seed, "init", "erm-head"))[None]
+    return MultiHeadModel(extractor, head_w, np.zeros((1, out)), None, [], dataset.task,
+                          meta_dim=dataset.meta_dim)
 
 
 def train_erm(
     dataset: DomainDataset,
     config: TrainConfig,
-    model: ErmModel | None = None,
-) -> tuple[ErmModel, list[dict]]:
+    model: MultiHeadModel | None = None,
+) -> tuple[MultiHeadModel, list[dict]]:
     """Pooled training over all training domains with one shared head.
 
     Domain meta-data is appended to the input features so the baseline sees
     the same information the relation-weighted model gets through its
     relation net. The extractor architecture matches build_model. Pass an
-    existing model to continue training it in place. For several seeds at
-    once, pass build_erm models to train.
+    existing pooled model to continue training it in place. For several
+    seeds at once, pass build_erm models to train.
     """
     if model is None:
         model = build_erm(dataset, config)
@@ -843,12 +819,12 @@ def _example_losses(out: np.ndarray, y: np.ndarray, task: str) -> tuple[np.ndarr
 
 
 def rw_finetune(
-    erm: ErmModel,
+    erm: MultiHeadModel,
     dataset: DomainDataset,
     relation_weights,
     config: TrainConfig,
     targets: list[str],
-) -> list[ErmModel]:
+) -> list[MultiHeadModel]:
     """Fine-tune copies of the pooled model on relation-reweighted data, one per target.
 
     relation_weights is a (T, K) block, one row per domain of targets, each
@@ -928,7 +904,7 @@ def _report(dataset: DomainDataset, split: str, values: np.ndarray) -> MetricsRe
                          float(values.mean()), float(worst), dataset.counts(ids))
 
 
-def evaluate(erm: ErmModel, dataset: DomainDataset, config: TrainConfig, split: str) -> MetricsReport:
+def evaluate(erm: MultiHeadModel, dataset: DomainDataset, config: TrainConfig, split: str) -> MetricsReport:
     """The split's report (see _report) after relation-weighted fine-tuning, one copy per domain.
 
     The pooled baseline has no trained relation net, so each domain of the
@@ -941,7 +917,7 @@ def evaluate(erm: ErmModel, dataset: DomainDataset, config: TrainConfig, split: 
     rows = dataset.fixed_between(ids, dataset.ids_for_split("train"))
     values, bad = [], {}
     for j, (tuned, d) in enumerate(zip(rw_finetune(erm, dataset, rows, config, ids), ids)):
-        out = _pooled_outputs(tuned, _pooled_features(dataset, [d])[0])[None]  # (1, n, c)
+        out = _pooled_outputs(_planned(tuned), _pooled_features(dataset, [d])[0])[None]  # (1, n, c)
         values.append(_domain_values([j], d, dataset.domain_arrays(d)[1], out, erm.task, bad)[0])
     _raise_non_finite(bad, split)
     return _report(dataset, split, np.array(values))
@@ -951,10 +927,10 @@ def score(models, datasets, modes, split: str) -> list[MetricsReport]:
     """Each model's report on one split of its dataset (one for all, or one each).
 
     modes[j] is model j's (relation mode, beta), beta checked in every mode,
-    or None; an ErmModel reads no mode. A MultiHeadModel predicts each
-    domain through relation_row, normalize_rows and combine_heads; an
-    ErmModel from its features plus the domain's meta-data row. The decision
-    is the argmax label or the first output column. Models of one structure,
+    or None; a pooled model reads no mode. A relational model predicts each
+    domain through relation_row, normalize_rows and combine_heads; a pooled
+    model runs its one head on its features plus the domain's meta-data
+    row. The decision is the argmax label or the first output column. Models of one structure,
     dataset and mode are scored together (see _SplitGroup), each with the
     bits it gets when scored alone. Non-finite outputs raise NumericalError
     naming the split and the first such model's first such domain.
@@ -1015,8 +991,8 @@ def _split_groups(models, datasets, modes, split: str) -> list:
 class _SplitGroup:
     """One split of one dataset, scored for some rows of a stack under one predictor.
 
-    Built once: each domain's examples (pooled features for an ErmModel)
-    and, for a MultiHeadModel under mode (relation mode, beta), the split's
+    Built once: each domain's examples (pooled features for a pooled model)
+    and, for a relational model under mode (relation mode, beta), the split's
     fixed relation rows and meta-data. score() makes one relation_row call
     for all rows, one normalize_rows call on its (S, T, K) block (so at most
     one fallback warning per split and pass) and one combine_heads call per
@@ -1031,7 +1007,7 @@ class _SplitGroup:
         self.model = _planned(_bound_copy(template, np.empty((len(rows),) + template.flat.shape)))
         self.ids = dataset.ids_for_split(split)
         self.xs, self.ys = zip(*[dataset.domain_arrays(d) for d in self.ids])
-        if not isinstance(self.model, MultiHeadModel):
+        if self.model.relation_net is None:
             self.xs = [_pooled_features(dataset, [d])[0] for d in self.ids]
             return
         train_ids = self.model.head_domains
@@ -1045,7 +1021,7 @@ class _SplitGroup:
         of each of the group's rows j, and bad[j] to j's first non-finite domain."""
         model = self.model
         np.take(flat, self.rows, axis=0, out=model.flat)
-        if isinstance(model, MultiHeadModel):  # (S, T, K) weight rows, then (S, n, c) per domain
+        if model.relation_net is not None:  # (S, T, K) weight rows, then (S, n, c) per domain
             w = relation_row(model.relation_net, self.meta_t, self.metas, self.fixed, self.beta)
             w = normalize_rows(w, self.ids)
             outs = (combine_heads(model, w[:, t], x) for t, x in enumerate(self.xs))
@@ -1077,9 +1053,15 @@ def _mlp_from_entries(prefix: str, arrays, acts: list[str]) -> Mlp:
     return Mlp(layers)
 
 
+def _head_names(pooled: bool, head_domains) -> list[str]:
+    """Each head's checkpoint entry: head/{k}/0 for head domain k, or the pooled head/0."""
+    return ["head/0"] if pooled else [f"head/{k}/0" for k in range(len(head_domains))]
+
+
 def save_checkpoint(path: str, model, config: TrainConfig, extra: dict | None = None) -> None:
-    """Write a self-describing checkpoint (npz with a JSON header entry)."""
-    if not isinstance(model, (MultiHeadModel, ErmModel)):
+    """Write a self-describing checkpoint (npz with a JSON header entry): kind "multi_head"
+    for a relational model, "erm" (with meta_dim) for a pooled one."""
+    if not isinstance(model, MultiHeadModel):
         raise ValueError(f"cannot checkpoint object of type {type(model).__name__}")
     arrays: dict[str, np.ndarray] = {}
     header: dict = {
@@ -1089,26 +1071,20 @@ def save_checkpoint(path: str, model, config: TrainConfig, extra: dict | None = 
         "config": config.to_dict(),
         "extra": extra or {},
     }
-    if isinstance(model, MultiHeadModel):
-        header["kind"] = "multi_head"
-        header["head_domains"] = list(model.head_domains)
-        header["combine_space"] = model.combine_space
-        acts: dict[str, list[str]] = {"extractor": [], "relation_g": []}
-        _mlp_entries("extractor", model.extractor, arrays, acts["extractor"])
-        for k, (w, b) in enumerate(zip(model.head_w, model.head_b)):
-            arrays[f"head/{k}/0/w"] = w
-            arrays[f"head/{k}/0/b"] = b
-        acts["head"] = ["identity"]
+    acts: dict[str, list[str]] = {"extractor": [], "head": ["identity"]}
+    _mlp_entries("extractor", model.extractor, arrays, acts["extractor"])
+    pooled = model.relation_net is None
+    for name, w, b in zip(_head_names(pooled, model.head_domains), model.head_w, model.head_b):
+        arrays[f"{name}/w"], arrays[f"{name}/b"] = w, b
+    if pooled:
+        header.update(kind="erm", meta_dim=model.meta_dim)
+    else:
+        header.update(kind="multi_head", head_domains=list(model.head_domains),
+                      combine_space=model.combine_space)
+        acts["relation_g"] = []
         _mlp_entries("relation/g", model.relation_net.g, arrays, acts["relation_g"])
         arrays["relation/w"] = model.relation_net.w
-        header["acts"] = acts
-    else:
-        header["kind"] = "erm"
-        header["meta_dim"] = model.meta_dim
-        acts = {"extractor": [], "head": []}
-        _mlp_entries("extractor", model.extractor, arrays, acts["extractor"])
-        _mlp_entries("head", model.head, arrays, acts["head"])
-        header["acts"] = acts
+    header["acts"] = acts
     with atomic_writer(path) as fh:
         np.savez(fh, __header__=np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
@@ -1144,34 +1120,25 @@ def _read_checkpoint(path: str):
     bad = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
     if bad:
         raise DataError(f"{path}: non-finite parameters in {bad}")
-    acts = header["acts"]
-    if header["kind"] == "multi_head":
-        k = len(header["head_domains"])
-        stored = sum(1 for name in arrays if name.startswith("head/"))
-        if acts["head"] != ["identity"] or stored != 2 * k:
-            raise DataError(
-                f"{path}: {stored} head arrays with activations {acts['head']}, "
-                f"expected one identity layer for each of {k} head_domains"
-            )
-        model = MultiHeadModel(
-            extractor=_mlp_from_entries("extractor", arrays, acts["extractor"]),
-            head_w=np.stack([arrays[f"head/{j}/0/w"] for j in range(k)]),
-            head_b=np.stack([arrays[f"head/{j}/0/b"] for j in range(k)]),
-            relation_net=RelationNet(
-                _mlp_from_entries("relation/g", arrays, acts["relation_g"]),
-                arrays["relation/w"],
-            ),
-            head_domains=list(header["head_domains"]),
-            task=header["task"],
-            combine_space=header["combine_space"],
+    kind, acts = header["kind"], header["acts"]
+    if kind not in ("multi_head", "erm"):
+        raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
+    pooled = kind == "erm"
+    heads = _head_names(pooled, [] if pooled else header["head_domains"])
+    stored = sorted(name for name in arrays if name.startswith("head/"))
+    if acts["head"] != ["identity"] or stored != sorted(f"{h}/{p}" for h in heads for p in "wb"):
+        raise DataError(
+            f"{path}: head arrays {stored} with activations {acts['head']}, "
+            f"expected one identity layer for each of {len(heads)} heads"
         )
-        return model, header
-    if header["kind"] == "erm":
-        model = ErmModel(
-            extractor=_mlp_from_entries("extractor", arrays, acts["extractor"]),
-            head=_mlp_from_entries("head", arrays, acts["head"]),
-            task=header["task"],
-            meta_dim=int(header["meta_dim"]),
-        )
-        return model, header
-    raise DataError(f"{path}: unknown checkpoint kind {header['kind']!r}")
+    extractor = _mlp_from_entries("extractor", arrays, acts["extractor"])
+    head_w, head_b = (np.stack([arrays[f"{h}/{p}"] for h in heads]) for p in "wb")
+    if pooled:
+        model = MultiHeadModel(extractor, head_w, head_b, None, [], header["task"],
+                               meta_dim=int(header["meta_dim"]))
+    else:
+        net = RelationNet(_mlp_from_entries("relation/g", arrays, acts["relation_g"]),
+                          arrays["relation/w"])
+        model = MultiHeadModel(extractor, head_w, head_b, net, list(header["head_domains"]),
+                               header["task"], header["combine_space"])
+    return model, header

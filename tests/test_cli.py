@@ -3,8 +3,11 @@ report files, exit codes for the three failure families, and the relation
 matrix export."""
 
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -19,6 +22,8 @@ from relgen.relations import angle_between
 from relgen.data import load_meta_csv
 
 from reference import load_relation_csv
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -455,6 +460,29 @@ def test_a_checkpoint_that_does_not_fit_the_data_exits_2(trained, trained_erm, d
                "--resume", relational) == 2
 
 
+def _second_head_layer(header, arrays):
+    header["acts"]["head"] = ["identity", "identity"]
+    arrays["head/1/w"] = -np.eye(len(arrays["head/0/b"]))
+    arrays["head/1/b"] = np.zeros(len(arrays["head/0/b"]))
+
+
+def _tanh_head(header, arrays):
+    header["acts"]["head"] = ["tanh"]
+
+
+@pytest.mark.parametrize("edit", [_second_head_layer, _tanh_head])
+def test_an_erm_head_that_is_not_one_identity_layer_exits_3(trained_erm, dg15_dir, tmp_path,
+                                                            capsys, edit):
+    with np.load(trained_erm / "checkpoint-erm-seed0.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    header = json.loads(arrays.pop("__header__").tobytes().decode())
+    edit(header, arrays)
+    path = tmp_path / f"{edit.__name__}.npz"
+    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+    assert run("eval", "--checkpoint", str(path), "--data", str(dg15_dir)) == 3
+    assert f"data error: {path}: " in capsys.readouterr().err
+
+
 def test_config_values_of_the_wrong_type_are_rejected(trained, dg15_dir, tmp_path):
     out = str(tmp_path / "x")
     cfg = tmp_path / "float-epochs.json"
@@ -528,6 +556,28 @@ def test_one_diverging_relational_seed_exits_4_and_names_it(dg15_dir, tmp_path, 
     err = capsys.readouterr().err
     assert "seed 1 at epoch 0: non-finite model outputs (NaN or inf) on valid domain 'd00'" in err
     assert not list((tmp_path / "boom").glob("*.npz"))  # the seeds train together
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--method", "erm", "--lr", "1e300", "--epochs", "2"],
+     ["train", "--method", "relational", "--lr", "1e300", "--epochs", "2"],
+     ["theory", "--lipschitz", "1e308", "--c0", "1", "--domain-grid", "4", "--n-seeds", "2",
+      "--mc", "100", "--n-eval", "100"]],
+)
+def test_an_overflow_exits_4_with_one_line_and_no_numpy_warning(dg15_dir, tmp_path, argv):
+    """The command's own NumericalError is all it prints: numpy's RuntimeWarnings,
+    which come with file paths and source lines, stay off stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    data = ["--data", str(dg15_dir)] if argv[0] == "train" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "relgen.cli", *argv, *data, "--out", str(tmp_path / "o")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

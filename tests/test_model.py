@@ -3,7 +3,9 @@ suite against finite differences, training/checkpoint behavior, and the
 pooled baseline plus reweighted fine-tuning."""
 
 import hashlib
+import json
 import math
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,6 @@ import relgen.relations as relations_module
 from relgen.data import DomainDataset, gen_dg15, gen_spatial_regression
 from relgen.errors import ConfigError, DataError, NumericalError
 from relgen.model import (
-    ErmModel,
     MultiHeadModel,
     TrainConfig,
     build_erm,
@@ -563,14 +564,17 @@ def test_erm_resume_continues_in_place():
     ds = micro_dataset()
     cfg = TrainConfig(epochs=2, lr=1e-3, hidden_width=4)
     model, _ = train_erm(ds, cfg)
-    before = [p.copy() for p in model.params()]
+    before = [p.copy() for p in _live_params(model)]
     again, _ = train_erm(ds, TrainConfig(epochs=0, hidden_width=4), model=model)
     assert again is model
-    for p, q in zip(model.params(), before):
+    for p, q in zip(_live_params(model), before):
         assert np.array_equal(p, q)
-    bad = ErmModel(
+    bad = MultiHeadModel(
         extractor=Mlp.init([7, 4], ["relu"], np.random.default_rng(0)),
-        head=Mlp.init([4, 2], ["identity"], np.random.default_rng(1)),
+        head_w=np.random.default_rng(1).uniform(size=(1, 2, 4)),
+        head_b=np.zeros((1, 2)),
+        relation_net=None,
+        head_domains=[],
         task="classification",
         meta_dim=1,
     )
@@ -583,7 +587,7 @@ def test_rw_finetune_zero_epochs_is_identity():
     cfg = TrainConfig(epochs=2, lr=1e-3, hidden_width=4, finetune_epochs=0)
     model, _ = train_erm(ds, cfg)
     (tuned,) = rw_finetune(model, ds, np.ones((1, 3)), cfg, ["m4"])
-    for p, q in zip(tuned.params(), model.params()):
+    for p, q in zip(_live_params(tuned), _live_params(model)):
         assert np.array_equal(p, q)
 
 
@@ -593,7 +597,7 @@ def test_rw_finetune_weights_are_scale_invariant():
     model, _ = train_erm(ds, cfg)
     (t1,) = rw_finetune(model, ds, np.array([[1.0, 2.0, 1.0]]), cfg, ["m4"])
     (t2,) = rw_finetune(model, ds, np.array([[10.0, 20.0, 10.0]]), cfg, ["m4"])
-    for p, q in zip(t1.params(), t2.params()):
+    for p, q in zip(_live_params(t1), _live_params(t2)):
         assert np.array_equal(p, q)
     for rows, targets in ((np.ones((1, 4)), ["m4"]), (np.ones(3), ["m4"]), (np.ones((2, 3)), ["m4"])):
         with pytest.raises(ValueError, match="one row of relation weights per target"):
@@ -642,6 +646,53 @@ def test_erm_checkpoint_round_trip(tmp_path):
     assert a.to_dict() == b.to_dict()
 
 
+# the "erm" checkpoint of the tiny train_erm run below, as the format was first recorded:
+# (entry, dtype, shape, sha256 of the array bytes) in archive order, and the header
+ERM_CHECKPOINT_ENTRIES = [
+    ("extractor/0/w", "<f8", (4, 3), "6504c55a8a0392541924567a2692fb0da04e65026d061bcc0a37d420ca3705ce"),
+    ("extractor/0/b", "<f8", (4,), "f54cddec36278885043217b86dd2db6a7418026ec281288c13ac510b11a48797"),
+    ("head/0/w", "<f8", (2, 4), "2bc6d2353a94aaa304a3ba06bf315d03914f60894ba53f331c216aacfd5a1145"),
+    ("head/0/b", "<f8", (2,), "8750b1709f2df059c1adfe360cff870ede43caa8d2b4f3b417bbf0ce7c8ff988"),
+]
+ERM_CHECKPOINT_HEADER = {
+    "acts": {"extractor": ["relu"], "head": ["identity"]},
+    "config": {"batch_size": 10, "beta": 0.8, "combine_space": "logit",
+               "domain_balanced_sampling": False, "epochs": 2, "eval_every": 1,
+               "finetune_epochs": 5, "hidden_width": 4, "lam": 0.5, "lr": 0.001,
+               "relation_heads": 4, "relation_mode": "fused", "relation_width": 32, "seed": 0,
+               "select_best": True, "weight_decay": 0.0005},
+    "extra": {"method": "erm"},
+    "kind": "erm",
+    "meta_dim": 1,
+    "schema": "relgen-checkpoint/1",
+    "task": "classification",
+}
+
+
+def test_erm_checkpoints_keep_their_recorded_format(tmp_path):
+    """A pooled model writes the recorded erm archive (entries in order, dtypes,
+    shapes, array bytes, header but its version), and that archive loads as the
+    model it came from."""
+    ds = micro_dataset()
+    cfg = TrainConfig(epochs=2, lr=1e-3, hidden_width=4)
+    model, _ = train_erm(ds, cfg)
+    path = str(tmp_path / "erm.npz")
+    save_checkpoint(path, model, cfg, extra={"method": "erm"})
+    with zipfile.ZipFile(path) as archive:
+        names = archive.namelist()
+    assert names == ["__header__.npy"] + [f"{e[0]}.npy" for e in ERM_CHECKPOINT_ENTRIES]
+    with np.load(path) as z:
+        header = json.loads(z["__header__"].tobytes().decode())
+        entries = [(k, z[k].dtype.str, z[k].shape, hashlib.sha256(z[k].tobytes()).hexdigest())
+                   for k in z.files if k != "__header__"]
+    assert entries == ERM_CHECKPOINT_ENTRIES
+    header.pop("version")
+    assert header == ERM_CHECKPOINT_HEADER
+    loaded, _ = load_checkpoint(path)
+    assert loaded.meta_dim == 1
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+
+
 def test_checkpoint_error_paths(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_checkpoint(str(tmp_path / "missing.npz"))
@@ -680,7 +731,7 @@ def test_non_finite_outputs_are_numerical_errors_naming_the_domain():
     with pytest.raises(NumericalError, match="non-finite model outputs .* test domain 'm4'"):
         score([model], ds, [("fused", cfg.beta)], "test")
     erm = build_erm(ds, cfg)
-    erm.head.layers[-1].b[...] = np.inf
+    erm.head_b[...] = np.inf
     with pytest.raises(NumericalError, match="valid domain 'm3'"):
         evaluate(erm, ds, replace(cfg, finetune_epochs=0), "valid")
     # score names the split and the first bad model's domain
@@ -732,10 +783,9 @@ def test_damaged_checkpoints_are_data_errors(tmp_path):
 
 def _live_params(model):
     """The arrays the model computes with, each head as its own (w, b) pair."""
-    if isinstance(model, ErmModel):
-        return model.params()
     heads = [a for w, b in zip(model.head_w, model.head_b) for a in (w, b)]
-    return model.extractor.params() + heads + model.relation_net.params()
+    net = [] if model.relation_net is None else model.relation_net.params()
+    return model.extractor.params() + heads + net
 
 
 def _assert_tiles(model):
@@ -868,15 +918,17 @@ VALID_PASS_VARIANTS = {k: MIXED_VARIANTS[k] for k in ("fused", "uniform", "beta1
 def reference_report(model, dataset, mode, split):
     """The split's report, one domain at a time, under mode (relation mode, beta).
 
-    A MultiHeadModel weights its heads by the domain's normalized
-    relation_row and mixes them with combine_heads; an ErmModel reads its
-    features with the domain's meta-data row appended. Then the argmax or
-    first-column decision.
+    A relational model weights its heads by the domain's normalized
+    relation_row and mixes them with combine_heads; a pooled model runs its
+    one head on its features with the domain's meta-data row appended. Then
+    the argmax or first-column decision.
     """
-    if not isinstance(model, MultiHeadModel):
+    if model.relation_net is None:
         def pooled(d, x):
             feats = np.hstack([x, np.tile(dataset.meta_for([d]), (len(x), 1))])
-            return model_module._decide(model_module._pooled_outputs(model, feats), model.task)
+            head = Mlp([Layer(model.head_w[0], model.head_b[0])])
+            return model_module._decide(forward(head, forward(model.extractor, feats)[0])[0],
+                                        model.task)
 
         return evaluate_per_domain(pooled, dataset, split)
     train_ids = model.head_domains
@@ -1265,7 +1317,7 @@ def test_lockstep_rw_finetune_equals_one_call_per_row(data, finetune_epochs):
     assert len(tuned) == len(rows)
     for row, target, t in zip(rows, targets, tuned):
         (one,) = rw_finetune(erm, ds, row[None], cfg, [target])
-        assert isinstance(one, ErmModel)
+        assert one.relation_net is None and one.head_w.shape[0] == 1
         assert one.flat.tobytes() == t.flat.tobytes()
     assert (tuned[0].flat.tobytes() == erm.flat.tobytes()) == (finetune_epochs == 0)
 
@@ -1347,8 +1399,8 @@ def test_a_fine_tune_is_scored_on_its_own_domain_only(monkeypatch):
         tuned[:] = real_tune(*args)
         # hidden unit 0 reads the meta-data alone: 0 on the first copy's own (negative
         # angle) domain, inf on the split's domain of largest angle
-        ext, head = tuned[0].extractor.layers[0], tuned[0].head.layers[0]
-        ext.w[0], ext.b[0], head.w[:, 0] = 0.0, 0.0, 1e-3
+        ext, head_w = tuned[0].extractor.layers[0], tuned[0].head_w[0]
+        ext.w[0], ext.b[0], head_w[:, 0] = 0.0, 0.0, 1e-3
         ext.w[0, -1] = 1e308
         return tuned
 
@@ -1364,11 +1416,11 @@ def test_a_fine_tune_is_scored_on_its_own_domain_only(monkeypatch):
 def test_a_diverging_erm_seed_or_fine_tune_is_named():
     ds, cfgs = _lockstep_setup("dg15", "fused")
     models = [build_erm(ds, c) for c in cfgs]
-    models[2].head.layers[0].w[...] = np.inf
+    models[2].head_w[...] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="seed 6 at epoch 0, batch 0"):
         train(models, ds, cfgs)
     erm = build_erm(ds, cfgs[0])
-    erm.head.layers[0].w[...] = 1e308  # finite, but the logits overflow
+    erm.head_w[...] = 1e308  # finite, but the logits overflow
     rows = np.ones((2, len(ds.ids_for_split("train"))))
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="domain 'd01' at epoch 0"):
         rw_finetune(erm, ds, rows, cfgs[0], targets=["d01", "d02"])
@@ -1397,7 +1449,7 @@ def test_a_non_finite_gradient_under_a_finite_loss_is_named():
     # tiny extractor weights keep the logits finite; the huge head overflows the
     # extractor's gradient
     models[1].extractor.layers[0].w[...] *= 1e-309
-    models[1].head.layers[0].w[...] = [[1.7e308], [-1.7e308]]
+    models[1].head_w[0] = [[1.7e308], [-1.7e308]]
     with np.errstate(all="ignore"), pytest.raises(
         NumericalError, match="non-finite gradient for seed 5 at epoch 0, batch 0"
     ):
