@@ -42,8 +42,6 @@ from .nn import (
     one_hot,
     softmax,
     split,
-    stack_backward,
-    stack_forward,
 )
 from .relations import (
     RelationNet,
@@ -125,7 +123,8 @@ class TrainConfig:
             # JSON numbers: an int may stand for a float, but a bool is no number
             ok = isinstance(value, (int, float) if want is float else want)
             if not ok or (isinstance(value, bool) and want is not bool):
-                raise ConfigError(f"config {name!r} must be a {want.__name__}, got {value!r}")
+                article = "an" if want.__name__[0] in "aeiou" else "a"
+                raise ConfigError(f"config {name!r} must be {article} {want.__name__}, got {value!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -143,9 +142,11 @@ class MultiHeadModel:
     """Shared extractor, one head per training domain, and a relation net.
 
     Head k is the identity layer phi -> head_w[k] @ phi + head_b[k], with
-    head_w of shape (K, c, h) and head_b of shape (K, c). Construction
-    copies every parameter into one float64 vector, ``flat``, and makes each
-    parameter array a view into it, in the order views() returns them.
+    head_w of shape (K, c, h) and head_b of shape (K, c). ``head`` is the
+    block as one identity Layer over both, which nn.forward runs for all K
+    heads on phi[..., None, :, :]. Construction copies every parameter into
+    one float64 vector, ``flat``, and makes each parameter array a view into
+    it, in the order views() returns them.
 
     The pooled baseline (build_erm) is the K = 1 case: one head for all
     training domains, head_domains [] and relation_net None. Its extractor
@@ -162,6 +163,7 @@ class MultiHeadModel:
     combine_space: str = "logit"
     meta_dim: int = 0
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    head: Mlp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.head_w = np.asarray(self.head_w, dtype=np.float64)
@@ -179,6 +181,7 @@ class MultiHeadModel:
         # row k of the head block is head k's weight rows, then its bias
         _, c, h = self.head_w.shape
         heads = np.concatenate([self.head_w.reshape(k, c * h), self.head_b], axis=1)
+        self.head = Mlp([Layer(np.zeros((c, h)), np.zeros(c))])
         blocks = self.extractor.params() + [heads] + (net.params() if net is not None else [])
         self._shapes = [b.shape for b in blocks]
         self.bind(flatten(blocks))
@@ -205,6 +208,7 @@ class MultiHeadModel:
         """
         ext, self.head_w, self.head_b, net = self.views(flat)
         _bind_mlp(self.extractor, iter(ext))
+        _bind_mlp(self.head, iter((self.head_w, self.head_b)))
         if self.relation_net is not None:
             _bind_mlp(self.relation_net.g, iter(net))
             self.relation_net.w = net[-1]
@@ -247,20 +251,14 @@ def _bound_copy(model, flat: np.ndarray):
 
 
 def _planned(model, grad: np.ndarray | None = None):
-    """A shallow copy of the model, sharing its parameters, whose networks are Passes;
-    given grad, a buffer laid out like model.flat, they write their gradients into it.
-
-    A pooled model's copy also gets ``head``: the Pass of an identity Layer over row 0
-    of the head block, so its head runs through nn.forward and nn.backward.
-    """
+    """A shallow copy of the model, sharing its parameters, whose networks (extractor,
+    head block and relation net) are Passes; given grad, a buffer laid out like
+    model.flat, they write their gradients into it."""
     views = model.views(grad) if grad is not None else None
     twin = copy.copy(model)
     twin.extractor = Pass(model.extractor, views and views[0])
-    if model.relation_net is None:
-        head = Mlp([Layer(np.zeros(model.head_w.shape[-2:]), np.zeros(model.head_b.shape[-1]))])
-        _bind_mlp(head, iter((model.head_w[..., 0, :, :], model.head_b[..., 0, :])))
-        twin.head = Pass(head, views and [views[1][..., 0, :, :], views[2][..., 0, :]])
-    else:
+    twin.head = Pass(model.head, views and [views[1], views[2]])
+    if model.relation_net is not None:
         twin.relation_net = copy.copy(model.relation_net)
         twin.relation_net.g = Pass(model.relation_net.g, views and views[3][:-1])
     return twin
@@ -369,7 +367,8 @@ class StepPlan:
     """What total_loss_and_grads reuses over the steps of one training run.
 
     grad is the gradient buffer and views its parameter views, one leading
-    row per model; nets is the model _planned with grad; the relations are
+    row per model; nets is the model _planned with grad. The rest is a
+    relational stack's (None when pooled): the relations are
     max(fixed_part + share * learned, 0), or the constant ``relations``
     when the net is not read (beta 1 for every row); d_a is the (S, K, K)
     buffer of their gradient and diagonal a view of its diagonals; grids
@@ -379,11 +378,11 @@ class StepPlan:
     grad: np.ndarray
     views: tuple
     nets: MultiHeadModel
-    fixed_part: np.ndarray
-    share: object
-    relations: np.ndarray | None
-    d_a: np.ndarray
-    diagonal: np.ndarray
+    fixed_part: np.ndarray | None = None
+    share: object = None
+    relations: np.ndarray | None = None
+    d_a: np.ndarray | None = None
+    diagonal: np.ndarray | None = None
     grids: dict = field(default_factory=dict)
 
     def grid(self, shape: tuple) -> tuple:
@@ -392,14 +391,18 @@ class StepPlan:
         return self.grids[shape]
 
 
-def plan_step(model: MultiHeadModel, fixed: np.ndarray, beta: np.ndarray,
+def plan_step(model: MultiHeadModel, fixed: np.ndarray | None, beta: np.ndarray | None,
               grad: np.ndarray) -> StepPlan:
     """The StepPlan of total_loss_and_grads for these relations and gradient buffer.
 
-    model is S stacked models (see stack_models); fixed holds their (S, K,
-    K) fixed relations and beta their (S,) betas, one row per model, and
-    grad is the (S, P) buffer laid out like model.flat.
+    model is S stacked models (see stack_models) and grad the (S, P) buffer
+    laid out like model.flat. For a relational stack, fixed holds the (S,
+    K, K) fixed relations and beta the (S,) betas, one row per model; a
+    pooled stack reads neither.
     """
+    views, nets = model.views(grad), _planned(model, grad)
+    if model.relation_net is None:
+        return StepPlan(grad, views, nets)
     s, k = len(grad), len(model.head_domains)
     if np.shape(fixed) != (s, k, k):
         raise ValueError(f"expected a ({k}, {k}) relation matrix per model, got {np.shape(fixed)}")
@@ -407,8 +410,7 @@ def plan_step(model: MultiHeadModel, fixed: np.ndarray, beta: np.ndarray,
     constant = fuse(fixed, 0.0, 1.0) if (beta == 1.0).all() else None
     d_a = np.empty((s, k, k))
     diagonal = d_a.reshape(s, k * k)[:, :: k + 1]
-    return StepPlan(grad, model.views(grad), _planned(model, grad), fixed_part, share, constant,
-                    d_a, diagonal)
+    return StepPlan(grad, views, nets, fixed_part, share, constant, d_a, diagonal)
 
 
 def _targets(model, y) -> np.ndarray:
@@ -421,7 +423,7 @@ def _targets(model, y) -> np.ndarray:
 
 
 def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
-                         lam: np.ndarray, plan: StepPlan):
+                         lam: np.ndarray | None, plan: StepPlan, q: np.ndarray | None = None):
     """Training objective of S models with exact gradients for every parameter.
 
     The model is S stacked models (see stack_models), and every input holds
@@ -435,58 +437,71 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
     beta is 1, and a row's (1 - beta) zeroes its relation-net gradient at
     beta 1. Returns (loss, (loss_pred, loss_rel), grad): three (S,) arrays
     and plan.grad, laid out like model.flat.
+
+    A pooled stack (relation_net None) has no relations and no mixture and
+    reads no domains, metas or lam; its rows may share one (n, p) batch and
+    its (n, c) targets. Its loss is the mean example loss, or sum(q *
+    losses) / n given (S, n) example weights q, and it returns (loss, (),
+    grad). Both kinds run the extractor and the head block, all K heads at
+    once, through nn.forward and nn.backward.
     """
     x, y, dom = batch
-    _, g_hw, g_hb, g_net = plan.views
-    k = len(model.head_domains)
-    net = plan.nets.relation_net
-    row_lam = lam[:, None, None]
-
-    a, cache = plan.relations, None
-    if a is None:
-        a, cache = learned_matrix(net, metas)
-        a *= plan.share  # fuse, in place, with its halves planned
-        a += plan.fixed_part
-        np.maximum(a, 0.0, out=a)
-
-    phi, e_tape = forward(plan.nets.extractor, x)
-    outs = stack_forward(model.head_w, model.head_b, phi)  # (S, K, n, c)
-
-    ix = plan.grid(dom.shape)
-    seeds, cols = ix
-    self_out = (seeds, dom, cols)
-    u, divisor = _consistency_weights(a, dom, k, ix)
-    lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y)
-    g_mix *= row_lam
-
-    # gradients w.r.t. head outputs (in mixture space first)
-    g_heads = u.swapaxes(-1, -2)[..., None] * g_mix[..., None, :, :]  # (S, K, n, c)
-    if p is not None:
-        # mixture was over probabilities: pull back through each softmax
-        inner = (g_heads * p).sum(axis=-1, keepdims=True)
-        g_heads = p * (g_heads - inner)
-    np.add.at(g_heads, self_out, g_self)
-
-    # gradients w.r.t. the relation entries actually used
-    if cache is None:
-        for view in g_net:
-            view[...] = 0.0
+    nets = plan.nets
+    phi, e_tape = forward(nets.extractor, x)
+    outs, h_tape = forward(nets.head, phi[..., None, :, :])  # (S, K, n, c)
+    if model.relation_net is None:
+        losses, g_heads = _example_losses(outs[..., 0, :, :], y, model.task)
+        if q is not None:
+            losses *= q
+            g_heads *= q[..., None]
+        loss, terms = np.add.reduce(losses, axis=-1) / losses.shape[-1], ()
+        g_heads = g_heads[..., None, :, :]
     else:
-        src = p if p is not None else outs
-        contrib = np.einsum("...nc,...knc->...nk", g_mix, src)
-        contrib -= np.einsum("...nc,...nc->...n", g_mix, mix)[..., None]
-        contrib /= divisor
-        # each example's own entry lands on the diagonal, zeroed below
-        d_a = plan.d_a
-        d_a.fill(0.0)
-        np.add.at(d_a, (seeds, dom), contrib)
-        d_a *= a > 0.0  # clamp subgradient
-        plan.diagonal.fill(0.0)
-        learned_matrix_backward(net, cache, plan.share * d_a, out_w=g_net[-1])
+        net, k = nets.relation_net, len(model.head_domains)
+        a, cache = plan.relations, None
+        if a is None:
+            a, cache = learned_matrix(net, metas)
+            a *= plan.share  # fuse, in place, with its halves planned
+            a += plan.fixed_part
+            np.maximum(a, 0.0, out=a)
 
-    _, _, d_phi = stack_backward(model.head_w, phi, g_heads, out=(g_hw, g_hb))
-    backward(plan.nets.extractor, e_tape, d_phi, input_grad=False)
-    return lp + lam * lrel, (lp, lrel), plan.grad
+        ix = plan.grid(dom.shape)
+        seeds, cols = ix
+        self_out = (seeds, dom, cols)
+        u, divisor = _consistency_weights(a, dom, k, ix)
+        lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y)
+        g_mix *= lam[:, None, None]
+
+        # gradients w.r.t. head outputs (in mixture space first)
+        g_heads = u.swapaxes(-1, -2)[..., None] * g_mix[..., None, :, :]  # (S, K, n, c)
+        if p is not None:
+            # mixture was over probabilities: pull back through each softmax
+            inner = (g_heads * p).sum(axis=-1, keepdims=True)
+            g_heads = p * (g_heads - inner)
+        np.add.at(g_heads, self_out, g_self)
+
+        # gradients w.r.t. the relation entries actually used
+        g_net = plan.views[3]
+        if cache is None:
+            for view in g_net:
+                view[...] = 0.0
+        else:
+            src = p if p is not None else outs
+            contrib = np.einsum("...nc,...knc->...nk", g_mix, src)
+            contrib -= np.einsum("...nc,...nc->...n", g_mix, mix)[..., None]
+            contrib /= divisor
+            # each example's own entry lands on the diagonal, zeroed below
+            d_a = plan.d_a
+            d_a.fill(0.0)
+            np.add.at(d_a, (seeds, dom), contrib)
+            d_a *= a > 0.0  # clamp subgradient
+            plan.diagonal.fill(0.0)
+            learned_matrix_backward(net, cache, plan.share * d_a, out_w=g_net[-1])
+        loss, terms = lp + lam * lrel, (lp, lrel)
+
+    _, d_phi = backward(nets.head, h_tape, g_heads)  # d_phi is (S, 1, n, h)
+    backward(nets.extractor, e_tape, d_phi[..., 0, :, :], input_grad=False)
+    return loss, terms, plan.grad
 
 
 # -- training loops -----------------------------------------------------------
@@ -573,31 +588,14 @@ def train(model, dataset, config):
     n = len(y[0])
     x, y, dom = (np.concatenate(a) for a in (x, y, doms))  # row j's examples start at j * n
     y = _targets(models[0], y)
+    keys, fixed, lam, beta = ("loss",), None, None, None
     if relational:
         k = len(metas[0])
         fixed, beta = zip(*[
             mode_fusion(c.relation_mode, c.beta, fn, (k, k)) for c, fn in zip(configs, fixed_fns)
         ])
-        metas, fixed, lam, beta = (np.stack(v) for v in (metas, fixed, [c.lam for c in configs], beta))
-        keys = ("loss", "loss_pred", "loss_rel")
-
-        def plan(stack, grad):
-            step_plan = plan_step(stack, fixed, beta, grad)
-
-            def epoch(idx):
-                xe, ye, de = x[idx], y[idx], dom[idx]
-
-                def step(lo, hi):
-                    batch = xe[:, lo:hi], ye[:, lo:hi], de[:, lo:hi]
-                    loss, (lp, lrel), _ = total_loss_and_grads(stack, batch, metas, lam, step_plan)
-                    return loss, lp, lrel
-
-                return step
-
-            return epoch
-    else:
-        keys = ("loss",)
-        plan = _pooled_step(x, y)
+        fixed, lam, beta = (np.stack(v) for v in (fixed, [c.lam for c in configs], beta))
+        keys += ("loss_pred", "loss_rel")
 
     def order(epoch):
         return n * np.arange(len(rows))[:, None] + np.stack(
@@ -606,32 +604,28 @@ def train(model, dataset, config):
 
     names = _row_names(configs)
     valid = _valid_pass(models, datasets, configs, names)
+    plan = _step_plan(x, y, dom, np.stack(metas), fixed, beta, lam)
     histories = _train_loop(models, config, config.epochs, order, plan, keys, names, valid)
     return histories[0] if single else histories
 
 
-def _pooled_step(x, y, q=None):
-    """The _train_loop plan of pooled models on examples x, y (as _targets returns them): a
-    step's loss is the mean example loss, or sum(q * losses) / n given (S, n) weights q."""
+def _step_plan(x, y, dom, metas=None, fixed=None, beta=None, lam=None, q=None):
+    """The _train_loop plan of total_loss_and_grads on examples x, y (as _targets returns
+    them) and dom, with the step's other inputs for every row (see plan_step): a step's
+    loss terms are its loss, then (relational) loss_pred and loss_rel."""
 
     def plan(stack, grad):
-        twin = _planned(stack, grad)
-        ext, head, task = twin.extractor, twin.head, stack.task
+        step_plan = plan_step(stack, fixed, beta, grad)
 
         def epoch(idx):
-            xe, ye = x[idx], y[idx]
+            xe, ye, de = x[idx], y[idx], dom[idx]
             qe = None if q is None else np.ascontiguousarray(q[:, idx])  # C order, see rw_finetune
 
             def step(lo, hi):
-                phi, e_tape = forward(ext, xe[..., lo:hi, :])
-                out, h_tape = forward(head, phi)
-                losses, g = _example_losses(out, ye[..., lo:hi, :], task)
-                if qe is not None:
-                    losses *= qe[:, lo:hi]
-                    g *= qe[:, lo:hi, None]
-                _, d_phi = backward(head, h_tape, g)
-                backward(ext, e_tape, d_phi, input_grad=False)
-                return (np.add.reduce(losses, axis=-1) / losses.shape[-1],)
+                batch = xe[..., lo:hi, :], ye[..., lo:hi, :], de[..., lo:hi]
+                loss, terms, _ = total_loss_and_grads(stack, batch, metas, lam, step_plan,
+                                                      None if qe is None else qe[:, lo:hi])
+                return (loss, *terms)
 
             return step
 
@@ -733,16 +727,18 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
     """Weighted combination of head outputs on a float64 (n, p) batch x.
 
     The weights are mixed as given: one per head, normalized by the caller
-    (see normalize_rows). In "prob" combine space the heads' softmax
-    outputs are averaged instead of raw logits. Returns the (n, c) outputs;
-    a model stacked over S rows (see stack_models) takes (S, K) weights,
-    one row each, and gives (S, n, c), one output block per row.
+    (see normalize_rows); a pooled model's one head takes weight one. In
+    "prob" combine space the heads' softmax outputs are averaged instead of
+    raw logits. Returns the (n, c) outputs; a model stacked over S rows
+    (see stack_models) takes (S, K) weights, one row each, and gives (S, n,
+    c), one output block per row. This is the one predictor of both model
+    kinds, for score and evaluate.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != model.head_w.shape[:-2]:
         raise ValueError("need one weight per head")
     phi = forward(model.extractor, x)[0]
-    outs = stack_forward(model.head_w, model.head_b, phi)  # (..., K, n, c)
+    outs = forward(model.head, phi[..., None, :, :])[0]  # (..., K, n, c)
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         outs = softmax(outs, axis=-1)
     return np.einsum("...k,...knc->...nc", w, outs)
@@ -761,11 +757,6 @@ def _metric(pred: np.ndarray, y: np.ndarray, task: str):
 
 
 # -- pooled baseline and reweighted fine-tuning --------------------------------
-
-
-def _pooled_outputs(model: MultiHeadModel, feats: np.ndarray) -> np.ndarray:
-    """A _planned pooled model's (..., n, c) outputs on features plus meta-data."""
-    return forward(model.head, forward(model.extractor, feats)[0])[0]
 
 
 def _pooled_features(dataset: DomainDataset, ids: list[str]):
@@ -861,7 +852,7 @@ def rw_finetune(
         config,
         config.finetune_epochs,
         lambda epoch: substream(config.seed, "rwft", "shuffle", epoch).permutation(len(y)),
-        _pooled_step(feats, y, q),
+        _step_plan(feats, y, dom, q=q),
         ("loss",),
         [f"the fine-tune for domain {targets[j]!r}" for j in keep],
     )
@@ -917,7 +908,7 @@ def evaluate(erm: MultiHeadModel, dataset: DomainDataset, config: TrainConfig, s
     rows = dataset.fixed_between(ids, dataset.ids_for_split("train"))
     values, bad = [], {}
     for j, (tuned, d) in enumerate(zip(rw_finetune(erm, dataset, rows, config, ids), ids)):
-        out = _pooled_outputs(_planned(tuned), _pooled_features(dataset, [d])[0])[None]  # (1, n, c)
+        out = combine_heads(tuned, np.ones(1), _pooled_features(dataset, [d])[0])[None]  # (1, n, c)
         values.append(_domain_values([j], d, dataset.domain_arrays(d)[1], out, erm.task, bad)[0])
     _raise_non_finite(bad, split)
     return _report(dataset, split, np.array(values))
@@ -927,10 +918,11 @@ def score(models, datasets, modes, split: str) -> list[MetricsReport]:
     """Each model's report on one split of its dataset (one for all, or one each).
 
     modes[j] is model j's (relation mode, beta), beta checked in every mode,
-    or None; a pooled model reads no mode. A relational model predicts each
-    domain through relation_row, normalize_rows and combine_heads; a pooled
-    model runs its one head on its features plus the domain's meta-data
-    row. The decision is the argmax label or the first output column. Models of one structure,
+    or None; a pooled model reads no mode. Each domain is predicted through
+    combine_heads: a relational model's weights come from relation_row and
+    normalize_rows, and a pooled model gives its one head weight one on its
+    features plus the domain's meta-data row. The decision is the argmax
+    label or the first output column. Models of one structure,
     dataset and mode are scored together (see _SplitGroup), each with the
     bits it gets when scored alone. Non-finite outputs raise NumericalError
     naming the split and the first such model's first such domain.
@@ -993,10 +985,11 @@ class _SplitGroup:
 
     Built once: each domain's examples (pooled features for a pooled model)
     and, for a relational model under mode (relation mode, beta), the split's
-    fixed relation rows and meta-data. score() makes one relation_row call
-    for all rows, one normalize_rows call on its (S, T, K) block (so at most
-    one fallback warning per split and pass) and one combine_heads call per
-    domain, not one over the whole split: BLAS may round an example's
+    fixed relation rows and meta-data, or a pooled model's (S, T, 1) weights
+    of one. score() makes one relation_row call for all rows, one
+    normalize_rows call on its (S, T, K) block (so at most one fallback
+    warning per split and pass) and one combine_heads call per domain, for
+    either kind, not one over the whole split: BLAS may round an example's
     output differently at another offset in a larger block (1 ulp of valid
     MSE on a 6x6 grid).
     """
@@ -1009,6 +1002,7 @@ class _SplitGroup:
         self.xs, self.ys = zip(*[dataset.domain_arrays(d) for d in self.ids])
         if self.model.relation_net is None:
             self.xs = [_pooled_features(dataset, [d])[0] for d in self.ids]
+            self.weights = np.ones((len(rows), len(self.ids), 1))
             return
         train_ids = self.model.head_domains
         self.fixed, self.beta = mode_fusion(
@@ -1021,14 +1015,13 @@ class _SplitGroup:
         of each of the group's rows j, and bad[j] to j's first non-finite domain."""
         model = self.model
         np.take(flat, self.rows, axis=0, out=model.flat)
-        if model.relation_net is not None:  # (S, T, K) weight rows, then (S, n, c) per domain
+        if model.relation_net is None:
+            w = self.weights
+        else:  # (S, T, K) weight rows
             w = relation_row(model.relation_net, self.meta_t, self.metas, self.fixed, self.beta)
             w = normalize_rows(w, self.ids)
-            outs = (combine_heads(model, w[:, t], x) for t, x in enumerate(self.xs))
-        else:
-            outs = (_pooled_outputs(model, x) for x in self.xs)
-        per = [_domain_values(self.rows, d, y, out, model.task, bad)
-               for d, y, out in zip(self.ids, self.ys, outs)]
+        per = [_domain_values(self.rows, d, y, combine_heads(model, w[:, t], x), model.task, bad)
+               for t, (d, y, x) in enumerate(zip(self.ids, self.ys, self.xs))]
         values.update(zip(self.rows, np.stack(per, axis=-1)))
 
 

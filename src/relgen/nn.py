@@ -1,15 +1,16 @@
 """Dense-network building blocks.
 
 MLP forward/backward passes with hand-derived gradients, planned once
-per network for many calls (Pass), a batched pass for a stack of linear
-layers that share one input (the per-domain heads), softmax with the
-cross-entropy and squared-error losses, Adam with decoupled weight decay,
-and a helper that cuts one flat parameter buffer into array views.
+per network for many calls (Pass), softmax with the cross-entropy and
+squared-error losses, Adam with decoupled weight decay, and a helper that
+cuts one flat parameter buffer into array views.
 
 The passes broadcast over leading axes: a network whose weights are
 (S, out, in) and biases (S, out) is S networks run at once, on S input
 batches of shape (S, n, in) or on one shared (n, in) batch. Each slice s
-gives the same bits as the network of slice s run on its own.
+gives the same bits as the network of slice s run on its own. So K
+linear layers that share one input (the per-domain heads: a (..., K, c, h)
+weight block on a (..., 1, n, h) input) run as one identity layer.
 
 All arithmetic is float64 so gradient checks can be tight.
 """
@@ -109,6 +110,9 @@ class Pass:
     activation) in backward's order, and grads the arrays backward writes
     into, in Mlp.params() order (None for a forward-only pass). All are
     views, so in-place updates (an Adam step on their buffers) show through.
+    A model plans one per network: its extractor, its head block (the
+    identity layer MultiHeadModel.head, one Pass for all K heads) and, if
+    it has one, its relation net.
     """
 
     def __init__(self, mlp: Mlp, grads=None):
@@ -124,9 +128,11 @@ def forward(net, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Evaluate an Mlp or its Pass on a float64 (..., n, in) batch of rows.
 
     Returns the (..., n, out) output and the tape for backward, each
-    layer's (input, activation computed in place). A single row is x[None];
-    for an Mlp, fewer than two axes or the wrong width is a ValueError (a
-    Pass's callers check their data once, see model.check_fits).
+    layer's (input, activation computed in place); a (..., K, out, in)
+    head block on a (..., 1, n, in) input gives (..., K, n, out). A single
+    row is x[None]; for an Mlp, fewer than two axes or the wrong width is a
+    ValueError (a Pass's callers check their data once, see
+    model.check_fits).
     """
     planned = isinstance(net, Pass)
     p = net if planned else Pass(net)
@@ -152,6 +158,10 @@ def backward(net, tape: list, grad_output: np.ndarray,
     grads being the Pass's gradient arrays (new ones for an Mlp), written
     in Mlp.params() order. With input_grad=False the input gradient is
     skipped and grad_x is None. An Mlp's tape is checked against it.
+
+    An input whose axis -3 has length 1 where the weights' has K > 1 (a
+    head block's shared (..., 1, n, h) input) gets the sum of the K
+    layers' input gradients, in layer order, shaped like that input.
     """
     planned = isinstance(net, Pass)
     p = net if planned else Pass(net, [np.empty_like(q) for q in net.params()])
@@ -162,43 +172,20 @@ def backward(net, tape: list, grad_output: np.ndarray,
             raise ValueError("tape does not match this network (stale tape?)")
         dz = g * (a > 0.0) if act == "relu" else g * (1.0 - a * a) if act == "tanh" else g
         np.matmul(dz.swapaxes(-1, -2), x_in, out=grads[2 * k])
-        np.add.reduce(dz, axis=-2, out=grads[2 * k + 1])
+        # numpy picks its summation order from the memory layout; summing a C
+        # order copy adds each slice's rows in the order its own pass adds them
+        np.add.reduce(np.ascontiguousarray(dz), axis=-2, out=grads[2 * k + 1])
         if k == 0 and not input_grad:
             return grads, None
+        if k == 0 and x_in.ndim == dz.ndim > 2 and x_in.shape[-3] < dz.shape[-3]:
+            if dz.shape[-1] == 1:
+                # one output per layer: matmul is slow on a contraction of length 1,
+                # and einsum forms the same single products and adds them in layer
+                # order; with more outputs einsum rounds unlike BLAS, so matmul stays
+                return grads, np.einsum("...knc,...kch->...nh", dz, w)[..., None, :, :]
+            return grads, np.add.reduce(dz @ w, axis=-3, keepdims=True)
         g = dz @ w
     return grads, g
-
-
-def stack_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Outputs of K linear layers on one shared input batch.
-
-    w is (..., K, c, h), b is (..., K, c), x is (..., n, h); returns
-    (..., K, n, c). Each slice k gives the same bits as an identity
-    Layer(w[k], b[k]) under forward().
-    """
-    return np.matmul(x[..., None, :, :], w.swapaxes(-1, -2)) + b[..., None, :]
-
-
-def stack_backward(
-    w: np.ndarray, x: np.ndarray, g: np.ndarray, out: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(outputs * g) for stack_forward, with g of shape (..., K, n, c).
-
-    Returns (grad_w (..., K, c, h), grad_b (..., K, c), grad_x (..., n, h));
-    grad_x sums the K layers' input gradients in layer order. Given out, a
-    (grad_w, grad_b) pair of arrays, the first two are written into it.
-    """
-    out_w, out_b = out if out is not None else (None, None)
-    # numpy picks its summation order from the memory layout; summing a C
-    # order copy adds each layer's rows in the order backward() adds them
-    grad_b = np.add.reduce(np.ascontiguousarray(g), axis=-2, out=out_b)
-    grad_w = np.matmul(g.swapaxes(-1, -2), x[..., None, :, :], out=out_w)
-    if g.shape[-1] == 1:
-        # one output per layer: matmul is slow on a contraction of length 1,
-        # and einsum forms the same single products and adds them in layer
-        # order; with more outputs einsum rounds unlike BLAS, so matmul stays
-        return grad_w, grad_b, np.einsum("...knc,...kch->...nh", g, w)
-    return grad_w, grad_b, np.add.reduce(np.matmul(g, w), axis=-3)
 
 
 # -- losses ------------------------------------------------------------------

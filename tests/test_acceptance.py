@@ -29,7 +29,7 @@ from relgen.model import (
     save_checkpoint,
     score,
 )
-from relgen.nn import forward, stack_forward
+from relgen.nn import Layer, Mlp, forward
 from relgen.relations import RelationNet, build_matrix, learned_matrix, normalize_rows
 from relgen.theory import (
     AVERAGING_ORACLE_TARGET,
@@ -243,7 +243,8 @@ def test_criterion_7_inference_invariants():
         pick = int(rng.integers(0, k))
         one_hot = np.zeros(k)
         one_hot[pick] = 1.0
-        direct = stack_forward(model.head_w, model.head_b, forward(model.extractor, x)[0])[pick]
+        head = Mlp([Layer(model.head_w[pick], model.head_b[pick])])  # the picked head alone
+        direct = forward(head, forward(model.extractor, x)[0])[0]
         if not np.array_equal(combine_heads(model, one_hot, x), direct):
             failures["one_hot"] += 1
 

@@ -500,6 +500,15 @@ def test_config_values_of_the_wrong_type_are_rejected(trained, dg15_dir, tmp_pat
     assert code == 3
 
 
+def test_a_fractional_epochs_config_exits_2_naming_the_type(dg15_dir, tmp_path, capsys):
+    cfg = tmp_path / "float-epochs.json"
+    cfg.write_text(json.dumps({"epochs": 1.5}))
+    out = tmp_path / "x"
+    assert run("train", "--data", str(dg15_dir), "--out", str(out), "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == "config error: config 'epochs' must be an int, got 1.5\n"
+    assert not out.exists()
+
+
 def test_numerical_blowup_exits_4(spatial_dir, tmp_path):
     # the squared-error loss overflows after a few huge steps
     with np.errstate(over="ignore", invalid="ignore"):

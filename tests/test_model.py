@@ -33,7 +33,7 @@ from relgen.model import (
     train,
     train_erm,
 )
-from relgen.nn import Layer, Mlp, forward, stack_forward
+from relgen.nn import Layer, Mlp, forward
 from relgen.relations import RelationNet, mode_fusion, normalize_rows, relation_row
 
 from reference import evaluate_per_domain, grad_check
@@ -289,7 +289,8 @@ def test_one_hot_weights_pick_a_single_head():
     x = np.ones((3, 2))
     out = combine_heads(model, [0.0, 1.0, 0.0], x)
     assert np.allclose(out, 2.0)
-    own = stack_forward(model.head_w, model.head_b, forward(model.extractor, x)[0])[1]
+    head = Mlp([Layer(model.head_w[1], model.head_b[1])])  # head 1 alone
+    own = forward(head, forward(model.extractor, x)[0])[0]
     assert np.array_equal(out, own)
 
 

@@ -29,8 +29,6 @@ from relgen.nn import (
     one_hot,
     softmax,
     split,
-    stack_backward,
-    stack_forward,
 )
 
 from reference import grad_check
@@ -427,7 +425,22 @@ def _per_head_reference(w, b, x, g):
     return np.stack(outs), np.stack(grads_w), np.stack(grads_b), grad_x
 
 
-# c = 1 takes stack_backward's einsum path, c = 2 its matmul path
+def _head_block(w, b):
+    """The (..., K, c, h) weights and (..., K, c) biases as one identity layer, the way
+    a model holds its heads (MultiHeadModel.head)."""
+    block = Mlp([Layer(np.zeros(w.shape[-2:]), np.zeros(b.shape[-1:]))])
+    block.layers[0].w, block.layers[0].b = w, b
+    return block
+
+
+def _heads_fastest(rng, k, n, c, lead=()):
+    """A (..., K, n, c) head gradient built the way the training step builds it, the
+    (..., n, K) mixture weights swapped to K-first, so the heads lie fastest in memory."""
+    u = rng.normal(size=lead + (n, k)).swapaxes(-1, -2)
+    return u[..., None] * rng.normal(size=lead + (n, c))[..., None, :, :]
+
+
+# c = 1 takes backward's einsum path for the sum over the heads, c = 2 its matmul path
 HEAD_SHAPES = [(5, 2), (1, 1), (2, 1), (18, 1), (36, 1)]
 
 
@@ -440,17 +453,36 @@ def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
         w = rng.normal(size=(k, c, h))
         b = rng.normal(size=(k, c))
         x = np.maximum(rng.normal(size=(n, h)), 0.0)
-        if layout == "c-order":
-            g = rng.normal(size=(k, n, c))
-        else:
-            # built the way the training step builds its head gradients
-            g = rng.normal(size=(n, k)).T[:, :, None] * rng.normal(size=(n, c))[None, :, :]
+        g = rng.normal(size=(k, n, c)) if layout == "c-order" else _heads_fastest(rng, k, n, c)
         outs, gw, gb, gx = _per_head_reference(w, b, x, g)
-        assert np.array_equal(stack_forward(w, b, x), outs)
-        s_gw, s_gb, s_gx = stack_backward(w, x, g)
+        block = _head_block(w, b)
+        out, tape = forward(block, x[None])  # one input, shared by the K heads
+        assert np.array_equal(out, outs)
+        (s_gw, s_gb), s_gx = backward(block, tape, g)
         assert np.array_equal(s_gw, gw)
         assert np.array_equal(s_gb, gb)
-        assert np.array_equal(s_gx, gx)
+        assert s_gx.shape == (1, n, h) and np.array_equal(s_gx[0], gx)
+
+
+@pytest.mark.parametrize("k", [2, 18, 36])
+def test_a_head_block_sums_each_bias_gradient_as_that_heads_own_pass(k):
+    """numpy sums along the memory layout. A heads-fastest gradient summed as laid
+    out adds each head's n rows one by one, where the head's own pass adds them
+    pairwise; at c = 1 and n >= 10 some bias gradients then differ in the last bits.
+    backward sums a C-order copy, and forms the weight gradient from dz as laid out."""
+    rng = np.random.default_rng(40 + k)
+    h, n = 16, 13
+    for _ in range(4):
+        w, b = rng.normal(size=(k, 1, h)), rng.normal(size=(k, 1))
+        x = np.maximum(rng.normal(size=(n, h)), 0.0)
+        g = _heads_fastest(rng, k, n, 1)
+        assert not g.flags.c_contiguous
+        _, gw, gb, _ = _per_head_reference(w, b, x, g)
+        block = _head_block(w, b)
+        (s_gw, s_gb), s_gx = backward(block, forward(block, x[None])[1], g, input_grad=False)
+        assert s_gx is None
+        assert s_gb.tobytes() == gb.tobytes()
+        assert s_gw.tobytes() == gw.tobytes()
 
 
 def _stacked_mlp(nets):
@@ -489,17 +521,18 @@ def test_stacked_heads_with_a_seed_axis_match_each_seed(k, c):
     w = rng.normal(size=(n_seeds, k, c, h))
     b = rng.normal(size=(n_seeds, k, c))
     x = np.maximum(rng.normal(size=(n_seeds, n, h)), 0.0)
-    # heads-fastest, as the training step builds its head gradients
-    u = rng.normal(size=(n_seeds, n, k)).swapaxes(-1, -2)
-    g = u[..., None] * rng.normal(size=(n_seeds, n, c))[:, None, :, :]
+    g = _heads_fastest(rng, k, n, c, (n_seeds,))
     out_w, out_b = np.full(w.shape, np.nan), np.full(b.shape, np.nan)
-    outs = stack_forward(w, b, x)
-    gw, gb, gx = stack_backward(w, x, g, out=(out_w, out_b))
+    block = Pass(_head_block(w, b), [out_w, out_b])  # as a training step plans it
+    outs, tape = forward(block, x[:, None])
+    (gw, gb), gx = backward(block, tape, g)
     assert gw is out_w and gb is out_b
     for s in range(n_seeds):
-        assert np.array_equal(outs[s], stack_forward(w[s], b[s], x[s]))
-        ref = stack_backward(w[s], x[s], g[s])
-        for got, want in zip((gw[s], gb[s], gx[s]), ref):
+        one = _head_block(w[s], b[s])
+        out, one_tape = forward(one, x[s][None])
+        assert np.array_equal(outs[s], out)
+        ref_grads, ref_gx = backward(one, one_tape, g[s])
+        for got, want in zip((gw[s], gb[s], gx[s]), ref_grads + [ref_gx]):
             assert got.tobytes() == want.tobytes()
 
 

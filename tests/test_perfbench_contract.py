@@ -53,21 +53,26 @@ def test_workload_names_match_the_benchmark():
 
 def test_the_tracer_sees_planned_passes_by_role():
     """The network spans read the role from args[0].layers[0].act; training runs
-    through planned passes (nn.Pass), and each role's calls still count."""
+    through planned passes (nn.Pass), and each role's calls still count. Each model
+    kind's training is traced alone: both run their head block through
+    nn.forward/nn.backward, and only the relational kind has a relation net."""
     tracer = _load("tracer")
+    for module, _ in tracer.FUNCTIONS.values():  # install() patches modules already loaded
+        importlib.import_module(module)
     from relgen.data import gen_dg15
     from relgen.model import TrainConfig, build_erm, build_model, train
 
     ds = gen_dg15(0, n_per_class=6)
     cfg = TrainConfig(lr=1e-3, epochs=1)
-    probe = tracer.Tracer()
-    probe.install()
-    try:
-        train(build_erm(ds, cfg), ds, cfg)
-        train(build_model(ds, cfg), ds, cfg)
-    finally:
-        probe.uninstall()
-    spans = [probe.names[i] for i in probe.arrays()["name"]]
-    for fn in tracer.NETWORK_FUNCTIONS:
-        for role in tracer.NETWORK_ROLES.values():
-            assert spans.count(f"nn.{fn}.{role}") > 0, f"nn.{fn}.{role}"
+    for build, relnet in ((build_erm, False), (build_model, True)):
+        probe = tracer.Tracer()
+        probe.install()
+        try:
+            train(build(ds, cfg), ds, cfg)
+        finally:
+            probe.uninstall()
+        spans = [probe.names[i] for i in probe.arrays()["name"]]
+        for fn in tracer.NETWORK_FUNCTIONS:
+            for role in tracer.NETWORK_ROLES.values():
+                expected = role != "relnet" or relnet
+                assert (spans.count(f"nn.{fn}.{role}") > 0) == expected, (build.__name__, fn, role)
