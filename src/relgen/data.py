@@ -21,6 +21,7 @@ from .errors import (
     MalformedRowError,
     MissingMetaError,
     OverlappingSplitError,
+    allocate,
 )
 from .fileio import atomic_write_text, parse_floats, read_csv, write_csv
 from .relations import adjacency_matrix, angle_between
@@ -178,6 +179,8 @@ def gen_dg15(seed: int, n_per_class: int = 50) -> DomainDataset:
     """
     if n_per_class < 1:
         raise ConfigError("n_per_class must be positive")
+    # a size whose x, y and domain labels cannot be allocated fails here, before any draw
+    allocate(n_per_class, "n_per_class", 2 * DG15_N_DOMAINS, 4)
     rng = substream(seed, "dg15", "angles")
     sector = 2.0 * np.pi / DG15_N_DOMAINS
     jitter = rng.uniform(0.4, 0.6, DG15_N_DOMAINS)
@@ -239,6 +242,8 @@ def gen_spatial_regression(
         raise ConfigError("n_per_domain must be positive")
     if not 0.0 <= noise < math.inf:  # False for NaN too
         raise ConfigError("noise must be finite and nonnegative")
+    # a size whose x, y and domain labels cannot be allocated fails here, before the cell loop
+    allocate(n_rows * n_cols * n_per_domain, "n_rows * n_cols * n_per_domain", 4)
     ids, metas, xs, ys, doms = [], [], [], [], []
     split: dict[str, str] = {}
     edges: list[tuple[str, str]] = []

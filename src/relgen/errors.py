@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that raises one."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -23,3 +25,15 @@ class MalformedRowError(DataError):
 
 class NumericalError(RuntimeError):
     """Training or optimization produced a non-finite quantity."""
+
+
+def allocate(n: int, name: str, *rest: int) -> np.ndarray:
+    """An uninitialised float64 buffer of shape (n, *rest), its memory untouched.
+
+    A size numpy cannot allocate (a MemoryError, or a ValueError for a size
+    past its index range) is a ConfigError naming the parameter of n.
+    """
+    try:
+        return np.empty((n, *rest))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{name} = {n} cannot be allocated ({exc})") from None

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .data import TASK_CLASSIFICATION, DomainDataset
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, allocate
 from .fileio import atomic_writer
 from .nn import (
     Layer,
@@ -293,6 +293,10 @@ def build_model(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
         raise ConfigError("need at least two training domains")
     out = _out_dim(dataset)
     k = len(train_ids)
+    # each width times the widths it multiplies, checked before any init draw
+    allocate(config.hidden_width, "hidden_width", dataset.n_features + k * out)
+    allocate(config.relation_width, "relation_width", dataset.meta_dim + config.relation_width)
+    allocate(config.relation_heads, "relation_heads", config.relation_width)
     extractor = Mlp.init([dataset.n_features, config.hidden_width], ["relu"],
                          substream(config.seed, "init", "extractor"))
     # one substream per head, so a head's init does not depend on K
@@ -364,11 +368,12 @@ def _losses(model, outs, self_out, u, y):
 
 @dataclass
 class StepPlan:
-    """What total_loss_and_grads reuses over the steps of one training run.
+    """Every per-run input of total_loss_and_grads, made once per training run.
 
     grad is the gradient buffer and views its parameter views, one leading
     row per model; nets is the model _planned with grad. The rest is a
-    relational stack's (None when pooled): the relations are
+    relational stack's (None when pooled): metas holds the (S, K, m)
+    meta-data and lam the (S,) consistency weights; the relations are
     max(fixed_part + share * learned, 0), or the constant ``relations``
     when the net is not read (beta 1 for every row); d_a is the (S, K, K)
     buffer of their gradient and diagonal a view of its diagonals; grids
@@ -378,6 +383,8 @@ class StepPlan:
     grad: np.ndarray
     views: tuple
     nets: MultiHeadModel
+    metas: np.ndarray | None = None
+    lam: np.ndarray | None = None
     fixed_part: np.ndarray | None = None
     share: object = None
     relations: np.ndarray | None = None
@@ -391,14 +398,15 @@ class StepPlan:
         return self.grids[shape]
 
 
-def plan_step(model: MultiHeadModel, fixed: np.ndarray | None, beta: np.ndarray | None,
-              grad: np.ndarray) -> StepPlan:
-    """The StepPlan of total_loss_and_grads for these relations and gradient buffer.
+def plan_step(model: MultiHeadModel, grad: np.ndarray, metas=None, fixed=None, beta=None,
+              lam=None) -> StepPlan:
+    """The StepPlan of total_loss_and_grads for this gradient buffer and these step inputs.
 
     model is S stacked models (see stack_models) and grad the (S, P) buffer
-    laid out like model.flat. For a relational stack, fixed holds the (S,
-    K, K) fixed relations and beta the (S,) betas, one row per model; a
-    pooled stack reads neither.
+    laid out like model.flat. For a relational stack, every input holds one
+    row per model: metas the (S, K, m) meta-data, fixed the (S, K, K) fixed
+    relations, beta the (S,) betas and lam the (S,) consistency weights; a
+    pooled stack reads none of them.
     """
     views, nets = model.views(grad), _planned(model, grad)
     if model.relation_net is None:
@@ -410,7 +418,7 @@ def plan_step(model: MultiHeadModel, fixed: np.ndarray | None, beta: np.ndarray 
     constant = fuse(fixed, 0.0, 1.0) if (beta == 1.0).all() else None
     d_a = np.empty((s, k, k))
     diagonal = d_a.reshape(s, k * k)[:, :: k + 1]
-    return StepPlan(grad, views, nets, fixed_part, share, constant, d_a, diagonal)
+    return StepPlan(grad, views, nets, metas, lam, fixed_part, share, constant, d_a, diagonal)
 
 
 def _targets(model, y) -> np.ndarray:
@@ -422,28 +430,27 @@ def _targets(model, y) -> np.ndarray:
     return one_hot(y, model.head_w.shape[-2])
 
 
-def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
-                         lam: np.ndarray | None, plan: StepPlan, q: np.ndarray | None = None):
+def total_loss_and_grads(model: MultiHeadModel, batch, plan: StepPlan, q: np.ndarray | None = None):
     """Training objective of S models with exact gradients for every parameter.
 
-    The model is S stacked models (see stack_models), and every input holds
-    one row per model: the batch x (S, n, p) float64, y (S, n, c) as
-    _targets returns it and domain (S, n) int64; metas, the (S, K, m)
-    meta-data; lam, the (S,) consistency weights. plan is plan_step(model,
-    fixed, beta, grad), made once per training run, which holds the fixed
-    relations, beta, the planned passes and the gradient buffer. The relations are fuse(fixed, learned,
-    beta), the learned matrix rebuilt from metas on every call so its
-    gradients are exact; it is not built (and metas not read) when every
-    beta is 1, and a row's (1 - beta) zeroes its relation-net gradient at
-    beta 1. Returns (loss, (loss_pred, loss_rel), grad): three (S,) arrays
-    and plan.grad, laid out like model.flat.
+    The model is S stacked models (see stack_models), and the batch holds
+    one row per model: x (S, n, p) float64, y (S, n, c) as _targets returns
+    it and domain (S, n) int64. plan is plan_step(model, grad, metas, fixed,
+    beta, lam), made once per training run, which holds every other input:
+    the meta-data, the fixed relations, beta, lam, the planned passes and
+    the gradient buffer. The relations are fuse(fixed, learned, beta), the
+    learned matrix rebuilt from the metas on every call so its gradients
+    are exact; it is not built (and the metas not read) when every beta is
+    1, and a row's (1 - beta) zeroes its relation-net gradient at beta 1.
+    Returns (loss, (loss_pred, loss_rel), grad): three (S,) arrays and
+    plan.grad, laid out like model.flat.
 
     A pooled stack (relation_net None) has no relations and no mixture and
-    reads no domains, metas or lam; its rows may share one (n, p) batch and
-    its (n, c) targets. Its loss is the mean example loss, or sum(q *
-    losses) / n given (S, n) example weights q, and it returns (loss, (),
-    grad). Both kinds run the extractor and the head block, all K heads at
-    once, through nn.forward and nn.backward.
+    reads no domains; its rows may share one (n, p) batch and its (n, c)
+    targets. Its loss is the mean example loss, or sum(q * losses) / n
+    given (S, n) example weights q, and it returns (loss, (), grad). Both
+    kinds run the extractor and the head block, all K heads at once,
+    through nn.forward and nn.backward.
     """
     x, y, dom = batch
     nets = plan.nets
@@ -460,7 +467,7 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
         net, k = nets.relation_net, len(model.head_domains)
         a, cache = plan.relations, None
         if a is None:
-            a, cache = learned_matrix(net, metas)
+            a, cache = learned_matrix(net, plan.metas)
             a *= plan.share  # fuse, in place, with its halves planned
             a += plan.fixed_part
             np.maximum(a, 0.0, out=a)
@@ -470,7 +477,7 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
         self_out = (seeds, dom, cols)
         u, divisor = _consistency_weights(a, dom, k, ix)
         lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y)
-        g_mix *= lam[:, None, None]
+        g_mix *= plan.lam[:, None, None]
 
         # gradients w.r.t. head outputs (in mixture space first)
         g_heads = u.swapaxes(-1, -2)[..., None] * g_mix[..., None, :, :]  # (S, K, n, c)
@@ -497,7 +504,7 @@ def total_loss_and_grads(model: MultiHeadModel, batch, metas: np.ndarray | None,
             d_a *= a > 0.0  # clamp subgradient
             plan.diagonal.fill(0.0)
             learned_matrix_backward(net, cache, plan.share * d_a, out_w=g_net[-1])
-        loss, terms = lp + lam * lrel, (lp, lrel)
+        loss, terms = lp + plan.lam * lrel, (lp, lrel)
 
     _, d_phi = backward(nets.head, h_tape, g_heads)  # d_phi is (S, 1, n, h)
     backward(nets.extractor, e_tape, d_phi[..., 0, :, :], input_grad=False)
@@ -544,11 +551,11 @@ def train(model, dataset, config):
     (config.select_best). Returns the per-epoch history.
 
     Given a list of models, all relational or all pooled, one config each
-    and a dataset or one dataset each, trains them in lockstep (see
-    _train_loop) and returns
-    one history per model. The rows may differ in dataset and in the
-    ROW_FIELDS of their configs, but not in training-set shape. Each model
-    ends bit for bit where training it alone would leave it.
+    and a dataset or one dataset each, trains them in lockstep (one
+    _train_loop call, one StepPlan) and returns one history per model. The
+    rows may differ in dataset and in the ROW_FIELDS of their configs, but
+    not in training-set shape. Each model ends bit for bit where training
+    it alone would leave it.
     """
     single = isinstance(model, MultiHeadModel)
     models = [model] if single else list(model)
@@ -588,14 +595,13 @@ def train(model, dataset, config):
     n = len(y[0])
     x, y, dom = (np.concatenate(a) for a in (x, y, doms))  # row j's examples start at j * n
     y = _targets(models[0], y)
-    keys, fixed, lam, beta = ("loss",), None, None, None
+    relations = {}
     if relational:
         k = len(metas[0])
-        fixed, beta = zip(*[
-            mode_fusion(c.relation_mode, c.beta, fn, (k, k)) for c, fn in zip(configs, fixed_fns)
-        ])
-        fixed, lam, beta = (np.stack(v) for v in (fixed, [c.lam for c in configs], beta))
-        keys += ("loss_pred", "loss_rel")
+        fixed, beta = zip(*[mode_fusion(c.relation_mode, c.beta, fn, (k, k))
+                            for c, fn in zip(configs, fixed_fns)])
+        relations = {"metas": np.stack(metas), "fixed": np.stack(fixed), "beta": np.stack(beta),
+                     "lam": np.stack([c.lam for c in configs])}
 
     def order(epoch):
         return n * np.arange(len(rows))[:, None] + np.stack(
@@ -604,68 +610,50 @@ def train(model, dataset, config):
 
     names = _row_names(configs)
     valid = _valid_pass(models, datasets, configs, names)
-    plan = _step_plan(x, y, dom, np.stack(metas), fixed, beta, lam)
-    histories = _train_loop(models, config, config.epochs, order, plan, keys, names, valid)
+    histories = _train_loop(models, config, config.epochs, order, (x, y, dom), names, valid,
+                            **relations)
     return histories[0] if single else histories
 
 
-def _step_plan(x, y, dom, metas=None, fixed=None, beta=None, lam=None, q=None):
-    """The _train_loop plan of total_loss_and_grads on examples x, y (as _targets returns
-    them) and dom, with the step's other inputs for every row (see plan_step): a step's
-    loss terms are its loss, then (relational) loss_pred and loss_rel."""
-
-    def plan(stack, grad):
-        step_plan = plan_step(stack, fixed, beta, grad)
-
-        def epoch(idx):
-            xe, ye, de = x[idx], y[idx], dom[idx]
-            qe = None if q is None else np.ascontiguousarray(q[:, idx])  # C order, see rw_finetune
-
-            def step(lo, hi):
-                batch = xe[..., lo:hi, :], ye[..., lo:hi, :], de[..., lo:hi]
-                loss, terms, _ = total_loss_and_grads(stack, batch, metas, lam, step_plan,
-                                                      None if qe is None else qe[:, lo:hi])
-                return (loss, *terms)
-
-            return step
-
-        return epoch
-
-    return plan
-
-
-def _train_loop(models, config: TrainConfig, epochs: int, order, plan, keys, names, valid=None):
+def _train_loop(models, config: TrainConfig, epochs: int, order, examples, names, valid=None,
+                q=None, **relations):
     """The training loop of every model kind, with the models in lockstep.
 
     The models share one (S, P) parameter buffer (stack_models), one (S, P)
-    gradient buffer and one Adam state, so each batch is one step() call
-    and one adam_step call for all of them. order(epoch) gives the example
-    order, (S, m) with one row per model or (m,) shared by all.
-    plan(stack, grad), called once, returns epoch(idx), which gathers the
-    examples of that order once and returns step(lo, hi); step writes every
-    model's gradient for the batch idx[..., lo:hi] into grad and returns
-    its loss terms, one (S,) array per name in keys, the first being the
-    loss. A non-finite loss or gradient raises NumericalError naming the
-    model (names[s]), the epoch and the batch. valid(stack, epoch), if
-    given, returns each model's valid-split metric, or None for a model
-    without one, which selects its best epoch. Returns one history per model.
+    gradient buffer, one StepPlan (relations are plan_step's inputs) and
+    one Adam state, so each batch is one total_loss_and_grads call and one
+    adam_step call for all of them. order(epoch) gives the order of the
+    examples (x, y as _targets returns it, dom), (S, m) with one row per
+    model or (m,) shared by all, and q the pooled stack's (S, n) example
+    weights, if any; each epoch gathers them once. The loss terms are the
+    loss, then (relational) loss_pred and loss_rel. A non-finite loss or
+    gradient raises NumericalError naming the model (names[s]), the epoch
+    and the batch. valid(stack, epoch), if given, returns each model's
+    valid-split metric, or None for a model without one, which selects its
+    best epoch. Returns one history per model.
     """
     stack = stack_models(models)
     params, grads = [stack.flat], [np.empty_like(stack.flat)]
     opt = init_opt_state(params)
-    epoch_steps = plan(stack, grads[0])
+    plan = plan_step(stack, grads[0], **relations)
+    keys = ("loss",) if stack.relation_net is None else ("loss", "loss_pred", "loss_rel")
     histories: list[list[dict]] = [[] for _ in models]
     best_metric: list[float | None] = [None] * len(models)
     best_params: list[np.ndarray | None] = [None] * len(models)
     size = config.batch_size
     for epoch in range(epochs):
         idx = order(epoch)
-        step = epoch_steps(idx)
+        xe, ye, de = (a[idx] for a in examples)
+        qe = None if q is None else np.ascontiguousarray(q[:, idx])  # C order, see rw_finetune
         seen = idx.shape[-1]
         counts = np.minimum(seen - np.arange(0, seen, size), size)  # each batch's size
         terms = np.empty((len(counts), len(keys), len(models)))  # each batch's loss terms
         for b in range(len(counts)):
-            terms[b] = step(b * size, (b + 1) * size)
+            lo, hi = b * size, (b + 1) * size
+            batch = xe[..., lo:hi, :], ye[..., lo:hi, :], de[..., lo:hi]
+            loss, parts, _ = total_loss_and_grads(stack, batch, plan,
+                                                  None if qe is None else qe[:, lo:hi])
+            terms[b] = (loss, *parts)
             finite = np.isfinite(terms[b, 0])
             if not np.logical_and.reduce(finite):
                 j = int(finite.argmin())
@@ -772,6 +760,7 @@ def build_erm(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
     if not dataset.ids_for_split("train"):
         raise ConfigError("no training domains")
     width, seed, out = config.hidden_width, config.seed, _out_dim(dataset)
+    allocate(width, "hidden_width", dataset.n_features + dataset.meta_dim + out)
     extractor = Mlp.init([dataset.n_features + dataset.meta_dim, width], ["relu"],
                          substream(seed, "init", "erm-extractor"))
     head_w = init_weight(width, out, substream(seed, "init", "erm-head"))[None]
@@ -824,8 +813,9 @@ def rw_finetune(
     their domain's weight in its row, normalized to mean one over the
     training set, so zero-weight domains contribute nothing. Each distinct
     row (bit for bit) is tuned once, named after its first target in error
-    messages; the tunes train in lockstep and draw the same shuffle, so
-    they share each input batch. targets names the rows in warnings.
+    messages; the tunes train in lockstep (one _train_loop call, weights as
+    q) and draw the same shuffle, so they share each input batch. targets
+    names the rows in warnings.
     Returns T independent models; with finetune_epochs == 0 each equals
     the input.
     """
@@ -852,9 +842,9 @@ def rw_finetune(
         config,
         config.finetune_epochs,
         lambda epoch: substream(config.seed, "rwft", "shuffle", epoch).permutation(len(y)),
-        _step_plan(feats, y, dom, q=q),
-        ("loss",),
+        (feats, y, dom),
         [f"the fine-tune for domain {targets[j]!r}" for j in keep],
+        q=q,
     )
     return [tuned[i] if i == j else _bound_copy(tuned[i], tuned[i].flat.copy())
             for j, i in enumerate(which)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, allocate
 from .fileio import write_csv
 from .rng import substream, substreams
 
@@ -183,18 +183,6 @@ def bandwidth_schedule(c0: float, n_per_domain: int, n_domains: int, r: int) -> 
     return float(c0) * float(n_per_domain * n_domains) ** (-1.0 / (r + 2))
 
 
-def _empty(n: int, name: str, *rest: int) -> np.ndarray:
-    """An uninitialised float64 buffer of shape (n, *rest).
-
-    A size numpy cannot allocate (a MemoryError, or a ValueError for a size
-    past its index range) is a ConfigError naming the parameter of n.
-    """
-    try:
-        return np.empty((n, *rest))
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"{name} = {n} cannot be allocated ({exc})") from None
-
-
 def _threshold_risks(world_args: tuple, bandwidths, seeds, n_eval: int) -> np.ndarray:
     """(seeds, bandwidths) excess risks of the threshold estimator: each seed's world, scored
     at every bandwidth on the draws of seed + 1.
@@ -213,7 +201,7 @@ def _threshold_risks(world_args: tuple, bandwidths, seeds, n_eval: int) -> np.nd
     """
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
-    x, eps, signal, abs_eps, diff = (_empty(n_eval, "n_eval") for _ in range(5))
+    x, eps, signal, abs_eps, diff = (allocate(n_eval, "n_eval") for _ in range(5))
     risks = np.empty((len(seeds), len(bandwidths)))
     n_domains, r, lipschitz, n_per_domain, noise = world_args
     per_world = max(1, n_domains * n_per_domain, (n_domains + 2) * r)
@@ -302,8 +290,8 @@ def scaling_experiment(
         raise ConfigError(f"c0 must be finite and positive, got {c0}")
     # sizes too large to allocate fail here, before any work (n <= 0 and r < 1 fail in
     # bandwidth_schedule): the risks, and sample_world's (N, n) data and (N, r) latents
-    _empty(n_seeds, "n_seeds"), _empty(max(n_per_domain, 0), "n_per_domain", max(domain_grid))
-    _empty(max(r, 0), "r", max(domain_grid))
+    allocate(n_seeds, "n_seeds"), allocate(max(n_per_domain, 0), "n_per_domain", max(domain_grid))
+    allocate(max(r, 0), "r", max(domain_grid))
     if c0 is None:
         mid = domain_grid[len(domain_grid) // 2]
         c0 = calibrate_bandwidth(r, n_per_domain, noise, lipschitz, mid, seed=seed + 999_331)
@@ -354,7 +342,7 @@ def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     if n_mc < 2:
         raise ConfigError("n_mc must be at least 2")
     rng = substream(seed, "averaging-oracle")
-    vals = _empty(n_mc, "n_mc")
+    vals = allocate(n_mc, "n_mc")
     rng.random(out=vals)  # d, the bits of uniform(0.0, 1.0)
     # (d - 0.5) ** 2 * e ** 2, in place
     vals -= 0.5

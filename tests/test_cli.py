@@ -99,6 +99,42 @@ def test_gen_rejects_bad_sizes(tmp_path):
     assert run("gen", "dg15", "--n-per-class", "0", "--out", str(tmp_path / "x")) == 2
 
 
+# Each size's arrays need more than 2**57 bytes, past any address space, so no
+# overcommit mode maps them; the check allocates and touches none of that memory.
+@pytest.mark.parametrize("kind,flags,name", [
+    ("dg15", ["--n-per-class", str(10**17)], f"n_per_class = {10**17}"),
+    ("spatial", ["--n-per-domain", str(10**17)], f"n_rows * n_cols * n_per_domain = {16 * 10**17}"),
+    ("spatial", ["--rows", str(10**9), "--cols", str(10**9)],
+     f"n_rows * n_cols * n_per_domain = {40 * 10**18}"),  # 40 examples per cell by default
+])
+def test_gen_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, kind, flags, name):
+    out = tmp_path / "d"
+    assert run("gen", kind, *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} cannot be allocated (") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,field", [
+    ("train", [], "hidden_width"), ("train", [], "relation_width"), ("train", [], "relation_heads"),
+    ("train", ["--method", "erm"], "hidden_width"), ("ablate", [], "hidden_width"),
+    ("ablate", [], "relation_width"), ("ablate", [], "relation_heads"),
+])
+def test_model_sizes_that_cannot_be_allocated_exit_2(dg15_dir, tmp_path, monkeypatch, capsys,
+                                                     command, flags, field):
+    # as in the gen test above, 10**17 units of width need more than 2**57 bytes
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(model_module, "_train_loop", no_training)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps({field: 10**17}))
+    assert run(command, "--data", str(dg15_dir), "--out", str(out), "--config", str(cfg), *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} = {10**17} cannot be allocated (")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 # -- train ----------------------------------------------------------------------
 
 

@@ -99,11 +99,10 @@ def one_step(model, batch, fixed, metas, lam, beta):
     x, y, dom = batch
     stack = model_module._bound_copy(model, model.flat[None].copy())
     grad = np.empty_like(stack.flat)
-    plan = plan_step(stack, np.asarray(fixed)[None], np.array([beta]), grad)
+    plan = plan_step(stack, grad, None if metas is None else metas[None], np.asarray(fixed)[None],
+                     np.array([beta]), np.array([lam]))
     rows = (x[None], model_module._targets(model, y)[None], dom[None])
-    loss, (lp, lrel), grad = total_loss_and_grads(
-        stack, rows, None if metas is None else metas[None], np.array([lam]), plan
-    )
+    loss, (lp, lrel), grad = total_loss_and_grads(stack, rows, plan)
     return loss[0], (lp[0], lrel[0]), grad[0]
 
 
@@ -1135,8 +1134,8 @@ def test_lockstep_gradient_writes_every_slice(data, case):
     fixed, metas, lam, beta = (np.stack(v) for v in (fixed, metas, lam, beta))
     grad = np.full_like(stack.flat, np.nan)
     batch = (batch[0], model_module._targets(stack, batch[1]), batch[2])
-    plan = plan_step(stack, fixed, beta, grad)
-    loss, (lp, lrel), out = total_loss_and_grads(stack, batch, metas, lam, plan)
+    plan = plan_step(stack, grad, metas, fixed, beta, lam)
+    loss, (lp, lrel), out = total_loss_and_grads(stack, batch, plan)
     assert out is grad and np.isfinite(grad).all()
     net_grads = stack.views(grad)[3]
     for j, (m, row, c) in enumerate(zip(singles, rows, cfgs)):
@@ -1336,9 +1335,9 @@ def test_rw_finetune_trains_each_distinct_row_once(monkeypatch):
     trained = []
     real_loop = model_module._train_loop
 
-    def loop(models, *args):
+    def loop(models, *args, **kwargs):
         trained.append(len(models))
-        return real_loop(models, *args)
+        return real_loop(models, *args, **kwargs)
 
     monkeypatch.setattr(model_module, "_train_loop", loop)
     tuned = rw_finetune(erm, ds, rows, cfg, ids)
