@@ -142,11 +142,11 @@ class MultiHeadModel:
     """Shared extractor, one head per training domain, and a relation net.
 
     Head k is the identity layer phi -> head_w[k] @ phi + head_b[k], with
-    head_w of shape (K, c, h) and head_b of shape (K, c). ``head`` is the
-    block as one identity Layer over both, which nn.forward runs for all K
-    heads on phi[..., None, :, :]. Construction copies every parameter into
-    one float64 vector, ``flat``, and makes each parameter array a view into
-    it, in the order views() returns them.
+    head_w of shape (K, c, h) and head_b of shape (K, c). ``head`` is the K
+    heads as one linear layer, its (K * c, h) weights and (K * c,) biases
+    views of both, which nn.forward runs as one GEMM. Construction copies
+    every parameter into one float64 vector, ``flat``, and makes each
+    parameter array a view into it, in the order views() returns them.
 
     The pooled baseline (build_erm) is the K = 1 case: one head for all
     training domains, head_domains [] and relation_net None. Its extractor
@@ -178,11 +178,10 @@ class MultiHeadModel:
             raise ValueError("layer parameters must be finite")
         if net is not None:
             self.meta_dim = net.g.in_dim
-        # row k of the head block is head k's weight rows, then its bias
-        _, c, h = self.head_w.shape
-        heads = np.concatenate([self.head_w.reshape(k, c * h), self.head_b], axis=1)
-        self.head = Mlp([Layer(np.zeros((c, h)), np.zeros(c))])
-        blocks = self.extractor.params() + [heads] + (net.params() if net is not None else [])
+        # heads-major: all K weight blocks, then all K * c biases
+        self.head = Mlp([Layer(self.head_w.reshape(-1, self.head_w.shape[2]), self.head_b.ravel())])
+        blocks = self.extractor.params() + self.head.params()
+        blocks += net.params() if net is not None else []
         self._shapes = [b.shape for b in blocks]
         self.bind(flatten(blocks))
 
@@ -190,15 +189,13 @@ class MultiHeadModel:
         """Split a buffer laid out like ``flat`` into parameter-shaped views.
 
         buf is (P,) or (S, P); each view keeps buf's leading axes. Returns
-        (extractor views, head_w, head_b, relation-net views), each list in
-        its network's params() order (no relation-net views when pooled).
+        (extractor views, the head layer's (K * c, h) weights, its (K * c,)
+        biases, relation-net views), each list in its network's params()
+        order (no relation-net views when pooled).
         """
         out = split(buf, self._shapes)
         n_ext = 2 * len(self.extractor.layers)
-        heads = out[n_ext]
-        c, h = self.head_w.shape[-2:]
-        head_w = heads[..., : c * h].reshape(heads.shape[:-1] + (c, h))
-        return out[:n_ext], head_w, heads[..., c * h :], out[n_ext + 1 :]
+        return out[:n_ext], out[n_ext], out[n_ext + 1], out[n_ext + 2 :]
 
     def bind(self, flat: np.ndarray) -> None:
         """Make every parameter a view into flat, laid out as in ``flat``.
@@ -206,9 +203,11 @@ class MultiHeadModel:
         A (S, P) buffer gives each parameter a leading seed axis: the model
         then stands for S models at once (see stack_models).
         """
-        ext, self.head_w, self.head_b, net = self.views(flat)
+        ext, w, b, net = self.views(flat)
         _bind_mlp(self.extractor, iter(ext))
-        _bind_mlp(self.head, iter((self.head_w, self.head_b)))
+        _bind_mlp(self.head, iter((w, b)))
+        self.head_w = w.reshape(w.shape[:-2] + self.head_w.shape[-3:])
+        self.head_b = b.reshape(b.shape[:-1] + self.head_b.shape[-2:])
         if self.relation_net is not None:
             _bind_mlp(self.relation_net.g, iter(net))
             self.relation_net.w = net[-1]
@@ -313,57 +312,52 @@ def build_model(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
 # -- loss terms ---------------------------------------------------------------
 
 
-def _consistency_weights(a: np.ndarray, dom: np.ndarray, k: int, ix: tuple):
-    """Per-example weights over heads, self excluded, rows summing to one.
+def _consistency_weights(a: np.ndarray, eye: np.ndarray):
+    """Each training domain's weights over the heads, self excluded, rows summing to one.
 
-    dom is (S, n) and a (S, K, K), one row each of S stacked models; ix is
-    np.indices(dom.shape, sparse=True). Returns (u, divisor) where u is
-    (S, n, K) and divisor, (S, n, 1), the pre-normalization row sum, or inf
-    on rows that degraded to uniform weights (no gradient flows into the
-    relations there).
+    a is (S, K, K), one row each of S stacked models, and eye the (K, K)
+    identity. Returns (w, divisor) where row d of w (S, K, K) weighs the
+    heads for domain d's examples and divisor, (S, K, 1), is the
+    pre-normalization row sum, or inf on rows that degraded to uniform
+    weights (no gradient flows into the relations there).
     """
-    if k < 2:
+    if len(eye) < 2:
         raise ValueError("consistency needs at least two heads")
-    self_entry = ix + (dom,)
-    rows = a[ix[0], dom]  # fancy indexing, so already a copy
-    rows[self_entry] = 0.0
-    s = np.add.reduce(rows, axis=-1)[..., None]
-    fallback = s <= REL_EPS
-    if not np.logical_or.reduce(fallback, axis=None):
-        return rows / s, s
-    divisor = np.where(fallback, np.inf, s)
-    u = rows / divisor
-    u[fallback[..., 0]] = 1.0 / (k - 1)
-    u[self_entry] = 0.0
-    return u, divisor
+    rows = np.where(eye, 0.0, a)
+    s = np.add.reduce(rows, axis=-1, keepdims=True)
+    if np.minimum.reduce(s, axis=None) > REL_EPS:
+        rows /= s
+        return rows, s
+    divisor = np.where(s <= REL_EPS, np.inf, s)
+    return np.where(s <= REL_EPS, (1.0 - eye) / (len(eye) - 1), rows / divisor), divisor
 
 
-def _losses(model, outs, self_out, u, y):
+def _losses(model, outs, coef, y):
     """Both loss terms of a batch and their gradients w.r.t. the mixture space.
 
-    outs is (S, K, n, c), u (S, n, K) and y (S, n, c) targets as _targets
-    returns them. In logit space (and for regression) the own-head outputs
-    and the mixture share one loss pass over one (2, S, n, c) buffer. In
-    prob space the mixture averages each head's softmax, p. Returns (lp,
-    lrel, g_self, g_mix, mix, p), the losses being means over n and p None
-    in logit space.
+    outs is (S, n, K, c), coef (2, S, n, K) each example's one-hot domain
+    row and consistency weights (see StepPlan.coef) and y (S, n, c) targets
+    as _targets returns them. In logit space (and for regression) one matmul
+    gives the own-head outputs and the mixture, which share one loss pass.
+    In prob space the mixture averages each head's softmax, p. Returns (lp,
+    lrel, g, mix, p), the losses being means over n, g their (2, S, n, c)
+    gradients and p None in logit space.
     """
     n = y.shape[-2]
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
-        losses, g_self = cross_entropy(outs[self_out], y)
-        p = softmax(outs, axis=-1)  # (S, K, n, c)
-        mix = np.einsum("...nk,...knc->...nc", u, p)
+        g = np.empty((2,) + y.shape)
+        losses, g[0] = cross_entropy((coef[0, ..., None, :] @ outs)[..., 0, :], y)
+        p = softmax(outs, axis=-1)  # (S, n, K, c)
+        mix = (coef[1, ..., None, :] @ p)[..., 0, :]
         picked = np.maximum(mix[y], PROB_FLOOR)  # each row's label entry, rows in C order
-        g_mix = np.zeros_like(mix)
-        g_mix[y] = -1.0 / (n * picked)
+        g[1] = 0.0
+        g[1][y] = -1.0 / (n * picked)
         lrel = -np.add.reduce(np.log(picked).reshape(y.shape[:-1]), axis=-1) / n
-        return np.add.reduce(losses, axis=-1) / n, lrel, g_self, g_mix, mix, p
-    both = np.empty((2,) + u.shape[:-1] + outs.shape[-1:])
-    both[0] = outs[self_out]
-    mix = np.einsum("...nk,...knc->...nc", u, outs, out=both[1])
-    losses, (g_self, g_mix) = _example_losses(both, y, model.task)
+        return np.add.reduce(losses, axis=-1) / n, lrel, g, mix, p
+    both = (coef[..., None, :] @ outs)[..., 0, :]  # (2, S, n, c)
+    losses, g = _example_losses(both, y, model.task)
     lp, lrel = np.add.reduce(losses, axis=-1) / n
-    return lp, lrel, g_self, g_mix, mix, None
+    return lp, lrel, g, both[1], None
 
 
 @dataclass
@@ -376,8 +370,8 @@ class StepPlan:
     meta-data and lam the (S,) consistency weights; the relations are
     max(fixed_part + share * learned, 0), or the constant ``relations``
     when the net is not read (beta 1 for every row); d_a is the (S, K, K)
-    buffer of their gradient and diagonal a view of its diagonals; grids
-    holds np.indices(shape, sparse=True) per batch shape.
+    buffer of their gradient and diagonal a view of its diagonals; eye is
+    the (K, K) identity, coefs coef's buffer per batch shape.
     """
 
     grad: np.ndarray
@@ -390,12 +384,16 @@ class StepPlan:
     relations: np.ndarray | None = None
     d_a: np.ndarray | None = None
     diagonal: np.ndarray | None = None
-    grids: dict = field(default_factory=dict)
+    eye: np.ndarray | None = None
+    coefs: dict = field(default_factory=dict)
 
-    def grid(self, shape: tuple) -> tuple:
-        if shape not in self.grids:
-            self.grids[shape] = np.indices(shape, sparse=True)
-        return self.grids[shape]
+    def coef(self, dom: np.ndarray) -> np.ndarray:
+        """The (2, S, n, K) rows of an (S, n) batch: [0] its one-hot domain rows, [1] free."""
+        if dom.shape not in self.coefs:
+            self.coefs[dom.shape] = np.empty((2,) + dom.shape + self.eye.shape[:1])
+        buf = self.coefs[dom.shape]
+        np.take(self.eye, dom, axis=0, out=buf[0])
+        return buf
 
 
 def plan_step(model: MultiHeadModel, grad: np.ndarray, metas=None, fixed=None, beta=None,
@@ -418,7 +416,8 @@ def plan_step(model: MultiHeadModel, grad: np.ndarray, metas=None, fixed=None, b
     constant = fuse(fixed, 0.0, 1.0) if (beta == 1.0).all() else None
     d_a = np.empty((s, k, k))
     diagonal = d_a.reshape(s, k * k)[:, :: k + 1]
-    return StepPlan(grad, views, nets, metas, lam, fixed_part, share, constant, d_a, diagonal)
+    return StepPlan(grad, views, nets, metas, lam, fixed_part, share, constant, d_a, diagonal,
+                    np.eye(k))
 
 
 def _targets(model, y) -> np.ndarray:
@@ -445,26 +444,28 @@ def total_loss_and_grads(model: MultiHeadModel, batch, plan: StepPlan, q: np.nda
     Returns (loss, (loss_pred, loss_rel), grad): three (S,) arrays and
     plan.grad, laid out like model.flat.
 
+    Both kinds run the extractor and the head block, all K heads as one
+    (K * c, h) layer, through nn.forward and nn.backward. A relational step
+    picks, mixes and scatters by matmuls against the one-hot domain rows.
+
     A pooled stack (relation_net None) has no relations and no mixture and
     reads no domains; its rows may share one (n, p) batch and its (n, c)
     targets. Its loss is the mean example loss, or sum(q * losses) / n
-    given (S, n) example weights q, and it returns (loss, (), grad). Both
-    kinds run the extractor and the head block, all K heads at once,
-    through nn.forward and nn.backward.
+    given (S, n) example weights q, and it returns (loss, (), grad).
     """
     x, y, dom = batch
     nets = plan.nets
     phi, e_tape = forward(nets.extractor, x)
-    outs, h_tape = forward(nets.head, phi[..., None, :, :])  # (S, K, n, c)
+    outs, h_tape = forward(nets.head, phi)  # (S, n, K * c)
     if model.relation_net is None:
-        losses, g_heads = _example_losses(outs[..., 0, :, :], y, model.task)
+        losses, g_heads = _example_losses(outs, y, model.task)
         if q is not None:
             losses *= q
             g_heads *= q[..., None]
         loss, terms = np.add.reduce(losses, axis=-1) / losses.shape[-1], ()
-        g_heads = g_heads[..., None, :, :]
     else:
         net, k = nets.relation_net, len(model.head_domains)
+        outs = outs.reshape(outs.shape[:-1] + (k, -1))  # (S, n, K, c)
         a, cache = plan.relations, None
         if a is None:
             a, cache = learned_matrix(net, plan.metas)
@@ -472,20 +473,20 @@ def total_loss_and_grads(model: MultiHeadModel, batch, plan: StepPlan, q: np.nda
             a += plan.fixed_part
             np.maximum(a, 0.0, out=a)
 
-        ix = plan.grid(dom.shape)
-        seeds, cols = ix
-        self_out = (seeds, dom, cols)
-        u, divisor = _consistency_weights(a, dom, k, ix)
-        lp, lrel, g_self, g_mix, mix, p = _losses(model, outs, self_out, u, y)
-        g_mix *= plan.lam[:, None, None]
+        w, divisor = _consistency_weights(a, plan.eye)
+        coef = plan.coef(dom)
+        np.matmul(coef[0], w, out=coef[1])  # each example's weights: its domain's row of w
+        lp, lrel, g, mix, p = _losses(model, outs, coef, y)
+        g[1] *= plan.lam[:, None, None]
 
-        # gradients w.r.t. head outputs (in mixture space first)
-        g_heads = u.swapaxes(-1, -2)[..., None] * g_mix[..., None, :, :]  # (S, K, n, c)
-        if p is not None:
-            # mixture was over probabilities: pull back through each softmax
+        # gradients w.r.t. head outputs, the own head's one-hot picked
+        if p is None:
+            g_heads = coef.transpose(1, 2, 3, 0) @ g.transpose(1, 2, 0, 3)  # (S, n, K, c)
+        else:
+            g_heads = coef[1, ..., None] * g[1, ..., None, :]
             inner = (g_heads * p).sum(axis=-1, keepdims=True)
             g_heads = p * (g_heads - inner)
-        np.add.at(g_heads, self_out, g_self)
+            g_heads += coef[0, ..., None] * g[0, ..., None, :]
 
         # gradients w.r.t. the relation entries actually used
         g_net = plan.views[3]
@@ -494,20 +495,18 @@ def total_loss_and_grads(model: MultiHeadModel, batch, plan: StepPlan, q: np.nda
                 view[...] = 0.0
         else:
             src = p if p is not None else outs
-            contrib = np.einsum("...nc,...knc->...nk", g_mix, src)
-            contrib -= np.einsum("...nc,...nc->...n", g_mix, mix)[..., None]
-            contrib /= divisor
-            # each example's own entry lands on the diagonal, zeroed below
-            d_a = plan.d_a
-            d_a.fill(0.0)
-            np.add.at(d_a, (seeds, dom), contrib)
+            contrib = ((src - mix[..., None, :]) @ g[1, ..., None])[..., 0]  # (S, n, K)
+            # onto each example's domain row; its own entry lands on the diagonal, zeroed below
+            d_a = np.matmul(coef[0].swapaxes(-1, -2), contrib, out=plan.d_a)
+            d_a /= divisor
             d_a *= a > 0.0  # clamp subgradient
             plan.diagonal.fill(0.0)
             learned_matrix_backward(net, cache, plan.share * d_a, out_w=g_net[-1])
         loss, terms = lp + plan.lam * lrel, (lp, lrel)
+        g_heads = g_heads.reshape(g_heads.shape[:-2] + (-1,))
 
-    _, d_phi = backward(nets.head, h_tape, g_heads)  # d_phi is (S, 1, n, h)
-    backward(nets.extractor, e_tape, d_phi[..., 0, :, :], input_grad=False)
+    _, d_phi = backward(nets.head, h_tape, g_heads)  # d_phi is (S, n, h)
+    backward(nets.extractor, e_tape, d_phi, input_grad=False)
     return loss, terms, plan.grad
 
 
@@ -716,20 +715,29 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
 
     The weights are mixed as given: one per head, normalized by the caller
     (see normalize_rows); a pooled model's one head takes weight one. In
-    "prob" combine space the heads' softmax outputs are averaged instead of
-    raw logits. Returns the (n, c) outputs; a model stacked over S rows
-    (see stack_models) takes (S, K) weights, one row each, and gives (S, n,
-    c), one output block per row. This is the one predictor of both model
-    kinds, for score and evaluate.
+    logit space (and for regression) the heads mix in parameter space, sum_k
+    w_k head_w[k] and sum_k w_k head_b[k], and that one head runs: one-hot
+    weights give the picked head's bits. In "prob" combine space every head
+    runs and their softmax outputs are averaged. Returns the (n, c) outputs;
+    a model stacked over S rows (see stack_models) takes (S, K) weights, one
+    row each, and gives (S, n, c), one output block per row. This is the one
+    predictor of both model kinds, for score and evaluate.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != model.head_w.shape[:-2]:
         raise ValueError("need one weight per head")
     phi = forward(model.extractor, x)[0]
-    outs = forward(model.head, phi[..., None, :, :])[0]  # (..., K, n, c)
+    k, c, h = model.head_w.shape[-3:]
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
-        outs = softmax(outs, axis=-1)
-    return np.einsum("...k,...knc->...nc", w, outs)
+        p = softmax(forward(model.head, phi)[0].reshape(phi.shape[:-1] + (k, c)), axis=-1)
+        return (w[..., None, None, :] @ p)[..., 0, :]
+    if k == 1:  # the one head times its weight
+        return forward(model.head, phi)[0] * w[..., None]
+    w = w[..., None, :]  # (..., 1, K), one matmul row each
+    head_w = w @ model.head_w.reshape(w.shape[:-2] + (k, c * h))  # (..., 1, c * h)
+    out = phi @ head_w.reshape(w.shape[:-2] + (c, h)).swapaxes(-1, -2)
+    out += w @ model.head_b  # (..., 1, c), as nn.forward adds a bias row
+    return out
 
 
 def _decide(out: np.ndarray, task: str) -> np.ndarray:

@@ -8,9 +8,9 @@ cuts one flat parameter buffer into array views.
 The passes broadcast over leading axes: a network whose weights are
 (S, out, in) and biases (S, out) is S networks run at once, on S input
 batches of shape (S, n, in) or on one shared (n, in) batch. Each slice s
-gives the same bits as the network of slice s run on its own. So K
-linear layers that share one input (the per-domain heads: a (..., K, c, h)
-weight block on a (..., 1, n, h) input) run as one identity layer.
+gives the same bits as the network of slice s run on its own. K linear
+layers that share one input (the per-domain heads) are one identity layer
+with K * c outputs, so each pass over them is one GEMM per slice.
 
 All arithmetic is float64 so gradient checks can be tight.
 """
@@ -111,8 +111,8 @@ class Pass:
     into, in Mlp.params() order (None for a forward-only pass). All are
     views, so in-place updates (an Adam step on their buffers) show through.
     A model plans one per network: its extractor, its head block (the
-    identity layer MultiHeadModel.head, one Pass for all K heads) and, if
-    it has one, its relation net.
+    (K * c, h) identity layer MultiHeadModel.head, one Pass for all K
+    heads) and, if it has one, its relation net.
     """
 
     def __init__(self, mlp: Mlp, grads=None):
@@ -128,8 +128,7 @@ def forward(net, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Evaluate an Mlp or its Pass on a float64 (..., n, in) batch of rows.
 
     Returns the (..., n, out) output and the tape for backward, each
-    layer's (input, activation computed in place); a (..., K, out, in)
-    head block on a (..., 1, n, in) input gives (..., K, n, out). A single
+    layer's (input, activation computed in place). A single
     row is x[None]; for an Mlp, fewer than two axes or the wrong width is a
     ValueError (a Pass's callers check their data once, see
     model.check_fits).
@@ -157,11 +156,8 @@ def backward(net, tape: list, grad_output: np.ndarray,
     a float64 array shaped like forward's output. Returns (grads, grad_x),
     grads being the Pass's gradient arrays (new ones for an Mlp), written
     in Mlp.params() order. With input_grad=False the input gradient is
-    skipped and grad_x is None. An Mlp's tape is checked against it.
-
-    An input whose axis -3 has length 1 where the weights' has K > 1 (a
-    head block's shared (..., 1, n, h) input) gets the sum of the K
-    layers' input gradients, in layer order, shaped like that input.
+    skipped and grad_x is None. An Mlp's tape is checked against it. A
+    head block's one GEMM for the input gradient sums it over the K heads.
     """
     planned = isinstance(net, Pass)
     p = net if planned else Pass(net, [np.empty_like(q) for q in net.params()])
@@ -177,13 +173,6 @@ def backward(net, tape: list, grad_output: np.ndarray,
         np.add.reduce(np.ascontiguousarray(dz), axis=-2, out=grads[2 * k + 1])
         if k == 0 and not input_grad:
             return grads, None
-        if k == 0 and x_in.ndim == dz.ndim > 2 and x_in.shape[-3] < dz.shape[-3]:
-            if dz.shape[-1] == 1:
-                # one output per layer: matmul is slow on a contraction of length 1,
-                # and einsum forms the same single products and adds them in layer
-                # order; with more outputs einsum rounds unlike BLAS, so matmul stays
-                return grads, np.einsum("...knc,...kch->...nh", dz, w)[..., None, :, :]
-            return grads, np.add.reduce(dz @ w, axis=-3, keepdims=True)
         g = dz @ w
     return grads, g
 

@@ -411,7 +411,7 @@ def test_adam_scratch_buffers_keep_the_bits_of_the_plain_update(shape):
 
 
 def _per_head_reference(w, b, x, g):
-    """The K heads as separate identity Mlps, run one at a time."""
+    """The K heads as separate identity Mlps, run one at a time, on (K, n, c) g."""
     outs, grads_w, grads_b = [], [], []
     grad_x = np.zeros_like(x)
     for k in range(w.shape[0]):
@@ -426,10 +426,11 @@ def _per_head_reference(w, b, x, g):
 
 
 def _head_block(w, b):
-    """The (..., K, c, h) weights and (..., K, c) biases as one identity layer, the way
-    a model holds its heads (MultiHeadModel.head)."""
+    """The (..., K, c, h) weights and (..., K, c) biases as one (..., K * c, h) identity
+    layer, the way a model holds its heads (MultiHeadModel.head)."""
     block = Mlp([Layer(np.zeros(w.shape[-2:]), np.zeros(b.shape[-1:]))])
-    block.layers[0].w, block.layers[0].b = w, b
+    block.layers[0].w = w.reshape(w.shape[:-3] + (-1, w.shape[-1]))
+    block.layers[0].b = b.reshape(b.shape[:-2] + (-1,))
     return block
 
 
@@ -440,13 +441,35 @@ def _heads_fastest(rng, k, n, c, lead=()):
     return u[..., None] * rng.normal(size=lead + (n, c))[..., None, :, :]
 
 
-# c = 1 takes backward's einsum path for the sum over the heads, c = 2 its matmul path
+def _as_block_rows(g):
+    """A (..., K, n, c) per-head gradient as the head block's (..., n, K * c) one."""
+    return g.swapaxes(-3, -2).reshape(g.shape[:-3] + (g.shape[-2], -1))
+
+
+def _assert_within_order_bound(got, want, magnitude, terms):
+    """Two sums of the same terms, added in two orders, agree within the rounding bound
+    of any order: each lies within gamma_m * sum|term| of the exact sum, gamma_m =
+    m u / (1 - m u) for m terms and unit roundoff u, so they differ by at most twice
+    that. magnitude holds each entry's sum of |term|."""
+    u = np.finfo(np.float64).eps / 2
+    gamma = terms * u / (1.0 - terms * u)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 2.0 * gamma * magnitude).all()
+
+
+# c = 1 gives one output per head (the grid's heads), c = 2 two (dg15's)
 HEAD_SHAPES = [(5, 2), (1, 1), (2, 1), (18, 1), (36, 1)]
 
 
 @pytest.mark.parametrize("k,c", HEAD_SHAPES)
 @pytest.mark.parametrize("layout", ["c-order", "heads-fastest"])
 def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
+    """The block's one GEMM per pass forms every output and parameter gradient of the
+    per-head loop from the same products, and its input gradient from the same K * c
+    terms, but BLAS may add them in another order (the bias gradient adds its n rows
+    in turn, a lone head pairwise). So each result lies within the summation-order
+    bound of the loop's; at K = 1 (one head, c = 1) the block is that head's own layer
+    and keeps its bits."""
     rng = np.random.default_rng(k * 10 + c)
     h = 16
     for n in (1, 6, 10, 13):
@@ -456,20 +479,28 @@ def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
         g = rng.normal(size=(k, n, c)) if layout == "c-order" else _heads_fastest(rng, k, n, c)
         outs, gw, gb, gx = _per_head_reference(w, b, x, g)
         block = _head_block(w, b)
-        out, tape = forward(block, x[None])  # one input, shared by the K heads
-        assert np.array_equal(out, outs)
-        (s_gw, s_gb), s_gx = backward(block, tape, g)
-        assert np.array_equal(s_gw, gw)
-        assert np.array_equal(s_gb, gb)
-        assert s_gx.shape == (1, n, h) and np.array_equal(s_gx[0], gx)
+        out, tape = forward(block, x)  # one input, shared by the K heads
+        (s_gw, s_gb), s_gx = backward(block, tape, _as_block_rows(g))
+        # each output adds h products, then its bias: h + 1 terms
+        _assert_within_order_bound(out, _as_block_rows(outs), _as_block_rows(
+            np.abs(x) @ np.abs(w).swapaxes(-1, -2) + np.abs(b)[:, None, :]), h + 1)
+        _assert_within_order_bound(s_gw.reshape(w.shape), gw,
+                                   np.abs(g).swapaxes(-1, -2) @ np.abs(x), n)
+        _assert_within_order_bound(s_gb.reshape(b.shape), gb, np.abs(g).sum(axis=-2), n)
+        _assert_within_order_bound(s_gx, gx, np.einsum("knc,kch->nh", np.abs(g), np.abs(w)),
+                                   k * c)
+        if k == 1:
+            for got, want in ((out, outs[0]), (s_gw, gw[0]), (s_gb, gb[0]), (s_gx, gx)):
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 18, 36])
 def test_a_head_block_sums_each_bias_gradient_as_that_heads_own_pass(k):
-    """numpy sums along the memory layout. A heads-fastest gradient summed as laid
-    out adds each head's n rows one by one, where the head's own pass adds them
-    pairwise; at c = 1 and n >= 10 some bias gradients then differ in the last bits.
-    backward sums a C-order copy, and forms the weight gradient from dz as laid out."""
+    """A head's own pass sums its n rows of a one-output gradient pairwise, as one
+    contiguous run; the block's (n, K) gradient adds them row after row for all K
+    heads at once, so at n >= 10 some bias gradients differ in the last bits. Both are
+    sums of the same n terms, so they agree within the summation-order bound, and the
+    weight gradients likewise."""
     rng = np.random.default_rng(40 + k)
     h, n = 16, 13
     for _ in range(4):
@@ -479,10 +510,12 @@ def test_a_head_block_sums_each_bias_gradient_as_that_heads_own_pass(k):
         assert not g.flags.c_contiguous
         _, gw, gb, _ = _per_head_reference(w, b, x, g)
         block = _head_block(w, b)
-        (s_gw, s_gb), s_gx = backward(block, forward(block, x[None])[1], g, input_grad=False)
+        (s_gw, s_gb), s_gx = backward(block, forward(block, x)[1], _as_block_rows(g),
+                                      input_grad=False)
         assert s_gx is None
-        assert s_gb.tobytes() == gb.tobytes()
-        assert s_gw.tobytes() == gw.tobytes()
+        _assert_within_order_bound(s_gb.reshape(b.shape), gb, np.abs(g).sum(axis=-2), n)
+        _assert_within_order_bound(s_gw.reshape(w.shape), gw,
+                                   np.abs(g).swapaxes(-1, -2) @ np.abs(x), n)
 
 
 def _stacked_mlp(nets):
@@ -521,15 +554,15 @@ def test_stacked_heads_with_a_seed_axis_match_each_seed(k, c):
     w = rng.normal(size=(n_seeds, k, c, h))
     b = rng.normal(size=(n_seeds, k, c))
     x = np.maximum(rng.normal(size=(n_seeds, n, h)), 0.0)
-    g = _heads_fastest(rng, k, n, c, (n_seeds,))
-    out_w, out_b = np.full(w.shape, np.nan), np.full(b.shape, np.nan)
+    g = _as_block_rows(_heads_fastest(rng, k, n, c, (n_seeds,)))
+    out_w, out_b = np.full((n_seeds, k * c, h), np.nan), np.full((n_seeds, k * c), np.nan)
     block = Pass(_head_block(w, b), [out_w, out_b])  # as a training step plans it
-    outs, tape = forward(block, x[:, None])
+    outs, tape = forward(block, x)
     (gw, gb), gx = backward(block, tape, g)
     assert gw is out_w and gb is out_b
     for s in range(n_seeds):
         one = _head_block(w[s], b[s])
-        out, one_tape = forward(one, x[s][None])
+        out, one_tape = forward(one, x[s])
         assert np.array_equal(outs[s], out)
         ref_grads, ref_gx = backward(one, one_tape, g[s])
         for got, want in zip((gw[s], gb[s], gx[s]), ref_grads + [ref_gx]):
