@@ -214,7 +214,7 @@ class MultiHeadModel:
         self.flat = flat
 
     def _structure(self) -> tuple:
-        return self._shapes, self.task, self.combine_space, self.meta_dim
+        return self._shapes, self.head_w.shape[-3:], self.task, self.combine_space, self.meta_dim
 
 
 def stack_models(models):
