@@ -731,8 +731,6 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         p = softmax(forward(model.head, phi)[0].reshape(phi.shape[:-1] + (k, c)), axis=-1)
         return (w[..., None, None, :] @ p)[..., 0, :]
-    if k == 1:  # the one head times its weight
-        return forward(model.head, phi)[0] * w[..., None]
     w = w[..., None, :]  # (..., 1, K), one matmul row each
     head_w = w @ model.head_w.reshape(w.shape[:-2] + (k, c * h))  # (..., 1, c * h)
     out = phi @ head_w.reshape(w.shape[:-2] + (c, h)).swapaxes(-1, -2)

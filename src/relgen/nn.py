@@ -168,9 +168,7 @@ def backward(net, tape: list, grad_output: np.ndarray,
             raise ValueError("tape does not match this network (stale tape?)")
         dz = g * (a > 0.0) if act == "relu" else g * (1.0 - a * a) if act == "tanh" else g
         np.matmul(dz.swapaxes(-1, -2), x_in, out=grads[2 * k])
-        # numpy picks its summation order from the memory layout; summing a C
-        # order copy adds each slice's rows in the order its own pass adds them
-        np.add.reduce(np.ascontiguousarray(dz), axis=-2, out=grads[2 * k + 1])
+        np.add.reduce(dz, axis=-2, out=grads[2 * k + 1])
         if k == 0 and not input_grad:
             return grads, None
         g = dz @ w

@@ -464,12 +464,12 @@ HEAD_SHAPES = [(5, 2), (1, 1), (2, 1), (18, 1), (36, 1)]
 @pytest.mark.parametrize("k,c", HEAD_SHAPES)
 @pytest.mark.parametrize("layout", ["c-order", "heads-fastest"])
 def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
-    """The block's one GEMM per pass forms every output and parameter gradient of the
-    per-head loop from the same products, and its input gradient from the same K * c
-    terms, but BLAS may add them in another order (the bias gradient adds its n rows
-    in turn, a lone head pairwise). So each result lies within the summation-order
-    bound of the loop's; at K = 1 (one head, c = 1) the block is that head's own layer
-    and keeps its bits."""
+    """A tolerance check, bits only at K = 1. The block's one GEMM per pass forms
+    every output and parameter gradient of the per-head loop from the same products,
+    and its input gradient from the same K * c terms, but BLAS may add them in another
+    order (the bias gradient adds its n rows in turn, a lone head pairwise). So each
+    result lies within the summation-order bound of the loop's; at K = 1 (one head,
+    c = 1) the block is that head's own layer and keeps its bits."""
     rng = np.random.default_rng(k * 10 + c)
     h = 16
     for n in (1, 6, 10, 13):
@@ -496,22 +496,23 @@ def test_stacked_heads_match_a_per_head_loop_bit_for_bit(k, c, layout):
 
 @pytest.mark.parametrize("k", [2, 18, 36])
 def test_a_head_block_sums_each_bias_gradient_as_that_heads_own_pass(k):
-    """A head's own pass sums its n rows of a one-output gradient pairwise, as one
-    contiguous run; the block's (n, K) gradient adds them row after row for all K
-    heads at once, so at n >= 10 some bias gradients differ in the last bits. Both are
-    sums of the same n terms, so they agree within the summation-order bound, and the
-    weight gradients likewise."""
+    """A tolerance check. A head's own pass sums its n rows of a one-output gradient
+    pairwise, as one contiguous run; the block's C-order (n, K) gradient, laid out as
+    the training step builds it, adds them row after row for all K heads at once, so at
+    n >= 10 some bias gradients differ in the last bits. Both are sums of the same n
+    terms, so they agree within the summation-order bound, and the weight gradients
+    likewise."""
     rng = np.random.default_rng(40 + k)
     h, n = 16, 13
     for _ in range(4):
         w, b = rng.normal(size=(k, 1, h)), rng.normal(size=(k, 1))
         x = np.maximum(rng.normal(size=(n, h)), 0.0)
         g = _heads_fastest(rng, k, n, 1)
-        assert not g.flags.c_contiguous
+        rows = _as_block_rows(g)
+        assert not g.flags.c_contiguous and rows.flags.c_contiguous
         _, gw, gb, _ = _per_head_reference(w, b, x, g)
         block = _head_block(w, b)
-        (s_gw, s_gb), s_gx = backward(block, forward(block, x)[1], _as_block_rows(g),
-                                      input_grad=False)
+        (s_gw, s_gb), s_gx = backward(block, forward(block, x)[1], rows, input_grad=False)
         assert s_gx is None
         _assert_within_order_bound(s_gb.reshape(b.shape), gb, np.abs(g).sum(axis=-2), n)
         _assert_within_order_bound(s_gw.reshape(w.shape), gw,

@@ -30,12 +30,32 @@ def test_one_grid_seed_lies_within_its_tolerance(tmp_path, capsys):
 def test_an_output_past_its_tolerance_or_a_missing_one_is_flagged():
     tolerance = ref_check.WORKLOADS["grid-relational"].tolerance  # rel 1e-6
     ref = {"eval": {"a": 2.0, "b": 1.0}}
-    odd, worst = ref_check.compare({"eval": {"a": 2.0 + 1e-6, "b": 1.0}}, ref, tolerance)
-    assert odd == [] and worst["key"] == "eval/a" and 0.49 < worst["share"] < 0.51
-    odd, worst = ref_check.compare({"eval": {"a": 2.0, "b": 1.0 + 2e-6}}, ref, tolerance)
-    assert worst["key"] == "eval/b" and worst["share"] > 1.0
-    odd, _ = ref_check.compare({"eval": {"a": 2.0}}, ref, tolerance)
-    assert odd == ["eval/b"]
+    bad, worst = ref_check.check({"eval": {"a": 2.0 + 1e-6, "b": 1.0}}, ref, tolerance)
+    assert bad == [] and worst["key"] == "eval/a" and 0.49 < worst["share"] < 0.51
+    bad, worst = ref_check.check({"eval": {"a": 2.0, "b": 1.0 + 2e-6}}, ref, tolerance)
+    assert bad == ["eval/b"] and worst["key"] == "eval/b" and worst["share"] > 1.0
+    bad, _ = ref_check.check({"eval": {"a": 2.0}}, ref, tolerance)
+    assert bad == ["eval/b"]
+
+
+def test_a_nan_output_is_out_of_tolerance_and_hides_no_later_one():
+    tolerance = ref_check.WORKLOADS["grid-relational"].tolerance
+    ref = {"eval": {"a": 2.0, "b": 1.0}}
+    bad, worst = ref_check.check({"eval": {"a": float("nan"), "b": 1.0 + 2e-6}}, ref, tolerance)
+    assert bad == ["eval/a", "eval/b"]
+    assert worst["key"] == "eval/a" and worst["share"] == float("inf")
+
+
+def test_a_command_that_raises_is_a_failed_seed(capsys, monkeypatch):
+    def boom(argv):
+        raise ValueError("broken command")
+
+    monkeypatch.setattr(ref_check.cli, "main", boom)
+    assert ref_check.main(["--workload", "grid-relational", "--seeds", "0,1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("seed 0: FAILED setup exited -1: Traceback")
+    assert "ValueError: broken command\nseed 1: FAILED" in out
+    assert out.splitlines()[-1].endswith("2 seed(s) failed")
 
 
 def test_a_doctored_reference_fails_the_run(tmp_path, capsys):

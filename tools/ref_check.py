@@ -14,7 +14,9 @@ fails; 0 otherwise.
         [--reference perfbench/reference.json]
 
 ``perfbench/`` is only read: its ``workloads`` module gives the commands,
-the tolerance and how outputs are read from the reports. The relgen under
+the tolerance and how outputs are read from the reports, and ``run.py``'s
+``call`` and ``compare`` run each command and decide which outputs are out
+of tolerance, so this check and the benchmark's agree. The relgen under
 ``src`` next to this file is imported. Stdlib, numpy and relgen only.
 """
 
@@ -27,9 +29,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import pathlib  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -39,6 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import relgen.cli as cli  # noqa: E402
+from run import call, compare  # noqa: E402
 from workloads import POOL, WORKLOADS  # noqa: E402
 
 
@@ -52,29 +54,32 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_seed(workload, s: int, work: pathlib.Path) -> dict:
-    """{label: flat outputs} of one iteration of the workload's commands on input seed s."""
+    """{label: flat outputs} of one iteration of the workload's commands on input seed s;
+    a RuntimeError if a command exits non-zero or raises."""
     data_dir, outputs = str(work / "data"), {}
     setup = workload.setup_argv(data_dir, s)
     commands = [("setup", setup, None)] if setup else []
     commands += [(c.label, c.argv, c.report) for c in workload.commands(data_dir, str(work), s)]
     for label, argv, report in commands:
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = cli.main(argv)
+        code, _, err = call(cli, argv)
         if code != 0:
-            raise RuntimeError(f"{label} exited {code}: {sink.getvalue().strip()[-500:]}")
+            raise RuntimeError(f"{label} exited {code}: {err.strip()[-500:]}")
         if report is not None:
             with open(work / report, encoding="utf-8") as fh:
                 outputs[label] = workload.extract(label, json.load(fh))
     return outputs
 
 
-def compare(outputs: dict, ref: dict, tolerance) -> tuple[list, dict]:
-    """(keys missing or extra, worst deviation) of one seed's outputs against its reference.
+def check(outputs: dict, ref: dict, tolerance) -> tuple[list, dict]:
+    """(keys missing, extra or out of tolerance, worst deviation) of one seed's outputs.
 
-    The worst deviation is the {"key", "abs", "rel", "share"} of the output
-    whose difference takes the largest share of what the tolerance allows.
+    The keys are run.compare's, command by command. The worst deviation is
+    the {"key", "abs", "rel", "share"} of the output whose difference takes
+    the largest share of what the tolerance allows; a NaN difference takes
+    an infinite share.
     """
+    bad = [f"{label}/{k}" for label in sorted(set(outputs) | set(ref))
+           for k in compare(outputs.get(label, {}), ref.get(label, {}), tolerance)]
     flat = {f"{label}/{k}": v for label, out in outputs.items() for k, v in out.items()}
     flat_ref = {f"{label}/{k}": v for label, out in ref.items() for k, v in out.items()}
     worst = {"key": None, "abs": 0.0, "rel": 0.0, "share": 0.0}
@@ -82,11 +87,12 @@ def compare(outputs: dict, ref: dict, tolerance) -> tuple[list, dict]:
         value, want = flat[key], flat_ref[key]
         diff = abs(value - want)
         allowed = max(tolerance.abs, tolerance.rel * abs(want))
-        share = diff / allowed if allowed > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+        share = (0.0 if diff == 0.0 else
+                 diff / allowed if allowed > 0.0 and not math.isnan(diff) else math.inf)
         if share > worst["share"] or worst["key"] is None:
-            rel = diff / abs(want) if want else (0.0 if diff == 0.0 else float("inf"))
+            rel = diff / abs(want) if want else (0.0 if diff == 0.0 else math.inf)
             worst = {"key": key, "abs": diff, "rel": rel, "share": share}
-    return sorted(set(flat) ^ set(flat_ref)), worst
+    return bad, worst
 
 
 def main(argv=None) -> int:
@@ -106,12 +112,11 @@ def main(argv=None) -> int:
                 print(f"seed {s}: FAILED {exc}")
                 failed += 1
                 continue
-        odd, worst = compare(outputs, refs[str(s)], workload.tolerance)
-        bad = odd or worst["share"] > 1.0
+        bad, worst = check(outputs, refs[str(s)], workload.tolerance)
         failed += bool(bad)
         print(f"seed {s}: {'OUT OF TOLERANCE' if bad else 'ok'}  worst {worst['key']}  "
               f"abs {worst['abs']:.3g}  rel {worst['rel']:.3g}  share {worst['share']:.3g}"
-              + (f"  missing or extra: {odd}" if odd else ""))
+              + (f"  missing, extra or out of tolerance: {bad}" if bad else ""))
         if overall is None or worst["share"] > overall[1]["share"]:
             overall = (s, worst)
     tol = workload.tolerance
