@@ -27,7 +27,7 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .experiments import consistency_ablation, relation_ablation
+from .experiments import ablation
 from .fileio import atomic_write_text
 from .model import (
     TRAIN_RELATION_MODES,
@@ -280,10 +280,7 @@ def cmd_ablate(args) -> int:
     dataset = load_dataset_dir(args.data, task=args.task)
     cfg = _load_config(args)
     seeds = _parse_seeds(args, cfg)
-    rows = [{"group": "relations", **r} for r in relation_ablation(seeds, cfg, lambda _: dataset)]
-    rows += [
-        {"group": "consistency", **r} for r in consistency_ablation(seeds, cfg, lambda _: dataset)
-    ]
+    rows = ablation(seeds, cfg, lambda _: dataset)
     lines = [f"ablation data={args.data} seeds={seeds}"]
     lines.append(f"{'group':<12} {'variant':<10} {'mean':>8} {'std':>8}")
     for r in rows:

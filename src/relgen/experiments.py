@@ -6,7 +6,7 @@ acceptance tests so both report numbers produced by the same code path.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -106,26 +106,20 @@ RELATION_VARIANTS = {
 }
 
 
-def _ablation(seeds, config: TrainConfig, dataset_factory, variants) -> list[dict]:
-    """Test metric over seeds per (label, overrides) variant, all in one run_relational call."""
+def ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
+    """Test metric over seeds per ablation row, all runs in one run_relational call.
+
+    The "relations" group has a row per relation source (none/fixed/learned/fused),
+    "consistency" lam 0 and config.lam. Runs are keyed by their full config, seed
+    included, so a run that two rows share (lam=config.lam is the base's own) trains once.
+    """
     seeds = [int(s) for s in seeds]
     datasets = [dataset_factory(s) for s in seeds]
-    cfgs = [replace(config, seed=s, **overrides) for _, overrides in variants for s in seeds]
-    _, _, reports = run_relational(datasets * len(variants), cfgs)
-    means = [r.mean for r in reports]
-    n = len(seeds)
-    return [
-        {"variant": label, **_aggregate(means[i * n : (i + 1) * n])}
-        for i, (label, _) in enumerate(variants)
-    ]
-
-
-def relation_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
-    """Test metric for each relation source: none/fixed/learned/fused."""
-    return _ablation(seeds, config, dataset_factory, list(RELATION_VARIANTS.items()))
-
-
-def consistency_ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]:
-    """Test metric with the consistency term off versus at its configured weight."""
-    variants = [(f"lam={lam:g}", {"lam": lam}) for lam in (0.0, config.lam)]
-    return _ablation(seeds, config, dataset_factory, variants)
+    variants = [("relations", label, overrides) for label, overrides in RELATION_VARIANTS.items()]
+    variants += [("consistency", f"lam={lam:g}", {"lam": lam}) for lam in (0.0, config.lam)]
+    rows = [[replace(config, seed=s, **overrides) for s in seeds] for *_, overrides in variants]
+    runs = {astuple(c): (d, c) for cfgs in rows for d, c in zip(datasets, cfgs)}
+    _, _, reports = run_relational(*zip(*runs.values()))
+    means = dict(zip(runs, (r.mean for r in reports)))
+    return [{"group": group, "variant": label, **_aggregate([means[astuple(c)] for c in cfgs])}
+            for (group, label, _), cfgs in zip(variants, rows)]

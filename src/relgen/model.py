@@ -368,10 +368,10 @@ class StepPlan:
     row per model; nets is the model _planned with grad. The rest is a
     relational stack's (None when pooled): metas holds the (S, K, m)
     meta-data and lam the (S,) consistency weights; the relations are
-    max(fixed_part + share * learned, 0), or the constant ``relations``
-    when the net is not read (beta 1 for every row); d_a is the (S, K, K)
-    buffer of their gradient and diagonal a view of its diagonals; eye is
-    the (K, K) identity, coefs coef's buffer per batch shape.
+    max(fixed_part + share * learned, 0), whose consistency weights are the
+    constant ``weights`` when the net is not read (beta 1 for every row);
+    d_a is the (S, K, K) buffer of their gradient and diagonal a view of its
+    diagonals; eye is the (K, K) identity, coefs coef's buffer per batch shape.
     """
 
     grad: np.ndarray
@@ -381,7 +381,7 @@ class StepPlan:
     lam: np.ndarray | None = None
     fixed_part: np.ndarray | None = None
     share: object = None
-    relations: np.ndarray | None = None
+    weights: np.ndarray | None = None
     d_a: np.ndarray | None = None
     diagonal: np.ndarray | None = None
     eye: np.ndarray | None = None
@@ -413,11 +413,11 @@ def plan_step(model: MultiHeadModel, grad: np.ndarray, metas=None, fixed=None, b
     if np.shape(fixed) != (s, k, k):
         raise ValueError(f"expected a ({k}, {k}) relation matrix per model, got {np.shape(fixed)}")
     fixed_part, share = fuse_halves(fixed, beta[:, None, None])
-    constant = fuse(fixed, 0.0, 1.0) if (beta == 1.0).all() else None
+    eye = np.eye(k)
+    weights = _consistency_weights(fuse(fixed, 0.0, 1.0), eye)[0] if (beta == 1.0).all() else None
     d_a = np.empty((s, k, k))
     diagonal = d_a.reshape(s, k * k)[:, :: k + 1]
-    return StepPlan(grad, views, nets, metas, lam, fixed_part, share, constant, d_a, diagonal,
-                    np.eye(k))
+    return StepPlan(grad, views, nets, metas, lam, fixed_part, share, weights, d_a, diagonal, eye)
 
 
 def _targets(model, y) -> np.ndarray:
@@ -429,15 +429,15 @@ def _targets(model, y) -> np.ndarray:
     return one_hot(y, model.head_w.shape[-2])
 
 
-def total_loss_and_grads(model: MultiHeadModel, batch, plan: StepPlan, q: np.ndarray | None = None):
+def total_loss_and_grads(batch, plan: StepPlan, q: np.ndarray | None = None):
     """Training objective of S models with exact gradients for every parameter.
 
-    The model is S stacked models (see stack_models), and the batch holds
-    one row per model: x (S, n, p) float64, y (S, n, c) as _targets returns
-    it and domain (S, n) int64. plan is plan_step(model, grad, metas, fixed,
-    beta, lam), made once per training run, which holds every other input:
-    the meta-data, the fixed relations, beta, lam, the planned passes and
-    the gradient buffer. The relations are fuse(fixed, learned, beta), the
+    plan is plan_step(model, grad, metas, fixed, beta, lam) of S stacked
+    models (see stack_models), made once per training run, which holds
+    every input but the batch: the planned passes, the gradient buffer, the
+    meta-data, the fixed relations, beta and lam. The batch holds one row
+    per model: x (S, n, p) float64, y (S, n, c) as _targets returns it and
+    domain (S, n) int64. The relations are fuse(fixed, learned, beta), the
     learned matrix rebuilt from the metas on every call so its gradients
     are exact; it is not built (and the metas not read) when every beta is
     1, and a row's (1 - beta) zeroes its relation-net gradient at beta 1.
@@ -457,26 +457,26 @@ def total_loss_and_grads(model: MultiHeadModel, batch, plan: StepPlan, q: np.nda
     nets = plan.nets
     phi, e_tape = forward(nets.extractor, x)
     outs, h_tape = forward(nets.head, phi)  # (S, n, K * c)
-    if model.relation_net is None:
-        losses, g_heads = _example_losses(outs, y, model.task)
+    if nets.relation_net is None:
+        losses, g_heads = _example_losses(outs, y, nets.task)
         if q is not None:
             losses *= q
             g_heads *= q[..., None]
         loss, terms = np.add.reduce(losses, axis=-1) / losses.shape[-1], ()
     else:
-        net, k = nets.relation_net, len(model.head_domains)
+        net, k = nets.relation_net, len(nets.head_domains)
         outs = outs.reshape(outs.shape[:-1] + (k, -1))  # (S, n, K, c)
-        a, cache = plan.relations, None
-        if a is None:
+        w, cache = plan.weights, None
+        if w is None:
             a, cache = learned_matrix(net, plan.metas)
             a *= plan.share  # fuse, in place, with its halves planned
             a += plan.fixed_part
             np.maximum(a, 0.0, out=a)
+            w, divisor = _consistency_weights(a, plan.eye)
 
-        w, divisor = _consistency_weights(a, plan.eye)
         coef = plan.coef(dom)
         np.matmul(coef[0], w, out=coef[1])  # each example's weights: its domain's row of w
-        lp, lrel, g, mix, p = _losses(model, outs, coef, y)
+        lp, lrel, g, mix, p = _losses(nets, outs, coef, y)
         g[1] *= plan.lam[:, None, None]
 
         # gradients w.r.t. head outputs, the own head's one-hot picked
@@ -650,8 +650,7 @@ def _train_loop(models, config: TrainConfig, epochs: int, order, examples, names
         for b in range(len(counts)):
             lo, hi = b * size, (b + 1) * size
             batch = xe[..., lo:hi, :], ye[..., lo:hi, :], de[..., lo:hi]
-            loss, parts, _ = total_loss_and_grads(stack, batch, plan,
-                                                  None if qe is None else qe[:, lo:hi])
+            loss, parts, _ = total_loss_and_grads(batch, plan, None if qe is None else qe[:, lo:hi])
             terms[b] = (loss, *parts)
             finite = np.isfinite(terms[b, 0])
             if not np.logical_and.reduce(finite):

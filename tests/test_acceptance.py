@@ -6,6 +6,7 @@ the lines for passing tests). Thresholds live here and nowhere else, so a
 red criterion fails loudly instead of being averaged away.
 """
 
+import functools
 import logging
 import time
 
@@ -15,13 +16,7 @@ from reference import grad_check
 from test_model import _grad_case, constant_model, loss_terms
 
 from relgen.data import gen_dg15
-from relgen.experiments import (
-    consistency_ablation,
-    method_comparison,
-    relation_ablation,
-    run_relational,
-    tuned_config,
-)
+from relgen.experiments import ablation, method_comparison, run_relational, tuned_config
 from relgen.model import (
     TrainConfig,
     combine_heads,
@@ -42,6 +37,13 @@ SEEDS = (0, 1, 2)
 
 def emit(n: int, ok: bool, detail: str) -> None:
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'} {detail}")
+
+
+@functools.cache
+def ablation_rows(tuned: bool) -> dict:
+    """variant -> row of ablation(SEEDS, ...) at the tuned or the default config,
+    computed once per session: criteria 2 and 3 share the tuned one."""
+    return {r["variant"]: r for r in ablation(SEEDS, tuned_config() if tuned else TrainConfig())}
 
 
 def test_criterion_1_benchmark_gap_over_baseline():
@@ -69,7 +71,7 @@ def test_criterion_2_relation_source_ordering():
     """Fused relations beat learned-only by >= 5 points; the rest of the
     ordering is reported, not asserted."""
     t0 = time.perf_counter()
-    rows = {r["variant"]: r for r in relation_ablation(SEEDS, tuned_config())}
+    rows = ablation_rows(True)
     took = time.perf_counter() - t0
     fused, fixed = rows["fused"]["mean"], rows["fixed"]["mean"]
     learned, none = rows["learned"]["mean"], rows["none"]["mean"]
@@ -91,8 +93,8 @@ def test_criterion_3_consistency_term():
     """lam=0.5 >= lam=0 in mean test accuracy at the default config, or the
     two sit within one standard deviation (reported either way)."""
     t0 = time.perf_counter()
-    rows = {r["variant"]: r for r in consistency_ablation(SEEDS, TrainConfig())}
-    tuned_rows = {r["variant"]: r for r in consistency_ablation(SEEDS, tuned_config())}
+    rows = ablation_rows(False)
+    tuned_rows = ablation_rows(True)
     took = time.perf_counter() - t0
     m0, m05 = rows["lam=0"]["mean"], rows["lam=0.5"]["mean"]
     spread = max(rows["lam=0"]["std"], rows["lam=0.5"]["std"])

@@ -102,7 +102,7 @@ def one_step(model, batch, fixed, metas, lam, beta):
     plan = plan_step(stack, grad, None if metas is None else metas[None], np.asarray(fixed)[None],
                      np.array([beta]), np.array([lam]))
     rows = (x[None], model_module._targets(model, y)[None], dom[None])
-    loss, (lp, lrel), grad = total_loss_and_grads(stack, rows, plan)
+    loss, (lp, lrel), grad = total_loss_and_grads(rows, plan)
     return loss[0], (lp[0], lrel[0]), grad[0]
 
 
@@ -1334,7 +1334,7 @@ def test_lockstep_gradient_writes_every_slice(data, case):
     grad = np.full_like(stack.flat, np.nan)
     batch = (batch[0], model_module._targets(stack, batch[1]), batch[2])
     plan = plan_step(stack, grad, metas, fixed, beta, lam)
-    loss, (lp, lrel), out = total_loss_and_grads(stack, batch, plan)
+    loss, (lp, lrel), out = total_loss_and_grads(batch, plan)
     assert out is grad and np.isfinite(grad).all()
     net_grads = stack.views(grad)[3]
     for j, (m, row, c) in enumerate(zip(singles, rows, cfgs)):
@@ -1345,6 +1345,22 @@ def test_lockstep_gradient_writes_every_slice(data, case):
         # no gradient through the consistency term
         no_net = c.relation_mode == "uniform" or c.beta == 1.0 or c.lam == 0.0
         assert all((g[j] == 0.0).all() for g in net_grads) == no_net  # zeroed, not left stale
+
+
+@pytest.mark.parametrize("case", ["uniform", "beta1"])
+def test_constant_relations_are_normalized_once_per_train_call(case, monkeypatch):
+    """When every row reads only its fixed relations (beta 1), the plan holds
+    their consistency weights, so a train call normalizes them once, not per step."""
+    calls = []
+
+    def counting(a, eye, real=model_module._consistency_weights):
+        calls.append(a.shape)
+        return real(a, eye)
+
+    monkeypatch.setattr(model_module, "_consistency_weights", counting)
+    ds, cfgs = _lockstep_setup("dg15", case)
+    train([build_model(ds, c) for c in cfgs], ds, cfgs)
+    assert calls == [(len(cfgs), 5, 5)]
 
 
 def test_lockstep_training_keeps_its_recorded_bits():
