@@ -122,9 +122,11 @@ def _check_out(path: str, is_file: bool) -> None:
 
 
 def _parse_seeds(args, cfg: TrainConfig) -> list[int]:
-    """The --seeds list, else the seed of cfg, which --seed overrides."""
+    """The --seeds list, else the seed of cfg, which --seed overrides; not both flags."""
     if args.seeds is None:
         return [cfg.seed]
+    if args.seed is not None:
+        raise ConfigError("give --seed or --seeds, not both")
     seeds = _int_list("--seeds", args.seeds)
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
@@ -411,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=TRAIN_RELATION_MODES, default=None)
         sp.add_argument("--combine-space", dest="combine_space",
                         choices=("logit", "prob"), default=None)
-        sp.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None)
 
     t = sub.add_parser("train", help="train a model and write checkpoint + report")
     t.add_argument("--data", required=True, help="dataset directory (see gen)")
@@ -420,6 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--task", choices=("auto", "classification", "regression"), default="auto")
     t.add_argument("--resume", default=None, help="checkpoint to continue training from")
     add_config_flags(t)
+    t.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None,
+                   help="fine-tuning epochs stored for eval --rw-finetune")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    MalformedRowError,
-    MissingMetaError,
-    OverlappingSplitError,
-    allocate,
-)
+from .errors import ConfigError, DataError, allocate
 from .fileio import atomic_write_text, parse_floats, read_csv, write_csv
 from .relations import adjacency_matrix, angle_between
 from .rng import substream
@@ -320,17 +313,15 @@ def load_meta_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a meta-data table: header domain_id,m_1,... and one row of finite values per domain."""
     mrows = read_csv(path)
     if not mrows or mrows[0][:1] != ["domain_id"] or len(mrows[0]) < 2:
-        raise MalformedRowError(f"{path}: expected header domain_id,m_1,...")
+        raise DataError(f"{path}: expected header domain_id,m_1,...")
     mwidth = len(mrows[0])
     ids: list[str] = []
     vals: list[list[float]] = []
     for line, row in enumerate(mrows[1:], start=2):
         if len(row) != mwidth:
-            raise MalformedRowError(
-                f"{path}: line {line}: expected {mwidth} fields, got {len(row)}"
-            )
+            raise DataError(f"{path}: line {line}: expected {mwidth} fields, got {len(row)}")
         if row[0] in ids:
-            raise MalformedRowError(f"{path}: line {line}: duplicate domain id {row[0]!r}")
+            raise DataError(f"{path}: line {line}: duplicate domain id {row[0]!r}")
         ids.append(row[0])
         vals.append(parse_floats(row[1:], path, line))
         if not np.isfinite(vals[-1]).all():  # the message DomainDataset gives
@@ -354,7 +345,7 @@ def load_adjacency(path: str, known_ids) -> list[tuple[str, str]]:
         if not parts:
             continue
         if len(parts) != 2:
-            raise MalformedRowError(f"{path}: line {line_no}: expected 'id_i id_j'")
+            raise DataError(f"{path}: line {line_no}: expected 'id_i id_j'")
         for p in parts:
             if p not in known:
                 raise DataError(f"{path}: line {line_no}: unknown domain id {p!r}")
@@ -373,16 +364,14 @@ def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
         os.path.join(path, f) for f in ("data.csv", "meta.csv", "splits.csv", "adjacency.txt"))
     rows = read_csv(data_path)
     if not rows or len(rows[0]) < 3 or rows[0][:2] != ["domain_id", "y"]:
-        raise MalformedRowError(f"{data_path}: expected header domain_id,y,x_1,...")
+        raise DataError(f"{data_path}: expected header domain_id,y,x_1,...")
     width = len(rows[0])
     ids: list[str] = []
     seen: dict[str, int] = {}
     dom, ys, xs = [], [], []
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != width:
-            raise MalformedRowError(
-                f"{data_path}: line {line}: expected {width} fields, got {len(row)}"
-            )
+            raise DataError(f"{data_path}: line {line}: expected {width} fields, got {len(row)}")
         did = row[0]
         if did not in seen:
             seen[did] = len(ids)
@@ -398,22 +387,20 @@ def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
     meta_by_id = {d: meta_vals[i] for i, d in enumerate(meta_ids)}
     for did in ids:
         if did not in meta_by_id:
-            raise MissingMetaError(f"no meta-data row for domain {did!r}")
+            raise DataError(f"no meta-data row for domain {did!r}")
 
     srows = read_csv(split_path)
     if not srows or srows[0] != ["domain_id", "split"]:
-        raise MalformedRowError(f"{split_path}: expected header domain_id,split")
+        raise DataError(f"{split_path}: expected header domain_id,split")
     split: dict[str, str] = {}
     for line, row in enumerate(srows[1:], start=2):
         if len(row) != 2:
-            raise MalformedRowError(f"{split_path}: line {line}: expected 2 fields")
+            raise DataError(f"{split_path}: line {line}: expected 2 fields")
         did, s = row
         if s not in SPLITS:
-            raise MalformedRowError(f"{split_path}: line {line}: bad split {s!r}")
+            raise DataError(f"{split_path}: line {line}: bad split {s!r}")
         if did in split:
-            raise OverlappingSplitError(
-                f"domain {did!r} assigned to both {split[did]!r} and {s!r}"
-            )
+            raise DataError(f"domain {did!r} assigned to both {split[did]!r} and {s!r}")
         split[did] = s
 
     edges = load_adjacency(adjacency_path, ids) if os.path.exists(adjacency_path) else None

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the size check that raises one."""
+"""Exception types shared across the package, one per CLI exit code (2, 3, 4), and
+the size check that raises one."""
 
 import numpy as np
 
@@ -8,19 +9,11 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """A dataset file or in-memory dataset violates the expected layout."""
+    """A dataset file or in-memory dataset violates the expected layout.
 
-
-class MissingMetaError(DataError):
-    """A domain appears in the data but has no meta-data row."""
-
-
-class OverlappingSplitError(DataError):
-    """A domain is assigned to more than one of train/valid/test."""
-
-
-class MalformedRowError(DataError):
-    """A row in a data file cannot be parsed."""
+    One type for every such fault, such as a malformed row, a domain without
+    a meta-data row or a domain in two splits; the message says which.
+    """
 
 
 class NumericalError(RuntimeError):

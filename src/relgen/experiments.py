@@ -34,34 +34,34 @@ def tuned_config(**overrides) -> TrainConfig:
     return cfg
 
 
-def _run(build, dataset, config, split: str):
-    """Build one model per config, train them in one lockstep call and score each on split."""
+def _run(build, dataset, config):
+    """Build one model per config, train them in one lockstep call and score each on test."""
     single = isinstance(config, TrainConfig)
     configs = [config] if single else list(config)
     datasets = [dataset] * len(configs) if isinstance(dataset, DomainDataset) else list(dataset)
     for d in datasets:  # before training, so an empty split costs no epochs
-        split_ids(d, split)
+        split_ids(d, "test")
     models = [build(d, c) for d, c in zip(datasets, configs)]
     histories = train(models, datasets, configs)
-    reports = score(models, datasets, [(c.relation_mode, c.beta) for c in configs], split)
+    reports = score(models, datasets, [(c.relation_mode, c.beta) for c in configs], "test")
     if single:
         return models[0], histories[0], reports[0]
     return models, histories, reports
 
 
-def run_relational(dataset, config, split: str = "test"):
-    """Train the relation-weighted model and evaluate one split under its relation mode.
+def run_relational(dataset, config):
+    """Train the relation-weighted model and evaluate the test split under its relation mode.
 
     Given a list of configs (and a dataset or one per config), trains one
     model per config in one lockstep train call and returns lists of models,
     histories and reports, each as a run of its own would give it.
     """
-    return _run(build_model, dataset, config, split)
+    return _run(build_model, dataset, config)
 
 
-def run_erm(dataset, config, split: str = "test"):
+def run_erm(dataset, config):
     """The pooled baseline's run_relational."""
-    return _run(build_erm, dataset, config, split)
+    return _run(build_erm, dataset, config)
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -73,21 +73,15 @@ def _aggregate(values: list[float]) -> dict:
     }
 
 
-def method_comparison(
-    seeds,
-    config: TrainConfig,
-    dataset_factory=gen_dg15,
-    include_rwft: bool = False,
-    split: str = "test",
-) -> dict:
-    """Mean test metric per method over seeds; one fresh world per seed, one call per method."""
+def method_comparison(seeds, config: TrainConfig, include_rwft: bool = False) -> dict:
+    """Mean test metric per method over seeds; one fresh dg15 world each, one call per method."""
     seeds = [int(s) for s in seeds]
-    datasets = [dataset_factory(s) for s in seeds]
+    datasets = [gen_dg15(s) for s in seeds]
     cfgs = [replace(config, seed=s) for s in seeds]
-    reports = {"relational": run_relational(datasets, cfgs, split)[2]}
-    erm_models, _, reports["erm"] = run_erm(datasets, cfgs, split)
+    reports = {"relational": run_relational(datasets, cfgs)[2]}
+    erm_models, _, reports["erm"] = run_erm(datasets, cfgs)
     if include_rwft:
-        reports["rw_finetune"] = [evaluate(m, d, c, split)
+        reports["rw_finetune"] = [evaluate(m, d, c, "test")
                                   for m, d, c in zip(erm_models, datasets, cfgs)]
     out = {
         name: {**_aggregate([r.mean for r in reps]), "reports": [r.to_dict() for r in reps]}

@@ -8,7 +8,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 
-from .errors import DataError, MalformedRowError
+from .errors import DataError
 
 
 @contextmanager
@@ -56,4 +56,4 @@ def parse_floats(row: list[str], path: str, line: int) -> list[float]:
     try:
         return [float(v) for v in row]
     except ValueError as exc:
-        raise MalformedRowError(f"{path}: line {line}: {exc}") from exc
+        raise DataError(f"{path}: line {line}: {exc}") from exc

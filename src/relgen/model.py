@@ -347,7 +347,7 @@ def _losses(model, outs, coef, y):
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
         g = np.empty((2,) + y.shape)
         losses, g[0] = cross_entropy((coef[0, ..., None, :] @ outs)[..., 0, :], y)
-        p = softmax(outs, axis=-1)  # (S, n, K, c)
+        p = softmax(outs)  # (S, n, K, c)
         mix = (coef[1, ..., None, :] @ p)[..., 0, :]
         picked = np.maximum(mix[y], PROB_FLOOR)  # each row's label entry, rows in C order
         g[1] = 0.0
@@ -728,7 +728,7 @@ def combine_heads(model: MultiHeadModel, weights, x) -> np.ndarray:
     phi = forward(model.extractor, x)[0]
     k, c, h = model.head_w.shape[-3:]
     if model.task == TASK_CLASSIFICATION and model.combine_space == "prob":
-        p = softmax(forward(model.head, phi)[0].reshape(phi.shape[:-1] + (k, c)), axis=-1)
+        p = softmax(forward(model.head, phi)[0].reshape(phi.shape[:-1] + (k, c)))
         return (w[..., None, None, :] @ p)[..., 0, :]
     w = w[..., None, :]  # (..., 1, K), one matmul row each
     head_w = w @ model.head_w.reshape(w.shape[:-2] + (k, c * h))  # (..., 1, c * h)
@@ -773,21 +773,16 @@ def build_erm(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
                           meta_dim=dataset.meta_dim)
 
 
-def train_erm(
-    dataset: DomainDataset,
-    config: TrainConfig,
-    model: MultiHeadModel | None = None,
-) -> tuple[MultiHeadModel, list[dict]]:
+def train_erm(dataset: DomainDataset, config: TrainConfig) -> tuple[MultiHeadModel, list[dict]]:
     """Pooled training over all training domains with one shared head.
 
     Domain meta-data is appended to the input features so the baseline sees
     the same information the relation-weighted model gets through its
-    relation net. The extractor architecture matches build_model. Pass an
-    existing pooled model to continue training it in place. For several
-    seeds at once, pass build_erm models to train.
+    relation net. The extractor architecture matches build_model. To
+    continue training a pooled model in place, or to train several seeds
+    at once, pass build_erm models to train.
     """
-    if model is None:
-        model = build_erm(dataset, config)
+    model = build_erm(dataset, config)
     return model, train(model, dataset, config)
 
 

@@ -194,10 +194,10 @@ def loss_mse(pred, target) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def loss_ce_rows(logits, labels) -> tuple[np.ndarray, np.ndarray]:

@@ -147,11 +147,10 @@ def _eval_draws(rng: np.random.Generator, noise: float, x: np.ndarray, eps: np.n
     eps *= noise
 
 
-def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo excess absolute-error risk on the test domain.
+def excess_risk(slope: float, world: LatentWorld, n_eval: int, seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo excess absolute-error risk of x -> slope * x on the test domain.
 
-    predictor is a slope (float) or a callable x -> prediction. The same
-    draws evaluate the candidate and the true head, so the difference's
+    The same draws evaluate the candidate and the true head, so the difference's
     standard error is small; estimates can dip slightly below zero within
     Monte Carlo noise. Returns (estimate, stderr).
 
@@ -163,7 +162,7 @@ def excess_risk(predictor, world: LatentWorld, n_eval: int, seed: int = 0) -> tu
     x, eps = np.empty(n_eval), np.empty(n_eval)
     _eval_draws(substream(seed, "excess-risk"), world.noise, x, eps)
     signal = world.slope_test * x
-    yhat = predictor(x) if callable(predictor) else float(predictor) * x
+    yhat = float(slope) * x
     # subtract the signal before the noise so the true head cancels exactly
     diff = np.abs(yhat - signal - eps) - np.abs(eps)
     est = float(diff.mean())

@@ -634,6 +634,21 @@ def test_a_repeated_seed_exits_2_and_names_it(dg15_dir, tmp_path, command, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_seed_and_seeds_together_exit_2_before_training(dg15_dir, tmp_path, monkeypatch, command,
+                                                         capsys):
+    # otherwise --seeds trains while the report records --seed as config.seed
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(model_module, "_train_loop", no_training)
+    out = tmp_path / "o"
+    assert run(command, "--data", str(dg15_dir), "--out", str(out), "--seeds", "0,1",
+               "--seed", "5", "--epochs", "1") == 2
+    assert capsys.readouterr().err == "config error: give --seed or --seeds, not both\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,relabel,split",
     [("train", ("valid", "test"), "valid"), ("train", ("test", "valid"), "test"),
@@ -758,6 +773,14 @@ def test_ablate_writes_both_groups(dg15_dir, tmp_path):
     assert ("consistency", "lam=0") in groups
     assert ("consistency", "lam=0.5") in groups
     assert len(report["rows"]) == 6
+
+
+def test_ablate_has_no_finetune_epochs_flag(dg15_dir, tmp_path):
+    # the ablation never fine-tunes, so the flag could change only the report's config
+    with pytest.raises(SystemExit) as exc:
+        run("ablate", "--data", str(dg15_dir), "--out", str(tmp_path / "o"),
+            "--finetune-epochs", "1")
+    assert exc.value.code == 2
 
 
 # -- theory ---------------------------------------------------------------------------

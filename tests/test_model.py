@@ -587,8 +587,7 @@ def test_erm_resume_continues_in_place():
     cfg = TrainConfig(epochs=2, lr=1e-3, hidden_width=4)
     model, _ = train_erm(ds, cfg)
     before = [p.copy() for p in _live_params(model)]
-    again, _ = train_erm(ds, TrainConfig(epochs=0, hidden_width=4), model=model)
-    assert again is model
+    assert train(model, ds, TrainConfig(epochs=0, hidden_width=4)) == []
     for p, q in zip(_live_params(model), before):
         assert np.array_equal(p, q)
     bad = MultiHeadModel(
@@ -601,7 +600,7 @@ def test_erm_resume_continues_in_place():
         meta_dim=1,
     )
     with pytest.raises(ConfigError, match="input features"):
-        train_erm(ds, cfg, model=bad)
+        train(bad, ds, cfg)
 
 
 def test_rw_finetune_zero_epochs_is_identity():

@@ -313,7 +313,7 @@ def test_mse_oracle():
 
 def test_softmax_rows_normalize():
     z = np.random.default_rng(12).normal(scale=30, size=(8, 4))
-    p = softmax(z, axis=1)
+    p = softmax(z)
     assert np.all(p >= 0.0)
     assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
 

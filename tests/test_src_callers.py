@@ -1,5 +1,6 @@
-"""Every definition in src/relgen has a caller in the shipped code, and no
-shipped module imports a name it never uses.
+"""Every definition in src/relgen has a caller in the shipped code, every
+parameter with a default is set by some shipped call, and no shipped module
+imports a name it never uses.
 
 The shipped code is src/, demos/ and tools/. A use in tests/ does not
 count: code that only tests reach belongs in tests/. Names are matched
@@ -24,6 +25,16 @@ TRACER_BOUND = {
     "relgen.theory.excess_risk": "perfbench/tracer.py traces theory.excess_risk",
 }
 
+# parameters with a default that no shipped call sets, as "module.function:parameter"
+UNSET_DEFAULTS = {
+    "relgen.cli.main:argv": "the entry point: the console script calls main(), which reads "
+                            "sys.argv",
+    "relgen.theory.calibrate_bandwidth:grid": "tests calibrate on a short or an empty c0 grid",
+    "relgen.theory.calibrate_bandwidth:n_inner": "tests calibrate on fewer or too few inner "
+                                                 "seeds",
+    "relgen.theory.calibrate_bandwidth:n_eval": "tests calibrate on fewer evaluation draws",
+}
+
 # x.copy() most likely reads an array's method, so a method that an ndarray
 # also has counts as used only as Class.name or, inside its class, self.name
 # (or cls.name)
@@ -46,6 +57,13 @@ def _definitions(module: str, tree: ast.Module):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("__"):
                     yield f"{module}.{node.name}.{item.name}", item.name, node.name, item
+
+
+def _src_definitions(root: pathlib.Path, modules: dict) -> list:
+    """_definitions of every module under root/src, named by its dotted path."""
+    src = root / "src"
+    return [d for path, tree in modules.items() if src in path.parents
+            for d in _definitions(".".join(path.relative_to(src).with_suffix("").parts), tree)]
 
 
 def _walk(node, skip):
@@ -75,9 +93,7 @@ def uncalled(root: pathlib.Path = ROOT, live=TRACER_BOUND) -> list[str]:
     in live count as used.
     """
     modules = _modules(root)
-    defs = [d for path, tree in modules.items() if (root / "src") in path.parents
-            for d in _definitions(".".join(path.relative_to(root / "src").with_suffix("").parts),
-                                  tree)]
+    defs = _src_definitions(root, modules)
     dead: set = set()
     while True:
         uses = (set(), set(), set(), set())  # names, attributes, (receiver, attr), (class, self.attr)
@@ -99,6 +115,64 @@ def uncalled(root: pathlib.Path = ROOT, live=TRACER_BOUND) -> list[str]:
         if now == dead:
             return [qual for qual, _, _, node in defs if node in dead]
         dead = now
+
+
+def _defaulted(fn) -> list[tuple[int | None, str]]:
+    """(position or None if keyword-only, name) of each parameter of fn with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def _passes(call: ast.Call, position, name: str, offset: int) -> bool:
+    """Whether call sets the parameter, its receiver taken as offset leading arguments."""
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i + offset == position:
+            return True
+    return False
+
+
+def unset_defaults(root: pathlib.Path = ROOT, live=TRACER_BOUND) -> list[str]:
+    """Each parameter with a default that no shipped call under root sets, as
+    "module.function:parameter".
+
+    Callees are matched by name, as uncalled matches uses: f(...) and x.f(...) both call
+    every definition named f, and a method's receiver is its first argument when it is
+    called as x.f(...). A call passes a parameter by keyword, by position, or through *
+    or ** unpacking. Definitions that uncalled reports, and those named in live, are left
+    out; so are the calls made inside the former.
+    """
+    modules = _modules(root)
+    dead = set(uncalled(root, live))
+    defs = _src_definitions(root, modules)
+    skip = {node for qual, _, _, node in defs if qual in dead}
+    calls: dict = {}  # callee name -> [(call, called as x.f)]
+    for tree in modules.values():
+        for node in _walk(tree, skip):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append((node, False))
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append((node, True))
+    unset = []
+    for qual, name, cls, node in defs:
+        if qual in dead or qual in live or isinstance(node, ast.ClassDef):
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        bound = cls is not None and not static
+        for position, param in _defaulted(node):
+            if not any(_passes(call, position, param, int(bound and attr))
+                       for call, attr in calls.get(name, ())):
+                unset.append(f"{qual}:{param}")
+    return unset
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -127,6 +201,16 @@ def test_the_tracer_allowlist_is_still_needed():
         assert f'"{qual.rsplit(".", 1)[1]}"' in tracer, qual
 
 
+def test_every_defaulted_parameter_is_set_by_a_shipped_call():
+    unset = [p for p in unset_defaults() if p not in UNSET_DEFAULTS]
+    assert unset == [], f"parameters whose default no shipped call overrides: {unset}"
+
+
+def test_the_unset_default_allowlist_is_still_needed():
+    """Each allowlisted parameter still exists and no shipped call sets it yet."""
+    assert sorted(p for p in unset_defaults() if p in UNSET_DEFAULTS) == sorted(UNSET_DEFAULTS)
+
+
 def test_no_shipped_module_imports_a_name_it_never_uses():
     # a package's __init__ imports to re-export (relgen.__version__)
     bad = {str(p.relative_to(ROOT)): names
@@ -151,3 +235,26 @@ def test_the_checks_see_a_test_only_method_and_an_unused_import(tmp_path):
     # copy is an array method name: [1].copy() in tools and C().copy() in tests do not count
     assert uncalled(tmp_path) == ["pkg.core.C.copy"]
     assert unused_imports(ast.parse(files["src/pkg/core.py"])) == ["os", "a"]
+
+
+def test_the_parameter_check_sees_receivers_unpacking_and_test_only_keywords(tmp_path):
+    files = {
+        "src/pkg/core.py": "def f(a, b=1, *, c=2, d=3):\n    return a\n\n\n"
+                           "def g(x=0):\n    return f(x, d=x)\n\n\n"
+                           "def h(a, b=0, c=0):\n    return a\n\n\n"
+                           "def k(x=0, y=0):\n    return x\n\n\n"
+                           "class C:\n"
+                           "    def m(self, p=0, q=1):\n        return p\n\n"
+                           "    @staticmethod\n    def s(u=0):\n        return u\n\n"
+                           "    def run(self):\n        return self.m(5)\n",
+        "tools/use.py": "from pkg.core import C, f, h, k\n\n"
+                        "f(1, 2)\nh(*[1, 2])\nk(**{})\nC().run()\nC.s(0)\n",
+        "tests/test_core.py": "from pkg.core import C, f\n\nf(1, c=3)\nC().m(0, 1)\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    assert uncalled(tmp_path) == ["pkg.core.g"]
+    # d is set only inside uncalled g, c and q only by tests; self.m(5) sets p, not self,
+    # and a staticmethod's first argument is its first parameter
+    assert unset_defaults(tmp_path) == ["pkg.core.f:c", "pkg.core.f:d", "pkg.core.C.m:q"]

@@ -1,5 +1,5 @@
 """tools/step_calls.py: calls per training step, per score call and per scoring of
-prebuilt groups of its three configs, and calls per theory sweep cell, on tiny data."""
+prebuilt groups of its four configs, and calls per theory sweep cell, on tiny data."""
 
 import importlib.util
 import math

@@ -1,4 +1,4 @@
-"""Count the Python calls one training step makes, for three training configs.
+"""Count the Python calls one training step makes, for four training configs.
 
 Each config is trained for a few epochs under ``cProfile``; the calls the
 profiler sees during the ``train`` call (function calls, and C functions
@@ -48,11 +48,13 @@ from relgen.model import (  # noqa: E402
 )
 from relgen.theory import scaling_experiment  # noqa: E402
 
-# name -> (dataset kind, model builder, seeds)
+# name -> (dataset kind, model builder, seeds, TrainConfig overrides); dg15-uniform reads the
+# constant-relations path, which skips the learned matrix
 CONFIGS = {
-    "dg15-relational": ("dg15", build_model, (0, 1, 2)),
-    "dg15-pooled": ("dg15", build_erm, (0, 1, 2)),
-    "grid-relational": ("grid", build_model, (0,)),
+    "dg15-relational": ("dg15", build_model, (0, 1, 2), {}),
+    "dg15-pooled": ("dg15", build_erm, (0, 1, 2), {}),
+    "grid-relational": ("grid", build_model, (0,), {}),
+    "dg15-uniform": ("dg15", build_model, (0, 1, 2), {"relation_mode": "uniform"}),
 }
 
 # scaling_experiment's arguments in the theory-sweep workload: `relgen theory` at --n-seeds 500
@@ -84,9 +86,9 @@ def _calls(fn, *args) -> int:
 def calls_per_step(name: str, epochs: int = 3, small: bool = False) -> tuple[int, int, int, int]:
     """(Python calls during train, optimizer steps, calls of one valid score call, calls
     of its scoring on prebuilt groups) of one config."""
-    kind, build, seeds = CONFIGS[name]
+    kind, build, seeds, overrides = CONFIGS[name]
     ds = dataset(kind, small)
-    configs = [TrainConfig(lr=1e-3, epochs=epochs, seed=s) for s in seeds]
+    configs = [TrainConfig(lr=1e-3, epochs=epochs, seed=s, **overrides) for s in seeds]
     models = [build(ds, c) for c in configs]
     calls = _calls(train, models, ds, configs)
     n_train = len(ds.arrays_for(ds.ids_for_split("train"))[1])
