@@ -71,9 +71,11 @@ def _write_report(out_dir: str, stem: str, payload: dict, lines: list[str]) -> N
     atomic_write_text(os.path.join(out_dir, stem + ".txt"), "\n".join(lines) + "\n")
 
 
-def _load_config(args, base: TrainConfig | None = None) -> TrainConfig:
-    """base (or the defaults), then the keys of the --config file, then the flags given."""
+def _load_config(args, base: TrainConfig | None = None) -> tuple[TrainConfig, dict]:
+    """base (or the defaults), then the keys of the --config file, then the flags given;
+    with the file's keys and values ({} without a file)."""
     data = base.to_dict() if base else {}
+    given = {}
     path = getattr(args, "config", None)
     if path:
         try:
@@ -88,7 +90,7 @@ def _load_config(args, base: TrainConfig | None = None) -> TrainConfig:
         data.update(given)
     # the flags that override it are the TrainConfig fields the parsed args hold
     return _override(TrainConfig.from_dict(data), args,
-                     [f.name for f in fields(TrainConfig) if hasattr(args, f.name)])
+                     [f.name for f in fields(TrainConfig) if hasattr(args, f.name)]), given
 
 
 def _override(cfg: TrainConfig, args, names) -> TrainConfig:
@@ -121,12 +123,15 @@ def _check_out(path: str, is_file: bool) -> None:
         raise ConfigError(f"--out {path}: {probe} is not a writable directory")
 
 
-def _parse_seeds(args, cfg: TrainConfig) -> list[int]:
-    """The --seeds list, else the seed of cfg, which --seed overrides; not both flags."""
+def _parse_seeds(args, cfg: TrainConfig, given: dict) -> list[int]:
+    """The --seeds list, else the seed of cfg, which --seed overrides. --seeds comes
+    without --seed and without a seed in given, the --config file's keys."""
     if args.seeds is None:
         return [cfg.seed]
     if args.seed is not None:
         raise ConfigError("give --seed or --seeds, not both")
+    if "seed" in given:
+        raise ConfigError(f"{args.config} sets seed; give it or --seeds, not both")
     seeds = _int_list("--seeds", args.seeds)
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
@@ -175,12 +180,12 @@ def cmd_train(args) -> int:
         if (model.relation_net is not None) != relational:
             raise ConfigError(f"{args.resume}: not {'a relational' if relational else 'an erm'} checkpoint")
         base = TrainConfig.from_dict(header["config"])
-    cfg0 = _load_config(args, base)
+    cfg0, given = _load_config(args, base)
     for name in _MODEL_FIELDS if base else ():
         if getattr(cfg0, name) != getattr(base, name):
             raise ConfigError(f"{args.resume} holds a model with {name} "
                               f"{getattr(base, name)!r}, not {getattr(cfg0, name)!r}")
-    seeds = _parse_seeds(args, cfg0)
+    seeds = _parse_seeds(args, cfg0, given)
     if args.resume and len(seeds) > 1:
         raise ConfigError("--resume works with a single seed")
     for split in ("valid", "test"):  # the splits the report scores, checked before training
@@ -280,8 +285,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset_dir(args.data, task=args.task)
-    cfg = _load_config(args)
-    seeds = _parse_seeds(args, cfg)
+    cfg, given = _load_config(args)
+    seeds = _parse_seeds(args, cfg, given)
     rows = ablation(seeds, cfg, lambda _: dataset)
     lines = [f"ablation data={args.data} seeds={seeds}"]
     lines.append(f"{'group':<12} {'variant':<10} {'mean':>8} {'std':>8}")
@@ -302,8 +307,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_theory(args) -> int:
     t0 = time.perf_counter()
-    # the oracle's stream does not depend on the sweep, so an --mc that cannot be
-    # allocated fails before the sweep's work
+    # the oracle's stream does not depend on the sweep, and it checks the bound on --mc
+    # before any draw, so an --mc above it fails before the sweep's work
     mc_mean, mc_err = averaging_oracle(args.mc, args.seed)
     rows = scaling_experiment(
         _int_list("--domain-grid", args.domain_grid),

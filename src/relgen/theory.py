@@ -321,7 +321,25 @@ def save_sweep_csv(path: str, rows: list[dict]) -> None:
     write_csv(path, [SWEEP_COLUMNS] + [[row[k] for k in SWEEP_COLUMNS] for row in rows])
 
 
-ORACLE_BLOCK = 1 << 16  # averaging_oracle draws e in blocks of this many samples
+ORACLE_BLOCK = 1 << 16  # averaging_oracle draws d and e in leaves of at most this many samples
+
+
+def _pairwise_total(n: int, block: int, leaf_sum) -> float:
+    """np.add.reduce of n values, streamed along numpy's pairwise split tree.
+
+    numpy sums n > 128 values as the sum of the first half and of the rest,
+    half = n // 2 rounded down to a multiple of 8. This splits n the same
+    way until each segment holds at most block values, calls leaf_sum(k)
+    for each segment's length k in order, and adds its returns in tree
+    order. When leaf_sum returns np.add.reduce of the segment's values, that
+    is numpy's subtree for it (for any block >= 128), so the total has the
+    bits of np.add.reduce of all n values.
+    """
+    if n <= block:
+        return leaf_sum(n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_total(half, block, leaf_sum) + _pairwise_total(n - half, block, leaf_sum)
 
 
 def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
@@ -332,34 +350,47 @@ def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     squared-error risk is E[(d - 1/2)^2 e^2] = 1/12 exactly. Returns
     (estimate, stderr).
 
-    Holds one float64 per sample plus one block of ORACLE_BLOCK: d is drawn
-    into the buffer that becomes the values, then e from the same stream one
-    block at a time, each block the matching slice of a single n_mc draw.
-    The stderr runs the ops of std(ddof=1) in place, so every bit is that
-    of the two whole draws and vals.std(ddof=1).
+    Holds two blocks of ORACLE_BLOCK doubles for any n_mc. The values
+    (d - 0.5) ** 2 * e ** 2 are made a leaf of _pairwise_total at a time,
+    d from the start of the seed's stream and e from a copy of it moved
+    past the n_mc uniforms (Philox yields four 64-bit words per counter
+    step, and random() takes one word per double), so each leaf's d and e
+    are the matching slices of two whole draws. One pass sums the values
+    for the mean; a second draws them again and sums their squared
+    deviations from it. Every bit is that of the two whole draws and
+    vals.mean(), vals.std(ddof=1). n_mc above 2**53, the largest count a
+    float64 holds exactly (it divides both sums), is a ConfigError.
     """
     if n_mc < 2:
         raise ConfigError("n_mc must be at least 2")
-    rng = substream(seed, "averaging-oracle")
-    vals = allocate(n_mc, "n_mc")
-    rng.random(out=vals)  # d, the bits of uniform(0.0, 1.0)
-    # (d - 0.5) ** 2 * e ** 2, in place
-    vals -= 0.5
-    np.square(vals, out=vals)
-    block = np.empty(min(n_mc, ORACLE_BLOCK))
-    for start in range(0, n_mc, ORACLE_BLOCK):
-        part = vals[start:start + ORACLE_BLOCK]
-        e = block[: len(part)]
-        rng.standard_normal(out=e)  # the bits of normal() for e ** 2
-        part *= np.square(e, out=e)
-    # std(ddof=1): a keepdims sum divided by n, subtract, square, sum, / (n - 1), sqrt
-    mean = np.add.reduce(vals, axis=None, keepdims=True)
-    np.true_divide(mean, n_mc, out=mean)
-    est = float(mean[0])  # vals.mean()
-    vals -= mean
-    np.square(vals, out=vals)
-    std = np.sqrt(np.add.reduce(vals, axis=None) / (n_mc - 1))
-    return est, float(std / np.sqrt(n_mc))
+    if n_mc > 2**53:
+        raise ConfigError(
+            f"n_mc = {n_mc} is above 2**53, the largest count a float64 holds exactly")
+    d_buf, e_buf = np.empty(min(n_mc, ORACLE_BLOCK)), np.empty(min(n_mc, ORACLE_BLOCK))
+
+    def total(mean: float | None) -> float:
+        """The values' sum, or with a mean, the sum of their squared deviations from it."""
+        d_rng, e_rng = substream(seed, "averaging-oracle"), substream(seed, "averaging-oracle")
+        e_rng.bit_generator.advance(n_mc // 4)
+        e_rng.bit_generator.random_raw(n_mc % 4)
+
+        def leaf_sum(k: int) -> float:
+            vals, e = d_buf[:k], e_buf[:k]
+            d_rng.random(out=vals)  # d, the bits of uniform(0.0, 1.0)
+            vals -= 0.5
+            np.square(vals, out=vals)
+            e_rng.standard_normal(out=e)  # the bits of normal() for e ** 2
+            vals *= np.square(e, out=e)
+            if mean is not None:  # std(ddof=1)'s squared deviations
+                vals -= mean
+                np.square(vals, out=vals)
+            return np.add.reduce(vals)
+
+        return _pairwise_total(n_mc, ORACLE_BLOCK, leaf_sum)
+
+    est = total(None) / n_mc  # vals.mean()
+    std = np.sqrt(total(est) / (n_mc - 1))
+    return float(est), float(std / np.sqrt(n_mc))
 
 
 AVERAGING_ORACLE_TARGET = 1.0 / 12.0

@@ -634,19 +634,38 @@ def test_a_repeated_seed_exits_2_and_names_it(dg15_dir, tmp_path, command, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command,from_config", [
+    pytest.param("train", False, id="train"), pytest.param("ablate", False, id="ablate"),
+    pytest.param("train", True, id="train-config"),
+    pytest.param("ablate", True, id="ablate-config")])
 def test_seed_and_seeds_together_exit_2_before_training(dg15_dir, tmp_path, monkeypatch, command,
-                                                         capsys):
-    # otherwise --seeds trains while the report records --seed as config.seed
+                                                         from_config, capsys):
+    # otherwise --seeds trains while the report records the other seed as config.seed
     def no_training(*args, **kwargs):
         raise AssertionError("a training step ran")
 
     monkeypatch.setattr(model_module, "_train_loop", no_training)
     out = tmp_path / "o"
-    assert run(command, "--data", str(dg15_dir), "--out", str(out), "--seeds", "0,1",
-               "--seed", "5", "--epochs", "1") == 2
-    assert capsys.readouterr().err == "config error: give --seed or --seeds, not both\n"
+    if from_config:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 5, "epochs": 1}))
+        flags, err = ["--config", str(cfg)], f"{cfg} sets seed; give it or --seeds, not both"
+    else:
+        flags, err = ["--seed", "5", "--epochs", "1"], "give --seed or --seeds, not both"
+    assert run(command, "--data", str(dg15_dir), "--out", str(out), "--seeds", "0,1", *flags) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
     assert not out.exists()
+
+
+def test_a_config_without_seed_takes_seeds(dg15_dir, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"epochs": 1}))
+    out = tmp_path / "o"
+    assert run("train", "--method", "erm", "--data", str(dg15_dir), "--out", str(out),
+               "--config", str(cfg), "--seeds", "0,1") == 0
+    assert json.loads((out / "train-report.json").read_text())["seeds"] == [0, 1]
+    assert sorted(p.name for p in out.glob("*.npz")) == [
+        "checkpoint-erm-seed0.npz", "checkpoint-erm-seed1.npz"]
 
 
 @pytest.mark.parametrize(
@@ -813,16 +832,22 @@ def test_theory_rejects_non_positive_sizes(tmp_path, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,name", [("--mc", "n_mc"), ("--n-eval", "n_eval"),
-                                       ("--n-seeds", "n_seeds"), ("--n", "n_per_domain"),
-                                       ("--r", "r")])
-def test_theory_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, flag, name):
-    # 8 * 10**17 bytes exceed a 47-bit address space, so no overcommit mode maps them
+@pytest.mark.parametrize("flag,name,size", [
+    pytest.param("--mc", "n_mc", 10**17, id="--mc-n_mc"),
+    pytest.param("--mc", "n_mc", 2**53 + 1, id="--mc-n_mc-2**53+1"),
+    pytest.param("--n-eval", "n_eval", 10**17, id="--n-eval-n_eval"),
+    pytest.param("--n-seeds", "n_seeds", 10**17, id="--n-seeds-n_seeds"),
+    pytest.param("--n", "n_per_domain", 10**17, id="--n-n_per_domain"),
+    pytest.param("--r", "r", 10**17, id="--r-r")])
+def test_theory_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, flag, name, size):
+    # 8 * 10**17 bytes exceed a 47-bit address space, so no overcommit mode maps them;
+    # the oracle holds no --mc buffer, and refuses a count no float64 holds exactly
     out = tmp_path / "t"
-    size = str(10**17)
     assert run("theory", "--out", str(out), "--domain-grid", "4", "--n-seeds", "2",
-               "--n-eval", "100", "--mc", "100", flag, size) == 2
-    assert f"config error: {name} = {size} cannot be allocated" in capsys.readouterr().err
+               "--n-eval", "100", "--mc", "100", flag, str(size)) == 2
+    why = "is above 2**53, the largest count" if flag == "--mc" else "cannot be allocated"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {name} = {size} {why}"), err
     assert not out.exists()
 
 

@@ -342,11 +342,12 @@ def test_a_non_finite_risk_is_a_numerical_error(lipschitz, noise):
                            lipschitz=lipschitz, n_eval=100, c0=1.0)
 
 
-@pytest.mark.parametrize("n", [10**17, 2**62, 2**63])
+@pytest.mark.parametrize("n", [10**17, 2**62, 2**63, 2**53 + 1])
 def test_sizes_that_cannot_be_allocated_are_config_errors(n):
     # 8 * 10**17 bytes exceed a 47-bit address space under any overcommit mode;
-    # past numpy's index range, np.empty raises ValueError instead of MemoryError
-    with pytest.raises(ConfigError, match=f"n_mc = {n} cannot be allocated"):
+    # past numpy's index range, np.empty raises ValueError instead of MemoryError.
+    # The oracle holds no n_mc buffer; it refuses a count no float64 holds exactly.
+    with pytest.raises(ConfigError, match=rf"^n_mc = {n} is above 2\*\*53, the largest count "):
         averaging_oracle(n)
     with pytest.raises(ConfigError, match=f"n_eval = {n} cannot be allocated"):
         scaling_experiment((4,), n_seeds=2, r=2, n_per_domain=10, noise=0.1, lipschitz=1.0,
@@ -386,7 +387,8 @@ def test_averaging_oracle_validates():
 
 
 @pytest.mark.parametrize(
-    "n_mc", [2, 10, 10_000, 65_535, 65_536, 65_537, 3 * 65_536 + 7, 10**6])
+    "n_mc", [2, 10, 10_000, 65_535, 65_536, 65_537, 3 * 65_536 + 7, 10**6,
+             3, 7, 9, 129, 2 * 65_536 + 9, 10**6 + 3])
 def test_the_streamed_oracle_keeps_the_bits_of_two_whole_draws(n_mc):
     assert theory.ORACLE_BLOCK == 65_536
     for seed in (0, 1, 17):
@@ -396,11 +398,37 @@ def test_the_streamed_oracle_keeps_the_bits_of_two_whole_draws(n_mc):
 
 
 def test_the_oracle_holds_one_buffer_plus_a_block():
-    # 8 MB of values and a 0.5 MiB block; two whole draws and std() peak near 16 MiB
-    tracemalloc.start()
-    try:
-        averaging_oracle(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+    # a 0.5 MiB block each for d and e, whatever n_mc; two whole draws and std() peak
+    # near 16 MiB at 10**6, and one float64 per sample would be 8 MB. numpy imports
+    # numpy.random (about 1 MiB traced) at a process's first draw, so one runs first.
+    averaging_oracle(2)
+    peaks = []
+    for n_mc in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            averaging_oracle(n_mc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.5 * 2**20
+    assert abs(peaks[1] - peaks[0]) <= 64 * 2**10
+
+
+@pytest.mark.parametrize("block", [128, theory.ORACLE_BLOCK])
+def test_the_streamed_tree_keeps_the_bits_of_numpys_pairwise_sum(block):
+    # a change to numpy's pairwise summation fails here, not as a drift in the oracle
+    rng = np.random.default_rng(5)
+    n_max = 10**6 + 3
+    values = rng.choice([-1.0, 1.0], n_max) * 10.0 ** rng.uniform(-5.0, 5.0, n_max)
+    for n in [*range(1, 301), 65_535, 65_536, 65_537, 131_080, n_max]:
+        a, pos = values[:n], 0
+
+        def leaf_sum(k):
+            nonlocal pos
+            assert 0 < k <= block
+            pos += k
+            return np.add.reduce(a[pos - k:pos])
+
+        total = theory._pairwise_total(n, block, leaf_sum)
+        assert pos == n
+        assert total.hex() == np.add.reduce(a).hex(), n
