@@ -51,7 +51,13 @@ from .relations import (
     mode_fusion,
     save_relation_csv,
 )
-from .theory import AVERAGING_ORACLE_TARGET, averaging_oracle, save_sweep_csv, scaling_experiment
+from .theory import (
+    AVERAGING_ORACLE_TARGET,
+    averaging_oracle,
+    check_n_mc,
+    save_sweep_csv,
+    scaling_experiment,
+)
 
 # config fields that shape a model: a resumed checkpoint's values for them stand
 _MODEL_FIELDS = ("combine_space", "hidden_width", "relation_width", "relation_heads")
@@ -81,7 +87,7 @@ def _load_config(args, base: TrainConfig | None = None) -> tuple[TrainConfig, di
         try:
             with open(path, encoding="utf-8") as fh:
                 given = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
@@ -307,9 +313,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_theory(args) -> int:
     t0 = time.perf_counter()
-    # the oracle's stream does not depend on the sweep, and it checks the bound on --mc
-    # before any draw, so an --mc above it fails before the sweep's work
-    mc_mean, mc_err = averaging_oracle(args.mc, args.seed)
+    # every input is checked before any work: --mc here, the sweep's sizes before its
+    # first draw; the oracle's stream does not depend on the sweep, so it runs last
+    check_n_mc(args.mc)
     rows = scaling_experiment(
         _int_list("--domain-grid", args.domain_grid),
         n_seeds=args.n_seeds,
@@ -321,6 +327,7 @@ def cmd_theory(args) -> int:
         seed=args.seed,
         c0=args.c0,
     )
+    mc_mean, mc_err = averaging_oracle(args.mc, args.seed)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "scaling.csv")
     save_sweep_csv(csv_path, rows)

@@ -28,29 +28,16 @@ WORLD_VALUES = 1 << 18  # fewer seeds when their latent or data buffer would pas
 
 @dataclass
 class LatentWorld:
-    """Sampled domains with latent positions, true slopes, and local data.
+    """A block of sampled worlds, one row per world: latent positions, test slopes, data."""
 
-    A block of worlds (sample_world's rngs) puts a leading block axis on
-    every array, slope_test included.
-    """
-
-    z_train: np.ndarray  # (N, r)
-    z_test: np.ndarray  # (r,)
-    anchor: np.ndarray  # (r,)
-    lipschitz: float
-    noise: float
-    slopes: np.ndarray  # (N,) true per-domain slopes
-    slope_test: float | np.ndarray
-    x: np.ndarray  # (N, n) inputs per training domain
-    y: np.ndarray  # (N, n) noisy targets
+    z_train: np.ndarray  # (W, N, r)
+    z_test: np.ndarray  # (W, r)
+    slope_test: np.ndarray  # (W,) true slopes of the test domains
+    x: np.ndarray  # (W, N, n) inputs per training domain
+    y: np.ndarray  # (W, N, n) noisy targets
 
     def distances_to_test(self) -> np.ndarray:
-        return np.linalg.norm(self.z_train - self.z_test[..., None, :], axis=-1)
-
-
-def _slope(z: np.ndarray, anchor: np.ndarray, lipschitz: float) -> np.ndarray:
-    # distance-to-anchor is 1-Lipschitz in z, so slopes are G-Lipschitz
-    return lipschitz * np.linalg.norm(z - anchor, axis=-1)
+        return np.linalg.norm(self.z_train - self.z_test[:, None], axis=-1)
 
 
 def sample_world(
@@ -59,25 +46,22 @@ def sample_world(
     lipschitz: float,
     n_per_domain: int,
     noise: float,
-    seed: int | None = None,
-    *,
-    rngs=None,
-    n_worlds: int = 1,
+    rngs,
+    n_worlds: int,
 ) -> LatentWorld:
-    """Draw latent positions uniformly in [0, 1]^r and per-domain data.
+    """Draw a block of n_worlds worlds: latent positions uniformly in [0, 1]^r
+    and per-domain data.
 
     Inputs are uniform on [-1, 1] so the sup-norm gap between two domains'
     predictors is exactly |slope_i - slope_j| <= lipschitz * |Z_i - Z_j|.
     With lipschitz == 0 every domain shares the same (zero) predictor.
 
-    The latent draws come from seed's ("world", "latent") stream and the data
-    from its ("world", "data") stream. rngs, an iterator of (latent, data)
-    pairs of those generators (the sweep passes the re-keyed ones of
-    rng.substreams), replaces seed and builds a block of n_worlds worlds,
-    world i from the i-th pair, each array with a leading block axis. The
-    seed form is the block of one, without that axis. A world's latent row
-    (z_train, z_test, anchor: N * r + 2 * r doubles) is one random() draw,
-    and its data are random() then standard_normal() into its rows of the
+    rngs is an iterator of (latent, data) generator pairs, a seed's
+    ("world", "latent") and ("world", "data") streams (the sweep passes the
+    re-keyed ones of rng.substreams); world i draws from the i-th pair. A
+    world's latent row (z_train, z_test and the hidden anchor the slopes
+    are measured from: N * r + 2 * r doubles) is one random() draw, and its
+    data are random() then standard_normal() into its rows of the
     (n_worlds, N, n) buffers: the bits of uniform(0, 1), uniform(-1, 1) and
     normal() on the same streams (normal() adds 0.0, which would turn a
     standard_normal() of -0.0 into 0.0).
@@ -86,10 +70,6 @@ def sample_world(
         raise ConfigError("need n_domains >= 1, r >= 1, n_per_domain >= 2")
     if not (0.0 <= lipschitz < np.inf and 0.0 <= noise < np.inf):
         raise ConfigError("lipschitz and noise must be finite and nonnegative")
-    one = rngs is None
-    if one:
-        rngs = iter([(substream(seed, "world", "latent"), substream(seed, "world", "data"))])
-        n_worlds = 1
     latent = np.empty((n_worlds, (n_domains + 2) * r))
     x = np.empty((n_worlds, n_domains, n_per_domain))
     y = np.empty_like(x)
@@ -102,14 +82,12 @@ def sample_world(
     z_test, anchor = latent[:, -2 * r : -r], latent[:, -r:]
     x *= 2.0
     x -= 1.0
-    slopes = _slope(z_train, anchor[:, None], lipschitz)
-    slope_test = _slope(z_test, anchor, lipschitz)
+    # distance-to-anchor is 1-Lipschitz in z, so slopes are G-Lipschitz
+    slopes = lipschitz * np.linalg.norm(z_train - anchor[:, None], axis=-1)
+    slope_test = lipschitz * np.linalg.norm(z_test - anchor, axis=-1)
     y *= noise
     y += slopes[..., None] * x  # slopes * x + noise * normal(): a sum rounds alike either way
-    if one:
-        return LatentWorld(z_train[0], z_test[0], anchor[0], lipschitz, noise, slopes[0],
-                           float(slope_test[0]), x[0], y[0])
-    return LatentWorld(z_train, z_test, anchor, lipschitz, noise, slopes, slope_test, x, y)
+    return LatentWorld(z_train, z_test, slope_test, x, y)
 
 
 def fit_heads(world: LatentWorld) -> np.ndarray:
@@ -147,8 +125,10 @@ def _eval_draws(rng: np.random.Generator, noise: float, x: np.ndarray, eps: np.n
     eps *= noise
 
 
-def excess_risk(slope: float, world: LatentWorld, n_eval: int, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo excess absolute-error risk of x -> slope * x on the test domain.
+def excess_risk(slope: float, slope_test: float, noise: float, n_eval: int,
+                seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo excess absolute-error risk of x -> slope * x on a test domain whose
+    true slope is slope_test and whose targets carry noise * N(0, 1).
 
     The same draws evaluate the candidate and the true head, so the difference's
     standard error is small; estimates can dip slightly below zero within
@@ -160,8 +140,8 @@ def excess_risk(slope: float, world: LatentWorld, n_eval: int, seed: int = 0) ->
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
     x, eps = np.empty(n_eval), np.empty(n_eval)
-    _eval_draws(substream(seed, "excess-risk"), world.noise, x, eps)
-    signal = world.slope_test * x
+    _eval_draws(substream(seed, "excess-risk"), noise, x, eps)
+    signal = slope_test * x
     yhat = float(slope) * x
     # subtract the signal before the noise so the true head cancels exactly
     diff = np.abs(yhat - signal - eps) - np.abs(eps)
@@ -342,6 +322,16 @@ def _pairwise_total(n: int, block: int, leaf_sum) -> float:
     return _pairwise_total(half, block, leaf_sum) + _pairwise_total(n - half, block, leaf_sum)
 
 
+def check_n_mc(n_mc: int) -> None:
+    """ConfigError unless 2 <= n_mc <= 2**53, the largest count a float64 holds exactly
+    (averaging_oracle divides both of its sums by it)."""
+    if n_mc < 2:
+        raise ConfigError("n_mc must be at least 2")
+    if n_mc > 2**53:
+        raise ConfigError(
+            f"n_mc = {n_mc} is above 2**53, the largest count a float64 holds exactly")
+
+
 def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of the population risk of plain head averaging.
 
@@ -358,14 +348,9 @@ def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     are the matching slices of two whole draws. One pass sums the values
     for the mean; a second draws them again and sums their squared
     deviations from it. Every bit is that of the two whole draws and
-    vals.mean(), vals.std(ddof=1). n_mc above 2**53, the largest count a
-    float64 holds exactly (it divides both sums), is a ConfigError.
+    vals.mean(), vals.std(ddof=1). n_mc is checked by check_n_mc.
     """
-    if n_mc < 2:
-        raise ConfigError("n_mc must be at least 2")
-    if n_mc > 2**53:
-        raise ConfigError(
-            f"n_mc = {n_mc} is above 2**53, the largest count a float64 holds exactly")
+    check_n_mc(n_mc)
     d_buf, e_buf = np.empty(min(n_mc, ORACLE_BLOCK)), np.empty(min(n_mc, ORACLE_BLOCK))
 
     def total(mean: float | None) -> float:

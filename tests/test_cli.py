@@ -298,6 +298,13 @@ def test_config_errors_exit_2(dg15_dir, trained, tmp_path, capsys):
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert run(*base, "--config", str(not_object)) == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"epochs": 1, "x": "\xff"}')
+    for command in (base, ["ablate", "--data", str(dg15_dir), "--out", out, "--seeds", "0,1"]):
+        capsys.readouterr()
+        assert run(*command, "--config", str(not_utf8)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot read config {not_utf8}")
     assert run(*base, "--seeds", "0,1", "--resume",
                str(trained / "checkpoint-relational-seed0.npz")) == 2
     assert run(*base, "--seeds", "0,x") == 2
@@ -839,9 +846,17 @@ def test_theory_rejects_non_positive_sizes(tmp_path, flag):
     pytest.param("--n-seeds", "n_seeds", 10**17, id="--n-seeds-n_seeds"),
     pytest.param("--n", "n_per_domain", 10**17, id="--n-n_per_domain"),
     pytest.param("--r", "r", 10**17, id="--r-r")])
-def test_theory_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, flag, name, size):
+def test_theory_sizes_that_cannot_be_allocated_exit_2(tmp_path, capsys, monkeypatch, flag, name,
+                                                     size):
     # 8 * 10**17 bytes exceed a 47-bit address space, so no overcommit mode maps them;
-    # the oracle holds no --mc buffer, and refuses a count no float64 holds exactly
+    # the oracle holds no --mc buffer, and refuses a count no float64 holds exactly.
+    # Every size is checked before any work: a bad --mc before the sweep, a bad sweep
+    # size before the oracle.
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran despite a size that cannot be allocated")
+
+    monkeypatch.setattr(cli, "scaling_experiment" if flag == "--mc" else "averaging_oracle",
+                        no_work)
     out = tmp_path / "t"
     assert run("theory", "--out", str(out), "--domain-grid", "4", "--n-seeds", "2",
                "--n-eval", "100", "--mc", "100", flag, str(size)) == 2
@@ -1010,6 +1025,8 @@ def test_export_adjacency_relations(spatial_dir, tmp_path):
 FIELD_VALUES = ["", "nan", "inf", "-inf", "-1", "0", "2", "0.5", "1e308", "x", "d99", "valid", "test"]
 BYTE_VALUES = [b"0", b"7", b"-", b".", b"e", b",", b" ", b"\n", b'"', b"x", b"\xff"]
 JSON_VALUES = [None, -1, 0, 0.5, 1e308, "x", "prob", [], {}, True]
+# the --config file the train commands read, one key a line so line edits hit one key
+CONFIG_TEXT = '{\n"lam": 0.5,\n"beta": 0.8,\n"batch_size": 10,\n"eval_every": 1,\n"select_best": true\n}\n'
 
 
 def _mutate_bytes(raw: bytes, data) -> bytes:
@@ -1050,10 +1067,11 @@ def _mutate_header(src, dst, data) -> None:
 def test_mutated_inputs_end_in_a_documented_exit_code(
     data, dg15_dir, spatial_dir, trained, trained_erm
 ):
-    """Damaged data, split, adjacency or checkpoint files never raise out of main,
-    at a sane or a diverging learning rate and at zero to three epochs."""
+    """Damaged data, split, adjacency, checkpoint or --config files never raise out of
+    main, at a sane or a diverging learning rate and at zero to three epochs."""
     target = data.draw(st.sampled_from(
-        ["data.csv", "meta.csv", "splits.csv", "adjacency.txt", "relational.npz", "erm.npz"]
+        ["data.csv", "meta.csv", "splits.csv", "adjacency.txt", "relational.npz", "erm.npz",
+         "config.json"]
     ))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -1065,7 +1083,8 @@ def test_mutated_inputs_end_in_a_documented_exit_code(
         }
         for name, path in ckpts.items():
             shutil.copy(path, tmp / name)
-        damaged = tmp / (target if target in ckpts else f"data/{target}")
+        (tmp / "config.json").write_text(CONFIG_TEXT)
+        damaged = tmp / (target if target in (*ckpts, "config.json") else f"data/{target}")
         if target in ckpts and data.draw(st.booleans()):
             _mutate_header(damaged, damaged, data)
         else:
@@ -1090,6 +1109,9 @@ def test_mutated_inputs_end_in_a_documented_exit_code(
         }
         if target == "adjacency.txt":
             commands = {k: v for k, v in commands.items() if k.startswith(("train-", "export-"))}
+        if target == "config.json":
+            commands = {k: v + ["--config", str(tmp / "config.json")]
+                        for k, v in commands.items() if k.startswith(("train-", "resume-"))}
         argv = commands[data.draw(st.sampled_from(sorted(commands)))]
         with np.errstate(all="ignore"):
             code = main(argv)

@@ -1,6 +1,7 @@
 """Every definition in src/relgen has a caller in the shipped code, every
-parameter with a default is set by some shipped call, and no shipped module
-imports a name it never uses.
+parameter with a default is set by some shipped call, every class field is
+read by some shipped code, and no shipped module imports a name it never
+uses.
 
 The shipped code is src/, demos/ and tools/. A use in tests/ does not
 count: code that only tests reach belongs in tests/. Names are matched
@@ -175,6 +176,23 @@ def unset_defaults(root: pathlib.Path = ROOT, live=TRACER_BOUND) -> list[str]:
     return unset
 
 
+def unread_fields(root: pathlib.Path = ROOT) -> list[str]:
+    """Qualified names of the annotated fields of src class bodies (dataclass and
+    NamedTuple fields) whose name no shipped module under root loads as an attribute.
+
+    Fields are matched by name, as uncalled matches uses: any x.name load reads
+    every field called name.
+    """
+    modules = _modules(root)
+    loads = {node.attr for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{qual}.{item.target.id}" for qual, _, _, node in _src_definitions(root, modules)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in loads]
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never loads, __future__ imports left out."""
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -209,6 +227,11 @@ def test_every_defaulted_parameter_is_set_by_a_shipped_call():
 def test_the_unset_default_allowlist_is_still_needed():
     """Each allowlisted parameter still exists and no shipped call sets it yet."""
     assert sorted(p for p in unset_defaults() if p in UNSET_DEFAULTS) == sorted(UNSET_DEFAULTS)
+
+
+def test_every_src_field_is_read_by_shipped_code():
+    unread = unread_fields()
+    assert unread == [], f"src fields that no shipped code reads: {unread}"
 
 
 def test_no_shipped_module_imports_a_name_it_never_uses():
@@ -258,3 +281,20 @@ def test_the_parameter_check_sees_receivers_unpacking_and_test_only_keywords(tmp
     # d is set only inside uncalled g, c and q only by tests; self.m(5) sets p, not self,
     # and a staticmethod's first argument is its first parameter
     assert unset_defaults(tmp_path) == ["pkg.core.f:c", "pkg.core.f:d", "pkg.core.C.m:q"]
+
+
+def test_the_field_check_sees_stores_and_test_only_reads(tmp_path):
+    files = {
+        "src/pkg/core.py": "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+                           "@dataclass\nclass P:\n    a: int\n    b: int\n    c: int = 0\n"
+                           "    n = 1\n\n\n"
+                           "class Q(NamedTuple):\n    d: int\n    e: int\n\n\n"
+                           "def make(p):\n    p.c = 2\n    return Q(p.a, p.n).d\n",
+        "tools/use.py": "from pkg.core import P, make\n\nmake(P(1, 2))\n",
+        "tests/test_core.py": "from pkg.core import P, Q\n\nP(1, 2).b\nQ(1, 2).e\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    # c is only stored, b and e are read only by tests, and n is not annotated
+    assert unread_fields(tmp_path) == ["pkg.core.P.b", "pkg.core.P.c", "pkg.core.Q.e"]

@@ -27,85 +27,97 @@ from relgen.theory import (
 import reference
 
 
+def world_block(world_args, seeds):
+    """The worlds of seeds as one block, from the substreams pairs _threshold_risks makes."""
+    pairs = zip(substreams(seeds, "world", "latent"), substreams(seeds, "world", "data"))
+    return sample_world(*world_args, rngs=pairs, n_worlds=len(seeds))
+
+
 # -- world construction ----------------------------------------------------------
 
 
 def test_world_shapes_and_ranges():
-    w = sample_world(12, 3, lipschitz=1.5, n_per_domain=20, noise=0.1, seed=0)
-    assert w.z_train.shape == (12, 3)
-    assert w.z_test.shape == (3,)
-    assert w.x.shape == (12, 20) and w.y.shape == (12, 20)
+    w = world_block((12, 3, 1.5, 20, 0.1), [0])
+    assert w.z_train.shape == (1, 12, 3)
+    assert w.z_test.shape == (1, 3) and w.slope_test.shape == (1,)
+    assert w.x.shape == (1, 12, 20) and w.y.shape == (1, 12, 20)
     assert np.all(w.z_train >= 0) and np.all(w.z_train <= 1)
     assert np.all(np.abs(w.x) <= 1)
-    assert w.distances_to_test().shape == (12,)
+    assert w.distances_to_test().shape == (1, 12)
 
 
 def test_zero_lipschitz_means_identical_domains():
-    w = sample_world(6, 2, lipschitz=0.0, n_per_domain=10, noise=0.0, seed=1)
-    assert np.all(w.slopes == 0.0)
-    assert w.slope_test == 0.0
+    w = world_block((6, 2, 0.0, 10, 0.0), [1])
+    assert np.all(fit_heads(w) == 0.0)
+    assert w.slope_test[0] == 0.0
     assert np.all(w.y == 0.0)
 
 
 def test_slopes_are_distances_to_the_anchor():
-    w = sample_world(5, 2, lipschitz=2.0, n_per_domain=5, noise=0.0, seed=2)
-    expect = 2.0 * np.linalg.norm(w.z_train - w.anchor, axis=1)
-    assert np.allclose(w.slopes, expect, atol=1e-15)
+    world_args = (5, 2, 2.0, 5, 0.0)  # noise 0: y is slope * x
+    w = world_block(world_args, [2])
+    anchor = reference.latent_world(*world_args, seed=2)[2]
+    expect = 2.0 * np.linalg.norm(w.z_train[0] - anchor, axis=1)
+    assert np.allclose(w.y[0], expect[:, None] * w.x[0], atol=1e-15)
+    assert w.slope_test[0] == pytest.approx(2.0 * np.linalg.norm(w.z_test[0] - anchor))
 
 
 def test_world_is_deterministic():
-    a = sample_world(4, 2, 1.0, 8, 0.2, seed=5)
-    b = sample_world(4, 2, 1.0, 8, 0.2, seed=5)
+    a = world_block((4, 2, 1.0, 8, 0.2), [5])
+    b = world_block((4, 2, 1.0, 8, 0.2), [5])
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert np.array_equal(a.z_train, b.z_train)
 
 
 def test_world_validates_arguments():
-    for kw in (
-        dict(n_domains=0, r=2, lipschitz=1.0, n_per_domain=5, noise=0.1),
-        dict(n_domains=3, r=0, lipschitz=1.0, n_per_domain=5, noise=0.1),
-        dict(n_domains=3, r=2, lipschitz=1.0, n_per_domain=1, noise=0.1),
-        dict(n_domains=3, r=2, lipschitz=-1.0, n_per_domain=5, noise=0.1),
-        dict(n_domains=3, r=2, lipschitz=1.0, n_per_domain=5, noise=-0.1),
+    for world_args in (
+        (0, 2, 1.0, 5, 0.1),  # n_domains, r, lipschitz, n_per_domain, noise
+        (3, 0, 1.0, 5, 0.1),
+        (3, 2, 1.0, 1, 0.1),
+        (3, 2, -1.0, 5, 0.1),
+        (3, 2, 1.0, 5, -0.1),
     ):
         with pytest.raises(ConfigError):
-            sample_world(seed=0, **kw)
+            world_block(world_args, [0])
 
 
-def lipschitz_certificate(world, n_pairs: int = 100, n_probe: int = 100, seed: int = 0) -> float:
+def lipschitz_certificate(slopes, z_train, lipschitz, n_pairs: int = 100, n_probe: int = 100,
+                          seed: int = 0) -> float:
     """Largest violation of |h_i(e) - h_j(e)| <= G * |Z_i - Z_j| on probes.
 
     Nonpositive (up to rounding) when the world construction is sound.
     """
     rng = substream(seed, "lipschitz")
-    n = len(world.z_train)
+    n = len(z_train)
     worst = -np.inf
     for _ in range(n_pairs):
         i, j = rng.integers(0, n, size=2)
         probes = rng.uniform(-1.0, 1.0, size=n_probe)
-        gap = np.abs(world.slopes[i] * probes - world.slopes[j] * probes).max()
-        bound = world.lipschitz * np.linalg.norm(world.z_train[i] - world.z_train[j])
+        gap = np.abs(slopes[i] * probes - slopes[j] * probes).max()
+        bound = lipschitz * np.linalg.norm(z_train[i] - z_train[j])
         worst = max(worst, float(gap - bound))
     return worst
 
 
 def test_lipschitz_certificate_is_nonpositive():
+    # the reference world keeps the bits of the block's (see the block test below)
     for seed in (0, 1, 2):
-        w = sample_world(20, 4, lipschitz=3.0, n_per_domain=10, noise=0.5, seed=seed)
-        assert lipschitz_certificate(w) <= 1e-12
+        z_train, _, _, slopes, *_ = reference.latent_world(20, 4, 3.0, 10, 0.5, seed=seed)
+        assert lipschitz_certificate(slopes, z_train, 3.0) <= 1e-12
 
 
 # -- per-domain fits -------------------------------------------------------------
 
 
 def test_noise_free_fits_recover_true_slopes():
-    w = sample_world(10, 2, lipschitz=1.0, n_per_domain=30, noise=0.0, seed=3)
-    assert np.allclose(fit_heads(w), w.slopes, atol=1e-12)
+    world_args = (10, 2, 1.0, 30, 0.0)
+    slopes = reference.latent_world(*world_args, seed=3)[3]
+    assert np.allclose(fit_heads(world_block(world_args, [3]))[0], slopes, atol=1e-12)
 
 
 def test_fit_heads_rejects_singular_designs():
-    w = sample_world(3, 2, lipschitz=1.0, n_per_domain=4, noise=0.0, seed=0)
-    w.x[1, :] = 0.0
+    w = world_block((3, 2, 1.0, 4, 0.0), [0])
+    w.x[0, 1, :] = 0.0
     with pytest.raises(NumericalError, match="all-zero"):
         fit_heads(w)
 
@@ -126,10 +138,11 @@ def test_threshold_predict_averages_within_bandwidth():
 
 
 def test_estimator_object_matches_the_function():
-    w = sample_world(8, 2, lipschitz=1.0, n_per_domain=10, noise=0.1, seed=4)
-    slope = threshold_predict(fit_heads(w), w.distances_to_test(), 0.6)
+    w = world_block((8, 2, 1.0, 10, 0.1), [4])
+    slope = threshold_predict(fit_heads(w)[0], w.distances_to_test()[0], 0.6)
     # the estimator by hand: mean fitted slope of the domains within 0.6
-    near = [s for s, z in zip(fit_heads(w), w.z_train) if np.linalg.norm(z - w.z_test) < 0.6]
+    near = [s for s, z in zip(fit_heads(w)[0], w.z_train[0])
+            if np.linalg.norm(z - w.z_test[0]) < 0.6]
     direct = float(np.mean(near)) if near else 0.0
     assert slope == pytest.approx(direct)
     xs = np.array([-1.0, 0.0, 0.5])
@@ -137,38 +150,39 @@ def test_estimator_object_matches_the_function():
 
 
 def test_excess_risk_of_the_true_slope_is_exactly_zero():
-    w = sample_world(5, 2, lipschitz=1.0, n_per_domain=10, noise=0.3, seed=6)
-    est, stderr = excess_risk(w.slope_test, w, n_eval=500, seed=1)
+    slope_test = world_block((5, 2, 1.0, 10, 0.3), [6]).slope_test[0]
+    est, stderr = excess_risk(slope_test, slope_test, 0.3, n_eval=500, seed=1)
     assert est == 0.0 and stderr == 0.0
     with pytest.raises(ConfigError):
-        excess_risk(w.slope_test, w, n_eval=1)
+        excess_risk(slope_test, slope_test, 0.3, n_eval=1)
 
 
 def test_excess_risk_penalizes_wrong_slopes():
-    w = sample_world(5, 2, lipschitz=1.0, n_per_domain=10, noise=0.0, seed=7)
-    est, _ = excess_risk(w.slope_test + 1.0, w, n_eval=2000, seed=2)
+    slope_test = world_block((5, 2, 1.0, 10, 0.0), [7]).slope_test[0]
+    est, _ = excess_risk(slope_test + 1.0, slope_test, 0.0, n_eval=2000, seed=2)
     # noise-free absolute error of slope+1 is E|x| = 1/2
     assert est == pytest.approx(0.5, abs=0.05)
 
 
 def test_threshold_beats_the_global_average_on_a_dense_world():
-    w = sample_world(60, 2, lipschitz=2.0, n_per_domain=40, noise=0.1, seed=8)
-    slopes_hat = fit_heads(w)
-    dists = w.distances_to_test()
+    w = world_block((60, 2, 2.0, 40, 0.1), [8])
+    slopes_hat = fit_heads(w)[0]
+    dists = w.distances_to_test()[0]
     local = threshold_predict(slopes_hat, dists, 0.25)
     global_avg = float(slopes_hat.mean())
-    r_local, _ = excess_risk(local, w, n_eval=20_000, seed=3)
-    r_global, _ = excess_risk(global_avg, w, n_eval=20_000, seed=3)
+    r_local, _ = excess_risk(local, w.slope_test[0], 0.1, n_eval=20_000, seed=3)
+    r_global, _ = excess_risk(global_avg, w.slope_test[0], 0.1, n_eval=20_000, seed=3)
     assert r_local < r_global
 
 
 def test_a_seen_test_domain_is_easy():
-    w = sample_world(10, 2, lipschitz=1.0, n_per_domain=50, noise=0.2, seed=9)
-    w.z_test = w.z_train[0].copy()
-    w.slope_test = float(w.slopes[0])
+    world_args = (10, 2, 1.0, 50, 0.2)
+    w = world_block(world_args, [9])
+    w.z_test[0] = w.z_train[0, 0]
+    slope_test = reference.latent_world(*world_args, seed=9)[3][0]  # domain 0's true slope
     # bandwidth ~0 still sees the coincident domain at distance 0
-    slope = threshold_predict(fit_heads(w), w.distances_to_test(), 1e-9)
-    r, stderr = excess_risk(slope, w, n_eval=10_000, seed=4)
+    slope = threshold_predict(fit_heads(w)[0], w.distances_to_test()[0], 1e-9)
+    r, stderr = excess_risk(slope, slope_test, 0.2, n_eval=10_000, seed=4)
     assert r <= 3 * max(stderr, 1e-4) + 0.05
 
 
@@ -251,10 +265,10 @@ def test_threshold_risks_equal_one_excess_risk_per_seed():
     risks = theory._threshold_risks(world_args, bandwidths, seeds, 700)
     assert risks.shape == (3, 4)
     for seed, row in zip(seeds, risks):
-        w = sample_world(*world_args, seed=seed)
+        w = world_block(world_args, [seed])
         for bandwidth, risk in zip(bandwidths, row):
-            est = threshold_predict(fit_heads(w), w.distances_to_test(), bandwidth)
-            assert risk.hex() == excess_risk(est, w, 700, seed=seed + 1)[0].hex()
+            est = threshold_predict(fit_heads(w)[0], w.distances_to_test()[0], bandwidth)
+            assert risk.hex() == excess_risk(est, w.slope_test[0], 0.3, 700, seed=seed + 1)[0].hex()
     with pytest.raises(ConfigError, match="n_eval"):
         theory._threshold_risks(world_args, [0.4], seeds, 1)
 
@@ -272,7 +286,7 @@ def test_calibration_builds_each_held_out_world_once(monkeypatch):
     calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=5,
                         n_eval=200)
     # one world per held-out seed, not one per seed and grid value
-    held_out = [sample_world(8, 2, 1.0, 20, 0.1, seed=7 * s + 1).z_train for s in range(5)]
+    held_out = [world_block((8, 2, 1.0, 20, 0.1), [7 * s + 1]).z_train[0] for s in range(5)]
     assert [z.tobytes() for z in built] == [z.tobytes() for z in held_out]
 
 
@@ -285,30 +299,26 @@ WORLD_CASES = [(8, 2, 1.0, 20, 0.3), (1, 1, 1.0, 5, 0.2), (6, 3, 0.0, 4, 0.0), (
 @pytest.mark.parametrize("world_args", WORLD_CASES)  # N = 1, r = 1, 3 and 9, G = 0 with noise 0
 def test_block_worlds_keep_the_bits_of_one_world_per_seed(world_args, n_seeds, first):
     seeds = range(first, first + n_seeds)
-    pairs = zip(substreams(seeds, "world", "latent"), substreams(seeds, "world", "data"))
-    block = sample_world(*world_args, rngs=pairs, n_worlds=n_seeds)
+    block = world_block(world_args, seeds)
     assert block.x.shape == (n_seeds, world_args[0], world_args[3])
     fits, dists = fit_heads(block), block.distances_to_test()
     bandwidths = (0.0, 0.4, np.inf)
     risks = theory._threshold_risks(world_args, bandwidths, seeds, 300)
     for i, seed in enumerate(seeds):
-        want = reference.latent_world(*world_args, seed=seed)
-        one = sample_world(*world_args, seed=seed)
-        got = (one.z_train, one.z_test, one.anchor, one.slopes, one.slope_test, one.x, one.y)
-        rows = (block.z_train[i], block.z_test[i], block.anchor[i], block.slopes[i],
-                block.slope_test[i], block.x[i], block.y[i])
-        for w, g, row in zip(want, got, rows):
-            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        z_train, z_test, _, _, slope_test, x, y = reference.latent_world(*world_args, seed=seed)
+        rows = (block.z_train[i], block.z_test[i], block.slope_test[i], block.x[i], block.y[i])
+        for w, row in zip((z_train, z_test, slope_test, x, y), rows):
             assert np.asarray(row).tobytes() == np.asarray(w).tobytes()
-        assert isinstance(one.slope_test, float)
-        fits_one, dists_one = fit_heads(one), one.distances_to_test()
+        one = world_block(world_args, [seed])  # a block of one keeps the same bits
+        fits_one, dists_one = fit_heads(one)[0], one.distances_to_test()[0]
         assert fits[i].tobytes() == fits_one.tobytes()
         assert dists[i].tobytes() == dists_one.tobytes()
         for bandwidth, risk in zip(bandwidths, risks[i]):
             est = threshold_predict(fits_one, dists_one, bandwidth)
             near = fits_one[dists_one < bandwidth]
             assert est.hex() == (float(near.mean()) if near.size else 0.0).hex()
-            assert risk.hex() == excess_risk(est, one, 300, seed=seed + 1)[0].hex()
+            assert risk.hex() == excess_risk(est, slope_test, world_args[4], 300,
+                                             seed=seed + 1)[0].hex()
 
 
 def test_large_worlds_are_built_in_smaller_blocks(monkeypatch):
@@ -367,8 +377,8 @@ def test_theory_outputs_keep_their_recorded_bits():
     ]
     assert [v.hex() for v in averaging_oracle(10_000, seed=0)] == [
         "0x1.50860d4618485p-4", "0x1.b92989103e4b4p-10"]
-    w = sample_world(8, 2, 1.0, 50, 0.1, seed=3)
-    assert [v.hex() for v in excess_risk(0.3, w, 10_000, seed=4)] == [
+    slope_test = world_block((8, 2, 1.0, 50, 0.1), [3]).slope_test[0]
+    assert [v.hex() for v in excess_risk(0.3, slope_test, 0.1, 10_000, seed=4)] == [
         "0x1.0479317fc76c1p-8", "0x1.35919bbd8f1dcp-12"]
 
 
