@@ -19,6 +19,7 @@ import numpy as np
 from ._version import __version__
 from .data import (
     SPLITS,
+    TASK_REGRESSION,
     gen_dg15,
     gen_spatial_regression,
     load_adjacency,
@@ -100,10 +101,15 @@ def _load_config(args, base: TrainConfig | None = None) -> tuple[TrainConfig, di
 
 
 def _override(cfg: TrainConfig, args, names) -> TrainConfig:
-    """cfg with the value of each of the named flags that was given, validated."""
-    cfg = replace(cfg, **{n: getattr(args, n) for n in names if getattr(args, n) is not None})
-    cfg.validate()
-    return cfg
+    """cfg with the value of each of the named flags that was given."""
+    return replace(cfg, **{n: getattr(args, n) for n in names if getattr(args, n) is not None})
+
+
+def _checkpoint_task(model) -> str:
+    """The task to read a checkpoint's dataset as. A regression model's targets are numeric
+    whatever their values; a classifier's labels are still inferred, so targets that are no
+    class ids do not fit it (a config error) rather than being bad data."""
+    return TASK_REGRESSION if model.task == TASK_REGRESSION else "auto"
 
 
 def _int_list(flag: str, raw: str) -> list[int]:
@@ -178,14 +184,15 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    dataset = load_dataset_dir(args.data, task=args.task)
     relational = args.method == "relational"
-    base = None
+    task, base = args.task, None
     if args.resume:
-        model, header = load_checkpoint(args.resume)
+        model, base, _ = load_checkpoint(args.resume)
         if (model.relation_net is not None) != relational:
             raise ConfigError(f"{args.resume}: not {'a relational' if relational else 'an erm'} checkpoint")
-        base = TrainConfig.from_dict(header["config"])
+        if task == "auto":
+            task = _checkpoint_task(model)
+    dataset = load_dataset_dir(args.data, task=task)
     cfg0, given = _load_config(args, base)
     for name in _MODEL_FIELDS if base else ():
         if getattr(cfg0, name) != getattr(base, name):
@@ -249,10 +256,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
-    dataset = load_dataset_dir(args.data, task=args.task)
-    model, header = load_checkpoint(args.checkpoint)
+    model, cfg, _ = load_checkpoint(args.checkpoint)
+    dataset = load_dataset_dir(args.data, task=_checkpoint_task(model))
     check_fits(model, dataset)
-    cfg = TrainConfig.from_dict(header["config"])
     relational = model.relation_net is not None
     mode = (args.relations or cfg.relation_mode, cfg.beta if args.beta is None else args.beta)
     for flag, given, scope, applies in (
@@ -370,7 +376,7 @@ def cmd_export_relations(args) -> int:
     net, mode, beta = None, "fused", 1.0 if args.beta is None else args.beta
     check_beta(beta)
     if args.checkpoint:
-        model, header = load_checkpoint(args.checkpoint)
+        model, cfg, _ = load_checkpoint(args.checkpoint)
         if model.relation_net is None:
             raise ConfigError(f"{args.checkpoint}: not a relational checkpoint")
         net = model.relation_net
@@ -379,7 +385,6 @@ def cmd_export_relations(args) -> int:
                 f"relation net expects meta dim {net.g.in_dim}, file has {metas.shape[1]}"
             )
         if args.beta is None:  # the relations the checkpoint was trained with
-            cfg = TrainConfig.from_dict(header["config"])
             mode, beta = cfg.relation_mode, cfg.beta
     elif beta != 1.0:
         raise ConfigError("beta < 1 requires --checkpoint for the learned relations")
@@ -430,7 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True, help="dataset directory (see gen)")
     t.add_argument("--method", choices=("relational", "erm"), default="relational")
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--task", choices=("auto", "classification", "regression"), default="auto")
+    t.add_argument("--task", choices=("auto", "classification", "regression"), default="auto",
+                   help="default: a resumed regression checkpoint's, else inferred from labels")
     t.add_argument("--resume", default=None, help="checkpoint to continue training from")
     add_config_flags(t)
     t.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None,
@@ -441,7 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--split", choices=SPLITS, default="test")
-    e.add_argument("--task", choices=("auto", "classification", "regression"), default="auto")
     e.add_argument("--relations", choices=RELATION_MODES, default=None,
                    help="relation source for head weighting (default: the training mode)")
     e.add_argument("--beta", type=float, default=None)

@@ -6,7 +6,7 @@ acceptance tests so both report numbers produced by the same code path.
 
 from __future__ import annotations
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,10 +28,7 @@ TUNED_LR = 1e-3
 
 
 def tuned_config(**overrides) -> TrainConfig:
-    cfg = TrainConfig(lr=TUNED_LR)
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return replace(TrainConfig(lr=TUNED_LR), **overrides)
 
 
 def _run(build, dataset, config):
@@ -104,16 +101,16 @@ def ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]
     """Test metric over seeds per ablation row, all runs in one run_relational call.
 
     The "relations" group has a row per relation source (none/fixed/learned/fused),
-    "consistency" lam 0 and config.lam. Runs are keyed by their full config, seed
-    included, so a run that two rows share (lam=config.lam is the base's own) trains once.
+    "consistency" lam 0 and config.lam. Runs are keyed by their config, seed included,
+    so a run that two rows share (lam=config.lam is the base's own) trains once.
     """
     seeds = [int(s) for s in seeds]
     datasets = [dataset_factory(s) for s in seeds]
     variants = [("relations", label, overrides) for label, overrides in RELATION_VARIANTS.items()]
     variants += [("consistency", f"lam={lam:g}", {"lam": lam}) for lam in (0.0, config.lam)]
     rows = [[replace(config, seed=s, **overrides) for s in seeds] for *_, overrides in variants]
-    runs = {astuple(c): (d, c) for cfgs in rows for d, c in zip(datasets, cfgs)}
-    _, _, reports = run_relational(*zip(*runs.values()))
+    runs = {c: d for cfgs in rows for d, c in zip(datasets, cfgs)}
+    _, _, reports = run_relational(list(runs.values()), list(runs))
     means = dict(zip(runs, (r.mean for r in reports)))
-    return [{"group": group, "variant": label, **_aggregate([means[astuple(c)] for c in cfgs])}
+    return [{"group": group, "variant": label, **_aggregate([means[c] for c in cfgs])}
             for (group, label, _), cfgs in zip(variants, rows)]

@@ -64,9 +64,10 @@ TRAIN_RELATION_MODES = ("fused", "uniform")  # fixed and learned train as fused 
 ROW_FIELDS = ("seed", "lam", "beta", "relation_mode")  # config fields that lockstep rows may vary
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters; defaults follow the benchmark's reference setting."""
+    """Hyperparameters; defaults follow the benchmark's reference setting. A config is
+    checked when built (by the constructor or replace) and frozen, so every one is valid."""
 
     lam: float = 0.5  # weight of the consistency term
     beta: float = 0.8  # share of the fixed relations in the fusion
@@ -85,7 +86,7 @@ class TrainConfig:
     select_best: bool = True  # restore the best valid-split epoch after training
     finetune_epochs: int = 5  # used by rw_finetune only
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # chained comparisons are False for NaN, so NaN and inf fail here too
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError("lam must be finite and nonnegative")
@@ -125,9 +126,7 @@ class TrainConfig:
             if not ok or (isinstance(value, bool) and want is not bool):
                 article = "an" if want.__name__[0] in "aeiou" else "a"
                 raise ConfigError(f"config {name!r} must be {article} {want.__name__}, got {value!r}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 def _bind_mlp(mlp: Mlp, views) -> None:
@@ -174,8 +173,6 @@ class MultiHeadModel:
             raise ValueError("need exactly one head per training domain, or one pooled head")
         if self.head_w.shape[2] != self.extractor.out_dim:
             raise ValueError("head input dim must equal the extractor output dim")
-        if not (np.isfinite(self.head_w).all() and np.isfinite(self.head_b).all()):
-            raise ValueError("layer parameters must be finite")
         if net is not None:
             self.meta_dim = net.g.in_dim
         # heads-major: all K weight blocks, then all K * c biases
@@ -286,7 +283,6 @@ def check_fits(model, dataset: DomainDataset) -> None:
 
 
 def build_model(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
-    config.validate()
     train_ids = dataset.ids_for_split("train")
     if len(train_ids) < 2:
         raise ConfigError("need at least two training domains")
@@ -564,7 +560,6 @@ def train(model, dataset, config):
         raise ValueError("need one config and one dataset per model")
     config = configs[0]
     for cfg in configs:
-        cfg.validate()
         if replace(cfg, **{f: getattr(config, f) for f in ROW_FIELDS}) != config:
             raise ConfigError(f"lockstep rows may differ only in dataset, {', '.join(ROW_FIELDS)}")
     relational = models[0].relation_net is not None
@@ -761,7 +756,6 @@ def _pooled_features(dataset: DomainDataset, ids: list[str]):
 def build_erm(dataset: DomainDataset, config: TrainConfig) -> MultiHeadModel:
     """A fresh pooled model: the build_model extractor on features plus meta-data, one head
     for every training domain (a one-row head block) and no relation net."""
-    config.validate()
     if not dataset.ids_for_split("train"):
         raise ConfigError("no training domains")
     width, seed, out = config.hidden_width, config.seed, _out_dim(dataset)
@@ -819,7 +813,6 @@ def rw_finetune(
     Returns T independent models; with finetune_epochs == 0 each equals
     the input.
     """
-    config.validate()
     check_fits(erm, dataset)
     train_ids = dataset.ids_for_split("train")
     if np.shape(relation_weights) != (len(targets), len(train_ids)):
@@ -1073,7 +1066,7 @@ def save_checkpoint(path: str, model, config: TrainConfig, extra: dict | None = 
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint; returns (model, header dict).
+    """Read a checkpoint; returns (model, its TrainConfig, header dict).
 
     A missing file is a ConfigError. A file that is not a complete, finite
     relgen checkpoint (truncated archive, missing entry, head arrays that
@@ -1099,7 +1092,7 @@ def _read_checkpoint(path: str):
     header = json.loads(arrays.pop("__header__").tobytes().decode())
     if header.get("schema") != CHECKPOINT_SCHEMA:
         raise DataError(f"{path}: unsupported checkpoint schema {header.get('schema')!r}")
-    TrainConfig.from_dict(header["config"])  # a ConfigError here is reported as a DataError
+    config = TrainConfig.from_dict(header["config"])  # a ConfigError here is reported as a DataError
     bad = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
     if bad:
         raise DataError(f"{path}: non-finite parameters in {bad}")
@@ -1124,4 +1117,4 @@ def _read_checkpoint(path: str):
                           arrays["relation/w"])
         model = MultiHeadModel(extractor, head_w, head_b, net, list(header["head_domains"]),
                                header["task"], header["combine_space"])
-    return model, header
+    return model, config, header

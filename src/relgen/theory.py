@@ -21,7 +21,10 @@ from .errors import ConfigError, NumericalError, allocate
 from .fileio import write_csv
 from .rng import substream, substreams
 
+# calibrate_bandwidth's search: the c0 values, held-out seeds and evaluation draws per seed
 C0_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+C0_SEEDS = 5
+C0_N_EVAL = 4_000
 WORLD_BLOCK = 16  # seeds whose worlds _threshold_risks builds in one sample_world call
 WORLD_VALUES = 1 << 18  # fewer seeds when their latent or data buffer would pass this many doubles
 
@@ -217,29 +220,26 @@ def calibrate_bandwidth(
     lipschitz: float,
     n_domains: int,
     seed: int,
-    grid=C0_GRID,
-    n_inner: int = 5,
-    n_eval: int = 4000,
 ) -> float:
     """Pick the schedule constant c0 on held-out seeds, once.
 
-    Runs a small sweep at a single domain count and returns the c0 with the
-    lowest mean excess risk. Callers pass a seed disjoint from the seeds of
-    the experiment proper. Raises ConfigError if no grid value gives a
-    finite mean excess risk (an empty grid included); a non-finite risk of
-    one held-out world is a NumericalError before that.
+    Runs a small sweep at a single domain count (C0_SEEDS worlds, C0_N_EVAL
+    draws each) and returns the c0 of C0_GRID with the lowest mean excess
+    risk. Callers pass a seed disjoint from the seeds of the experiment
+    proper. Raises ConfigError if no grid value gives a finite mean excess
+    risk; a non-finite risk of one held-out world is a NumericalError first.
     """
     best_c0, best_val = None, np.inf
     world_args = (n_domains, r, lipschitz, n_per_domain, noise)
-    seeds = [seed * 1000 + 7 * s + 1 for s in range(n_inner)]
-    bandwidths = [bandwidth_schedule(c0, n_per_domain, n_domains, r) for c0 in grid]
-    risks = _threshold_risks(world_args, bandwidths, seeds, n_eval)
-    for c0, column in zip(grid, risks.T):
+    seeds = [seed * 1000 + 7 * s + 1 for s in range(C0_SEEDS)]
+    bandwidths = [bandwidth_schedule(c0, n_per_domain, n_domains, r) for c0 in C0_GRID]
+    risks = _threshold_risks(world_args, bandwidths, seeds, C0_N_EVAL)
+    for c0, column in zip(C0_GRID, risks.T):
         mean = float(np.mean(column))
         if mean < best_val:
             best_c0, best_val = float(c0), mean
     if best_c0 is None:
-        raise ConfigError(f"no c0 in {tuple(grid)} gave a finite mean excess risk")
+        raise ConfigError(f"no c0 in {C0_GRID} gave a finite mean excess risk")
     return best_c0
 
 

@@ -321,7 +321,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     ds = gen_dg15(0)
     path = str(tmp_path / "roundtrip.npz")
     save_checkpoint(path, model_a, cfg)
-    loaded, _ = load_checkpoint(path)
+    loaded, _, _ = load_checkpoint(path)
     rep_c, rep_a_again = score([loaded, model_a], ds, [("fused", cfg.beta)] * 2, "test")
     round_trip = rep_c.to_dict() == rep_a_again.to_dict()
 

@@ -210,8 +210,8 @@ def test_resume_starts_from_the_checkpoint_config(dg15_dir, tmp_path):
     b = json.loads((resumed / "train-report.json").read_text())
     assert b["config"] == {**a["config"], "epochs": 0}
     assert b["per_seed"][0]["test"] == a["per_seed"][0]["test"]
-    header = model_module.load_checkpoint(str(resumed / "checkpoint-relational-seed5.npz"))[1]
-    assert header["config"] == b["config"]
+    _, config, header = model_module.load_checkpoint(str(resumed / "checkpoint-relational-seed5.npz"))
+    assert header["config"] == config.to_dict() == b["config"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lam": 0.25, "lr": 2e-3}))
     assert run("train", "--data", str(dg15_dir), "--out", str(tmp_path / "r2"), "--epochs", "0",
@@ -250,6 +250,36 @@ def test_resume_rejects_a_checkpoint_of_the_other_kind(trained, trained_erm, dg1
                "--resume", str(ckpt)) == 2
     assert f"not {'a relational' if method == 'relational' else 'an erm'} checkpoint" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_and_resume_read_the_data_as_the_checkpoint_task(spatial_dir, tmp_path, capsys):
+    """A regression model trained on nonnegative integer targets, which --task auto reads as
+    class labels: eval reads the data as the checkpoint's task, and so does --resume unless
+    --task is given."""
+    counts = tmp_path / "counts"
+    shutil.copytree(spatial_dir, counts)
+    rows = [line.split(",") for line in (counts / "data.csv").read_text().splitlines()]
+    for row in rows[1:]:
+        row[1] = str(abs(round(float(row[1]))))
+    (counts / "data.csv").write_text("\n".join(",".join(row) for row in rows) + "\n")
+    trained = tmp_path / "trained"
+    assert run("train", "--data", str(counts), "--out", str(trained), "--task", "regression",
+               "--epochs", "1") == 0
+    ckpt = str(trained / "checkpoint-relational-seed0.npz")
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", ckpt, "--data", str(counts), "--out", str(out)) == 0
+    assert json.loads((out / "eval-report.json").read_text())["metrics"]["metric"] == "mse"
+    resumed = tmp_path / "resumed"
+    assert run("train", "--data", str(counts), "--out", str(resumed), "--epochs", "0",
+               "--resume", ckpt) == 0
+    assert json.loads((resumed / "train-report.json").read_text())["task"] == "regression"
+    capsys.readouterr()
+    assert run("train", "--data", str(counts), "--out", str(tmp_path / "o"), "--epochs", "0",
+               "--resume", ckpt, "--task", "classification") == 2
+    assert "regression model expects" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # eval has no --task to disagree with its checkpoint
+        run("eval", "--checkpoint", ckpt, "--data", str(counts), "--task", "regression")
+    assert exc.value.code == 2
 
 
 def test_train_multi_seed_aggregates(dg15_dir, tmp_path):

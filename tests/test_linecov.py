@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -71,3 +73,18 @@ def test_a_one_line_command_lists_the_raise_it_never_reached(tmp_path):
         'src/relgen/rng.py:146: yield gen',
     ]
     assert lines[-1].endswith("statements never executed")
+
+
+@pytest.mark.parametrize("command", [
+    ["env", "PYTHONPATH=src", sys.executable, "-m", "relgen.cli", "--version"],
+    [sys.executable, "-c", "pass"],
+], ids=["own-pythonpath", "no-relgen"])
+def test_a_command_that_runs_no_traced_relgen_line_exits_2(command):
+    """A command that drops the tracer from PYTHONPATH, or never imports relgen, would
+    list every statement as never executed; the tool says so and exits 2 instead."""
+    proc = subprocess.run([sys.executable, "tools/linecov.py", "--", *command],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "never executed" not in proc.stdout
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("linecov: no traced process ran a line of src/relgen")

@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import zipfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -139,7 +139,7 @@ def test_total_loss_is_affine_in_lambda():
         got = loss_terms(model, THREE_DOMAIN_BATCH, THREE_DOMAIN_RELATIONS, lam)[0]
         assert got == pytest.approx(lp + lam * lr, abs=1e-12)
     with pytest.raises(ConfigError):
-        TrainConfig(lam=-0.1).validate()
+        TrainConfig(lam=-0.1)
 
 
 def test_consistency_ignores_self_relations():
@@ -443,7 +443,35 @@ def test_config_round_trip_and_validation():
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
-            TrainConfig(**kw).validate()
+            TrainConfig(**kw)
+
+
+def test_a_config_is_checked_when_built_and_cannot_change():
+    """Every TrainConfig is valid: a bad value fails where the config is built, by the
+    constructor or by replace, with the message the CLI prints, and a config cannot be
+    assigned to after."""
+    base = TrainConfig()
+    cases = [
+        ({"lam": -1.0}, "lam must be finite and nonnegative"),
+        ({"lam": math.nan}, "lam must be finite and nonnegative"),
+        ({"beta": 1.5}, r"beta must lie in \[0, 1\], got 1.5"),
+        ({"lr": math.inf}, "lr must be finite and positive"),
+        ({"weight_decay": -0.1}, "weight_decay must be finite and nonnegative"),
+        ({"epochs": -1}, "batch_size/epochs/eval_every out of range"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"relation_heads": 0}, "network widths must be positive"),
+        ({"combine_space": "log-prob"}, r"combine_space must be one of \('logit', 'prob'\)"),
+        ({"relation_mode": "fixed"}, r"relation_mode must be one of \('fused', 'uniform'\)"),
+        ({"finetune_epochs": -2}, "finetune_epochs must be nonnegative"),
+    ]
+    for kw, message in cases:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TrainConfig(**kw)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            replace(base, **kw)
+    with pytest.raises(FrozenInstanceError):
+        base.lr = 1e-3
+    assert base == TrainConfig() and hash(base) == hash(TrainConfig())
 
 
 # -- training -----------------------------------------------------------------------
@@ -644,9 +672,9 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     train(model, ds, cfg)
     path = str(tmp_path / "model.npz")
     save_checkpoint(path, model, cfg, extra={"note": "roundtrip"})
-    loaded, header = load_checkpoint(path)
+    loaded, config, header = load_checkpoint(path)
     assert header["kind"] == "multi_head"
-    assert header["config"] == cfg.to_dict()
+    assert config == cfg and header["config"] == cfg.to_dict()
     assert header["extra"] == {"note": "roundtrip"}
     assert loaded.head_domains == model.head_domains
     assert np.array_equal(loaded.flat, model.flat)
@@ -660,8 +688,9 @@ def test_erm_checkpoint_round_trip(tmp_path):
     model, _ = train_erm(ds, cfg)
     path = str(tmp_path / "erm.npz")
     save_checkpoint(path, model, cfg)
-    loaded, header = load_checkpoint(path)
+    loaded, config, header = load_checkpoint(path)
     assert header["kind"] == "erm"
+    assert config == cfg
     assert loaded.meta_dim == 1
     a, b = score([model, loaded], ds, [None, None], "test")
     assert a.to_dict() == b.to_dict()
@@ -709,7 +738,7 @@ def test_erm_checkpoints_keep_their_recorded_format(tmp_path):
     assert entries == ERM_CHECKPOINT_ENTRIES
     header.pop("version")
     assert header == ERM_CHECKPOINT_HEADER
-    loaded, _ = load_checkpoint(path)
+    loaded, _, _ = load_checkpoint(path)
     assert loaded.meta_dim == 1
     assert loaded.flat.tobytes() == model.flat.tobytes()
 
@@ -886,7 +915,7 @@ def test_relational_checkpoints_keep_their_recorded_format(tmp_path, data):
     assert entries == recorded
     header.pop("version")
     assert header == {**RELATIONAL_CHECKPOINT_HEADER, **RELATIONAL_CHECKPOINT_HEADERS[data]}
-    loaded, _ = load_checkpoint(path)
+    loaded, _, _ = load_checkpoint(path)
     assert loaded.flat.tobytes() == model.flat.tobytes()
 
 

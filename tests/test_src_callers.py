@@ -30,10 +30,6 @@ TRACER_BOUND = {
 UNSET_DEFAULTS = {
     "relgen.cli.main:argv": "the entry point: the console script calls main(), which reads "
                             "sys.argv",
-    "relgen.theory.calibrate_bandwidth:grid": "tests calibrate on a short or an empty c0 grid",
-    "relgen.theory.calibrate_bandwidth:n_inner": "tests calibrate on fewer or too few inner "
-                                                 "seeds",
-    "relgen.theory.calibrate_bandwidth:n_eval": "tests calibrate on fewer evaluation draws",
 }
 
 # x.copy() most likely reads an array's method, so a method that an ndarray

@@ -199,9 +199,10 @@ def test_bandwidth_schedule_formula():
             bandwidth_schedule(1.0, n, 8, r)
 
 
-def test_calibration_picks_from_the_grid():
-    c0 = calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=16, seed=11,
-                             n_inner=3, n_eval=1000)
+def test_calibration_picks_from_the_grid(monkeypatch):
+    monkeypatch.setattr(theory, "C0_SEEDS", 3)
+    monkeypatch.setattr(theory, "C0_N_EVAL", 1000)
+    c0 = calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=16, seed=11)
     assert c0 in (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
@@ -209,10 +210,9 @@ def test_calibration_without_a_finite_risk_raises(monkeypatch):
     # NaN compares False against the running best, so no grid value wins
     monkeypatch.setattr(theory, "_threshold_risks", lambda world_args, bandwidths, seeds, n_eval:
                         np.full((len(seeds), len(bandwidths)), np.nan))
+    monkeypatch.setattr(theory, "C0_SEEDS", 2)
     with pytest.raises(ConfigError, match="finite mean excess risk"):
-        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=2)
-    with pytest.raises(ConfigError, match="finite mean excess risk"):
-        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, grid=())
+        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0)
 
 
 # -- scaling experiment ------------------------------------------------------------
@@ -283,10 +283,11 @@ def test_calibration_builds_each_held_out_world_once(monkeypatch):
         return world
 
     monkeypatch.setattr(theory, "sample_world", counting)
-    calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0, n_inner=5,
-                        n_eval=200)
+    monkeypatch.setattr(theory, "C0_N_EVAL", 200)
+    calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0)
     # one world per held-out seed, not one per seed and grid value
-    held_out = [world_block((8, 2, 1.0, 20, 0.1), [7 * s + 1]).z_train[0] for s in range(5)]
+    held_out = [world_block((8, 2, 1.0, 20, 0.1), [7 * s + 1]).z_train[0]
+                for s in range(theory.C0_SEEDS)]
     assert [z.tobytes() for z in built] == [z.tobytes() for z in held_out]
 
 
@@ -334,14 +335,15 @@ def test_large_worlds_are_built_in_smaller_blocks(monkeypatch):
     assert split.tobytes() == whole.tobytes()
 
 
-def test_a_nan_bandwidth_is_a_config_error():
+def test_a_nan_bandwidth_is_a_config_error(monkeypatch):
     slopes, dists = np.array([1.0, 2.0]), np.array([0.1, 0.2])
     for bandwidth in (np.nan, -np.inf, -0.5):
         with pytest.raises(ConfigError, match="bandwidth must be nonnegative"):
             threshold_predict(slopes, dists, bandwidth)
+    for name, value in (("C0_GRID", (np.nan,)), ("C0_SEEDS", 2), ("C0_N_EVAL", 100)):
+        monkeypatch.setattr(theory, name, value)
     with pytest.raises(ConfigError, match="bandwidth must be nonnegative, got nan"):
-        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0,
-                            grid=(np.nan,), n_inner=2, n_eval=100)
+        calibrate_bandwidth(2, 20, noise=0.1, lipschitz=1.0, n_domains=8, seed=0)
 
 
 @pytest.mark.parametrize("lipschitz,noise", [(1e308, 0.1), (1.0, 1e308)])

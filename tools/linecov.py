@@ -15,7 +15,10 @@ Then every statement of the tree that no process reached is printed as
 imports the traced ``src/relgen``. A process that leaves through
 ``os._exit`` writes nothing, and the tracer replaces any other
 ``sitecustomize`` on the path. Traced, tier-1 took 34 s against 20 s
-untraced on a 2-vCPU host. Exits with the command's exit code. Stdlib only.
+untraced on a 2-vCPU host. Exits with the command's exit code, or with 2
+when no traced process ran a line of ``src/relgen`` (the command never
+imports relgen, or sets ``PYTHONPATH`` itself and so drops the tracer),
+since every statement would then read as never executed. Stdlib only.
 """
 
 from __future__ import annotations
@@ -130,6 +133,10 @@ def main(argv=None) -> int:
         for part in out.glob("*.json"):
             for path, lines in json.loads(part.read_text(encoding="utf-8")).items():
                 hits.setdefault(path, set()).update(lines)
+    if not any(hits.values()):
+        print(f"linecov: no traced process ran a line of {os.path.relpath(SRC)}; does the "
+              "command import relgen, and leave PYTHONPATH as it finds it?", file=sys.stderr)
+        return 2
     never = missed(SRC, hits)
     for path, line in never:
         text = path.read_text(encoding="utf-8").splitlines()[line - 1].strip()
