@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ._version import __version__
-from .data import TASK_CLASSIFICATION, DomainDataset
+from .data import TASK_CLASSIFICATION, TASK_REGRESSION, DomainDataset
 from .errors import ConfigError, DataError, NumericalError, allocate
 from .fileio import atomic_writer
 from .nn import (
@@ -1070,8 +1070,9 @@ def load_checkpoint(path: str):
 
     A missing file is a ConfigError. A file that is not a complete, finite
     relgen checkpoint (truncated archive, missing entry, head arrays that
-    disagree with head_domains, NaN or inf parameters) is a DataError that
-    names the path.
+    disagree with head_domains, NaN or inf parameters, an unknown task, a
+    combine_space that disagrees with the stored config's) is a DataError
+    that names the path. A relational model's combine_space is its config's.
     """
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
@@ -1096,9 +1097,14 @@ def _read_checkpoint(path: str):
     bad = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
     if bad:
         raise DataError(f"{path}: non-finite parameters in {bad}")
-    kind, acts = header["kind"], header["acts"]
+    kind, acts, task = header["kind"], header["acts"], header["task"]
     if kind not in ("multi_head", "erm"):
         raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
+    if task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
+        raise DataError(f"{path}: unknown task {task!r}")
+    if kind == "multi_head" and header["combine_space"] != config.combine_space:
+        raise DataError(f"{path}: combine_space {header['combine_space']!r} disagrees with "
+                        f"its config's {config.combine_space!r}")
     pooled = kind == "erm"
     heads = _head_names(pooled, [] if pooled else header["head_domains"])
     stored = sorted(name for name in arrays if name.startswith("head/"))
@@ -1110,11 +1116,11 @@ def _read_checkpoint(path: str):
     extractor = _mlp_from_entries("extractor", arrays, acts["extractor"])
     head_w, head_b = (np.stack([arrays[f"{h}/{p}"] for h in heads]) for p in "wb")
     if pooled:
-        model = MultiHeadModel(extractor, head_w, head_b, None, [], header["task"],
+        model = MultiHeadModel(extractor, head_w, head_b, None, [], task,
                                meta_dim=int(header["meta_dim"]))
     else:
         net = RelationNet(_mlp_from_entries("relation/g", arrays, acts["relation_g"]),
                           arrays["relation/w"])
         model = MultiHeadModel(extractor, head_w, head_b, net, list(header["head_domains"]),
-                               header["task"], header["combine_space"])
+                               task, config.combine_space)
     return model, config, header

@@ -25,8 +25,7 @@ from .rng import substream, substreams
 C0_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 C0_SEEDS = 5
 C0_N_EVAL = 4_000
-WORLD_BLOCK = 16  # seeds whose worlds _threshold_risks builds in one sample_world call
-WORLD_VALUES = 1 << 18  # fewer seeds when their latent or data buffer would pass this many doubles
+BLOCK_BYTES = 1 << 18  # bytes of one block: the sweep's worlds, or the oracle's d and e leaves
 
 
 @dataclass
@@ -165,35 +164,47 @@ def bandwidth_schedule(c0: float, n_per_domain: int, n_domains: int, r: int) -> 
     return float(c0) * float(n_per_domain * n_domains) ** (-1.0 / (r + 2))
 
 
+def world_bytes(n_domains: int, r: int, n_per_domain: int) -> int:
+    """Bytes of one world in a sample_world block: its latent row, inputs and targets."""
+    return 8 * ((n_domains + 2) * r + 2 * n_domains * n_per_domain)
+
+
+def _fitted_block(world_args: tuple, rngs, n_worlds: int) -> tuple:
+    """(test slopes, fitted slopes, distances to the test domain) of a block of n_worlds
+    worlds; the block's latent and data buffers are freed on return."""
+    world = sample_world(*world_args, rngs=rngs, n_worlds=n_worlds)
+    return world.slope_test, fit_heads(world), world.distances_to_test()
+
+
 def _threshold_risks(world_args: tuple, bandwidths, seeds, n_eval: int) -> np.ndarray:
     """(seeds, bandwidths) excess risks of the threshold estimator: each seed's world, scored
     at every bandwidth on the draws of seed + 1.
 
     Each entry equals excess_risk(...)[0] bit for bit: the same ops in the
-    same order, run in place. The worlds are built a block of WORLD_BLOCK
-    seeds at a time (fewer when a block's data would pass WORLD_VALUES
-    doubles), so slopes, fits and distances are array ops over the block.
-    Each seed is then scored in turn, its fits and draws made once for all
-    bandwidths; the draws, the signal, |eps| and the difference each have a
-    buffer shared by all seeds. The three streams of a seed, its world's
-    latent and data streams and the excess-risk stream of seed + 1, come
-    from rng.substreams: one re-keyed generator per stream for all seeds,
-    with the bits of the substream each would build. A non-finite risk
-    (float64 overflow) raises NumericalError naming N_tr and the seed.
+    same order, run in place. The worlds are built a block at a time, as
+    many seeds as fit in BLOCK_BYTES (world_bytes each; at least one), so
+    slopes, fits and distances are array ops over the block. Only those
+    are kept: the block's data are freed before its seeds are scored, so
+    one block is held at a time. Each seed is then scored in turn, its
+    fits and draws made once for all bandwidths; the draws, the signal,
+    |eps| and the difference each have a buffer shared by all seeds. The
+    three streams of a seed, its world's latent and data streams and the
+    excess-risk stream of seed + 1, come from rng.substreams: one re-keyed
+    generator per stream for all seeds, with the bits of the substream
+    each would build. A non-finite risk (float64 overflow) raises
+    NumericalError naming N_tr and the seed.
     """
     if n_eval < 2:
         raise ConfigError("n_eval must be at least 2")
     x, eps, signal, abs_eps, diff = (allocate(n_eval, "n_eval") for _ in range(5))
     risks = np.empty((len(seeds), len(bandwidths)))
     n_domains, r, lipschitz, n_per_domain, noise = world_args
-    per_world = max(1, n_domains * n_per_domain, (n_domains + 2) * r)
-    block = max(1, min(WORLD_BLOCK, WORLD_VALUES // per_world))
+    block = max(1, BLOCK_BYTES // world_bytes(n_domains, r, n_per_domain))
     worlds = zip(substreams(seeds, "world", "latent"), substreams(seeds, "world", "data"))
     evals = substreams((seed + 1 for seed in seeds), "excess-risk")
     for start in range(0, len(seeds), block):
-        world = sample_world(*world_args, rngs=worlds, n_worlds=min(block, len(seeds) - start))
-        cells = zip(world.slope_test, fit_heads(world), world.distances_to_test(), evals)
-        for i, (slope_test, slopes_hat, dists, eval_rng) in enumerate(cells, start):
+        fitted = _fitted_block(world_args, worlds, min(block, len(seeds) - start))
+        for i, (slope_test, slopes_hat, dists, eval_rng) in enumerate(zip(*fitted, evals), start):
             _eval_draws(eval_rng, noise, x, eps)
             np.multiply(x, slope_test, out=signal)
             np.abs(eps, out=abs_eps)
@@ -301,7 +312,7 @@ def save_sweep_csv(path: str, rows: list[dict]) -> None:
     write_csv(path, [SWEEP_COLUMNS] + [[row[k] for k in SWEEP_COLUMNS] for row in rows])
 
 
-ORACLE_BLOCK = 1 << 16  # averaging_oracle draws d and e in leaves of at most this many samples
+ORACLE_BLOCK = BLOCK_BYTES // 16  # samples per leaf of averaging_oracle: d and e fill a block
 
 
 def _pairwise_total(n: int, block: int, leaf_sum) -> float:
@@ -340,12 +351,12 @@ def averaging_oracle(n_mc: int, seed: int = 0) -> tuple[float, float]:
     squared-error risk is E[(d - 1/2)^2 e^2] = 1/12 exactly. Returns
     (estimate, stderr).
 
-    Holds two blocks of ORACLE_BLOCK doubles for any n_mc. The values
-    (d - 0.5) ** 2 * e ** 2 are made a leaf of _pairwise_total at a time,
-    d from the start of the seed's stream and e from a copy of it moved
-    past the n_mc uniforms (Philox yields four 64-bit words per counter
-    step, and random() takes one word per double), so each leaf's d and e
-    are the matching slices of two whole draws. One pass sums the values
+    Holds two leaves of ORACLE_BLOCK doubles, BLOCK_BYTES, for any n_mc.
+    The values (d - 0.5) ** 2 * e ** 2 are made a leaf of _pairwise_total
+    at a time, d from the start of the seed's stream and e from a copy of
+    it moved past the n_mc uniforms (Philox yields four 64-bit words per
+    counter step, and random() takes one word per double), so each leaf's d
+    and e are the matching slices of two whole draws. One pass sums the values
     for the mean; a second draws them again and sums their squared
     deviations from it. Every bit is that of the two whole draws and
     vals.mean(), vals.std(ddof=1). n_mc is checked by check_n_mc.

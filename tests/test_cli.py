@@ -442,6 +442,37 @@ def test_truncated_checkpoint_exits_3(trained, dg15_dir, tmp_path):
     assert not out.exists()
 
 
+def _rewrite_header(src, dst, **fields):
+    """Copy a checkpoint, setting fields of its JSON header."""
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    header = json.loads(arrays["__header__"].tobytes().decode())
+    header.update(fields)
+    arrays["__header__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8)
+    np.savez(dst, **arrays)
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("field,value", [("combine_space", "x"), ("combine_space", "prob"),
+                                         ("task", "x")])
+def test_a_damaged_header_field_exits_3(trained, dg15_dir, tmp_path, capsys, command, field,
+                                        value):
+    # the checkpoint was trained with combine_space "logit", so "prob" disagrees with its config
+    damaged = tmp_path / "damaged.npz"
+    _rewrite_header(trained / "checkpoint-relational-seed0.npz", damaged, **{field: value})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if command == "eval":
+        code = run("eval", "--checkpoint", str(damaged), "--data", str(dg15_dir), "--out", str(out))
+    else:
+        code = run("train", "--data", str(dg15_dir), "--out", str(out), "--epochs", "0",
+                   "--resume", str(damaged))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith(f"data error: {damaged}: ") and repr(value) in err
+    assert not out.exists()
+
+
 def _damaged_copy(src, dst, name, line, column, value):
     """Copy a dataset dir, overwriting one field of one CSV line."""
     dst.mkdir()

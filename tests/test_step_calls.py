@@ -1,10 +1,13 @@
 """tools/step_calls.py: calls per training step, per score call and per scoring of
-prebuilt groups of its four configs, and calls per theory sweep cell, on tiny data."""
+prebuilt groups of its four configs, and calls per theory sweep cell with the traced
+peaks of the sweep and the oracle, on tiny data."""
 
 import importlib.util
 import math
 import pathlib
 from dataclasses import dataclass
+
+from relgen import theory
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("step_calls", ROOT / "tools" / "step_calls.py")
@@ -26,10 +29,21 @@ def test_each_config_reports_its_calls_per_step(capsys):
         assert float(per_step) == round(int(calls) / int(steps), 1) > 0
         assert 0 < int(per_score) < int(calls)
         assert 0 < int(per_scored) < int(per_score)  # the groups are built beforehand
-    assert lines[-3:-1] == ["", f"{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10}"]
-    name, cells, calls, per_cell = lines[-1].split()
+    assert lines[-3:-1] == ["", f"{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10} "
+                                f"{'sweep_MiB':>9} {'oracle_MiB':>10}"]
+    name, cells, calls, per_cell, sweep_mib, oracle_mib = lines[-1].split()
     assert name == "theory-sweep" and int(cells) == 2 * 3  # the small sweep's (N, seed) cells
     assert float(per_cell) == round(int(calls) / int(cells), 1) > 0
+    assert float(sweep_mib) > 0 and float(oracle_mib) > 0
+
+
+def test_theory_peaks_hold_the_sweep_and_oracle_buffers():
+    step_calls.calls_per_sweep(small=True)  # numpy.random's import, as main runs it first
+    sweep, oracle = step_calls.theory_peaks(small=True)
+    # the sweep's five n_eval buffers; the oracle's d and e leaves, at most one block
+    assert 5 * 8 * step_calls.SMALL_SWEEP["n_eval"] < sweep < 2**20
+    leaf = min(step_calls.SMALL_ORACLE_MC, theory.ORACLE_BLOCK)
+    assert 2 * 8 * leaf < oracle < theory.BLOCK_BYTES + 64 * 2**10
 
 
 

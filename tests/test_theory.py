@@ -294,17 +294,28 @@ def test_calibration_builds_each_held_out_world_once(monkeypatch):
 WORLD_CASES = [(8, 2, 1.0, 20, 0.3), (1, 1, 1.0, 5, 0.2), (6, 3, 0.0, 4, 0.0), (5, 9, 2.0, 12, 0.5)]
 
 
+BLOCK = 16  # worlds per block under the budget test_block_worlds_... sets
+
+
 @pytest.mark.parametrize("first", [11, 2**64 - 8, 2**128 - 8])  # the last two cross 2^64, 2^128
-@pytest.mark.parametrize("n_seeds", [1, theory.WORLD_BLOCK - 1, theory.WORLD_BLOCK,
-                                     theory.WORLD_BLOCK + 1])
+@pytest.mark.parametrize("n_seeds", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("world_args", WORLD_CASES)  # N = 1, r = 1, 3 and 9, G = 0 with noise 0
-def test_block_worlds_keep_the_bits_of_one_world_per_seed(world_args, n_seeds, first):
+def test_block_worlds_keep_the_bits_of_one_world_per_seed(world_args, n_seeds, first,
+                                                          monkeypatch):
     seeds = range(first, first + n_seeds)
     block = world_block(world_args, seeds)
     assert block.x.shape == (n_seeds, world_args[0], world_args[3])
     fits, dists = fit_heads(block), block.distances_to_test()
     bandwidths = (0.0, 0.4, np.inf)
+    n_domains, r, _, n_per_domain, _ = world_args
+    per_world = theory.world_bytes(n_domains, r, n_per_domain)
+    monkeypatch.setattr(theory, "BLOCK_BYTES", BLOCK * per_world)
+    sizes = []
+    real = theory.sample_world
+    monkeypatch.setattr(theory, "sample_world",
+                        lambda *a, **kw: sizes.append(kw["n_worlds"]) or real(*a, **kw))
     risks = theory._threshold_risks(world_args, bandwidths, seeds, 300)
+    assert sizes == [min(BLOCK, n_seeds - start) for start in range(0, n_seeds, BLOCK)]
     for i, seed in enumerate(seeds):
         z_train, z_test, _, _, slope_test, x, y = reference.latent_world(*world_args, seed=seed)
         rows = (block.z_train[i], block.z_test[i], block.slope_test[i], block.x[i], block.y[i])
@@ -329,7 +340,7 @@ def test_large_worlds_are_built_in_smaller_blocks(monkeypatch):
     real = theory.sample_world
     monkeypatch.setattr(theory, "sample_world",
                         lambda *a, **kw: sizes.append(kw["n_worlds"]) or real(*a, **kw))
-    monkeypatch.setattr(theory, "WORLD_VALUES", 3 * 8 * 20 + 1)  # three worlds' (N, n) data
+    monkeypatch.setattr(theory, "BLOCK_BYTES", 3 * theory.world_bytes(8, 2, 20) + 1)  # three worlds
     split = theory._threshold_risks(world_args, bandwidths, seeds, 300)
     assert sizes == [3, 3, 3, 1]
     assert split.tobytes() == whole.tobytes()
@@ -398,11 +409,16 @@ def test_averaging_oracle_validates():
         averaging_oracle(1)
 
 
+LEAF = theory.ORACLE_BLOCK
+
+
 @pytest.mark.parametrize(
     "n_mc", [2, 10, 10_000, 65_535, 65_536, 65_537, 3 * 65_536 + 7, 10**6,
-             3, 7, 9, 129, 2 * 65_536 + 9, 10**6 + 3])
+             3, 7, 9, 129, 2 * 65_536 + 9, 10**6 + 3,
+             LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 7, 2 * LEAF + 9])
 def test_the_streamed_oracle_keeps_the_bits_of_two_whole_draws(n_mc):
-    assert theory.ORACLE_BLOCK == 65_536
+    # d and e leaves fill one block, and numpy's pairwise sum splits no segment under 128
+    assert 2 * 8 * LEAF <= theory.BLOCK_BYTES and LEAF >= 128
     for seed in (0, 1, 17):
         got = averaging_oracle(n_mc, seed=seed)
         want = reference.averaging_oracle(n_mc, seed=seed)
@@ -410,9 +426,9 @@ def test_the_streamed_oracle_keeps_the_bits_of_two_whole_draws(n_mc):
 
 
 def test_the_oracle_holds_one_buffer_plus_a_block():
-    # a 0.5 MiB block each for d and e, whatever n_mc; two whole draws and std() peak
-    # near 16 MiB at 10**6, and one float64 per sample would be 8 MB. numpy imports
-    # numpy.random (about 1 MiB traced) at a process's first draw, so one runs first.
+    # one block of BLOCK_BYTES for the d and e leaves, whatever n_mc; two whole draws and
+    # std() peak near 16 MiB at 10**6, and one float64 per sample would be 8 MB. numpy
+    # imports numpy.random (about 1 MiB traced) at a process's first draw, so one runs first.
     averaging_oracle(2)
     peaks = []
     for n_mc in (10**6, 4 * 10**6):
@@ -423,7 +439,28 @@ def test_the_oracle_holds_one_buffer_plus_a_block():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 1.5 * 2**20
+    assert peaks[0] < theory.BLOCK_BYTES + 64 * 2**10
     assert abs(peaks[1] - peaks[0]) <= 64 * 2**10
+
+
+def test_the_sweep_holds_one_world_block_at_a_time():
+    # the theory-sweep workload's sweep, c0 calibrated: the five n_eval buffers (0.4 MB)
+    # plus one block of worlds (BLOCK_BYTES) and its fits; 2.56 MiB when a block's data
+    # stayed alive while its seeds were scored and the next block was drawn. More seeds
+    # add only their risks and the key blocks of rng.substreams (KEY_BLOCK seeds at most).
+    sweep = dict(domain_grid=(8, 16, 32, 64), r=2, n_per_domain=50, noise=0.1, lipschitz=1.0,
+                 n_eval=10_000)
+    scaling_experiment(**{**sweep, "n_seeds": 2, "n_eval": 2})  # numpy.random's import
+    peaks = []
+    for n_seeds in (500, 1_000):
+        tracemalloc.start()
+        try:
+            scaling_experiment(**sweep, n_seeds=n_seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.5 * 2**20
+    assert peaks[1] - peaks[0] <= 128 * 2**10
 
 
 @pytest.mark.parametrize("block", [128, theory.ORACLE_BLOCK])

@@ -14,7 +14,9 @@ to the scorer is not diluted by the cost of building its groups.
 A second table counts the calls of one theory sweep (``scaling_experiment``
 at the sizes of the perfbench theory-sweep workload, c0 calibrated, seed 0)
 per (domain count, seed) cell; the calibration's held-out cells are not
-counted as cells.
+counted as cells. It also prints the peak memory ``tracemalloc`` traces
+during a second run of the sweep and during ``averaging_oracle`` at the
+``--mc`` of ``relgen theory`` (10**6 samples), in MiB.
 
     python3 tools/step_calls.py [--epochs 3] [--small]
 
@@ -31,6 +33,7 @@ import cProfile
 import math
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from relgen.model import (  # noqa: E402
     score,
     train,
 )
-from relgen.theory import scaling_experiment  # noqa: E402
+from relgen.theory import averaging_oracle, scaling_experiment  # noqa: E402
 
 # name -> (dataset kind, model builder, seeds, TrainConfig overrides); dg15-uniform reads the
 # constant-relations path, which skips the learned matrix
@@ -61,6 +64,7 @@ CONFIGS = {
 SWEEP = dict(domain_grid=(8, 16, 32, 64), n_seeds=500, r=2, n_per_domain=50, noise=0.1,
              lipschitz=1.0, n_eval=10_000)
 SMALL_SWEEP = dict(SWEEP, domain_grid=(4, 8), n_seeds=3, n_per_domain=10, n_eval=500)
+ORACLE_MC, SMALL_ORACLE_MC = 1_000_000, 10_000  # averaging_oracle's samples
 
 
 def dataset(kind: str, small: bool):
@@ -107,6 +111,25 @@ def calls_per_sweep(small: bool = False) -> tuple[int, int]:
     return _calls(lambda: scaling_experiment(**sweep)), cells
 
 
+def _traced_peak(fn) -> int:
+    """The peak bytes tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def theory_peaks(small: bool = False) -> tuple[int, int]:
+    """(traced peak bytes of one theory sweep, of averaging_oracle). Run after a sweep: a
+    process's first draw imports numpy.random, which would be traced too."""
+    sweep = SMALL_SWEEP if small else SWEEP
+    n_mc = SMALL_ORACLE_MC if small else ORACLE_MC
+    return (_traced_peak(lambda: scaling_experiment(**sweep)),
+            _traced_peak(lambda: averaging_oracle(n_mc)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, default=3, help="epochs per config (default 3)")
@@ -121,8 +144,11 @@ def main(argv=None) -> int:
         print(f"{name:<16} {steps:>6} {calls:>8} {calls / steps:>10.1f} {per_score:>11} "
               f"{per_scored:>12}")
     calls, cells = calls_per_sweep(args.small)
-    print(f"\n{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10}")
-    print(f"{'theory-sweep':<16} {cells:>6} {calls:>8} {calls / cells:>10.1f}")
+    sweep_peak, oracle_peak = theory_peaks(args.small)
+    print(f"\n{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10} {'sweep_MiB':>9} "
+          f"{'oracle_MiB':>10}")
+    print(f"{'theory-sweep':<16} {cells:>6} {calls:>8} {calls / cells:>10.1f} "
+          f"{sweep_peak / 2**20:>9.2f} {oracle_peak / 2**20:>10.2f}")
     return 0
 
 
