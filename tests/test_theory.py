@@ -463,7 +463,7 @@ def test_the_sweep_holds_one_world_block_at_a_time():
     assert peaks[1] - peaks[0] <= 128 * 2**10
 
 
-@pytest.mark.parametrize("block", [128, theory.ORACLE_BLOCK])
+@pytest.mark.parametrize("block", [128, 65_536, theory.ORACLE_BLOCK])
 def test_the_streamed_tree_keeps_the_bits_of_numpys_pairwise_sum(block):
     # a change to numpy's pairwise summation fails here, not as a drift in the oracle
     rng = np.random.default_rng(5)
