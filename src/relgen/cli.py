@@ -112,15 +112,26 @@ def _checkpoint_task(model) -> str:
     return TASK_REGRESSION if model.task == TASK_REGRESSION else "auto"
 
 
-def _int_list(flag: str, raw: str) -> list[int]:
-    """The comma-separated integers of a flag's value; ConfigError if malformed or empty."""
+def _int_list(flag: str, raw: str, noun: str) -> list[int]:
+    """The comma-separated integers of a flag's value, each a different noun; ConfigError if
+    malformed, empty or repeated."""
     try:
         values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"{flag} expects comma-separated integers: {raw!r}") from exc
     if not values:
         raise ConfigError(f"{flag} is empty")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{flag} repeats {noun} {repeated}")
     return values
+
+
+def _check_applies(checks) -> None:
+    """ConfigError for the first (flag, given, scope, applies) that was given but does not apply."""
+    for flag, given, scope, applies in checks:
+        if given and not applies:
+            raise ConfigError(f"{flag} applies to {scope} only")
 
 
 def _check_out(path: str, is_file: bool) -> None:
@@ -144,11 +155,7 @@ def _parse_seeds(args, cfg: TrainConfig, given: dict) -> list[int]:
         raise ConfigError("give --seed or --seeds, not both")
     if "seed" in given:
         raise ConfigError(f"{args.config} sets seed; give it or --seeds, not both")
-    seeds = _int_list("--seeds", args.seeds)
-    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
-    if repeated is not None:
-        raise ConfigError(f"--seeds repeats seed {repeated}")
-    return seeds
+    return _int_list("--seeds", args.seeds, "seed")
 
 
 def _metrics_text(rep) -> list[str]:
@@ -198,6 +205,11 @@ def cmd_train(args) -> int:
         if getattr(cfg0, name) != getattr(base, name):
             raise ConfigError(f"{args.resume} holds a model with {name} "
                               f"{getattr(base, name)!r}, not {getattr(cfg0, name)!r}")
+    _check_applies((
+        ("--beta", args.beta is not None, "the fused relation mode", cfg0.relation_mode == "fused"),
+        ("combine_space prob", "prob" in (args.combine_space, given.get("combine_space")),
+         "relational classification", relational and dataset.task != TASK_REGRESSION),
+    ))
     seeds = _parse_seeds(args, cfg0, given)
     if args.resume and len(seeds) > 1:
         raise ConfigError("--resume works with a single seed")
@@ -261,16 +273,14 @@ def cmd_eval(args) -> int:
     check_fits(model, dataset)
     relational = model.relation_net is not None
     mode = (args.relations or cfg.relation_mode, cfg.beta if args.beta is None else args.beta)
-    for flag, given, scope, applies in (
+    _check_applies((
         ("--rw-finetune", args.rw_finetune, "erm checkpoints", not relational),
         ("--relations", args.relations is not None, "relational checkpoints", relational),
         ("--beta", args.beta is not None, "relational checkpoints", relational),
         ("--beta", args.beta is not None, "the fused relation mode", mode[0] == "fused"),
         ("--lr", args.lr is not None, "--rw-finetune", args.rw_finetune),
         ("--finetune-epochs", args.finetune_epochs is not None, "--rw-finetune", args.rw_finetune),
-    ):
-        if given and not applies:
-            raise ConfigError(f"{flag} applies to {scope} only")
+    ))
     if args.rw_finetune:
         cfg = _override(cfg, args, ("lr", "finetune_epochs"))
         rep = evaluate(model, dataset, cfg, args.split)
@@ -323,7 +333,7 @@ def cmd_theory(args) -> int:
     # first draw; the oracle's stream does not depend on the sweep, so it runs last
     check_n_mc(args.mc)
     rows = scaling_experiment(
-        _int_list("--domain-grid", args.domain_grid),
+        _int_list("--domain-grid", args.domain_grid, "domain count"),
         n_seeds=args.n_seeds,
         r=args.r,
         n_per_domain=args.n,

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, allocate
-from .fileio import atomic_write_text, parse_floats, read_csv, write_csv
+from .fileio import atomic_write_text, csv_rows, parse_floats, write_csv
 from .relations import adjacency_matrix, angle_between
 from .rng import substream
 
@@ -284,40 +286,47 @@ def _fmt(v: float) -> str:
 
 
 def save_dataset(ds: DomainDataset, out_dir: str) -> dict[str, str]:
-    """Write data/meta/splits (and adjacency, if any) under out_dir."""
+    """Write data/meta/splits (and adjacency, if any) under out_dir, data.csv one row at a
+    time; an adjacency.txt already there is deleted when ds has no edges."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "data": os.path.join(out_dir, "data.csv"),
         "meta": os.path.join(out_dir, "meta.csv"),
         "splits": os.path.join(out_dir, "splits.csv"),
     }
-    classification = ds.task == TASK_CLASSIFICATION
-    data = [["domain_id", "y"] + [f"x_{j + 1}" for j in range(ds.n_features)]]
-    for i in range(ds.x.shape[0]):
-        label = str(int(ds.y[i])) if classification else _fmt(ds.y[i])
-        data.append([ds.ids[int(ds.domain[i])], label] + [_fmt(v) for v in ds.x[i]])
-    write_csv(paths["data"], data)
+    write_csv(paths["data"], _data_rows(ds))
     meta = [["domain_id"] + [f"m_{j + 1}" for j in range(ds.meta_dim)]]
     meta += [[did] + [_fmt(v) for v in ds.meta[k]] for k, did in enumerate(ds.ids)]
     write_csv(paths["meta"], meta)
     write_csv(paths["splits"], [["domain_id", "split"]] + [[did, ds.split[did]] for did in ds.ids])
-    if ds.edges is not None:
-        paths["adjacency"] = os.path.join(out_dir, "adjacency.txt")
-        atomic_write_text(
-            paths["adjacency"], "".join(f"{i} {j}\n" for i, j in ds.edges)
-        )
+    adjacency = os.path.join(out_dir, "adjacency.txt")
+    if ds.edges is None:  # left by an earlier dataset, its edges would be read as this one's
+        with suppress(FileNotFoundError):
+            os.remove(adjacency)
+    else:
+        paths["adjacency"] = adjacency
+        atomic_write_text(adjacency, "".join(f"{i} {j}\n" for i, j in ds.edges))
     return paths
+
+
+def _data_rows(ds: DomainDataset):
+    """The rows of data.csv, the header first."""
+    yield ["domain_id", "y"] + [f"x_{j + 1}" for j in range(ds.n_features)]
+    label = (lambda v: str(int(v))) if ds.task == TASK_CLASSIFICATION else _fmt
+    for d, v, row in zip(ds.domain, ds.y, ds.x):
+        yield [ds.ids[d], label(v)] + [_fmt(u) for u in row]
 
 
 def load_meta_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a meta-data table: header domain_id,m_1,... and one row of finite values per domain."""
-    mrows = read_csv(path)
-    if not mrows or mrows[0][:1] != ["domain_id"] or len(mrows[0]) < 2:
+    rows = csv_rows(path)
+    header = next(rows, None)
+    if header is None or header[:1] != ["domain_id"] or len(header) < 2:
         raise DataError(f"{path}: expected header domain_id,m_1,...")
-    mwidth = len(mrows[0])
+    mwidth = len(header)
     ids: list[str] = []
     vals: list[list[float]] = []
-    for line, row in enumerate(mrows[1:], start=2):
+    for line, row in enumerate(rows, start=2):
         if len(row) != mwidth:
             raise DataError(f"{path}: line {line}: expected {mwidth} fields, got {len(row)}")
         if row[0] in ids:
@@ -362,14 +371,16 @@ def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
     """
     data_path, meta_path, split_path, adjacency_path = (
         os.path.join(path, f) for f in ("data.csv", "meta.csv", "splits.csv", "adjacency.txt"))
-    rows = read_csv(data_path)
-    if not rows or len(rows[0]) < 3 or rows[0][:2] != ["domain_id", "y"]:
+    rows = csv_rows(data_path)
+    header = next(rows, None)
+    if header is None or len(header) < 3 or header[:2] != ["domain_id", "y"]:
         raise DataError(f"{data_path}: expected header domain_id,y,x_1,...")
-    width = len(rows[0])
+    width = len(header)
     ids: list[str] = []
     seen: dict[str, int] = {}
-    dom, ys, xs = [], [], []
-    for line, row in enumerate(rows[1:], start=2):
+    # typed buffers, each handed to numpy as it is
+    dom, ys, xs = array("q"), array("d"), array("d")
+    for line, row in enumerate(rows, start=2):
         if len(row) != width:
             raise DataError(f"{data_path}: line {line}: expected {width} fields, got {len(row)}")
         did = row[0]
@@ -379,7 +390,7 @@ def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
         vals = parse_floats(row[1:], data_path, line)
         dom.append(seen[did])
         ys.append(vals[0])
-        xs.append(vals[1:])
+        xs.extend(vals[1:])
     if not ids:
         raise DataError(f"{data_path}: no data rows")
 
@@ -389,11 +400,11 @@ def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
         if did not in meta_by_id:
             raise DataError(f"no meta-data row for domain {did!r}")
 
-    srows = read_csv(split_path)
-    if not srows or srows[0] != ["domain_id", "split"]:
+    rows = csv_rows(split_path)
+    if next(rows, None) != ["domain_id", "split"]:
         raise DataError(f"{split_path}: expected header domain_id,split")
     split: dict[str, str] = {}
-    for line, row in enumerate(srows[1:], start=2):
+    for line, row in enumerate(rows, start=2):
         if len(row) != 2:
             raise DataError(f"{split_path}: line {line}: expected 2 fields")
         did, s = row
@@ -405,14 +416,14 @@ def load_dataset_dir(path: str, task: str = "auto") -> DomainDataset:
 
     edges = load_adjacency(adjacency_path, ids) if os.path.exists(adjacency_path) else None
 
-    y = np.array(ys)
+    y = np.frombuffer(ys)
     if task == "auto":
         integral = np.all(y == np.round(y)) and y.size > 0 and y.min() >= 0
         task = TASK_CLASSIFICATION if integral else TASK_REGRESSION
     return DomainDataset(
-        x=np.array(xs),
+        x=np.frombuffer(xs).reshape(len(ys), width - 2),
         y=y,
-        domain=np.array(dom),
+        domain=np.frombuffer(dom, dtype=np.int64),
         ids=ids,
         meta=np.array([meta_by_id[d] for d in ids]),
         split={d: split[d] for d in ids if d in split},  # a missing one fails __post_init__

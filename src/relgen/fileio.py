@@ -1,4 +1,4 @@
-"""File helpers: one atomic writer (temp file + rename) and checked CSV I/O."""
+"""File helpers: one atomic writer (temp file + rename) and streamed, checked CSV I/O."""
 
 from __future__ import annotations
 
@@ -37,17 +37,18 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, rows) -> None:
-    """Write rows, the header first, as CSV with "\\n" line ends."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    """Write rows, the header first, as UTF-8 CSV with "\\n" line ends, one row at a time
+    as the iterable yields them."""
+    with atomic_writer(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        csv.writer(text, lineterminator="\n").writerows(rows)
 
 
-def read_csv(path: str) -> list[list[str]]:
-    """All rows of a UTF-8 CSV file; an unreadable file is a DataError."""
+def csv_rows(path: str):
+    """Yield the rows of a UTF-8 CSV file one at a time; an unreadable file is a DataError,
+    also when the fault is partway through it."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
+            yield from csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

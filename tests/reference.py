@@ -8,7 +8,7 @@ builder is held against, and a reader for the relation CSV that `relgen export-r
 import numpy as np
 
 from relgen.errors import ConfigError, DataError
-from relgen.fileio import parse_floats, read_csv
+from relgen.fileio import csv_rows, parse_floats
 from relgen.model import _metric, _report, split_ids
 from relgen.rng import substream
 
@@ -82,7 +82,7 @@ def latent_world(n_domains, r, lipschitz, n_per_domain, noise, seed):
 
 def load_relation_csv(path: str) -> tuple[list[str], np.ndarray]:
     """(domain ids, matrix) of a relation CSV; a DataError names a malformed file."""
-    rows = read_csv(path)
+    rows = list(csv_rows(path))
     if not rows or rows[0][:1] != ["domain_id"]:
         raise DataError(f"{path}: expected a domain_id header row")
     ids = rows[0][1:]

@@ -2,6 +2,7 @@
 report files, exit codes for the three failure families, and the relation
 matrix export."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -86,6 +87,37 @@ def test_gen_is_byte_identical_across_runs(tmp_path):
     assert run("gen", "dg15", "--seed", "3", "--n-per-class", "5", "--out", str(b)) == 0
     for name in ("data.csv", "meta.csv", "splits.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# sha256 of the files `relgen gen` writes at the default sizes, seed 0
+GEN_SHA256 = {
+    "dg15": {
+        "data.csv": "e962569eee66d09cf7544e3e2f6e9919f3e64e8c2b9a33aed6b0bcb29bccf7e3",
+        "meta.csv": "867ab9ebd04951640bf43e9f0bd77072c8071f2d9471a5a4c1cc9763d0306fe8",
+        "splits.csv": "b90a68768c4e5bc5c5d5443f8fbcbfdb20646daa2c0c54e46e1d4b1c7a4192eb",
+    },
+    "spatial": {
+        "adjacency.txt": "feec17f8d26dfeb0b075271937f9947b1472eb8b373eedce832f867e749e1ab7",
+        "data.csv": "0802a0bf2fde4819e532cb5bc762cdac44d0d9d6ce91d6aee78d88d0e86b2295",
+        "meta.csv": "c289ceaa6565e5b21b404329f641073ff8f6ed5909672bc3c4985cd5138c89bf",
+        "splits.csv": "d5789eff69ba8a140aa2e0ec32dfcacf911a50a7cefff1de017fcb80d07506da",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_SHA256))
+def test_gen_writes_the_pinned_bytes(tmp_path, kind):
+    assert run("gen", kind, "--out", str(tmp_path)) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == GEN_SHA256[kind]
+
+
+def test_gen_over_another_dataset_leaves_none_of_its_edges(tmp_path):
+    out = tmp_path / "d"
+    assert run("gen", "spatial", "--n-per-domain", "3", "--out", str(out)) == 0
+    assert run("gen", "dg15", "--n-per-class", "6", "--out", str(out)) == 0
+    assert not (out / "adjacency.txt").exists()
+    assert run("train", "--data", str(out), "--out", str(tmp_path / "o"), "--epochs", "1") == 0
 
 
 def test_gen_spatial_layout(spatial_dir):
@@ -428,6 +460,34 @@ def test_eval_rejects_flags_that_do_not_apply(trained, trained_erm, trained_unif
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method,data,flags,flag,scope", [
+    pytest.param("relational", "dg15", ["--relation-mode", "uniform", "--beta", "0.3"], "--beta",
+                 "the fused relation mode", id="uniform-beta"),
+    pytest.param("erm", "dg15", ["--combine-space", "prob"], "combine_space prob",
+                 "relational classification", id="erm-prob"),
+    pytest.param("relational", "spatial", ["--combine-space", "prob"], "combine_space prob",
+                 "relational classification", id="regression-prob"),
+    pytest.param("relational", "spatial", ["--config", {"combine_space": "prob"}],
+                 "combine_space prob", "relational classification", id="regression-prob-config"),
+])
+def test_train_rejects_settings_that_do_not_apply(dg15_dir, spatial_dir, tmp_path, monkeypatch,
+                                                  capsys, method, data, flags, flag, scope):
+    # uniform trains at beta 1, a pooled model and a regression model mix in logit space
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(model_module, "_train_loop", no_training)
+    if flags[0] == "--config":
+        (tmp_path / "c.json").write_text(json.dumps(flags[1]))
+        flags = ["--config", str(tmp_path / "c.json")]
+    data_dir = {"dg15": dg15_dir, "spatial": spatial_dir}[data]
+    out = tmp_path / "o"
+    assert run("train", "--method", method, "--data", str(data_dir), "--out", str(out),
+               "--epochs", "1", *flags) == 2
+    assert capsys.readouterr().err == f"config error: {flag} applies to {scope} only\n"
+    assert not out.exists()
+
+
 def test_data_errors_exit_3(tmp_path):
     assert run("train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")) == 3
 
@@ -516,6 +576,21 @@ def test_a_file_that_is_not_utf8_exits_3(spatial_dir, tmp_path, name):
     shutil.copytree(spatial_dir, bad)
     (bad / name).write_bytes(b"\xff" + (bad / name).read_bytes())
     assert run("train", "--data", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1") == 3
+
+
+def test_a_byte_that_is_not_utf8_after_the_first_rows_exits_3(tmp_path, capsys):
+    # far enough in that rows before it have been read and parsed
+    d = tmp_path / "d"
+    assert run("gen", "dg15", "--out", str(d)) == 0
+    raw = (d / "data.csv").read_bytes()
+    cut = raw.rindex(b"\n", 0, -1) + 1
+    assert cut > 2**16
+    (d / "data.csv").write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    out = tmp_path / "o"
+    assert run("train", "--data", str(d), "--out", str(out), "--epochs", "1") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: cannot read {d / 'data.csv'}: "), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("label", ["1e308", "65536"])
@@ -891,6 +966,18 @@ def test_theory_rejects_bad_grid(tmp_path):
     assert run("theory", "--out", str(tmp_path / "t"), "--domain-grid", "a,b") == 2
     assert run("theory", "--out", str(tmp_path / "t"), "--domain-grid", ",") == 2
     assert not (tmp_path / "t").exists()
+
+
+def test_theory_refuses_a_repeated_domain_count_before_any_draw(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a draw ran")
+
+    monkeypatch.setattr(cli, "scaling_experiment", no_work)
+    monkeypatch.setattr(cli, "averaging_oracle", no_work)
+    out = tmp_path / "t"
+    assert run("theory", "--out", str(out), "--domain-grid", "8,4,8") == 2
+    assert capsys.readouterr().err == "config error: --domain-grid repeats domain count 8\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--domain-grid=0,8", "--domain-grid=-4,8", "--r=-2"])

@@ -2,7 +2,9 @@
 the angular bracketing guarantee, exact round-trips, and the distinct
 failure modes of the loader."""
 
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +271,40 @@ def test_adjacency_dataset_round_trips_exactly(tmp_path):
     assert np.array_equal(back.y, ds.y)
     assert sorted(back.edges) == sorted(ds.edges)
     assert np.array_equal(back.fixed_between(back.ids, back.ids), ds.fixed_between(ds.ids, ds.ids))
+
+
+def test_saving_a_dataset_without_edges_deletes_an_old_edge_list(tmp_path):
+    # the ids match, so stale edges would load without error as this dataset's relations
+    ds = gen_spatial_regression(1, n_per_domain=5)
+    save_dataset(ds, str(tmp_path))
+    paths = save_dataset(dataclasses.replace(ds, edges=None), str(tmp_path))
+    assert "adjacency" not in paths and not (tmp_path / "adjacency.txt").exists()
+    back = load_dataset_dir(str(tmp_path))
+    assert back.edges is None and np.array_equal(back.x, ds.x)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_holds_a_constant_amount(tmp_path):
+    ds = gen_dg15(0, n_per_class=1700)  # 51,000 rows
+    assert _traced_peak(lambda: save_dataset(ds, str(tmp_path))) < 2**20
+
+
+def test_load_holds_about_its_arrays(tmp_path):
+    ds = gen_dg15(0, n_per_class=1700)
+    save_dataset(ds, str(tmp_path))
+    loaded = []
+    peak = _traced_peak(lambda: loaded.append(load_dataset_dir(str(tmp_path))))
+    back = loaded[0]
+    assert np.array_equal(back.x, ds.x) and np.array_equal(back.domain, ds.domain)
+    assert peak < 3 * (back.x.nbytes + back.y.nbytes + back.domain.nbytes) + 2**20
 
 
 def write_rows(path, rows):

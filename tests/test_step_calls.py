@@ -1,6 +1,6 @@
 """tools/step_calls.py: calls per training step, per score call and per scoring of
 prebuilt groups of its four configs, and calls per theory sweep cell with the traced
-peaks of the sweep and the oracle, on tiny data."""
+peaks of the sweep, the oracle and a dataset's save and load, on tiny data."""
 
 import importlib.util
 import math
@@ -30,11 +30,13 @@ def test_each_config_reports_its_calls_per_step(capsys):
         assert 0 < int(per_score) < int(calls)
         assert 0 < int(per_scored) < int(per_score)  # the groups are built beforehand
     assert lines[-3:-1] == ["", f"{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10} "
-                                f"{'sweep_MiB':>9} {'oracle_MiB':>10}"]
-    name, cells, calls, per_cell, sweep_mib, oracle_mib = lines[-1].split()
+                                f"{'sweep_MiB':>9} {'oracle_MiB':>10} {'load_MiB':>8} "
+                                f"{'save_MiB':>8}"]
+    name, cells, calls, per_cell, sweep_mib, oracle_mib, load_mib, save_mib = lines[-1].split()
     assert name == "theory-sweep" and int(cells) == 2 * 3  # the small sweep's (N, seed) cells
     assert float(per_cell) == round(int(calls) / int(cells), 1) > 0
     assert float(sweep_mib) > 0 and float(oracle_mib) > 0
+    assert float(load_mib) > 0 and float(save_mib) >= 0
 
 
 def test_theory_peaks_hold_the_sweep_and_oracle_buffers():
@@ -45,6 +47,13 @@ def test_theory_peaks_hold_the_sweep_and_oracle_buffers():
     leaf = min(step_calls.SMALL_ORACLE_MC, theory.ORACLE_BLOCK)
     assert 2 * 8 * leaf < oracle < theory.BLOCK_BYTES + 64 * 2**10
 
+
+
+def test_io_peaks_hold_the_arrays_on_load_and_one_row_on_save():
+    save, load, arrays = step_calls.io_peaks(small=True)
+    assert arrays == 30 * step_calls.SMALL_IO_PER_CLASS * (8 * 2 + 8 + 8)  # x, y and domain
+    assert arrays < load < 3 * arrays + 2**20
+    assert 0 < save < 2**20
 
 
 @dataclass

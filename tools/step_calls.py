@@ -16,12 +16,14 @@ at the sizes of the perfbench theory-sweep workload, c0 calibrated, seed 0)
 per (domain count, seed) cell; the calibration's held-out cells are not
 counted as cells. It also prints the peak memory ``tracemalloc`` traces
 during a second run of the sweep and during ``averaging_oracle`` at the
-``--mc`` of ``relgen theory`` (10**6 samples), in MiB.
+``--mc`` of ``relgen theory`` (10**6 samples), and during one
+``save_dataset`` and one ``load_dataset_dir`` of a 150,000-row dg15
+dataset (``gen_dg15(0, n_per_class=5000)``), in MiB.
 
     python3 tools/step_calls.py [--epochs 3] [--small]
 
-``--small`` trains on tiny datasets and runs a tiny sweep, for a quick
-check that the tool runs.
+``--small`` trains on tiny datasets, runs a tiny sweep and saves and loads
+a 1,500-row dataset, for a quick check that the tool runs.
 The relgen under ``src`` next to this file is imported. Stdlib, numpy and
 relgen only.
 """
@@ -33,13 +35,19 @@ import cProfile
 import math
 import pathlib
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from relgen.data import gen_dg15, gen_spatial_regression  # noqa: E402
+from relgen.data import (  # noqa: E402
+    gen_dg15,
+    gen_spatial_regression,
+    load_dataset_dir,
+    save_dataset,
+)
 from relgen.model import (  # noqa: E402
     TrainConfig,
     _score_groups,
@@ -65,6 +73,7 @@ SWEEP = dict(domain_grid=(8, 16, 32, 64), n_seeds=500, r=2, n_per_domain=50, noi
              lipschitz=1.0, n_eval=10_000)
 SMALL_SWEEP = dict(SWEEP, domain_grid=(4, 8), n_seeds=3, n_per_domain=10, n_eval=500)
 ORACLE_MC, SMALL_ORACLE_MC = 1_000_000, 10_000  # averaging_oracle's samples
+IO_PER_CLASS, SMALL_IO_PER_CLASS = 5000, 50  # gen_dg15's n_per_class for io_peaks
 
 
 def dataset(kind: str, small: bool):
@@ -130,6 +139,18 @@ def theory_peaks(small: bool = False) -> tuple[int, int]:
             _traced_peak(lambda: averaging_oracle(n_mc)))
 
 
+def io_peaks(small: bool = False) -> tuple[int, int, int]:
+    """(traced peak bytes of save_dataset, of load_dataset_dir, bytes of the loaded x, y
+    and domain arrays) of one dg15 dataset."""
+    ds = gen_dg15(0, n_per_class=SMALL_IO_PER_CLASS if small else IO_PER_CLASS)
+    with tempfile.TemporaryDirectory() as out:
+        save = _traced_peak(lambda: save_dataset(ds, out))
+        loaded = []
+        load = _traced_peak(lambda: loaded.append(load_dataset_dir(out)))
+    back = loaded[0]
+    return save, load, back.x.nbytes + back.y.nbytes + back.domain.nbytes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, default=3, help="epochs per config (default 3)")
@@ -145,10 +166,12 @@ def main(argv=None) -> int:
               f"{per_scored:>12}")
     calls, cells = calls_per_sweep(args.small)
     sweep_peak, oracle_peak = theory_peaks(args.small)
+    save_peak, load_peak, _ = io_peaks(args.small)
     print(f"\n{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10} {'sweep_MiB':>9} "
-          f"{'oracle_MiB':>10}")
+          f"{'oracle_MiB':>10} {'load_MiB':>8} {'save_MiB':>8}")
     print(f"{'theory-sweep':<16} {cells:>6} {calls:>8} {calls / cells:>10.1f} "
-          f"{sweep_peak / 2**20:>9.2f} {oracle_peak / 2**20:>10.2f}")
+          f"{sweep_peak / 2**20:>9.2f} {oracle_peak / 2**20:>10.2f} "
+          f"{load_peak / 2**20:>8.2f} {save_peak / 2**20:>8.2f}")
     return 0
 
 
