@@ -113,8 +113,7 @@ def _checkpoint_task(model) -> str:
 
 
 def _int_list(flag: str, raw: str, noun: str) -> list[int]:
-    """The comma-separated integers of a flag's value, each a different noun; ConfigError if
-    malformed, empty or repeated."""
+    """The comma-separated integers of a flag's value; ConfigError if malformed, empty or repeated."""
     try:
         values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
