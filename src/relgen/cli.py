@@ -206,8 +206,8 @@ def cmd_train(args) -> int:
                               f"{getattr(base, name)!r}, not {getattr(cfg0, name)!r}")
     _check_applies((
         ("--beta", args.beta is not None, "the fused relation mode", cfg0.relation_mode == "fused"),
-        ("combine_space prob", "prob" in (args.combine_space, given.get("combine_space")),
-         "relational classification", relational and dataset.task != TASK_REGRESSION),
+        ("combine_space prob", cfg0.combine_space == "prob", "relational classification",
+         relational and dataset.task != TASK_REGRESSION),
     ))
     seeds = _parse_seeds(args, cfg0, given)
     if args.resume and len(seeds) > 1:

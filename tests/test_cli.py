@@ -488,6 +488,17 @@ def test_train_rejects_settings_that_do_not_apply(dg15_dir, spatial_dir, tmp_pat
     assert not out.exists()
 
 
+def test_train_checks_the_combine_space_the_flags_leave(dg15_dir, tmp_path):
+    # --combine-space overrides the --config file's prob, so the pooled run trains
+    (tmp_path / "c.json").write_text(json.dumps({"combine_space": "prob"}))
+    out = tmp_path / "o"
+    assert run("train", "--method", "erm", "--data", str(dg15_dir), "--out", str(out),
+               "--epochs", "1", "--config", str(tmp_path / "c.json"),
+               "--combine-space", "logit") == 0
+    report = json.loads((out / "train-report.json").read_text())
+    assert report["config"]["combine_space"] == "logit"
+
+
 def test_data_errors_exit_3(tmp_path):
     assert run("train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")) == 3
 
