@@ -8,6 +8,7 @@ failure during optimization.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -307,6 +308,8 @@ def cmd_ablate(args) -> int:
     t0 = time.perf_counter()
     dataset = load_dataset_dir(args.data, task=args.task)
     cfg, given = _load_config(args)
+    _check_applies((("combine_space prob", cfg.combine_space == "prob",
+                      "relational classification", dataset.task != TASK_REGRESSION),))
     seeds = _parse_seeds(args, cfg, given)
     rows = ablation(seeds, cfg, lambda _: dataset)
     lines = [f"ablation data={args.data} seeds={seeds}"]
@@ -405,6 +408,9 @@ def cmd_export_relations(args) -> int:
     return 0
 
 
+# built at the first main call, then reused: parse_args leaves a parser as it found it, so
+# in-process callers parse every command with one parser and leave no cyclic garbage per call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="relgen",
@@ -500,8 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "out", None) is not None:
             _check_out(args.out, is_file=args.command == "export-relations")

@@ -101,13 +101,15 @@ def ablation(seeds, config: TrainConfig, dataset_factory=gen_dg15) -> list[dict]
     """Test metric over seeds per ablation row, all runs in one run_relational call.
 
     The "relations" group has a row per relation source (none/fixed/learned/fused),
-    "consistency" lam 0 and config.lam. Runs are keyed by their config, seed included,
-    so a run that two rows share (lam=config.lam is the base's own) trains once.
+    "consistency" lam 0 and config.lam, one row when config.lam is 0. Runs are keyed by
+    their config, seed included, so a run that two rows share (lam=config.lam is the
+    base's own) trains once.
     """
     seeds = [int(s) for s in seeds]
     datasets = [dataset_factory(s) for s in seeds]
     variants = [("relations", label, overrides) for label, overrides in RELATION_VARIANTS.items()]
-    variants += [("consistency", f"lam={lam:g}", {"lam": lam}) for lam in (0.0, config.lam)]
+    variants += [("consistency", f"lam={lam:g}", {"lam": lam})
+                 for lam in dict.fromkeys((0.0, config.lam))]
     rows = [[replace(config, seed=s, **overrides) for s in seeds] for *_, overrides in variants]
     runs = {c: d for cfgs in rows for d, c in zip(datasets, cfgs)}
     _, _, reports = run_relational(list(runs.values()), list(runs))

@@ -2,6 +2,7 @@
 report files, exit codes for the three failure families, and the relation
 matrix export."""
 
+import gc
 import hashlib
 import json
 import os
@@ -865,6 +866,45 @@ def test_version_flag(capsys):
     assert "relgen" in capsys.readouterr().out
 
 
+# -- one parser per process ---------------------------------------------------------
+
+
+def test_in_process_commands_leave_no_parser_garbage(dg15_dir, tmp_path):
+    """main builds its parser once and reuses it, so a command leaves no argparse objects
+    for the cyclic collector (several hundred per call when each call built its own)."""
+    out = tmp_path / "t"
+    assert run("gen", "dg15", "--n-per-class", "6", "--out", str(tmp_path / "g")) == 0
+    commands = [
+        ("gen", "dg15", "--n-per-class", "6", "--out", str(tmp_path / "g")),
+        ("train", "--data", str(dg15_dir), "--out", str(out), "--epochs", "1"),
+        ("eval", "--checkpoint", str(out / "checkpoint-relational-seed0.npz"),
+         "--data", str(dg15_dir)),
+    ]
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in commands:
+            assert run(*argv) == 0
+        gc.collect()
+        found = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert found == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ("import argparse, gc, relgen.cli; "
+             "print(sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects()))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 # -- eval variants ------------------------------------------------------------------
 
 
@@ -946,6 +986,43 @@ def test_ablate_writes_both_groups(dg15_dir, tmp_path):
     assert ("consistency", "lam=0") in groups
     assert ("consistency", "lam=0.5") in groups
     assert len(report["rows"]) == 6
+
+
+@pytest.mark.parametrize("flags", [["--combine-space", "prob"], ["--config"]],
+                         ids=["flag", "config"])
+def test_ablate_rejects_prob_on_regression_data(spatial_dir, tmp_path, monkeypatch, capsys,
+                                               flags):
+    # a regression model mixes its heads' outputs directly; relgen train refuses it too
+    def no_training(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(model_module, "_train_loop", no_training)
+    if flags == ["--config"]:
+        (tmp_path / "c.json").write_text(json.dumps({"combine_space": "prob", "epochs": 1}))
+        flags = ["--config", str(tmp_path / "c.json")]
+    out = tmp_path / "o"
+    assert run("ablate", "--data", str(spatial_dir), "--out", str(out), "--seeds", "0",
+               "--epochs", "1", *flags) == 2
+    assert capsys.readouterr().err == (
+        "config error: combine_space prob applies to relational classification only\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "0"], ["--config"]], ids=["flag", "config"])
+def test_ablate_at_lam_0_writes_the_lam_0_row_once(dg15_dir, tmp_path, capsys, flags):
+    if flags == ["--config"]:
+        (tmp_path / "c.json").write_text(json.dumps({"lam": 0}))
+        flags = ["--config", str(tmp_path / "c.json")]
+    out = tmp_path / "o"
+    assert run("ablate", "--data", str(dg15_dir), "--out", str(out), "--seeds", "0,1",
+               "--epochs", "1", *flags) == 0
+    rows = json.loads((out / "ablation-report.json").read_text())["rows"]
+    assert [(r["group"], r["variant"]) for r in rows] == [
+        ("relations", "none"), ("relations", "fixed"), ("relations", "learned"),
+        ("relations", "fused"), ("consistency", "lam=0")]
+    table = (out / "ablation-report.txt").read_text().splitlines()
+    assert len(table) == 2 + 5 and table[-1].split()[:2] == ["consistency", "lam=0"]
+    assert capsys.readouterr().out.splitlines() == table
 
 
 def test_ablate_has_no_finetune_epochs_flag(dg15_dir, tmp_path):

@@ -17,7 +17,8 @@ def _per_seed_rows(datasets, cfg):
     """The ablation rows as one run_relational call per seed would give them, and
     the set of the distinct configs those runs train."""
     variants = [("relations", label, overrides) for label, overrides in RELATION_VARIANTS.items()]
-    variants += [("consistency", f"lam={lam:g}", {"lam": lam}) for lam in (0.0, cfg.lam)]
+    variants += [("consistency", f"lam={lam:g}", {"lam": lam})
+                 for lam in dict.fromkeys((0.0, cfg.lam))]
     rows, configs = [], set()
     for group, label, overrides in variants:
         cfgs = [replace(cfg, seed=s, **overrides) for s in SEEDS]

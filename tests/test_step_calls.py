@@ -1,6 +1,7 @@
 """tools/step_calls.py: calls per training step, per score call and per scoring of
-prebuilt groups of its four configs, and calls per theory sweep cell with the traced
-peaks of the sweep, the oracle and a dataset's save and load, on tiny data."""
+prebuilt groups of its four configs, calls per theory sweep cell with the traced
+peaks of the sweep, the oracle and a dataset's save and load, and the objects the
+cyclic collector finds per in-process command, on tiny data."""
 
 import importlib.util
 import math
@@ -29,14 +30,20 @@ def test_each_config_reports_its_calls_per_step(capsys):
         assert float(per_step) == round(int(calls) / int(steps), 1) > 0
         assert 0 < int(per_score) < int(calls)
         assert 0 < int(per_scored) < int(per_score)  # the groups are built beforehand
-    assert lines[-3:-1] == ["", f"{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10} "
+    assert lines[-6:-4] == ["", f"{'sweep':<16} {'cells':>6} {'calls':>8} {'calls/cell':>10} "
                                 f"{'sweep_MiB':>9} {'oracle_MiB':>10} {'load_MiB':>8} "
                                 f"{'save_MiB':>8}"]
-    name, cells, calls, per_cell, sweep_mib, oracle_mib, load_mib, save_mib = lines[-1].split()
+    name, cells, calls, per_cell, sweep_mib, oracle_mib, load_mib, save_mib = lines[-4].split()
     assert name == "theory-sweep" and int(cells) == 2 * 3  # the small sweep's (N, seed) cells
     assert float(per_cell) == round(int(calls) / int(cells), 1) > 0
     assert float(sweep_mib) > 0 and float(oracle_mib) > 0
     assert float(load_mib) > 0 and float(save_mib) >= 0
+    assert lines[-3:-1] == ["", f"{'loop':<16} {'calls':>6} {'found':>8} {'gc_per_command':>14} "
+                                f"{'argparse':>8}"]
+    name, calls, found, per_command, parser = lines[-1].split()
+    assert name == "gen-train-eval" and int(calls) == 3
+    assert float(per_command) == round(int(found) / 3, 1)
+    assert int(parser) == 0  # main reuses one parser, so no command leaves one behind
 
 
 def test_theory_peaks_hold_the_sweep_and_oracle_buffers():

@@ -22,8 +22,15 @@ dataset (``gen_dg15(0, n_per_class=5000)``), in MiB.
 
     python3 tools/step_calls.py [--epochs 3] [--small]
 
-``--small`` trains on tiny datasets, runs a tiny sweep and saves and loads
-a 1,500-row dataset, for a quick check that the tool runs.
+A third table prints ``gc_per_command``: the objects the cyclic collector
+finds per in-process ``relgen.cli.main`` call over one fixed loop of
+``gen dg15`` (1,500 rows), ``train --epochs 1`` and ``eval``, run once to
+warm up and once under ``gc.DEBUG_SAVEALL``, and how many of them are
+``argparse`` objects.
+
+``--small`` trains on tiny datasets, runs a tiny sweep, saves and loads
+a 1,500-row dataset and runs the command loop on a 180-row dg15 dataset,
+for a quick check that the tool runs.
 The relgen under ``src`` next to this file is imported. Stdlib, numpy and
 relgen only.
 """
@@ -31,7 +38,10 @@ relgen only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
+import gc
+import io
 import math
 import pathlib
 import sys
@@ -42,6 +52,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from relgen.cli import main as cli_main  # noqa: E402
 from relgen.data import (  # noqa: E402
     gen_dg15,
     gen_spatial_regression,
@@ -151,6 +162,40 @@ def io_peaks(small: bool = False) -> tuple[int, int, int]:
     return save, load, back.x.nbytes + back.y.nbytes + back.domain.nbytes
 
 
+def gc_per_command(small: bool = False) -> tuple[int, int, int]:
+    """(commands in the loop, objects the cyclic collector finds over one loop, how many of
+    them are argparse objects). The loop runs once before it is counted, so lazy imports
+    and first-call caches are not counted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = f"{tmp}/data", f"{tmp}/out"
+        commands = [
+            ["gen", "dg15", "--n-per-class", "6" if small else "50", "--out", data],
+            ["train", "--data", data, "--out", out, "--epochs", "1"],
+            ["eval", "--checkpoint", f"{out}/checkpoint-relational-seed0.npz", "--data", data,
+             "--out", f"{tmp}/eval"],
+        ]
+
+        def run_loop():
+            for argv in commands:
+                if cli_main(argv) != 0:
+                    raise RuntimeError(f"relgen {' '.join(argv)} failed")
+
+        flags = gc.get_debug()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                run_loop()
+                gc.collect()
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                run_loop()
+                gc.collect()
+            found = len(gc.garbage)
+            n_argparse = sum(type(o).__module__ == "argparse" for o in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+    return len(commands), found, n_argparse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, default=3, help="epochs per config (default 3)")
@@ -172,6 +217,10 @@ def main(argv=None) -> int:
     print(f"{'theory-sweep':<16} {cells:>6} {calls:>8} {calls / cells:>10.1f} "
           f"{sweep_peak / 2**20:>9.2f} {oracle_peak / 2**20:>10.2f} "
           f"{load_peak / 2**20:>8.2f} {save_peak / 2**20:>8.2f}")
+    n_commands, found, n_argparse = gc_per_command(args.small)
+    print(f"\n{'loop':<16} {'calls':>6} {'found':>8} {'gc_per_command':>14} {'argparse':>8}")
+    print(f"{'gen-train-eval':<16} {n_commands:>6} {found:>8} "
+          f"{found / n_commands:>14.1f} {n_argparse:>8}")
     return 0
 
 
